@@ -3,6 +3,7 @@ variational inequalities over LMO-represented domains."""
 
 from .certificates import (
     AccuracyCertificate,
+    CertificateError,
     ExecutionProtocol,
     ResidualReport,
     dump_protocol_json,

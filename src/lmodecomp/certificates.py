@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "CertificateError",
     "ExecutionProtocol",
     "AccuracyCertificate",
     "ResidualReport",
@@ -25,6 +26,11 @@ __all__ = [
     "dump_protocol_json",
     "load_protocol_json",
 ]
+
+
+class CertificateError(RuntimeError):
+    """A certified bound failed its own check, e.g. an exact gap above the
+    residual that is supposed to bound it."""
 
 
 @dataclass(frozen=True)
@@ -67,9 +73,14 @@ class ExecutionProtocol:
 
 @dataclass(frozen=True)
 class AccuracyCertificate:
-    """Nonnegative weights summing to one, one per protocol entry."""
+    """Nonnegative weights summing to one, one per protocol entry.
+
+    `lower`, when known, is a certified lower bound on the smallest
+    residual that any certificate for the same protocol attains.
+    """
 
     weights: np.ndarray
+    lower: float | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -140,9 +151,10 @@ def residual_ball_product(protocol, cert, radii, split):
     r_u, r_v = radii
     lam = cert.weights
     diag = float(np.sum(lam * np.sum(protocol.field_values * protocol.points, axis=1)))
-    g_agg = lam @ protocol.field_values[:, :split]
-    h_agg = lam @ protocol.field_values[:, split:]
-    return diag + r_u * float(np.linalg.norm(g_agg)) + r_v * float(np.linalg.norm(h_agg))
+    # einsum, not a BLAS product: threaded BLAS splits this sum by thread count
+    agg = np.einsum("i,ij->j", lam, protocol.field_values)
+    return (diag + r_u * float(np.linalg.norm(agg[:split]))
+            + r_v * float(np.linalg.norm(agg[split:])))
 
 
 def protocol_records(protocol, cert):

@@ -4,8 +4,8 @@ Subcommands: matrix-game, blotto, affine-vi, nash.  Each loads a JSON
 problem spec, runs the decomposition pipeline, prints a human-readable
 summary and writes a JSON report.  Exit status: 0 when the certified gap
 reached the threshold, 2 when the step budget ran out first, 1 on input
-errors.  Reports are deterministic for a fixed spec and seed except for
-the wall_time_s field.
+errors.  Reports are deterministic for a fixed spec, at any BLAS thread
+count, except for the wall_time_s field.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ def _config_from_args(args):
         eps_target=args.eps,
         max_steps=args.max_steps,
         gap_threshold=args.gap_threshold,
-        seed=args.seed,
     )
     if args.cert_period is not None:
         kwargs["cert_period"] = args.cert_period
@@ -208,7 +207,6 @@ def _build_parser():
         p.add_argument("--max-steps", type=int, default=20000)
         p.add_argument("--cert-period", type=int, default=None)
         p.add_argument("--gap-threshold", type=float, default=1e-4)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--report", default=None, help="path for the JSON report")
     return parser
 

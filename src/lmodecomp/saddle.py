@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import ExecutionProtocol
+from .certificates import CertificateError, ExecutionProtocol
 from .domains import Ball, Product, Simplex
 from .oracles import DenseMatrixOracle, col_extreme, enumerate_columns
 from .solvers import FieldOracle, SolverConfig, ellipsoid_run, md_run
@@ -303,15 +303,16 @@ def solve_sp(master, solver="ellipsoid", config=None):
 
     upper, lower = _aggregate_bounds(master, hits, cert)
     gap_exact = upper - lower
-    assert gap_exact <= residual_bound + 1e-9, (
-        f"exact gap {gap_exact} exceeds certified residual {residual_bound}"
-    )
+    value = 0.5 * (upper + lower)
+    if not gap_exact <= residual_bound + 1e-9 * max(1.0, abs(value)):
+        raise CertificateError(
+            f"exact gap {gap_exact} exceeds certified residual {residual_bound}")
     return SparseAtomSolution(
         w_atoms=w_atoms,
         z_atoms=z_atoms,
         gap_bound=residual_bound,
         gap_exact=gap_exact,
-        value_estimate=0.5 * (upper + lower),
+        value_estimate=value,
         value_lower=lower,
         value_upper=upper,
         w_atom_columns=w_cols,

@@ -24,7 +24,6 @@ from .domains import Ball, Product
 __all__ = [
     "SolverConfig",
     "FieldOracle",
-    "EllipsoidState",
     "central_cut_log_volume_ratio",
     "ellipsoid_cut",
     "ellipsoid_run",
@@ -39,8 +38,6 @@ class SolverConfig:
     max_steps: int = 20000
     cert_period: int | None = None  # default: 4 K^2, K the per-block dimension
     gap_threshold: float = 1e-4
-    inner_iters: int = 25
-    seed: int = 0
     start: np.ndarray | None = None
 
     def __post_init__(self):
@@ -69,13 +66,9 @@ class FieldOracle:
         return value, payload
 
 
-@dataclass
-class EllipsoidState:
-    """Ellipsoid {center + B u : ||u|| <= 1} after tau steps."""
-
-    center: np.ndarray
-    shape: np.ndarray
-    tau: int
+_MAX_LP_SOLVES = 100  # per certificate round; a capped round only costs quality
+# residuals are certified far below HiGHS's default 1e-7 tolerances
+_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def _origin_ball_blocks(domain):
@@ -142,7 +135,9 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     certified residual falls below eps_target, or at max_steps.
 
     Returns (protocol, certificate, history); history holds one record
-    {step, productive, residual, gap} per certificate round.
+    {step, productive, residual, cert_lower, gap} per certificate round,
+    where cert_lower is a certified lower bound on the smallest residual
+    any certificate for that round's protocol attains.
     """
     config = config or SolverConfig()
     blocks = _origin_ball_blocks(domain)
@@ -165,23 +160,14 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     def certificate_round(step):
         nonlocal best_cert, best_res, last_cert_len
         protocol = ExecutionProtocol.from_lists(points, fields, ids, dim=n)
-        warm = None
-        if best_cert is not None:
-            pad = np.zeros(len(protocol))
-            pad[:len(best_cert)] = best_cert.weights
-            warm = AccuracyCertificate(pad)
-        cert = optimize_certificate(protocol, radii, split, warm_start=warm,
-                                    inner_iters=config.inner_iters,
-                                    tol=0.1 * config.eps_target)
-        res = residual_ball_product(protocol, cert, radii, split)
-        if res <= best_res:
-            best_cert, best_res = cert, res
-        else:
-            best_cert, best_res = (warm if warm is not None else cert), min(best_res, res)
+        # never worse than best_cert: the warm start is one of its candidates
+        best_cert = optimize_certificate(protocol, radii, split, warm_start=best_cert,
+                                         tol=0.1 * config.eps_target)
+        best_res = residual_ball_product(protocol, best_cert, radii, split)
         last_cert_len = len(protocol)
         gap = on_certificate(protocol, best_cert, best_res) if on_certificate else None
-        history.append({"step": step, "productive": len(protocol),
-                        "residual": best_res, "gap": gap})
+        history.append({"step": step, "productive": len(protocol), "residual": best_res,
+                        "cert_lower": best_cert.lower, "gap": gap})
         stop = best_res <= config.eps_target or (
             gap is not None and gap <= config.gap_threshold
         )
@@ -223,23 +209,20 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
         raise RuntimeError("ellipsoid run produced no productive steps")
 
     protocol = ExecutionProtocol.from_lists(points, fields, ids, dim=n)
-    protocol_payloads = payloads
-    return protocol, best_cert, {
-        "rounds": history,
-        "payloads": protocol_payloads,
-        "state": EllipsoidState(center, shape, step),
-    }
+    return protocol, best_cert, {"rounds": history, "payloads": payloads}
 
 
-def _project_blocks(x, blocks):
+def _balls(radii, split, dim):
+    """(slice, radius) of each ball factor, split at index `split`."""
+    return list(zip((slice(0, split), slice(split, dim)), radii))
+
+
+def _project_blocks(x, radii, split):
     out = x.copy()
-    off = 0
-    for d, r in blocks:
-        block = out[off:off + d]
-        nb = np.linalg.norm(block)
-        if nb > r:
-            out[off:off + d] = block * (r / nb)
-        off += d
+    for sl, r in _balls(radii, split, len(x)):
+        norm = np.linalg.norm(out[sl])
+        if norm > r:
+            out[sl] *= r / norm
     return out
 
 
@@ -258,7 +241,7 @@ def md_run(field, domain, config=None, on_certificate=None):
     r_total = float(np.sqrt(sum(r * r for _, r in blocks)))
 
     xi = np.zeros(n) if config.start is None else np.asarray(config.start, dtype=float).copy()
-    xi = _project_blocks(xi, blocks)
+    xi = _project_blocks(xi, radii, split)
     points, fields, ids, gammas = [], [], [], []
     lhat = 0.0
     for i in range(1, config.max_steps + 1):
@@ -269,7 +252,7 @@ def md_run(field, domain, config=None, on_certificate=None):
         lhat = max(lhat, float(np.linalg.norm(value)), 1e-30)
         gamma = r_total / (lhat * np.sqrt(i))
         gammas.append(gamma)
-        xi = _project_blocks(xi - gamma * value, blocks)
+        xi = _project_blocks(xi - gamma * value, radii, split)
         if on_certificate and i % cert_period == 0:
             protocol = ExecutionProtocol.from_lists(points, fields, ids, dim=n)
             w = np.array(gammas)
@@ -285,105 +268,116 @@ def md_run(field, domain, config=None, on_certificate=None):
     return protocol, cert
 
 
-def optimize_certificate(protocol, radii, split, warm_start=None, inner_iters=25, tol=None):
+def optimize_certificate(protocol, radii, split, warm_start=None, tol=None):
     """Best accuracy certificate for a protocol over a product of
-    origin-centered balls.
+    origin-centered balls, from the dual linear program.
 
-    The objective sum_i lam_i c_i + R_U ||sum lam_i G_i|| + R_V ||sum lam_i H_i||
-    depends on lam only through the aggregate (sum lam_i c_i, sum lam_i F_i),
-    so it is minimized over the convex hull of the t points (c_i, F_i) by a
-    fully corrective conditional-gradient loop: an accurate solve restricted
-    to a small active set of protocol entries alternates with adding the
-    entry that minimizes the linearized objective.  The norm kinks at zero
-    are handled by a decreasing smoothing schedule.  The result is never
-    worse than uniform weights, nor than the warm start when one is given.
+    With c_i = <F_i, w_i> and F_i = (G_i, H_i), minimax turns
+    min_{lam in simplex} sum lam_i c_i + R_U ||sum lam_i G_i|| + R_V ||sum lam_i H_i||
+    into max_{||a|| <= R_U, ||b|| <= R_V} min_i c_i + <F_i, (a, b)>: an LP
+    in (s, a, b) once the balls become a box refined by tangent (Kelley)
+    cuts, whose HiGHS duals on the protocol rows are the weights.  The LP
+    holds a working set of rows, grown by the rows each solution violates.
+    Any (a, b) in the balls bounds the optimum from below; the projected LP
+    solution and the dual completion of the best weights are tried, and
+    the loop stops when the best residual is within a relative 1e-6 of
+    that bound, or below tol/4.  The bound is the certificate's `lower`.
+    Never worse than uniform weights or the warm start, which may cover a
+    prefix of the protocol.
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import linprog
 
     t = len(protocol)
     if t == 0:
         raise ValueError("cannot optimize a certificate for an empty protocol")
-    r_u, r_v = radii
-    c = np.sum(protocol.field_values * protocol.points, axis=1)
-    hull = np.hstack([c[:, None], protocol.field_values])  # t x (1 + dim)
-    kg = split
-
-    def objective(lam):
-        agg = lam @ hull
-        return float(agg[0]
-                     + r_u * np.linalg.norm(agg[1:1 + kg])
-                     + r_v * np.linalg.norm(agg[1 + kg:]))
-
-    def obj_smooth(y, mu):
-        a = y[1:1 + kg]
-        b = y[1 + kg:]
-        return y[0] + r_u * np.sqrt(a @ a + mu * mu) + r_v * np.sqrt(b @ b + mu * mu)
-
-    def grad_smooth(y, mu):
-        g = np.zeros_like(y)
-        g[0] = 1.0
-        a = y[1:1 + kg]
-        g[1:1 + kg] = r_u * a / np.sqrt(a @ a + mu * mu)
-        b = y[1 + kg:]
-        g[1 + kg:] = r_v * b / np.sqrt(b @ b + mu * mu)
-        return g
-
+    d = protocol.dim
+    fv = protocol.field_values
+    c = np.sum(fv * protocol.points, axis=1)
+    scale = max(1.0, float(np.abs(fv).max()), float(np.abs(c).max()))
     candidates = [np.full(t, 1.0 / t)]
+    in_set = np.zeros(t, dtype=bool)  # the LP's working set of protocol rows
     if warm_start is not None:
-        if len(warm_start) != t:
-            raise ValueError("warm start length must match the protocol")
-        candidates.append(warm_start.weights)
-    seed = min(candidates, key=objective)
+        if len(warm_start) > t:
+            raise ValueError("warm start is longer than the protocol")
+        warm = np.zeros(t)
+        warm[:len(warm_start)] = warm_start.weights
+        candidates.append(warm)
+        in_set |= warm > 0.0
 
-    active = list(np.nonzero(seed > 1e-9)[0][:60])
-    if not active:
-        active = [int(np.argmax(seed))]
-    w = np.maximum(seed[active], 1e-16)
-    w /= w.sum()
-    scale = max(1.0, float(np.abs(hull).max()))
-    gap_tol = max(1e-13 * scale, 0.0 if tol is None else 0.25 * tol)
-    ones = np.ones
+    def residual_of(lam):
+        return residual_ball_product(protocol, AccuracyCertificate(lam), radii, split)
 
-    # skip smoothing stages finer than what the requested accuracy needs
-    stages = [mu * scale for mu in (1e-5, 1e-10, 1e-14)]
-    stages = stages[:1] + [mu for mu in stages[1:] if (r_u + r_v) * mu * 10.0 > gap_tol]
-    for mu in stages:
-        for _ in range(inner_iters):
-            rows = hull[active]
-            m = len(active)
-            res = minimize(
-                lambda l: obj_smooth(l @ rows, mu), w,
-                jac=lambda l: rows @ grad_smooth(l @ rows, mu),
-                method="SLSQP", bounds=[(0.0, 1.0)] * m,
-                constraints=[{"type": "eq", "fun": lambda l: l.sum() - 1.0,
-                              "jac": lambda l: ones(m)}],
-                options={"maxiter": 60, "ftol": 1e-16},
-            )
-            w = np.maximum(res.x, 0.0)
-            w /= w.sum()
-            y = w @ rows
-            g = grad_smooth(y, mu)
-            vals = hull @ g
-            order = np.argsort(vals)
-            if float(y @ g - vals[order[0]]) <= gap_tol:
-                break  # conditional-gradient gap certifies (smoothed) optimality
-            added = 0
-            for j in order[:4]:  # batch a few entries per master solve
-                j = int(j)
-                if j not in active:
-                    active.append(j)
-                    w = np.append(w, 0.0)
-                    added += 1
-            keep = w > 1e-14
-            keep[-max(added, 1):] = True
-            active = [a for a, k in zip(active, keep) if k]
-            w = w[keep]
-            s = w.sum()
-            w = w / s if s > 0 else np.full(len(w), 1.0 / len(w))
+    def completion_values(lam, f):
+        x = _project_blocks(_dual_completion(lam, f, c, fv, radii, split, scale), radii, split)
+        return c + fv @ x
 
-    lam = np.zeros(t)
-    lam[active] = w
-    best = min(candidates + [lam], key=objective)
-    best = np.maximum(best, 0.0)
-    best /= best.sum()
-    return AccuracyCertificate(best)
+    best = min(candidates, key=residual_of)
+    f_best = residual_of(best)
+    start = completion_values(best, f_best)
+    lower = float(start.min())
+    in_set[np.argsort(start, kind="stable")[:8 * (d + 1)]] = True  # binding at the start
+    gap_tol = 1e-13 * scale if tol is None else max(1e-13 * scale, 0.25 * tol)
+    lp_rows = np.hstack([np.ones((t, 1)), -fv])  # s - <F_i, (a, b)> <= c_i
+    cost = np.zeros(1 + d)
+    cost[0] = -1.0
+    bounds = [(None, None)] + [(-r, r) for sl, r in _balls(radii, split, d)
+                               for _ in range(sl.start, sl.stop)]
+    cuts, cut_rhs = [], []
+    for _ in range(_MAX_LP_SOLVES):
+        if f_best - lower <= max(gap_tol, 1e-6 * abs(lower)) or (
+                tol is not None and f_best <= gap_tol):
+            break
+        rows = np.flatnonzero(in_set)
+        res = linprog(cost, A_ub=np.vstack([lp_rows[rows]] + cuts),
+                      b_ub=np.concatenate([c[rows], cut_rhs]), bounds=bounds,
+                      method="highs", options=_HIGHS_OPTIONS)
+        if res.status != 0:
+            break  # numerical trouble: keep the best certificate found so far
+        lam = np.zeros(t)
+        lam[rows] = np.maximum(-res.ineqlin.marginals[:len(rows)], 0.0)
+        if lam.sum() > 0.0:
+            lam /= lam.sum()
+            f = residual_of(lam)
+            if f < f_best:
+                best, f_best = lam, f
+        s, ab = res.x[0], res.x[1:]
+        proj = _project_blocks(ab, radii, split)
+        n_cuts = len(cuts)
+        for sl, r in _balls(radii, split, d):
+            if np.any(proj[sl] != ab[sl]):  # outside this ball: cut at the projection
+                cuts.append(np.zeros(1 + d))
+                cuts[-1][1:][sl] = proj[sl] / r
+                cut_rhs.append(r)
+        lower = max(lower, float((c + fv @ proj).min()),
+                    float(completion_values(best, f_best).min()))
+        at_ab = c + fv @ ab
+        violated = np.flatnonzero(~in_set & (at_ab < s - 1e-12 * scale))
+        if len(violated) == 0 and len(cuts) == n_cuts:
+            break  # the LP optimum is feasible for the balls and all rows
+        in_set[violated[np.argsort(at_ab[violated], kind="stable")[:4 * (d + 1)]]] = True
+    return AccuracyCertificate(best, lower=lower)
+
+
+def _dual_completion(lam, f, c, fv, radii, split, scale):
+    """The point (a, b) that pairs with lam if lam is optimal: R times the
+    direction of a block's aggregate sum_i lam_i F_i where that is nonzero,
+    elsewhere the least-norm (in radius units) solution of
+    c_i + <F_i, (a, b)> = f on the support of lam, where optimal pairs are
+    tight."""
+    x = np.zeros(fv.shape[1])
+    radius = np.zeros(fv.shape[1])
+    free = np.zeros(fv.shape[1], dtype=bool)
+    agg = np.einsum("i,ij->j", lam, fv)  # as in residual_ball_product
+    for sl, r in _balls(radii, split, fv.shape[1]):
+        radius[sl] = r
+        norm = float(np.linalg.norm(agg[sl]))
+        if norm > 1e-12 * scale:
+            x[sl] = agg[sl] * (r / norm)
+        else:
+            free[sl] = True
+    if free.any():
+        supp = np.flatnonzero(lam > 0.0)
+        rhs = f - c[supp] - fv[supp][:, ~free] @ x[~free]
+        x[free] = np.linalg.lstsq(fv[supp][:, free] * radius[free], rhs, rcond=None)[0]
+        x[free] *= radius[free]
+    return x

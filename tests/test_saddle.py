@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import eps_sad_enum, lp_game_value
-from lmodecomp.certificates import residual, residual_ball_product
+from lmodecomp import saddle
+from lmodecomp.certificates import CertificateError, residual, residual_ball_product
 from lmodecomp.oracles import DenseMatrixOracle
 from lmodecomp.saddle import (
     BilinearSpSpec,
@@ -181,3 +182,11 @@ def test_json_serialization():
     d = sol.to_json_dict()
     assert set(d) >= {"w_atoms", "z_atoms", "gap_bound", "gap_exact", "value_estimate"}
     assert all(isinstance(a["index"], list) for a in d["w_atoms"])
+
+
+def test_solve_sp_raises_when_exact_gap_exceeds_residual(monkeypatch):
+    # an exact gap of 2 can never be certified by the residual
+    monkeypatch.setattr(saddle, "_aggregate_bounds", lambda master, hits, cert: (1.0, -1.0))
+    with pytest.raises(CertificateError, match="exceeds certified residual"):
+        solve_sp(build_master_example1(PENNIES),
+                 config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))

@@ -1,6 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+import lmodecomp
 from lmodecomp.certificates import (
     AccuracyCertificate,
     ExecutionProtocol,
@@ -121,6 +128,86 @@ def test_optimizer_near_optimal_on_analytic_case():
     cert = optimize_certificate(prot, (1.0, 0.0), 2)
     # diag terms are +1 and -1, so the optimum is 0 at equal weights
     assert residual_ball_product(prot, cert, (1.0, 0.0), 2) <= 1e-10
+
+
+def _polygon_lp_value(prot, radii, split, n_sides, inscribed):
+    """max over (a, b) in regular n-gons of radii R_U, R_V of
+    min_i <F_i, w_i> + <F_i, (a, b)>, for 2-D blocks.  The inscribed
+    n-gons give a lower and the circumscribed ones an upper bound on the
+    best certificate's residual."""
+    t, d = prot.points.shape
+    c = np.sum(prot.field_values * prot.points, axis=1)
+    angles = 2.0 * np.pi * np.arange(n_sides) / n_sides
+    normals = np.column_stack([np.cos(angles), np.sin(angles)])
+    shrink = np.cos(np.pi / n_sides) if inscribed else 1.0
+    rows, rhs = [np.hstack([np.ones((t, 1)), -prot.field_values])], [c]
+    for off, r in ((0, radii[0]), (split, radii[1])):
+        facets = np.zeros((n_sides, 1 + d))
+        facets[:, 1 + off:3 + off] = normals
+        rows.append(facets)
+        rhs.append(np.full(n_sides, r * shrink))
+    cost = np.zeros(1 + d)
+    cost[0] = -1.0
+    res = linprog(cost, A_ub=np.vstack(rows), b_ub=np.concatenate(rhs),
+                  bounds=[(None, None)] * (1 + d), method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_optimizer_optimal_within_polygon_bracket():
+    rng = np.random.default_rng(4)
+    radii, split = (1.5, 2.0), 2
+    for _ in range(5):
+        prot = _random_protocol(rng, 60, 4)
+        cert = optimize_certificate(prot, radii, split)
+        res = residual_ball_product(prot, cert, radii, split)
+        inner = _polygon_lp_value(prot, radii, split, 720, inscribed=True)
+        outer = _polygon_lp_value(prot, radii, split, 720, inscribed=False)
+        assert inner - 1e-9 <= res <= outer + 1e-9
+        assert inner - 1e-9 <= cert.lower <= res
+
+
+def test_ellipsoid_rounds_record_certificate_lower_bound():
+    rng = np.random.default_rng(5)
+    skew = rng.normal(size=(4, 4))
+    mat = skew - skew.T + 0.05 * np.eye(4)
+    shift = rng.normal(size=4)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    _, _, history = ellipsoid_run(FieldOracle(lambda x: mat @ x + shift), dom,
+                                  SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64))
+    assert len(history["rounds"]) > 3
+    for r in history["rounds"]:
+        assert np.isfinite(r["cert_lower"])
+        assert r["cert_lower"] <= r["residual"]
+
+
+_DETERMINISM_SCRIPT = """
+import numpy as np
+from lmodecomp import (BilinearSpSpec, DenseMatrixOracle, SolverConfig,
+                       build_master_example2, solve_sp)
+rng = np.random.default_rng(5)
+A, D = rng.normal(size=(3, 90)), rng.normal(size=(3, 80))
+spec = BilinearSpSpec(A=DenseMatrixOracle(A), D=DenseMatrixOracle(D))
+sol = solve_sp(build_master_example2(spec),
+               config=SolverConfig(eps_target=2e-7, gap_threshold=2e-7))
+print(repr(sol.gap_bound))
+print(sol.cert.weights.tobytes().hex())
+"""
+
+
+def test_results_identical_across_blas_thread_counts():
+    # OpenBLAS splits long products differently per thread count, which
+    # must not reach the certified bound or the certificate weights
+    src_root = str(Path(lmodecomp.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_solver_config_validation():
