@@ -7,7 +7,7 @@ knapsack-generated matrices; column searches run by dynamic programming
 and the game is solved in a primal space of dimension 16.
 
 Run:  python3 demos/resource_allocation.py            (desk instance)
-      python3 demos/resource_allocation.py --large    (the 10^10 one, ~5 s)
+      python3 demos/resource_allocation.py --large    (the 10^10 one, ~2 s)
 """
 
 import sys

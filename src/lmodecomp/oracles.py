@@ -104,6 +104,11 @@ class DpSystem:
     positions to next-stage states (absent for the last stage);
     outputs[s][state] is an (n_actions, r_s) array of stage outputs.
     start_states restricts where trajectories may begin.
+
+    Each stage's ragged action sets are also stored padded to the widest
+    one, for the vectorized bellman_backward: per stage a tuple of
+    outputs (n_states, width, r_s), next states (n_states, width) and a
+    mask of the padding slots (n_states, width).
     """
 
     n_states: tuple
@@ -118,19 +123,33 @@ class DpSystem:
             raise ValueError("system needs at least one stage")
         if len(self.actions) != m or len(self.outputs) != m or len(self.transitions) != m - 1:
             raise ValueError("inconsistent stage counts")
+        padded = []
         for s in range(m):
-            for state in range(self.n_states[s]):
+            n, r = self.n_states[s], np.shape(self.outputs[s][0])[1]
+            width = max(len(self.actions[s][state]) for state in range(n))
+            out = np.zeros((n, width, r))
+            nxt = np.zeros((n, width), dtype=int)
+            pad = np.ones((n, width), dtype=bool)
+            for state in range(n):
                 acts = self.actions[s][state]
                 if len(acts) == 0:
                     raise ValueError(f"empty action set at stage {s}, state {state}")
+                if np.shape(self.outputs[s][state]) != (len(acts), r):
+                    raise ValueError(f"outputs must align with actions at stage {s}, "
+                                     f"state {state}")
+                out[state, :len(acts)] = self.outputs[s][state]
+                pad[state, :len(acts)] = False
                 if s < m - 1:
-                    nxt = self.transitions[s][state]
-                    if len(nxt) != len(acts):
+                    nxt_st = self.transitions[s][state]
+                    if len(nxt_st) != len(acts):
                         raise ValueError("transitions must align with actions")
-                    if np.any(nxt < 0) or np.any(nxt >= self.n_states[s + 1]):
+                    if np.any(nxt_st < 0) or np.any(nxt_st >= self.n_states[s + 1]):
                         raise ValueError(f"transition out of range at stage {s}, state {state}")
+                    nxt[state, :len(acts)] = nxt_st
+            padded.append((out, nxt, pad))
         if not self.start_states:
             raise ValueError("at least one start state required")
+        object.__setattr__(self, "_padded", tuple(padded))
 
     @property
     def horizon(self):
@@ -203,29 +222,32 @@ class KnapsackOracle:
     def __init__(self, spec):
         self.spec = spec
         self.n_rows = spec.n_rows
+        # Per stage, _gather[s][x, a] indexes a continuation padded in front
+        # by one infeasible entry: 1 + the budget x - a*h_s left after
+        # action a, or 0 where that is negative.
+        budgets = np.arange(spec.budget + 1)[:, None]
+        gather = []
+        for b, h in zip(spec.bounds, spec.costs):
+            left = budgets - h * np.arange(b + 1)
+            gather.append(np.where(left < 0, 0, left + 1))
+        self._gather = tuple(gather)
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
         spec = self.spec
         xs = _split_query(x, spec.block_dims, self.n_rows)
         H = spec.budget
-        sign_bad = -np.inf if direction == "max" else np.inf
         pick = np.argmax if direction == "max" else np.argmin
-        u_next = np.zeros(H + 1)
-        argpos = []
+        budgets = np.arange(H + 1)
+        upad = np.zeros(H + 2)  # upad[1 + x] = optimal continuation from budget x
+        upad[0] = -np.inf if direction == "max" else np.inf
+        argpos = [None] * spec.horizon
         for s in range(spec.horizon - 1, -1, -1):
-            vals = spec.outputs[s] @ xs[s]          # (bounds+1,)
-            h = spec.costs[s]
-            cand = np.full((spec.bounds[s] + 1, H + 1), sign_bad)
-            for a in range(spec.bounds[s] + 1):
-                cost = a * h
-                if cost > H:
-                    break
-                cand[a, cost:] = vals[a] + u_next[:H + 1 - cost]
+            cand = upad.take(self._gather[s])   # (H+1, bounds+1)
+            cand += spec.outputs[s] @ xs[s]
             # first occurrence of the optimum = smallest a: lexicographic tie-break
-            argpos.append(pick(cand, axis=0))
-            u_next = np.take_along_axis(cand, argpos[-1][None, :], axis=0)[0]
-        argpos.reverse()
+            argpos[s] = pick(cand, axis=1)
+            upad[1:] = cand[budgets, argpos[s]]
         # forward pass from the full budget
         state, actions = H, []
         for s in range(spec.horizon):
@@ -233,7 +255,7 @@ class KnapsackOracle:
             actions.append(a)
             state -= a * spec.costs[s]
         column = np.concatenate([spec.outputs[s][a] for s, a in enumerate(actions)])
-        return ColumnHit(tuple(actions), column, float(u_next[H]))
+        return ColumnHit(tuple(actions), column, float(upad[H + 1]))
 
     def count_columns(self):
         spec = self.spec
@@ -337,20 +359,18 @@ def bellman_backward(dp, x, direction):
     _check_direction(direction)
     xs = _split_query(x, dp.block_dims, dp.n_rows)
     pick = np.argmax if direction == "max" else np.argmin
+    bad = -np.inf if direction == "max" else np.inf
     m = dp.horizon
     values, argpos = [None] * m, [None] * m
-    u_next = None
     for s in range(m - 1, -1, -1):
-        u = np.empty(dp.n_states[s])
-        ap = np.empty(dp.n_states[s], dtype=int)
-        for st in range(dp.n_states[s]):
-            cand = dp.outputs[s][st] @ xs[s]
-            if s < m - 1:
-                cand = cand + u_next[dp.transitions[s][st]]
-            p = int(pick(cand))
-            ap[st], u[st] = p, cand[p]
-        values[s], argpos[s] = u, ap
-        u_next = u
+        out, nxt, pad = dp._padded[s]
+        cand = out @ xs[s]                      # (n_states, width)
+        if s < m - 1:
+            cand += values[s + 1][nxt]
+        cand[pad] = bad
+        # first occurrence of the optimum = smallest action position
+        argpos[s] = pick(cand, axis=1)
+        values[s] = cand[np.arange(dp.n_states[s]), argpos[s]]
     return BellmanTables(tuple(values), tuple(argpos), direction)
 
 

@@ -327,20 +327,24 @@ def solve_sp(master, solver="ellipsoid", config=None):
 
 def _aggregate_bounds(master, hits, cert):
     lam = cert.weights
+    # zero weights add exact zeros to every sum below, so skipping them
+    # leaves the results bit-identical
+    support = np.flatnonzero(lam)
     agg_w = np.zeros(hits[0][0].column.shape[0])
     agg_z = np.zeros(hits[0][1].column.shape[0])
-    for weight, (w_hit, z_hit) in zip(lam, hits[:len(lam)]):
-        agg_w += weight * w_hit.column
-        agg_z += weight * z_hit.column
+    for i in support:
+        agg_w += lam[i] * hits[i][0].column
+        agg_z += lam[i] * hits[i][1].column
     p_dot_w = 0.0
     q_dot_z = 0.0
     if master.p is not None or master.q is not None:
         # offsets require the atom identities, desk scale only
-        for weight, (w_hit, z_hit) in zip(lam, hits[:len(lam)]):
+        for i in support:
+            w_hit, z_hit = hits[i]
             if master.p is not None:
-                p_dot_w += weight * master.p[w_hit.action_sequence[0]]
+                p_dot_w += lam[i] * master.p[w_hit.action_sequence[0]]
             if master.q is not None:
-                q_dot_z += weight * master.q[z_hit.action_sequence[0]]
+                q_dot_z += lam[i] * master.q[z_hit.action_sequence[0]]
     return _gap_terms(master, agg_w, agg_z, p_dot_w, q_dot_z)
 
 

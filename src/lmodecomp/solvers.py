@@ -123,6 +123,34 @@ def ellipsoid_cut(center, shape, g):
     return center_new, shape_new
 
 
+class _ProtocolBuffer:
+    """Protocol entries appended into preallocated arrays that double when
+    full.  Each snapshot views the rows so far, so building a round's
+    protocol copies nothing but the step ids."""
+
+    def __init__(self, dim):
+        self.dim = dim
+        self.points = np.empty((64, dim))
+        self.fields = np.empty((64, dim))
+        self.ids = []
+
+    def __len__(self):
+        return len(self.ids)
+
+    def append(self, point, field_value, step_id):
+        t = len(self.ids)
+        if t == self.points.shape[0]:
+            self.points = np.concatenate([self.points, np.empty_like(self.points)])
+            self.fields = np.concatenate([self.fields, np.empty_like(self.fields)])
+        self.points[t] = point
+        self.fields[t] = field_value
+        self.ids.append(step_id)
+
+    def protocol(self):
+        t = len(self.ids)
+        return ExecutionProtocol(self.points[:t], self.fields[:t], tuple(self.ids), self.dim)
+
+
 def ellipsoid_run(field, domain, config=None, on_certificate=None):
     """Central-cut ellipsoid with accuracy certificates.
 
@@ -151,7 +179,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     center = np.zeros(n)
     shape = r0 * np.eye(n)
 
-    points, fields, ids, payloads = [], [], [], []
+    entries, payloads = _ProtocolBuffer(n), []
     history = []
     best_cert, best_res = None, np.inf
     last_cert_len = 0
@@ -159,7 +187,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
 
     def certificate_round(step):
         nonlocal best_cert, best_res, last_cert_len
-        protocol = ExecutionProtocol.from_lists(points, fields, ids, dim=n)
+        protocol = entries.protocol()
         # never worse than best_cert: the warm start is one of its candidates
         best_cert = optimize_certificate(protocol, radii, split, warm_start=best_cert,
                                          tol=0.1 * config.eps_target)
@@ -177,9 +205,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     for step in range(1, config.max_steps + 1):
         if domain.contains(center, tol=0.0):
             value, payload = field(center)
-            points.append(center.copy())
-            fields.append(value)
-            ids.append(step)
+            entries.append(center, value, step)
             payloads.append(payload)
             g = value
             if np.linalg.norm(g) <= 1e-15:
@@ -199,17 +225,16 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
             center, shape = ellipsoid_cut(center, shape, g)
         except RuntimeError:
             break  # ellipsoid collapsed numerically; stop and certify what we have
-        if points and step % cert_period == 0:
+        if entries and step % cert_period == 0:
             if certificate_round(step):
                 break
 
-    if points and len(points) > last_cert_len:
+    if len(entries) > last_cert_len:
         certificate_round(step)
-    if not points:
+    if not entries:
         raise RuntimeError("ellipsoid run produced no productive steps")
 
-    protocol = ExecutionProtocol.from_lists(points, fields, ids, dim=n)
-    return protocol, best_cert, {"rounds": history, "payloads": payloads}
+    return entries.protocol(), best_cert, {"rounds": history, "payloads": payloads}
 
 
 def _balls(radii, split, dim):
@@ -242,19 +267,17 @@ def md_run(field, domain, config=None, on_certificate=None):
 
     xi = np.zeros(n) if config.start is None else np.asarray(config.start, dtype=float).copy()
     xi = _project_blocks(xi, radii, split)
-    points, fields, ids, gammas = [], [], [], []
+    entries, gammas = _ProtocolBuffer(n), []
     lhat = 0.0
     for i in range(1, config.max_steps + 1):
         value, _ = field(xi)
-        points.append(xi.copy())
-        fields.append(value)
-        ids.append(i)
+        entries.append(xi, value, i)
         lhat = max(lhat, float(np.linalg.norm(value)), 1e-30)
         gamma = r_total / (lhat * np.sqrt(i))
         gammas.append(gamma)
         xi = _project_blocks(xi - gamma * value, radii, split)
         if on_certificate and i % cert_period == 0:
-            protocol = ExecutionProtocol.from_lists(points, fields, ids, dim=n)
+            protocol = entries.protocol()
             w = np.array(gammas)
             cert = AccuracyCertificate(w / w.sum())
             res = residual_ball_product(protocol, cert, radii, split)
@@ -262,10 +285,9 @@ def md_run(field, domain, config=None, on_certificate=None):
             if res <= config.eps_target or (gap is not None and gap <= config.gap_threshold):
                 break
 
-    protocol = ExecutionProtocol.from_lists(points, fields, ids, dim=n)
     w = np.array(gammas)
     cert = AccuracyCertificate(w / w.sum())
-    return protocol, cert
+    return entries.protocol(), cert
 
 
 def optimize_certificate(protocol, radii, split, warm_start=None, tol=None):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from lmodecomp.blotto import BlottoSpec, build_blotto, random_rank1_omegas
 from lmodecomp.oracles import (
     DenseMatrixOracle,
     DpOracle,
@@ -190,3 +191,104 @@ def test_json_and_csv_loaders(tmp_path):
     oracle = dense_from_csv(str(path))
     assert oracle.matrix.shape == (2, 2)
     assert oracle.matrix[1, 1] == 4.0
+
+
+def test_knapsack_gather_matches_dp_at_blotto_scale():
+    # criterion-05 sizes: C(72, 8) columns per side, far too many to enumerate,
+    # so the knapsack gather is checked against the independent DP tables
+    m, cap = 8, 64
+    game = build_blotto(BlottoSpec(
+        caps_a=(cap,) * m, caps_d=(cap,) * m, costs_a=(1,) * m, costs_d=(1,) * m,
+        budget_a=cap, budget_d=cap, omegas=random_rank1_omegas(m, (cap,) * m, (cap,) * m, 5)))
+    knapsack = game.A
+    dp = DpOracle(dp_from_knapsack(knapsack.spec))
+    rng = np.random.default_rng(11)
+    queries = [rng.normal(size=knapsack.n_rows) for _ in range(100)]
+    # integer queries on the rank-1 outputs make many exact ties
+    queries += [rng.integers(-2, 3, size=knapsack.n_rows).astype(float) for _ in range(50)]
+    for x in queries:
+        for direction in ("max", "min"):
+            h1 = col_extreme(knapsack, x, direction)
+            h2 = col_extreme(dp, x, direction)
+            assert h1.action_sequence == h2.action_sequence
+            assert h1.value == h2.value
+            assert np.array_equal(h1.column, h2.column)
+            assert sum(h1.action_sequence) <= cap
+
+
+@pytest.mark.parametrize("bounds, costs, budget", [
+    ((3, 2, 2), (1, 1, 1), 0),      # zero budget: only the all-zero column
+    ((3, 0, 2), (1, 2, 1), 4),      # a stage with a single (zero) action
+    ((4, 5, 9), (2, 3, 1), 9),      # actions whose cost a*h_s exceeds the budget
+])
+def test_knapsack_edge_cases_match_enumeration(bounds, costs, budget):
+    rng = np.random.default_rng(budget)
+    spec = KnapsackSpec(bounds=bounds, costs=costs, budget=budget,
+                        outputs=tuple(rng.normal(size=(b + 1, 2)) for b in bounds))
+    oracle = KnapsackOracle(spec)
+    seqs, cols = enumerate_columns(oracle)
+    for _ in range(30):
+        x = rng.normal(size=oracle.n_rows)
+        vals = x @ cols
+        for direction, pick in (("max", np.argmax), ("min", np.argmin)):
+            hit = col_extreme(oracle, x, direction)
+            j = int(pick(vals))
+            assert hit.action_sequence == seqs[j]
+            assert abs(hit.value - vals[j]) < 1e-9
+            assert np.array_equal(hit.column, cols[:, j])
+    for direction in ("max", "min"):
+        hit = col_extreme(oracle, np.zeros(oracle.n_rows), direction)
+        assert hit.action_sequence == (0,) * len(bounds)
+        assert hit.value == 0.0
+
+
+def _bellman_reference(dp, x, direction):
+    """Per-state backward recurrence, one action set at a time."""
+    xs, off = [], 0
+    for r in dp.block_dims:
+        xs.append(x[off:off + r])
+        off += r
+    pick = np.argmax if direction == "max" else np.argmin
+    values, argpos = [None] * dp.horizon, [None] * dp.horizon
+    for s in range(dp.horizon - 1, -1, -1):
+        u = np.empty(dp.n_states[s])
+        ap = np.empty(dp.n_states[s], dtype=int)
+        for st in range(dp.n_states[s]):
+            cand = dp.outputs[s][st] @ xs[s]
+            if s < dp.horizon - 1:
+                cand = cand + values[s + 1][dp.transitions[s][st]]
+            ap[st] = pick(cand)
+            u[st] = cand[ap[st]]
+        values[s], argpos[s] = u, ap
+    return values, argpos
+
+
+def test_bellman_backward_ragged_system_matches_per_state_loop():
+    rng = np.random.default_rng(21)
+    n_states = [3, 4, 2, 3]
+    obj = {"n_states": n_states, "actions": [], "transitions": [], "outputs": [],
+           "start_states": [0, 2]}
+    for s, n in enumerate(n_states):
+        acts = [sorted(rng.choice(9, size=int(rng.integers(1, 6)), replace=False).tolist())
+                for _ in range(n)]
+        obj["actions"].append(acts)
+        obj["outputs"].append([rng.normal(size=(len(a), 2)).tolist() for a in acts])
+        if s < len(n_states) - 1:
+            obj["transitions"].append(
+                [rng.integers(0, n_states[s + 1], size=len(a)).tolist() for a in acts])
+    dp = dp_from_json(obj)
+    assert len({len(a) for stage in dp.actions for a in stage}) > 1  # ragged
+    oracle = DpOracle(dp)
+    for _ in range(50):
+        x = rng.normal(size=dp.n_rows)
+        for direction in ("max", "min"):
+            values, argpos = _bellman_reference(dp, x, direction)
+            tables = bellman_backward(dp, x, direction)
+            for s in range(dp.horizon):
+                assert np.array_equal(tables.argpos[s], argpos[s])
+                assert np.allclose(tables.values[s], values[s], rtol=0.0, atol=1e-12)
+            starts = list(dp.start_states)
+            ref_vals = values[0][starts]
+            ref_start = starts[int(np.argmax(ref_vals) if direction == "max"
+                                   else np.argmin(ref_vals))]
+            assert oracle.col_extreme(x, direction).start_state == ref_start

@@ -181,6 +181,40 @@ def test_ellipsoid_rounds_record_certificate_lower_bound():
         assert r["cert_lower"] <= r["residual"]
 
 
+
+@pytest.mark.parametrize("method", ["ellipsoid", "md"])
+def test_round_protocols_are_stable_prefixes(method):
+    # each round's protocol views storage that later steps keep appending
+    # to (and reallocate past 64 entries); it must never change afterwards
+    rng = np.random.default_rng(6)
+    skew = rng.normal(size=(4, 4))
+    mat = skew - skew.T + 0.05 * np.eye(4)
+    calls = []
+
+    def fn(x):
+        calls.append((x.copy(), mat @ x + 1.0))
+        return calls[-1][1]
+
+    snapshots = []
+
+    def on_certificate(protocol, cert, res):
+        snapshots.append((protocol, protocol.points.copy(), protocol.field_values.copy()))
+
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    cfg = SolverConfig(eps_target=1e-12, gap_threshold=0.0, max_steps=400, cert_period=50)
+    run = ellipsoid_run if method == "ellipsoid" else md_run
+    protocol = run(FieldOracle(fn), dom, cfg, on_certificate)[0]
+    assert len(protocol) == len(calls) > 64
+    assert np.array_equal(protocol.points, np.array([p for p, _ in calls]))
+    assert np.array_equal(protocol.field_values, np.array([f for _, f in calls]))
+    assert list(protocol.step_ids) == sorted(set(protocol.step_ids))
+    assert len(snapshots) >= 3
+    for snap, points, fields in snapshots:
+        t = len(snap)
+        assert np.array_equal(snap.points, points) and np.array_equal(snap.field_values, fields)
+        assert np.array_equal(protocol.points[:t], points)
+        assert protocol.step_ids[:t] == snap.step_ids
+
 _DETERMINISM_SCRIPT = """
 import numpy as np
 from lmodecomp import (BilinearSpSpec, DenseMatrixOracle, SolverConfig,
