@@ -171,10 +171,15 @@ class BellmanTables:
     direction: str
 
 
-def _split_query(x, block_dims, n_rows):
+def _check_query(x, n_rows):
     x = np.asarray(x, dtype=float)
     if x.shape != (n_rows,):
         raise ValueError(f"query dimension {x.shape} does not match row count {n_rows}")
+    return x
+
+
+def _split_query(x, block_dims, n_rows):
+    x = _check_query(x, n_rows)
     out, off = [], 0
     for r in block_dims:
         out.append(x[off:off + r])
@@ -199,9 +204,7 @@ class DenseMatrixOracle:
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_rows,):
-            raise ValueError(f"query dimension {x.shape} does not match row count {self.n_rows}")
+        x = _check_query(x, self.n_rows)
         vals = x @ self.matrix
         j = int(np.argmax(vals) if direction == "max" else np.argmin(vals))
         return ColumnHit((j,), self.matrix[:, j].copy(), float(vals[j]))
@@ -231,23 +234,26 @@ class KnapsackOracle:
             left = budgets - h * np.arange(b + 1)
             gather.append(np.where(left < 0, 0, left + 1))
         self._gather = tuple(gather)
+        offsets = np.cumsum((0,) + spec.block_dims)
+        self._query_slices = tuple(slice(offsets[s], offsets[s + 1])
+                                   for s in range(spec.horizon))
+        self._budgets = np.arange(spec.budget + 1)
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
+        x = _check_query(x, self.n_rows)
         spec = self.spec
-        xs = _split_query(x, spec.block_dims, self.n_rows)
         H = spec.budget
-        pick = np.argmax if direction == "max" else np.argmin
-        budgets = np.arange(H + 1)
+        maximize = direction == "max"
         upad = np.zeros(H + 2)  # upad[1 + x] = optimal continuation from budget x
-        upad[0] = -np.inf if direction == "max" else np.inf
+        upad[0] = -np.inf if maximize else np.inf
         argpos = [None] * spec.horizon
         for s in range(spec.horizon - 1, -1, -1):
             cand = upad.take(self._gather[s])   # (H+1, bounds+1)
-            cand += spec.outputs[s] @ xs[s]
+            cand += spec.outputs[s] @ x[self._query_slices[s]]
             # first occurrence of the optimum = smallest a: lexicographic tie-break
-            argpos[s] = pick(cand, axis=1)
-            upad[1:] = cand[budgets, argpos[s]]
+            argpos[s] = cand.argmax(axis=1) if maximize else cand.argmin(axis=1)
+            upad[1:] = cand[self._budgets, argpos[s]]
         # forward pass from the full budget
         state, actions = H, []
         for s in range(spec.horizon):

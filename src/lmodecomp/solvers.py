@@ -203,22 +203,24 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
 
     step = 0
     for step in range(1, config.max_steps + 1):
-        if domain.contains(center, tol=0.0):
+        # the balls are origin-centered: the first one the center leaves
+        # gives the separating cut along its outward normal
+        g, off = None, 0
+        for d, r in blocks:
+            block = center[off:off + d]
+            norm = np.linalg.norm(block)
+            if norm > r:
+                g = np.zeros(n)
+                g[off:off + d] = block / norm
+                break
+            off += d
+        if g is None:
             value, payload = field(center)
             entries.append(center, value, step)
             payloads.append(payload)
             g = value
             if np.linalg.norm(g) <= 1e-15:
                 stationary = True  # exact stationary point; nothing left to cut
-        else:
-            g = np.zeros(n)
-            off = 0
-            for d, r in blocks:
-                block = center[off:off + d]
-                if np.linalg.norm(block) > r:
-                    g[off:off + d] = block / np.linalg.norm(block)
-                    break
-                off += d
         if stationary:
             break
         try:

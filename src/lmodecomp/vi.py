@@ -133,7 +133,12 @@ class NashSpec:
     D[l] encodes player l's pure strategies (m_l x N_l simple matrix);
     M[l][lp] are the m_l x m_lp loss matrices with M[l][l] = 0 and
     M[l][lp] = -M[lp][l]^T (checked entrywise); g[l] are optional linear
-    loss terms (the part hitting player l's own strategy), desk scale.
+    loss terms (the part hitting player l's own strategy), one entry per
+    column of a dense D[l], desk scale.
+
+    After validation the blocks are stacked once: C = [M[l][lp]] is the
+    K x K coupling matrix (K = sum m_l), block_rows[l] = m_l and
+    row_slices[l] selects player l's rows (and columns) of C.
     """
 
     D: list
@@ -145,6 +150,12 @@ class NashSpec:
         if len(self.M) != L or any(len(row) != L for row in self.M):
             raise ValueError("M must be an L x L table of matrices")
         self.M = [[np.atleast_2d(np.asarray(m, dtype=float)) for m in row] for row in self.M]
+        rows = [d.n_rows for d in self.D]
+        for l in range(L):
+            for lp in range(L):
+                if self.M[l][lp].shape != (rows[l], rows[lp]):
+                    raise ValueError(f"M[{l}][{lp}] has shape {self.M[l][lp].shape}, "
+                                     f"expected {(rows[l], rows[lp])} from the encoders")
         for l in range(L):
             if not np.all(np.abs(self.M[l][l]) <= 1e-12):
                 raise ValueError(f"diagonal loss matrix M[{l}][{l}] must be zero")
@@ -152,71 +163,62 @@ class NashSpec:
                 if np.any(np.abs(self.M[l][lp] + self.M[lp][l].T) > 1e-12):
                     raise ValueError(f"M[{l}][{lp}] != -M[{lp}][{l}]^T")
         if self.g is not None:
+            if len(self.g) != L:
+                raise ValueError(f"g needs one entry per player, got {len(self.g)}")
             self.g = [np.asarray(v, dtype=float) for v in self.g]
+            for l, v in enumerate(self.g):
+                if not hasattr(self.D[l], "matrix"):
+                    raise ValueError(f"g[{l}] needs a dense encoder D[{l}], whose columns "
+                                     "it indexes")
+                if v.shape != (self.D[l].count_columns(),):
+                    raise ValueError(f"g[{l}] has shape {v.shape}, expected one entry "
+                                     f"per column of D[{l}] ({self.D[l].count_columns()})")
+        self.block_rows = rows
+        offsets = np.cumsum([0] + rows)
+        self.row_slices = [slice(offsets[l], offsets[l + 1]) for l in range(L)]
+        self.C = np.block(self.M)
 
     @property
     def L(self):
         return len(self.D)
 
-    @property
-    def block_rows(self):
-        return [d.n_rows for d in self.D]
-
 
 class NashSkewSystem:
-    """Blocked P, Q induced by a NashSpec; column search runs per player
-    through the encoding-matrix oracles with transformed queries."""
+    """P, Q induced by a NashSpec, never materialized: Q = (1/2)
+    blockdiag(D_l) and P = C blockdiag(D_l), C the spec's stacked
+    coupling matrix.  For eta = (eta_l) the stacked encoding
+    d = (D_l eta_l) gives P eta = C d and Q eta = d / 2, so the column
+    search runs once per player through the encoding-matrix oracles on
+    the rows of the query y = x2 / 2 + C^T x1."""
 
     def __init__(self, spec):
         self.spec = spec
-        self.K = sum(spec.block_rows)
-        self.row_offsets = np.cumsum([0] + spec.block_rows)
-
-    def _row_blocks(self, x):
-        return [x[self.row_offsets[l]:self.row_offsets[l + 1]] for l in range(self.spec.L)]
+        self.K = spec.C.shape[0]
 
     def eta_argmin(self, x1, x2):
         spec = self.spec
-        x1b = self._row_blocks(np.asarray(x1, dtype=float))
-        x2b = self._row_blocks(np.asarray(x2, dtype=float))
+        # entries of the query on player l's block: g_lj - <D_l e_j, y_l>
+        y = 0.5 * np.asarray(x2, dtype=float) + spec.C.T @ np.asarray(x1, dtype=float)
+        d = np.empty(self.K)
         atoms, value, f_dot = [], 0.0, 0.0
-        p_vec = np.zeros(self.K)
-        q_vec = np.zeros(self.K)
-        for l in range(spec.L):
-            # entries of the query on player l's block: f_lj - <D_l e_j, y_l>
-            y = 0.5 * x2b[l]
-            for lp in range(spec.L):
-                y = y + spec.M[lp][l].T @ x1b[lp]
+        for l, sl in enumerate(spec.row_slices):
             if spec.g is None:
-                hit = col_extreme(spec.D[l], y, "max")
-                best_val = -hit.value
-                d_col = hit.column
-                atom = hit.action_sequence
+                hit = col_extreme(spec.D[l], y[sl], "max")
+                value -= hit.value
+                d[sl] = hit.column
+                atoms.append(hit.action_sequence)
             else:
-                vals = spec.g[l] - (y @ spec.D[l].matrix)
+                vals = spec.g[l] - (y[sl] @ spec.D[l].matrix)
                 j = int(np.argmin(vals))
-                best_val = float(vals[j])
-                d_col = spec.D[l].matrix[:, j]
-                atom = (j,)
+                value += float(vals[j])
+                d[sl] = spec.D[l].matrix[:, j]
+                atoms.append((j,))
                 f_dot += float(spec.g[l][j])
-            atoms.append(atom)
-            value += best_val
-            lo = self.row_offsets[l]
-            q_vec[lo:lo + spec.block_rows[l]] += 0.5 * d_col
-            for lp in range(spec.L):
-                lop = self.row_offsets[lp]
-                p_vec[lop:lop + spec.block_rows[lp]] += spec.M[lp][l] @ d_col
-        return EtaHit(tuple(atoms), p_vec, q_vec, value, f_dot)
+        return EtaHit(tuple(atoms), spec.C @ d, 0.5 * d, value, f_dot)
 
     def apply_P_atoms(self, atoms):
         spec = self.spec
-        out = np.zeros(self.K)
-        for l, atom in enumerate(atoms):
-            d_col = spec.D[l].column(atom)
-            for lp in range(spec.L):
-                lo = self.row_offsets[lp]
-                out[lo:lo + spec.block_rows[lp]] += spec.M[lp][l] @ d_col
-        return out
+        return spec.C @ np.concatenate([spec.D[l].column(atom) for l, atom in enumerate(atoms)])
 
     def f_dot_atoms(self, atoms):
         if self.spec.g is None:
@@ -226,42 +228,26 @@ class NashSkewSystem:
     def xi_radii(self):
         spec = self.spec
         r1 = r2 = 0.0
-        for l in range(spec.L):
-            stack = np.vstack([spec.M[lp][l] for lp in range(spec.L)])
+        for l, sl in enumerate(spec.row_slices):
+            coupling = spec.C[:, sl]  # P = coupling @ D_l on player l's columns
             if hasattr(spec.D[l], "matrix"):
                 cols = spec.D[l].matrix
                 r1 += 0.5 * float(np.linalg.norm(cols, axis=0).max())
-                r2 += float(np.linalg.norm(stack @ cols, axis=0).max())
+                r2 += float(np.linalg.norm(coupling @ cols, axis=0).max())
             else:
                 bound = spec.D[l].column_norm_bound()
                 r1 += 0.5 * bound
-                r2 += float(np.linalg.norm(stack, 2)) * bound
+                r2 += float(np.linalg.norm(coupling, 2)) * bound
         return r1, r2
 
     def dense_PQ(self):
         """Materialized P, Q and f (desk scale, dense encoders only)."""
+        from scipy.linalg import block_diag
+
         spec = self.spec
-        cols_p, cols_q = [], []
-        for l in range(spec.L):
-            cols = spec.D[l].matrix
-            stack = np.vstack([spec.M[lp][l] for lp in range(spec.L)])
-            # embed rows of this player's block of Q
-            q_block = np.zeros((self.K, cols.shape[1]))
-            lo = self.row_offsets[l]
-            q_block[lo:lo + spec.block_rows[l]] = 0.5 * cols
-            cols_q.append(q_block)
-            p_block = np.zeros((self.K, cols.shape[1]))
-            off = 0
-            for lp in range(spec.L):
-                lop = self.row_offsets[lp]
-                p_block[lop:lop + spec.block_rows[lp]] = spec.M[lp][l] @ cols
-            cols_p.append(p_block)
-        P = np.hstack(cols_p)
-        Q = np.hstack(cols_q)
-        f = None
-        if spec.g is not None:
-            f = np.concatenate(spec.g)
-        return P, Q, f
+        blocks = block_diag(*[d.matrix for d in spec.D])
+        f = None if spec.g is None else np.concatenate(spec.g)
+        return spec.C @ blocks, 0.5 * blocks, f
 
     def h_domain(self):
         return Product([Simplex(d.count_columns()) for d in self.spec.D])
@@ -477,26 +463,22 @@ def eps_nash(spec, eta_blocks):
     for l in range(L):
         blk = eta_blocks[l]
         if isinstance(blk, dict):
-            col = sum(w * spec.D[l].column(a) for a, w in blk.items())
+            encoded.append(sum(w * spec.D[l].column(a) for a, w in blk.items()))
         else:
-            blk = np.asarray(blk, dtype=float)
-            col = spec.D[l].matrix @ blk
-        encoded.append(col)
+            encoded.append(spec.D[l].matrix @ np.asarray(blk, dtype=float))
+    encoded = np.concatenate(encoded)
+    losses = spec.C @ encoded  # row block l: gradient of player l's loss in D_l eta_l
     total = 0.0
-    for l in range(L):
-        y = np.zeros(spec.block_rows[l])
-        for lp in range(L):
-            y = y + spec.M[l][lp] @ encoded[lp]
-        own = float(encoded[l] @ y)
+    for l, sl in enumerate(spec.row_slices):
+        y = losses[sl]
+        own = float(encoded[sl] @ y)
         if spec.g is not None:
             blk = eta_blocks[l]
             if isinstance(blk, dict):
                 own += float(sum(w * spec.g[l][a[0]] for a, w in blk.items()))
-                vals = spec.g[l] + y @ spec.D[l].matrix
-                best = float(vals.min())
             else:
-                own += float(spec.g[l] @ blk)
-                best = float((spec.g[l] + y @ spec.D[l].matrix).min())
+                own += float(spec.g[l] @ np.asarray(blk, dtype=float))
+            best = float((spec.g[l] + y @ spec.D[l].matrix).min())
         else:
             best = col_extreme(spec.D[l], y, "min").value
         total += own - best

@@ -82,8 +82,12 @@ def test_large_scale_count_is_exact_big_integer():
 
 def test_oracle_matches_enumeration():
     rng = np.random.default_rng(0)
-    for _ in range(10):
-        oracle = random_knapsack(rng)
+    oracles = [random_knapsack(rng) for _ in range(10)]
+    # unequal stage dims r_s = 2, 3, 1, 3 split the query in unequal blocks
+    oracles.append(KnapsackOracle(KnapsackSpec(
+        bounds=(2, 3, 1, 2), costs=(1, 2, 1, 1), budget=5,
+        outputs=tuple(rng.normal(size=(b + 1, r)) for b, r in [(2, 2), (3, 3), (1, 1), (2, 3)]))))
+    for oracle in oracles:
         seqs, cols = enumerate_columns(oracle)
         assert len(seqs) == oracle.count_columns()
         for _ in range(20):
@@ -94,6 +98,9 @@ def test_oracle_matches_enumeration():
                 j = int(pick(vals))
                 assert seqs[j] == hit.action_sequence
                 assert abs(vals[j] - hit.value) < 1e-9
+    for bad in (np.zeros(oracle.n_rows + 1), np.zeros((1, oracle.n_rows))):
+        with pytest.raises(ValueError, match="does not match row count"):
+            col_extreme(oracle, bad, "max")
 
 
 def test_lexicographic_tie_break():

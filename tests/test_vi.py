@@ -4,7 +4,7 @@ import pytest
 from conftest import lp_game_value
 from lmodecomp.certificates import residual
 from lmodecomp.domains import FiniteAtoms, Simplex
-from lmodecomp.oracles import DenseMatrixOracle
+from lmodecomp.oracles import DenseMatrixOracle, KnapsackOracle, KnapsackSpec, col_extreme
 from lmodecomp.solvers import SolverConfig
 from lmodecomp.vi import (
     AffineViSpec,
@@ -47,6 +47,50 @@ def random_nash_spec(rng, sizes):
             M[l][lp] = B
             M[lp][l] = -B.T
     return NashSpec(D=[DenseMatrixOracle(np.eye(n)) for n in sizes], M=M)
+
+
+def random_coupling(rng, rows):
+    L = len(rows)
+    M = [[np.zeros((rows[l], rows[lp])) for lp in range(L)] for l in range(L)]
+    for l in range(L):
+        for lp in range(l + 1, L):
+            M[l][lp] = rng.normal(size=(rows[l], rows[lp]))
+            M[lp][l] = -M[l][lp].T
+    return M
+
+
+def random_knapsack_encoder(rng, dims):
+    bounds = tuple(int(b) for b in rng.integers(1, 4, size=len(dims)))
+    return KnapsackOracle(KnapsackSpec(
+        bounds=bounds, costs=(1,) * len(dims), budget=3,
+        outputs=tuple(rng.normal(size=(b + 1, r)) for b, r in zip(bounds, dims))))
+
+
+def eta_argmin_reference(spec, x1, x2):
+    """Column search of NashSkewSystem as one loop over the blocks M[lp][l]."""
+    offsets = np.cumsum([0] + [d.n_rows for d in spec.D])
+    x1b = [x1[offsets[l]:offsets[l + 1]] for l in range(spec.L)]
+    x2b = [x2[offsets[l]:offsets[l + 1]] for l in range(spec.L)]
+    atoms, value, f_dot = [], 0.0, 0.0
+    p_vec, q_vec = np.zeros(offsets[-1]), np.zeros(offsets[-1])
+    for l in range(spec.L):
+        y = 0.5 * x2b[l]
+        for lp in range(spec.L):
+            y = y + spec.M[lp][l].T @ x1b[lp]
+        if spec.g is None:
+            hit = col_extreme(spec.D[l], y, "max")
+            best, d_col, atom = -hit.value, hit.column, hit.action_sequence
+        else:
+            vals = spec.g[l] - y @ spec.D[l].matrix
+            j = int(np.argmin(vals))
+            best, d_col, atom = float(vals[j]), spec.D[l].matrix[:, j], (j,)
+            f_dot += float(spec.g[l][j])
+        atoms.append(atom)
+        value += best
+        q_vec[offsets[l]:offsets[l + 1]] += 0.5 * d_col
+        for lp in range(spec.L):
+            p_vec[offsets[lp]:offsets[lp + 1]] += spec.M[lp][l] @ d_col
+    return tuple(atoms), value, f_dot, p_vec, q_vec
 
 
 def test_affine_primal_field_hand_value():
@@ -229,6 +273,54 @@ def test_nash_spec_validation():
                  M=[[Z, PENNIES], [PENNIES.T, Z]])
     with pytest.raises(ValueError):
         NashSpec(D=[DenseMatrixOracle(np.eye(2))] * 2, M=[[Z, PENNIES]])
+
+
+def test_nash_spec_rejects_shapes_that_do_not_match_the_encoders():
+    D = [DenseMatrixOracle(np.eye(2)), DenseMatrixOracle(np.ones((2, 2)))]
+    Z, B = np.zeros((2, 2)), np.ones((3, 3))
+    with pytest.raises(ValueError, match=r"M\[0\]\[1\] has shape \(3, 3\)"):
+        NashSpec(D=D, M=[[Z, B], [-B.T, Z]])
+    with pytest.raises(ValueError, match=r"g\[0\] has shape \(5,\)"):
+        NashSpec(D=D, M=[[Z, PENNIES], [-PENNIES.T, Z]], g=[np.zeros(5), np.zeros(2)])
+    with pytest.raises(ValueError, match=r"g needs one entry per player"):
+        NashSpec(D=D, M=[[Z, PENNIES], [-PENNIES.T, Z]], g=[np.zeros(2)])
+    knapsack = random_knapsack_encoder(np.random.default_rng(0), (1, 1))
+    with pytest.raises(ValueError, match=r"g\[0\] needs a dense encoder"):
+        NashSpec(D=[knapsack, D[1]], M=[[Z, PENNIES], [-PENNIES.T, Z]],
+                 g=[np.zeros(knapsack.count_columns()), np.zeros(2)])
+
+
+@pytest.mark.parametrize("kind", ["dense", "knapsack", "dense-g"])
+@pytest.mark.parametrize("L", [2, 3])
+def test_nash_eta_argmin_matches_per_block_reference(kind, L):
+    rng = np.random.default_rng(10 * L + len(kind))
+    for _ in range(10):
+        if kind == "knapsack":
+            # unequal stage dims and a dense player among the knapsack ones
+            D = [random_knapsack_encoder(rng, (1, 2)), DenseMatrixOracle(rng.normal(size=(2, 5))),
+                 random_knapsack_encoder(rng, (2, 1, 3))][:L]
+        else:
+            D = [DenseMatrixOracle(rng.normal(size=(m, n))) for m, n in [(2, 5), (4, 3), (3, 6)][:L]]
+        g = [rng.normal(size=d.count_columns()) for d in D] if kind == "dense-g" else None
+        spec = NashSpec(D=D, M=random_coupling(rng, [d.n_rows for d in D]), g=g)
+        system = nash_to_skew(spec).system
+        dense = system.dense_PQ() if kind != "knapsack" else None
+        for _ in range(50):
+            x1, x2 = rng.normal(size=(2, system.K))
+            hit = system.eta_argmin(x1, x2)
+            atoms, value, f_dot, p_vec, q_vec = eta_argmin_reference(spec, x1, x2)
+            assert hit.atoms == atoms
+            assert abs(hit.value - value) <= 1e-12 * max(1.0, abs(value))
+            assert abs(hit.f_dot - f_dot) <= 1e-12 * max(1.0, abs(f_dot))
+            assert np.allclose(hit.p_vec, p_vec, rtol=0.0, atol=1e-12)
+            assert np.allclose(hit.q_vec, q_vec, rtol=0.0, atol=1e-12)
+            assert np.allclose(system.apply_P_atoms(hit.atoms), hit.p_vec, rtol=0.0, atol=1e-12)
+            if dense is not None:
+                P, Q, _ = dense
+                offsets = np.cumsum([0] + [d.count_columns() for d in D])
+                cols = [offsets[l] + j for l, (j,) in enumerate(hit.atoms)]
+                assert np.allclose(P[:, cols].sum(axis=1), hit.p_vec, rtol=0.0, atol=1e-12)
+                assert np.allclose(Q[:, cols].sum(axis=1), hit.q_vec, rtol=0.0, atol=1e-12)
 
 
 def test_nash_spec_from_json():
