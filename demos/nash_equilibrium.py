@@ -54,7 +54,7 @@ def main():
     print("convergence (certificate rounds):")
     for rec in sol.rounds[:: max(1, len(sol.rounds) // 6)]:
         print(f"  t = {rec['t']:4d}   certified {rec['residual']:.2e}   "
-              f"exact {rec['eps_exact']:.2e}")
+              f"exact {rec['gap']:.2e}")
 
 
 if __name__ == "__main__":

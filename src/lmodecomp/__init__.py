@@ -29,6 +29,7 @@ from .oracles import (
 )
 from .solvers import (
     FieldOracle,
+    SolveResult,
     SolverConfig,
     central_cut_log_volume_ratio,
     ellipsoid_run,

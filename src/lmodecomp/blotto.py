@@ -87,6 +87,7 @@ class BlottoReport:
     primal_dim: int
     seed: int | None = None
     rounds: list = field(default_factory=list)
+    stop_reason: str | None = None
 
     def to_json_dict(self):
         return {
@@ -102,6 +103,7 @@ class BlottoReport:
             "dims": [str(d) for d in self.dims],  # may exceed 2^53
             "primal_dim": int(self.primal_dim),
             "seed": self.seed,
+            "stop_reason": self.stop_reason,
         }
 
 
@@ -169,6 +171,7 @@ def solve_blotto(spec, config=None):
         primal_dim=2 * game.K,
         seed=spec.seed,
         rounds=sol.rounds,
+        stop_reason=sol.stop_reason,
     )
 
 

@@ -2,10 +2,14 @@
 
 Subcommands: matrix-game, blotto, affine-vi, nash.  Each loads a JSON
 problem spec, runs the decomposition pipeline, prints a human-readable
-summary and writes a JSON report.  Exit status: 0 when the certified gap
-reached the threshold, 2 when the step budget ran out first, 1 on input
-errors.  Reports are deterministic for a fixed spec, at any BLAS thread
-count, except for the wall_time_s field.
+summary and writes a JSON report whose stop_reason names the event that
+ended the solver's step loop.  Exit status: 0 when the certified gap
+reached the threshold, 2 when the step budget ran out first (stop_reason
+max_steps), 3 when the solver stopped earlier without certifying the
+threshold (a stationary point, a collapsed ellipsoid, or eps reached
+above the gap threshold), 1 on input errors.  Reports are deterministic
+for a fixed spec, at any BLAS thread count, except for the wall_time_s
+field.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ def _atoms_json(atoms):
 def _history_json(rounds):
     return [{"t": int(r["t"]),
              "residual": _sig(r["residual"]),
-             "gap": _sig(r.get("gap", r.get("eps_exact")))}
+             "gap": _sig(r["gap"])}
             for r in rounds]
 
 
@@ -100,6 +104,7 @@ def _run_matrix_game(args):
         "gap_bound": _sig(sol.gap_bound),
         "gap_exact": _sig(sol.gap_exact),
         "steps": int(sol.steps),
+        "stop_reason": sol.stop_reason,
         "wall_time_s": wall,
         "dims": [str(d) for d in dims],
         "atoms": {"w": _atoms_json(sol.w_atoms), "z": _atoms_json(sol.z_atoms)},
@@ -117,6 +122,7 @@ def _run_blotto(args):
         "gap_bound": _sig(report_obj.gap),
         "gap_exact": _sig(report_obj.gap_exact),
         "steps": int(report_obj.steps),
+        "stop_reason": report_obj.stop_reason,
         "wall_time_s": report_obj.wall_time,
         "dims": [str(d) for d in report_obj.dims],
         "primal_dim": report_obj.primal_dim,
@@ -153,7 +159,8 @@ def _run_affine_vi(args):
         "value": None,
         "gap_bound": _sig(sol.eps_bound),
         "gap_exact": _sig(sol.eps_exact),
-        "steps": len(sol.protocol),
+        "steps": int(sol.steps),
+        "stop_reason": sol.stop_reason,
         "wall_time_s": wall,
         "dims": [str(H.dim)],
         "atoms": {"eta": [_sig(x) for x in sol.eta_vector]},
@@ -175,7 +182,8 @@ def _run_nash(args):
         "value": None,
         "gap_bound": _sig(sol.eps_bound),
         "gap_exact": _sig(sol.eps_exact),
-        "steps": len(sol.protocol),
+        "steps": int(sol.steps),
+        "stop_reason": sol.stop_reason,
         "wall_time_s": wall,
         "dims": [str(d.count_columns()) for d in nash.D],
         "atoms": {"eta": _atoms_json(sol.eta_atoms)},
@@ -222,9 +230,14 @@ def run(argv=None):
         return 1
     converged = gap <= args.gap_threshold
     report["converged"] = bool(converged)
+    if converged:
+        status, code = "converged", 0
+    elif report["stop_reason"] == "max_steps":
+        status, code = "step budget exhausted", 2
+    else:
+        status, code = f"stopped uncertified: {report['stop_reason']}", 3
     print(f"{args.command}: gap_bound={report['gap_bound']:.6g} "
-          f"steps={report['steps']} wall={report['wall_time_s']:.2f}s "
-          f"{'converged' if converged else 'step budget exhausted'}")
+          f"steps={report['steps']} wall={report['wall_time_s']:.2f}s {status}")
     if report.get("value") is not None:
         print(f"value estimate: {report['value']:.9g}")
     if args.report:
@@ -232,7 +245,7 @@ def run(argv=None):
             json.dump(report, fp, indent=1, sort_keys=True)
             fp.write("\n")
         print(f"report written to {args.report}")
-    return 0 if converged else 2
+    return code
 
 
 def main():

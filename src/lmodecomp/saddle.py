@@ -19,7 +19,7 @@ import numpy as np
 from .certificates import CertificateError, ExecutionProtocol
 from .domains import Ball, Product, Simplex
 from .oracles import DenseMatrixOracle, col_extreme, enumerate_columns
-from .solvers import FieldOracle, SolverConfig, ellipsoid_run, md_run
+from .solvers import FieldOracle, ellipsoid_run, md_run
 
 __all__ = [
     "BilinearSpSpec",
@@ -124,6 +124,7 @@ class SparseAtomSolution:
     protocol: object = None
     cert: object = None
     hits: list = field(default_factory=list)
+    stop_reason: str | None = None
 
     def to_json_dict(self):
         return {
@@ -249,51 +250,32 @@ def _gap_terms(master, agg_w_cols, agg_z_cols, p_dot_w, q_dot_z):
 def solve_sp(master, solver="ellipsoid", config=None):
     """Solve the game by running `solver` on the primal field over U x V.
 
-    The monotone primal field is F(u,v) = [phi'_u; -phi'_v]; the columns
-    hit while evaluating it are stored, so every certificate round yields
-    sparse strategies w^t = sum_i lam_i e_{w_i}, z^t = sum_i lam_i e_{z_i}
+    The monotone primal field is F(u,v) = [phi'_u; -phi'_v]; the solver
+    keeps the columns hit while evaluating it, so every certificate round
+    yields sparse strategies w^t = sum_i lam_i e_{w_i}, z^t = sum_i lam_i e_{z_i}
     whose exact gap is computed from the stored columns.
     """
-    config = config or SolverConfig()
     nu = master.dim_u
-    hits = []
 
     def fn(xi):
         ev = primal_value_grad(master, xi[:nu], xi[nu:])
-        hits.append((ev.w_hit, ev.z_hit))
         return np.concatenate([ev.g_u, -ev.g_v]), (ev.w_hit, ev.z_hit)
 
-    field_oracle = FieldOracle(fn)
-    domain = master.primal_domain()
-    rounds = []
-
-    def round_gap(protocol, cert, res):
+    def round_gap(protocol, cert, hits):
         upper, lower = _aggregate_bounds(master, hits, cert)
-        gap = upper - lower
-        rounds.append({"residual": res, "gap": gap,
-                       "value_lower": lower, "value_upper": upper,
-                       "t": len(protocol), "weights": cert.weights.copy()})
-        return gap
+        return upper - lower
 
-    if solver == "ellipsoid":
-        protocol, cert, history = ellipsoid_run(field_oracle, domain, config, round_gap)
-        steps = history["rounds"][-1]["step"] if history["rounds"] else len(protocol)
-        residual_bound = history["rounds"][-1]["residual"]
-    elif solver == "md":
-        protocol, cert = md_run(field_oracle, domain, config, round_gap)
-        from .certificates import residual_ball_product
-
-        residual_bound = residual_ball_product(
-            protocol, cert, (master.R_U, master.R_V), nu)
-        steps = len(protocol)
-        round_gap(protocol, cert, residual_bound)
-    else:
+    # looked up at call time, so that wrappers installed on this module apply
+    runs = {"ellipsoid": ellipsoid_run, "md": md_run}
+    if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
+    run = runs[solver](FieldOracle(fn), master.primal_domain(), config, round_gap)
+    cert, hits = run.cert, run.payloads
 
     lam = cert.weights
     w_atoms, z_atoms = {}, {}
     w_cols, z_cols = {}, {}
-    for weight, (w_hit, z_hit) in zip(lam, hits[:len(lam)]):
+    for weight, (w_hit, z_hit) in zip(lam, hits):
         if weight <= 0.0:
             continue
         w_atoms[w_hit.action_sequence] = w_atoms.get(w_hit.action_sequence, 0.0) + weight
@@ -304,24 +286,25 @@ def solve_sp(master, solver="ellipsoid", config=None):
     upper, lower = _aggregate_bounds(master, hits, cert)
     gap_exact = upper - lower
     value = 0.5 * (upper + lower)
-    if not gap_exact <= residual_bound + 1e-9 * max(1.0, abs(value)):
+    if not gap_exact <= run.residual + 1e-9 * max(1.0, abs(value)):
         raise CertificateError(
-            f"exact gap {gap_exact} exceeds certified residual {residual_bound}")
+            f"exact gap {gap_exact} exceeds certified residual {run.residual}")
     return SparseAtomSolution(
         w_atoms=w_atoms,
         z_atoms=z_atoms,
-        gap_bound=residual_bound,
+        gap_bound=run.residual,
         gap_exact=gap_exact,
         value_estimate=value,
         value_lower=lower,
         value_upper=upper,
         w_atom_columns=w_cols,
         z_atom_columns=z_cols,
-        steps=steps,
-        rounds=rounds,
-        protocol=protocol,
+        steps=run.steps,
+        rounds=run.rounds,
+        protocol=run.protocol,
         cert=cert,
-        hits=hits[:len(lam)],
+        hits=hits,
+        stop_reason=run.stop_reason,
     )
 
 

@@ -5,7 +5,9 @@ execution protocol over its productive steps and periodically computes
 the best accuracy certificate for it, and projected mirror descent whose
 step sizes directly induce a certificate.  Both operate on origin-centered
 Euclidean balls or products of two such balls, where the residual has a
-closed form and needs no LMO calls.
+closed form and needs no LMO calls.  They share one driver for the
+protocol, the field payloads and the certificate rounds, and return one
+SolveResult.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .domains import Ball, Product
 
 __all__ = [
     "SolverConfig",
+    "SolveResult",
     "FieldOracle",
     "central_cut_log_volume_ratio",
     "ellipsoid_cut",
@@ -36,7 +39,7 @@ __all__ = [
 class SolverConfig:
     eps_target: float = 1e-6
     max_steps: int = 20000
-    cert_period: int | None = None  # default: 4 K^2, K the per-block dimension
+    cert_period: int | None = None  # default: 4 K^2, K the largest block dimension
     gap_threshold: float = 1e-4
     start: np.ndarray | None = None
 
@@ -85,17 +88,6 @@ def _origin_ball_blocks(domain):
         if np.any(f.center != 0.0):
             raise ValueError("ball factors must be centered at the origin")
     return [(f.dim, f.radius) for f in factors]
-
-
-def _radii_split(blocks, dim):
-    if len(blocks) == 1:
-        return (blocks[0][1], 0.0), dim
-    return (blocks[0][1], blocks[1][1]), blocks[0][0]
-
-
-def _default_cert_period(blocks):
-    k = max(d for d, _ in blocks)
-    return 4 * k * k
 
 
 def central_cut_log_volume_ratio(n):
@@ -151,6 +143,83 @@ class _ProtocolBuffer:
         return ExecutionProtocol(self.points[:t], self.fields[:t], tuple(self.ids), self.dim)
 
 
+@dataclass
+class SolveResult:
+    """Outcome of a certificate-producing run.
+
+    `cert` is the last round's certificate, for the whole `protocol`, and
+    `residual` its certified residual; `payloads[i]` is the field's side
+    payload at protocol entry i.  Each round is {step, t, residual,
+    cert_lower, gap, weights}, for the first t entries after `step` steps,
+    with `on_certificate`'s gap and the certificate's weights (not a copy).
+    `steps` counts every step, productive or not; `stop_reason` names what
+    ended the step loop: "eps_target", "gap_threshold", "max_steps",
+    "stationary" (a zero field value) or "ellipsoid_degenerate".
+    """
+
+    protocol: ExecutionProtocol
+    cert: AccuracyCertificate
+    residual: float
+    payloads: list
+    rounds: list
+    steps: int
+    stop_reason: str
+
+
+class _Run:
+    """State that both solvers share: the protocol, the field payloads
+    and the certificate rounds.  Each solver passes its own
+    `certify(protocol)` into every round rather than storing it here: its
+    closure refers to the run, and the reference cycle would keep every
+    solve's buffers alive until the cyclic garbage collector ran."""
+
+    def __init__(self, field, domain, config, on_certificate):
+        self.config = config or SolverConfig()
+        self.blocks = _origin_ball_blocks(domain)
+        (self.split, r0), *second = self.blocks  # a single ball: the second is empty
+        self.radii = (r0, second[0][1] if second else 0.0)
+        self.radius = float(np.sqrt(sum(r * r for _, r in self.blocks)))  # of the product
+        k = max(d for d, _ in self.blocks)
+        self.cert_period = self.config.cert_period or 4 * k * k
+        self.field, self.on_certificate = field, on_certificate
+        self.entries, self.payloads, self.rounds = _ProtocolBuffer(domain.dim), [], []
+        self.cert, self.residual, self.certified_len = None, np.inf, 0
+
+    def evaluate(self, point, step):
+        """Field value at `point`, recorded as the protocol entry of `step`."""
+        value, payload = self.field(point)
+        self.entries.append(point, value, step)
+        self.payloads.append(payload)
+        return value
+
+    def round(self, step, certify):
+        """Certify the protocol so far; returns a stop reason or None."""
+        protocol = self.entries.protocol()
+        self.cert = certify(protocol)
+        self.residual = residual_ball_product(protocol, self.cert, self.radii, self.split)
+        self.certified_len = len(protocol)
+        gap = None
+        if self.on_certificate is not None:
+            gap = self.on_certificate(protocol, self.cert, self.payloads)
+        self.rounds.append({"step": step, "t": len(protocol), "residual": self.residual,
+                            "cert_lower": self.cert.lower, "gap": gap,
+                            "weights": self.cert.weights})
+        if self.residual <= self.config.eps_target:
+            return "eps_target"
+        if gap is not None and gap <= self.config.gap_threshold:
+            return "gap_threshold"
+        return None
+
+    def result(self, steps, stop_reason, certify):
+        """Close with a round on the entries recorded since the last one."""
+        if not self.entries:
+            raise RuntimeError("the run produced no productive steps")
+        if len(self.entries) > self.certified_len:
+            self.round(steps, certify)
+        return SolveResult(self.entries.protocol(), self.cert, self.residual, self.payloads,
+                           self.rounds, steps, stop_reason)
+
+
 def ellipsoid_run(field, domain, config=None, on_certificate=None):
     """Central-cut ellipsoid with accuracy certificates.
 
@@ -158,55 +227,33 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     field value, which is recorded into the protocol; at non-productive
     steps a separating hyperplane of the violated ball factor is used.
     Every cert_period steps the best certificate for the protocol so far is
-    computed; `on_certificate(protocol, cert, res)` may return an exact gap,
-    and the run stops when that gap falls below gap_threshold, when the
-    certified residual falls below eps_target, or at max_steps.
+    computed, warm-started from the previous one; `on_certificate(protocol,
+    cert, payloads)` may return an exact gap, and the run stops when that
+    gap falls below gap_threshold, when the certified residual falls below
+    eps_target, at a zero field value, when the ellipsoid collapses, or at
+    max_steps.  The rounds' cert_lower is a certified lower bound on the
+    smallest residual any certificate for that round's protocol attains.
 
-    Returns (protocol, certificate, history); history holds one record
-    {step, productive, residual, cert_lower, gap} per certificate round,
-    where cert_lower is a certified lower bound on the smallest residual
-    any certificate for that round's protocol attains.
+    Returns a SolveResult.
     """
-    config = config or SolverConfig()
-    blocks = _origin_ball_blocks(domain)
+    run = _Run(field, domain, config, on_certificate)
     n = domain.dim
     if n < 2:
         raise ValueError("ellipsoid method requires dimension >= 2")
-    radii, split = _radii_split(blocks, n)
-    cert_period = config.cert_period or _default_cert_period(blocks)
+    tol = 0.1 * run.config.eps_target
 
-    r0 = float(np.sqrt(sum(r * r for _, r in blocks)))
+    def certify(protocol):
+        # never worse than the last certificate: the warm start is one of its candidates
+        return optimize_certificate(protocol, run.radii, run.split, warm_start=run.cert, tol=tol)
+
     center = np.zeros(n)
-    shape = r0 * np.eye(n)
-
-    entries, payloads = _ProtocolBuffer(n), []
-    history = []
-    best_cert, best_res = None, np.inf
-    last_cert_len = 0
-    stationary = False
-
-    def certificate_round(step):
-        nonlocal best_cert, best_res, last_cert_len
-        protocol = entries.protocol()
-        # never worse than best_cert: the warm start is one of its candidates
-        best_cert = optimize_certificate(protocol, radii, split, warm_start=best_cert,
-                                         tol=0.1 * config.eps_target)
-        best_res = residual_ball_product(protocol, best_cert, radii, split)
-        last_cert_len = len(protocol)
-        gap = on_certificate(protocol, best_cert, best_res) if on_certificate else None
-        history.append({"step": step, "productive": len(protocol), "residual": best_res,
-                        "cert_lower": best_cert.lower, "gap": gap})
-        stop = best_res <= config.eps_target or (
-            gap is not None and gap <= config.gap_threshold
-        )
-        return stop
-
+    shape = run.radius * np.eye(n)
     step = 0
-    for step in range(1, config.max_steps + 1):
+    for step in range(1, run.config.max_steps + 1):
         # the balls are origin-centered: the first one the center leaves
         # gives the separating cut along its outward normal
         g, off = None, 0
-        for d, r in blocks:
+        for d, r in run.blocks:
             block = center[off:off + d]
             norm = np.linalg.norm(block)
             if norm > r:
@@ -215,28 +262,22 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
                 break
             off += d
         if g is None:
-            value, payload = field(center)
-            entries.append(center, value, step)
-            payloads.append(payload)
-            g = value
+            g = run.evaluate(center, step)
             if np.linalg.norm(g) <= 1e-15:
-                stationary = True  # exact stationary point; nothing left to cut
-        if stationary:
-            break
+                stop = "stationary"  # nothing left to cut
+                break
         try:
             center, shape = ellipsoid_cut(center, shape, g)
         except RuntimeError:
-            break  # ellipsoid collapsed numerically; stop and certify what we have
-        if entries and step % cert_period == 0:
-            if certificate_round(step):
+            stop = "ellipsoid_degenerate"  # certify what we have
+            break
+        if run.entries and step % run.cert_period == 0:
+            stop = run.round(step, certify)
+            if stop:
                 break
-
-    if len(entries) > last_cert_len:
-        certificate_round(step)
-    if not entries:
-        raise RuntimeError("ellipsoid run produced no productive steps")
-
-    return entries.protocol(), best_cert, {"rounds": history, "payloads": payloads}
+    else:
+        stop = "max_steps"
+    return run.result(step, stop, certify)
 
 
 def _balls(radii, split, dim):
@@ -258,38 +299,35 @@ def md_run(field, domain, config=None, on_certificate=None):
 
     Steps xi_{i+1} = Proj(xi_i - gamma_i F(xi_i)) with gamma_i = R/(Lhat sqrt(i)),
     Lhat a running max of the field norms; the certificate weights are the
-    normalized step sizes.  All steps are productive.
+    normalized step sizes.  All steps are productive.  Certificate rounds,
+    `on_certificate` and the stop rules are those of `ellipsoid_run`.
+
+    Returns a SolveResult.
     """
-    config = config or SolverConfig()
-    blocks = _origin_ball_blocks(domain)
-    n = domain.dim
-    cert_period = config.cert_period or _default_cert_period(blocks)
-    radii, split = _radii_split(blocks, n)
-    r_total = float(np.sqrt(sum(r * r for _, r in blocks)))
-
-    xi = np.zeros(n) if config.start is None else np.asarray(config.start, dtype=float).copy()
+    run = _Run(field, domain, config, on_certificate)
+    radii, split = run.radii, run.split
+    start = run.config.start
+    xi = np.zeros(domain.dim) if start is None else np.asarray(start, dtype=float).copy()
     xi = _project_blocks(xi, radii, split)
-    entries, gammas = _ProtocolBuffer(n), []
-    lhat = 0.0
-    for i in range(1, config.max_steps + 1):
-        value, _ = field(xi)
-        entries.append(xi, value, i)
-        lhat = max(lhat, float(np.linalg.norm(value)), 1e-30)
-        gamma = r_total / (lhat * np.sqrt(i))
-        gammas.append(gamma)
-        xi = _project_blocks(xi - gamma * value, radii, split)
-        if on_certificate and i % cert_period == 0:
-            protocol = entries.protocol()
-            w = np.array(gammas)
-            cert = AccuracyCertificate(w / w.sum())
-            res = residual_ball_product(protocol, cert, radii, split)
-            gap = on_certificate(protocol, cert, res)
-            if res <= config.eps_target or (gap is not None and gap <= config.gap_threshold):
-                break
+    gammas = []
 
-    w = np.array(gammas)
-    cert = AccuracyCertificate(w / w.sum())
-    return entries.protocol(), cert
+    def certify(protocol):
+        w = np.array(gammas)
+        return AccuracyCertificate(w / w.sum())
+
+    lhat, i = 0.0, 0
+    for i in range(1, run.config.max_steps + 1):
+        value = run.evaluate(xi, i)
+        lhat = max(lhat, float(np.linalg.norm(value)), 1e-30)
+        gammas.append(run.radius / (lhat * np.sqrt(i)))
+        xi = _project_blocks(xi - gammas[-1] * value, radii, split)
+        if i % run.cert_period == 0:
+            stop = run.round(i, certify)
+            if stop:
+                break
+    else:
+        stop = "max_steps"
+    return run.result(i, stop, certify)
 
 
 def optimize_certificate(protocol, radii, split, warm_start=None, tol=None):

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import ExecutionProtocol, residual_ball_product
+# residual_ball_product is unused here: benchmark tracing wraps this module's name
+from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
 from .domains import Ball, FiniteAtoms, Product, Simplex, lmo_argmin
 from .oracles import col_extreme
-from .solvers import FieldOracle, SolverConfig, ellipsoid_run, md_run
+from .solvers import FieldOracle, ellipsoid_run, md_run
 
 __all__ = [
     "AffineViSpec",
@@ -291,6 +292,8 @@ class ViSolution:
     protocol: object = None
     cert: object = None
     payloads: list = field(default_factory=list)
+    steps: int = 0
+    stop_reason: str | None = None
 
 
 def build_affine_vi_primal(spec):
@@ -347,62 +350,32 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     and whose eps_exact (skew path, or enumerable H) is the exact dual
     gap of the recovered point.
     """
-    config = config or SolverConfig()
     skew = isinstance(spec, SkewViSpec)
     if skew:
-        base = build_skew_vi_primal(spec)
-        domain = spec.primal_domain()
-        radii, split = (spec.Xi1_radius, spec.Xi2_radius), spec.K
+        primal, domain = build_skew_vi_primal(spec), spec.primal_domain()
+        collect, exact = _collect_atoms, _skew_eps_exact
     else:
-        base = build_affine_vi_primal(spec)
-        domain = Ball(np.zeros(spec.H.dim), spec.Xi_radius)
-        radii, split = (spec.Xi_radius, 0.0), spec.H.dim
+        primal, domain = build_affine_vi_primal(spec), Ball(np.zeros(spec.H.dim), spec.Xi_radius)
+        collect, exact = _collect_eta, _affine_eps_exact
 
-    payloads = []
+    def round_gap(protocol, cert, payloads):
+        return exact(spec, collect(cert, payloads))
 
-    def fn(xi):
-        value, payload = base(xi)
-        payloads.append(payload)
-        return value, payload
-
-    field_oracle = FieldOracle(fn)
-    rounds = []
-
-    def round_gap(protocol, cert, res):
-        if skew:
-            atoms_weights = _collect_atoms(cert, payloads)
-            eps = _skew_eps_exact(spec, atoms_weights)
-        else:
-            eta = _collect_eta(cert, payloads)
-            eps = _affine_eps_exact(spec, eta)
-        rounds.append({"residual": res, "eps_exact": eps,
-                       "t": len(protocol), "weights": cert.weights.copy()})
-        return eps
-
-    if solver == "ellipsoid":
-        protocol, cert, _ = ellipsoid_run(field_oracle, domain, config, round_gap)
-    elif solver == "md":
-        protocol, cert = md_run(field_oracle, domain, config, round_gap)
-    else:
+    # looked up at call time, so that wrappers installed on this module apply
+    runs = {"ellipsoid": ellipsoid_run, "md": md_run}
+    if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
-
-    eps_bound = residual_ball_product(protocol, cert, radii, split)
-    if skew:
-        atoms_weights = _collect_atoms(cert, payloads)
-        eps_exact = _skew_eps_exact(spec, atoms_weights)
-        return ViSolution(eta_atoms=atoms_weights, eta_vector=None,
-                          eps_bound=eps_bound, eps_exact=eps_exact, rounds=rounds,
-                          protocol=protocol, cert=cert, payloads=payloads[:len(cert)])
-    eta = _collect_eta(cert, payloads)
-    eps_exact = _affine_eps_exact(spec, eta)
-    return ViSolution(eta_atoms=None, eta_vector=eta,
-                      eps_bound=eps_bound, eps_exact=eps_exact, rounds=rounds,
-                      protocol=protocol, cert=cert, payloads=payloads[:len(cert)])
+    run = runs[solver](primal, domain, config, round_gap)
+    eta = collect(run.cert, run.payloads)
+    return ViSolution(eta_atoms=eta if skew else None, eta_vector=None if skew else eta,
+                      eps_bound=run.residual, eps_exact=exact(spec, eta), rounds=run.rounds,
+                      protocol=run.protocol, cert=run.cert, payloads=run.payloads,
+                      steps=run.steps, stop_reason=run.stop_reason)
 
 
 def _collect_atoms(cert, payloads):
     out = {}
-    for weight, hit in zip(cert.weights, payloads[:len(cert)]):
+    for weight, hit in zip(cert.weights, payloads):
         if weight <= 0.0:
             continue
         out[hit.atoms] = out.get(hit.atoms, 0.0) + weight
@@ -410,7 +383,7 @@ def _collect_atoms(cert, payloads):
 
 
 def _collect_eta(cert, payloads):
-    return sum(w * p["eta"] for w, p in zip(cert.weights, payloads[:len(cert)]))
+    return sum(w * p["eta"] for w, p in zip(cert.weights, payloads))
 
 
 def _affine_eps_exact(spec, eta):

@@ -67,6 +67,25 @@ def test_budget_exhausted_exit_two(tmp_path, capsys):
     assert "step budget exhausted" in capsys.readouterr().out
 
 
+def test_degenerate_stop_exit_three(tmp_path, capsys, monkeypatch):
+    from lmodecomp import solvers
+
+    def collapsed(center, shape, g):
+        raise RuntimeError("collapsed")
+
+    monkeypatch.setattr(solvers, "ellipsoid_cut", collapsed)
+    spec = write_spec(tmp_path, {"S": PENNIES})
+    report_path = tmp_path / "report.json"
+    code = run(["matrix-game", "--spec", spec, "--gap-threshold", "1e-12",
+                "--eps", "1e-13", "--report", str(report_path)])
+    assert code == 3
+    out = capsys.readouterr().out
+    assert "ellipsoid_degenerate" in out and "step budget exhausted" not in out
+    report = json.loads(report_path.read_text())
+    assert report["stop_reason"] == "ellipsoid_degenerate"
+    assert report["converged"] is False and report["steps"] == 1
+
+
 def test_reports_deterministic_up_to_wall_time(tmp_path):
     spec = write_spec(tmp_path, {"m": 2, "caps_a": [2, 2], "caps_d": [2, 2],
                                  "costs_a": [1, 1], "costs_d": [1, 1],
@@ -127,6 +146,24 @@ def test_nash_subcommand(tmp_path):
     weights = {tuple(tuple(b) for b in a["index"]): a["weight"]
                for a in report["atoms"]["eta"]}
     assert abs(sum(weights.values()) - 1.0) < 1e-9
+
+
+def test_nash_report_counts_every_step(tmp_path):
+    from lmodecomp.solvers import SolverConfig
+    from lmodecomp.vi import nash_spec_from_json, nash_to_skew, solve_vi
+
+    Z = [[0.0, 0.0], [0.0, 0.0]]
+    eye = [[1.0, 0.0], [0.0, 1.0]]
+    obj = {"D": [eye, eye], "M": [[Z, PENNIES], [(-np.asarray(PENNIES).T).tolist(), Z]]}
+    report_path = tmp_path / "report.json"
+    assert run(["nash", "--spec", write_spec(tmp_path, obj), "--gap-threshold", "1e-6",
+                "--eps", "1e-7", "--report", str(report_path)]) == 0
+    report = json.loads(report_path.read_text())
+    sol = solve_vi(nash_to_skew(nash_spec_from_json(obj)),
+                   config=SolverConfig(eps_target=1e-7, gap_threshold=1e-6))
+    # the ellipsoid's non-productive steps count too, not only protocol entries
+    assert report["steps"] == sol.steps > len(sol.protocol)
+    assert report["stop_reason"] == sol.stop_reason == "gap_threshold"
 
 
 def console_script_wrapper():

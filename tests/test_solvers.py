@@ -8,12 +8,14 @@ import pytest
 from scipy.optimize import linprog
 
 import lmodecomp
+from lmodecomp import solvers
 from lmodecomp.certificates import (
     AccuracyCertificate,
     ExecutionProtocol,
     residual_ball_product,
 )
 from lmodecomp.domains import Ball, Product
+from lmodecomp.saddle import build_master_example1, solve_sp
 from lmodecomp.solvers import (
     FieldOracle,
     SolverConfig,
@@ -23,6 +25,9 @@ from lmodecomp.solvers import (
     md_run,
     optimize_certificate,
 )
+from lmodecomp.vi import NashSpec, nash_to_skew, solve_vi
+
+PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16])
@@ -49,34 +54,35 @@ def test_cut_halves_correct_side():
 def test_ellipsoid_linear_field_certificate():
     # F(x) = x on a ball: unique stationary point 0, residual -> 0
     field = FieldOracle(lambda x: x)
-    protocol, cert, history = ellipsoid_run(
+    run = ellipsoid_run(
         field, Ball(np.zeros(3), 1.0),
         SolverConfig(eps_target=1e-8, max_steps=2000, cert_period=36))
-    res = residual_ball_product(protocol, cert, (1.0, 0.0), 3)
+    res = residual_ball_product(run.protocol, run.cert, (1.0, 0.0), 3)
     assert res <= 1e-8
-    assert np.linalg.norm(cert.weights @ protocol.points) < 1e-4
+    assert np.linalg.norm(run.cert.weights @ run.protocol.points) < 1e-4
 
 
 def test_ellipsoid_history_residuals_non_increasing():
     field = FieldOracle(lambda x: x + np.array([0.3, -0.2]))
-    _, _, history = ellipsoid_run(
+    run = ellipsoid_run(
         field, Ball(np.zeros(2), 1.0),
         SolverConfig(eps_target=1e-12, max_steps=400, cert_period=16))
-    res = [r["residual"] for r in history["rounds"]]
+    res = [r["residual"] for r in run.rounds]
     assert all(res[i + 1] <= res[i] + 1e-12 for i in range(len(res) - 1))
 
 
 def test_ellipsoid_two_block_domain():
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
     field = FieldOracle(lambda x: np.concatenate([x[2:], -x[:2]]))  # skew field
-    protocol, cert, _ = ellipsoid_run(field, dom, SolverConfig(eps_target=1e-7, max_steps=2000))
-    assert residual_ball_product(protocol, cert, (1.0, 2.0), 2) <= 1e-7
+    run = ellipsoid_run(field, dom, SolverConfig(eps_target=1e-7, max_steps=2000))
+    assert residual_ball_product(run.protocol, run.cert, (1.0, 2.0), 2) <= 1e-7
 
 
 def test_md_certificate_weights_are_normalized_steps():
     field = FieldOracle(lambda x: x)
-    protocol, cert = md_run(field, Ball(np.zeros(2), 1.0),
-                            SolverConfig(max_steps=50, start=np.array([0.5, 0.5])))
+    run = md_run(field, Ball(np.zeros(2), 1.0),
+                 SolverConfig(max_steps=50, start=np.array([0.5, 0.5])))
+    protocol, cert = run.protocol, run.cert
     assert len(protocol) == 50
     assert abs(cert.weights.sum() - 1.0) < 1e-12
     # gamma_i proportional to 1/sqrt(i) once the running max norm settles
@@ -87,8 +93,8 @@ def test_md_rate_on_linear_field():
     field = FieldOracle(lambda x: x)
     cfg = SolverConfig(max_steps=4000, start=np.array([0.8, 0.2]),
                        eps_target=1e-30, gap_threshold=0.0, cert_period=10 ** 9)
-    protocol, cert = md_run(field, Ball(np.zeros(2), 1.0), cfg)
-    res = residual_ball_product(protocol, cert, (1.0, 0.0), 2)
+    run = md_run(field, Ball(np.zeros(2), 1.0), cfg)
+    res = residual_ball_product(run.protocol, run.cert, (1.0, 0.0), 2)
     # non-asymptotic rate: residual = O(1/sqrt(t)) with a moderate constant
     assert res <= 5.0 / np.sqrt(4000)
 
@@ -173,10 +179,10 @@ def test_ellipsoid_rounds_record_certificate_lower_bound():
     mat = skew - skew.T + 0.05 * np.eye(4)
     shift = rng.normal(size=4)
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
-    _, _, history = ellipsoid_run(FieldOracle(lambda x: mat @ x + shift), dom,
-                                  SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64))
-    assert len(history["rounds"]) > 3
-    for r in history["rounds"]:
+    run = ellipsoid_run(FieldOracle(lambda x: mat @ x + shift), dom,
+                        SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64))
+    assert len(run.rounds) > 3
+    for r in run.rounds:
         assert np.isfinite(r["cert_lower"])
         assert r["cert_lower"] <= r["residual"]
 
@@ -197,13 +203,13 @@ def test_round_protocols_are_stable_prefixes(method):
 
     snapshots = []
 
-    def on_certificate(protocol, cert, res):
+    def on_certificate(protocol, cert, payloads):
         snapshots.append((protocol, protocol.points.copy(), protocol.field_values.copy()))
 
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
     cfg = SolverConfig(eps_target=1e-12, gap_threshold=0.0, max_steps=400, cert_period=50)
     run = ellipsoid_run if method == "ellipsoid" else md_run
-    protocol = run(FieldOracle(fn), dom, cfg, on_certificate)[0]
+    protocol = run(FieldOracle(fn), dom, cfg, on_certificate).protocol
     assert len(protocol) == len(calls) > 64
     assert np.array_equal(protocol.points, np.array([p for p, _ in calls]))
     assert np.array_equal(protocol.field_values, np.array([f for _, f in calls]))
@@ -259,3 +265,74 @@ def test_domain_rejection():
     with pytest.raises(ValueError):
         ellipsoid_run(FieldOracle(lambda x: x),
                       Ball(np.ones(2), 1.0), SolverConfig(max_steps=5))
+
+
+def test_zero_field_stops_stationary():
+    run = ellipsoid_run(FieldOracle(lambda x: np.zeros(2)), Ball(np.zeros(2), 1.0))
+    assert run.stop_reason == "stationary"
+    assert len(run.protocol) == 1 and run.steps == 1
+    assert run.residual == 0.0
+    assert [r["t"] for r in run.rounds] == [1]
+
+
+def test_collapsed_ellipsoid_stops_degenerate_and_certifies(monkeypatch):
+    real_cut, k = solvers.ellipsoid_cut, 40
+    cuts = []
+
+    def cut(center, shape, g):
+        cuts.append(None)
+        if len(cuts) > k:
+            raise RuntimeError("collapsed")
+        return real_cut(center, shape, g)
+
+    monkeypatch.setattr(solvers, "ellipsoid_cut", cut)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    calls = []
+
+    def fn(x):
+        calls.append(x.copy())
+        return x + 0.1  # strongly monotone: no certificate reaches residual 0
+
+    run = ellipsoid_run(FieldOracle(fn), dom,
+                        SolverConfig(eps_target=1e-12, max_steps=1000, cert_period=16))
+    assert run.stop_reason == "ellipsoid_degenerate"
+    assert run.steps == k + 1
+    assert len(run.protocol) == len(calls) == len(run.payloads)
+    assert run.rounds[-1]["t"] == len(run.protocol)
+    assert run.rounds[-1]["step"] == k + 1
+    assert run.residual == residual_ball_product(run.protocol, run.cert, (1.0, 2.0), 2)
+    assert run.cert.lower <= run.residual
+
+
+@pytest.mark.parametrize("method", [ellipsoid_run, md_run])
+def test_capped_run_stops_on_max_steps(method):
+    cfg = SolverConfig(eps_target=1e-15, max_steps=50, cert_period=16)
+    run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2])), Ball(np.zeros(2), 1.0), cfg)
+    assert run.stop_reason == "max_steps"
+    assert run.steps == 50
+    assert [r["step"] for r in run.rounds] == [16, 32, 48, 50]
+
+
+def test_dense_game_stops_on_gap_threshold():
+    rng = np.random.default_rng(8)
+    sol = solve_sp(build_master_example1(rng.normal(size=(4, 5))),
+                   config=SolverConfig(eps_target=1e-12, gap_threshold=1e-4))
+    assert sol.stop_reason == "gap_threshold"
+    assert sol.rounds[-1]["gap"] <= 1e-4 and sol.rounds[-1]["residual"] > 1e-12
+
+
+@pytest.mark.parametrize("max_steps", [400, 420])
+@pytest.mark.parametrize("problem", ["sp", "vi"])
+def test_md_rounds_end_once_on_the_whole_protocol(problem, max_steps):
+    # one closing round, and only when the protocol grew since the last one
+    cfg = SolverConfig(max_steps=max_steps, cert_period=50, gap_threshold=1e-9)
+    if problem == "sp":
+        sol = solve_sp(build_master_example1(PENNIES), solver="md", config=cfg)
+    else:
+        eye, zero = lmodecomp.DenseMatrixOracle(np.eye(2)), np.zeros((2, 2))
+        spec = NashSpec(D=[eye, eye], M=[[zero, PENNIES], [-PENNIES.T, zero]])
+        sol = solve_vi(nash_to_skew(spec), solver="md", config=cfg)
+    ts = [r["t"] for r in sol.rounds]
+    assert all(a < b for a, b in zip(ts, ts[1:])), ts
+    assert ts[-1] == len(sol.protocol) == max_steps
+    assert sol.steps == max_steps and sol.stop_reason == "max_steps"

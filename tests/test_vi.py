@@ -237,7 +237,7 @@ def test_residual_transfer_chain_every_round():
     assert sol.eps_exact <= master_res + 1e-9
     assert master_res <= primal_res + 1e-9
     for rec in sol.rounds:
-        assert rec["eps_exact"] <= rec["residual"] + 1e-9
+        assert rec["gap"] <= rec["residual"] + 1e-9
 
 
 def test_solve_vi_md_solver():
