@@ -83,9 +83,8 @@ def _matrix_oracle(obj):
     return DenseMatrixOracle(np.asarray(obj, dtype=float))
 
 
-def _run_matrix_game(args):
+def _run_matrix_game(args, config):
     obj = _load_json(args.spec)
-    config = _config_from_args(args)
     t0 = time.perf_counter()
     if "S" in obj:
         master = build_master_example1(np.asarray(obj["S"], dtype=float),
@@ -113,9 +112,9 @@ def _run_matrix_game(args):
     return report, min(sol.gap_bound, sol.gap_exact)
 
 
-def _run_blotto(args):
+def _run_blotto(args, config):
     spec = blotto_from_json(_load_json(args.spec))
-    report_obj = solve_blotto(spec, _config_from_args(args))
+    report_obj = solve_blotto(spec, config)
     report = {
         "command": "blotto",
         "value": _sig(report_obj.value),
@@ -142,7 +141,7 @@ def _domain_from_json(obj):
     raise SystemExit("error: affine-vi spec needs H as {'simplex': n} or {'atoms': [...]}")
 
 
-def _run_affine_vi(args):
+def _run_affine_vi(args, config):
     obj = _load_json(args.spec)
     S = np.atleast_2d(np.asarray(obj["S"], dtype=float))
     s = np.asarray(obj["s"], dtype=float)
@@ -150,7 +149,6 @@ def _run_affine_vi(args):
     radius = float(obj.get("Xi_radius") or H.enclosing_radius())
     spec = AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x,
                         s=s, H=H, Xi_radius=radius)
-    config = _config_from_args(args)
     t0 = time.perf_counter()
     sol = solve_vi(spec, solver=args.solver, config=config)
     wall = time.perf_counter() - t0
@@ -170,10 +168,9 @@ def _run_affine_vi(args):
     return report, gap
 
 
-def _run_nash(args):
+def _run_nash(args, config):
     nash = nash_spec_from_json(_load_json(args.spec))
     skew = nash_to_skew(nash)
-    config = _config_from_args(args)
     t0 = time.perf_counter()
     sol = solve_vi(skew, solver=args.solver, config=config)
     wall = time.perf_counter() - t0
@@ -222,7 +219,12 @@ def _build_parser():
 def run(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        report, gap = _RUNNERS[args.command](args)
+        config = _config_from_args(args)
+    except ValueError as exc:
+        print(f"error: invalid option: {exc}", file=sys.stderr)
+        return 1
+    try:
+        report, gap = _RUNNERS[args.command](args, config)
     except SystemExit:
         raise
     except (ValueError, KeyError) as exc:

@@ -10,14 +10,11 @@ while the number of columns can be astronomically large.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .domains import lmo_argmin  # re-exported: the LMO lives with the domains
-
 __all__ = [
-    "lmo_argmin",
     "ColumnHit",
     "KnapsackSpec",
     "DpSystem",

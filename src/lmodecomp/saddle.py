@@ -11,14 +11,13 @@ with S = A^T D over simple matrices A, D.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certificates import CertificateError, ExecutionProtocol
+from .certificates import ExecutionProtocol
 from .domains import Ball, Product, Simplex
-from .oracles import DenseMatrixOracle, col_extreme, enumerate_columns
+from .oracles import ColumnHit, col_extreme, enumerate_columns
 from .solvers import FieldOracle, ellipsoid_run, md_run
 
 __all__ = [
@@ -114,8 +113,6 @@ class SparseAtomSolution:
     gap_bound: float
     gap_exact: float | None
     value_estimate: float
-    value_lower: float | None = None
-    value_upper: float | None = None
     w_atom_columns: dict = field(default_factory=dict)
     z_atom_columns: dict = field(default_factory=dict)
     steps: int = 0
@@ -187,16 +184,16 @@ def primal_value_grad(master, u, v):
         else:
             vals = v @ spec.D.matrix + master.p
             j = int(np.argmin(vals))
-            w_hit = _dense_hit(spec.D, j, vals[j])
             w_val = float(vals[j])
+            w_hit = ColumnHit((j,), spec.D.matrix[:, j].copy(), w_val)
         if master.q is None:
             z_hit = col_extreme(spec.A, u, "max")
             z_val = z_hit.value
         else:
             vals = u @ spec.A.matrix + master.q
             j = int(np.argmax(vals))
-            z_hit = _dense_hit(spec.A, j, vals[j])
             z_val = float(vals[j])
+            z_hit = ColumnHit((j,), spec.A.matrix[:, j].copy(), z_val)
         phi = w_val + z_val - float(u @ v)
         g_u = z_hit.column - v
         g_v = w_hit.column - u
@@ -211,39 +208,48 @@ def primal_value_grad(master, u, v):
     phi = float(wq[jw]) + float(zq[jz]) - float(v @ (S @ u))
     g_u = S[jz, :] - S.T @ v
     g_v = S[:, jw] - S @ u
-    w_hit = _col_hit((jw,), S[:, jw].copy(), float(wq[jw]))
-    z_hit = _col_hit((jz,), S[jz, :].copy(), float(zq[jz]))
+    w_hit = ColumnHit((jw,), S[:, jw].copy(), float(wq[jw]))
+    z_hit = ColumnHit((jz,), S[jz, :].copy(), float(zq[jz]))
     return PrimalEval(phi, g_u, g_v, w_hit, z_hit)
 
 
-def _dense_hit(oracle, j, value):
-    return _col_hit((j,), oracle.matrix[:, j].copy(), float(value))
+def _atoms(cert, hits):
+    """Pure-strategy atoms of the transferred certificate: weights
+    (w_atoms, z_atoms) and stored columns (w_cols, z_cols), keyed by
+    action sequence."""
+    w_atoms, z_atoms, w_cols, z_cols = {}, {}, {}, {}
+    for weight, (w_hit, z_hit) in zip(cert.weights, hits):
+        if weight <= 0.0:
+            continue
+        w_atoms[w_hit.action_sequence] = w_atoms.get(w_hit.action_sequence, 0.0) + weight
+        z_atoms[z_hit.action_sequence] = z_atoms.get(z_hit.action_sequence, 0.0) + weight
+        w_cols[w_hit.action_sequence] = w_hit.column
+        z_cols[z_hit.action_sequence] = z_hit.column
+    return w_atoms, z_atoms, w_cols, z_cols
 
 
-def _col_hit(seq, column, value):
-    from .oracles import ColumnHit
-
-    return ColumnHit(seq, column, value)
-
-
-def _gap_terms(master, agg_w_cols, agg_z_cols, p_dot_w, q_dot_z):
-    """(upper, lower) bounds on the game value at the recovered pair:
-    upper = max_z psi(w^t, z), lower = min_w psi(w, z^t)."""
+def _value_bounds(master, w_atoms, z_atoms, w_cols, z_cols):
+    """(upper, lower) bounds on the game value at the atoms' mixed pair
+    (w, z): upper = max_z' psi(w, z'), lower = min_w' psi(w', z), from the
+    aggregated stored columns and at most two oracle calls."""
+    agg_w = sum(w_atoms[k] * c for k, c in w_cols.items())
+    agg_z = sum(z_atoms[k] * c for k, c in z_cols.items())
+    # offsets are indexed by the atoms' identities, desk scale only
+    p_dot_w = 0.0 if master.p is None else sum(w * master.p[k[0]] for k, w in w_atoms.items())
+    q_dot_z = 0.0 if master.q is None else sum(w * master.q[k[0]] for k, w in z_atoms.items())
     if master.construction == "example1":
-        zq = agg_w_cols if master.q is None else agg_w_cols + master.q
-        wq = agg_z_cols if master.p is None else agg_z_cols + master.p
-        upper = p_dot_w + float(zq.max())
-        lower = q_dot_z + float(wq.min())
-        return upper, lower
+        zq = agg_w if master.q is None else agg_w + master.q
+        wq = agg_z if master.p is None else agg_z + master.p
+        return p_dot_w + float(zq.max()), q_dot_z + float(wq.min())
     spec = master.spec
     if master.q is None:
-        upper = p_dot_w + col_extreme(spec.A, agg_w_cols, "max").value
+        upper = p_dot_w + col_extreme(spec.A, agg_w, "max").value
     else:
-        upper = p_dot_w + float((agg_w_cols @ spec.A.matrix + master.q).max())
+        upper = p_dot_w + float((agg_w @ spec.A.matrix + master.q).max())
     if master.p is None:
-        lower = q_dot_z + col_extreme(spec.D, agg_z_cols, "min").value
+        lower = q_dot_z + col_extreme(spec.D, agg_z, "min").value
     else:
-        lower = q_dot_z + float((agg_z_cols @ spec.D.matrix + master.p).min())
+        lower = q_dot_z + float((agg_z @ spec.D.matrix + master.p).min())
     return upper, lower
 
 
@@ -253,7 +259,9 @@ def solve_sp(master, solver="ellipsoid", config=None):
     The monotone primal field is F(u,v) = [phi'_u; -phi'_v]; the solver
     keeps the columns hit while evaluating it, so every certificate round
     yields sparse strategies w^t = sum_i lam_i e_{w_i}, z^t = sum_i lam_i e_{z_i}
-    whose exact gap is computed from the stored columns.
+    whose exact gap and value the round records, from the stored columns.
+    The solution is the closing round's, which the run checked against
+    its residual; nothing calls an oracle after the run.
     """
     nu = master.dim_u
 
@@ -261,74 +269,32 @@ def solve_sp(master, solver="ellipsoid", config=None):
         ev = primal_value_grad(master, xi[:nu], xi[nu:])
         return np.concatenate([ev.g_u, -ev.g_v]), (ev.w_hit, ev.z_hit)
 
-    def round_gap(protocol, cert, hits):
-        upper, lower = _aggregate_bounds(master, hits, cert)
-        return upper - lower
+    def round_fields(protocol, cert, hits):
+        upper, lower = _value_bounds(master, *_atoms(cert, hits))
+        return {"gap": upper - lower, "value": 0.5 * (upper + lower)}
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
     if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
-    run = runs[solver](FieldOracle(fn), master.primal_domain(), config, round_gap)
-    cert, hits = run.cert, run.payloads
-
-    lam = cert.weights
-    w_atoms, z_atoms = {}, {}
-    w_cols, z_cols = {}, {}
-    for weight, (w_hit, z_hit) in zip(lam, hits):
-        if weight <= 0.0:
-            continue
-        w_atoms[w_hit.action_sequence] = w_atoms.get(w_hit.action_sequence, 0.0) + weight
-        z_atoms[z_hit.action_sequence] = z_atoms.get(z_hit.action_sequence, 0.0) + weight
-        w_cols[w_hit.action_sequence] = w_hit.column
-        z_cols[z_hit.action_sequence] = z_hit.column
-
-    upper, lower = _aggregate_bounds(master, hits, cert)
-    gap_exact = upper - lower
-    value = 0.5 * (upper + lower)
-    if not gap_exact <= run.residual + 1e-9 * max(1.0, abs(value)):
-        raise CertificateError(
-            f"exact gap {gap_exact} exceeds certified residual {run.residual}")
+    run = runs[solver](FieldOracle(fn), master.primal_domain(), config, round_fields)
+    w_atoms, z_atoms, w_cols, z_cols = _atoms(run.cert, run.payloads)
+    last = run.rounds[-1]  # on the whole protocol and run.cert
     return SparseAtomSolution(
         w_atoms=w_atoms,
         z_atoms=z_atoms,
         gap_bound=run.residual,
-        gap_exact=gap_exact,
-        value_estimate=value,
-        value_lower=lower,
-        value_upper=upper,
+        gap_exact=last["gap"],
+        value_estimate=last["value"],
         w_atom_columns=w_cols,
         z_atom_columns=z_cols,
         steps=run.steps,
         rounds=run.rounds,
         protocol=run.protocol,
-        cert=cert,
-        hits=hits,
+        cert=run.cert,
+        hits=run.payloads,
         stop_reason=run.stop_reason,
     )
-
-
-def _aggregate_bounds(master, hits, cert):
-    lam = cert.weights
-    # zero weights add exact zeros to every sum below, so skipping them
-    # leaves the results bit-identical
-    support = np.flatnonzero(lam)
-    agg_w = np.zeros(hits[0][0].column.shape[0])
-    agg_z = np.zeros(hits[0][1].column.shape[0])
-    for i in support:
-        agg_w += lam[i] * hits[i][0].column
-        agg_z += lam[i] * hits[i][1].column
-    p_dot_w = 0.0
-    q_dot_z = 0.0
-    if master.p is not None or master.q is not None:
-        # offsets require the atom identities, desk scale only
-        for i in support:
-            w_hit, z_hit = hits[i]
-            if master.p is not None:
-                p_dot_w += lam[i] * master.p[w_hit.action_sequence[0]]
-            if master.q is not None:
-                q_dot_z += lam[i] * master.q[z_hit.action_sequence[0]]
-    return _gap_terms(master, agg_w, agg_z, p_dot_w, q_dot_z)
 
 
 def exact_gap(spec, sol):
@@ -341,14 +307,8 @@ def exact_gap(spec, sol):
         spec=spec, R_U=1.0, R_V=1.0, construction="example2", p=spec.p, q=spec.q)
     if not sol.w_atom_columns or not sol.z_atom_columns:
         raise ValueError("solution atoms must carry their stored columns")
-    agg_w = sum(sol.w_atoms[k] * c for k, c in sol.w_atom_columns.items())
-    agg_z = sum(sol.z_atoms[k] * c for k, c in sol.z_atom_columns.items())
-    p_dot_w = q_dot_z = 0.0
-    if master.p is not None:
-        p_dot_w = sum(w * master.p[k[0]] for k, w in sol.w_atoms.items())
-    if master.q is not None:
-        q_dot_z = sum(w * master.q[k[0]] for k, w in sol.z_atoms.items())
-    upper, lower = _gap_terms(master, agg_w, agg_z, p_dot_w, q_dot_z)
+    upper, lower = _value_bounds(master, sol.w_atoms, sol.z_atoms,
+                                 sol.w_atom_columns, sol.z_atom_columns)
     return upper - lower
 
 

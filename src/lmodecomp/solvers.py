@@ -18,6 +18,7 @@ import numpy as np
 
 from .certificates import (
     AccuracyCertificate,
+    CertificateError,
     ExecutionProtocol,
     residual_ball_product,
 )
@@ -46,6 +47,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.eps_target <= 0:
             raise ValueError("eps_target must be positive")
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
         if self.cert_period is not None and self.cert_period < 1:
             raise ValueError("cert_period must be >= 1")
 
@@ -151,7 +154,9 @@ class SolveResult:
     `residual` its certified residual; `payloads[i]` is the field's side
     payload at protocol entry i.  Each round is {step, t, residual,
     cert_lower, gap, weights}, for the first t entries after `step` steps,
-    with `on_certificate`'s gap and the certificate's weights (not a copy).
+    with the certificate's weights (not a copy) and the fields that
+    `on_certificate` returned; the last round is on `cert`, so its gap is
+    the solution's.
     `steps` counts every step, productive or not; `stop_reason` names what
     ended the step loop: "eps_target", "gap_threshold", "max_steps",
     "stationary" (a zero field value) or "ellipsoid_degenerate".
@@ -198,12 +203,14 @@ class _Run:
         self.cert = certify(protocol)
         self.residual = residual_ball_product(protocol, self.cert, self.radii, self.split)
         self.certified_len = len(protocol)
-        gap = None
+        record = {"step": step, "t": len(protocol), "residual": self.residual,
+                  "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights}
         if self.on_certificate is not None:
-            gap = self.on_certificate(protocol, self.cert, self.payloads)
-        self.rounds.append({"step": step, "t": len(protocol), "residual": self.residual,
-                            "cert_lower": self.cert.lower, "gap": gap,
-                            "weights": self.cert.weights})
+            record.update(self.on_certificate(protocol, self.cert, self.payloads) or {})
+        self.rounds.append(record)
+        gap, tol = record["gap"], 1e-9 * max(1.0, abs(record.get("value", 0.0)))
+        if gap is not None and not gap <= self.residual + tol:  # the residual bounds it
+            raise CertificateError(f"exact gap {gap} exceeds certified residual {self.residual}")
         if self.residual <= self.config.eps_target:
             return "eps_target"
         if gap is not None and gap <= self.config.gap_threshold:
@@ -227,11 +234,13 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     field value, which is recorded into the protocol; at non-productive
     steps a separating hyperplane of the violated ball factor is used.
     Every cert_period steps the best certificate for the protocol so far is
-    computed, warm-started from the previous one; `on_certificate(protocol,
-    cert, payloads)` may return an exact gap, and the run stops when that
-    gap falls below gap_threshold, when the certified residual falls below
-    eps_target, at a zero field value, when the ellipsoid collapses, or at
-    max_steps.  The rounds' cert_lower is a certified lower bound on the
+    computed, warm-started from the previous one.  `on_certificate(protocol,
+    cert, payloads)` returns the round's fields, {"gap": g}, for games
+    {"gap": g, "value": v}, or None; a round raises CertificateError where
+    g exceeds the residual by over 1e-9 max(1, |v|).  The run stops when
+    that gap falls below gap_threshold, when the certified residual falls
+    below eps_target, at a zero field value, when the ellipsoid collapses,
+    or at max_steps.  The rounds' cert_lower is a certified lower bound on the
     smallest residual any certificate for that round's protocol attains.
 
     Returns a SolveResult.

@@ -11,6 +11,7 @@ recovered point is computed exactly with a single oracle call.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +19,7 @@ import numpy as np
 # residual_ball_product is unused here: benchmark tracing wraps this module's name
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
 from .domains import Ball, FiniteAtoms, Product, Simplex, lmo_argmin
-from .oracles import col_extreme
+from .oracles import DenseMatrixOracle, KnapsackOracle, col_extreme, knapsack_from_json
 from .solvers import FieldOracle, ellipsoid_run, md_run
 
 __all__ = [
@@ -331,6 +332,13 @@ def nash_to_skew(spec):
     return SkewViSpec(system=system, Xi1_radius=max(r1, 1e-12), Xi2_radius=max(r2, 1e-12))
 
 
+def _skew_dual_gap(spec, agg_p, f_dot):
+    """Dual gap of eta from P eta and <f, eta>; skewness kills the quadratic
+    term: eps_VI = <f, eta> - min <eta', F(eta)>, F(eta) = 2 Q^T P eta + f."""
+    hit = spec.system.eta_argmin(np.zeros(spec.K), -2.0 * agg_p)
+    return f_dot - hit.value
+
+
 def _skew_eps_exact(spec, atoms_weights):
     system = spec.system
     agg_p = np.zeros(spec.K)
@@ -338,9 +346,7 @@ def _skew_eps_exact(spec, atoms_weights):
     for atoms, weight in atoms_weights.items():
         agg_p += weight * system.apply_P_atoms(atoms)
         f_dot += weight * system.f_dot_atoms(atoms)
-    # skewness kills the quadratic term: eps_VI = <f, eta> - min <eta', F(eta)>
-    hit = system.eta_argmin(np.zeros(spec.K), -2.0 * agg_p)
-    return f_dot - hit.value
+    return _skew_dual_gap(spec, agg_p, f_dot)
 
 
 def solve_vi(spec, solver="ellipsoid", config=None):
@@ -348,7 +354,8 @@ def solve_vi(spec, solver="ellipsoid", config=None):
 
     Returns a ViSolution whose eps_bound is the certified primal residual
     and whose eps_exact (skew path, or enumerable H) is the exact dual
-    gap of the recovered point.
+    gap of the recovered point, read off the closing round; every round
+    checks its gap against its residual.
     """
     skew = isinstance(spec, SkewViSpec)
     if skew:
@@ -358,17 +365,17 @@ def solve_vi(spec, solver="ellipsoid", config=None):
         primal, domain = build_affine_vi_primal(spec), Ball(np.zeros(spec.H.dim), spec.Xi_radius)
         collect, exact = _collect_eta, _affine_eps_exact
 
-    def round_gap(protocol, cert, payloads):
-        return exact(spec, collect(cert, payloads))
+    def round_fields(protocol, cert, payloads):
+        return {"gap": exact(spec, collect(cert, payloads))}
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
     if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
-    run = runs[solver](primal, domain, config, round_gap)
+    run = runs[solver](primal, domain, config, round_fields)
     eta = collect(run.cert, run.payloads)
     return ViSolution(eta_atoms=eta if skew else None, eta_vector=None if skew else eta,
-                      eps_bound=run.residual, eps_exact=exact(spec, eta), rounds=run.rounds,
+                      eps_bound=run.residual, eps_exact=run.rounds[-1]["gap"], rounds=run.rounds,
                       protocol=run.protocol, cert=run.cert, payloads=run.payloads,
                       steps=run.steps, stop_reason=run.stop_reason)
 
@@ -415,10 +422,8 @@ def eps_vi_exact(spec, eta):
         system = spec.system
         if isinstance(system, DenseSkewSystem):
             eta = np.asarray(eta, dtype=float)
-            agg_p = system.P @ eta
             f_dot = 0.0 if system.f is None else float(system.f @ eta)
-            hit = system.eta_argmin(np.zeros(spec.K), -2.0 * agg_p)
-            return f_dot - hit.value
+            return _skew_dual_gap(spec, system.P @ eta, f_dot)
         raise ValueError("dense eta requires a dense skew system")
     return _affine_eps_exact(spec, np.asarray(eta, dtype=float))
 
@@ -460,15 +465,11 @@ def eps_nash(spec, eta_blocks):
 
 def nash_spec_from_json(obj):
     """NashSpec from JSON: dense M matrices, D blocks dense or knapsack."""
-    import json as _json
-
-    from .oracles import DenseMatrixOracle, KnapsackOracle, knapsack_from_json
-
     if isinstance(obj, str):
         with open(obj) as fp:
-            obj = _json.load(fp)
+            obj = json.load(fp)
     elif hasattr(obj, "read"):
-        obj = _json.load(obj)
+        obj = json.load(obj)
     encoders = []
     for d in obj["D"]:
         if isinstance(d, dict) and "budget" in d:

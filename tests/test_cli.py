@@ -59,6 +59,12 @@ def test_invalid_spec_contents_exit_one(tmp_path, capsys):
     assert "invalid spec" in capsys.readouterr().err
 
 
+def test_zero_step_budget_exit_one(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"S": PENNIES})
+    assert run(["matrix-game", "--spec", spec, "--max-steps", "0"]) == 1
+    assert "invalid option: max_steps must be >= 1" in capsys.readouterr().err
+
+
 def test_budget_exhausted_exit_two(tmp_path, capsys):
     spec = write_spec(tmp_path, {"S": PENNIES})
     code = run(["matrix-game", "--spec", spec, "--max-steps", "8",

@@ -186,7 +186,29 @@ def test_json_serialization():
 
 def test_solve_sp_raises_when_exact_gap_exceeds_residual(monkeypatch):
     # an exact gap of 2 can never be certified by the residual
-    monkeypatch.setattr(saddle, "_aggregate_bounds", lambda master, hits, cert: (1.0, -1.0))
+    monkeypatch.setattr(saddle, "_value_bounds", lambda master, *atoms: (1.0, -1.0))
     with pytest.raises(CertificateError, match="exceeds certified residual"):
         solve_sp(build_master_example1(PENNIES),
                  config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
+
+
+def test_factored_game_transfers_each_certificate_once(monkeypatch):
+    # one search per player at every protocol entry and every round, none after the run
+    calls = []
+    search = DenseMatrixOracle.col_extreme
+
+    def counted(self, x, direction):
+        calls.append(direction)
+        return search(self, x, direction)
+
+    monkeypatch.setattr(DenseMatrixOracle, "col_extreme", counted)
+    rng = np.random.default_rng(3)
+    spec = BilinearSpSpec(A=DenseMatrixOracle(rng.normal(size=(3, 5))),
+                          D=DenseMatrixOracle(rng.normal(size=(3, 4))))
+    sol = solve_sp(build_master_example2(spec),
+                   config=SolverConfig(gap_threshold=1e-6, cert_period=20))
+    assert len(sol.rounds) >= 2
+    assert len(calls) == 2 * (len(sol.protocol) + len(sol.rounds))
+    last = sol.rounds[-1]
+    assert (sol.gap_exact, sol.value_estimate) == (last["gap"], last["value"])
+    assert sol.gap_exact == exact_gap(spec, sol)

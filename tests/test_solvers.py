@@ -255,6 +255,8 @@ def test_solver_config_validation():
         SolverConfig(eps_target=0.0)
     with pytest.raises(ValueError):
         SolverConfig(cert_period=0)
+    with pytest.raises(ValueError, match="max_steps"):
+        SolverConfig(max_steps=0)
 
 
 def test_domain_rejection():

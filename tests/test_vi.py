@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import lp_game_value
-from lmodecomp.certificates import residual
+from lmodecomp import vi
+from lmodecomp.certificates import CertificateError, residual
 from lmodecomp.domains import FiniteAtoms, Simplex
 from lmodecomp.oracles import DenseMatrixOracle, KnapsackOracle, KnapsackSpec, col_extreme
 from lmodecomp.solvers import SolverConfig
@@ -333,3 +334,30 @@ def test_nash_spec_from_json():
     spec = nash_spec_from_json(obj)
     assert spec.L == 2
     assert abs(eps_nash(spec, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])) < 1e-12
+
+
+@pytest.mark.parametrize("L", [2, 3])
+def test_nash_transfers_each_certificate_once(monkeypatch, L):
+    # one search per player at every protocol entry and every round, none after the run
+    calls = []
+    search = DenseMatrixOracle.col_extreme
+
+    def counted(self, x, direction):
+        calls.append(direction)
+        return search(self, x, direction)
+
+    monkeypatch.setattr(DenseMatrixOracle, "col_extreme", counted)
+    spec = pennies_nash_spec() if L == 2 else random_nash_spec(np.random.default_rng(4),
+                                                                [2, 3, 2])
+    sol = solve_vi(nash_to_skew(spec), config=SolverConfig(gap_threshold=1e-6))
+    assert len(sol.rounds) >= 2
+    assert len(calls) == L * (len(sol.protocol) + len(sol.rounds))
+    assert sol.eps_exact == sol.rounds[-1]["gap"]
+
+
+def test_solve_vi_raises_when_exact_gap_exceeds_residual(monkeypatch):
+    # a dual gap of 1 is not certified once the residual falls below it
+    monkeypatch.setattr(vi, "_skew_eps_exact", lambda spec, atoms_weights: 1.0)
+    with pytest.raises(CertificateError, match="exceeds certified residual"):
+        solve_vi(nash_to_skew(pennies_nash_spec()),
+                 config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
