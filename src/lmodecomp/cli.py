@@ -7,7 +7,8 @@ ended the solver's step loop.  Exit status: 0 when the certified gap
 reached the threshold, 2 when the step budget ran out first (stop_reason
 max_steps), 3 when the solver stopped earlier without certifying the
 threshold (a stationary point, a collapsed ellipsoid, or eps reached
-above the gap threshold), 1 on input errors.  Reports are deterministic
+above the gap threshold), 1 on input errors, 4 when an exact gap
+exceeded the certified residual that should bound it.  Reports are deterministic
 for a fixed spec, at any BLAS thread count, except for the wall_time_s
 field.
 """
@@ -22,6 +23,7 @@ import time
 import numpy as np
 
 from .blotto import blotto_from_json, solve_blotto
+from .certificates import CertificateError
 from .domains import FiniteAtoms, Simplex
 from .oracles import DenseMatrixOracle, KnapsackOracle, knapsack_from_json
 from .saddle import BilinearSpSpec, build_master_example1, build_master_example2, solve_sp
@@ -230,6 +232,9 @@ def run(argv=None):
     except (ValueError, KeyError) as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return 1
+    except CertificateError as exc:
+        print(f"error: certificate check failed: {exc}", file=sys.stderr)
+        return 4
     converged = gap <= args.gap_threshold
     report["converged"] = bool(converged)
     if converged:

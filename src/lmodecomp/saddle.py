@@ -218,9 +218,8 @@ def _atoms(cert, hits):
     (w_atoms, z_atoms) and stored columns (w_cols, z_cols), keyed by
     action sequence."""
     w_atoms, z_atoms, w_cols, z_cols = {}, {}, {}, {}
-    for weight, (w_hit, z_hit) in zip(cert.weights, hits):
-        if weight <= 0.0:
-            continue
+    for i in np.flatnonzero(cert.weights > 0.0):
+        weight, (w_hit, z_hit) = cert.weights[i], hits[i]
         w_atoms[w_hit.action_sequence] = w_atoms.get(w_hit.action_sequence, 0.0) + weight
         z_atoms[z_hit.action_sequence] = z_atoms.get(z_hit.action_sequence, 0.0) + weight
         w_cols[w_hit.action_sequence] = w_hit.column

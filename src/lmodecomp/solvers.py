@@ -155,8 +155,8 @@ class SolveResult:
     payload at protocol entry i.  Each round is {step, t, residual,
     cert_lower, gap, weights}, for the first t entries after `step` steps,
     with the certificate's weights (not a copy) and the fields that
-    `on_certificate` returned; the last round is on `cert`, so its gap is
-    the solution's.
+    `on_certificate` returned (value for games, scale for VIs); the last
+    round is on `cert`, so its gap is the solution's.
     `steps` counts every step, productive or not; `stop_reason` names what
     ended the step loop: "eps_target", "gap_threshold", "max_steps",
     "stationary" (a zero field value) or "ellipsoid_degenerate".
@@ -208,7 +208,8 @@ class _Run:
         if self.on_certificate is not None:
             record.update(self.on_certificate(protocol, self.cert, self.payloads) or {})
         self.rounds.append(record)
-        gap, tol = record["gap"], 1e-9 * max(1.0, abs(record.get("value", 0.0)))
+        gap = record["gap"]
+        tol = 1e-9 * max(1.0, abs(record.get("value", 0.0)), record.get("scale", 0.0))
         if gap is not None and not gap <= self.residual + tol:  # the residual bounds it
             raise CertificateError(f"exact gap {gap} exceeds certified residual {self.residual}")
         if self.residual <= self.config.eps_target:
@@ -235,13 +236,13 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     steps a separating hyperplane of the violated ball factor is used.
     Every cert_period steps the best certificate for the protocol so far is
     computed, warm-started from the previous one.  `on_certificate(protocol,
-    cert, payloads)` returns the round's fields, {"gap": g}, for games
-    {"gap": g, "value": v}, or None; a round raises CertificateError where
-    g exceeds the residual by over 1e-9 max(1, |v|).  The run stops when
-    that gap falls below gap_threshold, when the certified residual falls
-    below eps_target, at a zero field value, when the ellipsoid collapses,
-    or at max_steps.  The rounds' cert_lower is a certified lower bound on the
-    smallest residual any certificate for that round's protocol attains.
+    cert, payloads)` returns the round's fields ({"gap", "value"} for games,
+    {"gap", "scale"} for VIs) or None; a round raises CertificateError where
+    its gap exceeds the residual by over 1e-9 max(1, |value|, scale).  The run
+    stops when that gap falls below gap_threshold, when the certified residual
+    falls below eps_target, at a zero field value, when the ellipsoid
+    collapses, or at max_steps.  Each round's cert_lower is a certified lower
+    bound on the least residual of any certificate for its protocol.
 
     Returns a SolveResult.
     """

@@ -333,10 +333,11 @@ def nash_to_skew(spec):
 
 
 def _skew_dual_gap(spec, agg_p, f_dot):
-    """Dual gap of eta from P eta and <f, eta>; skewness kills the quadratic
+    """(gap, scale): the dual gap of eta from P eta and <f, eta>, and the larger
+    magnitude of the two terms it subtracts; skewness kills the quadratic
     term: eps_VI = <f, eta> - min <eta', F(eta)>, F(eta) = 2 Q^T P eta + f."""
     hit = spec.system.eta_argmin(np.zeros(spec.K), -2.0 * agg_p)
-    return f_dot - hit.value
+    return f_dot - hit.value, max(abs(f_dot), abs(hit.value))
 
 
 def _skew_eps_exact(spec, atoms_weights):
@@ -366,7 +367,8 @@ def solve_vi(spec, solver="ellipsoid", config=None):
         collect, exact = _collect_eta, _affine_eps_exact
 
     def round_fields(protocol, cert, payloads):
-        return {"gap": exact(spec, collect(cert, payloads))}
+        gap, scale = exact(spec, collect(cert, payloads))
+        return {"gap": gap, "scale": scale}
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
@@ -382,10 +384,8 @@ def solve_vi(spec, solver="ellipsoid", config=None):
 
 def _collect_atoms(cert, payloads):
     out = {}
-    for weight, hit in zip(cert.weights, payloads):
-        if weight <= 0.0:
-            continue
-        out[hit.atoms] = out.get(hit.atoms, 0.0) + weight
+    for i in np.flatnonzero(cert.weights > 0.0):
+        out[payloads[i].atoms] = out.get(payloads[i].atoms, 0.0) + cert.weights[i]
     return out
 
 
@@ -394,19 +394,21 @@ def _collect_eta(cert, payloads):
 
 
 def _affine_eps_exact(spec, eta):
-    """Brute-force dual gap over the atoms/vertices of H; exact whenever
-    the quadratic form of S vanishes on H - H (e.g. constant fields)."""
+    """(gap, scale) as in _skew_dual_gap, by brute force over the vertices of
+    H; the gap is exact whenever the quadratic form of S vanishes on H - H."""
     H = spec.H
     if isinstance(H, FiniteAtoms):
         vertices = H.atoms
     elif isinstance(H, Simplex) and H.n <= 10 ** 4:
         vertices = np.eye(H.n)
     else:
-        return None
-    best = -np.inf
+        return None, 0.0
+    best, scale = -np.inf, 0.0
     for v in vertices:
-        best = max(best, float((spec.apply_S(v) + spec.s) @ (eta - v)))
-    return best
+        field_v = spec.apply_S(v) + spec.s
+        best = max(best, float(field_v @ (eta - v)))
+        scale = max(scale, abs(float(field_v @ eta)), abs(float(field_v @ v)))
+    return best, scale
 
 
 def eps_vi_exact(spec, eta):
@@ -418,14 +420,14 @@ def eps_vi_exact(spec, eta):
     """
     if isinstance(spec, SkewViSpec):
         if isinstance(eta, dict):
-            return _skew_eps_exact(spec, eta)
+            return _skew_eps_exact(spec, eta)[0]
         system = spec.system
         if isinstance(system, DenseSkewSystem):
             eta = np.asarray(eta, dtype=float)
             f_dot = 0.0 if system.f is None else float(system.f @ eta)
-            return _skew_dual_gap(spec, system.P @ eta, f_dot)
+            return _skew_dual_gap(spec, system.P @ eta, f_dot)[0]
         raise ValueError("dense eta requires a dense skew system")
-    return _affine_eps_exact(spec, np.asarray(eta, dtype=float))
+    return _affine_eps_exact(spec, np.asarray(eta, dtype=float))[0]
 
 
 def eps_nash(spec, eta_blocks):

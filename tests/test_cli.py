@@ -65,6 +65,23 @@ def test_zero_step_budget_exit_one(tmp_path, capsys):
     assert "invalid option: max_steps must be >= 1" in capsys.readouterr().err
 
 
+def test_large_offset_affine_vi_runs_to_its_budget(tmp_path, capsys):
+    # the gap check tolerates rounding at the scale of s = 1e8
+    spec = write_spec(tmp_path, {"S": [[0.0, 1.0], [-1.0, 0.0]], "s": [1e8, 1e8],
+                                 "H": {"simplex": 2}, "Xi_radius": 1.0})
+    assert run(["affine-vi", "--spec", spec, "--solver", "md", "--max-steps", "2000"]) == 2
+    assert "step budget exhausted" in capsys.readouterr().out
+
+
+def test_failed_certificate_check_exit_four(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("lmodecomp.vi._skew_eps_exact", lambda spec, atoms_weights: (1.0, 1.0))
+    neg = (-np.asarray(PENNIES).T).tolist()
+    Z, eye = [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]
+    spec = write_spec(tmp_path, {"D": [eye, eye], "M": [[Z, PENNIES], [neg, Z]]})
+    assert run(["nash", "--spec", spec, "--gap-threshold", "1e-6", "--eps", "1e-6"]) == 4
+    assert "certificate check failed: exact gap 1.0 exceeds" in capsys.readouterr().err
+
+
 def test_budget_exhausted_exit_two(tmp_path, capsys):
     spec = write_spec(tmp_path, {"S": PENNIES})
     code = run(["matrix-game", "--spec", spec, "--max-steps", "8",

@@ -355,9 +355,24 @@ def test_nash_transfers_each_certificate_once(monkeypatch, L):
     assert sol.eps_exact == sol.rounds[-1]["gap"]
 
 
+def test_large_offset_vi_passes_the_scaled_gap_check():
+    # a constant offset on the simplex leaves the field's argmins and the
+    # residual alone, but rounds the gap at about 1e-16 of the offset: the
+    # check scales its tolerance with it instead of raising
+    S = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    config = SolverConfig(max_steps=2000)
+    base = solve_vi(rotation_affine_spec(), solver="md", config=config)
+    big = solve_vi(AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x,
+                                s=np.full(2, 1e8), H=Simplex(2), Xi_radius=1.0),
+                   solver="md", config=config)
+    assert big.eps_bound == base.eps_bound and big.steps == base.steps
+    assert all(r["scale"] >= 1e8 for r in big.rounds)
+    assert abs(big.eps_exact - base.eps_exact) <= 1e-9 * 1e8
+
+
 def test_solve_vi_raises_when_exact_gap_exceeds_residual(monkeypatch):
     # a dual gap of 1 is not certified once the residual falls below it
-    monkeypatch.setattr(vi, "_skew_eps_exact", lambda spec, atoms_weights: 1.0)
+    monkeypatch.setattr(vi, "_skew_eps_exact", lambda spec, atoms_weights: (1.0, 1.0))
     with pytest.raises(CertificateError, match="exceeds certified residual"):
         solve_vi(nash_to_skew(pennies_nash_spec()),
                  config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
