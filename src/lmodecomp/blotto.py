@@ -149,14 +149,15 @@ def build_blotto(spec):
     return BilinearSpSpec(A=A, D=D)
 
 
-def solve_blotto(spec, config=None):
-    """End-to-end run: factor, build the master, solve with the ellipsoid
-    method, decode the atoms into pure strategies."""
+def solve_blotto(spec, config=None, solver="ellipsoid"):
+    """End-to-end run: factor, build the master, solve with `solver`
+    ("ellipsoid" or "md", as in solve_sp), decode the atoms into pure
+    strategies."""
     config = config or SolverConfig()
     t0 = time.perf_counter()
     game = build_blotto(spec)
     master = build_master_example2(game, shared_radius=True)
-    sol = solve_sp(master, solver="ellipsoid", config=config)
+    sol = solve_sp(master, solver=solver, config=config)
     wall = time.perf_counter() - t0
     dims = (game.A.count_columns(), game.D.count_columns())
     return BlottoReport(

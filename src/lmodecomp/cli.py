@@ -59,14 +59,8 @@ def _history_json(rounds):
 
 
 def _config_from_args(args):
-    kwargs = dict(
-        eps_target=args.eps,
-        max_steps=args.max_steps,
-        gap_threshold=args.gap_threshold,
-    )
-    if args.cert_period is not None:
-        kwargs["cert_period"] = args.cert_period
-    return SolverConfig(**kwargs)
+    return SolverConfig(eps_target=args.eps, max_steps=args.max_steps,
+                        cert_period=args.cert_period, gap_threshold=args.gap_threshold)
 
 
 def _load_json(path):
@@ -116,7 +110,7 @@ def _run_matrix_game(args, config):
 
 def _run_blotto(args, config):
     spec = blotto_from_json(_load_json(args.spec))
-    report_obj = solve_blotto(spec, config)
+    report_obj = solve_blotto(spec, config, solver=args.solver)
     report = {
         "command": "blotto",
         "value": _sig(report_obj.value),
@@ -265,3 +259,7 @@ def main():
         else:
             code = exc.code if exc.code is not None else 0
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -193,16 +193,24 @@ def _check_direction(direction):
 # oracle kinds
 
 class DenseMatrixOracle:
-    """Explicit K x L matrix; columns indexed 0..L-1."""
+    """Explicit K x L matrix; columns indexed 0..L-1.  An optional offset
+    (one entry per column) makes column j score <x, column_j> + offset[j]:
+    the hit's value includes the offset, its column does not."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, offset=None):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
         self.n_rows = self.matrix.shape[0]
+        self.offset = None if offset is None else np.asarray(offset, dtype=float)
+        if self.offset is not None and self.offset.shape != (self.matrix.shape[1],):
+            raise ValueError(f"offset has shape {self.offset.shape}, expected one entry "
+                             f"per column ({self.matrix.shape[1]})")
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
         x = _check_query(x, self.n_rows)
         vals = x @ self.matrix
+        if self.offset is not None:
+            vals += self.offset
         j = int(np.argmax(vals) if direction == "max" else np.argmin(vals))
         return ColumnHit((j,), self.matrix[:, j].copy(), float(vals[j]))
 

@@ -1,12 +1,14 @@
 """Bilinear saddle-point decomposition.
 
-Reduces the (possibly huge) matrix game  min_w max_z <z, S w>  over
-simplices to a small primal saddle-point problem over a product of two
-balls, solves the primal with a certificate-producing method, and
+Reduces the (possibly huge) matrix game  min_w max_z <w,p> + <z,q> + <z, S w>
+over simplices to a small primal saddle-point problem over a product of
+two balls, solves the primal with a certificate-producing method, and
 transfers the certificate back into a provably accurate sparse mixed
-strategy pair.  Two master constructions are supported: the square one
-with D = A^T = R = S (dense desk-scale matrices) and the factored one
-with S = A^T D over simple matrices A, D.
+strategy pair.  Both masters are one field, Phi(u,w;v,z) =
+<w, p + D^T v> + <z, q + A^T u> - <v, R u>: the square one with
+D = A^T = R = S (dense desk-scale S) and the factored one with S = A^T D
+over simple matrices A, D and R = I.  The offsets live in the dense
+column searches of D and A.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .certificates import ExecutionProtocol
 from .domains import Ball, Product, Simplex
-from .oracles import ColumnHit, col_extreme, enumerate_columns
+from .oracles import DenseMatrixOracle, col_extreme, enumerate_columns
 from .solvers import FieldOracle, ellipsoid_run, md_run
 
 __all__ = [
@@ -34,13 +36,25 @@ __all__ = [
 ]
 
 
+def _with_offset(side, offset, name):
+    """`side` with the linear term `offset` (named p or q in errors) in its
+    column search; only a dense side, whose columns it indexes, takes one."""
+    if offset is not None and not isinstance(side, DenseMatrixOracle):
+        raise ValueError(f"offset {name} needs a dense side, whose columns it indexes")
+    try:
+        return side if offset is None else DenseMatrixOracle(side.matrix, offset)
+    except ValueError as exc:
+        raise ValueError(f"offset {name}: {exc}") from None
+
+
 @dataclass
 class BilinearSpSpec:
     """Bilinear game psi(w, z) = <w,p> + <z,q> + <z, A^T D w> over W x Z.
 
     A (K x M) indexes the maximizer's pure strategies, D (K x N) the
     minimizer's; both are simple-matrix oracles sharing the row count K.
-    Offsets p, q must be materialized vectors (desk scale) or None.
+    Offsets p (one entry per column of D) and q (per column of A) need a
+    dense side: D and A are replaced by dense oracles carrying them.
     """
 
     A: object
@@ -50,13 +64,10 @@ class BilinearSpSpec:
 
     def __post_init__(self):
         if self.A.n_rows != self.D.n_rows:
-            raise ValueError(
-                f"A and D must share the row dimension, got {self.A.n_rows} and {self.D.n_rows}"
-            )
-        if self.p is not None:
-            self.p = np.asarray(self.p, dtype=float)
-        if self.q is not None:
-            self.q = np.asarray(self.q, dtype=float)
+            raise ValueError(f"A and D must share the row dimension, got {self.A.n_rows} "
+                             f"and {self.D.n_rows}")
+        self.D = _with_offset(self.D, self.p, "p")
+        self.A = _with_offset(self.A, self.q, "q")
 
     @property
     def K(self):
@@ -65,23 +76,27 @@ class BilinearSpSpec:
 
 @dataclass
 class MasterProblem:
-    """Primal saddle-point problem over U x V (origin-centered balls)."""
+    """Primal saddle-point problem over U x V (origin-centered balls).
 
-    spec: BilinearSpSpec | None
+    The column oracles A (queried with u) and D (with v) carry the offsets
+    q and p.  S is the square master's payoff, which is also its coupling
+    R; None means R = I.  spec is the factored game, None when square.
+    """
+
+    A: object
+    D: object
     R_U: float
     R_V: float
-    construction: str            # "example1" | "example2"
-    S: np.ndarray | None = None  # dense payoff matrix, example1 only
-    p: np.ndarray | None = None
-    q: np.ndarray | None = None
+    S: np.ndarray | None = None
+    spec: BilinearSpSpec | None = None
 
     @property
     def dim_u(self):
-        return self.S.shape[1] if self.construction == "example1" else self.spec.K
+        return self.A.n_rows
 
     @property
     def dim_v(self):
-        return self.S.shape[0] if self.construction == "example1" else self.spec.K
+        return self.D.n_rows
 
     @property
     def U(self):
@@ -93,6 +108,10 @@ class MasterProblem:
 
     def primal_domain(self):
         return Product([self.U, self.V])
+
+    def coupling(self, u, v):
+        """(R u, R^T v)."""
+        return (u, v) if self.S is None else (self.S @ u, self.S.T @ v)
 
 
 @dataclass(frozen=True)
@@ -144,9 +163,8 @@ def build_master_example1(S, p=None, q=None):
     S = np.atleast_2d(np.asarray(S, dtype=float))
     r_u = max(1.0, float(np.linalg.norm(S, axis=0).max(initial=0.0)))
     r_v = max(1.0, float(np.linalg.norm(S, axis=1).max(initial=0.0)))
-    return MasterProblem(spec=None, R_U=r_u, R_V=r_v, construction="example1",
-                         S=S, p=None if p is None else np.asarray(p, float),
-                         q=None if q is None else np.asarray(q, float))
+    return MasterProblem(A=_with_offset(DenseMatrixOracle(S.T), q, "q"),
+                         D=_with_offset(DenseMatrixOracle(S), p, "p"), R_U=r_u, R_V=r_v, S=S)
 
 
 def build_master_example2(spec, shared_radius=False):
@@ -159,58 +177,25 @@ def build_master_example2(spec, shared_radius=False):
     r_v = spec.A.column_norm_bound()
     if shared_radius:
         r_u = r_v = max(r_u, r_v)
-    r_u = max(r_u, 1e-12)
-    r_v = max(r_v, 1e-12)
-    return MasterProblem(spec=spec, R_U=r_u, R_V=r_v, construction="example2",
-                         p=spec.p, q=spec.q)
+    return MasterProblem(A=spec.A, D=spec.D, R_U=max(r_u, 1e-12),
+                         R_V=max(r_v, 1e-12), spec=spec)
 
 
 def primal_value_grad(master, u, v):
     """First-order information for phi at (u, v).
 
-    Matrix-game form: phi(u,v) = Max(A^T u) + Min(D^T v) - <u, R v-term>,
+    Matrix-game form: phi(u,v) = Max(q + A^T u) + Min(p + D^T v) - <v, R u>,
     with the sub/supergradients read off the extremizing columns.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     if u.shape != (master.dim_u,) or v.shape != (master.dim_v,):
         raise ValueError("query dimensions do not match the master problem")
-
-    if master.construction == "example2":
-        spec = master.spec
-        if master.p is None:
-            w_hit = col_extreme(spec.D, v, "min")
-            w_val = w_hit.value
-        else:
-            vals = v @ spec.D.matrix + master.p
-            j = int(np.argmin(vals))
-            w_val = float(vals[j])
-            w_hit = ColumnHit((j,), spec.D.matrix[:, j].copy(), w_val)
-        if master.q is None:
-            z_hit = col_extreme(spec.A, u, "max")
-            z_val = z_hit.value
-        else:
-            vals = u @ spec.A.matrix + master.q
-            j = int(np.argmax(vals))
-            z_val = float(vals[j])
-            z_hit = ColumnHit((j,), spec.A.matrix[:, j].copy(), z_val)
-        phi = w_val + z_val - float(u @ v)
-        g_u = z_hit.column - v
-        g_v = w_hit.column - u
-        return PrimalEval(phi, g_u, g_v, w_hit, z_hit)
-
-    # example1: D = A^T = R = S
-    S = master.S
-    wq = S.T @ v if master.p is None else S.T @ v + master.p
-    zq = S @ u if master.q is None else S @ u + master.q
-    jw = int(np.argmin(wq))
-    jz = int(np.argmax(zq))
-    phi = float(wq[jw]) + float(zq[jz]) - float(v @ (S @ u))
-    g_u = S[jz, :] - S.T @ v
-    g_v = S[:, jw] - S @ u
-    w_hit = ColumnHit((jw,), S[:, jw].copy(), float(wq[jw]))
-    z_hit = ColumnHit((jz,), S[jz, :].copy(), float(zq[jz]))
-    return PrimalEval(phi, g_u, g_v, w_hit, z_hit)
+    w_hit = col_extreme(master.D, v, "min")
+    z_hit = col_extreme(master.A, u, "max")
+    r_u, rt_v = master.coupling(u, v)
+    phi = w_hit.value + z_hit.value - float(v @ r_u)
+    return PrimalEval(phi, z_hit.column - rt_v, w_hit.column - r_u, w_hit, z_hit)
 
 
 def _atoms(cert, hits):
@@ -227,29 +212,27 @@ def _atoms(cert, hits):
     return w_atoms, z_atoms, w_cols, z_cols
 
 
+def _offset_dot(oracle, atoms):
+    """<offset, mixed strategy> of the atoms, which index the columns of a dense side."""
+    offset = getattr(oracle, "offset", None)
+    return 0.0 if offset is None else sum(w * offset[k[0]] for k, w in atoms.items())
+
+
 def _value_bounds(master, w_atoms, z_atoms, w_cols, z_cols):
     """(upper, lower) bounds on the game value at the atoms' mixed pair
     (w, z): upper = max_z' psi(w, z'), lower = min_w' psi(w', z), from the
     aggregated stored columns and at most two oracle calls."""
     agg_w = sum(w_atoms[k] * c for k, c in w_cols.items())
     agg_z = sum(z_atoms[k] * c for k, c in z_cols.items())
-    # offsets are indexed by the atoms' identities, desk scale only
-    p_dot_w = 0.0 if master.p is None else sum(w * master.p[k[0]] for k, w in w_atoms.items())
-    q_dot_z = 0.0 if master.q is None else sum(w * master.q[k[0]] for k, w in z_atoms.items())
-    if master.construction == "example1":
-        zq = agg_w if master.q is None else agg_w + master.q
-        wq = agg_z if master.p is None else agg_z + master.p
-        return p_dot_w + float(zq.max()), q_dot_z + float(wq.min())
-    spec = master.spec
-    if master.q is None:
-        upper = p_dot_w + col_extreme(spec.A, agg_w, "max").value
-    else:
-        upper = p_dot_w + float((agg_w @ spec.A.matrix + master.q).max())
-    if master.p is None:
-        lower = q_dot_z + col_extreme(spec.D, agg_z, "min").value
-    else:
-        lower = q_dot_z + float((agg_z @ spec.D.matrix + master.p).min())
-    return upper, lower
+    p_dot_w, q_dot_z = _offset_dot(master.D, w_atoms), _offset_dot(master.A, z_atoms)
+    if master.S is None:  # factored: D w and A z are queries of the replies' searches
+        upper = col_extreme(master.A, agg_w, "max").value
+        lower = col_extreme(master.D, agg_z, "min").value
+    else:  # square: S w and S^T z are the replies' payoffs themselves
+        q, p = master.A.offset, master.D.offset
+        upper = float((agg_w if q is None else agg_w + q).max())
+        lower = float((agg_z if p is None else agg_z + p).min())
+    return p_dot_w + upper, q_dot_z + lower
 
 
 def solve_sp(master, solver="ellipsoid", config=None):
@@ -302,8 +285,7 @@ def exact_gap(spec, sol):
     `spec` may be a BilinearSpSpec (factored construction) or a
     MasterProblem.  Two oracle calls on the aggregated K-vectors.
     """
-    master = spec if isinstance(spec, MasterProblem) else MasterProblem(
-        spec=spec, R_U=1.0, R_V=1.0, construction="example2", p=spec.p, q=spec.q)
+    master = spec if isinstance(spec, MasterProblem) else build_master_example2(spec)
     if not sol.w_atom_columns or not sol.z_atom_columns:
         raise ValueError("solution atoms must carry their stored columns")
     upper, lower = _value_bounds(master, sol.w_atoms, sol.z_atoms,
@@ -318,17 +300,12 @@ def master_transfer_protocol(master, protocol, hits):
     LMO-based residual over the product domain can be evaluated and
     compared against the primal residual.  Returns (protocol, domain).
     """
-    if master.construction == "example1":
-        D_mat = master.S
-        A_mat = master.S.T
-    else:
-        _, D_mat = enumerate_columns(master.spec.D)
-        _, A_mat = enumerate_columns(master.spec.A)
-    n_w = D_mat.shape[1]
-    n_z = A_mat.shape[1]
+    w_seqs, D_mat = enumerate_columns(master.D)
+    z_seqs, A_mat = enumerate_columns(master.A)
+    n_w, n_z = D_mat.shape[1], A_mat.shape[1]
     nu = master.dim_u
-    p = master.p if master.p is not None else np.zeros(n_w)
-    q = master.q if master.q is not None else np.zeros(n_z)
+    p, q = (getattr(side, "offset", None) for side in (master.D, master.A))
+    p, q = (np.zeros(n_w) if p is None else p), (np.zeros(n_z) if q is None else q)
 
     points, fields = [], []
     for i in range(len(protocol)):
@@ -338,9 +315,9 @@ def master_transfer_protocol(master, protocol, hits):
         neg_g_v = protocol.field_values[i][nu:]
         w_hit, z_hit = hits[i]
         e_w = np.zeros(n_w)
-        e_w[w_hit.action_sequence[0]] = 1.0
+        e_w[w_seqs.index(w_hit.action_sequence)] = 1.0
         e_z = np.zeros(n_z)
-        e_z[z_hit.action_sequence[0]] = 1.0
+        e_z[z_seqs.index(z_hit.action_sequence)] = 1.0
         alpha = p + D_mat.T @ v       # grad of Phi in w
         beta = -q - A_mat.T @ u       # -grad of Phi in z
         points.append(np.concatenate([u, e_w, v, e_z]))

@@ -86,7 +86,7 @@ class DenseSkewSystem:
         query = -(self.P.T @ x1) - (self.Q.T @ x2)
         if self.f is not None:
             query = query + self.f
-        atoms, value, f_dot = [], 0.0, 0.0
+        atoms, value = [], 0.0
         p_vec = np.zeros(self.K)
         q_vec = np.zeros(self.K)
         for b in range(len(self.block_sizes)):
@@ -96,9 +96,8 @@ class DenseSkewSystem:
             value += float(query[lo + j])
             p_vec += self.P[:, lo + j]
             q_vec += self.Q[:, lo + j]
-            if self.f is not None:
-                f_dot += float(self.f[lo + j])
-        return EtaHit(tuple(atoms), p_vec, q_vec, value, f_dot)
+        atoms = tuple(atoms)
+        return EtaHit(atoms, p_vec, q_vec, value, self.f_dot_atoms(atoms))
 
     def eta_dense(self, atoms_weights):
         """Weighted atoms -> dense vector in R^N (desk scale)."""
@@ -112,9 +111,8 @@ class DenseSkewSystem:
         return sum(self.P[:, self.offsets[b] + j] for b, (j,) in enumerate(atoms))
 
     def f_dot_atoms(self, atoms):
-        if self.f is None:
-            return 0.0
-        return float(sum(self.f[self.offsets[b] + j] for b, (j,) in enumerate(atoms)))
+        return 0.0 if self.f is None else float(
+            sum(self.f[self.offsets[b] + j] for b, (j,) in enumerate(atoms)))
 
     def h_domain(self):
         return Product([Simplex(n) for n in self.block_sizes])
@@ -136,7 +134,9 @@ class NashSpec:
     M[l][lp] are the m_l x m_lp loss matrices with M[l][l] = 0 and
     M[l][lp] = -M[lp][l]^T (checked entrywise); g[l] are optional linear
     loss terms (the part hitting player l's own strategy), one entry per
-    column of a dense D[l], desk scale.
+    column of a dense D[l], desk scale.  With g, each D[l] is replaced by
+    a dense oracle carrying the offset -g[l], so that every player's best
+    reply is one column search maximizing <y_l, D_l e_j> - g_lj.
 
     After validation the blocks are stacked once: C = [M[l][lp]] is the
     K x K coupling matrix (K = sum m_l), block_rows[l] = m_l and
@@ -175,6 +175,7 @@ class NashSpec:
                 if v.shape != (self.D[l].count_columns(),):
                     raise ValueError(f"g[{l}] has shape {v.shape}, expected one entry "
                                      f"per column of D[{l}] ({self.D[l].count_columns()})")
+            self.D = [DenseMatrixOracle(d.matrix, offset=-v) for d, v in zip(self.D, self.g)]
         self.block_rows = rows
         offsets = np.cumsum([0] + rows)
         self.row_slices = [slice(offsets[l], offsets[l + 1]) for l in range(L)]
@@ -199,33 +200,25 @@ class NashSkewSystem:
 
     def eta_argmin(self, x1, x2):
         spec = self.spec
-        # entries of the query on player l's block: g_lj - <D_l e_j, y_l>
+        # player l's reply maximizes <y_l, D_l e_j> - g_lj: D_l carries the offset -g_l
         y = 0.5 * np.asarray(x2, dtype=float) + spec.C.T @ np.asarray(x1, dtype=float)
         d = np.empty(self.K)
-        atoms, value, f_dot = [], 0.0, 0.0
+        atoms, value = [], 0.0
         for l, sl in enumerate(spec.row_slices):
-            if spec.g is None:
-                hit = col_extreme(spec.D[l], y[sl], "max")
-                value -= hit.value
-                d[sl] = hit.column
-                atoms.append(hit.action_sequence)
-            else:
-                vals = spec.g[l] - (y[sl] @ spec.D[l].matrix)
-                j = int(np.argmin(vals))
-                value += float(vals[j])
-                d[sl] = spec.D[l].matrix[:, j]
-                atoms.append((j,))
-                f_dot += float(spec.g[l][j])
-        return EtaHit(tuple(atoms), spec.C @ d, 0.5 * d, value, f_dot)
+            hit = col_extreme(spec.D[l], y[sl], "max")
+            value -= hit.value
+            d[sl] = hit.column
+            atoms.append(hit.action_sequence)
+        atoms = tuple(atoms)
+        return EtaHit(atoms, spec.C @ d, 0.5 * d, value, self.f_dot_atoms(atoms))
 
     def apply_P_atoms(self, atoms):
         spec = self.spec
         return spec.C @ np.concatenate([spec.D[l].column(atom) for l, atom in enumerate(atoms)])
 
     def f_dot_atoms(self, atoms):
-        if self.spec.g is None:
-            return 0.0
-        return float(sum(self.spec.g[l][atom[0]] for l, atom in enumerate(atoms)))
+        g = self.spec.g
+        return 0.0 if g is None else float(sum(g[l][atom[0]] for l, atom in enumerate(atoms)))
 
     def xi_radii(self):
         spec = self.spec
@@ -458,9 +451,7 @@ def eps_nash(spec, eta_blocks):
                 own += float(sum(w * spec.g[l][a[0]] for a, w in blk.items()))
             else:
                 own += float(spec.g[l] @ np.asarray(blk, dtype=float))
-            best = float((spec.g[l] + y @ spec.D[l].matrix).min())
-        else:
-            best = col_extreme(spec.D[l], y, "min").value
+        best = -col_extreme(spec.D[l], -y, "max").value  # min_j <y, D_l e_j> + g_lj
         total += own - best
     return total
 

@@ -59,6 +59,24 @@ def test_invalid_spec_contents_exit_one(tmp_path, capsys):
     assert "invalid spec" in capsys.readouterr().err
 
 
+def test_offset_on_knapsack_side_exit_one(tmp_path, capsys):
+    knapsack = {"bounds": [1], "costs": [1], "budget": 1, "outputs": [[[0.0], [1.0]]]}
+    spec = write_spec(tmp_path, {"A": knapsack, "D": [[1.0, 2.0]], "q": [0.0, 1.0]})
+    assert run(["matrix-game", "--spec", spec]) == 1
+    assert "invalid spec: offset q needs a dense side" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_ROOT), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "lmodecomp.cli", "matrix-game", "--spec", "missing.json"],
+        capture_output=True, text=True, cwd=tmp_path, env=env, timeout=120)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "cannot read spec" in proc.stderr
+
+
 def test_zero_step_budget_exit_one(tmp_path, capsys):
     spec = write_spec(tmp_path, {"S": PENNIES})
     assert run(["matrix-game", "--spec", spec, "--max-steps", "0"]) == 1
@@ -141,6 +159,28 @@ def test_blotto_report_value_matches_lp(tmp_path):
     _, cols_a = enumerate_columns(game.A)
     _, cols_d = enumerate_columns(game.D)
     assert abs(report["value"] - lp_game_value(cols_a.T @ cols_d)) <= 1e-6
+
+
+def test_blotto_honours_solver(tmp_path):
+    from lmodecomp.blotto import blotto_from_json, solve_blotto
+    from lmodecomp.cli import _history_json
+    from lmodecomp.solvers import SolverConfig
+
+    obj = {"m": 2, "caps_a": [2, 2], "caps_d": [2, 2], "costs_a": [1, 1],
+           "costs_d": [1, 1], "budget_a": 2, "budget_d": 2,
+           "omega": {"rank1_seed": 5}}
+    reports = {}
+    for solver in ("md", "ellipsoid"):
+        path = tmp_path / f"{solver}.json"
+        run(["blotto", "--spec", write_spec(tmp_path, obj), "--solver", solver,
+             "--max-steps", "600", "--gap-threshold", "1e-9", "--report", str(path)])
+        reports[solver] = json.loads(path.read_text())
+    md = solve_blotto(blotto_from_json(obj),
+                      SolverConfig(eps_target=1e-6, max_steps=600, gap_threshold=1e-9),
+                      solver="md")
+    assert reports["md"]["steps"] == md.steps
+    assert reports["md"]["history"] == _history_json(md.rounds)
+    assert reports["md"]["history"] != reports["ellipsoid"]["history"]
 
 
 def test_affine_vi_subcommand(tmp_path):

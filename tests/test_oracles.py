@@ -51,6 +51,19 @@ def test_dense_col_extreme():
     assert np.array_equal(hit.column, [2.0, 4.0])
 
 
+def test_dense_offset_scores_columns_without_changing_them():
+    oracle = DenseMatrixOracle([[1.0, 2.0, 3.0], [0.0, 5.0, 0.0]], offset=[1.0, 0.0, -1.0])
+    hit = col_extreme(oracle, np.array([2.0, 0.0]), "max")   # scores 3, 4, 5
+    assert hit.action_sequence == (2,)
+    assert hit.value == 5.0                                  # includes the offset
+    assert np.array_equal(hit.column, [3.0, 0.0])            # the column does not
+    for direction in ("max", "min"):                         # scores 2, 2, 2
+        hit = col_extreme(oracle, np.array([1.0, 0.0]), direction)
+        assert hit.action_sequence == (0,) and hit.value == 2.0
+    with pytest.raises(ValueError, match=r"offset has shape \(2,\)"):
+        DenseMatrixOracle(np.eye(3), offset=[1.0, 2.0])
+
+
 def test_knapsack_spec_example_queries():
     oracle = KnapsackOracle(small_knapsack())
     hit = col_extreme(oracle, np.array([2.0, 3.0]), "max")

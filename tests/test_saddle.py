@@ -3,8 +3,9 @@ import pytest
 
 from conftest import eps_sad_enum, lp_game_value
 from lmodecomp import saddle
+from lmodecomp.blotto import BlottoSpec, build_blotto, random_rank1_omegas
 from lmodecomp.certificates import CertificateError, residual, residual_ball_product
-from lmodecomp.oracles import DenseMatrixOracle
+from lmodecomp.oracles import DenseMatrixOracle, KnapsackOracle, KnapsackSpec
 from lmodecomp.saddle import (
     BilinearSpSpec,
     build_master_example1,
@@ -147,6 +148,18 @@ def test_gap_sandwich_and_transfer_every_round():
     assert sol.gap_exact <= master_res + 1e-9
 
 
+def test_transfer_on_knapsack_sides_places_atoms_at_their_columns():
+    # knapsack atoms are action sequences, not column numbers
+    spec = BlottoSpec(caps_a=(2, 2), caps_d=(2, 2), costs_a=(1, 1), costs_d=(1, 1),
+                      budget_a=2, budget_d=2, omegas=random_rank1_omegas(2, (2, 2), (2, 2), 3))
+    master = build_master_example2(build_blotto(spec), shared_radius=True)
+    sol = solve_sp(master, config=SolverConfig(gap_threshold=1e-6, max_steps=400))
+    big, dom = master_transfer_protocol(master, sol.protocol, sol.hits)
+    primal_res = residual_ball_product(sol.protocol, sol.cert,
+                                       (master.R_U, master.R_V), master.dim_u)
+    assert residual(big, sol.cert, dom).residual <= primal_res + 1e-9
+
+
 def test_solve_sp_md_solver():
     master = build_master_example1(PENNIES)
     sol = solve_sp(master, solver="md",
@@ -174,6 +187,36 @@ def test_offsets_small_instance():
     upper = (q + S @ w).max() + p @ w
     lower = (p + S.T @ z).min() + q @ z
     assert upper - lower <= sol.gap_bound + 1e-9
+
+
+def test_square_offset_of_wrong_length_is_rejected():
+    S = np.arange(6.0).reshape(2, 3)
+    with pytest.raises(ValueError, match=r"offset q: offset has shape \(1,\)"):
+        build_master_example1(S, q=[1.0])
+    with pytest.raises(ValueError, match=r"offset p: offset has shape \(2,\)"):
+        build_master_example1(S, p=[1.0, 2.0])
+
+
+def test_offset_needs_a_dense_side():
+    knapsack = KnapsackOracle(KnapsackSpec(bounds=(1,), costs=(1,), budget=1,
+                                           outputs=(np.array([[0.0], [1.0]]),)))
+    with pytest.raises(ValueError, match="offset q needs a dense side"):
+        BilinearSpSpec(A=knapsack, D=DenseMatrixOracle([[1.0, 2.0]]), q=[0.0, 1.0])
+    with pytest.raises(ValueError, match=r"offset p: offset has shape \(3,\)"):
+        BilinearSpSpec(A=knapsack, D=DenseMatrixOracle([[1.0, 2.0]]), p=np.zeros(3))
+
+
+def test_factored_offsets_match_lp():
+    rng = np.random.default_rng(6)
+    A, D = rng.normal(size=(3, 5)), rng.normal(size=(3, 4))
+    p, q = rng.normal(size=4), rng.normal(size=5)
+    spec = BilinearSpSpec(A=DenseMatrixOracle(A), D=DenseMatrixOracle(D), p=p, q=q)
+    sol = solve_sp(build_master_example2(spec),
+                   config=SolverConfig(eps_target=2e-7, gap_threshold=4e-7))
+    # on simplices psi(w, z) = <z, (A^T D + q 1^T + 1 p^T) w>
+    S = A.T @ D + q[:, None] + p[None, :]
+    assert abs(sol.value_estimate - lp_game_value(S)) <= 1e-6
+    assert sol.gap_exact == exact_gap(spec, sol) <= sol.gap_bound + 1e-9
 
 
 def test_json_serialization():
