@@ -28,6 +28,7 @@ from .oracles import (
     enumerate_columns,
 )
 from .solvers import (
+    CertificateLP,
     FieldOracle,
     SolveResult,
     SolverConfig,

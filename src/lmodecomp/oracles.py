@@ -48,6 +48,15 @@ class ColumnHit:
     value: float
     start_state: int | None = None
 
+    @property
+    def key(self):
+        """The column's pure strategy as an atom key: the action sequence,
+        paired with the start state for a DP, whose start states may
+        share an action sequence."""
+        if self.start_state is None:
+            return self.action_sequence
+        return self.start_state, self.action_sequence
+
 
 @dataclass(frozen=True)
 class KnapsackSpec:
@@ -449,9 +458,11 @@ def count_columns(oracle):
     return oracle.count_columns()
 
 
-def enumerate_columns(oracle, limit=10 ** 6):
+def enumerate_columns(oracle, limit=10 ** 6, keys=False):
     """Materialize all columns: (list of action sequences, K x L matrix).
 
+    With keys=True the list holds each column's `ColumnHit.key` instead,
+    which tells apart a DP's columns from different start states.
     Intended for desk-scale instances and brute-force checks; raises when
     the column count exceeds `limit`.
     """
@@ -480,17 +491,17 @@ def enumerate_columns(oracle, limit=10 ** 6):
     dp = oracle.system
     seqs, cols = [], []
 
-    def walk(s, state, acts, parts):
+    def walk(s, state, acts, parts, start):
         if s == dp.horizon:
-            seqs.append(tuple(acts))
+            seqs.append((start, tuple(acts)) if keys else tuple(acts))
             cols.append(np.concatenate(parts))
             return
         for pos, a in enumerate(dp.actions[s][state]):
             nxt = int(dp.transitions[s][state][pos]) if s < dp.horizon - 1 else -1
-            walk(s + 1, nxt, acts + [int(a)], parts + [dp.outputs[s][state][pos]])
+            walk(s + 1, nxt, acts + [int(a)], parts + [dp.outputs[s][state][pos]], start)
 
     for start in dp.start_states:
-        walk(0, start, [], [])
+        walk(0, start, [], [], start)
     return seqs, np.stack(cols, axis=1)
 
 

@@ -201,14 +201,14 @@ def primal_value_grad(master, u, v):
 def _atoms(cert, hits):
     """Pure-strategy atoms of the transferred certificate: weights
     (w_atoms, z_atoms) and stored columns (w_cols, z_cols), keyed by
-    action sequence."""
+    `ColumnHit.key` (the action sequence, with a DP's start state)."""
     w_atoms, z_atoms, w_cols, z_cols = {}, {}, {}, {}
     for i in np.flatnonzero(cert.weights > 0.0):
         weight, (w_hit, z_hit) = cert.weights[i], hits[i]
-        w_atoms[w_hit.action_sequence] = w_atoms.get(w_hit.action_sequence, 0.0) + weight
-        z_atoms[z_hit.action_sequence] = z_atoms.get(z_hit.action_sequence, 0.0) + weight
-        w_cols[w_hit.action_sequence] = w_hit.column
-        z_cols[z_hit.action_sequence] = z_hit.column
+        w_atoms[w_hit.key] = w_atoms.get(w_hit.key, 0.0) + weight
+        z_atoms[z_hit.key] = z_atoms.get(z_hit.key, 0.0) + weight
+        w_cols[w_hit.key] = w_hit.column
+        z_cols[z_hit.key] = z_hit.column
     return w_atoms, z_atoms, w_cols, z_cols
 
 
@@ -300,8 +300,8 @@ def master_transfer_protocol(master, protocol, hits):
     LMO-based residual over the product domain can be evaluated and
     compared against the primal residual.  Returns (protocol, domain).
     """
-    w_seqs, D_mat = enumerate_columns(master.D)
-    z_seqs, A_mat = enumerate_columns(master.A)
+    w_keys, D_mat = enumerate_columns(master.D, keys=True)
+    z_keys, A_mat = enumerate_columns(master.A, keys=True)
     n_w, n_z = D_mat.shape[1], A_mat.shape[1]
     nu = master.dim_u
     p, q = (getattr(side, "offset", None) for side in (master.D, master.A))
@@ -315,9 +315,9 @@ def master_transfer_protocol(master, protocol, hits):
         neg_g_v = protocol.field_values[i][nu:]
         w_hit, z_hit = hits[i]
         e_w = np.zeros(n_w)
-        e_w[w_seqs.index(w_hit.action_sequence)] = 1.0
+        e_w[w_keys.index(w_hit.key)] = 1.0
         e_z = np.zeros(n_z)
-        e_z[z_seqs.index(z_hit.action_sequence)] = 1.0
+        e_z[z_keys.index(z_hit.key)] = 1.0
         alpha = p + D_mat.T @ v       # grad of Phi in w
         beta = -q - A_mat.T @ u       # -grad of Phi in z
         points.append(np.concatenate([u, e_w, v, e_z]))

@@ -32,6 +32,7 @@ __all__ = [
     "ellipsoid_cut",
     "ellipsoid_run",
     "md_run",
+    "CertificateLP",
     "optimize_certificate",
 ]
 
@@ -73,8 +74,6 @@ class FieldOracle:
 
 
 _MAX_LP_SOLVES = 100  # per certificate round; a capped round only costs quality
-# residuals are certified far below HiGHS's default 1e-7 tolerances
-_HIGHS_OPTIONS = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
 def _origin_ball_blocks(domain):
@@ -153,10 +152,12 @@ class SolveResult:
     `cert` is the last round's certificate, for the whole `protocol`, and
     `residual` its certified residual; `payloads[i]` is the field's side
     payload at protocol entry i.  Each round is {step, t, residual,
-    cert_lower, gap, weights}, for the first t entries after `step` steps,
-    with the certificate's weights (not a copy) and the fields that
-    `on_certificate` returned (value for games, scale for VIs); the last
-    round is on `cert`, so its gap is the solution's.
+    cert_lower, gap, weights, support, lp_solves}, for the first t entries
+    after `step` steps, with the certificate's weights (not a copy), their
+    count of nonzeros (`support`), the HiGHS solves the round made
+    (`lp_solves`, read off the run's CertificateLP; 0 for mirror descent)
+    and the fields that `on_certificate` returned (value for games, scale
+    for VIs); the last round is on `cert`, so its gap is the solution's.
     `steps` counts every step, productive or not; `stop_reason` names what
     ended the step loop: "eps_target", "gap_threshold", "max_steps",
     "stationary" (a zero field value) or "ellipsoid_degenerate".
@@ -189,6 +190,10 @@ class _Run:
         self.field, self.on_certificate = field, on_certificate
         self.entries, self.payloads, self.rounds = _ProtocolBuffer(domain.dim), [], []
         self.cert, self.residual, self.certified_len = None, np.inf, 0
+        self.lp = None  # the ellipsoid's CertificateLP; mirror descent solves no LP
+
+    def lp_solves(self):
+        return 0 if self.lp is None else self.lp.solves
 
     def evaluate(self, point, step):
         """Field value at `point`, recorded as the protocol entry of `step`."""
@@ -200,11 +205,14 @@ class _Run:
     def round(self, step, certify):
         """Certify the protocol so far; returns a stop reason or None."""
         protocol = self.entries.protocol()
+        solves = self.lp_solves()
         self.cert = certify(protocol)
         self.residual = residual_ball_product(protocol, self.cert, self.radii, self.split)
         self.certified_len = len(protocol)
         record = {"step": step, "t": len(protocol), "residual": self.residual,
-                  "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights}
+                  "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights,
+                  "support": int(np.count_nonzero(self.cert.weights)),
+                  "lp_solves": self.lp_solves() - solves}
         if self.on_certificate is not None:
             record.update(self.on_certificate(protocol, self.cert, self.payloads) or {})
         self.rounds.append(record)
@@ -235,7 +243,8 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     field value, which is recorded into the protocol; at non-productive
     steps a separating hyperplane of the violated ball factor is used.
     Every cert_period steps the best certificate for the protocol so far is
-    computed, warm-started from the previous one.  `on_certificate(protocol,
+    computed, warm-started from the previous one, on the run's one
+    CertificateLP.  `on_certificate(protocol,
     cert, payloads)` returns the round's fields ({"gap", "value"} for games,
     {"gap", "scale"} for VIs) or None; a round raises CertificateError where
     its gap exceeds the residual by over 1e-9 max(1, |value|, scale).  The run
@@ -251,10 +260,12 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     if n < 2:
         raise ValueError("ellipsoid method requires dimension >= 2")
     tol = 0.1 * run.config.eps_target
+    run.lp = CertificateLP(run.radii, run.split, n)
 
     def certify(protocol):
         # never worse than the last certificate: the warm start is one of its candidates
-        return optimize_certificate(protocol, run.radii, run.split, warm_start=run.cert, tol=tol)
+        return optimize_certificate(protocol, run.radii, run.split, warm_start=run.cert,
+                                    tol=tol, lp=run.lp)
 
     center = np.zeros(n)
     shape = run.radius * np.eye(n)
@@ -340,7 +351,79 @@ def md_run(field, domain, config=None, on_certificate=None):
     return run.result(i, stop, certify)
 
 
-def optimize_certificate(protocol, radii, split, warm_start=None, tol=None):
+class CertificateLP:
+    """The best-certificate LP of one run, as one persistent HiGHS model:
+    maximize s over columns (s, a, b), (a, b) in the box of the balls,
+    subject to protocol rows s - <F_i, (a, b)> <= c_i and tangent cuts of
+    the balls.  A protocol row is added when it enters a working set and
+    deleted when a round starts without it; cuts stay valid and are kept.
+    Every solve is a dual simplex hot start from the last basis.  `rows`
+    maps each model row to its protocol index (-1 for a cut), and
+    `solves` counts the solves.  Rows are keyed by protocol index, so one
+    model serves only the growing prefixes of one protocol.
+    """
+
+    def __init__(self, radii, split, dim):
+        # scipy's vendored binding of the HiGHS that linprog runs; loads
+        # scipy.optimize, as the first linprog call did
+        from scipy.optimize._highspy import _core
+
+        self.highs, self._optimal = _core._Highs(), _core.HighsModelStatus.kOptimal
+        for name, value in (("output_flag", False), ("presolve", "off"),
+                            # residuals are certified far below the default 1e-7
+                            ("primal_feasibility_tolerance", 1e-10),
+                            ("dual_feasibility_tolerance", 1e-10)):
+            self.highs.setOptionValue(name, value)
+        upper = np.array([np.inf] + [r for sl, r in _balls(radii, split, dim)
+                                     for _ in range(sl.start, sl.stop)])
+        cost = np.zeros(1 + dim)
+        cost[0] = -1.0  # maximize s
+        empty = np.zeros(0, dtype=np.int32)
+        self.highs.addCols(1 + dim, cost, -upper, upper, 0, empty, empty, np.zeros(0))
+        self.rows = np.zeros(0, dtype=np.int64)
+        self.solves = 0
+
+    def _add_rows(self, coef, rhs, ids):
+        r, j = np.nonzero(coef)
+        starts = np.searchsorted(r, np.arange(len(coef))).astype(np.int32)
+        self.highs.addRows(len(coef), np.full(len(coef), -np.inf), rhs, len(r), starts,
+                           j.astype(np.int32), coef[r, j])
+        self.rows = np.concatenate([self.rows, ids])
+
+    def hold(self, in_set, fv, c):
+        """Hold exactly the protocol rows i with in_set[i], and every cut."""
+        rows, is_row = self.rows, self.rows >= 0
+        drop = np.flatnonzero(is_row & ~in_set[np.where(is_row, rows, 0)])
+        if len(drop):
+            self.highs.deleteRows(len(drop), drop.astype(np.int32))
+            rows = self.rows = np.delete(rows, drop)
+        held = np.zeros(len(in_set), dtype=bool)
+        held[rows[rows >= 0]] = True
+        new = np.flatnonzero(in_set & ~held)
+        if len(new):
+            self._add_rows(np.hstack([np.ones((len(new), 1)), -fv[new]]), c[new], new)
+
+    def add_cut(self, coef, rhs):
+        """Append the row <coef, (s, a, b)> <= rhs."""
+        self._add_rows(coef[None, :], np.array([rhs]), np.array([-1]))
+
+    def solve(self, t):
+        """(s, a, b) and the weights max(-row dual, 0) on a protocol of
+        length t, or None where HiGHS does not report an optimum."""
+        self.solves += 1
+        self.highs.run()
+        if self.highs.getModelStatus() != self._optimal:
+            self.highs.clearSolver()  # start the next solve afresh
+            return None
+        sol = self.highs.getSolution()
+        duals = np.array(sol.row_dual)
+        lam = np.zeros(t)
+        is_row = self.rows >= 0
+        lam[self.rows[is_row]] = np.maximum(-duals[is_row], 0.0)
+        return np.array(sol.col_value), lam
+
+
+def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=None):
     """Best accuracy certificate for a protocol over a product of
     origin-centered balls, from the dual linear program.
 
@@ -350,6 +433,10 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None):
     in (s, a, b) once the balls become a box refined by tangent (Kelley)
     cuts, whose HiGHS duals on the protocol rows are the weights.  The LP
     holds a working set of rows, grown by the rows each solution violates.
+    It lives in `lp`, a CertificateLP that a run carries across its rounds
+    (a fresh one when None): each call first deletes the model's protocol
+    rows outside its starting working set, keeps the cuts, and re-solves
+    from the last basis.
     Any (a, b) in the balls bounds the optimum from below; the projected LP
     solution and the dual completion of the best weights are tried, and
     the loop stops when the best residual is within a relative 1e-6 of
@@ -357,8 +444,6 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None):
     Never worse than uniform weights or the warm start, which may cover a
     prefix of the protocol.
     """
-    from scipy.optimize import linprog
-
     t = len(protocol)
     if t == 0:
         raise ValueError("cannot optimize a certificate for an empty protocol")
@@ -389,44 +474,39 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None):
     lower = float(start.min())
     in_set[np.argsort(start, kind="stable")[:8 * (d + 1)]] = True  # binding at the start
     gap_tol = 1e-13 * scale if tol is None else max(1e-13 * scale, 0.25 * tol)
-    lp_rows = np.hstack([np.ones((t, 1)), -fv])  # s - <F_i, (a, b)> <= c_i
-    cost = np.zeros(1 + d)
-    cost[0] = -1.0
-    bounds = [(None, None)] + [(-r, r) for sl, r in _balls(radii, split, d)
-                               for _ in range(sl.start, sl.stop)]
-    cuts, cut_rhs = [], []
+    if lp is None:
+        lp = CertificateLP(radii, split, d)
+    lp.hold(in_set, fv, c)  # drops the earlier rounds' rows outside this working set
     for _ in range(_MAX_LP_SOLVES):
         if f_best - lower <= max(gap_tol, 1e-6 * abs(lower)) or (
                 tol is not None and f_best <= gap_tol):
             break
-        rows = np.flatnonzero(in_set)
-        res = linprog(cost, A_ub=np.vstack([lp_rows[rows]] + cuts),
-                      b_ub=np.concatenate([c[rows], cut_rhs]), bounds=bounds,
-                      method="highs", options=_HIGHS_OPTIONS)
-        if res.status != 0:
+        solution = lp.solve(t)
+        if solution is None:
             break  # numerical trouble: keep the best certificate found so far
-        lam = np.zeros(t)
-        lam[rows] = np.maximum(-res.ineqlin.marginals[:len(rows)], 0.0)
+        x, lam = solution
         if lam.sum() > 0.0:
             lam /= lam.sum()
             f = residual_of(lam)
             if f < f_best:
                 best, f_best = lam, f
-        s, ab = res.x[0], res.x[1:]
+        s, ab = x[0], x[1:]
         proj = _project_blocks(ab, radii, split)
-        n_cuts = len(cuts)
+        cut = False
         for sl, r in _balls(radii, split, d):
             if np.any(proj[sl] != ab[sl]):  # outside this ball: cut at the projection
-                cuts.append(np.zeros(1 + d))
-                cuts[-1][1:][sl] = proj[sl] / r
-                cut_rhs.append(r)
+                coef = np.zeros(1 + d)
+                coef[1:][sl] = proj[sl] / r
+                lp.add_cut(coef, r)
+                cut = True
         lower = max(lower, float((c + fv @ proj).min()),
                     float(completion_values(best, f_best).min()))
         at_ab = c + fv @ ab
         violated = np.flatnonzero(~in_set & (at_ab < s - 1e-12 * scale))
-        if len(violated) == 0 and len(cuts) == n_cuts:
+        if len(violated) == 0 and not cut:
             break  # the LP optimum is feasible for the balls and all rows
         in_set[violated[np.argsort(at_ab[violated], kind="stable")[:4 * (d + 1)]]] = True
+        lp.hold(in_set, fv, c)
     return AccuracyCertificate(best, lower=lower)
 
 

@@ -5,7 +5,14 @@ from conftest import eps_sad_enum, lp_game_value
 from lmodecomp import saddle
 from lmodecomp.blotto import BlottoSpec, build_blotto, random_rank1_omegas
 from lmodecomp.certificates import CertificateError, residual, residual_ball_product
-from lmodecomp.oracles import DenseMatrixOracle, KnapsackOracle, KnapsackSpec
+from lmodecomp.oracles import (
+    DenseMatrixOracle,
+    DpOracle,
+    KnapsackOracle,
+    KnapsackSpec,
+    dp_from_json,
+    enumerate_columns,
+)
 from lmodecomp.saddle import (
     BilinearSpSpec,
     build_master_example1,
@@ -158,6 +165,31 @@ def test_transfer_on_knapsack_sides_places_atoms_at_their_columns():
     primal_res = residual_ball_product(sol.protocol, sol.cert,
                                        (master.R_U, master.R_V), master.dim_u)
     assert residual(big, sol.cert, dom).residual <= primal_res + 1e-9
+
+
+def test_dp_start_states_keep_their_own_atoms():
+    # a 1-stage DP with start states 0 and 1 lists the columns (0,), (1,),
+    # (0,), (1,) by action sequence; keyed by that alone, the weights of
+    # distinct columns merged and the run raised CertificateError
+    rng = np.random.default_rng(1)
+    dp = dp_from_json({"n_states": [2], "actions": [[[0, 1], [0, 1]]], "transitions": [],
+                       "outputs": [[rng.normal(size=(2, 2)).tolist() for _ in range(2)]],
+                       "start_states": [0, 1]})
+    D, A = DpOracle(dp), DenseMatrixOracle(rng.normal(size=(2, 3)))
+    master = build_master_example2(BilinearSpSpec(A=A, D=D))
+    sol = solve_sp(master)
+    w_keys, D_mat = enumerate_columns(D, keys=True)
+    assert len(set(w_keys)) == D.count_columns() == 4
+    assert {start for start, _ in sol.w_atoms} == {0, 1}
+    w, z = np.zeros(4), np.zeros(3)
+    for k, wt in sol.w_atoms.items():
+        w[w_keys.index(k)] += wt
+    for (j,), wt in sol.z_atoms.items():
+        z[j] += wt
+    assert abs(eps_sad_enum(A.matrix.T @ D_mat, w, z) - sol.gap_exact) <= 1e-9
+    assert sol.gap_exact <= sol.gap_bound
+    big, dom = master_transfer_protocol(master, sol.protocol, sol.hits)
+    assert residual(big, sol.cert, dom).residual <= sol.gap_bound + 1e-9
 
 
 def test_solve_sp_md_solver():

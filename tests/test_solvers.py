@@ -17,6 +17,7 @@ from lmodecomp.certificates import (
 from lmodecomp.domains import Ball, Product
 from lmodecomp.saddle import build_master_example1, solve_sp
 from lmodecomp.solvers import (
+    CertificateLP,
     FieldOracle,
     SolverConfig,
     central_cut_log_volume_ratio,
@@ -173,6 +174,76 @@ def test_optimizer_optimal_within_polygon_bracket():
         assert inner - 1e-9 <= cert.lower <= res
 
 
+def test_certificate_lp_hand_solved():
+    # max s  s.t.  s <= 1 + a1 + a2,  s <= -a1,  s <= -a2  on the box [-1, 1]^2:
+    # equal weights 1/3 sum the rows to 3s <= 1, attained at a = (-1/3, -1/3)
+    fv = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    c = np.array([1.0, 0.0, 0.0])
+    lp = CertificateLP((1.0, 0.0), 2, 2)
+    lp.hold(np.array([False, True, True]), fv, c)
+    lp.hold(np.ones(3, dtype=bool), fv, c)  # row 0 is added after rows 1 and 2
+    assert list(lp.rows) == [1, 2, 0]
+    x, lam = lp.solve(3)
+    assert np.allclose(x, [1 / 3, -1 / 3, -1 / 3], rtol=0.0, atol=1e-12)
+    assert np.allclose(lam, [1 / 3, 1 / 3, 1 / 3], rtol=0.0, atol=1e-12)
+    assert np.array_equal(lp.highs.getSolution().row_dual, -lam[lp.rows])
+    # a cut a1 <= -1/2 moves the optimum to s = 1/4 at a = (-1/2, -1/4)
+    lp.add_cut(np.array([0.0, 1.0, 0.0]), -0.5)
+    x, lam = lp.solve(3)
+    assert np.allclose(x, [0.25, -0.5, -0.25], rtol=0.0, atol=1e-12)
+    assert np.allclose(lam, [0.5, 0.0, 0.5], rtol=0.0, atol=1e-12)
+    assert lp.solves == 2
+
+
+def _prefix(prot, t):
+    return ExecutionProtocol(prot.points[:t], prot.field_values[:t], prot.step_ids[:t], prot.dim)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_carried_lp_certifies_as_a_fresh_one(seed):
+    # radii large enough that the optimum lies inside the balls, where the
+    # LP on the working set is exact and both models reach it
+    rng = np.random.default_rng(seed)
+    prot = _random_protocol(rng, 120, 4)
+    radii, split = (50.0, 50.0), 2
+    lp = CertificateLP(radii, split, 4)
+    first = optimize_certificate(_prefix(prot, 60), radii, split, lp=lp)
+    carried = optimize_certificate(prot, radii, split, warm_start=first, lp=lp)
+    fresh = optimize_certificate(prot, radii, split, warm_start=first)
+    res_carried, res_fresh = (residual_ball_product(prot, cert, radii, split)
+                              for cert in (carried, fresh))
+    assert abs(res_carried - res_fresh) <= 1e-12 * abs(res_fresh)
+
+
+def test_carried_lp_holds_only_the_working_set():
+    rng = np.random.default_rng(7)
+    prot = _random_protocol(rng, 200, 4)
+    radii, split = (1.5, 2.0), 2
+    lp = CertificateLP(radii, split, 4)
+    holds = []  # (working set, the model's protocol rows) after each hold
+
+    def protocol_rows():
+        rows = lp.rows[lp.rows >= 0]
+        assert len(rows) == len(set(rows))
+        return set(rows)
+
+    def hold(in_set, fv, c, hold=lp.hold):
+        hold(in_set, fv, c)
+        holds.append((set(np.flatnonzero(in_set)), protocol_rows()))
+
+    lp.hold = hold
+    cert, n_pruned = None, 0
+    for t in (50, 100, 150, 200):
+        before = protocol_rows()
+        holds.clear()
+        cert = optimize_certificate(_prefix(prot, t), radii, split, warm_start=cert, lp=lp)
+        assert all(rows == in_set for in_set, rows in holds)
+        assert protocol_rows() == holds[-1][0]  # the round's final working set
+        n_pruned += len(before - holds[0][1])
+    assert n_pruned > 0
+    assert lp.solves > 4  # some rounds re-solved after growing the working set
+
+
 def test_ellipsoid_rounds_record_certificate_lower_bound():
     rng = np.random.default_rng(5)
     skew = rng.normal(size=(4, 4))
@@ -186,6 +257,26 @@ def test_ellipsoid_rounds_record_certificate_lower_bound():
         assert np.isfinite(r["cert_lower"])
         assert r["cert_lower"] <= r["residual"]
 
+
+
+@pytest.mark.parametrize("method", ["ellipsoid", "md"])
+def test_rounds_record_support_and_lp_solves(method):
+    rng = np.random.default_rng(5)
+    skew = rng.normal(size=(4, 4))
+    mat = skew - skew.T + 0.05 * np.eye(4)
+    shift = rng.normal(size=4)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    run = (ellipsoid_run if method == "ellipsoid" else md_run)(
+        FieldOracle(lambda x: mat @ x + shift), dom,
+        SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64))
+    assert len(run.rounds) > 3
+    for r in run.rounds:
+        assert r["support"] == np.count_nonzero(r["weights"]) > 0
+    solves = [r["lp_solves"] for r in run.rounds]
+    if method == "md":
+        assert solves == [0] * len(solves)
+    else:
+        assert min(solves) >= 0 and max(solves) > 0
 
 
 @pytest.mark.parametrize("method", ["ellipsoid", "md"])
