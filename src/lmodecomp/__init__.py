@@ -28,7 +28,6 @@ from .oracles import (
     enumerate_columns,
 )
 from .solvers import (
-    CertificateLP,
     FieldOracle,
     SolveResult,
     SolverConfig,

@@ -458,11 +458,11 @@ def count_columns(oracle):
     return oracle.count_columns()
 
 
-def enumerate_columns(oracle, limit=10 ** 6, keys=False):
-    """Materialize all columns: (list of action sequences, K x L matrix).
+def enumerate_columns(oracle, limit=10 ** 6):
+    """Materialize all columns: (list of column keys, K x L matrix).
 
-    With keys=True the list holds each column's `ColumnHit.key` instead,
-    which tells apart a DP's columns from different start states.
+    The keys are those of `ColumnHit.key`: the action sequence, paired
+    with the start state for a DP.
     Intended for desk-scale instances and brute-force checks; raises when
     the column count exceeds `limit`.
     """
@@ -493,7 +493,7 @@ def enumerate_columns(oracle, limit=10 ** 6, keys=False):
 
     def walk(s, state, acts, parts, start):
         if s == dp.horizon:
-            seqs.append((start, tuple(acts)) if keys else tuple(acts))
+            seqs.append((start, tuple(acts)))
             cols.append(np.concatenate(parts))
             return
         for pos, a in enumerate(dp.actions[s][state]):

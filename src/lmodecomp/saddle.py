@@ -300,8 +300,8 @@ def master_transfer_protocol(master, protocol, hits):
     LMO-based residual over the product domain can be evaluated and
     compared against the primal residual.  Returns (protocol, domain).
     """
-    w_keys, D_mat = enumerate_columns(master.D, keys=True)
-    z_keys, A_mat = enumerate_columns(master.A, keys=True)
+    w_keys, D_mat = enumerate_columns(master.D)
+    z_keys, A_mat = enumerate_columns(master.A)
     n_w, n_z = D_mat.shape[1], A_mat.shape[1]
     nu = master.dim_u
     p, q = (getattr(side, "offset", None) for side in (master.D, master.A))

@@ -32,7 +32,6 @@ __all__ = [
     "ellipsoid_cut",
     "ellipsoid_run",
     "md_run",
-    "CertificateLP",
     "optimize_certificate",
 ]
 

@@ -92,7 +92,7 @@ def test_criterion_01_oracle_equivalence():
             for direction, pick in (("max", np.argmax), ("min", np.argmin)):
                 hit = col_extreme(oracle, x, direction)
                 j = int(pick(vals))
-                ok &= seqs[j] == hit.action_sequence
+                ok &= seqs[j] == hit.key
                 ok &= abs(vals[j] - hit.value) < 1e-9
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 30.0

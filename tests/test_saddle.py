@@ -178,7 +178,7 @@ def test_dp_start_states_keep_their_own_atoms():
     D, A = DpOracle(dp), DenseMatrixOracle(rng.normal(size=(2, 3)))
     master = build_master_example2(BilinearSpSpec(A=A, D=D))
     sol = solve_sp(master)
-    w_keys, D_mat = enumerate_columns(D, keys=True)
+    w_keys, D_mat = enumerate_columns(D)
     assert len(set(w_keys)) == D.count_columns() == 4
     assert {start for start, _ in sol.w_atoms} == {0, 1}
     w, z = np.zeros(4), np.zeros(3)
