@@ -45,14 +45,14 @@ class ExecutionProtocol:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         fv = np.atleast_2d(np.asarray(self.field_values, dtype=float))
-        ids = tuple(int(i) for i in self.step_ids)
-        if pts.shape != fv.shape or len(ids) != pts.shape[0]:
+        ids = np.asarray(self.step_ids, dtype=np.int64)  # free for an int64 array
+        if pts.shape != fv.shape or ids.shape != pts.shape[:1]:
             raise ValueError("points, field_values and step_ids must have equal length")
         if pts.shape[0] > 0 and pts.shape[1] != self.dim:
             raise ValueError(f"point dimension {pts.shape[1]} != declared dim {self.dim}")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "field_values", fv)
-        object.__setattr__(self, "step_ids", ids)
+        object.__setattr__(self, "step_ids", tuple(ids.tolist()))
 
     def __len__(self):
         return self.points.shape[0]

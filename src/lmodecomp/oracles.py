@@ -23,6 +23,7 @@ __all__ = [
     "KnapsackOracle",
     "DpOracle",
     "col_extreme",
+    "column_of_key",
     "count_columns",
     "bellman_backward",
     "bellman_forward",
@@ -234,48 +235,92 @@ class DenseMatrixOracle:
 
 
 class KnapsackOracle:
-    """Knapsack-generated simple matrix with a vectorized Bellman search."""
+    """Knapsack-generated simple matrix with a vectorized Bellman search.
+
+    One product with a block matrix built here gives every stage's action
+    values <x_s, f_s(a)> at once.  The backward pass then needs a table
+    only for the middle stages: the last stage's continuation is zero, so
+    its optimum from budget y is the running extreme of its values read
+    at min(bounds, y // h), and the forward pass reads the first stage at
+    the full budget H only.  Ties go to the smallest action at every
+    stage (the first occurrence of the optimum), so the action sequence
+    is the lexicographically smallest optimal one.
+    """
 
     def __init__(self, spec):
         self.spec = spec
         self.n_rows = spec.n_rows
-        # Per stage, _gather[s][x, a] indexes a continuation padded in front
-        # by one infeasible entry: 1 + the budget x - a*h_s left after
-        # action a, or 0 where that is negative.
-        budgets = np.arange(spec.budget + 1)[:, None]
-        gather = []
-        for b, h in zip(spec.bounds, spec.costs):
-            left = budgets - h * np.arange(b + 1)
-            gather.append(np.where(left < 0, 0, left + 1))
-        self._gather = tuple(gather)
-        offsets = np.cumsum((0,) + spec.block_dims)
-        self._query_slices = tuple(slice(offsets[s], offsets[s + 1])
-                                   for s in range(spec.horizon))
-        self._budgets = np.arange(spec.budget + 1)
+        H, m = spec.budget, spec.horizon
+        dims, bounds, costs = spec.block_dims, spec.bounds, spec.costs
+        row_off = np.cumsum((0,) + dims)
+        act_off = np.cumsum((0,) + tuple(b + 1 for b in bounds))
+        self._action_slices = tuple(slice(act_off[s], act_off[s + 1]) for s in range(m))
+        # x @ _stack = (outputs[s] @ x_s for every stage s), concatenated
+        stack = np.zeros((self.n_rows, act_off[-1]))
+        for s, o in enumerate(spec.outputs):
+            stack[row_off[s]:row_off[s + 1], act_off[s]:act_off[s + 1]] = o.T
+        self._stack = stack
+        # the column of actions a is _flat[_row_start + _row_stride * a[_row_stage]]
+        flat_off = np.cumsum((0,) + tuple(o.size for o in spec.outputs))
+        self._flat = np.concatenate([o.ravel() for o in spec.outputs])
+        self._row_stage = np.repeat(np.arange(m), dims)
+        self._row_stride = np.repeat(dims, dims)
+        self._row_start = (flat_off[:-1].repeat(dims)
+                           + np.arange(self.n_rows) - row_off[:-1].repeat(dims))
+        # last stage: the largest affordable action from each budget 0..H
+        self._last_cap = np.minimum(bounds[-1], np.arange(H + 1) // costs[-1])
+        # middle stages: _middle[s] = (gather, rows); gather[y, a] indexes a
+        # continuation padded in front by one infeasible entry, 1 + the
+        # budget y - a*h_s left after action a, or 0 where that is negative,
+        # and rows[y] + a is entry (y, a) of the flattened (H+1, bounds+1) table
+        budgets = np.arange(H + 1)[:, None]
+        self._middle = {}
+        for s in range(1, m - 1):
+            left = budgets - costs[s] * np.arange(bounds[s] + 1)
+            self._middle[s] = np.where(left < 0, 0, left + 1), np.arange(H + 1) * (bounds[s] + 1)
+        # first stage: the budget H - a*h_0 left by each affordable action a
+        self._first_left = H - costs[0] * np.arange(min(bounds[0], H // costs[0]) + 1)
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
         x = _check_query(x, self.n_rows)
         spec = self.spec
-        H = spec.budget
+        H, m = spec.budget, spec.horizon
         maximize = direction == "max"
-        upad = np.zeros(H + 2)  # upad[1 + x] = optimal continuation from budget x
+        values = x @ self._stack
+        stage = [values[sl] for sl in self._action_slices]
+        upad = np.empty(H + 2)  # upad[1 + y] = optimal continuation from budget y
         upad[0] = -np.inf if maximize else np.inf
-        argpos = [None] * spec.horizon
-        for s in range(spec.horizon - 1, -1, -1):
-            cand = upad.take(self._gather[s])   # (H+1, bounds+1)
-            cand += spec.outputs[s] @ x[self._query_slices[s]]
+        u = upad[1:]
+        # the indices are in range by construction; mode "raise" would buffer `out`
+        running = np.maximum if maximize else np.minimum
+        running.accumulate(stage[-1]).take(self._last_cap, out=u, mode="clip")
+        argpos = {}
+        for s in range(m - 2, 0, -1):
+            gather, rows = self._middle[s]
+            cand = upad.take(gather)   # (H+1, bounds+1)
+            cand += stage[s]
             # first occurrence of the optimum = smallest a: lexicographic tie-break
             argpos[s] = cand.argmax(axis=1) if maximize else cand.argmin(axis=1)
-            upad[1:] = cand[self._budgets, argpos[s]]
+            cand.ravel().take(rows + argpos[s], out=u, mode="clip")
         # forward pass from the full budget
-        state, actions = H, []
-        for s in range(spec.horizon):
+        actions, state, value = [], H, u[H]
+        if m > 1:
+            first = u.take(self._first_left)
+            first += stage[0][:len(first)]
+            a = int(first.argmax() if maximize else first.argmin())
+            actions, state, value = [a], H - a * spec.costs[0], first[a]
+        for s in range(1, m - 1):
             a = int(argpos[s][state])
             actions.append(a)
             state -= a * spec.costs[s]
-        column = np.concatenate([spec.outputs[s][a] for s, a in enumerate(actions)])
-        return ColumnHit(tuple(actions), column, float(upad[H + 1]))
+        last = stage[-1][:self._last_cap[state] + 1]
+        actions.append(int(last.argmax() if maximize else last.argmin()))
+        return ColumnHit(tuple(actions), self._column(actions), float(value))
+
+    def _column(self, actions):
+        index = self._row_start + self._row_stride * np.array(actions)[self._row_stage]
+        return self._flat.take(index)
 
     def count_columns(self):
         spec = self.spec
@@ -293,9 +338,12 @@ class KnapsackOracle:
         return counts[H]
 
     def column(self, action_sequence):
-        return np.concatenate(
-            [self.spec.outputs[s][a] for s, a in enumerate(action_sequence)]
-        )
+        actions = np.asarray(action_sequence)
+        if actions.shape != (self.spec.horizon,) or not (
+                (actions >= 0) & (actions <= self.spec.bounds)).all():
+            raise ValueError(f"action sequence {tuple(action_sequence)} is not within the "
+                             f"stage bounds {self.spec.bounds}")
+        return self._column(actions)
 
     def column_norm_bound(self):
         # sqrt(sum_s max_a ||f_s(a)||^2) upper-bounds every column norm
@@ -451,6 +499,15 @@ def dp_from_knapsack(spec):
 def col_extreme(oracle, x, direction):
     """Column of the implicit matrix extremizing <x, column>."""
     return oracle.col_extreme(x, direction)
+
+
+def column_of_key(oracle, key):
+    """The column of the pure strategy `key`, a `ColumnHit.key`: for a DP
+    the start state and action sequence, elsewhere the action sequence."""
+    if isinstance(oracle, DpOracle):
+        start, actions = key
+        return oracle.column(actions, start)
+    return oracle.column(key)
 
 
 def count_columns(oracle):

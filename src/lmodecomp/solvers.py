@@ -12,6 +12,8 @@ SolveResult.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +69,7 @@ class FieldOracle:
         else:
             value, payload = out, None
         value = np.asarray(value, dtype=float)
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise ValueError("field oracle returned non-finite values")
         return value, payload
 
@@ -97,12 +99,25 @@ def central_cut_log_volume_ratio(n):
     return n * np.log(n / np.sqrt(n * n - 1.0)) + 0.5 * np.log((n - 1.0) / (n + 1.0))
 
 
+def _norm(v):
+    """Euclidean norm of a 1-D float vector, as np.linalg.norm computes it."""
+    return math.sqrt(v @ v)
+
+
+@functools.cache
+def _cut_factors(n):
+    """(beta, gamma) of the central-cut update in dimension n; cached, one
+    entry per dimension."""
+    return n / math.sqrt(n * n - 1.0), 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
+
+
 def ellipsoid_cut(center, shape, g):
-    """One central-cut update keeping the half-space {x: <g, x - center> <= 0}."""
+    """One central-cut update keeping the half-space {x: <g, x - center> <= 0}.
+    Returns a new center and shape; the arguments are left as they are."""
     n = center.shape[0]
     bg = shape.T @ g
-    nbg = float(np.linalg.norm(bg))
-    if nbg <= 1e-14 * float(np.linalg.norm(g)):
+    nbg = _norm(bg)
+    if nbg <= 1e-14 * _norm(g):
         raise RuntimeError(
             "ellipsoid shape matrix is numerically singular along the cut direction; "
             "the method cannot make further progress"
@@ -110,38 +125,44 @@ def ellipsoid_cut(center, shape, g):
     p = bg / nbg
     bp = shape @ p
     center_new = center - bp / (n + 1.0)
-    beta = n / np.sqrt(n * n - 1.0)
-    gamma = 1.0 - np.sqrt((n - 1.0) / (n + 1.0))
-    shape_new = beta * (shape - gamma * np.outer(bp, p))
+    beta, gamma = _cut_factors(n)
+    # beta (shape - gamma bp p^T), updated in the one new array
+    shape_new = np.outer(bp, p)
+    shape_new *= gamma
+    np.subtract(shape, shape_new, out=shape_new)
+    shape_new *= beta
     return center_new, shape_new
 
 
 class _ProtocolBuffer:
     """Protocol entries appended into preallocated arrays that double when
     full.  Each snapshot views the rows so far, so building a round's
-    protocol copies nothing but the step ids."""
+    protocol copies nothing but the step ids, which numpy turns into a
+    tuple in one pass."""
 
     def __init__(self, dim):
-        self.dim = dim
+        self.dim, self.t = dim, 0
         self.points = np.empty((64, dim))
         self.fields = np.empty((64, dim))
-        self.ids = []
+        self.ids = np.empty(64, dtype=np.int64)
 
     def __len__(self):
-        return len(self.ids)
+        return self.t
 
     def append(self, point, field_value, step_id):
-        t = len(self.ids)
-        if t == self.points.shape[0]:
+        t = self.t
+        if t == len(self.ids):
             self.points = np.concatenate([self.points, np.empty_like(self.points)])
             self.fields = np.concatenate([self.fields, np.empty_like(self.fields)])
+            self.ids = np.concatenate([self.ids, np.empty_like(self.ids)])
         self.points[t] = point
         self.fields[t] = field_value
-        self.ids.append(step_id)
+        self.ids[t] = step_id
+        self.t = t + 1
 
     def protocol(self):
-        t = len(self.ids)
-        return ExecutionProtocol(self.points[:t], self.fields[:t], tuple(self.ids), self.dim)
+        t = self.t
+        return ExecutionProtocol(self.points[:t], self.fields[:t], self.ids[:t], self.dim)
 
 
 @dataclass
@@ -275,7 +296,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
         g, off = None, 0
         for d, r in run.blocks:
             block = center[off:off + d]
-            norm = np.linalg.norm(block)
+            norm = _norm(block)
             if norm > r:
                 g = np.zeros(n)
                 g[off:off + d] = block / norm
@@ -283,7 +304,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
             off += d
         if g is None:
             g = run.evaluate(center, step)
-            if np.linalg.norm(g) <= 1e-15:
+            if _norm(g) <= 1e-15:
                 stop = "stationary"  # nothing left to cut
                 break
         try:

@@ -19,7 +19,8 @@ import numpy as np
 # residual_ball_product is unused here: benchmark tracing wraps this module's name
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
 from .domains import Ball, FiniteAtoms, Product, Simplex, lmo_argmin
-from .oracles import DenseMatrixOracle, KnapsackOracle, col_extreme, knapsack_from_json
+from .oracles import (DenseMatrixOracle, KnapsackOracle, col_extreme, column_of_key,
+                      knapsack_from_json)
 from .solvers import FieldOracle, ellipsoid_run, md_run
 
 __all__ = [
@@ -59,7 +60,7 @@ class AffineViSpec:
 class EtaHit:
     """Vertex of H minimizing a linear form, with its images under P, Q."""
 
-    atoms: tuple               # per-block action sequences
+    atoms: tuple               # per-block atom keys (ColumnHit.key)
     p_vec: np.ndarray          # P eta
     q_vec: np.ndarray          # Q eta
     value: float               # attained minimum of the queried linear form
@@ -208,13 +209,14 @@ class NashSkewSystem:
             hit = col_extreme(spec.D[l], y[sl], "max")
             value -= hit.value
             d[sl] = hit.column
-            atoms.append(hit.action_sequence)
+            atoms.append(hit.key)
         atoms = tuple(atoms)
         return EtaHit(atoms, spec.C @ d, 0.5 * d, value, self.f_dot_atoms(atoms))
 
     def apply_P_atoms(self, atoms):
         spec = self.spec
-        return spec.C @ np.concatenate([spec.D[l].column(atom) for l, atom in enumerate(atoms)])
+        return spec.C @ np.concatenate([column_of_key(spec.D[l], atom)
+                                        for l, atom in enumerate(atoms)])
 
     def f_dot_atoms(self, atoms):
         g = self.spec.g
@@ -427,7 +429,9 @@ def eps_nash(spec, eta_blocks):
     """Sum over players of the incentive to deviate.
 
     eta_blocks: one entry per player, either a dense strategy vector or a
-    dict {action_sequence: weight}.  Uses one column search per player.
+    dict {key: weight} keyed as `ColumnHit.key` (a DP's start state and
+    action sequence, elsewhere the action sequence).  Uses one column
+    search per player.
     """
     L = spec.L
     if len(eta_blocks) != L:
@@ -436,7 +440,7 @@ def eps_nash(spec, eta_blocks):
     for l in range(L):
         blk = eta_blocks[l]
         if isinstance(blk, dict):
-            encoded.append(sum(w * spec.D[l].column(a) for a, w in blk.items()))
+            encoded.append(sum(w * column_of_key(spec.D[l], a) for a, w in blk.items()))
         else:
             encoded.append(spec.D[l].matrix @ np.asarray(blk, dtype=float))
     encoded = np.concatenate(encoded)

@@ -70,6 +70,13 @@ def test_length_mismatch_raises():
     prot = _protocol(rng, 4, 2)
     with pytest.raises(ValueError):
         residual(prot, AccuracyCertificate.uniform(3), Simplex(2))
+    # step ids: one integer per entry, whether a tuple or an int64 array
+    for ids in (prot.step_ids[:3], ("a",) * 4, np.arange(8).reshape(4, 2)):
+        with pytest.raises(ValueError):
+            ExecutionProtocol(prot.points, prot.field_values, ids, 2)
+    from_array = ExecutionProtocol(prot.points, prot.field_values, np.arange(1, 5), 2)
+    assert from_array.step_ids == prot.step_ids == (1, 2, 3, 4)
+    assert all(type(i) is int for i in from_array.step_ids)
 
 
 def test_prefix():

@@ -240,6 +240,8 @@ def test_knapsack_gather_matches_dp_at_blotto_scale():
     ((3, 2, 2), (1, 1, 1), 0),      # zero budget: only the all-zero column
     ((3, 0, 2), (1, 2, 1), 4),      # a stage with a single (zero) action
     ((4, 5, 9), (2, 3, 1), 9),      # actions whose cost a*h_s exceeds the budget
+    ((6,), (2,), 7),                # one stage: the first stage is the last
+    ((5, 7), (1, 2), 8),            # two stages, no middle one (the nash-knapsack shape)
 ])
 def test_knapsack_edge_cases_match_enumeration(bounds, costs, budget):
     rng = np.random.default_rng(budget)
@@ -260,6 +262,12 @@ def test_knapsack_edge_cases_match_enumeration(bounds, costs, budget):
         hit = col_extreme(oracle, np.zeros(oracle.n_rows), direction)
         assert hit.action_sequence == (0,) * len(bounds)
         assert hit.value == 0.0
+    # the columns share one flat table: an action past its stage's bound is
+    # an error, not a row of the next stage
+    for bad in ((bounds[0] + 1,) + (0,) * (len(bounds) - 1), (-1,) + (0,) * (len(bounds) - 1),
+                (0,) * (len(bounds) + 1)):
+        with pytest.raises(ValueError, match="stage bounds"):
+            oracle.column(bad)
 
 
 def _bellman_reference(dp, x, direction):

@@ -314,8 +314,8 @@ def test_round_protocols_are_stable_prefixes(method):
 
 _DETERMINISM_SCRIPT = """
 import numpy as np
-from lmodecomp import (BilinearSpSpec, DenseMatrixOracle, SolverConfig,
-                       build_master_example2, solve_sp)
+from lmodecomp import (BilinearSpSpec, BlottoSpec, DenseMatrixOracle, SolverConfig,
+                       build_master_example2, solve_blotto, solve_sp)
 rng = np.random.default_rng(5)
 A, D = rng.normal(size=(3, 90)), rng.normal(size=(3, 80))
 spec = BilinearSpSpec(A=DenseMatrixOracle(A), D=DenseMatrixOracle(D))
@@ -323,6 +323,14 @@ sol = solve_sp(build_master_example2(spec),
                config=SolverConfig(eps_target=2e-7, gap_threshold=2e-7))
 print(repr(sol.gap_bound))
 print(sol.cert.weights.tobytes().hex())
+# rank-2 losses: two output rows per field in the knapsack searches
+omegas = [rng.uniform(size=(5, 2)) @ rng.uniform(size=(2, 5)) for _ in range(3)]
+rep = solve_blotto(BlottoSpec(caps_a=(4,) * 3, caps_d=(4,) * 3, costs_a=(1,) * 3,
+                              costs_d=(1,) * 3, budget_a=4, budget_d=4, omegas=omegas),
+                   SolverConfig(eps_target=1e-6, gap_threshold=1e-9))
+print(repr(rep.gap), repr(rep.gap_exact), rep.steps)
+print([(k, w.hex()) for k, w in sorted(rep.attacker_atoms.items())])
+print([(k, w.hex()) for k, w in sorted(rep.defender_atoms.items())])
 """
 
 

@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from conftest import lp_game_value
+from conftest import eps_sad_enum, lp_game_value
 from lmodecomp import vi
 from lmodecomp.certificates import CertificateError, residual
 from lmodecomp.domains import FiniteAtoms, Simplex
-from lmodecomp.oracles import DenseMatrixOracle, KnapsackOracle, KnapsackSpec, col_extreme
+from lmodecomp.oracles import (
+    DenseMatrixOracle,
+    DpOracle,
+    KnapsackOracle,
+    KnapsackSpec,
+    col_extreme,
+    dp_from_json,
+    enumerate_columns,
+)
 from lmodecomp.solvers import SolverConfig
 from lmodecomp.vi import (
     AffineViSpec,
@@ -353,6 +361,35 @@ def test_nash_transfers_each_certificate_once(monkeypatch, L):
     assert len(sol.rounds) >= 2
     assert len(calls) == L * (len(sol.protocol) + len(sol.rounds))
     assert sol.eps_exact == sol.rounds[-1]["gap"]
+
+
+def test_nash_dp_start_states_keep_their_own_atoms():
+    # a 1-stage DP player with start states 0 and 1 has the action sequences
+    # (0,) and (1,) from both; keyed by the sequence alone, its atoms' columns
+    # could not be rebuilt and solve_vi raised ValueError
+    rng = np.random.default_rng(1)
+    dp = dp_from_json({"n_states": [2], "actions": [[[0, 1], [0, 1]]], "transitions": [],
+                       "outputs": [[rng.normal(size=(2, 2)).tolist() for _ in range(2)]],
+                       "start_states": [0, 1]})
+    D = [DpOracle(dp), DenseMatrixOracle(rng.normal(size=(2, 3)))]
+    B, Z = rng.normal(size=(2, 2)), np.zeros((2, 2))
+    spec = NashSpec(D=D, M=[[Z, B], [-B.T, Z]])
+    sol = solve_vi(nash_to_skew(spec))
+    assert sol.eps_exact <= sol.eps_bound
+    keys, cols = enumerate_columns(D[0])
+    eta0, eta1 = np.zeros(len(keys)), np.zeros(3)
+    blocks = [{}, {}]
+    for (k0, (j,)), w in sol.eta_atoms.items():
+        eta0[keys.index(k0)] += w
+        eta1[j] += w
+        blocks[0][k0] = blocks[0].get(k0, 0.0) + w
+        blocks[1][(j,)] = blocks[1].get((j,), 0.0) + w
+    assert {start for start, _ in blocks[0]} == {0, 1}
+    # two players, zero sum: the deviation incentives add up to the saddle gap
+    # of player 0's loss matrix over the enumerated columns
+    gap = eps_sad_enum((cols.T @ B @ D[1].matrix).T, eta0, eta1)
+    assert abs(eps_nash(spec, blocks) - gap) <= 1e-9
+    assert gap <= sol.eps_exact + 1e-9
 
 
 def test_large_offset_vi_passes_the_scaled_gap_check():
