@@ -6,13 +6,10 @@ from .certificates import (
     CertificateError,
     ExecutionProtocol,
     ResidualReport,
-    dump_protocol_json,
-    load_protocol_json,
     residual,
     residual_ball_product,
-    weighted_point,
 )
-from .domains import Ball, Box, Domain, FiniteAtoms, Product, Simplex, lmo_argmin
+from .domains import Ball, Domain, FiniteAtoms, Product, Simplex, lmo_argmin
 from .oracles import (
     ColumnHit,
     DenseMatrixOracle,
@@ -21,7 +18,6 @@ from .oracles import (
     KnapsackOracle,
     KnapsackSpec,
     bellman_backward,
-    bellman_forward,
     col_extreme,
     count_columns,
     dp_from_knapsack,

@@ -9,7 +9,6 @@ bounds the saddle-point gap (or the VI dual gap) of that solution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +19,7 @@ __all__ = [
     "AccuracyCertificate",
     "ResidualReport",
     "residual",
-    "weighted_point",
     "residual_ball_product",
-    "protocol_records",
-    "dump_protocol_json",
-    "load_protocol_json",
 ]
 
 
@@ -114,12 +109,6 @@ def _check_pair(protocol, cert):
         )
 
 
-def weighted_point(protocol, cert):
-    """Convex combination sum_i lambda_i w_i of the protocol points."""
-    _check_pair(protocol, cert)
-    return cert.weights @ protocol.points
-
-
 def residual(protocol, cert, domain):
     """Res = sum_i lambda_i <F_i, w_i> - min_{w in W} <sum_i lambda_i F_i, w>.
 
@@ -155,32 +144,3 @@ def residual_ball_product(protocol, cert, radii, split):
     agg = np.einsum("i,ij->j", lam, protocol.field_values)
     return (diag + r_u * float(np.linalg.norm(agg[:split]))
             + r_v * float(np.linalg.norm(agg[split:])))
-
-
-def protocol_records(protocol, cert):
-    """Protocol + certificate as a list of plain-dict records."""
-    _check_pair(protocol, cert)
-    return [
-        {
-            "step": int(protocol.step_ids[i]),
-            "point": protocol.points[i].tolist(),
-            "field": protocol.field_values[i].tolist(),
-            "weight": float(cert.weights[i]),
-        }
-        for i in range(len(protocol))
-    ]
-
-
-def dump_protocol_json(protocol, cert, fp):
-    json.dump(protocol_records(protocol, cert), fp)
-
-
-def load_protocol_json(fp):
-    records = json.load(fp)
-    points = [r["point"] for r in records]
-    fields = [r["field"] for r in records]
-    steps = [r["step"] for r in records]
-    weights = np.array([r["weight"] for r in records], dtype=float)
-    dim = len(points[0]) if points else 0
-    protocol = ExecutionProtocol.from_lists(points, fields, steps, dim)
-    return protocol, AccuracyCertificate(weights)

@@ -14,7 +14,6 @@ __all__ = [
     "Domain",
     "Simplex",
     "Ball",
-    "Box",
     "Product",
     "FiniteAtoms",
     "lmo_argmin",
@@ -102,39 +101,6 @@ class Ball(Domain):
 
     def __repr__(self):
         return f"Ball(dim={self.dim}, radius={self.radius})"
-
-
-class Box(Domain):
-    """Axis-aligned box {x: lo <= x <= hi}."""
-
-    def __init__(self, lo, hi):
-        self.lo = np.asarray(lo, dtype=float)
-        self.hi = np.asarray(hi, dtype=float)
-        if self.lo.shape != self.hi.shape:
-            raise ValueError("box bounds must have equal shapes")
-        if np.any(self.lo > self.hi):
-            raise ValueError("box requires lo <= hi componentwise")
-        self.dim = self.lo.shape[0]
-
-    def contains(self, x, tol=1e-10):
-        x = np.asarray(x, dtype=float)
-        return (
-            x.shape == (self.dim,)
-            and np.all(x >= self.lo - tol)
-            and np.all(x <= self.hi + tol)
-        )
-
-    def lmo(self, c):
-        c = self._check_query(c)
-        # c > 0 -> lo, c < 0 -> hi, ties (c == 0) -> lo
-        point = np.where(c > 0, self.lo, np.where(c < 0, self.hi, self.lo))
-        return point, float(c @ point)
-
-    def enclosing_radius(self):
-        return float(np.linalg.norm(np.maximum(np.abs(self.lo), np.abs(self.hi))))
-
-    def __repr__(self):
-        return f"Box(dim={self.dim})"
 
 
 class Product(Domain):

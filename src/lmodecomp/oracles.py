@@ -26,7 +26,6 @@ __all__ = [
     "column_of_key",
     "count_columns",
     "bellman_backward",
-    "bellman_forward",
     "dp_from_knapsack",
     "enumerate_columns",
     "knapsack_from_json",
@@ -440,12 +439,6 @@ def bellman_backward(dp, x, direction):
         argpos[s] = pick(cand, axis=1)
         values[s] = cand[np.arange(dp.n_states[s]), argpos[s]]
     return BellmanTables(tuple(values), tuple(argpos), direction)
-
-
-def bellman_forward(dp, tables):
-    """Recover the optimal action sequence from backward tables."""
-    actions, _, _ = _forward_with_start(dp, tables)
-    return tuple(actions)
 
 
 def _forward_with_start(dp, tables):

@@ -13,7 +13,11 @@ SolveResult.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,6 +375,44 @@ def md_run(field, domain, config=None, on_certificate=None):
     return run.result(i, stop, certify)
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+@functools.cache
+def _highs_core():
+    """scipy's compiled HiGHS binding, the extension that linprog runs.
+    It is loaded from its file next to the installed scipy, so the
+    scipy.optimize package (which imports scipy.linalg, sparse, spatial
+    and special) is not imported.  The module is registered under its
+    dotted name before it runs, so a later `import scipy.optimize` reuses
+    it rather than loading the extension a second time."""
+    core = sys.modules.get(_HIGHS_CORE)
+    if core is not None:
+        return core
+    scipy = importlib.util.find_spec("scipy")
+    folder = os.path.join(os.path.dirname(scipy.origin), "optimize", "_highspy") if scipy else ""
+    paths = [os.path.join(folder, "_core" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise ImportError(f"scipy's HiGHS extension {_HIGHS_CORE} was not found "
+                          f"(no {os.path.join(folder, '_core*.so')}); "
+                          "lmodecomp needs scipy>=1.17,<1.18")
+    spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_CORE] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_HIGHS_CORE]
+        raise
+    return core
+
+
+class _Rejected(RuntimeError):
+    """HiGHS rejected a change to the certificate LP's model."""
+
+
 class CertificateLP:
     """The best-certificate LP of one run, as one persistent HiGHS model:
     maximize s over columns (s, a, b), (a, b) in the box of the balls,
@@ -380,15 +422,16 @@ class CertificateLP:
     Every solve is a dual simplex hot start from the last basis.  `rows`
     maps each model row to its protocol index (-1 for a cut), and
     `solves` counts the solves.  Rows are keyed by protocol index, so one
-    model serves only the growing prefixes of one protocol.
+    model serves only the growing prefixes of one protocol.  HiGHS
+    rejects a row block whole (for instance one with a coefficient of
+    1e15 or more) and leaves the model as it was; `rows` follows the
+    model, and `hold` and `add_cut` raise _Rejected.
     """
 
     def __init__(self, radii, split, dim):
-        # scipy's vendored binding of the HiGHS that linprog runs; loads
-        # scipy.optimize, as the first linprog call did
-        from scipy.optimize._highspy import _core
-
-        self.highs, self._optimal = _core._Highs(), _core.HighsModelStatus.kOptimal
+        core = _highs_core()
+        self.highs, self._optimal = core._Highs(), core.HighsModelStatus.kOptimal
+        self._error = core.HighsStatus.kError
         for name, value in (("output_flag", False), ("presolve", "off"),
                             # residuals are certified far below the default 1e-7
                             ("primal_feasibility_tolerance", 1e-10),
@@ -406,8 +449,10 @@ class CertificateLP:
     def _add_rows(self, coef, rhs, ids):
         r, j = np.nonzero(coef)
         starts = np.searchsorted(r, np.arange(len(coef))).astype(np.int32)
-        self.highs.addRows(len(coef), np.full(len(coef), -np.inf), rhs, len(r), starts,
-                           j.astype(np.int32), coef[r, j])
+        status = self.highs.addRows(len(coef), np.full(len(coef), -np.inf), rhs, len(r),
+                                    starts, j.astype(np.int32), coef[r, j])
+        if status == self._error:
+            raise _Rejected(f"HiGHS rejected {len(coef)} rows")
         self.rows = np.concatenate([self.rows, ids])
 
     def hold(self, in_set, fv, c):
@@ -415,7 +460,8 @@ class CertificateLP:
         rows, is_row = self.rows, self.rows >= 0
         drop = np.flatnonzero(is_row & ~in_set[np.where(is_row, rows, 0)])
         if len(drop):
-            self.highs.deleteRows(len(drop), drop.astype(np.int32))
+            if self.highs.deleteRows(len(drop), drop.astype(np.int32)) == self._error:
+                raise _Rejected(f"HiGHS rejected deleting {len(drop)} rows")
             rows = self.rows = np.delete(rows, drop)
         held = np.zeros(len(in_set), dtype=bool)
         held[rows[rows >= 0]] = True
@@ -431,8 +477,8 @@ class CertificateLP:
         """(s, a, b) and the weights max(-row dual, 0) on a protocol of
         length t, or None where HiGHS does not report an optimum."""
         self.solves += 1
-        self.highs.run()
-        if self.highs.getModelStatus() != self._optimal:
+        if (self.highs.run() == self._error
+                or self.highs.getModelStatus() != self._optimal):
             self.highs.clearSolver()  # start the next solve afresh
             return None
         sol = self.highs.getSolution()
@@ -461,8 +507,9 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     solution and the dual completion of the best weights are tried, and
     the loop stops when the best residual is within a relative 1e-6 of
     that bound, or below tol/4.  The bound is the certificate's `lower`.
-    Never worse than uniform weights or the warm start, which may cover a
-    prefix of the protocol.
+    A row block or cut that HiGHS rejects ends the loop as a failed solve
+    does.  Never worse than uniform weights or the warm start, which may
+    cover a prefix of the protocol.
     """
     t = len(protocol)
     if t == 0:
@@ -496,37 +543,40 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     gap_tol = 1e-13 * scale if tol is None else max(1e-13 * scale, 0.25 * tol)
     if lp is None:
         lp = CertificateLP(radii, split, d)
-    lp.hold(in_set, fv, c)  # drops the earlier rounds' rows outside this working set
-    for _ in range(_MAX_LP_SOLVES):
-        if f_best - lower <= max(gap_tol, 1e-6 * abs(lower)) or (
-                tol is not None and f_best <= gap_tol):
-            break
-        solution = lp.solve(t)
-        if solution is None:
-            break  # numerical trouble: keep the best certificate found so far
-        x, lam = solution
-        if lam.sum() > 0.0:
-            lam /= lam.sum()
-            f = residual_of(lam)
-            if f < f_best:
-                best, f_best = lam, f
-        s, ab = x[0], x[1:]
-        proj = _project_blocks(ab, radii, split)
-        cut = False
-        for sl, r in _balls(radii, split, d):
-            if np.any(proj[sl] != ab[sl]):  # outside this ball: cut at the projection
-                coef = np.zeros(1 + d)
-                coef[1:][sl] = proj[sl] / r
-                lp.add_cut(coef, r)
-                cut = True
-        lower = max(lower, float((c + fv @ proj).min()),
-                    float(completion_values(best, f_best).min()))
-        at_ab = c + fv @ ab
-        violated = np.flatnonzero(~in_set & (at_ab < s - 1e-12 * scale))
-        if len(violated) == 0 and not cut:
-            break  # the LP optimum is feasible for the balls and all rows
-        in_set[violated[np.argsort(at_ab[violated], kind="stable")[:4 * (d + 1)]]] = True
-        lp.hold(in_set, fv, c)
+    try:
+        lp.hold(in_set, fv, c)  # drops the earlier rounds' rows outside this working set
+        for _ in range(_MAX_LP_SOLVES):
+            if f_best - lower <= max(gap_tol, 1e-6 * abs(lower)) or (
+                    tol is not None and f_best <= gap_tol):
+                break
+            solution = lp.solve(t)
+            if solution is None:
+                break  # numerical trouble: keep the best certificate found so far
+            x, lam = solution
+            if lam.sum() > 0.0:
+                lam /= lam.sum()
+                f = residual_of(lam)
+                if f < f_best:
+                    best, f_best = lam, f
+            s, ab = x[0], x[1:]
+            proj = _project_blocks(ab, radii, split)
+            lower = max(lower, float((c + fv @ proj).min()),
+                        float(completion_values(best, f_best).min()))
+            cut = False
+            for sl, r in _balls(radii, split, d):
+                if np.any(proj[sl] != ab[sl]):  # outside this ball: cut at the projection
+                    coef = np.zeros(1 + d)
+                    coef[1:][sl] = proj[sl] / r
+                    lp.add_cut(coef, r)
+                    cut = True
+            at_ab = c + fv @ ab
+            violated = np.flatnonzero(~in_set & (at_ab < s - 1e-12 * scale))
+            if len(violated) == 0 and not cut:
+                break  # the LP optimum is feasible for the balls and all rows
+            in_set[violated[np.argsort(at_ab[violated], kind="stable")[:4 * (d + 1)]]] = True
+            lp.hold(in_set, fv, c)
+    except _Rejected:
+        pass  # as numerical trouble: keep the best certificate found so far
     return AccuracyCertificate(best, lower=lower)
 
 

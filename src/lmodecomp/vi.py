@@ -239,10 +239,13 @@ class NashSkewSystem:
 
     def dense_PQ(self):
         """Materialized P, Q and f (desk scale, dense encoders only)."""
-        from scipy.linalg import block_diag
-
         spec = self.spec
-        blocks = block_diag(*[d.matrix for d in spec.D])
+        mats = [d.matrix for d in spec.D]
+        blocks = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+        r = c = 0
+        for m in mats:  # block diagonal
+            blocks[r:r + m.shape[0], c:c + m.shape[1]] = m
+            r, c = r + m.shape[0], c + m.shape[1]
         f = None if spec.g is None else np.concatenate(spec.g)
         return spec.C @ blocks, 0.5 * blocks, f
 

@@ -1,16 +1,11 @@
-import io
-
 import numpy as np
 import pytest
 
 from lmodecomp.certificates import (
     AccuracyCertificate,
     ExecutionProtocol,
-    dump_protocol_json,
-    load_protocol_json,
     residual,
     residual_ball_product,
-    weighted_point,
 )
 from lmodecomp.domains import Ball, Product, Simplex
 
@@ -27,13 +22,6 @@ def test_certificate_validation():
         AccuracyCertificate(np.array([0.5, 0.6]))
     c = AccuracyCertificate.uniform(4)
     assert np.allclose(c.weights, 0.25)
-
-
-def test_weighted_point():
-    prot = ExecutionProtocol.from_lists(
-        [[1.0, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [1, 2])
-    cert = AccuracyCertificate(np.array([0.25, 0.75]))
-    assert np.allclose(weighted_point(prot, cert), [0.25, 0.75])
 
 
 def test_residual_hand_value_on_simplex():
@@ -86,18 +74,3 @@ def test_prefix():
     assert len(sub) == 2
     assert sub.step_ids == prot.step_ids[:2]
     assert np.array_equal(sub.points, prot.points[:2])
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(5)
-    prot = _protocol(rng, 7, 3)
-    w = rng.uniform(size=7)
-    cert = AccuracyCertificate(w / w.sum())
-    buf = io.StringIO()
-    dump_protocol_json(prot, cert, buf)
-    buf.seek(0)
-    prot2, cert2 = load_protocol_json(buf)
-    assert np.allclose(prot2.points, prot.points)
-    assert np.allclose(prot2.field_values, prot.field_values)
-    assert prot2.step_ids == prot.step_ids
-    assert np.allclose(cert2.weights, cert.weights)

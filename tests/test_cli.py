@@ -91,6 +91,16 @@ def test_large_offset_affine_vi_runs_to_its_budget(tmp_path, capsys):
     assert "step budget exhausted" in capsys.readouterr().out
 
 
+def test_badly_scaled_affine_vi_named_stop(tmp_path, capsys):
+    # the certificate LP rejects rows this large; the run still ends on a named stop
+    S = [[0.0, 1e8, 0.5e8], [-1e8, 0.0, 2e8], [-0.5e8, -2e8, 0.0]]
+    spec = write_spec(tmp_path, {"S": S, "s": [1e8, 2e8, -1e8], "H": {"simplex": 3},
+                                 "Xi_radius": 1e9})
+    code = run(["affine-vi", "--spec", spec])
+    out = capsys.readouterr().out
+    assert code == 0 and "converged" in out or code == 3 and "stopped uncertified" in out
+
+
 def test_failed_certificate_check_exit_four(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("lmodecomp.vi._skew_eps_exact", lambda spec, atoms_weights: (1.0, 1.0))
     neg = (-np.asarray(PENNIES).T).tolist()

@@ -12,7 +12,6 @@ from lmodecomp.oracles import (
     KnapsackOracle,
     KnapsackSpec,
     bellman_backward,
-    bellman_forward,
     col_extreme,
     count_columns,
     dense_from_csv,
@@ -147,25 +146,10 @@ def test_bellman_tables_spec_example():
     assert tables.values[1][1] == 3.0
     assert tables.values[1][0] == 0.0
     assert tables.values[0][1] == 3.0
-    actions = bellman_forward(dp, tables)
-    assert actions == (0, 1)
-
-
-def test_bellman_forward_zero_query_lexicographic():
-    dp = dp_from_knapsack(small_knapsack())
-    tables = bellman_backward(dp, np.zeros(2), "max")
-    assert bellman_forward(dp, tables) == (0, 0)
-
-
-def test_bellman_matches_col_extreme():
-    rng = np.random.default_rng(2)
-    oracle = random_knapsack(rng)
-    dp = dp_from_knapsack(oracle.spec)
     dpo = DpOracle(dp)
-    for _ in range(25):
-        x = rng.normal(size=oracle.n_rows)
-        tables = bellman_backward(dp, x, "min")
-        assert bellman_forward(dp, tables) == col_extreme(dpo, x, "min").action_sequence
+    assert col_extreme(dpo, np.array([2.0, 3.0]), "max").action_sequence == (0, 1)
+    # ties go to the lexicographically smallest action sequence
+    assert col_extreme(dpo, np.zeros(2), "max").action_sequence == (0, 0)
 
 
 def test_column_norm_bound_dominates():

@@ -195,6 +195,69 @@ def test_certificate_lp_hand_solved():
     assert lp.solves == 2
 
 
+def test_certificate_lp_rejected_rows_leave_the_model_as_it_was():
+    # HiGHS rejects a row block with a coefficient of 1e15 or more, whole
+    fv = np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1e16]])
+    c = np.array([1.0, 0.0, 0.0])
+    lp = CertificateLP((1.0, 0.0), 2, 2)
+    lp.hold(np.array([True, True, False]), fv, c)
+    with pytest.raises(solvers._Rejected):
+        lp.hold(np.array([False, True, True]), fv, c)  # drops row 0, then adds row 2
+    assert list(lp.rows) == [1] and lp.highs.getNumRow() == 1
+    x, lam = lp.solve(3)  # max s  s.t.  s <= -a1  on the box [-1, 1]^2
+    assert np.allclose(x[:2], [1.0, -1.0], rtol=0.0, atol=1e-12)
+    assert np.array_equal(lam, [0.0, 1.0, 0.0])
+    # a round whose first row block is rejected ends with the uniform certificate
+    prot = ExecutionProtocol.from_lists(np.zeros((3, 2)), fv, [1, 2, 3])
+    lp = CertificateLP((1.0, 0.0), 2, 2)
+    cert = optimize_certificate(prot, (1.0, 0.0), 2, lp=lp)
+    assert np.array_equal(cert.weights, np.full(3, 1 / 3))
+    assert lp.solves == 0 and len(lp.rows) == 0 and lp.highs.getNumRow() == 0
+
+
+_COLD_START_SCRIPT = """
+import sys
+import numpy as np
+from lmodecomp import solvers
+from lmodecomp.saddle import build_master_example1, solve_sp
+
+def solve_pennies():
+    sol = solve_sp(build_master_example1(np.array([[1.0, -1.0], [-1.0, 1.0]])))
+    assert sol.gap_bound <= 1e-4, sol.gap_bound
+
+if sys.argv[1] == "lmodecomp-first":
+    solve_pennies()
+    assert "scipy.optimize" not in sys.modules
+from scipy.optimize import linprog
+assert linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0]).fun == 1.0
+if sys.argv[1] == "scipy-first":
+    solve_pennies()
+lp = solvers.CertificateLP((1.0, 0.0), 2, 2)  # max s  s.t.  s <= 1 + a1  on the box
+lp.hold(np.array([True]), np.array([[1.0, 0.0]]), np.array([1.0]))
+assert lp.solve(1)[0][0] == 2.0
+from scipy.optimize._highspy import _core
+assert sys.modules["scipy.optimize._highspy._core"] is solvers._highs_core() is _core
+"""
+
+
+@pytest.mark.parametrize("order", ["lmodecomp-first", "scipy-first"])
+def test_highs_extension_shared_with_scipy_optimize(order):
+    # a fresh interpreter: the tests' own process has imported scipy.optimize
+    env = dict(os.environ)
+    src_root = str(Path(lmodecomp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _COLD_START_SCRIPT, order], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_missing_highs_extension_names_the_scipy_pin(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.optimize._highspy._core")
+    monkeypatch.setattr(solvers.importlib.machinery, "EXTENSION_SUFFIXES", [])
+    with pytest.raises(ImportError, match=r"scipy>=1\.17,<1\.18"):
+        solvers._highs_core.__wrapped__()
+
+
 def _prefix(prot, t):
     return ExecutionProtocol(prot.points[:t], prot.field_values[:t], prot.step_ids[:t], prot.dim)
 

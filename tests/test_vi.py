@@ -407,6 +407,19 @@ def test_large_offset_vi_passes_the_scaled_gap_check():
     assert abs(big.eps_exact - base.eps_exact) <= 1e-9 * 1e8
 
 
+def test_badly_scaled_affine_vi_stops_on_a_named_reason():
+    # fields of about 1e17 at this radius: HiGHS rejects the certificate
+    # LP's rows, and the run keeps certifying with what it has
+    S = 1e8 * np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 2.0], [-0.5, -2.0, 0.0]])
+    sol = solve_vi(AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x,
+                                s=1e8 * np.array([1.0, 2.0, -1.0]), H=Simplex(3),
+                                Xi_radius=1e9))
+    assert sol.stop_reason in ("eps_target", "gap_threshold", "max_steps", "stationary",
+                               "ellipsoid_degenerate")
+    assert np.isfinite(sol.eps_bound) and sol.eps_exact <= sol.eps_bound
+    assert sol.rounds[-1]["residual"] == sol.eps_bound
+
+
 def test_solve_vi_raises_when_exact_gap_exceeds_residual(monkeypatch):
     # a dual gap of 1 is not certified once the residual falls below it
     monkeypatch.setattr(vi, "_skew_eps_exact", lambda spec, atoms_weights: (1.0, 1.0))
