@@ -10,6 +10,7 @@ while the number of columns can be astronomically large.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +84,8 @@ class KnapsackSpec:
         for s, (b, o) in enumerate(zip(bounds, outputs)):
             if o.shape[0] != b + 1:
                 raise ValueError(f"stage {s}: output table needs {b + 1} rows, got {o.shape[0]}")
+            if not np.isfinite(o).all():
+                raise ValueError(f"stage {s}: output table has non-finite entries")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "budget", int(self.budget))
@@ -244,6 +247,20 @@ class KnapsackOracle:
     the full budget H only.  Ties go to the smallest action at every
     stage (the first occurrence of the optimum), so the action sequence
     is the lexicographically smallest optimal one.
+
+    A middle stage scans only its record actions, those whose value beats
+    every cheaper action of the stage (knapsack dominance).  The optimal
+    continuation never falls as the budget grows, and floating-point
+    addition keeps that order, so an action no better than a cheaper one
+    never scores above it: the smallest optimal action at every budget is
+    a record, and the table over the records picks the same action and
+    value as the full one.  The candidate tables are built here, per
+    query class: a stage with 1-dim outputs scores x_s * f_s(a), and
+    rounding keeps the order of f_s, so its records are among the strict
+    prefix maxima of f_s when x_s has the sign of the direction (positive
+    for "max"), among its strict prefix minima for the opposite sign, and
+    action 0 alone for x_s = 0; a stage with wider outputs has one class
+    holding all of its actions.  A query must be finite: a NaN has no sign.
     """
 
     def __init__(self, spec):
@@ -268,24 +285,35 @@ class KnapsackOracle:
                            + np.arange(self.n_rows) - row_off[:-1].repeat(dims))
         # last stage: the largest affordable action from each budget 0..H
         self._last_cap = np.minimum(bounds[-1], np.arange(H + 1) // costs[-1])
-        # middle stages: _middle[s] = (gather, rows); gather[y, a] indexes a
-        # continuation padded in front by one infeasible entry, 1 + the
-        # budget y - a*h_s left after action a, or 0 where that is negative,
-        # and rows[y] + a is entry (y, a) of the flattened (H+1, bounds+1) table
+        # middle stages: _middle[s] = (row, tables).  A query's class at stage s
+        # is the sign of x[row] times the direction's (+1 for "max"), and
+        # tables[class] = (gather, rows, actions) over the class's ascending
+        # candidate actions: gather[y, j] indexes a continuation padded in
+        # front by one infeasible entry, 1 + the budget y - actions[j]*h_s
+        # left, or 0 where that is negative, and rows[y] + j is entry (y, j)
+        # of the flattened (H+1, len(actions)) table
         budgets = np.arange(H + 1)[:, None]
         self._middle = {}
         for s in range(1, m - 1):
-            left = budgets - costs[s] * np.arange(bounds[s] + 1)
-            self._middle[s] = np.where(left < 0, 0, left + 1), np.arange(H + 1) * (bounds[s] + 1)
+            tables = {}
+            for classes, actions in _record_classes(spec.outputs[s]):
+                left = budgets - costs[s] * actions
+                tables.update(dict.fromkeys(classes, (
+                    np.where(left < 0, 0, left + 1), np.arange(H + 1) * len(actions), actions)))
+            self._middle[s] = int(row_off[s]), tables
         # first stage: the budget H - a*h_0 left by each affordable action a
         self._first_left = H - costs[0] * np.arange(min(bounds[0], H // costs[0]) + 1)
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
         x = _check_query(x, self.n_rows)
+        xl = x.tolist()
+        if not all(map(math.isfinite, xl)):
+            raise ValueError("query has non-finite entries")
         spec = self.spec
         H, m = spec.budget, spec.horizon
         maximize = direction == "max"
+        sign = 1 if maximize else -1
         values = x @ self._stack
         stage = [values[sl] for sl in self._action_slices]
         upad = np.empty(H + 2)  # upad[1 + y] = optimal continuation from budget y
@@ -296,12 +324,15 @@ class KnapsackOracle:
         running.accumulate(stage[-1]).take(self._last_cap, out=u, mode="clip")
         argpos = {}
         for s in range(m - 2, 0, -1):
-            gather, rows = self._middle[s]
-            cand = upad.take(gather)   # (H+1, bounds+1)
-            cand += stage[s]
-            # first occurrence of the optimum = smallest a: lexicographic tie-break
-            argpos[s] = cand.argmax(axis=1) if maximize else cand.argmin(axis=1)
-            cand.ravel().take(rows + argpos[s], out=u, mode="clip")
+            row, tables = self._middle[s]
+            c = xl[row]
+            gather, rows, actions = tables[sign * ((c > 0) - (c < 0))]
+            cand = upad.take(gather)   # (H+1, len(actions))
+            cand += stage[s].take(actions)
+            # first occurrence of the optimum = smallest action: lexicographic tie-break
+            k = cand.argmax(axis=1) if maximize else cand.argmin(axis=1)
+            cand.ravel().take(rows + k, out=u, mode="clip")
+            argpos[s] = actions, k
         # forward pass from the full budget
         actions, state, value = [], H, u[H]
         if m > 1:
@@ -310,7 +341,8 @@ class KnapsackOracle:
             a = int(first.argmax() if maximize else first.argmin())
             actions, state, value = [a], H - a * spec.costs[0], first[a]
         for s in range(1, m - 1):
-            a = int(argpos[s][state])
+            stage_actions, k = argpos[s]
+            a = int(stage_actions[k[state]])
             actions.append(a)
             state -= a * spec.costs[s]
         last = stage[-1][:self._last_cap[state] + 1]
@@ -324,16 +356,16 @@ class KnapsackOracle:
     def count_columns(self):
         spec = self.spec
         H = spec.budget
-        counts = [1] * (H + 1)  # exact big-integer accumulators
+        counts = [1] * (H + 1)  # exact big integers: completions from each budget
         for s in range(spec.horizon - 1, -1, -1):
-            h = spec.costs[s]
-            new = [0] * (H + 1)
-            for xi in range(H + 1):
-                total = 0
-                for a in range(min(spec.bounds[s], xi // h) + 1):
-                    total += counts[xi - a * h]
-                new[xi] = total
-            counts = new
+            h, window = spec.costs[s], (spec.bounds[s] + 1) * spec.costs[s]
+            # prefix sums along each residue class of the budget mod h; the
+            # count from y sums counts[y - a*h] over a = 0..min(bounds, y // h)
+            prefix = counts[:]
+            for y in range(h, H + 1):
+                prefix[y] += prefix[y - h]
+            counts = [prefix[y] - prefix[y - window] if y >= window else prefix[y]
+                      for y in range(H + 1)]
         return counts[H]
 
     def column(self, action_sequence):
@@ -349,6 +381,22 @@ class KnapsackOracle:
         return float(np.sqrt(sum(
             (np.linalg.norm(o, axis=1) ** 2).max() for o in self.spec.outputs
         )))
+
+
+def _record_classes(outputs):
+    """One middle stage's query classes, as (classes, ascending candidate
+    actions) pairs: the record actions of each class (see KnapsackOracle),
+    or one pair of every class and every action for wider outputs."""
+    if outputs.shape[1] > 1:
+        return [((1, 0, -1), np.arange(outputs.shape[0]))]
+    f = outputs[:, 0]
+    return [((1,), _strict_prefix_maxima(f)), ((0,), np.zeros(1, dtype=int)),
+            ((-1,), _strict_prefix_maxima(-f))]
+
+
+def _strict_prefix_maxima(g):
+    """Positions of the entries of g that exceed every earlier entry."""
+    return np.flatnonzero(np.concatenate(([True], g[1:] > np.maximum.accumulate(g)[:-1])))
 
 
 class DpOracle:

@@ -81,6 +81,27 @@ def test_knapsack_count_examples():
     assert KnapsackOracle(zero).count_columns() == 1
 
 
+@pytest.mark.parametrize("m, cap", [(1, 5), (3, 7), (20, 200)])   # C(220, 20) > 2**63
+def test_count_with_caps_at_the_budget_is_a_binomial(m, cap):
+    spec = KnapsackSpec(bounds=(cap,) * m, costs=(1,) * m, budget=cap,
+                        outputs=tuple(np.zeros((cap + 1, 1)) for _ in range(m)))
+    assert KnapsackOracle(spec).count_columns() == math.comb(cap + m, m)
+
+
+@pytest.mark.parametrize("bounds, costs, budget", [
+    ((2, 1, 3), (2, 3, 2), 11),     # bounds below the budget
+    ((9, 7, 8), (3, 2, 3), 10),     # bounds above the budget
+    ((4, 12, 1, 5), (2, 3, 3, 2), 13),
+    ((6, 6), (3, 2), 0),
+])
+def test_count_matches_enumeration_with_costs_above_one(bounds, costs, budget):
+    spec = KnapsackSpec(bounds=bounds, costs=costs, budget=budget,
+                        outputs=tuple(np.zeros((b + 1, 1)) for b in bounds))
+    oracle = KnapsackOracle(spec)
+    seqs, _ = enumerate_columns(oracle)
+    assert oracle.count_columns() == len(seqs)
+
+
 def test_large_scale_count_is_exact_big_integer():
     m, cap, budget = 8, 64, 64
     spec = KnapsackSpec(bounds=(cap,) * m, costs=(1,) * m, budget=budget,
@@ -170,6 +191,22 @@ def test_spec_validation():
         KnapsackSpec(bounds=(1,), costs=(0,), budget=1, outputs=(np.zeros((2, 1)),))
     with pytest.raises(ValueError):
         KnapsackSpec(bounds=(1,), costs=(1,), budget=1, outputs=(np.zeros((3, 1)),))
+    with pytest.raises(ValueError, match="non-finite"):
+        KnapsackSpec(bounds=(1,), costs=(1,), budget=1, outputs=(np.array([[0.0], [np.inf]]),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_knapsack_rejects_non_finite_queries(bad):
+    # a NaN has no sign, and the sign of a stage's query picks its tables
+    rng = np.random.default_rng(4)
+    oracle = KnapsackOracle(KnapsackSpec(bounds=(3, 3, 3), costs=(1, 1, 1), budget=4,
+                                         outputs=tuple(rng.normal(size=(4, 1)) for _ in range(3))))
+    for row in range(oracle.n_rows):
+        x = rng.normal(size=oracle.n_rows)
+        x[row] = bad
+        for direction in ("max", "min"):
+            with pytest.raises(ValueError, match="non-finite"):
+                col_extreme(oracle, x, direction)
 
 
 def test_json_and_csv_loaders(tmp_path):
@@ -252,6 +289,50 @@ def test_knapsack_edge_cases_match_enumeration(bounds, costs, budget):
                 (0,) * (len(bounds) + 1)):
         with pytest.raises(ValueError, match="stage bounds"):
             oracle.column(bad)
+
+
+def _rank1_outputs(rng, kind, bound):
+    if kind == "gaussian":
+        return rng.normal(size=(bound + 1, 1))
+    if kind == "integer":       # few values: many exact ties
+        return rng.integers(-2, 3, size=(bound + 1, 1)).astype(float)
+    if kind == "monotone":      # every action is a record of one query sign
+        return np.sort(rng.normal(size=(bound + 1, 1)), axis=0) * rng.choice([-1.0, 1.0])
+    return np.full((bound + 1, 1), 0.7)     # constant: action 0 is the only record
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "integer", "monotone", "constant"])
+@pytest.mark.parametrize("bounds, costs, budget", [
+    ((2, 3, 2), (1, 2, 3), 9),           # bounds below the budget
+    ((9, 8, 7, 9), (2, 1, 3, 1), 7),     # bounds above the budget
+    ((5, 6, 4, 3), (3, 2, 1, 2), 10),
+])
+def test_knapsack_one_dim_outputs_match_enumeration(bounds, costs, budget, kind):
+    # 1-dim outputs: the middle stages search their record actions only
+    rng = np.random.default_rng([budget, len(kind)])
+    spec = KnapsackSpec(bounds=bounds, costs=costs, budget=budget,
+                        outputs=tuple(_rank1_outputs(rng, kind, b) for b in bounds))
+    oracle = KnapsackOracle(spec)
+    seqs, cols = enumerate_columns(oracle)
+    m = len(bounds)
+    queries = [np.zeros(m), np.full(m, -0.0)]
+    for _ in range(40):
+        x = (rng.integers(-2, 3, size=m).astype(float) if kind == "integer"
+             else rng.normal(size=m))
+        draw = rng.random(m)
+        x[draw < 0.2] = 0.0
+        x[draw > 0.8] = -0.0
+        queries.append(x)
+    for x in queries:
+        # summed in one order for every column, so that equal columns tie exactly
+        vals = (x[:, None] * cols).sum(axis=0)
+        scale = np.abs(x) @ np.abs(cols)
+        for direction, pick in (("max", np.argmax), ("min", np.argmin)):
+            hit = col_extreme(oracle, x, direction)
+            j = int(pick(vals))   # first occurrence: the lexicographically smallest optimum
+            assert hit.action_sequence == seqs[j]
+            assert abs(hit.value - vals[j]) <= 1e-12 * scale[j]
+            assert np.array_equal(hit.column, cols[:, j])
 
 
 def _bellman_reference(dp, x, direction):

@@ -379,6 +379,7 @@ _DETERMINISM_SCRIPT = """
 import numpy as np
 from lmodecomp import (BilinearSpSpec, BlottoSpec, DenseMatrixOracle, SolverConfig,
                        build_master_example2, solve_blotto, solve_sp)
+from lmodecomp.blotto import random_rank1_omegas
 rng = np.random.default_rng(5)
 A, D = rng.normal(size=(3, 90)), rng.normal(size=(3, 80))
 spec = BilinearSpSpec(A=DenseMatrixOracle(A), D=DenseMatrixOracle(D))
@@ -390,6 +391,14 @@ print(sol.cert.weights.tobytes().hex())
 omegas = [rng.uniform(size=(5, 2)) @ rng.uniform(size=(2, 5)) for _ in range(3)]
 rep = solve_blotto(BlottoSpec(caps_a=(4,) * 3, caps_d=(4,) * 3, costs_a=(1,) * 3,
                               costs_d=(1,) * 3, budget_a=4, budget_d=4, omegas=omegas),
+                   SolverConfig(eps_target=1e-6, gap_threshold=1e-9))
+print(repr(rep.gap), repr(rep.gap_exact), rep.steps)
+print([(k, w.hex()) for k, w in sorted(rep.attacker_atoms.items())])
+print([(k, w.hex()) for k, w in sorted(rep.defender_atoms.items())])
+# rank-1 losses on 4 fields, mixed optimum: the middle stages search their record actions
+rep = solve_blotto(BlottoSpec(caps_a=(6,) * 4, caps_d=(6,) * 4, costs_a=(1,) * 4,
+                              costs_d=(1,) * 4, budget_a=6, budget_d=6,
+                              omegas=random_rank1_omegas(4, (6,) * 4, (6,) * 4, 4)),
                    SolverConfig(eps_target=1e-6, gap_threshold=1e-9))
 print(repr(rep.gap), repr(rep.gap_exact), rep.steps)
 print([(k, w.hex()) for k, w in sorted(rep.attacker_atoms.items())])
