@@ -9,6 +9,7 @@ bounds the saddle-point gap (or the VI dual gap) of that solution.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,11 +72,14 @@ class AccuracyCertificate:
     """Nonnegative weights summing to one, one per protocol entry.
 
     `lower`, when known, is a certified lower bound on the smallest
-    residual that any certificate for the same protocol attains.
+    residual that any certificate for the same protocol attains, and
+    `residual`, when known, is this certificate's own residual on that
+    protocol, as the search that found it computed it.
     """
 
     weights: np.ndarray
     lower: float | None = None
+    residual: float | None = None
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
@@ -137,10 +141,19 @@ def residual_ball_product(protocol, cert, radii, split):
     _check_pair(protocol, cert)
     if not 0 <= split <= protocol.dim:
         raise ValueError(f"split index {split} out of range for dim {protocol.dim}")
+    fv = protocol.field_values
+    return _ball_residual(cert.weights, np.sum(fv * protocol.points, axis=1), fv, radii,
+                          split)[0]
+
+
+def _ball_residual(lam, c, fv, radii, split):
+    """(residual, aggregate) of weights lam with c_i = <F_i, w_i>: the closed
+    form of residual_ball_product, and sum_i lam_i F_i, which a certificate
+    search reuses.  The one place this formula is written."""
     r_u, r_v = radii
-    lam = cert.weights
-    diag = float(np.sum(lam * np.sum(protocol.field_values * protocol.points, axis=1)))
+    # pairwise summation via np.sum keeps accumulation error small on long protocols
+    diag = float(np.sum(lam * c))
     # einsum, not a BLAS product: threaded BLAS splits this sum by thread count
-    agg = np.einsum("i,ij->j", lam, protocol.field_values)
-    return (diag + r_u * float(np.linalg.norm(agg[:split]))
-            + r_v * float(np.linalg.norm(agg[split:])))
+    agg = np.einsum("i,ij->j", lam, fv)
+    u, v = agg[:split], agg[split:]  # sqrt(u @ u) is what np.linalg.norm(u) computes
+    return diag + r_u * math.sqrt(u @ u) + r_v * math.sqrt(v @ v), agg

@@ -207,7 +207,9 @@ def _check_direction(direction):
 class DenseMatrixOracle:
     """Explicit K x L matrix; columns indexed 0..L-1.  An optional offset
     (one entry per column) makes column j score <x, column_j> + offset[j]:
-    the hit's value includes the offset, its column does not."""
+    the hit's value includes the offset, its column does not.  Matrix and
+    offset must be finite, and so must a query: a non-finite query entry
+    makes every column's score non-finite, so the hit's value tells."""
 
     def __init__(self, matrix, offset=None):
         self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
@@ -216,6 +218,9 @@ class DenseMatrixOracle:
         if self.offset is not None and self.offset.shape != (self.matrix.shape[1],):
             raise ValueError(f"offset has shape {self.offset.shape}, expected one entry "
                              f"per column ({self.matrix.shape[1]})")
+        if not np.isfinite(self.matrix).all() or (
+                self.offset is not None and not np.isfinite(self.offset).all()):
+            raise ValueError("matrix and offset must be finite")
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
@@ -224,7 +229,11 @@ class DenseMatrixOracle:
         if self.offset is not None:
             vals += self.offset
         j = int(np.argmax(vals) if direction == "max" else np.argmin(vals))
-        return ColumnHit((j,), self.matrix[:, j].copy(), float(vals[j]))
+        value = float(vals[j])
+        if not math.isfinite(value):
+            raise ValueError("query has non-finite entries" if not np.isfinite(x).all()
+                             else f"column score {value} overflows")
+        return ColumnHit((j,), self.matrix[:, j].copy(), value)
 
     def count_columns(self):
         return self.matrix.shape[1]
@@ -407,6 +416,9 @@ class DpOracle:
         self.n_rows = system.n_rows
 
     def col_extreme(self, x, direction):
+        x = _check_query(x, self.n_rows)
+        if not all(map(math.isfinite, x.tolist())):  # before the Bellman products
+            raise ValueError("query has non-finite entries")
         tables = bellman_backward(self.system, x, direction)
         actions, start, value = _forward_with_start(self.system, tables)
         column = _column_from_trajectory(self.system, start, actions)

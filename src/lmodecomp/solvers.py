@@ -18,7 +18,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .certificates import (
     AccuracyCertificate,
     CertificateError,
     ExecutionProtocol,
+    _ball_residual,
     residual_ball_product,
 )
 from .domains import Ball, Product
@@ -174,7 +175,10 @@ class SolveResult:
     """Outcome of a certificate-producing run.
 
     `cert` is the last round's certificate, for the whole `protocol`, and
-    `residual` its certified residual; `payloads[i]` is the field's side
+    `residual` its certified residual, `cert.residual`: the value that the
+    round's certificate search computed (the ellipsoid's
+    optimize_certificate, or mirror descent's residual_ball_product on its
+    step-size weights), not a recomputation; `payloads[i]` is the field's side
     payload at protocol entry i.  Each round is {step, t, residual,
     cert_lower, gap, weights, support, lp_solves}, for the first t entries
     after `step` steps, with the certificate's weights (not a copy), their
@@ -201,7 +205,10 @@ class _Run:
     and the certificate rounds.  Each solver passes its own
     `certify(protocol)` into every round rather than storing it here: its
     closure refers to the run, and the reference cycle would keep every
-    solve's buffers alive until the cyclic garbage collector ran."""
+    solve's buffers alive until the cyclic garbage collector ran.
+    `certify` returns a certificate that carries its residual on the
+    protocol (`AccuracyCertificate.residual`); the round records that value
+    and does not compute it again."""
 
     def __init__(self, field, domain, config, on_certificate):
         self.config = config or SolverConfig()
@@ -231,7 +238,7 @@ class _Run:
         protocol = self.entries.protocol()
         solves = self.lp_solves()
         self.cert = certify(protocol)
-        self.residual = residual_ball_product(protocol, self.cert, self.radii, self.split)
+        self.residual = self.cert.residual
         self.certified_len = len(protocol)
         record = {"step": step, "t": len(protocol), "residual": self.residual,
                   "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights,
@@ -333,7 +340,7 @@ def _balls(radii, split, dim):
 def _project_blocks(x, radii, split):
     out = x.copy()
     for sl, r in _balls(radii, split, len(x)):
-        norm = np.linalg.norm(out[sl])
+        norm = _norm(out[sl])
         if norm > r:
             out[sl] *= r / norm
     return out
@@ -358,7 +365,8 @@ def md_run(field, domain, config=None, on_certificate=None):
 
     def certify(protocol):
         w = np.array(gammas)
-        return AccuracyCertificate(w / w.sum())
+        cert = AccuracyCertificate(w / w.sum())
+        return replace(cert, residual=residual_ball_product(protocol, cert, radii, split))
 
     lhat, i = 0.0, 0
     for i in range(1, run.config.max_steps + 1):
@@ -422,7 +430,9 @@ class CertificateLP:
     Every solve is a dual simplex hot start from the last basis.  `rows`
     maps each model row to its protocol index (-1 for a cut), and
     `solves` counts the solves.  Rows are keyed by protocol index, so one
-    model serves only the growing prefixes of one protocol.  HiGHS
+    model serves only the growing prefixes of one protocol; `terms` keeps
+    that protocol's c_i = <F_i, w_i>, computed once per entry, and
+    `completion` the last dual completion with its inputs.  HiGHS
     rejects a row block whole (for instance one with a coefficient of
     1e15 or more) and leaves the model as it was; `rows` follows the
     model, and `hold` and `add_cut` raise _Rejected.
@@ -445,6 +455,25 @@ class CertificateLP:
         self.highs.addCols(1 + dim, cost, -upper, upper, 0, empty, empty, np.zeros(0))
         self.rows = np.zeros(0, dtype=np.int64)
         self.solves = 0
+        self._c = self._peak = np.zeros(0)  # c_i, and the running max of |F_i|, |c_i|
+        self.completion = None
+
+    def terms(self, protocol):
+        """(c, scale) of a prefix of the model's protocol: c_i = <F_i, w_i>,
+        each entry's from the same row sum as in residual_ball_product (a
+        row's sum does not depend on the rows around it), and
+        scale = max(1, |F|, |c|).  Entries new since the last call are
+        computed now, the others kept."""
+        t, known = len(protocol), len(self._c)
+        if t > known:
+            fv = protocol.field_values[known:]
+            c = np.sum(fv * protocol.points[known:], axis=1)
+            peak = np.maximum(np.abs(fv).max(axis=1), np.abs(c))
+            if known:
+                peak[0] = max(peak[0], self._peak[-1])
+            self._c = np.concatenate([self._c, c])
+            self._peak = np.concatenate([self._peak, np.maximum.accumulate(peak)])
+        return self._c[:t], max(1.0, float(self._peak[t - 1]))
 
     def _add_rows(self, coef, rhs, ids):
         r, j = np.nonzero(coef)
@@ -510,14 +539,22 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     A row block or cut that HiGHS rejects ends the loop as a failed solve
     does.  Never worse than uniform weights or the warm start, which may
     cover a prefix of the protocol.
+
+    A round reads c and the scale from `lp`, which computes each entry's
+    c_i once, and evaluates each candidate's residual once, by the closed
+    form of residual_ball_product; the dual completion runs only when the
+    best weights change, on the aggregate that their residual computed.
+    The certificate's `residual` is the best one found, equal to
+    residual_ball_product on the protocol.
     """
     t = len(protocol)
     if t == 0:
         raise ValueError("cannot optimize a certificate for an empty protocol")
     d = protocol.dim
     fv = protocol.field_values
-    c = np.sum(fv * protocol.points, axis=1)
-    scale = max(1.0, float(np.abs(fv).max()), float(np.abs(c).max()))
+    if lp is None:
+        lp = CertificateLP(radii, split, d)
+    c, scale = lp.terms(protocol)
     candidates = [np.full(t, 1.0 / t)]
     in_set = np.zeros(t, dtype=bool)  # the LP's working set of protocol rows
     if warm_start is not None:
@@ -528,21 +565,28 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
         candidates.append(warm)
         in_set |= warm > 0.0
 
-    def residual_of(lam):
-        return residual_ball_product(protocol, AccuracyCertificate(lam), radii, split)
+    def completion_values(lam, f, agg):
+        # a round starts from the last one's best weights, whose completion
+        # usually has the same inputs: reuse it where they are equal bit for bit
+        supp = np.flatnonzero(lam > 0.0)
+        inputs = np.concatenate((radii, (split, scale, f), agg, c[supp],
+                                 fv[supp].ravel())).tobytes()
+        if lp.completion is not None and lp.completion[0] == inputs:
+            x = lp.completion[1]
+        else:
+            x = _dual_completion(supp, f, agg, c, fv, radii, split, scale)
+            lp.completion = inputs, x
+        return c + fv @ _project_blocks(x, radii, split)
 
-    def completion_values(lam, f):
-        x = _project_blocks(_dual_completion(lam, f, c, fv, radii, split, scale), radii, split)
-        return c + fv @ x
-
-    best = min(candidates, key=residual_of)
-    f_best = residual_of(best)
-    start = completion_values(best, f_best)
+    best = None
+    for lam in candidates:  # the first of equal residuals wins
+        f, agg = _ball_residual(lam, c, fv, radii, split)
+        if best is None or f < f_best:
+            best, f_best, agg_best = lam, f, agg
+    start = completion_values(best, f_best, agg_best)
     lower = float(start.min())
-    in_set[np.argsort(start, kind="stable")[:8 * (d + 1)]] = True  # binding at the start
+    in_set[_smallest(start, 8 * (d + 1))] = True  # binding at the start
     gap_tol = 1e-13 * scale if tol is None else max(1e-13 * scale, 0.25 * tol)
-    if lp is None:
-        lp = CertificateLP(radii, split, d)
     try:
         lp.hold(in_set, fv, c)  # drops the earlier rounds' rows outside this working set
         for _ in range(_MAX_LP_SOLVES):
@@ -553,15 +597,15 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             if solution is None:
                 break  # numerical trouble: keep the best certificate found so far
             x, lam = solution
-            if lam.sum() > 0.0:
-                lam /= lam.sum()
-                f = residual_of(lam)
-                if f < f_best:
-                    best, f_best = lam, f
             s, ab = x[0], x[1:]
             proj = _project_blocks(ab, radii, split)
-            lower = max(lower, float((c + fv @ proj).min()),
-                        float(completion_values(best, f_best).min()))
+            lower = max(lower, float((c + fv @ proj).min()))
+            if lam.sum() > 0.0:
+                lam /= lam.sum()
+                f, agg = _ball_residual(lam, c, fv, radii, split)
+                if f < f_best:  # an unchanged best's completion is already in `lower`
+                    best, f_best = lam, f
+                    lower = max(lower, float(completion_values(lam, f, agg).min()))
             cut = False
             for sl, r in _balls(radii, split, d):
                 if np.any(proj[sl] != ab[sl]):  # outside this ball: cut at the projection
@@ -573,32 +617,40 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             violated = np.flatnonzero(~in_set & (at_ab < s - 1e-12 * scale))
             if len(violated) == 0 and not cut:
                 break  # the LP optimum is feasible for the balls and all rows
-            in_set[violated[np.argsort(at_ab[violated], kind="stable")[:4 * (d + 1)]]] = True
+            in_set[violated[_smallest(at_ab[violated], 4 * (d + 1))]] = True
             lp.hold(in_set, fv, c)
     except _Rejected:
         pass  # as numerical trouble: keep the best certificate found so far
-    return AccuracyCertificate(best, lower=lower)
+    return AccuracyCertificate(best, lower=lower, residual=f_best)
 
 
-def _dual_completion(lam, f, c, fv, radii, split, scale):
-    """The point (a, b) that pairs with lam if lam is optimal: R times the
-    direction of a block's aggregate sum_i lam_i F_i where that is nonzero,
-    elsewhere the least-norm (in radius units) solution of
-    c_i + <F_i, (a, b)> = f on the support of lam, where optimal pairs are
-    tight."""
+def _smallest(v, k):
+    """Positions of the k smallest entries of v, ties to the lower position:
+    the set np.argsort(v, kind="stable")[:k] holds, without the sort."""
+    if k >= len(v):
+        return np.arange(len(v))
+    kth = np.partition(v, k - 1)[k - 1]
+    below = np.flatnonzero(v < kth)
+    return np.concatenate([below, np.flatnonzero(v == kth)[:k - len(below)]])
+
+
+def _dual_completion(supp, f, agg, c, fv, radii, split, scale):
+    """The point (a, b) that pairs with weights lam if lam is optimal: R
+    times the direction of a block's aggregate agg = sum_i lam_i F_i where
+    that is nonzero, elsewhere the least-norm (in radius units) solution of
+    c_i + <F_i, (a, b)> = f on the support `supp` of lam, where optimal
+    pairs are tight.  It reads c and F only on `supp`."""
     x = np.zeros(fv.shape[1])
     radius = np.zeros(fv.shape[1])
     free = np.zeros(fv.shape[1], dtype=bool)
-    agg = np.einsum("i,ij->j", lam, fv)  # as in residual_ball_product
     for sl, r in _balls(radii, split, fv.shape[1]):
         radius[sl] = r
-        norm = float(np.linalg.norm(agg[sl]))
+        norm = _norm(agg[sl])
         if norm > 1e-12 * scale:
             x[sl] = agg[sl] * (r / norm)
         else:
             free[sl] = True
     if free.any():
-        supp = np.flatnonzero(lam > 0.0)
         rhs = f - c[supp] - fv[supp][:, ~free] @ x[~free]
         x[free] = np.linalg.lstsq(fv[supp][:, free] * radius[free], rhs, rcond=None)[0]
         x[free] *= radius[free]

@@ -338,14 +338,32 @@ def _skew_dual_gap(spec, agg_p, f_dot):
     return f_dot - hit.value, max(abs(f_dot), abs(hit.value))
 
 
-def _skew_eps_exact(spec, atoms_weights):
-    system = spec.system
+def _skew_eps_exact(spec, atom_terms):
+    """(gap, scale) as in _skew_dual_gap of the weighted atoms
+    {key: (weight, P eta, <f, eta>)}: a round reads each atom's terms off
+    the run's payloads (_payload_terms), eps_vi_exact from the oracles
+    (_oracle_terms)."""
     agg_p = np.zeros(spec.K)
     f_dot = 0.0
-    for atoms, weight in atoms_weights.items():
-        agg_p += weight * system.apply_P_atoms(atoms)
-        f_dot += weight * system.f_dot_atoms(atoms)
+    for weight, p_vec, f_atom in atom_terms.values():
+        agg_p += weight * p_vec
+        f_dot += weight * f_atom
     return _skew_dual_gap(spec, agg_p, f_dot)
+
+
+def _oracle_terms(spec, atoms_weights):
+    """{key: (weight, P eta, <f, eta>)}, each atom's column rebuilt by its oracle."""
+    system = spec.system
+    return {atoms: (weight, system.apply_P_atoms(atoms), system.f_dot_atoms(atoms))
+            for atoms, weight in atoms_weights.items()}
+
+
+def _payload_terms(cert, payloads):
+    """{key: (weight, P eta, <f, eta>)} of the certificate's atoms, read off
+    the EtaHit payloads that the field evaluation stored."""
+    hits = {payloads[i].atoms: payloads[i] for i in np.flatnonzero(cert.weights > 0.0)}
+    return {atoms: (weight, hits[atoms].p_vec, hits[atoms].f_dot)
+            for atoms, weight in _collect_atoms(cert, payloads).items()}
 
 
 def solve_vi(spec, solver="ellipsoid", config=None):
@@ -354,18 +372,22 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     Returns a ViSolution whose eps_bound is the certified primal residual
     and whose eps_exact (skew path, or enumerable H) is the exact dual
     gap of the recovered point, read off the closing round; every round
-    checks its gap against its residual.
+    checks its gap against its residual.  A skew round reads P eta and
+    <f, eta> of each atom from the run's payloads and makes one oracle
+    call; eps_vi_exact, which rebuilds the columns, is the independent
+    check of that gap.
     """
     skew = isinstance(spec, SkewViSpec)
     if skew:
         primal, domain = build_skew_vi_primal(spec), spec.primal_domain()
-        collect, exact = _collect_atoms, _skew_eps_exact
+        collect, terms, exact = _collect_atoms, _payload_terms, _skew_eps_exact
     else:
         primal, domain = build_affine_vi_primal(spec), Ball(np.zeros(spec.H.dim), spec.Xi_radius)
-        collect, exact = _collect_eta, _affine_eps_exact
+        collect = terms = _collect_eta
+        exact = _affine_eps_exact
 
     def round_fields(protocol, cert, payloads):
-        gap, scale = exact(spec, collect(cert, payloads))
+        gap, scale = exact(spec, terms(cert, payloads))
         return {"gap": gap, "scale": scale}
 
     # looked up at call time, so that wrappers installed on this module apply
@@ -418,7 +440,7 @@ def eps_vi_exact(spec, eta):
     """
     if isinstance(spec, SkewViSpec):
         if isinstance(eta, dict):
-            return _skew_eps_exact(spec, eta)[0]
+            return _skew_eps_exact(spec, _oracle_terms(spec, eta))[0]
         system = spec.system
         if isinstance(system, DenseSkewSystem):
             eta = np.asarray(eta, dtype=float)

@@ -209,6 +209,49 @@ def test_knapsack_rejects_non_finite_queries(bad):
                 col_extreme(oracle, x, direction)
 
 
+@pytest.mark.parametrize("offset", [None, (0.5, -1.0, 2.0)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dense_rejects_non_finite_queries(bad, offset):
+    # no zero entries: an infinite entry scores +-inf in every column, and
+    # the product raises no floating-point flag (inf * 0 would flag invalid)
+    rng = np.random.default_rng(6)
+    oracle = DenseMatrixOracle(rng.uniform(0.5, 2.0, size=(3, 4)) * [1.0, -1.0, 1.0, -1.0],
+                               None if offset is None else offset + (0.0,))
+    for row in range(oracle.n_rows):
+        x = rng.normal(size=oracle.n_rows)
+        x[row] = bad
+        for direction in ("max", "min"):
+            with pytest.raises(ValueError, match="non-finite"):
+                col_extreme(oracle, x, direction)
+    # a NaN meets a zero entry quietly
+    with pytest.raises(ValueError, match="non-finite"):
+        col_extreme(DenseMatrixOracle(np.eye(3)), [1.0, np.nan, 0.0], "max")
+
+
+def test_dense_rejects_non_finite_tables_and_overflow():
+    with pytest.raises(ValueError, match="finite"):
+        DenseMatrixOracle([[1.0, np.nan]])
+    with pytest.raises(ValueError, match="finite"):
+        DenseMatrixOracle([[1.0, 2.0]], offset=(0.0, -np.inf))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+        col_extreme(DenseMatrixOracle([[1e300, 1.0]]), [1e300], "max")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dp_rejects_non_finite_queries(bad):
+    # checked before the Bellman products, whose inf - inf would warn
+    rng = np.random.default_rng(7)
+    oracle = DpOracle(dp_from_knapsack(KnapsackSpec(
+        bounds=(3, 3, 3), costs=(1, 1, 1), budget=4,
+        outputs=tuple(rng.normal(size=(4, 1)) for _ in range(3)))))
+    for row in range(oracle.n_rows):
+        x = rng.normal(size=oracle.n_rows)
+        x[row] = bad
+        for direction in ("max", "min"):
+            with pytest.raises(ValueError, match="non-finite"):
+                col_extreme(oracle, x, direction)
+
+
 def test_json_and_csv_loaders(tmp_path):
     obj = {"bounds": [1, 1], "costs": [1, 1], "budget": 1,
            "outputs": [[[0.0], [1.0]], [[0.0], [1.0]]]}

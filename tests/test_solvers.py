@@ -278,6 +278,31 @@ def test_carried_lp_certifies_as_a_fresh_one(seed):
     assert abs(res_carried - res_fresh) <= 1e-12 * abs(res_fresh)
 
 
+def test_lp_terms_equal_the_full_row_sums():
+    # a run's LP computes c_i = <F_i, w_i> once per entry, in batches of new
+    # entries; c and the scale must be the full computation's, bit for bit
+    rng = np.random.default_rng(8)
+    scales = 10.0 ** rng.integers(-3, 4, size=(300, 1))
+    prot = ExecutionProtocol.from_lists(rng.normal(size=(300, 6)),
+                                        rng.normal(size=(300, 6)) * scales, range(300))
+    lp = CertificateLP((1.0, 1.0), 3, 6)
+    for t in (1, 37, 38, 150, 300, 120):  # the last is a shorter prefix
+        c, scale = lp.terms(_prefix(prot, t))
+        full = np.sum(prot.field_values[:t] * prot.points[:t], axis=1)
+        assert np.array_equal(c, full)
+        assert scale == max(1.0, float(np.abs(prot.field_values[:t]).max()),
+                            float(np.abs(full).max()))
+
+
+def test_smallest_holds_the_stable_argsort_prefix():
+    rng = np.random.default_rng(9)
+    for v in (rng.normal(size=500), rng.integers(-3, 4, size=500).astype(float),
+              np.array([0.0, -0.0, 1.0, -0.0, 0.0])):
+        for k in (1, 2, 3, 5, 48, 499, 500, 600):
+            assert np.array_equal(np.sort(solvers._smallest(v, k)),
+                                  np.sort(np.argsort(v, kind="stable")[:k]))
+
+
 def test_carried_lp_holds_only_the_working_set():
     rng = np.random.default_rng(7)
     prot = _random_protocol(rng, 200, 4)
@@ -342,6 +367,56 @@ def test_rounds_record_support_and_lp_solves(method):
         assert min(solves) >= 0 and max(solves) > 0
 
 
+@pytest.mark.parametrize("method", [ellipsoid_run, md_run])
+def test_round_residual_is_the_closed_form_on_its_prefix(method):
+    # a round records the residual that its certificate search computed
+    # rather than recomputing it; it must equal the closed form exactly
+    rng = np.random.default_rng(5)
+    skew = rng.normal(size=(4, 4))
+    mat = skew - skew.T + 0.05 * np.eye(4)
+    shift = rng.normal(size=4)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    run = method(FieldOracle(lambda x: mat @ x + shift), dom,
+                 SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64))
+    assert len(run.rounds) > 3 and run.rounds[-1]["t"] > 64  # past a buffer reallocation
+    for r in run.rounds:
+        cert = AccuracyCertificate(r["weights"])
+        assert r["residual"] == residual_ball_product(run.protocol.prefix(r["t"]), cert,
+                                                      (1.0, 2.0), 2)
+        # mirror descent's step-size certificate has no lower bound
+        assert r["cert_lower"] is None if method is md_run else r["cert_lower"] <= r["residual"]
+    assert run.residual == run.cert.residual == run.rounds[-1]["residual"]
+
+
+def test_reused_dual_completion_changes_no_round(monkeypatch):
+    # a round reuses the run's last dual completion where its inputs are
+    # equal bit for bit; forgetting it before every round changes nothing
+    rng = np.random.default_rng(5)
+    skew = rng.normal(size=(4, 4))
+    mat = skew - skew.T + 0.05 * np.eye(4)
+    shift = rng.normal(size=4)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    cfg = SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64)
+    completions, completion = [], solvers._dual_completion
+    monkeypatch.setattr(solvers, "_dual_completion",
+                        lambda *args: completions.append(None) or completion(*args))
+    kept = ellipsoid_run(FieldOracle(lambda x: mat @ x + shift), dom, cfg).rounds
+    n_kept, optimize = len(completions), solvers.optimize_certificate
+
+    def forgetting(*args, lp, **kwargs):
+        lp.completion = None
+        return optimize(*args, lp=lp, **kwargs)
+
+    monkeypatch.setattr(solvers, "optimize_certificate", forgetting)
+    forgot = ellipsoid_run(FieldOracle(lambda x: mat @ x + shift), dom, cfg).rounds
+    assert len(completions) - n_kept > n_kept  # the kept run reused some
+    assert len(kept) == len(forgot) > 3
+    for a, b in zip(kept, forgot):
+        assert (a["t"], a["residual"], a["cert_lower"], a["lp_solves"]) == (
+            b["t"], b["residual"], b["cert_lower"], b["lp_solves"])
+        assert np.array_equal(a["weights"], b["weights"])
+
+
 @pytest.mark.parametrize("method", ["ellipsoid", "md"])
 def test_round_protocols_are_stable_prefixes(method):
     # each round's protocol views storage that later steps keep appending
@@ -377,8 +452,9 @@ def test_round_protocols_are_stable_prefixes(method):
 
 _DETERMINISM_SCRIPT = """
 import numpy as np
-from lmodecomp import (BilinearSpSpec, BlottoSpec, DenseMatrixOracle, SolverConfig,
-                       build_master_example2, solve_blotto, solve_sp)
+from lmodecomp import (BilinearSpSpec, BlottoSpec, DenseMatrixOracle, KnapsackOracle,
+                       KnapsackSpec, NashSpec, SolverConfig, build_master_example2,
+                       nash_to_skew, solve_blotto, solve_sp, solve_vi)
 from lmodecomp.blotto import random_rank1_omegas
 rng = np.random.default_rng(5)
 A, D = rng.normal(size=(3, 90)), rng.normal(size=(3, 80))
@@ -403,6 +479,18 @@ rep = solve_blotto(BlottoSpec(caps_a=(6,) * 4, caps_d=(6,) * 4, costs_a=(1,) * 4
 print(repr(rep.gap), repr(rep.gap_exact), rep.steps)
 print([(k, w.hex()) for k, w in sorted(rep.attacker_atoms.items())])
 print([(k, w.hex()) for k, w in sorted(rep.defender_atoms.items())])
+# 3-player Nash on 2-stage knapsacks: each round's gap reads P eta off the payloads
+D = [KnapsackOracle(KnapsackSpec(bounds=(cap, cap), costs=(1, 1), budget=cap,
+                                 outputs=(rng.normal(size=(cap + 1, 1)),
+                                          rng.normal(size=(cap + 1, 1)))))
+     for cap in (3, 4, 4)]
+C = [rng.normal(size=(2, 2)) for _ in range(3)]
+Z = np.zeros((2, 2))
+M = [[Z, C[0], C[1]], [-C[0].T, Z, C[2]], [-C[1].T, -C[2].T, Z]]
+sol = solve_vi(nash_to_skew(NashSpec(D=D, M=M)),
+               config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
+print(float(sol.eps_bound).hex(), float(sol.eps_exact).hex(), sol.steps)
+print([(k, w.hex()) for k, w in sorted(sol.eta_atoms.items())])
 """
 
 

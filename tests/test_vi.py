@@ -3,7 +3,7 @@ import pytest
 
 from conftest import eps_sad_enum, lp_game_value
 from lmodecomp import vi
-from lmodecomp.certificates import CertificateError, residual
+from lmodecomp.certificates import AccuracyCertificate, CertificateError, residual
 from lmodecomp.domains import FiniteAtoms, Simplex
 from lmodecomp.oracles import (
     DenseMatrixOracle,
@@ -73,6 +73,27 @@ def random_knapsack_encoder(rng, dims):
     return KnapsackOracle(KnapsackSpec(
         bounds=bounds, costs=(1,) * len(dims), budget=3,
         outputs=tuple(rng.normal(size=(b + 1, r)) for b, r in zip(bounds, dims))))
+
+
+def knapsack_nash_spec(rng, caps, stages=2):
+    """Players whose strategies are the columns of `stages`-stage knapsacks
+    (cap = budget, 1-dim Gaussian outputs), with pairwise Gaussian couplings."""
+    D = [KnapsackOracle(KnapsackSpec(
+        bounds=(cap,) * stages, costs=(1,) * stages, budget=cap,
+        outputs=tuple(rng.normal(size=(cap + 1, 1)) for _ in range(stages)))) for cap in caps]
+    return NashSpec(D=D, M=random_coupling(rng, [stages] * len(caps)))
+
+
+def dp_start_states_nash_spec():
+    """A 1-stage DP player with start states 0 and 1, which both have the
+    action sequences (0,) and (1,), against a dense 2 x 3 encoder."""
+    rng = np.random.default_rng(1)
+    dp = dp_from_json({"n_states": [2], "actions": [[[0, 1], [0, 1]]], "transitions": [],
+                       "outputs": [[rng.normal(size=(2, 2)).tolist() for _ in range(2)]],
+                       "start_states": [0, 1]})
+    D = [DpOracle(dp), DenseMatrixOracle(rng.normal(size=(2, 3)))]
+    B, Z = rng.normal(size=(2, 2)), np.zeros((2, 2))
+    return NashSpec(D=D, M=[[Z, B], [-B.T, Z]])
 
 
 def eta_argmin_reference(spec, x1, x2):
@@ -364,16 +385,10 @@ def test_nash_transfers_each_certificate_once(monkeypatch, L):
 
 
 def test_nash_dp_start_states_keep_their_own_atoms():
-    # a 1-stage DP player with start states 0 and 1 has the action sequences
-    # (0,) and (1,) from both; keyed by the sequence alone, its atoms' columns
+    # keyed by the action sequence alone, the DP player's atoms' columns
     # could not be rebuilt and solve_vi raised ValueError
-    rng = np.random.default_rng(1)
-    dp = dp_from_json({"n_states": [2], "actions": [[[0, 1], [0, 1]]], "transitions": [],
-                       "outputs": [[rng.normal(size=(2, 2)).tolist() for _ in range(2)]],
-                       "start_states": [0, 1]})
-    D = [DpOracle(dp), DenseMatrixOracle(rng.normal(size=(2, 3)))]
-    B, Z = rng.normal(size=(2, 2)), np.zeros((2, 2))
-    spec = NashSpec(D=D, M=[[Z, B], [-B.T, Z]])
+    spec = dp_start_states_nash_spec()
+    D, B = spec.D, spec.M[0][1]
     sol = solve_vi(nash_to_skew(spec))
     assert sol.eps_exact <= sol.eps_bound
     keys, cols = enumerate_columns(D[0])
@@ -390,6 +405,28 @@ def test_nash_dp_start_states_keep_their_own_atoms():
     gap = eps_sad_enum((cols.T @ B @ D[1].matrix).T, eta0, eta1)
     assert abs(eps_nash(spec, blocks) - gap) <= 1e-9
     assert gap <= sol.eps_exact + 1e-9
+
+
+@pytest.mark.parametrize("game", ["knapsack", "dense-g", "dp-start-states"])
+def test_round_gap_from_payloads_equals_the_oracle_gap(game):
+    # a round reads each atom's P eta and <f, eta> off the run's payloads;
+    # eps_vi_exact rebuilds them through the oracles and must agree exactly
+    rng = np.random.default_rng(9)
+    if game == "knapsack":
+        spec = knapsack_nash_spec(rng, (3, 4, 4))
+    elif game == "dense-g":
+        sizes = (3, 4, 3)
+        spec = NashSpec(D=[DenseMatrixOracle(rng.normal(size=(2, n))) for n in sizes],
+                        M=random_coupling(rng, [2, 2, 2]), g=[rng.normal(size=n) for n in sizes])
+    else:
+        spec = dp_start_states_nash_spec()
+    skew = nash_to_skew(spec)
+    sol = solve_vi(skew, config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
+    assert len(sol.rounds) >= 2
+    for r in sol.rounds:
+        atoms = vi._collect_atoms(AccuracyCertificate(r["weights"]), sol.payloads)
+        assert r["gap"] == eps_vi_exact(skew, atoms)
+    assert sol.eps_exact == eps_vi_exact(skew, sol.eta_atoms)
 
 
 def test_large_offset_vi_passes_the_scaled_gap_check():
