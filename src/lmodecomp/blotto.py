@@ -11,13 +11,12 @@ K = sum_s rank(Omega^s) regardless of how many pure strategies exist.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .oracles import KnapsackOracle, KnapsackSpec
+from .oracles import KnapsackOracle, KnapsackSpec, json_object
 from .saddle import BilinearSpSpec, build_master_example2, solve_sp
 from .solvers import SolverConfig
 
@@ -192,11 +191,7 @@ def random_rank1_omegas(m, caps_a, caps_d, seed=0):
 def blotto_from_json(obj):
     """BlottoSpec from {"m", "caps_a", "caps_d", "costs_a", "costs_d",
     "budget_a", "budget_d", "omega": [matrices] | {"rank1_seed": int}}."""
-    if isinstance(obj, str):
-        with open(obj) as fp:
-            obj = json.load(fp)
-    elif hasattr(obj, "read"):
-        obj = json.load(obj)
+    obj = json_object(obj)
     m = int(obj["m"])
     caps_a = [int(c) for c in obj["caps_a"]]
     caps_d = [int(c) for c in obj["caps_d"]]

@@ -25,7 +25,7 @@ import numpy as np
 from .blotto import blotto_from_json, solve_blotto
 from .certificates import CertificateError
 from .domains import FiniteAtoms, Simplex
-from .oracles import DenseMatrixOracle, KnapsackOracle, knapsack_from_json
+from .oracles import matrix_side
 from .saddle import BilinearSpSpec, build_master_example1, build_master_example2, solve_sp
 from .solvers import SolverConfig
 from .vi import AffineViSpec, nash_spec_from_json, nash_to_skew, solve_vi
@@ -45,6 +45,9 @@ def _sig(x, digits=12):
 
 
 def _atoms_json(atoms):
+    """Weighted atoms as index/weight records, a dense point as its entries."""
+    if not isinstance(atoms, dict):
+        return [_sig(x) for x in atoms]
     return [{"index": list(map(int, k)) if isinstance(k, tuple) and not isinstance(k[0], tuple)
              else [list(map(int, b)) for b in k],
              "weight": _sig(v)}
@@ -63,70 +66,56 @@ def _config_from_args(args):
                         cert_period=args.cert_period, gap_threshold=args.gap_threshold)
 
 
-def _load_json(path):
+def _read_spec(args):
+    """The parsed JSON spec, and the clock reading that starts wall_time_s."""
     try:
-        with open(path) as fp:
-            return json.load(fp)
+        with open(args.spec) as fp:
+            return json.load(fp), time.perf_counter()
     except OSError as exc:
-        raise SystemExit(f"error: cannot read spec {path!r}: {exc}")
+        raise SystemExit(f"error: cannot read spec {args.spec!r}: {exc}")
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"error: {path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+        raise SystemExit(f"error: {args.spec}:{exc.lineno}:{exc.colno}: {exc.msg}")
 
 
-def _matrix_oracle(obj):
-    if isinstance(obj, dict) and "budget" in obj:
-        return KnapsackOracle(knapsack_from_json(obj))
-    return DenseMatrixOracle(np.asarray(obj, dtype=float))
+def _report(command, t0, sol, value, bound, exact, dims, atoms, **extra):
+    """(report, gap) for a solved spec.  steps, stop_reason and rounds are read
+    off `sol`; `atoms` maps names to weighted atoms or a dense point.  The gap
+    that certifies the run is min(bound, exact), or bound when exact is None."""
+    report = {
+        "command": command,
+        "value": _sig(value),
+        "gap_bound": _sig(bound),
+        "gap_exact": _sig(exact),
+        "steps": int(sol.steps),
+        "stop_reason": sol.stop_reason,
+        "wall_time_s": time.perf_counter() - t0,
+        "dims": [str(d) for d in dims],
+        "atoms": {name: _atoms_json(a) for name, a in atoms.items()},
+        "history": _history_json(sol.rounds),
+        **extra,
+    }
+    return report, bound if exact is None else min(bound, exact)
 
 
 def _run_matrix_game(args, config):
-    obj = _load_json(args.spec)
-    t0 = time.perf_counter()
+    obj, t0 = _read_spec(args)
     if "S" in obj:
-        master = build_master_example1(np.asarray(obj["S"], dtype=float),
-                                       p=obj.get("p"), q=obj.get("q"))
-        dims = (master.S.shape[0], master.S.shape[1])
+        master = build_master_example1(obj["S"], p=obj.get("p"), q=obj.get("q"))
     else:
-        spec = BilinearSpSpec(A=_matrix_oracle(obj["A"]), D=_matrix_oracle(obj["D"]),
-                              p=obj.get("p"), q=obj.get("q"))
-        master = build_master_example2(spec)
-        dims = (spec.A.count_columns(), spec.D.count_columns())
+        master = build_master_example2(BilinearSpSpec(
+            A=matrix_side(obj["A"]), D=matrix_side(obj["D"]), p=obj.get("p"), q=obj.get("q")))
     sol = solve_sp(master, solver=args.solver, config=config)
-    wall = time.perf_counter() - t0
-    report = {
-        "command": "matrix-game",
-        "value": _sig(sol.value_estimate),
-        "gap_bound": _sig(sol.gap_bound),
-        "gap_exact": _sig(sol.gap_exact),
-        "steps": int(sol.steps),
-        "stop_reason": sol.stop_reason,
-        "wall_time_s": wall,
-        "dims": [str(d) for d in dims],
-        "atoms": {"w": _atoms_json(sol.w_atoms), "z": _atoms_json(sol.z_atoms)},
-        "history": _history_json(sol.rounds),
-    }
-    return report, min(sol.gap_bound, sol.gap_exact)
+    return _report(args.command, t0, sol, sol.value_estimate, sol.gap_bound, sol.gap_exact,
+                   (master.A.count_columns(), master.D.count_columns()),
+                   {"w": sol.w_atoms, "z": sol.z_atoms})
 
 
 def _run_blotto(args, config):
-    spec = blotto_from_json(_load_json(args.spec))
-    report_obj = solve_blotto(spec, config, solver=args.solver)
-    report = {
-        "command": "blotto",
-        "value": _sig(report_obj.value),
-        "gap_bound": _sig(report_obj.gap),
-        "gap_exact": _sig(report_obj.gap_exact),
-        "steps": int(report_obj.steps),
-        "stop_reason": report_obj.stop_reason,
-        "wall_time_s": report_obj.wall_time,
-        "dims": [str(d) for d in report_obj.dims],
-        "primal_dim": report_obj.primal_dim,
-        "seed": report_obj.seed,
-        "atoms": {"attacker": _atoms_json(report_obj.attacker_atoms),
-                  "defender": _atoms_json(report_obj.defender_atoms)},
-        "history": _history_json(report_obj.rounds),
-    }
-    return report, min(report_obj.gap, report_obj.gap_exact)
+    obj, t0 = _read_spec(args)
+    sol = solve_blotto(blotto_from_json(obj), config, solver=args.solver)
+    return _report(args.command, t0, sol, sol.value, sol.gap, sol.gap_exact, sol.dims,
+                   {"attacker": sol.attacker_atoms, "defender": sol.defender_atoms},
+                   primal_dim=sol.primal_dim, seed=sol.seed)
 
 
 def _domain_from_json(obj):
@@ -138,51 +127,23 @@ def _domain_from_json(obj):
 
 
 def _run_affine_vi(args, config):
-    obj = _load_json(args.spec)
+    obj, t0 = _read_spec(args)
     S = np.atleast_2d(np.asarray(obj["S"], dtype=float))
     s = np.asarray(obj["s"], dtype=float)
     H = _domain_from_json(obj["H"])
-    radius = float(obj.get("Xi_radius") or H.enclosing_radius())
-    spec = AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x,
-                        s=s, H=H, Xi_radius=radius)
-    t0 = time.perf_counter()
+    spec = AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x, s=s, H=H,
+                        Xi_radius=float(obj.get("Xi_radius") or H.enclosing_radius()))
     sol = solve_vi(spec, solver=args.solver, config=config)
-    wall = time.perf_counter() - t0
-    report = {
-        "command": "affine-vi",
-        "value": None,
-        "gap_bound": _sig(sol.eps_bound),
-        "gap_exact": _sig(sol.eps_exact),
-        "steps": int(sol.steps),
-        "stop_reason": sol.stop_reason,
-        "wall_time_s": wall,
-        "dims": [str(H.dim)],
-        "atoms": {"eta": [_sig(x) for x in sol.eta_vector]},
-        "history": _history_json(sol.rounds),
-    }
-    gap = sol.eps_bound if sol.eps_exact is None else min(sol.eps_bound, sol.eps_exact)
-    return report, gap
+    return _report(args.command, t0, sol, None, sol.eps_bound, sol.eps_exact, [H.dim],
+                   {"eta": sol.eta_vector})
 
 
 def _run_nash(args, config):
-    nash = nash_spec_from_json(_load_json(args.spec))
-    skew = nash_to_skew(nash)
-    t0 = time.perf_counter()
-    sol = solve_vi(skew, solver=args.solver, config=config)
-    wall = time.perf_counter() - t0
-    report = {
-        "command": "nash",
-        "value": None,
-        "gap_bound": _sig(sol.eps_bound),
-        "gap_exact": _sig(sol.eps_exact),
-        "steps": int(sol.steps),
-        "stop_reason": sol.stop_reason,
-        "wall_time_s": wall,
-        "dims": [str(d.count_columns()) for d in nash.D],
-        "atoms": {"eta": _atoms_json(sol.eta_atoms)},
-        "history": _history_json(sol.rounds),
-    }
-    return report, min(sol.eps_bound, sol.eps_exact)
+    obj, t0 = _read_spec(args)
+    nash = nash_spec_from_json(obj)
+    sol = solve_vi(nash_to_skew(nash), solver=args.solver, config=config)
+    return _report(args.command, t0, sol, None, sol.eps_bound, sol.eps_exact,
+                   [d.count_columns() for d in nash.D], {"eta": sol.eta_atoms})
 
 
 _RUNNERS = {
@@ -221,8 +182,6 @@ def run(argv=None):
         return 1
     try:
         report, gap = _RUNNERS[args.command](args, config)
-    except SystemExit:
-        raise
     except (ValueError, KeyError) as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return 1
@@ -239,7 +198,7 @@ def run(argv=None):
         status, code = f"stopped uncertified: {report['stop_reason']}", 3
     print(f"{args.command}: gap_bound={report['gap_bound']:.6g} "
           f"steps={report['steps']} wall={report['wall_time_s']:.2f}s {status}")
-    if report.get("value") is not None:
+    if report["value"] is not None:
         print(f"value estimate: {report['value']:.9g}")
     if args.report:
         with open(args.report, "w") as fp:
@@ -250,15 +209,9 @@ def run(argv=None):
 
 
 def main():
-    try:
-        code = run()
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            code = 1
-        else:
-            code = exc.code if exc.code is not None else 0
-    sys.exit(code)
+    # a spec error raised as SystemExit carries its message, which the
+    # interpreter prints to stderr before exiting with status 1
+    sys.exit(run())
 
 
 if __name__ == "__main__":

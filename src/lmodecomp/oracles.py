@@ -225,9 +225,13 @@ class DenseMatrixOracle:
     def col_extreme(self, x, direction):
         _check_direction(direction)
         x = _check_query(x, self.n_rows)
-        vals = x @ self.matrix
-        if self.offset is not None:
-            vals += self.offset
+        try:
+            vals = x @ self.matrix
+            if self.offset is not None:
+                vals += self.offset
+        except RuntimeWarning:  # a floating-point flag, when warnings are errors
+            raise ValueError("query has non-finite entries" if not np.isfinite(x).all()
+                             else "column score overflows") from None
         j = int(np.argmax(vals) if direction == "max" else np.argmin(vals))
         value = float(vals[j])
         if not math.isfinite(value):
@@ -618,13 +622,26 @@ def enumerate_columns(oracle, limit=10 ** 6):
 # ---------------------------------------------------------------------------
 # loading
 
-def knapsack_from_json(obj):
-    """Build a KnapsackSpec from a dict or a JSON file path/handle."""
+def json_object(obj):
+    """`obj` itself, or the JSON document in the file it names or is open on."""
     if isinstance(obj, str):
         with open(obj) as fp:
-            obj = json.load(fp)
-    elif hasattr(obj, "read"):
-        obj = json.load(obj)
+            return json.load(fp)
+    if hasattr(obj, "read"):
+        return json.load(obj)
+    return obj
+
+
+def matrix_side(obj):
+    """Oracle for one matrix of a spec: knapsack if a dict with a budget, else dense."""
+    if isinstance(obj, dict) and "budget" in obj:
+        return KnapsackOracle(knapsack_from_json(obj))
+    return DenseMatrixOracle(np.asarray(obj, dtype=float))
+
+
+def knapsack_from_json(obj):
+    """Build a KnapsackSpec from a dict or a JSON file path/handle."""
+    obj = json_object(obj)
     return KnapsackSpec(
         bounds=tuple(obj["bounds"]),
         costs=tuple(obj["costs"]),
@@ -635,11 +652,7 @@ def knapsack_from_json(obj):
 
 def dp_from_json(obj):
     """Build a DpSystem from a dict with explicit per-state tables."""
-    if isinstance(obj, str):
-        with open(obj) as fp:
-            obj = json.load(fp)
-    elif hasattr(obj, "read"):
-        obj = json.load(obj)
+    obj = json_object(obj)
     m = len(obj["n_states"])
     actions = tuple(
         tuple(np.asarray(a, dtype=int) for a in obj["actions"][s]) for s in range(m)

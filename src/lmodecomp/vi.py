@@ -11,7 +11,6 @@ recovered point is computed exactly with a single oracle call.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,8 +18,7 @@ import numpy as np
 # residual_ball_product is unused here: benchmark tracing wraps this module's name
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
 from .domains import Ball, FiniteAtoms, Product, Simplex, lmo_argmin
-from .oracles import (DenseMatrixOracle, KnapsackOracle, col_extreme, column_of_key,
-                      knapsack_from_json)
+from .oracles import DenseMatrixOracle, col_extreme, column_of_key, json_object, matrix_side
 from .solvers import FieldOracle, ellipsoid_run, md_run
 
 __all__ = [
@@ -410,7 +408,7 @@ def _collect_atoms(cert, payloads):
 
 
 def _collect_eta(cert, payloads):
-    return sum(w * p["eta"] for w, p in zip(cert.weights, payloads))
+    return sum(cert.weights[i] * payloads[i]["eta"] for i in np.flatnonzero(cert.weights > 0.0))
 
 
 def _affine_eps_exact(spec, eta):
@@ -487,17 +485,8 @@ def eps_nash(spec, eta_blocks):
 
 def nash_spec_from_json(obj):
     """NashSpec from JSON: dense M matrices, D blocks dense or knapsack."""
-    if isinstance(obj, str):
-        with open(obj) as fp:
-            obj = json.load(fp)
-    elif hasattr(obj, "read"):
-        obj = json.load(obj)
-    encoders = []
-    for d in obj["D"]:
-        if isinstance(d, dict) and "budget" in d:
-            encoders.append(KnapsackOracle(knapsack_from_json(d)))
-        else:
-            encoders.append(DenseMatrixOracle(np.asarray(d, dtype=float)))
+    obj = json_object(obj)
+    encoders = [matrix_side(d) for d in obj["D"]]
     g = None
     if obj.get("g") is not None:
         g = [np.asarray(v, dtype=float) for v in obj["g"]]

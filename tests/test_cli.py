@@ -239,13 +239,41 @@ def test_nash_report_counts_every_step(tmp_path):
     assert report["stop_reason"] == sol.stop_reason == "gap_threshold"
 
 
+REPORT_KEYS = {"command", "value", "gap_bound", "gap_exact", "steps", "stop_reason",
+               "wall_time_s", "dims", "atoms", "history", "converged"}
+KNAPSACK_SIDE = {"bounds": [2, 1], "costs": [1, 1], "budget": 2,
+                 "outputs": [[[0.0], [1.0], [0.5]], [[0.0], [-1.0]]]}
+
+
+@pytest.mark.parametrize("command, spec, extra", [
+    ("matrix-game", {"S": [[1.0, -1.0, 0.5], [-0.5, 1.0, 0.0], [0.2, 0.3, -0.4]]}, set()),
+    ("matrix-game", {"A": KNAPSACK_SIDE, "D": [[1.0, 0.0, -1.0], [0.5, -1.0, 0.0]]}, set()),
+    ("blotto", {"m": 2, "caps_a": [2, 2], "caps_d": [2, 2], "costs_a": [1, 1],
+                "costs_d": [1, 1], "budget_a": 2, "budget_d": 2,
+                "omega": {"rank1_seed": 9}}, {"primal_dim", "seed"}),
+    ("affine-vi", {"S": [[0.0, 1.0, -0.5], [-1.0, 0.0, 0.3], [0.5, -0.3, 0.0]],
+                   "s": [0.1, -0.2, 0.0], "H": {"simplex": 3}}, set()),
+    ("nash", {"D": [[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 1.0]]],
+              "M": [[[[0.0, 0.0], [0.0, 0.0]], PENNIES],
+                    [(-np.asarray(PENNIES).T).tolist(), [[0.0, 0.0], [0.0, 0.0]]]]}, set()),
+], ids=["matrix-game-square", "matrix-game-factored", "blotto", "affine-vi", "nash"])
+@pytest.mark.parametrize("threshold", [1e-3, 1e-12])
+def test_every_subcommand_writes_the_same_report(tmp_path, command, spec, extra, threshold):
+    report_path = tmp_path / "report.json"
+    code = run([command, "--spec", write_spec(tmp_path, spec), "--max-steps", "300",
+                "--gap-threshold", str(threshold), "--report", str(report_path)])
+    report = json.loads(report_path.read_text())
+    assert set(report) == REPORT_KEYS | extra
+    assert report["command"] == command
+    assert report["converged"] == (min(report["gap_bound"], report["gap_exact"]) <= threshold)
+    assert (code == 0) == report["converged"]
+
+
 def console_script_wrapper():
     """The `python -c` body of the wrapper that an installer writes for the
     `lmodecomp` command declared in `[project.scripts]` of pyproject.toml."""
-    if sys.version_info >= (3, 11):
-        import tomllib
-    else:
-        tomllib = pytest.importorskip("tomli")
+    import tomllib
+
     pyproject = SRC_ROOT.parent / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         target = tomllib.load(fh)["project"]["scripts"]["lmodecomp"]

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -226,6 +227,21 @@ def test_dense_rejects_non_finite_queries(bad, offset):
     # a NaN meets a zero entry quietly
     with pytest.raises(ValueError, match="non-finite"):
         col_extreme(DenseMatrixOracle(np.eye(3)), [1.0, np.nan, 0.0], "max")
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf])
+def test_dense_rejects_infinite_queries_that_meet_zeros(bad):
+    # inf * 0 flags an invalid value, and an overflowing product flags an
+    # overflow; with warnings as errors both still raise ValueError
+    oracle = DenseMatrixOracle(np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in ([bad, 1.0], [1.0, bad]):
+            for direction in ("max", "min"):
+                with pytest.raises(ValueError, match="non-finite"):
+                    col_extreme(oracle, x, direction)
+        with pytest.raises(ValueError, match="overflows"):
+            col_extreme(DenseMatrixOracle([[1e300, 1.0]]), [1e300], "max")
 
 
 def test_dense_rejects_non_finite_tables_and_overflow():
