@@ -11,14 +11,12 @@ K = sum_s rank(Omega^s) regardless of how many pure strategies exist.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .oracles import KnapsackOracle, KnapsackSpec, json_object
-from .saddle import BilinearSpSpec, build_master_example2, solve_sp
-from .solvers import SolverConfig
+from .saddle import BilinearSpSpec, SparseAtomSolution, build_master_example2, solve_sp
 
 __all__ = [
     "BlottoSpec",
@@ -74,36 +72,30 @@ class BlottoSpec:
 
 
 @dataclass
-class BlottoReport:
-    attacker_atoms: dict       # pure strategy (m-vector) -> weight
-    defender_atoms: dict
-    value: float
-    gap: float                 # certified bound on the saddle-point gap
-    gap_exact: float
-    steps: int
-    wall_time: float
+class BlottoReport(SparseAtomSolution):
+    """The solved game: the attacker is the maximizer z, the defender the
+    minimizer w, and their atoms are pure strategies (m-vectors)."""
+
     dims: tuple                # (attacker count, defender count), exact big ints
     primal_dim: int
-    seed: int | None = None
-    rounds: list = field(default_factory=list)
-    stop_reason: str | None = None
+    seed: int | None           # the spec's
 
-    def to_json_dict(self):
-        return {
-            "attacker_atoms": [{"index": list(k), "weight": float(v)}
-                               for k, v in sorted(self.attacker_atoms.items())],
-            "defender_atoms": [{"index": list(k), "weight": float(v)}
-                               for k, v in sorted(self.defender_atoms.items())],
-            "value": float(self.value),
-            "gap": float(self.gap),
-            "gap_exact": float(self.gap_exact),
-            "steps": int(self.steps),
-            "wall_time_s": float(self.wall_time),
-            "dims": [str(d) for d in self.dims],  # may exceed 2^53
-            "primal_dim": int(self.primal_dim),
-            "seed": self.seed,
-            "stop_reason": self.stop_reason,
-        }
+    @property
+    def attacker_atoms(self):
+        return self.z_atoms
+
+    @property
+    def defender_atoms(self):
+        return self.w_atoms
+
+    @property
+    def value(self):
+        return self.value_estimate
+
+    @property
+    def gap(self):
+        """Certified bound on the saddle-point gap."""
+        return self.gap_bound
 
 
 def rank_factor(omega, tol=1e-9):
@@ -150,29 +142,11 @@ def build_blotto(spec):
 
 def solve_blotto(spec, config=None, solver="ellipsoid"):
     """End-to-end run: factor, build the master, solve with `solver`
-    ("ellipsoid" or "md", as in solve_sp), decode the atoms into pure
-    strategies."""
-    config = config or SolverConfig()
-    t0 = time.perf_counter()
+    ("ellipsoid" or "md", as in solve_sp); the atoms are pure strategies."""
     game = build_blotto(spec)
-    master = build_master_example2(game, shared_radius=True)
-    sol = solve_sp(master, solver=solver, config=config)
-    wall = time.perf_counter() - t0
-    dims = (game.A.count_columns(), game.D.count_columns())
-    return BlottoReport(
-        attacker_atoms=dict(sol.z_atoms),
-        defender_atoms=dict(sol.w_atoms),
-        value=sol.value_estimate,
-        gap=sol.gap_bound,
-        gap_exact=sol.gap_exact,
-        steps=sol.steps,
-        wall_time=wall,
-        dims=dims,
-        primal_dim=2 * game.K,
-        seed=spec.seed,
-        rounds=sol.rounds,
-        stop_reason=sol.stop_reason,
-    )
+    sol = solve_sp(build_master_example2(game, shared_radius=True), solver, config)
+    return BlottoReport(**vars(sol), dims=(game.A.count_columns(), game.D.count_columns()),
+                        primal_dim=2 * game.K, seed=spec.seed)
 
 
 def random_rank1_omegas(m, caps_a, caps_d, seed=0):

@@ -229,9 +229,12 @@ class DenseMatrixOracle:
             vals = x @ self.matrix
             if self.offset is not None:
                 vals += self.offset
-        except RuntimeWarning:  # a floating-point flag, when warnings are errors
-            raise ValueError("query has non-finite entries" if not np.isfinite(x).all()
-                             else "column score overflows") from None
+        except RuntimeWarning:  # a floating-point flag, when warnings are errors:
+            # it may come from a column that is not picked, so only the check below decides
+            with np.errstate(over="ignore", invalid="ignore"):
+                vals = x @ self.matrix
+                if self.offset is not None:
+                    vals += self.offset
         j = int(np.argmax(vals) if direction == "max" else np.argmin(vals))
         value = float(vals[j])
         if not math.isfinite(value):
@@ -242,8 +245,11 @@ class DenseMatrixOracle:
     def count_columns(self):
         return self.matrix.shape[1]
 
-    def column(self, action_sequence):
-        return self.matrix[:, action_sequence[0]].copy()
+    def column(self, key):
+        n = self.matrix.shape[1]
+        if len(key) != 1 or not isinstance(key[0], (int, np.integer)) or not 0 <= key[0] < n:
+            raise ValueError(f"column key {tuple(key)} is not one index in range({n})")
+        return self.matrix[:, key[0]].copy()
 
     def column_norm_bound(self):
         return float(np.linalg.norm(self.matrix, axis=0).max())

@@ -13,14 +13,14 @@ column searches of D and A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certificates import ExecutionProtocol
 from .domains import Ball, Product, Simplex
 from .oracles import DenseMatrixOracle, col_extreme, enumerate_columns
-from .solvers import FieldOracle, ellipsoid_run, md_run
+from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
 
 __all__ = [
     "BilinearSpSpec",
@@ -124,34 +124,21 @@ class PrimalEval:
 
 
 @dataclass
-class SparseAtomSolution:
-    """Mixed strategies stored as weighted pure-strategy atoms."""
+class SparseAtomSolution(SolveResult):
+    """The run of a game, with the mixed strategies its certificate
+    transfers: weighted pure-strategy atoms {key: weight} and their stored
+    columns {key: column}, keyed by `ColumnHit.key`.  Its payloads are the
+    (w_hit, z_hit) pairs of the protocol; gap_bound is the certified
+    residual `cert.residual`, gap_exact and value_estimate are the closing
+    round's."""
 
     w_atoms: dict
     z_atoms: dict
+    w_atom_columns: dict
+    z_atom_columns: dict
     gap_bound: float
-    gap_exact: float | None
+    gap_exact: float
     value_estimate: float
-    w_atom_columns: dict = field(default_factory=dict)
-    z_atom_columns: dict = field(default_factory=dict)
-    steps: int = 0
-    rounds: list = field(default_factory=list)
-    # raw solver output, kept for residual-transfer checks and reports
-    protocol: object = None
-    cert: object = None
-    hits: list = field(default_factory=list)
-    stop_reason: str | None = None
-
-    def to_json_dict(self):
-        return {
-            "w_atoms": [{"index": list(k), "weight": float(v)}
-                        for k, v in sorted(self.w_atoms.items())],
-            "z_atoms": [{"index": list(k), "weight": float(v)}
-                        for k, v in sorted(self.z_atoms.items())],
-            "gap_bound": float(self.gap_bound),
-            "gap_exact": None if self.gap_exact is None else float(self.gap_exact),
-            "value_estimate": float(self.value_estimate),
-        }
 
 
 def build_master_example1(S, p=None, q=None):
@@ -262,21 +249,10 @@ def solve_sp(master, solver="ellipsoid", config=None):
     run = runs[solver](FieldOracle(fn), master.primal_domain(), config, round_fields)
     w_atoms, z_atoms, w_cols, z_cols = _atoms(run.cert, run.payloads)
     last = run.rounds[-1]  # on the whole protocol and run.cert
-    return SparseAtomSolution(
-        w_atoms=w_atoms,
-        z_atoms=z_atoms,
-        gap_bound=run.residual,
-        gap_exact=last["gap"],
-        value_estimate=last["value"],
-        w_atom_columns=w_cols,
-        z_atom_columns=z_cols,
-        steps=run.steps,
-        rounds=run.rounds,
-        protocol=run.protocol,
-        cert=run.cert,
-        hits=run.payloads,
-        stop_reason=run.stop_reason,
-    )
+    return SparseAtomSolution(**vars(run), w_atoms=w_atoms, z_atoms=z_atoms,
+                              w_atom_columns=w_cols, z_atom_columns=z_cols,
+                              gap_bound=run.cert.residual, gap_exact=last["gap"],
+                              value_estimate=last["value"])
 
 
 def exact_gap(spec, sol):

@@ -174,18 +174,18 @@ class _ProtocolBuffer:
 class SolveResult:
     """Outcome of a certificate-producing run.
 
-    `cert` is the last round's certificate, for the whole `protocol`, and
-    `residual` its certified residual, `cert.residual`: the value that the
-    round's certificate search computed (the ellipsoid's
-    optimize_certificate, or mirror descent's residual_ball_product on its
-    step-size weights), not a recomputation; `payloads[i]` is the field's side
-    payload at protocol entry i.  Each round is {step, t, residual,
-    cert_lower, gap, weights, support, lp_solves}, for the first t entries
-    after `step` steps, with the certificate's weights (not a copy), their
-    count of nonzeros (`support`), the HiGHS solves the round made
-    (`lp_solves`, read off the run's CertificateLP; 0 for mirror descent)
-    and the fields that `on_certificate` returned (value for games, scale
-    for VIs); the last round is on `cert`, so its gap is the solution's.
+    `cert` is the last round's certificate, for the whole `protocol`; its
+    certified residual `cert.residual` is the value that the round's
+    certificate search computed (the ellipsoid's optimize_certificate, or
+    mirror descent's residual_ball_product on its step-size weights), not a
+    recomputation; `payloads[i]` is the field's side payload at protocol
+    entry i.  Each round is {step, t, residual, cert_lower, gap, weights,
+    support, lp_solves}, for the first t entries after `step` steps, with
+    the certificate's weights (not a copy), their count of nonzeros
+    (`support`), the HiGHS solves the round made (`lp_solves`, read off the
+    run's CertificateLP; 0 for mirror descent) and the fields that
+    `on_certificate` returned (value for games, scale for VIs); the last
+    round is on `cert`, so its gap is the solution's.
     `steps` counts every step, productive or not; `stop_reason` names what
     ended the step loop: "eps_target", "gap_threshold", "max_steps",
     "stationary" (a zero field value) or "ellipsoid_degenerate".
@@ -193,7 +193,6 @@ class SolveResult:
 
     protocol: ExecutionProtocol
     cert: AccuracyCertificate
-    residual: float
     payloads: list
     rounds: list
     steps: int
@@ -220,7 +219,7 @@ class _Run:
         self.cert_period = self.config.cert_period or 4 * k * k
         self.field, self.on_certificate = field, on_certificate
         self.entries, self.payloads, self.rounds = _ProtocolBuffer(domain.dim), [], []
-        self.cert, self.residual, self.certified_len = None, np.inf, 0
+        self.cert, self.certified_len = None, 0
         self.lp = None  # the ellipsoid's CertificateLP; mirror descent solves no LP
 
     def lp_solves(self):
@@ -238,9 +237,9 @@ class _Run:
         protocol = self.entries.protocol()
         solves = self.lp_solves()
         self.cert = certify(protocol)
-        self.residual = self.cert.residual
+        residual = self.cert.residual
         self.certified_len = len(protocol)
-        record = {"step": step, "t": len(protocol), "residual": self.residual,
+        record = {"step": step, "t": len(protocol), "residual": residual,
                   "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights,
                   "support": int(np.count_nonzero(self.cert.weights)),
                   "lp_solves": self.lp_solves() - solves}
@@ -249,9 +248,9 @@ class _Run:
         self.rounds.append(record)
         gap = record["gap"]
         tol = 1e-9 * max(1.0, abs(record.get("value", 0.0)), record.get("scale", 0.0))
-        if gap is not None and not gap <= self.residual + tol:  # the residual bounds it
-            raise CertificateError(f"exact gap {gap} exceeds certified residual {self.residual}")
-        if self.residual <= self.config.eps_target:
+        if gap is not None and not gap <= residual + tol:  # the residual bounds it
+            raise CertificateError(f"exact gap {gap} exceeds certified residual {residual}")
+        if residual <= self.config.eps_target:
             return "eps_target"
         if gap is not None and gap <= self.config.gap_threshold:
             return "gap_threshold"
@@ -263,8 +262,8 @@ class _Run:
             raise RuntimeError("the run produced no productive steps")
         if len(self.entries) > self.certified_len:
             self.round(steps, certify)
-        return SolveResult(self.entries.protocol(), self.cert, self.residual, self.payloads,
-                           self.rounds, steps, stop_reason)
+        return SolveResult(self.entries.protocol(), self.cert, self.payloads, self.rounds,
+                           steps, stop_reason)
 
 
 def ellipsoid_run(field, domain, config=None, on_certificate=None):

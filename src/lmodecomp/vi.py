@@ -11,7 +11,7 @@ recovered point is computed exactly with a single oracle call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,7 @@ import numpy as np
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
 from .domains import Ball, FiniteAtoms, Product, Simplex, lmo_argmin
 from .oracles import DenseMatrixOracle, col_extreme, column_of_key, json_object, matrix_side
-from .solvers import FieldOracle, ellipsoid_run, md_run
+from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
 
 __all__ = [
     "AffineViSpec",
@@ -280,17 +280,15 @@ class SkewViSpec:
 
 
 @dataclass
-class ViSolution:
+class ViSolution(SolveResult):
+    """The run of a VI, with the point of H its certificate transfers;
+    eps_bound is the certified residual `cert.residual`, eps_exact the
+    closing round's gap (None when H is not enumerable)."""
+
     eta_atoms: dict | None     # weighted product-vertex atoms (skew path)
     eta_vector: np.ndarray | None  # dense recovered point (affine path)
     eps_bound: float
     eps_exact: float | None
-    rounds: list = field(default_factory=list)
-    protocol: object = None
-    cert: object = None
-    payloads: list = field(default_factory=list)
-    steps: int = 0
-    stop_reason: str | None = None
 
 
 def build_affine_vi_primal(spec):
@@ -394,10 +392,9 @@ def solve_vi(spec, solver="ellipsoid", config=None):
         raise ValueError(f"unknown solver {solver!r}")
     run = runs[solver](primal, domain, config, round_fields)
     eta = collect(run.cert, run.payloads)
-    return ViSolution(eta_atoms=eta if skew else None, eta_vector=None if skew else eta,
-                      eps_bound=run.residual, eps_exact=run.rounds[-1]["gap"], rounds=run.rounds,
-                      protocol=run.protocol, cert=run.cert, payloads=run.payloads,
-                      steps=run.steps, stop_reason=run.stop_reason)
+    return ViSolution(**vars(run), eta_atoms=eta if skew else None,
+                      eta_vector=None if skew else eta, eps_bound=run.cert.residual,
+                      eps_exact=run.rounds[-1]["gap"])
 
 
 def _collect_atoms(cert, payloads):

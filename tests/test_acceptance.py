@@ -114,13 +114,13 @@ def test_criterion_02_residual_soundness_every_round():
             lam = rec["weights"]
             w = np.zeros(master.S.shape[1])
             z = np.zeros(master.S.shape[0])
-            for weight, (w_hit, z_hit) in zip(lam, sol.hits[:t]):
+            for weight, (w_hit, z_hit) in zip(lam, sol.payloads[:t]):
                 w[w_hit.action_sequence[0]] += weight
                 z[z_hit.action_sequence[0]] += weight
             ok &= eps_sad_enum(master.S, w, z) <= rec["residual"] + 1e-9
             cert = AccuracyCertificate(lam)
             prefix = sol.protocol.prefix(t)
-            big, dom = master_transfer_protocol(master, prefix, sol.hits[:t])
+            big, dom = master_transfer_protocol(master, prefix, sol.payloads[:t])
             master_res = residual(big, cert, dom).residual
             primal_res = residual_ball_product(
                 prefix, cert, (master.R_U, master.R_V), master.dim_u)

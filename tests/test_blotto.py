@@ -91,15 +91,6 @@ def test_antisymmetric_game_has_zero_value():
     assert abs(report.value) <= 1e-6
 
 
-def test_report_json_dict():
-    report = solve_blotto(desk_spec(), SolverConfig(gap_threshold=1e-5))
-    d = report.to_json_dict()
-    assert d["dims"] == ["6", "6"]
-    assert d["seed"] == 7
-    assert isinstance(d["value"], float)
-    assert all(isinstance(a["index"], list) for a in d["attacker_atoms"])
-
-
 def test_blotto_from_json_explicit_and_seeded():
     spec = desk_spec()
     obj = {"m": 2, "caps_a": [2, 2], "caps_d": [2, 2], "costs_a": [1, 1],

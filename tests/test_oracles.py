@@ -253,6 +253,25 @@ def test_dense_rejects_non_finite_tables_and_overflow():
         col_extreme(DenseMatrixOracle([[1e300, 1.0]]), [1e300], "max")
 
 
+@pytest.mark.parametrize("mode", ["ignore", "error"])
+def test_dense_overflow_in_an_unpicked_column_is_no_error(mode):
+    # the overflowing column scores -inf under "max" (+inf under "min"), and
+    # the finite column wins whatever the warning filter
+    with warnings.catch_warnings():
+        warnings.simplefilter(mode)
+        for row, direction in ((-1e300, "max"), (1e300, "min")):
+            hit = col_extreme(DenseMatrixOracle([[row, 1.0]]), [1e300], direction)
+            assert hit.key == (1,) and hit.value == 1e300
+
+
+def test_dense_column_takes_one_index_in_range():
+    oracle = DenseMatrixOracle(np.arange(6.0).reshape(2, 3))
+    assert np.array_equal(oracle.column((2,)), [2.0, 5.0])
+    for bad in ((-1,), (0, 5), (7,)):
+        with pytest.raises(ValueError, match="range"):
+            oracle.column(bad)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dp_rejects_non_finite_queries(bad):
     # checked before the Bellman products, whose inf - inf would warn

@@ -147,7 +147,7 @@ def test_gap_sandwich_and_transfer_every_round():
     for rec in sol.rounds:
         assert rec["gap"] <= rec["residual"] + 1e-9
     # transferred master protocol residual <= primal residual, final round
-    big, dom = master_transfer_protocol(master, sol.protocol, sol.hits)
+    big, dom = master_transfer_protocol(master, sol.protocol, sol.payloads)
     master_res = residual(big, sol.cert, dom).residual
     primal_res = residual_ball_product(sol.protocol, sol.cert,
                                        (master.R_U, master.R_V), master.dim_u)
@@ -161,7 +161,7 @@ def test_transfer_on_knapsack_sides_places_atoms_at_their_columns():
                       budget_a=2, budget_d=2, omegas=random_rank1_omegas(2, (2, 2), (2, 2), 3))
     master = build_master_example2(build_blotto(spec), shared_radius=True)
     sol = solve_sp(master, config=SolverConfig(gap_threshold=1e-6, max_steps=400))
-    big, dom = master_transfer_protocol(master, sol.protocol, sol.hits)
+    big, dom = master_transfer_protocol(master, sol.protocol, sol.payloads)
     primal_res = residual_ball_product(sol.protocol, sol.cert,
                                        (master.R_U, master.R_V), master.dim_u)
     assert residual(big, sol.cert, dom).residual <= primal_res + 1e-9
@@ -188,7 +188,7 @@ def test_dp_start_states_keep_their_own_atoms():
         z[j] += wt
     assert abs(eps_sad_enum(A.matrix.T @ D_mat, w, z) - sol.gap_exact) <= 1e-9
     assert sol.gap_exact <= sol.gap_bound
-    big, dom = master_transfer_protocol(master, sol.protocol, sol.hits)
+    big, dom = master_transfer_protocol(master, sol.protocol, sol.payloads)
     assert residual(big, sol.cert, dom).residual <= sol.gap_bound + 1e-9
 
 
@@ -249,14 +249,6 @@ def test_factored_offsets_match_lp():
     S = A.T @ D + q[:, None] + p[None, :]
     assert abs(sol.value_estimate - lp_game_value(S)) <= 1e-6
     assert sol.gap_exact == exact_gap(spec, sol) <= sol.gap_bound + 1e-9
-
-
-def test_json_serialization():
-    master = build_master_example1(PENNIES)
-    sol = solve_sp(master, config=SolverConfig(gap_threshold=1e-5))
-    d = sol.to_json_dict()
-    assert set(d) >= {"w_atoms", "z_atoms", "gap_bound", "gap_exact", "value_estimate"}
-    assert all(isinstance(a["index"], list) for a in d["w_atoms"])
 
 
 def test_solve_sp_raises_when_exact_gap_exceeds_residual(monkeypatch):

@@ -14,11 +14,26 @@ from lmodecomp.certificates import (
     ExecutionProtocol,
     residual_ball_product,
 )
-from lmodecomp.domains import Ball, Product
-from lmodecomp.saddle import build_master_example1, solve_sp
+from lmodecomp.blotto import (
+    BlottoReport,
+    BlottoSpec,
+    build_blotto,
+    random_rank1_omegas,
+    solve_blotto,
+)
+from lmodecomp.domains import Ball, Product, Simplex
+from lmodecomp.oracles import DenseMatrixOracle, KnapsackOracle, KnapsackSpec
+from lmodecomp.saddle import (
+    BilinearSpSpec,
+    build_master_example1,
+    build_master_example2,
+    exact_gap,
+    solve_sp,
+)
 from lmodecomp.solvers import (
     CertificateLP,
     FieldOracle,
+    SolveResult,
     SolverConfig,
     central_cut_log_volume_ratio,
     ellipsoid_cut,
@@ -26,7 +41,7 @@ from lmodecomp.solvers import (
     md_run,
     optimize_certificate,
 )
-from lmodecomp.vi import NashSpec, nash_to_skew, solve_vi
+from lmodecomp.vi import AffineViSpec, NashSpec, nash_to_skew, solve_vi
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -385,7 +400,7 @@ def test_round_residual_is_the_closed_form_on_its_prefix(method):
                                                       (1.0, 2.0), 2)
         # mirror descent's step-size certificate has no lower bound
         assert r["cert_lower"] is None if method is md_run else r["cert_lower"] <= r["residual"]
-    assert run.residual == run.cert.residual == run.rounds[-1]["residual"]
+    assert run.cert.residual == run.rounds[-1]["residual"]
 
 
 def test_reused_dual_completion_changes_no_round(monkeypatch):
@@ -532,7 +547,7 @@ def test_zero_field_stops_stationary():
     run = ellipsoid_run(FieldOracle(lambda x: np.zeros(2)), Ball(np.zeros(2), 1.0))
     assert run.stop_reason == "stationary"
     assert len(run.protocol) == 1 and run.steps == 1
-    assert run.residual == 0.0
+    assert run.cert.residual == 0.0
     assert [r["t"] for r in run.rounds] == [1]
 
 
@@ -561,8 +576,8 @@ def test_collapsed_ellipsoid_stops_degenerate_and_certifies(monkeypatch):
     assert len(run.protocol) == len(calls) == len(run.payloads)
     assert run.rounds[-1]["t"] == len(run.protocol)
     assert run.rounds[-1]["step"] == k + 1
-    assert run.residual == residual_ball_product(run.protocol, run.cert, (1.0, 2.0), 2)
-    assert run.cert.lower <= run.residual
+    assert run.cert.residual == residual_ball_product(run.protocol, run.cert, (1.0, 2.0), 2)
+    assert run.cert.lower <= run.cert.residual
 
 
 @pytest.mark.parametrize("method", [ellipsoid_run, md_run])
@@ -597,3 +612,55 @@ def test_md_rounds_end_once_on_the_whole_protocol(problem, max_steps):
     assert all(a < b for a, b in zip(ts, ts[1:])), ts
     assert ts[-1] == len(sol.protocol) == max_steps
     assert sol.steps == max_steps and sol.stop_reason == "max_steps"
+
+
+DESK_BLOTTO = BlottoSpec(caps_a=(2, 2), caps_d=(2, 2), costs_a=(1, 1), costs_d=(1, 1),
+                         budget_a=2, budget_d=2,
+                         omegas=random_rank1_omegas(2, (2, 2), (2, 2), seed=7), seed=7)
+
+
+def _desk_solve(problem, solver, config):
+    """(solution, its bound, its exact gap) of one desk-size problem."""
+    rng = np.random.default_rng(15)
+    if problem in ("sp-square", "sp-factored"):
+        if problem == "sp-square":
+            master = build_master_example1(rng.normal(size=(4, 5)))
+        else:
+            knapsack = KnapsackOracle(KnapsackSpec(
+                bounds=(2, 2), costs=(1, 1), budget=3,
+                outputs=tuple(rng.normal(size=(3, 1)) for _ in range(2))))
+            master = build_master_example2(BilinearSpSpec(
+                A=knapsack, D=DenseMatrixOracle(rng.normal(size=(2, 5)))))
+        sol = solve_sp(master, solver, config)
+        return sol, sol.gap_bound, sol.gap_exact
+    if problem == "blotto":
+        sol = solve_blotto(DESK_BLOTTO, config, solver)
+        return sol, sol.gap_bound, sol.gap_exact
+    if problem == "vi-nash":
+        eye, zero = DenseMatrixOracle(np.eye(2)), np.zeros((2, 2))
+        spec = nash_to_skew(NashSpec(D=[eye, eye], M=[[zero, PENNIES], [-PENNIES.T, zero]]))
+    else:
+        S = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        spec = AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x,
+                            s=np.array([0.1, -0.2]), H=Simplex(2), Xi_radius=1.0)
+    sol = solve_vi(spec, solver, config)
+    return sol, sol.eps_bound, sol.eps_exact
+
+
+@pytest.mark.parametrize("solver", ["ellipsoid", "md"])
+@pytest.mark.parametrize("problem", ["sp-square", "sp-factored", "vi-nash", "vi-affine",
+                                     "blotto"])
+def test_every_solution_is_its_run(problem, solver):
+    # the solution types extend SolveResult: the bound is the certificate's
+    # residual and the exact gap the closing round's, not copies of either
+    sol, bound, exact = _desk_solve(problem, solver, SolverConfig(gap_threshold=1e-5,
+                                                                  max_steps=1500))
+    assert isinstance(sol, SolveResult)
+    assert bound == sol.cert.residual
+    assert exact is not None and exact == sol.rounds[-1]["gap"]
+    assert len(sol.payloads) == len(sol.protocol)
+    if problem == "blotto":
+        assert isinstance(sol, BlottoReport)
+        assert exact_gap(build_blotto(DESK_BLOTTO), sol) == sol.gap_exact
+        assert sol.attacker_atoms is sol.z_atoms and sol.defender_atoms is sol.w_atoms
+        assert sol.value == sol.value_estimate and sol.gap == sol.gap_bound
