@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_columns",
     "knapsack_from_json",
     "dp_from_json",
-    "dense_from_csv",
 ]
 
 
@@ -677,7 +676,3 @@ def dp_from_json(obj):
         outputs=outputs,
         start_states=tuple(int(s) for s in obj["start_states"]),
     )
-
-
-def dense_from_csv(path):
-    return DenseMatrixOracle(np.loadtxt(path, delimiter=",", ndmin=2))

@@ -1,13 +1,14 @@
 """Certificate-producing solvers for the small primal problems.
 
 Two solvers are provided: a central-cut ellipsoid method that records an
-execution protocol over its productive steps and periodically computes
-the best accuracy certificate for it, and projected mirror descent whose
-step sizes directly induce a certificate.  Both operate on origin-centered
-Euclidean balls or products of two such balls, where the residual has a
-closed form and needs no LMO calls.  They share one driver for the
-protocol, the field payloads and the certificate rounds, and return one
-SolveResult.
+execution protocol over its productive steps, and projected mirror
+descent, all of whose steps are productive.  Both periodically compute
+the best accuracy certificate for the protocol so far, on one
+certificate LP per run; mirror descent offers its normalized step sizes
+as one more candidate.  Both operate on origin-centered Euclidean balls
+or products of two such balls, where the residual has a closed form and
+needs no LMO calls.  They share one run state for the protocol, the
+field payloads and the certificate rounds, and return one SolveResult.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +28,9 @@ from .certificates import (
     CertificateError,
     ExecutionProtocol,
     _ball_residual,
-    residual_ball_product,
 )
+# residual_ball_product is unused here: benchmark tracing wraps this module's name
+from .certificates import residual_ball_product  # noqa: F401
 from .domains import Ball, Product
 
 __all__ = [
@@ -52,8 +54,10 @@ class SolverConfig:
     start: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.eps_target <= 0:
+        if not self.eps_target > 0:  # NaN too: no residual would ever reach it
             raise ValueError("eps_target must be positive")
+        if not self.gap_threshold >= 0:
+            raise ValueError("gap_threshold must be nonnegative")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.cert_period is not None and self.cert_period < 1:
@@ -176,16 +180,16 @@ class SolveResult:
 
     `cert` is the last round's certificate, for the whole `protocol`; its
     certified residual `cert.residual` is the value that the round's
-    certificate search computed (the ellipsoid's optimize_certificate, or
-    mirror descent's residual_ball_product on its step-size weights), not a
-    recomputation; `payloads[i]` is the field's side payload at protocol
-    entry i.  Each round is {step, t, residual, cert_lower, gap, weights,
-    support, lp_solves}, for the first t entries after `step` steps, with
-    the certificate's weights (not a copy), their count of nonzeros
-    (`support`), the HiGHS solves the round made (`lp_solves`, read off the
-    run's CertificateLP; 0 for mirror descent) and the fields that
-    `on_certificate` returned (value for games, scale for VIs); the last
-    round is on `cert`, so its gap is the solution's.
+    optimize_certificate computed, not a recomputation; `payloads[i]` is
+    the field's side payload at protocol entry i.  Each round is {step, t,
+    residual, cert_lower, gap, weights, support, lp_solves}, for the first
+    t entries after `step` steps, with the certificate's weights (not a
+    copy), their count of nonzeros (`support`), the certified lower bound
+    on any certificate's residual for the same entries (`cert_lower`), the
+    HiGHS solves the round made (`lp_solves`, read off the run's
+    CertificateLP) and the fields that `on_certificate` returned (value for
+    games, scale for VIs); the last round is on `cert`, so its gap is the
+    solution's.
     `steps` counts every step, productive or not; `stop_reason` names what
     ended the step loop: "eps_target", "gap_threshold", "max_steps",
     "stationary" (a zero field value) or "ellipsoid_degenerate".
@@ -200,14 +204,11 @@ class SolveResult:
 
 
 class _Run:
-    """State that both solvers share: the protocol, the field payloads
-    and the certificate rounds.  Each solver passes its own
-    `certify(protocol)` into every round rather than storing it here: its
-    closure refers to the run, and the reference cycle would keep every
-    solve's buffers alive until the cyclic garbage collector ran.
-    `certify` returns a certificate that carries its residual on the
-    protocol (`AccuracyCertificate.residual`); the round records that value
-    and does not compute it again."""
+    """State that both solvers share: the protocol, the field payloads,
+    the run's CertificateLP and the certificate rounds.  A round runs
+    optimize_certificate on that LP, warm-started from the last round's
+    certificate, with the solver's `candidates`, and records the residual
+    that it computed (`AccuracyCertificate.residual`)."""
 
     def __init__(self, field, domain, config, on_certificate):
         self.config = config or SolverConfig()
@@ -220,10 +221,7 @@ class _Run:
         self.field, self.on_certificate = field, on_certificate
         self.entries, self.payloads, self.rounds = _ProtocolBuffer(domain.dim), [], []
         self.cert, self.certified_len = None, 0
-        self.lp = None  # the ellipsoid's CertificateLP; mirror descent solves no LP
-
-    def lp_solves(self):
-        return 0 if self.lp is None else self.lp.solves
+        self.lp = CertificateLP(self.radii, self.split, domain.dim)
 
     def evaluate(self, point, step):
         """Field value at `point`, recorded as the protocol entry of `step`."""
@@ -232,17 +230,20 @@ class _Run:
         self.payloads.append(payload)
         return value
 
-    def round(self, step, certify):
+    def round(self, step, candidates=()):
         """Certify the protocol so far; returns a stop reason or None."""
         protocol = self.entries.protocol()
-        solves = self.lp_solves()
-        self.cert = certify(protocol)
+        solves = self.lp.solves
+        # never worse than the last round's certificate, which is the warm start
+        self.cert = optimize_certificate(protocol, self.radii, self.split, warm_start=self.cert,
+                                         tol=0.1 * self.config.eps_target, lp=self.lp,
+                                         candidates=candidates)
         residual = self.cert.residual
         self.certified_len = len(protocol)
         record = {"step": step, "t": len(protocol), "residual": residual,
                   "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights,
                   "support": int(np.count_nonzero(self.cert.weights)),
-                  "lp_solves": self.lp_solves() - solves}
+                  "lp_solves": self.lp.solves - solves}
         if self.on_certificate is not None:
             record.update(self.on_certificate(protocol, self.cert, self.payloads) or {})
         self.rounds.append(record)
@@ -256,12 +257,12 @@ class _Run:
             return "gap_threshold"
         return None
 
-    def result(self, steps, stop_reason, certify):
+    def result(self, steps, stop_reason, candidates=()):
         """Close with a round on the entries recorded since the last one."""
         if not self.entries:
             raise RuntimeError("the run produced no productive steps")
         if len(self.entries) > self.certified_len:
-            self.round(steps, certify)
+            self.round(steps, candidates)
         return SolveResult(self.entries.protocol(), self.cert, self.payloads, self.rounds,
                            steps, stop_reason)
 
@@ -272,31 +273,26 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     At productive steps (center inside the domain) the cut direction is the
     field value, which is recorded into the protocol; at non-productive
     steps a separating hyperplane of the violated ball factor is used.
+    The run starts at the origin, so `SolverConfig.start` must be None.
     Every cert_period steps the best certificate for the protocol so far is
     computed, warm-started from the previous one, on the run's one
-    CertificateLP.  `on_certificate(protocol,
-    cert, payloads)` returns the round's fields ({"gap", "value"} for games,
-    {"gap", "scale"} for VIs) or None; a round raises CertificateError where
-    its gap exceeds the residual by over 1e-9 max(1, |value|, scale).  The run
-    stops when that gap falls below gap_threshold, when the certified residual
-    falls below eps_target, at a zero field value, when the ellipsoid
-    collapses, or at max_steps.  Each round's cert_lower is a certified lower
-    bound on the least residual of any certificate for its protocol.
+    CertificateLP.  `on_certificate(protocol, cert, payloads)` returns the
+    round's fields ({"gap", "value"} for games, {"gap", "scale"} for VIs) or
+    None; a round raises CertificateError where its gap exceeds the residual
+    by over 1e-9 max(1, |value|, scale).  The run stops when that gap falls
+    below gap_threshold, when the certified residual falls below eps_target,
+    at a zero field value, when the ellipsoid collapses, or at max_steps.
+    Each round's cert_lower is a certified lower bound on the least residual
+    of any certificate for its protocol.
 
     Returns a SolveResult.
     """
-    run = _Run(field, domain, config, on_certificate)
     n = domain.dim
     if n < 2:
         raise ValueError("ellipsoid method requires dimension >= 2")
-    tol = 0.1 * run.config.eps_target
-    run.lp = CertificateLP(run.radii, run.split, n)
-
-    def certify(protocol):
-        # never worse than the last certificate: the warm start is one of its candidates
-        return optimize_certificate(protocol, run.radii, run.split, warm_start=run.cert,
-                                    tol=tol, lp=run.lp)
-
+    if config is not None and config.start is not None:
+        raise ValueError("ellipsoid_run starts at the origin; SolverConfig.start is for md_run")
+    run = _Run(field, domain, config, on_certificate)
     center = np.zeros(n)
     shape = run.radius * np.eye(n)
     step = 0
@@ -323,12 +319,12 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
             stop = "ellipsoid_degenerate"  # certify what we have
             break
         if run.entries and step % run.cert_period == 0:
-            stop = run.round(step, certify)
+            stop = run.round(step)
             if stop:
                 break
     else:
         stop = "max_steps"
-    return run.result(step, stop, certify)
+    return run.result(step, stop)
 
 
 def _balls(radii, split, dim):
@@ -346,27 +342,25 @@ def _project_blocks(x, radii, split):
 
 
 def md_run(field, domain, config=None, on_certificate=None):
-    """Projected (Euclidean) mirror descent with step-size certificates.
+    """Projected (Euclidean) mirror descent with accuracy certificates.
 
-    Steps xi_{i+1} = Proj(xi_i - gamma_i F(xi_i)) with gamma_i = R/(Lhat sqrt(i)),
-    Lhat a running max of the field norms; the certificate weights are the
-    normalized step sizes.  All steps are productive.  Certificate rounds,
-    `on_certificate` and the stop rules are those of `ellipsoid_run`.
+    Steps xi_{i+1} = Proj(xi_i - gamma_i F(xi_i)) from `SolverConfig.start`
+    (the origin when None) with gamma_i = R/(Lhat_i sqrt(i)), Lhat_i the
+    running max of the field norms.  All steps are productive.  Rounds,
+    `on_certificate` and the stop rules are those of `ellipsoid_run`; each
+    round also tries the normalized step sizes, the classical certificate
+    with its O(1/sqrt(t)) residual, so no round's residual is above theirs.
 
     Returns a SolveResult.
     """
     run = _Run(field, domain, config, on_certificate)
     radii, split = run.radii, run.split
     start = run.config.start
-    xi = np.zeros(domain.dim) if start is None else np.asarray(start, dtype=float).copy()
+    xi = np.zeros(domain.dim) if start is None else np.array(start, dtype=float)
+    if xi.shape != (domain.dim,) or not np.isfinite(xi).all():
+        raise ValueError(f"start must be finite of shape ({domain.dim},), not {xi.shape}")
     xi = _project_blocks(xi, radii, split)
     gammas = []
-
-    def certify(protocol):
-        w = np.array(gammas)
-        cert = AccuracyCertificate(w / w.sum())
-        return replace(cert, residual=residual_ball_product(protocol, cert, radii, split))
-
     lhat, i = 0.0, 0
     for i in range(1, run.config.max_steps + 1):
         value = run.evaluate(xi, i)
@@ -374,12 +368,12 @@ def md_run(field, domain, config=None, on_certificate=None):
         gammas.append(run.radius / (lhat * np.sqrt(i)))
         xi = _project_blocks(xi - gammas[-1] * value, radii, split)
         if i % run.cert_period == 0:
-            stop = run.round(i, certify)
+            stop = run.round(i, [AccuracyCertificate(np.divide(gammas, math.fsum(gammas)))])
             if stop:
                 break
     else:
         stop = "max_steps"
-    return run.result(i, stop, certify)
+    return run.result(i, stop, [AccuracyCertificate(np.divide(gammas, math.fsum(gammas)))])
 
 
 _HIGHS_CORE = "scipy.optimize._highspy._core"
@@ -517,7 +511,8 @@ class CertificateLP:
         return np.array(sol.col_value), lam
 
 
-def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=None):
+def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=None,
+                         candidates=()):
     """Best accuracy certificate for a protocol over a product of
     origin-centered balls, from the dual linear program.
 
@@ -536,8 +531,11 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     the loop stops when the best residual is within a relative 1e-6 of
     that bound, or below tol/4.  The bound is the certificate's `lower`.
     A row block or cut that HiGHS rejects ends the loop as a failed solve
-    does.  Never worse than uniform weights or the warm start, which may
-    cover a prefix of the protocol.
+    does.  Never worse than uniform weights, the warm start (which may
+    cover a prefix of the protocol) or the `candidates`, certificates for
+    the whole protocol tried after those two.  Only the warm start's
+    support seeds the working set: a candidate with full support does not
+    put every protocol row into the LP.
 
     A round reads c and the scale from `lp`, which computes each entry's
     c_i once, and evaluates each candidate's residual once, by the closed
@@ -554,15 +552,18 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     if lp is None:
         lp = CertificateLP(radii, split, d)
     c, scale = lp.terms(protocol)
-    candidates = [np.full(t, 1.0 / t)]
+    tried = [np.full(t, 1.0 / t)]
     in_set = np.zeros(t, dtype=bool)  # the LP's working set of protocol rows
     if warm_start is not None:
         if len(warm_start) > t:
             raise ValueError("warm start is longer than the protocol")
         warm = np.zeros(t)
         warm[:len(warm_start)] = warm_start.weights
-        candidates.append(warm)
+        tried.append(warm)
         in_set |= warm > 0.0
+    if any(len(cert) != t for cert in candidates):
+        raise ValueError("a candidate's length differs from the protocol's")
+    tried += [cert.weights for cert in candidates]
 
     def completion_values(lam, f, agg):
         # a round starts from the last one's best weights, whose completion
@@ -578,7 +579,7 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
         return c + fv @ _project_blocks(x, radii, split)
 
     best = None
-    for lam in candidates:  # the first of equal residuals wins
+    for lam in tried:  # the first of equal residuals wins
         f, agg = _ball_residual(lam, c, fv, radii, split)
         if best is None or f < f_best:
             best, f_best, agg_best = lam, f, agg
@@ -620,7 +621,8 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             lp.hold(in_set, fv, c)
     except _Rejected:
         pass  # as numerical trouble: keep the best certificate found so far
-    return AccuracyCertificate(best, lower=lower, residual=f_best)
+    # lower can round above an optimal certificate's residual by an ulp
+    return AccuracyCertificate(best, lower=min(lower, f_best), residual=f_best)
 
 
 def _smallest(v, k):

@@ -21,3 +21,12 @@ def eps_sad_enum(S, w, z):
     """Exact saddle-point gap of (w, z) for psi = <z, S w> by enumeration:
     max_z' <z', S w> - min_w' <z, S w'>."""
     return float((S @ w).max() - (S.T @ z).min())
+
+
+def md_step_sizes(protocol, radius):
+    """Mirror descent's step sizes gamma_i = R/(Lhat_i sqrt(i)), rebuilt from
+    its protocol by the documented rule; Lhat_i is the running max of the
+    field norms, floored at 1e-30 as md_run floors it."""
+    norms = np.maximum.accumulate(np.linalg.norm(protocol.field_values, axis=1))
+    i = np.arange(1, len(protocol) + 1)
+    return radius / (np.maximum(norms, 1e-30) * np.sqrt(i))

@@ -83,12 +83,29 @@ def test_zero_step_budget_exit_one(tmp_path, capsys):
     assert "invalid option: max_steps must be >= 1" in capsys.readouterr().err
 
 
-def test_large_offset_affine_vi_runs_to_its_budget(tmp_path, capsys):
-    # the gap check tolerates rounding at the scale of s = 1e8
+@pytest.mark.parametrize("flag, value, message", [
+    ("--eps", "nan", "eps_target must be positive"),
+    ("--gap-threshold", "nan", "gap_threshold must be nonnegative"),
+    ("--gap-threshold", "-1e-6", "gap_threshold must be nonnegative"),
+])
+def test_unreachable_stop_values_exit_one(tmp_path, capsys, flag, value, message):
+    spec = write_spec(tmp_path, {"S": PENNIES})
+    assert run(["matrix-game", "--spec", spec, f"{flag}={value}"]) == 1
+    assert f"invalid option: {message}" in capsys.readouterr().err
+
+
+def test_large_offset_affine_vi_never_fails_the_gap_check(tmp_path, capsys):
+    # the gap check tolerates rounding at the scale of s = 1e8, so it never
+    # exits 4 here; mirror descent certifies this VI within its budget
     spec = write_spec(tmp_path, {"S": [[0.0, 1.0], [-1.0, 0.0]], "s": [1e8, 1e8],
                                  "H": {"simplex": 2}, "Xi_radius": 1.0})
-    assert run(["affine-vi", "--spec", spec, "--solver", "md", "--max-steps", "2000"]) == 2
-    assert "step budget exhausted" in capsys.readouterr().out
+    report_path = tmp_path / "report.json"
+    assert run(["affine-vi", "--spec", spec, "--solver", "md", "--max-steps", "2000",
+                "--report", str(report_path)]) == 0
+    assert "converged" in capsys.readouterr().out
+    report = json.loads(report_path.read_text())
+    assert report["stop_reason"] == "eps_target" and report["steps"] < 2000
+    assert report["gap_exact"] <= report["gap_bound"] <= 1e-6
 
 
 def test_badly_scaled_affine_vi_named_stop(tmp_path, capsys):

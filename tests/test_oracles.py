@@ -15,7 +15,6 @@ from lmodecomp.oracles import (
     bellman_backward,
     col_extreme,
     count_columns,
-    dense_from_csv,
     dp_from_json,
     dp_from_knapsack,
     enumerate_columns,
@@ -287,7 +286,7 @@ def test_dp_rejects_non_finite_queries(bad):
                 col_extreme(oracle, x, direction)
 
 
-def test_json_and_csv_loaders(tmp_path):
+def test_json_loaders():
     obj = {"bounds": [1, 1], "costs": [1, 1], "budget": 1,
            "outputs": [[[0.0], [1.0]], [[0.0], [1.0]]]}
     spec = knapsack_from_json(io.StringIO(json.dumps(obj)))
@@ -304,12 +303,6 @@ def test_json_and_csv_loaders(tmp_path):
     }
     dp2 = dp_from_json(io.StringIO(json.dumps(dp_obj)))
     assert DpOracle(dp2).count_columns() == 3
-
-    path = tmp_path / "mat.csv"
-    path.write_text("1,2\n3,4\n")
-    oracle = dense_from_csv(str(path))
-    assert oracle.matrix.shape == (2, 2)
-    assert oracle.matrix[1, 1] == 4.0
 
 
 def test_knapsack_gather_matches_dp_at_blotto_scale():

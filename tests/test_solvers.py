@@ -8,9 +8,11 @@ import pytest
 from scipy.optimize import linprog
 
 import lmodecomp
+from conftest import md_step_sizes
 from lmodecomp import solvers
 from lmodecomp.certificates import (
     AccuracyCertificate,
+    CertificateError,
     ExecutionProtocol,
     residual_ball_product,
 )
@@ -95,14 +97,18 @@ def test_ellipsoid_two_block_domain():
 
 
 def test_md_certificate_weights_are_normalized_steps():
+    # the normalized step sizes, rebuilt from the protocol, are the candidate
+    # that md_run offers its certificate search
     field = FieldOracle(lambda x: x)
     run = md_run(field, Ball(np.zeros(2), 1.0),
-                 SolverConfig(max_steps=50, start=np.array([0.5, 0.5])))
+                 SolverConfig(max_steps=50, cert_period=10 ** 9, start=np.array([0.5, 0.5])))
     protocol, cert = run.protocol, run.cert
     assert len(protocol) == 50
-    assert abs(cert.weights.sum() - 1.0) < 1e-12
+    gammas = md_step_sizes(protocol, 1.0)
+    steps = AccuracyCertificate(gammas / gammas.sum())
     # gamma_i proportional to 1/sqrt(i) once the running max norm settles
-    assert cert.weights[0] >= cert.weights[-1]
+    assert steps.weights[0] >= steps.weights[-1]
+    assert cert.residual <= residual_ball_product(protocol, steps, (1.0, 0.0), 2)
 
 
 def test_md_rate_on_linear_field():
@@ -376,10 +382,27 @@ def test_rounds_record_support_and_lp_solves(method):
     for r in run.rounds:
         assert r["support"] == np.count_nonzero(r["weights"]) > 0
     solves = [r["lp_solves"] for r in run.rounds]
-    if method == "md":
-        assert solves == [0] * len(solves)
-    else:
-        assert min(solves) >= 0 and max(solves) > 0
+    assert min(solves) >= 0 and max(solves) > 0
+
+
+def test_md_rounds_never_above_the_step_size_certificate():
+    # md_run offers its normalized step sizes to every round's certificate
+    # search, so no round certifies less than they do on its prefix
+    rng = np.random.default_rng(5)
+    skew = rng.normal(size=(4, 4))
+    mat = skew - skew.T + 0.05 * np.eye(4)
+    shift = rng.normal(size=4)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    run = md_run(FieldOracle(lambda x: mat @ x + shift), dom,
+                 SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64))
+    gammas = md_step_sizes(run.protocol, np.sqrt(5.0))  # R of the product
+    assert len(run.rounds) > 3
+    for r in run.rounds:
+        t = r["t"]
+        steps = AccuracyCertificate(gammas[:t] / gammas[:t].sum())
+        bound = residual_ball_product(run.protocol.prefix(t), steps, (1.0, 2.0), 2)
+        assert r["residual"] <= bound
+    assert run.rounds[-1]["residual"] < bound
 
 
 @pytest.mark.parametrize("method", [ellipsoid_run, md_run])
@@ -398,9 +421,21 @@ def test_round_residual_is_the_closed_form_on_its_prefix(method):
         cert = AccuracyCertificate(r["weights"])
         assert r["residual"] == residual_ball_product(run.protocol.prefix(r["t"]), cert,
                                                       (1.0, 2.0), 2)
-        # mirror descent's step-size certificate has no lower bound
-        assert r["cert_lower"] is None if method is md_run else r["cert_lower"] <= r["residual"]
+        assert r["cert_lower"] <= r["residual"]
     assert run.cert.residual == run.rounds[-1]["residual"]
+
+
+def test_round_gap_check_tolerates_rounding_at_its_scale():
+    # an exact gap may exceed the residual by 1e-9 max(1, |value|, scale),
+    # the rounding of a gap computed at that scale, and by no more
+    def gap_above_residual(excess):
+        return lambda protocol, cert, payloads: {"gap": cert.residual + excess, "scale": 1e8}
+
+    field, dom = FieldOracle(lambda x: x + 0.3), Ball(np.zeros(2), 1.0)
+    cfg = SolverConfig(eps_target=1e-12, max_steps=64, cert_period=16)
+    assert len(ellipsoid_run(field, dom, cfg, gap_above_residual(0.09)).rounds) == 4
+    with pytest.raises(CertificateError, match="exceeds certified residual"):
+        ellipsoid_run(field, dom, cfg, gap_above_residual(0.11))
 
 
 def test_reused_dual_completion_changes_no_round(monkeypatch):
@@ -531,6 +566,27 @@ def test_solver_config_validation():
         SolverConfig(cert_period=0)
     with pytest.raises(ValueError, match="max_steps"):
         SolverConfig(max_steps=0)
+
+
+@pytest.mark.parametrize("name, value", [
+    ("eps_target", np.nan), ("gap_threshold", np.nan), ("gap_threshold", -1e-6)])
+def test_solver_config_rejects_unreachable_stops(name, value):
+    # a NaN target is never reached, so such a run would silently go to max_steps
+    with pytest.raises(ValueError, match=name):
+        SolverConfig(**{name: value})
+
+
+def test_ellipsoid_rejects_a_start():
+    # the ellipsoid starts at the origin; a start it would ignore is an error
+    with pytest.raises(ValueError, match="start"):
+        ellipsoid_run(FieldOracle(lambda x: x), Ball(np.zeros(2), 1.0),
+                      SolverConfig(max_steps=5, start=np.array([0.5, 0.5])))
+
+
+def test_md_rejects_a_start_of_another_shape():
+    with pytest.raises(ValueError, match=r"start must be finite of shape \(2,\), not \(3,\)"):
+        md_run(FieldOracle(lambda x: x), Ball(np.zeros(2), 1.0),
+               SolverConfig(max_steps=5, start=np.zeros(3)))
 
 
 def test_domain_rejection():
