@@ -85,10 +85,11 @@ class AccuracyCertificate:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("certificate weights must be a vector")
-        if np.any(w < 0):
+        if (w < 0).any():
             raise ValueError("certificate weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"certificate weights sum to {w.sum()}, expected 1")
+        total = w.sum()
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"certificate weights sum to {total}, expected 1")
         object.__setattr__(self, "weights", w)
 
     def __len__(self):
@@ -151,9 +152,11 @@ def _ball_residual(lam, c, fv, radii, split):
     form of residual_ball_product, and sum_i lam_i F_i, which a certificate
     search reuses.  The one place this formula is written."""
     r_u, r_v = radii
-    # pairwise summation via np.sum keeps accumulation error small on long protocols
-    diag = float(np.sum(lam * c))
+    # pairwise summation (the ufunc reduce of ndarray.sum) keeps accumulation
+    # error small on long protocols
+    diag = float((lam * c).sum())
     # einsum, not a BLAS product: threaded BLAS splits this sum by thread count
     agg = np.einsum("i,ij->j", lam, fv)
-    u, v = agg[:split], agg[split:]  # sqrt(u @ u) is what np.linalg.norm(u) computes
-    return diag + r_u * math.sqrt(u @ u) + r_v * math.sqrt(v @ v), agg
+    # sqrt(u.dot(u)) is what np.linalg.norm(u) computes, without matmul's dispatch
+    u, v = agg[:split], agg[split:]
+    return diag + r_u * math.sqrt(u.dot(u)) + r_v * math.sqrt(v.dot(v)), agg

@@ -224,17 +224,18 @@ class DenseMatrixOracle:
     def col_extreme(self, x, direction):
         _check_direction(direction)
         x = _check_query(x, self.n_rows)
+        # ndarray.dot: the BLAS product of `x @ matrix` without the matmul dispatch
         try:
-            vals = x @ self.matrix
+            vals = x.dot(self.matrix)
             if self.offset is not None:
                 vals += self.offset
         except RuntimeWarning:  # a floating-point flag, when warnings are errors:
             # it may come from a column that is not picked, so only the check below decides
             with np.errstate(over="ignore", invalid="ignore"):
-                vals = x @ self.matrix
+                vals = x.dot(self.matrix)
                 if self.offset is not None:
                     vals += self.offset
-        j = int(np.argmax(vals) if direction == "max" else np.argmin(vals))
+        j = int(vals.argmax() if direction == "max" else vals.argmin())
         value = float(vals[j])
         if not math.isfinite(value):
             raise ValueError("query has non-finite entries" if not np.isfinite(x).all()
@@ -294,13 +295,13 @@ class KnapsackOracle:
         for s, o in enumerate(spec.outputs):
             stack[row_off[s]:row_off[s + 1], act_off[s]:act_off[s + 1]] = o.T
         self._stack = stack
-        # the column of actions a is _flat[_row_start + _row_stride * a[_row_stage]]
+        # row i of the column of actions a is _flat[start + stride * a[stage]]
+        # for (start, stride, stage) = _rows[i], as Python ints
         flat_off = np.cumsum((0,) + tuple(o.size for o in spec.outputs))
         self._flat = np.concatenate([o.ravel() for o in spec.outputs])
-        self._row_stage = np.repeat(np.arange(m), dims)
-        self._row_stride = np.repeat(dims, dims)
-        self._row_start = (flat_off[:-1].repeat(dims)
-                           + np.arange(self.n_rows) - row_off[:-1].repeat(dims))
+        row_start = flat_off[:-1].repeat(dims) + np.arange(self.n_rows) - row_off[:-1].repeat(dims)
+        self._rows = tuple(zip(row_start.tolist(), np.repeat(dims, dims).tolist(),
+                               np.repeat(np.arange(m), dims).tolist()))
         # last stage: the largest affordable action from each budget 0..H
         self._last_cap = np.minimum(bounds[-1], np.arange(H + 1) // costs[-1])
         # middle stages: _middle[s] = (row, tables).  A query's class at stage s
@@ -332,7 +333,7 @@ class KnapsackOracle:
         H, m = spec.budget, spec.horizon
         maximize = direction == "max"
         sign = 1 if maximize else -1
-        values = x @ self._stack
+        values = x.dot(self._stack)
         stage = [values[sl] for sl in self._action_slices]
         upad = np.empty(H + 2)  # upad[1 + y] = optimal continuation from budget y
         upad[0] = -np.inf if maximize else np.inf
@@ -368,8 +369,8 @@ class KnapsackOracle:
         return ColumnHit(tuple(actions), self._column(actions), float(value))
 
     def _column(self, actions):
-        index = self._row_start + self._row_stride * np.array(actions)[self._row_stage]
-        return self._flat.take(index)
+        return self._flat.take([start + stride * actions[stage]
+                                for start, stride, stage in self._rows])
 
     def count_columns(self):
         spec = self.spec

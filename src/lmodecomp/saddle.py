@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificates import ExecutionProtocol
 from .domains import Ball, Product, Simplex
-from .oracles import DenseMatrixOracle, col_extreme, enumerate_columns
+from .oracles import DenseMatrixOracle, enumerate_columns
 from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
 
 __all__ = [
@@ -111,7 +111,7 @@ class MasterProblem:
 
     def coupling(self, u, v):
         """(R u, R^T v)."""
-        return (u, v) if self.S is None else (self.S @ u, self.S.T @ v)
+        return (u, v) if self.S is None else (self.S.dot(u), self.S.T.dot(v))
 
 
 @dataclass(frozen=True)
@@ -178,10 +178,10 @@ def primal_value_grad(master, u, v):
     v = np.asarray(v, dtype=float)
     if u.shape != (master.dim_u,) or v.shape != (master.dim_v,):
         raise ValueError("query dimensions do not match the master problem")
-    w_hit = col_extreme(master.D, v, "min")
-    z_hit = col_extreme(master.A, u, "max")
+    w_hit = master.D.col_extreme(v, "min")
+    z_hit = master.A.col_extreme(u, "max")
     r_u, rt_v = master.coupling(u, v)
-    phi = w_hit.value + z_hit.value - float(v @ r_u)
+    phi = w_hit.value + z_hit.value - float(v.dot(r_u))
     return PrimalEval(phi, z_hit.column - rt_v, w_hit.column - r_u, w_hit, z_hit)
 
 
@@ -190,12 +190,14 @@ def _atoms(cert, hits):
     (w_atoms, z_atoms) and stored columns (w_cols, z_cols), keyed by
     `ColumnHit.key` (the action sequence, with a DP's start state)."""
     w_atoms, z_atoms, w_cols, z_cols = {}, {}, {}, {}
-    for i in np.flatnonzero(cert.weights > 0.0):
-        weight, (w_hit, z_hit) = cert.weights[i], hits[i]
-        w_atoms[w_hit.key] = w_atoms.get(w_hit.key, 0.0) + weight
-        z_atoms[z_hit.key] = z_atoms.get(z_hit.key, 0.0) + weight
-        w_cols[w_hit.key] = w_hit.column
-        z_cols[z_hit.key] = z_hit.column
+    weights = cert.weights
+    for i in (weights > 0.0).nonzero()[0].tolist():
+        weight, (w_hit, z_hit) = weights[i], hits[i]
+        w_key, z_key = w_hit.key, z_hit.key
+        w_atoms[w_key] = w_atoms.get(w_key, 0.0) + weight
+        z_atoms[z_key] = z_atoms.get(z_key, 0.0) + weight
+        w_cols[w_key] = w_hit.column
+        z_cols[z_key] = z_hit.column
     return w_atoms, z_atoms, w_cols, z_cols
 
 
@@ -213,8 +215,8 @@ def _value_bounds(master, w_atoms, z_atoms, w_cols, z_cols):
     agg_z = sum(z_atoms[k] * c for k, c in z_cols.items())
     p_dot_w, q_dot_z = _offset_dot(master.D, w_atoms), _offset_dot(master.A, z_atoms)
     if master.S is None:  # factored: D w and A z are queries of the replies' searches
-        upper = col_extreme(master.A, agg_w, "max").value
-        lower = col_extreme(master.D, agg_z, "min").value
+        upper = master.A.col_extreme(agg_w, "max").value
+        lower = master.D.col_extreme(agg_z, "min").value
     else:  # square: S w and S^T z are the replies' payoffs themselves
         q, p = master.A.offset, master.D.offset
         upper = float((agg_w if q is None else agg_w + q).max())
@@ -233,10 +235,14 @@ def solve_sp(master, solver="ellipsoid", config=None):
     its residual; nothing calls an oracle after the run.
     """
     nu = master.dim_u
+    n = nu + master.dim_v
 
     def fn(xi):
         ev = primal_value_grad(master, xi[:nu], xi[nu:])
-        return np.concatenate([ev.g_u, -ev.g_v]), (ev.w_hit, ev.z_hit)
+        field = np.empty(n)
+        field[:nu] = ev.g_u
+        np.negative(ev.g_v, out=field[nu:])
+        return field, (ev.w_hit, ev.z_hit)
 
     def round_fields(protocol, cert, hits):
         upper, lower = _value_bounds(master, *_atoms(cert, hits))

@@ -66,19 +66,23 @@ class SolverConfig:
 
 class FieldOracle:
     """Vector field xi -> F(xi), optionally returning a side payload
-    (e.g. the matrix columns hit while evaluating the field)."""
+    (e.g. the matrix columns hit while evaluating the field).  A value
+    must be finite and of the query's shape."""
 
     def __init__(self, fn):
         self.fn = fn
 
     def __call__(self, xi):
-        out = self.fn(np.asarray(xi, dtype=float))
+        xi = np.asarray(xi, dtype=float)
+        out = self.fn(xi)
         if isinstance(out, tuple):
             value, payload = out
         else:
             value, payload = out, None
         value = np.asarray(value, dtype=float)
-        if not np.isfinite(value).all():
+        if value.shape != xi.shape:
+            raise ValueError(f"field value has shape {value.shape}, not the query's {xi.shape}")
+        if not all(map(math.isfinite, value.ravel().tolist())):
             raise ValueError("field oracle returned non-finite values")
         return value, payload
 
@@ -109,8 +113,10 @@ def central_cut_log_volume_ratio(n):
 
 
 def _norm(v):
-    """Euclidean norm of a 1-D float vector, as np.linalg.norm computes it."""
-    return math.sqrt(v @ v)
+    """Euclidean norm of a 1-D float vector, as np.linalg.norm computes it:
+    the square root of v.dot(v), the same BLAS dot as `v @ v` without the
+    matmul dispatch."""
+    return math.sqrt(v.dot(v))
 
 
 @functools.cache
@@ -124,7 +130,7 @@ def ellipsoid_cut(center, shape, g):
     """One central-cut update keeping the half-space {x: <g, x - center> <= 0}.
     Returns a new center and shape; the arguments are left as they are."""
     n = center.shape[0]
-    bg = shape.T @ g
+    bg = shape.T.dot(g)
     nbg = _norm(bg)
     if nbg <= 1e-14 * _norm(g):
         raise RuntimeError(
@@ -132,11 +138,11 @@ def ellipsoid_cut(center, shape, g):
             "the method cannot make further progress"
         )
     p = bg / nbg
-    bp = shape @ p
+    bp = shape.dot(p)
     center_new = center - bp / (n + 1.0)
     beta, gamma = _cut_factors(n)
     # beta (shape - gamma bp p^T), updated in the one new array
-    shape_new = np.outer(bp, p)
+    shape_new = np.multiply.outer(bp, p)
     shape_new *= gamma
     np.subtract(shape, shape_new, out=shape_new)
     shape_new *= beta
@@ -216,6 +222,8 @@ class _Run:
         (self.split, r0), *second = self.blocks  # a single ball: the second is empty
         self.radii = (r0, second[0][1] if second else 0.0)
         self.radius = float(np.sqrt(sum(r * r for _, r in self.blocks)))  # of the product
+        # (slice, radius) per block; a single ball has no second one
+        self.balls = _balls(self.radii, self.split, domain.dim)[:len(self.blocks)]
         k = max(d for d, _ in self.blocks)
         self.cert_period = self.config.cert_period or 4 * k * k
         self.field, self.on_certificate = field, on_certificate
@@ -299,15 +307,14 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     for step in range(1, run.config.max_steps + 1):
         # the balls are origin-centered: the first one the center leaves
         # gives the separating cut along its outward normal
-        g, off = None, 0
-        for d, r in run.blocks:
-            block = center[off:off + d]
+        g = None
+        for sl, r in run.balls:
+            block = center[sl]
             norm = _norm(block)
             if norm > r:
                 g = np.zeros(n)
-                g[off:off + d] = block / norm
+                g[sl] = block / norm
                 break
-            off += d
         if g is None:
             g = run.evaluate(center, step)
             if _norm(g) <= 1e-15:
@@ -318,7 +325,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
         except RuntimeError:
             stop = "ellipsoid_degenerate"  # certify what we have
             break
-        if run.entries and step % run.cert_period == 0:
+        if step % run.cert_period == 0 and run.entries:
             stop = run.round(step)
             if stop:
                 break
@@ -332,9 +339,10 @@ def _balls(radii, split, dim):
     return list(zip((slice(0, split), slice(split, dim)), radii))
 
 
-def _project_blocks(x, radii, split):
+def _project_blocks(x, balls):
+    """x projected onto the product of the `balls`, (slice, radius) pairs."""
     out = x.copy()
-    for sl, r in _balls(radii, split, len(x)):
+    for sl, r in balls:
         norm = _norm(out[sl])
         if norm > r:
             out[sl] *= r / norm
@@ -354,19 +362,18 @@ def md_run(field, domain, config=None, on_certificate=None):
     Returns a SolveResult.
     """
     run = _Run(field, domain, config, on_certificate)
-    radii, split = run.radii, run.split
     start = run.config.start
     xi = np.zeros(domain.dim) if start is None else np.array(start, dtype=float)
     if xi.shape != (domain.dim,) or not np.isfinite(xi).all():
         raise ValueError(f"start must be finite of shape ({domain.dim},), not {xi.shape}")
-    xi = _project_blocks(xi, radii, split)
+    xi = _project_blocks(xi, run.balls)
     gammas = []
     lhat, i = 0.0, 0
     for i in range(1, run.config.max_steps + 1):
         value = run.evaluate(xi, i)
-        lhat = max(lhat, float(np.linalg.norm(value)), 1e-30)
-        gammas.append(run.radius / (lhat * np.sqrt(i)))
-        xi = _project_blocks(xi - gammas[-1] * value, radii, split)
+        lhat = max(lhat, _norm(value), 1e-30)
+        gammas.append(run.radius / (lhat * math.sqrt(i)))
+        xi = _project_blocks(xi - gammas[-1] * value, run.balls)
         if i % run.cert_period == 0:
             stop = run.round(i, [AccuracyCertificate(np.divide(gammas, math.fsum(gammas)))])
             if stop:
@@ -460,7 +467,7 @@ class CertificateLP:
         t, known = len(protocol), len(self._c)
         if t > known:
             fv = protocol.field_values[known:]
-            c = np.sum(fv * protocol.points[known:], axis=1)
+            c = (fv * protocol.points[known:]).sum(axis=1)
             peak = np.maximum(np.abs(fv).max(axis=1), np.abs(c))
             if known:
                 peak[0] = max(peak[0], self._peak[-1])
@@ -480,16 +487,20 @@ class CertificateLP:
     def hold(self, in_set, fv, c):
         """Hold exactly the protocol rows i with in_set[i], and every cut."""
         rows, is_row = self.rows, self.rows >= 0
-        drop = np.flatnonzero(is_row & ~in_set[np.where(is_row, rows, 0)])
+        dropped = is_row & ~in_set[np.where(is_row, rows, 0)]
+        drop = dropped.nonzero()[0]
         if len(drop):
             if self.highs.deleteRows(len(drop), drop.astype(np.int32)) == self._error:
                 raise _Rejected(f"HiGHS rejected deleting {len(drop)} rows")
-            rows = self.rows = np.delete(rows, drop)
+            rows = self.rows = rows[~dropped]
         held = np.zeros(len(in_set), dtype=bool)
         held[rows[rows >= 0]] = True
-        new = np.flatnonzero(in_set & ~held)
+        new = (in_set & ~held).nonzero()[0]
         if len(new):
-            self._add_rows(np.hstack([np.ones((len(new), 1)), -fv[new]]), c[new], new)
+            coef = np.empty((len(new), 1 + fv.shape[1]))
+            coef[:, 0] = 1.0
+            np.negative(fv[new], out=coef[:, 1:])
+            self._add_rows(coef, c[new], new)
 
     def add_cut(self, coef, rhs):
         """Append the row <coef, (s, a, b)> <= rhs."""
@@ -549,6 +560,7 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
         raise ValueError("cannot optimize a certificate for an empty protocol")
     d = protocol.dim
     fv = protocol.field_values
+    balls = _balls(radii, split, d)
     if lp is None:
         lp = CertificateLP(radii, split, d)
     c, scale = lp.terms(protocol)
@@ -568,15 +580,15 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     def completion_values(lam, f, agg):
         # a round starts from the last one's best weights, whose completion
         # usually has the same inputs: reuse it where they are equal bit for bit
-        supp = np.flatnonzero(lam > 0.0)
+        supp = (lam > 0.0).nonzero()[0]
         inputs = np.concatenate((radii, (split, scale, f), agg, c[supp],
                                  fv[supp].ravel())).tobytes()
         if lp.completion is not None and lp.completion[0] == inputs:
             x = lp.completion[1]
         else:
-            x = _dual_completion(supp, f, agg, c, fv, radii, split, scale)
+            x = _dual_completion(supp, f, agg, c, fv, balls, scale)
             lp.completion = inputs, x
-        return c + fv @ _project_blocks(x, radii, split)
+        return c + fv.dot(_project_blocks(x, balls))
 
     best = None
     for lam in tried:  # the first of equal residuals wins
@@ -598,23 +610,24 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
                 break  # numerical trouble: keep the best certificate found so far
             x, lam = solution
             s, ab = x[0], x[1:]
-            proj = _project_blocks(ab, radii, split)
-            lower = max(lower, float((c + fv @ proj).min()))
-            if lam.sum() > 0.0:
-                lam /= lam.sum()
+            proj = _project_blocks(ab, balls)
+            lower = max(lower, float((c + fv.dot(proj)).min()))
+            total = lam.sum()
+            if total > 0.0:
+                lam /= total
                 f, agg = _ball_residual(lam, c, fv, radii, split)
                 if f < f_best:  # an unchanged best's completion is already in `lower`
                     best, f_best = lam, f
                     lower = max(lower, float(completion_values(lam, f, agg).min()))
             cut = False
-            for sl, r in _balls(radii, split, d):
-                if np.any(proj[sl] != ab[sl]):  # outside this ball: cut at the projection
+            for sl, r in balls:
+                if (proj[sl] != ab[sl]).any():  # outside this ball: cut at the projection
                     coef = np.zeros(1 + d)
                     coef[1:][sl] = proj[sl] / r
                     lp.add_cut(coef, r)
                     cut = True
-            at_ab = c + fv @ ab
-            violated = np.flatnonzero(~in_set & (at_ab < s - 1e-12 * scale))
+            at_ab = c + fv.dot(ab)
+            violated = (~in_set & (at_ab < s - 1e-12 * scale)).nonzero()[0]
             if len(violated) == 0 and not cut:
                 break  # the LP optimum is feasible for the balls and all rows
             in_set[violated[_smallest(at_ab[violated], 4 * (d + 1))]] = True
@@ -631,11 +644,11 @@ def _smallest(v, k):
     if k >= len(v):
         return np.arange(len(v))
     kth = np.partition(v, k - 1)[k - 1]
-    below = np.flatnonzero(v < kth)
-    return np.concatenate([below, np.flatnonzero(v == kth)[:k - len(below)]])
+    below = (v < kth).nonzero()[0]
+    return np.concatenate([below, (v == kth).nonzero()[0][:k - len(below)]])
 
 
-def _dual_completion(supp, f, agg, c, fv, radii, split, scale):
+def _dual_completion(supp, f, agg, c, fv, balls, scale):
     """The point (a, b) that pairs with weights lam if lam is optimal: R
     times the direction of a block's aggregate agg = sum_i lam_i F_i where
     that is nonzero, elsewhere the least-norm (in radius units) solution of
@@ -644,7 +657,7 @@ def _dual_completion(supp, f, agg, c, fv, radii, split, scale):
     x = np.zeros(fv.shape[1])
     radius = np.zeros(fv.shape[1])
     free = np.zeros(fv.shape[1], dtype=bool)
-    for sl, r in _balls(radii, split, fv.shape[1]):
+    for sl, r in balls:
         radius[sl] = r
         norm = _norm(agg[sl])
         if norm > 1e-12 * scale:
@@ -652,7 +665,7 @@ def _dual_completion(supp, f, agg, c, fv, radii, split, scale):
         else:
             free[sl] = True
     if free.any():
-        rhs = f - c[supp] - fv[supp][:, ~free] @ x[~free]
+        rhs = f - c[supp] - fv[supp][:, ~free].dot(x[~free])
         x[free] = np.linalg.lstsq(fv[supp][:, free] * radius[free], rhs, rcond=None)[0]
         x[free] *= radius[free]
     return x

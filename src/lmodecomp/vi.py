@@ -200,16 +200,16 @@ class NashSkewSystem:
     def eta_argmin(self, x1, x2):
         spec = self.spec
         # player l's reply maximizes <y_l, D_l e_j> - g_lj: D_l carries the offset -g_l
-        y = 0.5 * np.asarray(x2, dtype=float) + spec.C.T @ np.asarray(x1, dtype=float)
+        y = 0.5 * np.asarray(x2, dtype=float) + spec.C.T.dot(np.asarray(x1, dtype=float))
         d = np.empty(self.K)
         atoms, value = [], 0.0
         for l, sl in enumerate(spec.row_slices):
-            hit = col_extreme(spec.D[l], y[sl], "max")
+            hit = spec.D[l].col_extreme(y[sl], "max")
             value -= hit.value
             d[sl] = hit.column
             atoms.append(hit.key)
         atoms = tuple(atoms)
-        return EtaHit(atoms, spec.C @ d, 0.5 * d, value, self.f_dot_atoms(atoms))
+        return EtaHit(atoms, spec.C.dot(d), 0.5 * d, value, self.f_dot_atoms(atoms))
 
     def apply_P_atoms(self, atoms):
         spec = self.spec
@@ -308,9 +308,11 @@ def build_skew_vi_primal(spec):
     k = spec.K
 
     def fn(xi):
-        xi1, xi2 = xi[:k], xi[k:]
-        hit = spec.system.eta_argmin(xi1, xi2)
-        return np.concatenate([xi2 + hit.p_vec, -xi1 + hit.q_vec]), hit
+        hit = spec.system.eta_argmin(xi[:k], xi[k:])
+        field = np.empty(2 * k)
+        np.add(xi[k:], hit.p_vec, out=field[:k])
+        np.subtract(hit.q_vec, xi[:k], out=field[k:])  # -xi1 + Q eta, the same bits
+        return field, hit
 
     return FieldOracle(fn)
 

@@ -263,6 +263,25 @@ def test_dense_overflow_in_an_unpicked_column_is_no_error(mode):
             assert hit.key == (1,) and hit.value == 1e300
 
 
+@pytest.mark.parametrize("with_offset", [False, True])
+def test_dense_col_extreme_is_the_matmul_argmax_on_ties(with_offset):
+    # small integer tables and queries tie often: the pick is still the
+    # first extreme of x @ M (+ offset), with that score to the bit
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        k, n = int(rng.integers(1, 6)), int(rng.integers(1, 40))
+        matrix = rng.integers(-2, 3, size=(k, n)).astype(float)
+        offset = rng.integers(-1, 2, size=n).astype(float) if with_offset else None
+        x = rng.integers(-2, 3, size=k) * rng.choice([0.5, 1.0, 3.0])
+        scores = x @ matrix if offset is None else x @ matrix + offset
+        oracle = DenseMatrixOracle(matrix, offset)
+        for direction, pick in (("max", np.argmax), ("min", np.argmin)):
+            hit = oracle.col_extreme(x, direction)
+            j = int(pick(scores))
+            assert hit.key == (j,) and hit.value == scores[j]
+            assert hit.column.tobytes() == matrix[:, j].tobytes()
+
+
 def test_dense_column_takes_one_index_in_range():
     oracle = DenseMatrixOracle(np.arange(6.0).reshape(2, 3))
     assert np.array_equal(oracle.column((2,)), [2.0, 5.0])

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -67,6 +68,55 @@ def test_cut_halves_correct_side():
     g = np.array([1.0, 0.0, 0.0])
     c_new, _ = ellipsoid_cut(center, shape, g)
     assert g @ (c_new - center) < 0
+
+
+def _textbook_cut(center, shape, g):
+    """The central cut as it is usually written, with matmul, np.linalg.norm
+    and np.outer: p = B^T g / ||B^T g||, c - B p / (n + 1) and
+    beta (B - gamma (B p) p^T)."""
+    n = len(center)
+    bg = shape.T @ g
+    p = bg / np.linalg.norm(bg)
+    bp = shape @ p
+    beta, gamma = n / math.sqrt(n * n - 1.0), 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
+    return center - bp / (n + 1.0), beta * (shape - gamma * np.outer(bp, p))
+
+
+@pytest.mark.parametrize("n", [2, 6, 12, 16, 24])
+def test_ellipsoid_cut_is_the_textbook_formula_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    for _ in range(20):
+        scale = 10.0 ** rng.integers(-3, 4)
+        center, g = rng.normal(size=n), rng.normal(size=n) * scale
+        shape = (rng.normal(size=(n, n)) + 3 * np.eye(n)) * scale
+        before = [a.copy() for a in (center, shape, g)]
+        expected = _textbook_cut(center, shape, g)
+        got = ellipsoid_cut(center, shape, g)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert got[0] is not center and got[1] is not shape
+        # the arguments are left as they are
+        assert [a.tobytes() for a in (center, shape, g)] == [a.tobytes() for a in before]
+
+
+def test_norm_is_numpys_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for n in (1, 2, 3, 6, 12, 16, 24, 100):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            v = rng.normal(size=n) * scale
+            assert solvers._norm(v) == np.linalg.norm(v)
+            assert solvers._norm(v[: n // 2 + 1]) == np.linalg.norm(v[: n // 2 + 1])
+
+
+@pytest.mark.parametrize("method", [ellipsoid_run, md_run])
+@pytest.mark.parametrize("fn, shape", [
+    (lambda x: float(x.sum()) + 1.0, r"\(\)"),  # a scalar would broadcast into every entry
+    (lambda x: x[:3] + 1.0, r"\(3,\)"),
+    (lambda x: np.outer(x, x).ravel() + 1.0, r"\(16,\)"),
+])
+def test_field_value_of_another_shape_is_rejected(method, fn, shape):
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 1.0)])
+    with pytest.raises(ValueError, match=rf"field value has shape {shape}, not the query's \(4,\)"):
+        method(FieldOracle(fn), dom, SolverConfig(max_steps=50))
 
 
 def test_ellipsoid_linear_field_certificate():
@@ -501,11 +551,20 @@ def test_round_protocols_are_stable_prefixes(method):
         assert protocol.step_ids[:t] == snap.step_ids
 
 _DETERMINISM_SCRIPT = """
+import hashlib
 import numpy as np
 from lmodecomp import (BilinearSpSpec, BlottoSpec, DenseMatrixOracle, KnapsackOracle,
                        KnapsackSpec, NashSpec, SolverConfig, build_master_example2,
                        nash_to_skew, solve_blotto, solve_sp, solve_vi)
 from lmodecomp.blotto import random_rank1_omegas
+
+def print_rounds(run):
+    # every round, not only the last: its residual, gap and a digest of its weights' bytes
+    for r in run.rounds:
+        gap = None if r["gap"] is None else float(r["gap"]).hex()
+        print(r["step"], r["t"], float(r["residual"]).hex(), gap, r["lp_solves"],
+              hashlib.sha256(r["weights"].tobytes()).hexdigest())
+
 rng = np.random.default_rng(5)
 A, D = rng.normal(size=(3, 90)), rng.normal(size=(3, 80))
 spec = BilinearSpSpec(A=DenseMatrixOracle(A), D=DenseMatrixOracle(D))
@@ -513,6 +572,7 @@ sol = solve_sp(build_master_example2(spec),
                config=SolverConfig(eps_target=2e-7, gap_threshold=2e-7))
 print(repr(sol.gap_bound))
 print(sol.cert.weights.tobytes().hex())
+print_rounds(sol)
 # rank-2 losses: two output rows per field in the knapsack searches
 omegas = [rng.uniform(size=(5, 2)) @ rng.uniform(size=(2, 5)) for _ in range(3)]
 rep = solve_blotto(BlottoSpec(caps_a=(4,) * 3, caps_d=(4,) * 3, costs_a=(1,) * 3,
@@ -521,6 +581,7 @@ rep = solve_blotto(BlottoSpec(caps_a=(4,) * 3, caps_d=(4,) * 3, costs_a=(1,) * 3
 print(repr(rep.gap), repr(rep.gap_exact), rep.steps)
 print([(k, w.hex()) for k, w in sorted(rep.attacker_atoms.items())])
 print([(k, w.hex()) for k, w in sorted(rep.defender_atoms.items())])
+print_rounds(rep)
 # rank-1 losses on 4 fields, mixed optimum: the middle stages search their record actions
 rep = solve_blotto(BlottoSpec(caps_a=(6,) * 4, caps_d=(6,) * 4, costs_a=(1,) * 4,
                               costs_d=(1,) * 4, budget_a=6, budget_d=6,
@@ -529,6 +590,7 @@ rep = solve_blotto(BlottoSpec(caps_a=(6,) * 4, caps_d=(6,) * 4, costs_a=(1,) * 4
 print(repr(rep.gap), repr(rep.gap_exact), rep.steps)
 print([(k, w.hex()) for k, w in sorted(rep.attacker_atoms.items())])
 print([(k, w.hex()) for k, w in sorted(rep.defender_atoms.items())])
+print_rounds(rep)
 # 3-player Nash on 2-stage knapsacks: each round's gap reads P eta off the payloads
 D = [KnapsackOracle(KnapsackSpec(bounds=(cap, cap), costs=(1, 1), budget=cap,
                                  outputs=(rng.normal(size=(cap + 1, 1)),
@@ -541,6 +603,7 @@ sol = solve_vi(nash_to_skew(NashSpec(D=D, M=M)),
                config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
 print(float(sol.eps_bound).hex(), float(sol.eps_exact).hex(), sol.steps)
 print([(k, w.hex()) for k, w in sorted(sol.eta_atoms.items())])
+print_rounds(sol)
 """
 
 
@@ -550,7 +613,8 @@ def test_results_identical_across_blas_thread_counts():
     src_root = str(Path(lmodecomp.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src_root, env.get("PYTHONPATH")]))
         proc = subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], env=env,
                               capture_output=True, text=True, timeout=300)
