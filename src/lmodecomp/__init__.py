@@ -9,7 +9,7 @@ from .certificates import (
     residual,
     residual_ball_product,
 )
-from .domains import Ball, Domain, FiniteAtoms, Product, Simplex, lmo_argmin
+from .domains import Ball, Domain, FiniteAtoms, Product, Simplex
 from .oracles import (
     ColumnHit,
     DenseMatrixOracle,
@@ -18,8 +18,6 @@ from .oracles import (
     KnapsackOracle,
     KnapsackSpec,
     bellman_backward,
-    col_extreme,
-    count_columns,
     dp_from_knapsack,
     enumerate_columns,
 )

@@ -16,7 +16,6 @@ __all__ = [
     "Ball",
     "Product",
     "FiniteAtoms",
-    "lmo_argmin",
 ]
 
 
@@ -169,10 +168,3 @@ class FiniteAtoms(Domain):
     def __repr__(self):
         return f"FiniteAtoms(n={self.atoms.shape[0]}, dim={self.dim})"
 
-
-def lmo_argmin(domain, c):
-    """Minimize the linear form <c, .> over `domain`.
-
-    Returns (point, value) with a deterministic lowest-index tie-break.
-    """
-    return domain.lmo(c)

@@ -23,9 +23,6 @@ __all__ = [
     "DenseMatrixOracle",
     "KnapsackOracle",
     "DpOracle",
-    "col_extreme",
-    "column_of_key",
-    "count_columns",
     "bellman_backward",
     "dp_from_knapsack",
     "enumerate_columns",
@@ -393,6 +390,9 @@ class KnapsackOracle:
                 (actions >= 0) & (actions <= self.spec.bounds)).all():
             raise ValueError(f"action sequence {tuple(action_sequence)} is not within the "
                              f"stage bounds {self.spec.bounds}")
+        if actions.dot(self.spec.costs) > self.spec.budget:
+            raise ValueError(f"action sequence {tuple(action_sequence)} costs more than "
+                             f"the budget {self.spec.budget}")
         return self._column(actions)
 
     def column_norm_bound(self):
@@ -448,9 +448,17 @@ class DpOracle:
             counts = new
         return sum(counts[st] for st in dp.start_states)
 
-    def column(self, action_sequence, start_state=None):
-        start = start_state if start_state is not None else dp_default_start(self.system)
-        return _column_from_trajectory(self.system, start, action_sequence)
+    def column(self, key):
+        """The column of `key`, a `ColumnHit.key`: (start state, action sequence)."""
+        try:
+            start, actions = key
+            actions = tuple(actions)
+        except (TypeError, ValueError):
+            raise ValueError(f"column key {key!r} is not a (start state, action sequence) "
+                             f"pair") from None
+        if not isinstance(start, (int, np.integer)) or start not in self.system.start_states:
+            raise ValueError(f"start state {start!r} is not one of {self.system.start_states}")
+        return _column_from_trajectory(self.system, start, actions)
 
     def column_norm_bound(self):
         dp = self.system
@@ -461,12 +469,6 @@ class DpOracle:
                 best = max(best, float((np.linalg.norm(dp.outputs[s][st], axis=1) ** 2).max()))
             total += best
         return float(np.sqrt(total))
-
-
-def dp_default_start(system):
-    if len(system.start_states) != 1:
-        raise ValueError("start state required when the system has several start states")
-    return system.start_states[0]
 
 
 def _column_from_trajectory(dp, start, actions):
@@ -556,33 +558,12 @@ def dp_from_knapsack(spec):
     )
 
 
-# ---------------------------------------------------------------------------
-# module-level dispatch
-
-def col_extreme(oracle, x, direction):
-    """Column of the implicit matrix extremizing <x, column>."""
-    return oracle.col_extreme(x, direction)
-
-
-def column_of_key(oracle, key):
-    """The column of the pure strategy `key`, a `ColumnHit.key`: for a DP
-    the start state and action sequence, elsewhere the action sequence."""
-    if isinstance(oracle, DpOracle):
-        start, actions = key
-        return oracle.column(actions, start)
-    return oracle.column(key)
-
-
-def count_columns(oracle):
-    """Exact column count (Python big integer for knapsack/DP kinds)."""
-    return oracle.count_columns()
-
-
 def enumerate_columns(oracle, limit=10 ** 6):
     """Materialize all columns: (list of column keys, K x L matrix).
 
     The keys are those of `ColumnHit.key`: the action sequence, paired
-    with the start state for a DP.
+    with the start state for a DP.  A knapsack is walked as its DP
+    (`dp_from_knapsack`), whose one start state the keys leave out.
     Intended for desk-scale instances and brute-force checks; raises when
     the column count exceeds `limit`.
     """
@@ -592,23 +573,8 @@ def enumerate_columns(oracle, limit=10 ** 6):
     if isinstance(oracle, DenseMatrixOracle):
         return [(j,) for j in range(oracle.matrix.shape[1])], oracle.matrix.copy()
 
-    if isinstance(oracle, KnapsackOracle):
-        spec = oracle.spec
-        seqs = []
-
-        def rec(s, budget, prefix):
-            if s == spec.horizon:
-                seqs.append(tuple(prefix))
-                return
-            amax = min(spec.bounds[s], budget // spec.costs[s])
-            for a in range(amax + 1):
-                rec(s + 1, budget - a * spec.costs[s], prefix + [a])
-
-        rec(0, spec.budget, [])
-        cols = np.stack([oracle.column(seq) for seq in seqs], axis=1)
-        return seqs, cols
-
-    dp = oracle.system
+    knapsack = isinstance(oracle, KnapsackOracle)
+    dp = dp_from_knapsack(oracle.spec) if knapsack else oracle.system
     seqs, cols = [], []
 
     def walk(s, state, acts, parts, start):
@@ -622,6 +588,8 @@ def enumerate_columns(oracle, limit=10 ** 6):
 
     for start in dp.start_states:
         walk(0, start, [], [], start)
+    if knapsack:  # one start state, the budget: the key is the action sequence
+        seqs = [actions for _, actions in seqs]
     return seqs, np.stack(cols, axis=1)
 
 

@@ -17,8 +17,8 @@ import numpy as np
 
 # residual_ball_product is unused here: benchmark tracing wraps this module's name
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
-from .domains import Ball, FiniteAtoms, Product, Simplex, lmo_argmin
-from .oracles import DenseMatrixOracle, col_extreme, column_of_key, json_object, matrix_side
+from .domains import Ball, FiniteAtoms, Product, Simplex
+from .oracles import DenseMatrixOracle, json_object, matrix_side
 from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
 
 __all__ = [
@@ -213,8 +213,7 @@ class NashSkewSystem:
 
     def apply_P_atoms(self, atoms):
         spec = self.spec
-        return spec.C @ np.concatenate([column_of_key(spec.D[l], atom)
-                                        for l, atom in enumerate(atoms)])
+        return spec.C @ np.concatenate([spec.D[l].column(atom) for l, atom in enumerate(atoms)])
 
     def f_dot_atoms(self, atoms):
         g = self.spec.g
@@ -296,7 +295,7 @@ def build_affine_vi_primal(spec):
     eta_bar(xi) = argmin_{eta in H} <S xi + s, eta>; one LMO call each."""
 
     def fn(xi):
-        eta_bar, _ = lmo_argmin(spec.H, spec.apply_S(xi) + spec.s)
+        eta_bar, _ = spec.H.lmo(spec.apply_S(xi) + spec.s)
         return spec.apply_St(xi - eta_bar), {"eta": eta_bar}
 
     return FieldOracle(fn)
@@ -462,7 +461,7 @@ def eps_nash(spec, eta_blocks):
     for l in range(L):
         blk = eta_blocks[l]
         if isinstance(blk, dict):
-            encoded.append(sum(w * column_of_key(spec.D[l], a) for a, w in blk.items()))
+            encoded.append(sum(w * spec.D[l].column(a) for a, w in blk.items()))
         else:
             encoded.append(spec.D[l].matrix @ np.asarray(blk, dtype=float))
     encoded = np.concatenate(encoded)
@@ -477,7 +476,7 @@ def eps_nash(spec, eta_blocks):
                 own += float(sum(w * spec.g[l][a[0]] for a, w in blk.items()))
             else:
                 own += float(spec.g[l] @ np.asarray(blk, dtype=float))
-        best = -col_extreme(spec.D[l], -y, "max").value  # min_j <y, D_l e_j> + g_lj
+        best = -spec.D[l].col_extreme(-y, "max").value  # min_j <y, D_l e_j> + g_lj
         total += own - best
     return total
 

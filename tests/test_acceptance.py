@@ -25,7 +25,6 @@ from lmodecomp.oracles import (
     DpOracle,
     KnapsackOracle,
     KnapsackSpec,
-    col_extreme,
     dp_from_knapsack,
     enumerate_columns,
 )
@@ -90,7 +89,7 @@ def test_criterion_01_oracle_equivalence():
             x = rng.normal(size=oracle.n_rows)
             vals = x @ cols
             for direction, pick in (("max", np.argmax), ("min", np.argmin)):
-                hit = col_extreme(oracle, x, direction)
+                hit = oracle.col_extreme(x, direction)
                 j = int(pick(vals))
                 ok &= seqs[j] == hit.key
                 ok &= abs(vals[j] - hit.value) < 1e-9

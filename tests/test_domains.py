@@ -1,23 +1,23 @@
 import numpy as np
 import pytest
 
-from lmodecomp.domains import Ball, FiniteAtoms, Product, Simplex, lmo_argmin
+from lmodecomp.domains import Ball, FiniteAtoms, Product, Simplex
 
 
 def test_simplex_lmo_min_entry():
-    point, value = lmo_argmin(Simplex(3), np.array([3.0, 1.0, 2.0]))
+    point, value = Simplex(3).lmo(np.array([3.0, 1.0, 2.0]))
     assert np.array_equal(point, [0.0, 1.0, 0.0])
     assert value == 1.0
 
 
 def test_simplex_lmo_tie_break_lowest_index():
-    point, value = lmo_argmin(Simplex(3), np.zeros(3))
+    point, value = Simplex(3).lmo(np.zeros(3))
     assert np.array_equal(point, [1.0, 0.0, 0.0])
     assert value == 0.0
 
 
 def test_ball_lmo():
-    point, value = lmo_argmin(Ball(np.zeros(2), 2.0), np.array([3.0, 4.0]))
+    point, value = Ball(np.zeros(2), 2.0).lmo(np.array([3.0, 4.0]))
     assert np.allclose(point, [-1.2, -1.6])
     assert abs(value + 10.0) < 1e-12
 

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from test_vi import dp_start_states_nash_spec
 from lmodecomp.blotto import BlottoSpec, build_blotto, random_rank1_omegas
 from lmodecomp.oracles import (
     DenseMatrixOracle,
@@ -13,8 +14,6 @@ from lmodecomp.oracles import (
     KnapsackOracle,
     KnapsackSpec,
     bellman_backward,
-    col_extreme,
-    count_columns,
     dp_from_json,
     dp_from_knapsack,
     enumerate_columns,
@@ -44,7 +43,7 @@ def random_knapsack(rng, max_cols=10 ** 4):
 
 def test_dense_col_extreme():
     oracle = DenseMatrixOracle([[1.0, 2.0], [3.0, 4.0]])
-    hit = col_extreme(oracle, np.array([1.0, 1.0]), "max")
+    hit = oracle.col_extreme(np.array([1.0, 1.0]), "max")
     assert hit.action_sequence == (1,)
     assert hit.value == 6.0
     assert np.array_equal(hit.column, [2.0, 4.0])
@@ -52,12 +51,12 @@ def test_dense_col_extreme():
 
 def test_dense_offset_scores_columns_without_changing_them():
     oracle = DenseMatrixOracle([[1.0, 2.0, 3.0], [0.0, 5.0, 0.0]], offset=[1.0, 0.0, -1.0])
-    hit = col_extreme(oracle, np.array([2.0, 0.0]), "max")   # scores 3, 4, 5
+    hit = oracle.col_extreme(np.array([2.0, 0.0]), "max")   # scores 3, 4, 5
     assert hit.action_sequence == (2,)
     assert hit.value == 5.0                                  # includes the offset
     assert np.array_equal(hit.column, [3.0, 0.0])            # the column does not
     for direction in ("max", "min"):                         # scores 2, 2, 2
-        hit = col_extreme(oracle, np.array([1.0, 0.0]), direction)
+        hit = oracle.col_extreme(np.array([1.0, 0.0]), direction)
         assert hit.action_sequence == (0,) and hit.value == 2.0
     with pytest.raises(ValueError, match=r"offset has shape \(2,\)"):
         DenseMatrixOracle(np.eye(3), offset=[1.0, 2.0])
@@ -65,11 +64,11 @@ def test_dense_offset_scores_columns_without_changing_them():
 
 def test_knapsack_spec_example_queries():
     oracle = KnapsackOracle(small_knapsack())
-    hit = col_extreme(oracle, np.array([2.0, 3.0]), "max")
+    hit = oracle.col_extreme(np.array([2.0, 3.0]), "max")
     assert hit.action_sequence == (0, 1)
     assert np.array_equal(hit.column, [0.0, 1.0])
     assert hit.value == 3.0
-    hit = col_extreme(oracle, np.array([2.0, 3.0]), "min")
+    hit = oracle.col_extreme(np.array([2.0, 3.0]), "min")
     assert hit.action_sequence == (0, 0)
     assert hit.value == 0.0
 
@@ -127,20 +126,20 @@ def test_oracle_matches_enumeration():
             x = rng.normal(size=oracle.n_rows)
             vals = x @ cols
             for direction, pick in (("max", np.argmax), ("min", np.argmin)):
-                hit = col_extreme(oracle, x, direction)
+                hit = oracle.col_extreme(x, direction)
                 j = int(pick(vals))
                 assert seqs[j] == hit.action_sequence
                 assert abs(vals[j] - hit.value) < 1e-9
     for bad in (np.zeros(oracle.n_rows + 1), np.zeros((1, oracle.n_rows))):
         with pytest.raises(ValueError, match="does not match row count"):
-            col_extreme(oracle, bad, "max")
+            oracle.col_extreme(bad, "max")
 
 
 def test_lexicographic_tie_break():
     # two stages with identical zero outputs: every column ties at 0
     spec = KnapsackSpec(bounds=(2, 2), costs=(1, 1), budget=2,
                         outputs=(np.zeros((3, 1)), np.zeros((3, 1))))
-    hit = col_extreme(KnapsackOracle(spec), np.array([1.0, 1.0]), "max")
+    hit = KnapsackOracle(spec).col_extreme(np.array([1.0, 1.0]), "max")
     assert hit.action_sequence == (0, 0)
 
 
@@ -153,8 +152,8 @@ def test_dp_from_knapsack_equivalent():
         for _ in range(10):
             x = rng.normal(size=oracle.n_rows)
             for direction in ("max", "min"):
-                h1 = col_extreme(oracle, x, direction)
-                h2 = col_extreme(dp, x, direction)
+                h1 = oracle.col_extreme(x, direction)
+                h2 = dp.col_extreme(x, direction)
                 assert h1.action_sequence == h2.action_sequence
                 assert abs(h1.value - h2.value) < 1e-9
                 assert np.allclose(h1.column, h2.column)
@@ -168,9 +167,9 @@ def test_bellman_tables_spec_example():
     assert tables.values[1][0] == 0.0
     assert tables.values[0][1] == 3.0
     dpo = DpOracle(dp)
-    assert col_extreme(dpo, np.array([2.0, 3.0]), "max").action_sequence == (0, 1)
+    assert dpo.col_extreme(np.array([2.0, 3.0]), "max").action_sequence == (0, 1)
     # ties go to the lexicographically smallest action sequence
-    assert col_extreme(dpo, np.zeros(2), "max").action_sequence == (0, 0)
+    assert dpo.col_extreme(np.zeros(2), "max").action_sequence == (0, 0)
 
 
 def test_column_norm_bound_dominates():
@@ -182,7 +181,7 @@ def test_column_norm_bound_dominates():
 
 def test_column_reconstruction():
     oracle = KnapsackOracle(small_knapsack())
-    hit = col_extreme(oracle, np.array([1.0, -1.0]), "max")
+    hit = oracle.col_extreme(np.array([1.0, -1.0]), "max")
     assert np.array_equal(oracle.column(hit.action_sequence), hit.column)
 
 
@@ -206,7 +205,7 @@ def test_knapsack_rejects_non_finite_queries(bad):
         x[row] = bad
         for direction in ("max", "min"):
             with pytest.raises(ValueError, match="non-finite"):
-                col_extreme(oracle, x, direction)
+                oracle.col_extreme(x, direction)
 
 
 @pytest.mark.parametrize("offset", [None, (0.5, -1.0, 2.0)])
@@ -222,10 +221,10 @@ def test_dense_rejects_non_finite_queries(bad, offset):
         x[row] = bad
         for direction in ("max", "min"):
             with pytest.raises(ValueError, match="non-finite"):
-                col_extreme(oracle, x, direction)
+                oracle.col_extreme(x, direction)
     # a NaN meets a zero entry quietly
     with pytest.raises(ValueError, match="non-finite"):
-        col_extreme(DenseMatrixOracle(np.eye(3)), [1.0, np.nan, 0.0], "max")
+        DenseMatrixOracle(np.eye(3)).col_extreme([1.0, np.nan, 0.0], "max")
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf])
@@ -238,9 +237,9 @@ def test_dense_rejects_infinite_queries_that_meet_zeros(bad):
         for x in ([bad, 1.0], [1.0, bad]):
             for direction in ("max", "min"):
                 with pytest.raises(ValueError, match="non-finite"):
-                    col_extreme(oracle, x, direction)
+                    oracle.col_extreme(x, direction)
         with pytest.raises(ValueError, match="overflows"):
-            col_extreme(DenseMatrixOracle([[1e300, 1.0]]), [1e300], "max")
+            DenseMatrixOracle([[1e300, 1.0]]).col_extreme([1e300], "max")
 
 
 def test_dense_rejects_non_finite_tables_and_overflow():
@@ -249,7 +248,7 @@ def test_dense_rejects_non_finite_tables_and_overflow():
     with pytest.raises(ValueError, match="finite"):
         DenseMatrixOracle([[1.0, 2.0]], offset=(0.0, -np.inf))
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
-        col_extreme(DenseMatrixOracle([[1e300, 1.0]]), [1e300], "max")
+        DenseMatrixOracle([[1e300, 1.0]]).col_extreme([1e300], "max")
 
 
 @pytest.mark.parametrize("mode", ["ignore", "error"])
@@ -259,7 +258,7 @@ def test_dense_overflow_in_an_unpicked_column_is_no_error(mode):
     with warnings.catch_warnings():
         warnings.simplefilter(mode)
         for row, direction in ((-1e300, "max"), (1e300, "min")):
-            hit = col_extreme(DenseMatrixOracle([[row, 1.0]]), [1e300], direction)
+            hit = DenseMatrixOracle([[row, 1.0]]).col_extreme([1e300], direction)
             assert hit.key == (1,) and hit.value == 1e300
 
 
@@ -290,6 +289,53 @@ def test_dense_column_takes_one_index_in_range():
             oracle.column(bad)
 
 
+def test_dp_column_takes_a_start_state_and_action_sequence():
+    # one stage of 4 states with actions 0 and 1; trajectories start at 0 or 2
+    oracle = DpOracle(dp_from_json({
+        "n_states": [4], "actions": [[[0, 1]] * 4], "transitions": [],
+        "outputs": [[[[1.0], [2.0]], [[3.0], [4.0]], [[5.0], [6.0]], [[7.0], [8.0]]]],
+        "start_states": [0, 2]}))
+    assert np.array_equal(oracle.column((2, (1,))), [6.0])
+    assert np.array_equal(oracle.column((np.int64(0), [0])), [1.0])
+    pair = r"not a \(start state, action sequence\) pair"
+    for bad, message in (((99, (0,)), "start state 99 is not one of"),   # out of range
+                         ((1, (0,)), "start state 1 is not one of"),     # not a start state
+                         ((2.0, (0,)), "start state 2.0 is not one of"),
+                         (((0,), 0), "start state"),
+                         ((0,), pair),
+                         ((0, (1,), 2), pair),
+                         ((0, 1), pair),
+                         (7, pair),
+                         ((0, (0, 0)), "length must equal the horizon"),
+                         ((0, (5,)), "infeasible")):
+        with pytest.raises(ValueError, match=message):
+            oracle.column(bad)
+
+
+@pytest.mark.parametrize("kind", ["dense", "dense-offset", "knapsack", "dp-two-starts"])
+def test_column_takes_the_key_of_its_own_hits(kind):
+    # one key contract for every oracle: column(hit.key) is the hit's column,
+    # and enumerate_columns lists every key with its column
+    rng = np.random.default_rng(17)
+    matrix = rng.normal(size=(3, 5))
+    oracle = {"dense": DenseMatrixOracle(matrix),
+              "dense-offset": DenseMatrixOracle(matrix, offset=rng.normal(size=5)),
+              "knapsack": random_knapsack(rng, max_cols=500),
+              "dp-two-starts": dp_start_states_nash_spec().D[0]}[kind]
+    keys, cols = enumerate_columns(oracle)
+    assert len(keys) == len(set(keys)) == oracle.count_columns() == cols.shape[1]
+    for j, key in enumerate(keys):
+        assert oracle.column(key).tobytes() == cols[:, j].tobytes()
+    hit_keys = set()
+    for _ in range(40):
+        x = rng.normal(size=oracle.n_rows)
+        for direction in ("max", "min"):
+            hit = oracle.col_extreme(x, direction)
+            assert oracle.column(hit.key).tobytes() == hit.column.tobytes()
+            hit_keys.add(hit.key)
+    assert hit_keys <= set(keys) and len(hit_keys) > 1
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_dp_rejects_non_finite_queries(bad):
     # checked before the Bellman products, whose inf - inf would warn
@@ -302,7 +348,7 @@ def test_dp_rejects_non_finite_queries(bad):
         x[row] = bad
         for direction in ("max", "min"):
             with pytest.raises(ValueError, match="non-finite"):
-                col_extreme(oracle, x, direction)
+                oracle.col_extreme(x, direction)
 
 
 def test_json_loaders():
@@ -339,8 +385,8 @@ def test_knapsack_gather_matches_dp_at_blotto_scale():
     queries += [rng.integers(-2, 3, size=knapsack.n_rows).astype(float) for _ in range(50)]
     for x in queries:
         for direction in ("max", "min"):
-            h1 = col_extreme(knapsack, x, direction)
-            h2 = col_extreme(dp, x, direction)
+            h1 = knapsack.col_extreme(x, direction)
+            h2 = dp.col_extreme(x, direction)
             assert h1.action_sequence == h2.action_sequence
             assert h1.value == h2.value
             assert np.array_equal(h1.column, h2.column)
@@ -364,13 +410,13 @@ def test_knapsack_edge_cases_match_enumeration(bounds, costs, budget):
         x = rng.normal(size=oracle.n_rows)
         vals = x @ cols
         for direction, pick in (("max", np.argmax), ("min", np.argmin)):
-            hit = col_extreme(oracle, x, direction)
+            hit = oracle.col_extreme(x, direction)
             j = int(pick(vals))
             assert hit.action_sequence == seqs[j]
             assert abs(hit.value - vals[j]) < 1e-9
             assert np.array_equal(hit.column, cols[:, j])
     for direction in ("max", "min"):
-        hit = col_extreme(oracle, np.zeros(oracle.n_rows), direction)
+        hit = oracle.col_extreme(np.zeros(oracle.n_rows), direction)
         assert hit.action_sequence == (0,) * len(bounds)
         assert hit.value == 0.0
     # the columns share one flat table: an action past its stage's bound is
@@ -379,6 +425,9 @@ def test_knapsack_edge_cases_match_enumeration(bounds, costs, budget):
                 (0,) * (len(bounds) + 1)):
         with pytest.raises(ValueError, match="stage bounds"):
             oracle.column(bad)
+    # within the bounds, but over the budget: no column of the matrix
+    with pytest.raises(ValueError, match="costs more than the budget"):
+        oracle.column(bounds)
 
 
 def _rank1_outputs(rng, kind, bound):
@@ -418,7 +467,7 @@ def test_knapsack_one_dim_outputs_match_enumeration(bounds, costs, budget, kind)
         vals = (x[:, None] * cols).sum(axis=0)
         scale = np.abs(x) @ np.abs(cols)
         for direction, pick in (("max", np.argmax), ("min", np.argmin)):
-            hit = col_extreme(oracle, x, direction)
+            hit = oracle.col_extreme(x, direction)
             j = int(pick(vals))   # first occurrence: the lexicographically smallest optimum
             assert hit.action_sequence == seqs[j]
             assert abs(hit.value - vals[j]) <= 1e-12 * scale[j]

@@ -10,7 +10,6 @@ from lmodecomp.oracles import (
     DpOracle,
     KnapsackOracle,
     KnapsackSpec,
-    col_extreme,
     dp_from_json,
     enumerate_columns,
 )
@@ -108,7 +107,7 @@ def eta_argmin_reference(spec, x1, x2):
         for lp in range(spec.L):
             y = y + spec.M[lp][l].T @ x1b[lp]
         if spec.g is None:
-            hit = col_extreme(spec.D[l], y, "max")
+            hit = spec.D[l].col_extreme(y, "max")
             best, d_col, atom = -hit.value, hit.column, hit.action_sequence
         else:
             vals = spec.g[l] - y @ spec.D[l].matrix
