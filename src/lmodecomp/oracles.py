@@ -154,6 +154,11 @@ class DpSystem:
             padded.append((out, nxt, pad))
         if not self.start_states:
             raise ValueError("at least one start state required")
+        for st in self.start_states:
+            # a negative state would index from the end of stage 0's tables
+            if not isinstance(st, (int, np.integer)) or not 0 <= st < self.n_states[0]:
+                raise ValueError(f"start state {st!r} is not a state of stage 0, "
+                                 f"range({self.n_states[0]})")
         object.__setattr__(self, "_padded", tuple(padded))
 
     @property

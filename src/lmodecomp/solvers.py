@@ -1,8 +1,9 @@
 """Certificate-producing solvers for the small primal problems.
 
-Two solvers are provided: a central-cut ellipsoid method that records an
-execution protocol over its productive steps, and projected mirror
-descent, all of whose steps are productive.  Both periodically compute
+Two solvers are provided: an ellipsoid method that records an execution
+protocol over its productive steps and re-applies the protocol's cuts as
+deep cuts, and projected mirror descent, all of whose steps are
+productive.  Both periodically compute
 the best accuracy certificate for the protocol so far, on one
 certificate LP per run; mirror descent offers its normalized step sizes
 as one more candidate.  Both operate on origin-centered Euclidean balls
@@ -126,9 +127,18 @@ def _cut_factors(n):
     return n / math.sqrt(n * n - 1.0), 1.0 - math.sqrt((n - 1.0) / (n + 1.0))
 
 
-def ellipsoid_cut(center, shape, g):
-    """One central-cut update keeping the half-space {x: <g, x - center> <= 0}.
-    Returns a new center and shape; the arguments are left as they are."""
+def ellipsoid_cut(center, shape, g, depth=0.0):
+    """One update of the ellipsoid {center + shape u: ||u|| <= 1} keeping the
+    half-space {x: <g, x - center> <= -depth}, depth >= 0: a central cut at
+    depth 0, else a deep cut (Bland, Goldfarb & Todd, Oper. Res. 29, 1981).
+    With p = B^T g / ||B^T g|| and alpha = depth / ||B^T g|| the new center
+    is c - (1 + n alpha) B p / (n + 1) and the new shape
+    beta sqrt(1 - alpha^2) (B - gamma_alpha (B p) p^T), where
+    gamma_alpha = 1 - sqrt((n - 1)(1 - alpha) / ((n + 1)(1 + alpha))); at
+    depth 0 both are the central cut's to the bit.  Returns a new center and
+    shape; the arguments are left as they are.  A cut with alpha >= 1 keeps
+    at most one point of the ellipsoid and is skipped: the arguments are
+    returned."""
     n = center.shape[0]
     bg = shape.T.dot(g)
     nbg = _norm(bg)
@@ -137,10 +147,19 @@ def ellipsoid_cut(center, shape, g):
             "ellipsoid shape matrix is numerically singular along the cut direction; "
             "the method cannot make further progress"
         )
+    beta, gamma = _cut_factors(n)
+    if depth:
+        alpha = depth / nbg
+        if alpha >= 1.0:
+            return center, shape
+        beta *= math.sqrt((1.0 - alpha) * (1.0 + alpha))
+        gamma = 1.0 - math.sqrt((n - 1.0) * (1.0 - alpha) / ((n + 1.0) * (1.0 + alpha)))
     p = bg / nbg
     bp = shape.dot(p)
-    center_new = center - bp / (n + 1.0)
-    beta, gamma = _cut_factors(n)
+    offset = bp / (n + 1.0)
+    if depth:
+        offset *= 1.0 + n * alpha
+    center_new = center - offset
     # beta (shape - gamma bp p^T), updated in the one new array
     shape_new = np.multiply.outer(bp, p)
     shape_new *= gamma
@@ -180,6 +199,40 @@ class _ProtocolBuffer:
         return ExecutionProtocol(self.points[:t], self.fields[:t], self.ids[:t], self.dim)
 
 
+class _RecordedCuts:
+    """The cuts <F_i, x - x_i> <= 0 of a protocol's entries (x_i, F_i), which
+    hold at every weak solution of a monotone field, kept as unit normals
+    u_i = F_i / ||F_i|| with offsets d_i = <u_i, x_i>: a point x violates
+    cut i by the distance <u_i, x> - d_i."""
+
+    def __init__(self, dim):
+        self.t = 0
+        self.normals, self.offsets = np.empty((64, dim)), np.empty(64)
+
+    def append(self, point, value, norm):
+        """Record the cut of the entry (point, value), ||value|| = norm > 0."""
+        t = self.t
+        if t == len(self.offsets):
+            self.normals = np.concatenate([self.normals, np.empty_like(self.normals)])
+            self.offsets = np.concatenate([self.offsets, np.empty_like(self.offsets)])
+        normal = self.normals[t]
+        np.multiply(value, 1.0 / norm, out=normal)
+        self.offsets[t] = normal.dot(point)
+        self.t = t + 1
+
+    def deepest(self, center):
+        """(u_i, distance) of the cut that `center` violates by the largest
+        distance, or None where it violates none; one (t x n) product."""
+        if not self.t:
+            return None
+        distance = self.normals[:self.t].dot(center)
+        distance -= self.offsets[:self.t]
+        i = distance.argmax()
+        if distance[i] > 0.0:
+            return self.normals[i], float(distance[i])
+        return None
+
+
 @dataclass
 class SolveResult:
     """Outcome of a certificate-producing run.
@@ -188,14 +241,15 @@ class SolveResult:
     certified residual `cert.residual` is the value that the round's
     optimize_certificate computed, not a recomputation; `payloads[i]` is
     the field's side payload at protocol entry i.  Each round is {step, t,
-    residual, cert_lower, gap, weights, support, lp_solves}, for the first
-    t entries after `step` steps, with the certificate's weights (not a
-    copy), their count of nonzeros (`support`), the certified lower bound
-    on any certificate's residual for the same entries (`cert_lower`), the
-    HiGHS solves the round made (`lp_solves`, read off the run's
-    CertificateLP) and the fields that `on_certificate` returned (value for
-    games, scale for VIs); the last round is on `cert`, so its gap is the
-    solution's.
+    residual, cert_lower, gap, weights, support, lp_solves, recycled}, for
+    the first t entries after `step` steps, with the certificate's weights
+    (not a copy), their count of nonzeros (`support`), the certified lower
+    bound on any certificate's residual for the same entries (`cert_lower`),
+    the HiGHS solves the round made (`lp_solves`, read off the run's
+    CertificateLP), the deep cuts that the ellipsoid re-applied from its
+    protocol since the previous round (`recycled`, 0 for mirror descent) and
+    the fields that `on_certificate` returned (value for games, scale for
+    VIs); the last round is on `cert`, so its gap is the solution's.
     `steps` counts every step, productive or not; `stop_reason` names what
     ended the step loop: "eps_target", "gap_threshold", "max_steps",
     "stationary" (a zero field value) or "ellipsoid_degenerate".
@@ -230,6 +284,7 @@ class _Run:
         self.entries, self.payloads, self.rounds = _ProtocolBuffer(domain.dim), [], []
         self.cert, self.certified_len = None, 0
         self.lp = CertificateLP(self.radii, self.split, domain.dim)
+        self.recycled = 0  # deep cuts applied since the last round
 
     def evaluate(self, point, step):
         """Field value at `point`, recorded as the protocol entry of `step`."""
@@ -251,7 +306,8 @@ class _Run:
         record = {"step": step, "t": len(protocol), "residual": residual,
                   "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights,
                   "support": int(np.count_nonzero(self.cert.weights)),
-                  "lp_solves": self.lp.solves - solves}
+                  "lp_solves": self.lp.solves - solves, "recycled": self.recycled}
+        self.recycled = 0
         if self.on_certificate is not None:
             record.update(self.on_certificate(protocol, self.cert, self.payloads) or {})
         self.rounds.append(record)
@@ -276,11 +332,23 @@ class _Run:
 
 
 def ellipsoid_run(field, domain, config=None, on_certificate=None):
-    """Central-cut ellipsoid with accuracy certificates.
+    """Ellipsoid method with accuracy certificates, whose central cuts are
+    followed up by deep cuts recycled from its own protocol.
 
     At productive steps (center inside the domain) the cut direction is the
     field value, which is recorded into the protocol; at non-productive
     steps a separating hyperplane of the violated ball factor is used.
+    Every protocol entry (x_i, F_i) gives a cut <F_i, x - x_i> <= 0 that
+    holds at every weak solution of a monotone field.  Before its ball test
+    and field call, each step measures by how far the center c violates
+    each such cut, (<F_i, c> - <F_i, x_i>) / ||F_i||, with one product over
+    the cuts' unit normals; where some cut is violated it re-applies the
+    one violated the most as a deep cut (`ellipsoid_cut` at that distance
+    along F_i / ||F_i||), at most one per step.  A recycled cut calls no
+    oracle and adds no protocol entry; it shrinks the ellipsoid at least as
+    much as a central cut, so the volume argument behind the certificate
+    still holds.  `steps` and `max_steps` count loop iterations, and each
+    round records how many cuts were recycled.
     The run starts at the origin, so `SolverConfig.start` must be None.
     Every cert_period steps the best certificate for the protocol so far is
     computed, warm-started from the previous one, on the run's one
@@ -301,10 +369,20 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     if config is not None and config.start is not None:
         raise ValueError("ellipsoid_run starts at the origin; SolverConfig.start is for md_run")
     run = _Run(field, domain, config, on_certificate)
+    cuts = _RecordedCuts(n)
     center = np.zeros(n)
     shape = run.radius * np.eye(n)
     step = 0
     for step in range(1, run.config.max_steps + 1):
+        deepest = cuts.deepest(center)
+        if deepest is not None:  # one recycled cut per step
+            try:
+                cut_center, shape = ellipsoid_cut(center, shape, *deepest)
+            except RuntimeError:
+                stop = "ellipsoid_degenerate"
+                break
+            run.recycled += cut_center is not center  # not a skipped cut
+            center = cut_center
         # the balls are origin-centered: the first one the center leaves
         # gives the separating cut along its outward normal
         g = None
@@ -317,9 +395,11 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
                 break
         if g is None:
             g = run.evaluate(center, step)
-            if _norm(g) <= 1e-15:
+            norm = _norm(g)
+            if norm <= 1e-15:
                 stop = "stationary"  # nothing left to cut
                 break
+            cuts.append(center, g, norm)
         try:
             center, shape = ellipsoid_cut(center, shape, g)
         except RuntimeError:

@@ -138,7 +138,7 @@ def test_budget_exhausted_exit_two(tmp_path, capsys):
 def test_degenerate_stop_exit_three(tmp_path, capsys, monkeypatch):
     from lmodecomp import solvers
 
-    def collapsed(center, shape, g):
+    def collapsed(center, shape, g, depth=0.0):
         raise RuntimeError("collapsed")
 
     monkeypatch.setattr(solvers, "ellipsoid_cut", collapsed)

@@ -312,6 +312,21 @@ def test_dp_column_takes_a_start_state_and_action_sequence():
             oracle.column(bad)
 
 
+@pytest.mark.parametrize("starts", [[0, 7], [2], [-1]])
+def test_dp_start_states_outside_stage_zero_are_rejected(starts):
+    # [0, 7] used to build and then fail in count_columns with an IndexError;
+    # [-1] used to mean state 1 through negative indexing, so col_extreme
+    # returned the key (-1, (1,)) with state 1's column
+    obj = {"n_states": [2], "actions": [[[0], [0, 1]]], "transitions": [],
+           "outputs": [[[[1.0]], [[2.0], [3.0]]]], "start_states": starts}
+    with pytest.raises(ValueError, match=rf"start state {starts[-1]} is not a state of stage 0"):
+        dp_from_json(obj)
+    obj["start_states"] = [0, 1]
+    oracle = DpOracle(dp_from_json(obj))
+    assert oracle.count_columns() == 3
+    assert oracle.col_extreme(np.array([1.0]), "max").key == (1, (1,))
+
+
 @pytest.mark.parametrize("kind", ["dense", "dense-offset", "knapsack", "dp-two-starts"])
 def test_column_takes_the_key_of_its_own_hits(kind):
     # one key contract for every oracle: column(hit.key) is the hit's column,

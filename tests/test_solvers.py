@@ -93,9 +93,55 @@ def test_ellipsoid_cut_is_the_textbook_formula_bit_for_bit(n):
         expected = _textbook_cut(center, shape, g)
         got = ellipsoid_cut(center, shape, g)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        at_depth_zero = ellipsoid_cut(center, shape, g, depth=0.0)
+        assert [a.tobytes() for a in at_depth_zero] == [a.tobytes() for a in expected]
         assert got[0] is not center and got[1] is not shape
         # the arguments are left as they are
         assert [a.tobytes() for a in (center, shape, g)] == [a.tobytes() for a in before]
+
+
+def _deep_cut_log_volume_ratio(n, alpha):
+    """log vol(E+)/vol(E) of a deep cut at alpha = depth / ||B^T g||."""
+    beta = n / math.sqrt(n * n - 1.0) * math.sqrt(1.0 - alpha * alpha)
+    return n * math.log(beta) + 0.5 * math.log(
+        (n - 1.0) * (1.0 - alpha) / ((n + 1.0) * (1.0 + alpha)))
+
+
+@pytest.mark.parametrize("n", [2, 6, 12, 16, 24])
+def test_deep_cut_volume_and_containment(n):
+    assert abs(_deep_cut_log_volume_ratio(n, 0.0) - central_cut_log_volume_ratio(n)) < 1e-12
+    rng = np.random.default_rng(300 + n)
+    for alpha in (0.1, 0.5, 0.9):
+        center, g = rng.normal(size=n), rng.normal(size=n)
+        shape = rng.normal(size=(n, n)) + 3 * np.eye(n)
+        bg = shape.T @ g
+        depth = alpha * np.linalg.norm(bg)
+        center_new, shape_new = ellipsoid_cut(center, shape, g, depth)
+        _, logdet_old = np.linalg.slogdet(shape)
+        _, logdet_new = np.linalg.slogdet(shape_new)
+        assert abs((logdet_new - logdet_old) - _deep_cut_log_volume_ratio(n, alpha)) < 1e-9
+        # points c + B u of the old ellipsoid kept by the cut: u = -s p + w with
+        # s in [alpha, 1] and w orthogonal to p, many of them on the boundary
+        p = bg / np.linalg.norm(bg)
+        s = alpha + (1.0 - alpha) * rng.random(2000)
+        s[:500] = alpha
+        basis = np.linalg.qr(np.column_stack([p, rng.normal(size=(n, n - 1))]))[0][:, 1:]
+        w = rng.normal(size=(2000, n - 1)) @ basis.T
+        w *= (np.sqrt(1.0 - s * s) / np.linalg.norm(w, axis=1))[:, None]
+        w[1000:] *= rng.random((1000, 1))
+        x = center + (w - np.outer(s, p)) @ shape.T
+        assert ((x - center) @ g <= -depth + 1e-12 * np.linalg.norm(bg)).all()
+        u_new = np.linalg.solve(shape_new, (x - center_new).T)
+        assert np.linalg.norm(u_new, axis=0).max() <= 1.0 + 1e-9
+
+
+def test_deep_cut_keeping_at_most_a_point_is_skipped():
+    center, shape, g = np.zeros(3), np.eye(3), np.array([0.0, 2.0, 0.0])
+    for depth in (2.0, 5.0):  # alpha = 1 and 2.5: the arguments come back
+        got_center, got_shape = ellipsoid_cut(center, shape, g, depth)
+        assert got_center is center and got_shape is shape
+    with pytest.raises(RuntimeError, match="singular"):
+        ellipsoid_cut(center, np.diag([1.0, 0.0, 1.0]), g, 1.0)
 
 
 def test_norm_is_numpys_bit_for_bit():
@@ -410,7 +456,7 @@ def test_ellipsoid_rounds_record_certificate_lower_bound():
     shift = rng.normal(size=4)
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
     run = ellipsoid_run(FieldOracle(lambda x: mat @ x + shift), dom,
-                        SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64))
+                        SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16))
     assert len(run.rounds) > 3
     for r in run.rounds:
         assert np.isfinite(r["cert_lower"])
@@ -427,7 +473,7 @@ def test_rounds_record_support_and_lp_solves(method):
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
     run = (ellipsoid_run if method == "ellipsoid" else md_run)(
         FieldOracle(lambda x: mat @ x + shift), dom,
-        SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64))
+        SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16))
     assert len(run.rounds) > 3
     for r in run.rounds:
         assert r["support"] == np.count_nonzero(r["weights"]) > 0
@@ -465,7 +511,7 @@ def test_round_residual_is_the_closed_form_on_its_prefix(method):
     shift = rng.normal(size=4)
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
     run = method(FieldOracle(lambda x: mat @ x + shift), dom,
-                 SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64))
+                 SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16))
     assert len(run.rounds) > 3 and run.rounds[-1]["t"] > 64  # past a buffer reallocation
     for r in run.rounds:
         cert = AccuracyCertificate(r["weights"])
@@ -473,6 +519,41 @@ def test_round_residual_is_the_closed_form_on_its_prefix(method):
                                                       (1.0, 2.0), 2)
         assert r["cert_lower"] <= r["residual"]
     assert run.cert.residual == run.rounds[-1]["residual"]
+
+
+def test_ellipsoid_rounds_record_recycled_cuts():
+    # a recycled deep cut calls no oracle and adds no protocol entry
+    rng = np.random.default_rng(5)
+    skew = rng.normal(size=(4, 4))
+    mat = skew - skew.T + 0.05 * np.eye(4)
+    shift = rng.normal(size=4)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    calls = []
+
+    def fn(x):
+        calls.append(None)
+        return mat @ x + shift
+
+    run = ellipsoid_run(FieldOracle(fn), dom,
+                        SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16))
+    assert all(r["recycled"] >= 0 for r in run.rounds)
+    assert sum(r["recycled"] for r in run.rounds) > 0
+    assert len(run.protocol) == len(calls) == len(run.payloads)
+    md = md_run(FieldOracle(fn), dom, SolverConfig(max_steps=64, cert_period=16))
+    assert [r["recycled"] for r in md.rounds] == [0] * 4
+
+
+def test_recycled_cuts_certify_criterion_05_blotto_within_600_steps():
+    # the central-cut method took 1024 steps on this game
+    m, cap, seed = 8, 64, 2024
+    spec = BlottoSpec(caps_a=(cap,) * m, caps_d=(cap,) * m, costs_a=(1,) * m,
+                      costs_d=(1,) * m, budget_a=cap, budget_d=cap,
+                      omegas=random_rank1_omegas(m, (cap,) * m, (cap,) * m, seed), seed=seed)
+    result = solve_blotto(spec, SolverConfig(eps_target=1e-4, gap_threshold=1e-12,
+                                             max_steps=5000))
+    assert result.stop_reason == "eps_target"
+    assert result.gap <= 1e-4 and result.cert.residual <= 1e-4
+    assert result.steps <= 600
 
 
 def test_round_gap_check_tolerates_rounding_at_its_scale():
@@ -496,7 +577,7 @@ def test_reused_dual_completion_changes_no_round(monkeypatch):
     mat = skew - skew.T + 0.05 * np.eye(4)
     shift = rng.normal(size=4)
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
-    cfg = SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=64)
+    cfg = SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16)
     completions, completion = [], solvers._dual_completion
     monkeypatch.setattr(solvers, "_dual_completion",
                         lambda *args: completions.append(None) or completion(*args))
@@ -675,7 +756,9 @@ def test_collapsed_ellipsoid_stops_degenerate_and_certifies(monkeypatch):
     real_cut, k = solvers.ellipsoid_cut, 40
     cuts = []
 
-    def cut(center, shape, g):
+    def cut(center, shape, g, depth=0.0):
+        if depth:  # a recycled deep cut: the steps count the central ones
+            return real_cut(center, shape, g, depth)
         cuts.append(None)
         if len(cuts) > k:
             raise RuntimeError("collapsed")
