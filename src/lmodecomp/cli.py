@@ -167,7 +167,10 @@ def _build_parser():
         p.add_argument("--solver", choices=["ellipsoid", "md"], default="ellipsoid")
         p.add_argument("--eps", type=float, default=1e-6)
         p.add_argument("--max-steps", type=int, default=20000)
-        p.add_argument("--cert-period", type=int, default=None)
+        p.add_argument("--cert-period", type=int, default=None,
+                       help="base and shortest interval, in steps, between certificate "
+                            "rounds (default 4K^2, K the largest block dimension); "
+                            "rounds fall on its multiples, paced by the run's residuals")
         p.add_argument("--gap-threshold", type=float, default=1e-4)
         p.add_argument("--report", default=None, help="path for the JSON report")
     return parser

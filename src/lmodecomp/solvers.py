@@ -3,8 +3,8 @@
 Two solvers are provided: an ellipsoid method that records an execution
 protocol over its productive steps and re-applies the protocol's cuts as
 deep cuts, and projected mirror descent, all of whose steps are
-productive.  Both periodically compute
-the best accuracy certificate for the protocol so far, on one
+productive.  Both compute the best accuracy certificate for the
+protocol so far in rounds paced by the run's own residuals, on one
 certificate LP per run; mirror descent offers its normalized step sizes
 as one more candidate.  Both operate on origin-centered Euclidean balls
 or products of two such balls, where the residual has a closed form and
@@ -18,6 +18,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -50,7 +51,10 @@ __all__ = [
 class SolverConfig:
     eps_target: float = 1e-6
     max_steps: int = 20000
-    cert_period: int | None = None  # default: 4 K^2, K the largest block dimension
+    # the base and shortest interval between certificate rounds; rounds fall
+    # on its multiples, paced by the run's residuals (default: 4 K^2, K the
+    # largest block dimension)
+    cert_period: int | None = None
     gap_threshold: float = 1e-4
     start: np.ndarray | None = None
 
@@ -59,10 +63,16 @@ class SolverConfig:
             raise ValueError("eps_target must be positive")
         if not self.gap_threshold >= 0:
             raise ValueError("gap_threshold must be nonnegative")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.cert_period is not None and self.cert_period < 1:
-            raise ValueError("cert_period must be >= 1")
+        counts = {"max_steps": self.max_steps}
+        if self.cert_period is not None:
+            counts["cert_period"] = self.cert_period
+        for name, value in counts.items():
+            # range() takes no float, and a float period would put rounds only
+            # on the multiples that happen to be integers; np.int64 is Integral
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class FieldOracle:
@@ -241,15 +251,17 @@ class SolveResult:
     certified residual `cert.residual` is the value that the round's
     optimize_certificate computed, not a recomputation; `payloads[i]` is
     the field's side payload at protocol entry i.  Each round is {step, t,
-    residual, cert_lower, gap, weights, support, lp_solves, recycled}, for
-    the first t entries after `step` steps, with the certificate's weights
-    (not a copy), their count of nonzeros (`support`), the certified lower
-    bound on any certificate's residual for the same entries (`cert_lower`),
-    the HiGHS solves the round made (`lp_solves`, read off the run's
-    CertificateLP), the deep cuts that the ellipsoid re-applied from its
-    protocol since the previous round (`recycled`, 0 for mirror descent) and
-    the fields that `on_certificate` returned (value for games, scale for
-    VIs); the last round is on `cert`, so its gap is the solution's.
+    residual, cert_lower, gap, weights, support, lp_solves, recycled, due},
+    for the first t entries after `step` steps, with the certificate's
+    weights (not a copy), their count of nonzeros (`support`), the
+    certified lower bound on any certificate's residual for the same
+    entries (`cert_lower`), the HiGHS solves the round made (`lp_solves`,
+    read off the run's CertificateLP), the deep cuts that the ellipsoid
+    re-applied from its protocol since the previous round (`recycled`, 0
+    for mirror descent), the step of the next scheduled round (`due`, None
+    on a round that stops or closes the run) and the fields that
+    `on_certificate` returned (value for games, scale for VIs); the last
+    round is on `cert`, so its gap is the solution's.
     `steps` counts every step, productive or not; `stop_reason` names what
     ended the step loop: "eps_target", "gap_threshold", "max_steps",
     "stationary" (a zero field value) or "ellipsoid_degenerate".
@@ -268,7 +280,16 @@ class _Run:
     the run's CertificateLP and the certificate rounds.  A round runs
     optimize_certificate on that LP, warm-started from the last round's
     certificate, with the solver's `candidates`, and records the residual
-    that it computed (`AccuracyCertificate.residual`)."""
+    that it computed (`AccuracyCertificate.residual`).
+
+    Rounds fall on multiples of the base interval P = `cert_period`, the
+    first at step P; a solver runs one once its step reaches `due`.  A
+    round that does not stop the run schedules the next `_periods` P
+    steps later: one period until the residual has fallen below the first
+    round's, then half the periods that the run's own rate of decrease
+    predicts it still needs to reach a stop, at most twice the last
+    interval.  Only rounds predicted not to stop the run are skipped, and
+    the steps themselves do not depend on the rounds."""
 
     def __init__(self, field, domain, config, on_certificate):
         self.config = config or SolverConfig()
@@ -285,6 +306,7 @@ class _Run:
         self.cert, self.certified_len = None, 0
         self.lp = CertificateLP(self.radii, self.split, domain.dim)
         self.recycled = 0  # deep cuts applied since the last round
+        self.due = self.cert_period  # the step of the next round
 
     def evaluate(self, point, step):
         """Field value at `point`, recorded as the protocol entry of `step`."""
@@ -293,8 +315,10 @@ class _Run:
         self.payloads.append(payload)
         return value
 
-    def round(self, step, candidates=()):
-        """Certify the protocol so far; returns a stop reason or None."""
+    def round(self, step, candidates=(), closing=False):
+        """Certify the protocol so far; returns a stop reason or None.  A
+        round that neither stops the run nor closes it (`closing`, the
+        round after the step loop) schedules the next one in `due`."""
         protocol = self.entries.protocol()
         solves = self.lp.solves
         # never worse than the last round's certificate, which is the warm start
@@ -306,7 +330,8 @@ class _Run:
         record = {"step": step, "t": len(protocol), "residual": residual,
                   "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights,
                   "support": int(np.count_nonzero(self.cert.weights)),
-                  "lp_solves": self.lp.solves - solves, "recycled": self.recycled}
+                  "lp_solves": self.lp.solves - solves, "recycled": self.recycled,
+                  "due": None}
         self.recycled = 0
         if self.on_certificate is not None:
             record.update(self.on_certificate(protocol, self.cert, self.payloads) or {})
@@ -319,14 +344,39 @@ class _Run:
             return "eps_target"
         if gap is not None and gap <= self.config.gap_threshold:
             return "gap_threshold"
+        if not closing:
+            self.due = record["due"] = step + self._periods(step, residual, gap) * self.cert_period
         return None
+
+    def _periods(self, step, residual, gap):
+        """Base intervals from a round at `step` that did not stop the run
+        (so residual > eps_target > 0, and gap > gap_threshold where there
+        is a gap) to the next round.  With (s_1, r_1) the first round's step
+        and residual, rate = ln(r_1 / residual) / (step - s_1) is the
+        log-decrease per step over the whole run, and far = residual /
+        eps_target, or gap / gap_threshold where that is less, the factor
+        still to go: the run is predicted to stop ln(far) / rate steps on.
+        The next round comes after half of them, at least one period and at
+        most twice the last interval; after one period where there is no
+        rate yet (the first round) or no decrease (residual >= r_1)."""
+        first, period = self.rounds[0], self.cert_period
+        if len(self.rounds) < 2:
+            return 1
+        rate = math.log(first["residual"] / residual) / (step - first["step"])
+        if not rate > 0.0:
+            return 1
+        far = residual / self.config.eps_target
+        if gap is not None and self.config.gap_threshold > 0.0:
+            far = min(far, gap / self.config.gap_threshold)
+        cap = 2 * max(1, (step - self.rounds[-2]["step"]) // period)
+        return max(1, math.floor(min(math.log(far) / (rate * period) / 2, cap)))
 
     def result(self, steps, stop_reason, candidates=()):
         """Close with a round on the entries recorded since the last one."""
         if not self.entries:
             raise RuntimeError("the run produced no productive steps")
         if len(self.entries) > self.certified_len:
-            self.round(steps, candidates)
+            self.round(steps, candidates, closing=True)
         return SolveResult(self.entries.protocol(), self.cert, self.payloads, self.rounds,
                            steps, stop_reason)
 
@@ -350,11 +400,15 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     still holds.  `steps` and `max_steps` count loop iterations, and each
     round records how many cuts were recycled.
     The run starts at the origin, so `SolverConfig.start` must be None.
-    Every cert_period steps the best certificate for the protocol so far is
-    computed, warm-started from the previous one, on the run's one
-    CertificateLP.  `on_certificate(protocol, cert, payloads)` returns the
-    round's fields ({"gap", "value"} for games, {"gap", "scale"} for VIs) or
-    None; a round raises CertificateError where its gap exceeds the residual
+    Certificate rounds compute the best certificate for the protocol so
+    far, warm-started from the previous one, on the run's one
+    CertificateLP.  They fall on multiples of cert_period, the base and
+    shortest interval, and are paced by the run's own residuals (see
+    _Run): the first at step cert_period, each later one at the step that
+    the previous round recorded as `due`.
+    `on_certificate(protocol, cert, payloads)` returns the round's fields
+    ({"gap", "value"} for games, {"gap", "scale"} for VIs) or None; a
+    round raises CertificateError where its gap exceeds the residual
     by over 1e-9 max(1, |value|, scale).  The run stops when that gap falls
     below gap_threshold, when the certified residual falls below eps_target,
     at a zero field value, when the ellipsoid collapses, or at max_steps.
@@ -405,7 +459,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
         except RuntimeError:
             stop = "ellipsoid_degenerate"  # certify what we have
             break
-        if step % run.cert_period == 0 and run.entries:
+        if step >= run.due:  # step 1 is productive: the origin is in the balls
             stop = run.round(step)
             if stop:
                 break
@@ -435,7 +489,8 @@ def md_run(field, domain, config=None, on_certificate=None):
     Steps xi_{i+1} = Proj(xi_i - gamma_i F(xi_i)) from `SolverConfig.start`
     (the origin when None) with gamma_i = R/(Lhat_i sqrt(i)), Lhat_i the
     running max of the field norms.  All steps are productive.  Rounds,
-    `on_certificate` and the stop rules are those of `ellipsoid_run`; each
+    their schedule from the base interval cert_period, `on_certificate`
+    and the stop rules are those of `ellipsoid_run`; each
     round also tries the normalized step sizes, the classical certificate
     with its O(1/sqrt(t)) residual, so no round's residual is above theirs.
 
@@ -454,7 +509,7 @@ def md_run(field, domain, config=None, on_certificate=None):
         lhat = max(lhat, _norm(value), 1e-30)
         gammas.append(run.radius / (lhat * math.sqrt(i)))
         xi = _project_blocks(xi - gammas[-1] * value, run.balls)
-        if i % run.cert_period == 0:
+        if i >= run.due:
             stop = run.round(i, [AccuracyCertificate(np.divide(gammas, math.fsum(gammas)))])
             if stop:
                 break

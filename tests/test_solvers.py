@@ -540,7 +540,7 @@ def test_ellipsoid_rounds_record_recycled_cuts():
     assert sum(r["recycled"] for r in run.rounds) > 0
     assert len(run.protocol) == len(calls) == len(run.payloads)
     md = md_run(FieldOracle(fn), dom, SolverConfig(max_steps=64, cert_period=16))
-    assert [r["recycled"] for r in md.rounds] == [0] * 4
+    assert md.rounds and all(r["recycled"] == 0 for r in md.rounds)
 
 
 def test_recycled_cuts_certify_criterion_05_blotto_within_600_steps():
@@ -554,6 +554,73 @@ def test_recycled_cuts_certify_criterion_05_blotto_within_600_steps():
     assert result.stop_reason == "eps_target"
     assert result.gap <= 1e-4 and result.cert.residual <= 1e-4
     assert result.steps <= 600
+
+
+@pytest.mark.parametrize("method", [ellipsoid_run, md_run])
+def test_rounds_fall_where_the_previous_round_scheduled_them(method):
+    # rounds fall on multiples of the base interval, each at the step the
+    # previous one recorded as due, at most twice the previous interval apart
+    rng = np.random.default_rng(5)
+    skew = rng.normal(size=(4, 4))
+    mat = skew - skew.T + 0.05 * np.eye(4)
+    shift = rng.normal(size=4)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    run = method(FieldOracle(lambda x: mat @ x + shift), dom,
+                 SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16))
+    steps = [r["step"] for r in run.rounds]
+    assert steps[0] == 16 and len(steps) > 3
+    for prev, r in zip(run.rounds, run.rounds[1:-1]):
+        assert r["step"] == prev["due"] and r["step"] % 16 == 0
+    last = run.rounds[-1]
+    assert last["due"] is None
+    assert last["step"] == run.steps
+    assert last["step"] == run.rounds[-2]["due"] or run.stop_reason == "max_steps"
+    intervals = np.diff(steps[:-1] if run.stop_reason == "max_steps" else steps)
+    assert all(b <= 2 * a for a, b in zip(intervals, intervals[1:])), intervals
+    if method is ellipsoid_run:
+        assert run.stop_reason == "eps_target"
+        assert intervals.max() > 16
+
+
+@pytest.mark.parametrize("history, gap, expected", [
+    ([(10, 1.0)], None, 1),                         # no rate before the second round
+    ([(10, 1.0), (20, 1.0)], None, 1),              # no decrease
+    ([(10, 1.0), (20, 2.0)], None, 1),
+    # rate ln(100)/30 over the whole run: ln(1e5)/(10 rate)/2 = 3.75; the
+    # last interval's ln(10)/20 would give 5, capped at 4
+    ([(10, 1.0), (20, 0.1), (40, 1e-2)], None, 3),
+    ([(10, 1.0), (20, 0.1), (40, 1e-2)], 1e-3, 2),  # gap 1e3 thresholds away: 2.25
+    # 11.1 and 33.4 uncapped: at most twice the last interval
+    ([(10, 1.0), (20, 0.5)], None, 2),
+    ([(10, 1.0), (20, 0.9), (40, 0.5)], None, 4),
+])
+def test_round_schedule_halves_the_predicted_distance(history, gap, expected):
+    run = solvers._Run(FieldOracle(lambda x: x), Ball(np.zeros(2), 1.0),
+                       SolverConfig(eps_target=1e-7, gap_threshold=1e-6, cert_period=10), None)
+    run.rounds = [{"step": step, "residual": residual} for step, residual in history]
+    step, residual = history[-1]
+    assert run._periods(step, residual, gap) == expected
+
+
+def test_round_schedule_skips_only_rounds_that_cannot_stop_the_run(monkeypatch):
+    # dense K = 3 games as in the benchmark: a round every base interval
+    # stops at the same step, with the same residual, as the paced rounds
+    rng = np.random.default_rng(12)
+    config = SolverConfig(eps_target=2e-7, gap_threshold=4e-7)
+    masters = []
+    for _ in range(4):
+        m, n = int(rng.integers(5, 101)), int(rng.integers(5, 101))
+        a, d = rng.normal(size=(3, n)), rng.normal(size=(3, m))
+        masters.append(build_master_example2(BilinearSpSpec(A=DenseMatrixOracle(a),
+                                                            D=DenseMatrixOracle(d))))
+    paced = [solve_sp(master, config=config) for master in masters]
+    monkeypatch.setattr(solvers._Run, "_periods", lambda self, step, residual, gap: 1)
+    every = [solve_sp(master, config=config) for master in masters]
+    for p, e in zip(paced, every):
+        assert (p.steps, p.stop_reason) == (e.steps, e.stop_reason)
+        assert p.cert.residual == pytest.approx(e.cert.residual, rel=1e-7)
+        assert [r["step"] for r in e.rounds] == list(range(36, e.steps + 1, 36))
+    assert 2 * sum(len(p.rounds) for p in paced) <= sum(len(e.rounds) for e in every)
 
 
 def test_round_gap_check_tolerates_rounding_at_its_scale():
@@ -711,6 +778,17 @@ def test_solver_config_validation():
         SolverConfig(cert_period=0)
     with pytest.raises(ValueError, match="max_steps"):
         SolverConfig(max_steps=0)
+    assert SolverConfig(max_steps=np.int64(10), cert_period=np.int64(4)).cert_period == 4
+
+
+@pytest.mark.parametrize("name, value", [
+    ("cert_period", 2.5), ("cert_period", 10.0), ("cert_period", True),
+    ("max_steps", 2.5), ("max_steps", 10.0), ("max_steps", True)])
+def test_solver_config_rejects_non_integer_step_counts(name, value):
+    # a float period would put rounds only on its integer multiples, and a
+    # float budget would fail in range() inside the run
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SolverConfig(**{name: value})
 
 
 @pytest.mark.parametrize("name, value", [
