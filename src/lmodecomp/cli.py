@@ -80,7 +80,7 @@ def _read_spec(args):
 def _report(command, t0, sol, value, bound, exact, dims, atoms, **extra):
     """(report, gap) for a solved spec.  steps, stop_reason and rounds are read
     off `sol`; `atoms` maps names to weighted atoms or a dense point.  The gap
-    that certifies the run is min(bound, exact), or bound when exact is None."""
+    that certifies the run is min(bound, exact)."""
     report = {
         "command": command,
         "value": _sig(value),
@@ -94,7 +94,7 @@ def _report(command, t0, sol, value, bound, exact, dims, atoms, **extra):
         "history": _history_json(sol.rounds),
         **extra,
     }
-    return report, bound if exact is None else min(bound, exact)
+    return report, min(bound, exact)
 
 
 def _run_matrix_game(args, config):

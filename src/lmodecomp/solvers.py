@@ -261,7 +261,10 @@ class SolveResult:
     for mirror descent), the step of the next scheduled round (`due`, None
     on a round that stops or closes the run) and the fields that
     `on_certificate` returned (value for games, scale for VIs); the last
-    round is on `cert`, so its gap is the solution's.
+    round is on `cert`, so its gap is the solution's.  Residuals and gaps
+    are as computed, never clamped at 0: a residual below 0, impossible in
+    exact arithmetic for a monotone field, is rounding at the scale of the
+    fields (-1.28e-8 for fields near 1e9), so it reads as 0.
     `steps` counts every step, productive or not; `stop_reason` names what
     ended the step loop: "eps_target", "gap_threshold", "max_steps",
     "stationary" (a zero field value) or "ellipsoid_degenerate".

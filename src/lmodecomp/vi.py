@@ -5,8 +5,9 @@ end with pairwise zero-sum interactions.
 The VI of interest lives on a huge domain H; a small primal VI over a
 ball (or product of two balls) is solved instead, and the certificate
 transfers into weighted atoms on H whose dual gap is bounded by the
-primal residual.  For skew-symmetric operators the dual gap of the
-recovered point is computed exactly with a single oracle call.
+primal residual.  The gap of the recovered point takes one LMO or
+oracle call: for skew-symmetric operators it is the exact dual gap, and
+for affine monotone ones the gap function, an upper bound on it.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 # residual_ball_product is unused here: benchmark tracing wraps this module's name
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
-from .domains import Ball, FiniteAtoms, Product, Simplex
+from .domains import Ball, Product, Simplex
 from .oracles import DenseMatrixOracle, json_object, matrix_side
 from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
 
@@ -65,64 +66,122 @@ class EtaHit:
     f_dot: float               # <f, eta>
 
 
-class DenseSkewSystem:
-    """Explicit K x N matrices P, Q with H a product of simplices whose
-    blocks partition the column index range."""
+class _SkewSystem:
+    """P and Q of a skew VI whose domain H is a product of simplices over
+    the columns of per-block column oracles D_b, acting only through those
+    columns.  For a vertex eta of H with block columns D_b e_j stacked
+    into d (block b's rows at `slices[b]`), P eta = A d and Q eta = B d
+    for the stacked K x R maps A, B.  A block's offset (a
+    DenseMatrixOracle's) is -f_b, f the VI's linear term.  So the vertex
+    minimizing <f - P^T x1 - Q^T x2, .> is one column search per block,
+    on the rows of y = A^T x1 + B^T x2, each maximizing <y_b, D_b e_j> - f_bj.
+    """
 
-    def __init__(self, P, Q, f=None, block_sizes=None):
-        self.P = np.atleast_2d(np.asarray(P, dtype=float))
-        self.Q = np.atleast_2d(np.asarray(Q, dtype=float))
-        if self.P.shape != self.Q.shape:
-            raise ValueError("P and Q must have equal shapes")
-        self.K, self.N = self.P.shape
-        self.f = None if f is None else np.asarray(f, dtype=float)
-        self.block_sizes = tuple(block_sizes) if block_sizes else (self.N,)
-        if sum(self.block_sizes) != self.N:
-            raise ValueError("block sizes must partition the columns")
-        self.offsets = np.cumsum([0] + list(self.block_sizes))
+    def __init__(self, blocks, A, B):
+        self.blocks, self.A, self.B = list(blocks), A, B
+        self.K = A.shape[0]
+        rows = np.cumsum([0] + [D.n_rows for D in self.blocks])
+        self.slices = [slice(lo, hi) for lo, hi in zip(rows[:-1], rows[1:])]
+        self._f = [(b, -D.offset) for b, D in enumerate(self.blocks)
+                   if getattr(D, "offset", None) is not None]
 
     def eta_argmin(self, x1, x2):
-        query = -(self.P.T @ x1) - (self.Q.T @ x2)
-        if self.f is not None:
-            query = query + self.f
+        y = self.A.T.dot(x1) + self.B.T.dot(x2)
+        d = np.empty(len(y))
         atoms, value = [], 0.0
-        p_vec = np.zeros(self.K)
-        q_vec = np.zeros(self.K)
-        for b in range(len(self.block_sizes)):
-            lo, hi = self.offsets[b], self.offsets[b + 1]
-            j = int(np.argmin(query[lo:hi]))
-            atoms.append((j,))
-            value += float(query[lo + j])
-            p_vec += self.P[:, lo + j]
-            q_vec += self.Q[:, lo + j]
+        for D, sl in zip(self.blocks, self.slices):
+            hit = D.col_extreme(y[sl], "max")
+            value -= hit.value
+            d[sl] = hit.column
+            atoms.append(hit.key)
         atoms = tuple(atoms)
-        return EtaHit(atoms, p_vec, q_vec, value, self.f_dot_atoms(atoms))
-
-    def eta_dense(self, atoms_weights):
-        """Weighted atoms -> dense vector in R^N (desk scale)."""
-        eta = np.zeros(self.N)
-        for atoms, weight in atoms_weights.items():
-            for b, (j,) in enumerate(atoms):
-                eta[self.offsets[b] + j] += weight
-        return eta
+        return EtaHit(atoms, self.A.dot(d), self.B.dot(d), value, self.f_dot_atoms(atoms))
 
     def apply_P_atoms(self, atoms):
-        return sum(self.P[:, self.offsets[b] + j] for b, (j,) in enumerate(atoms))
+        return self.A.dot(np.concatenate([D.column(a) for D, a in zip(self.blocks, atoms)]))
 
     def f_dot_atoms(self, atoms):
-        return 0.0 if self.f is None else float(
-            sum(self.f[self.offsets[b] + j] for b, (j,) in enumerate(atoms)))
-
-    def h_domain(self):
-        return Product([Simplex(n) for n in self.block_sizes])
+        return float(sum(f[atoms[b][0]] for b, f in self._f))
 
     def xi_radii(self):
+        """Bounds on |Q eta| and |P eta| over H: per block the largest column
+        norm of B_b D_b and A_b D_b, or for a block that is not dense the
+        spectral norms of B_b and A_b times its oracle's column-norm bound."""
         r1 = r2 = 0.0
-        for b in range(len(self.block_sizes)):
-            lo, hi = self.offsets[b], self.offsets[b + 1]
-            r1 += float(np.linalg.norm(self.Q[:, lo:hi], axis=0).max())
-            r2 += float(np.linalg.norm(self.P[:, lo:hi], axis=0).max())
+        for D, sl in zip(self.blocks, self.slices):
+            A, B = self.A[:, sl], self.B[:, sl]
+            if hasattr(D, "matrix"):
+                r1 += float(np.linalg.norm(B @ D.matrix, axis=0).max())
+                r2 += float(np.linalg.norm(A @ D.matrix, axis=0).max())
+            else:
+                bound = D.column_norm_bound()
+                r1 += float(np.linalg.norm(B, 2)) * bound
+                r2 += float(np.linalg.norm(A, 2)) * bound
         return r1, r2
+
+    def _dense_blocks(self):
+        """(matrices, column offsets) of the blocks.  Only a dense block's atom
+        (j,) names a coordinate j of H, so any other block raises."""
+        for b, D in enumerate(self.blocks):
+            if not hasattr(D, "matrix"):
+                raise ValueError(f"block {b} is a {type(D).__name__}, not a dense matrix: "
+                                 "its columns have no coordinates in H")
+        mats = [D.matrix for D in self.blocks]
+        return mats, np.cumsum([0] + [m.shape[1] for m in mats])
+
+    def eta_dense(self, atoms_weights):
+        """Weighted atoms -> dense vector in R^N (desk scale, dense blocks)."""
+        _, cols = self._dense_blocks()
+        eta = np.zeros(cols[-1])
+        for atoms, weight in atoms_weights.items():
+            for lo, (j,) in zip(cols, atoms):
+                eta[lo + j] += weight
+        return eta
+
+    def dense_PQ(self):
+        """Materialized P, Q and f, f None without offsets (desk scale, dense blocks)."""
+        mats, cols = self._dense_blocks()
+        stacked = np.zeros((self.A.shape[1], cols[-1]))
+        for m, sl, lo in zip(mats, self.slices, cols):  # block diagonal
+            stacked[sl, lo:lo + m.shape[1]] = m
+        f = None
+        if self._f:
+            f = np.zeros(cols[-1])
+            for b, f_b in self._f:
+                f[cols[b]:cols[b + 1]] = f_b
+        return self.A @ stacked, self.B @ stacked, f
+
+    def h_domain(self):
+        return Product([Simplex(D.count_columns()) for D in self.blocks])
+
+
+class DenseSkewSystem(_SkewSystem):
+    """Explicit K x N matrices P, Q with H a product of simplices whose
+    blocks partition the column index range: block b's oracle is the
+    stacked [P_b; Q_b] with offset -f_b, and A, B select its P and Q rows."""
+
+    def __init__(self, P, Q, f=None, block_sizes=None):
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        if P.shape != Q.shape:
+            raise ValueError("P and Q must have equal shapes")
+        K, N = P.shape
+        sizes = tuple(block_sizes) if block_sizes else (N,)
+        if sum(sizes) != N:
+            raise ValueError("block sizes must partition the columns")
+        f = None if f is None else np.asarray(f, dtype=float)
+        if f is not None and f.shape != (N,):
+            raise ValueError(f"f has shape {f.shape}, expected one entry per column ({N})")
+        cols = np.cumsum((0,) + sizes)
+        blocks = [DenseMatrixOracle(np.vstack([P[:, lo:hi], Q[:, lo:hi]]),
+                                    offset=None if f is None else -f[lo:hi])
+                  for lo, hi in zip(cols[:-1], cols[1:])]
+        eye, zero = np.eye(K), np.zeros((K, K))
+        super().__init__(blocks, np.hstack([eye, zero] * len(sizes)),
+                         np.hstack([zero, eye] * len(sizes)))
+
+    # each system class holds its own eta_argmin, which benchmark tracing wraps
+    eta_argmin = _SkewSystem.eta_argmin
 
 
 @dataclass
@@ -185,85 +244,25 @@ class NashSpec:
         return len(self.D)
 
 
-class NashSkewSystem:
+class NashSkewSystem(_SkewSystem):
     """P, Q induced by a NashSpec, never materialized: Q = (1/2)
     blockdiag(D_l) and P = C blockdiag(D_l), C the spec's stacked
-    coupling matrix.  For eta = (eta_l) the stacked encoding
-    d = (D_l eta_l) gives P eta = C d and Q eta = d / 2, so the column
-    search runs once per player through the encoding-matrix oracles on
-    the rows of the query y = x2 / 2 + C^T x1."""
+    coupling matrix.  The blocks are the players' encoders (offset -g_l),
+    A = C and B = I/2, so that player l's reply maximizes
+    <y_l, D_l e_j> - g_lj on the rows of y = C^T x1 + x2 / 2."""
 
     def __init__(self, spec):
-        self.spec = spec
-        self.K = spec.C.shape[0]
+        super().__init__(spec.D, spec.C, 0.5 * np.eye(spec.C.shape[0]))
 
-    def eta_argmin(self, x1, x2):
-        spec = self.spec
-        # player l's reply maximizes <y_l, D_l e_j> - g_lj: D_l carries the offset -g_l
-        y = 0.5 * np.asarray(x2, dtype=float) + spec.C.T.dot(np.asarray(x1, dtype=float))
-        d = np.empty(self.K)
-        atoms, value = [], 0.0
-        for l, sl in enumerate(spec.row_slices):
-            hit = spec.D[l].col_extreme(y[sl], "max")
-            value -= hit.value
-            d[sl] = hit.column
-            atoms.append(hit.key)
-        atoms = tuple(atoms)
-        return EtaHit(atoms, spec.C.dot(d), 0.5 * d, value, self.f_dot_atoms(atoms))
-
-    def apply_P_atoms(self, atoms):
-        spec = self.spec
-        return spec.C @ np.concatenate([spec.D[l].column(atom) for l, atom in enumerate(atoms)])
-
-    def f_dot_atoms(self, atoms):
-        g = self.spec.g
-        return 0.0 if g is None else float(sum(g[l][atom[0]] for l, atom in enumerate(atoms)))
-
-    def xi_radii(self):
-        spec = self.spec
-        r1 = r2 = 0.0
-        for l, sl in enumerate(spec.row_slices):
-            coupling = spec.C[:, sl]  # P = coupling @ D_l on player l's columns
-            if hasattr(spec.D[l], "matrix"):
-                cols = spec.D[l].matrix
-                r1 += 0.5 * float(np.linalg.norm(cols, axis=0).max())
-                r2 += float(np.linalg.norm(coupling @ cols, axis=0).max())
-            else:
-                bound = spec.D[l].column_norm_bound()
-                r1 += 0.5 * bound
-                r2 += float(np.linalg.norm(coupling, 2)) * bound
-        return r1, r2
-
-    def dense_PQ(self):
-        """Materialized P, Q and f (desk scale, dense encoders only)."""
-        spec = self.spec
-        mats = [d.matrix for d in spec.D]
-        blocks = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
-        r = c = 0
-        for m in mats:  # block diagonal
-            blocks[r:r + m.shape[0], c:c + m.shape[1]] = m
-            r, c = r + m.shape[0], c + m.shape[1]
-        f = None if spec.g is None else np.concatenate(spec.g)
-        return spec.C @ blocks, 0.5 * blocks, f
-
-    def h_domain(self):
-        return Product([Simplex(d.count_columns()) for d in self.spec.D])
-
-    def eta_dense(self, atoms_weights):
-        sizes = [d.count_columns() for d in self.spec.D]
-        offsets = np.cumsum([0] + sizes)
-        eta = np.zeros(offsets[-1])
-        for atoms, weight in atoms_weights.items():
-            for l, atom in enumerate(atoms):
-                eta[offsets[l] + atom[0]] += weight
-        return eta
+    # each system class holds its own eta_argmin, which benchmark tracing wraps
+    eta_argmin = _SkewSystem.eta_argmin
 
 
 @dataclass
 class SkewViSpec:
     """VI with operator F(eta) = 2 Q^T P eta + f, Q^T P skew-symmetric."""
 
-    system: object             # DenseSkewSystem | NashSkewSystem
+    system: object             # DenseSkewSystem or NashSkewSystem
     Xi1_radius: float
     Xi2_radius: float
 
@@ -282,12 +281,14 @@ class SkewViSpec:
 class ViSolution(SolveResult):
     """The run of a VI, with the point of H its certificate transfers;
     eps_bound is the certified residual `cert.residual`, eps_exact the
-    closing round's gap (None when H is not enumerable)."""
+    closing round's gap of that point (see eps_vi_exact): the exact dual
+    gap for a skew VI, the gap function for an affine one, which is the
+    dual gap when S is skew and an upper bound on it otherwise."""
 
     eta_atoms: dict | None     # weighted product-vertex atoms (skew path)
     eta_vector: np.ndarray | None  # dense recovered point (affine path)
     eps_bound: float
-    eps_exact: float | None
+    eps_exact: float
 
 
 def build_affine_vi_primal(spec):
@@ -367,9 +368,9 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     """Run the primal solver and transfer the certificate to H.
 
     Returns a ViSolution whose eps_bound is the certified primal residual
-    and whose eps_exact (skew path, or enumerable H) is the exact dual
-    gap of the recovered point, read off the closing round; every round
-    checks its gap against its residual.  A skew round reads P eta and
+    and whose eps_exact is the gap of the recovered point (see
+    eps_vi_exact), read off the closing round; every round checks its gap
+    against its residual.  A skew round reads P eta and
     <f, eta> of each atom from the run's payloads and makes one oracle
     call; eps_vi_exact, which rebuilds the columns, is the independent
     check of that gap.
@@ -410,40 +411,32 @@ def _collect_eta(cert, payloads):
 
 
 def _affine_eps_exact(spec, eta):
-    """(gap, scale) as in _skew_dual_gap, by brute force over the vertices of
-    H; the gap is exact whenever the quadratic form of S vanishes on H - H."""
-    H = spec.H
-    if isinstance(H, FiniteAtoms):
-        vertices = H.atoms
-    elif isinstance(H, Simplex) and H.n <= 10 ** 4:
-        vertices = np.eye(H.n)
-    else:
-        return None, 0.0
-    best, scale = -np.inf, 0.0
-    for v in vertices:
-        field_v = spec.apply_S(v) + spec.s
-        best = max(best, float(field_v @ (eta - v)))
-        scale = max(scale, abs(float(field_v @ eta)), abs(float(field_v @ v)))
-    return best, scale
+    """(gap, scale) as in _skew_dual_gap: the gap function
+    <F(eta), eta> - min_H <F(eta), .> with F(eta) = S eta + s, from one LMO
+    call.  By monotonicity <F(eta'), eta - eta'> <= <F(eta), eta - eta'>, so
+    it bounds the dual gap from above, and equals it when S is skew."""
+    field = spec.apply_S(eta) + spec.s
+    _, low = spec.H.lmo(field)
+    at_eta = float(field.dot(eta))
+    return at_eta - low, max(abs(at_eta), abs(low))
 
 
 def eps_vi_exact(spec, eta):
-    """Exact dual gap sup_{eta'} <F(eta'), eta - eta'>.
+    """Gap of eta from one oracle or LMO call.
 
-    Skew specs take weighted atoms (or a dense vector for dense systems)
-    and need one oracle call; affine specs require an enumerable H.
-    Returns None when the gap is not exactly computable.
+    A skew spec takes weighted atoms, or a dense vector when its blocks
+    are dense, and returns the exact dual gap sup_{eta'} <F(eta'), eta - eta'>.
+    An affine spec takes a dense vector and returns the gap function
+    <F(eta), eta> - min_H <F(eta), .>: the dual gap when S is skew, an
+    upper bound on it for any monotone S.
     """
-    if isinstance(spec, SkewViSpec):
-        if isinstance(eta, dict):
-            return _skew_eps_exact(spec, _oracle_terms(spec, eta))[0]
-        system = spec.system
-        if isinstance(system, DenseSkewSystem):
-            eta = np.asarray(eta, dtype=float)
-            f_dot = 0.0 if system.f is None else float(system.f @ eta)
-            return _skew_dual_gap(spec, system.P @ eta, f_dot)[0]
-        raise ValueError("dense eta requires a dense skew system")
-    return _affine_eps_exact(spec, np.asarray(eta, dtype=float))[0]
+    if not isinstance(spec, SkewViSpec):
+        return _affine_eps_exact(spec, np.asarray(eta, dtype=float))[0]
+    if isinstance(eta, dict):
+        return _skew_eps_exact(spec, _oracle_terms(spec, eta))[0]
+    P, _, f = spec.system.dense_PQ()
+    eta = np.asarray(eta, dtype=float)
+    return _skew_dual_gap(spec, P.dot(eta), 0.0 if f is None else float(f.dot(eta)))[0]
 
 
 def eps_nash(spec, eta_blocks):
@@ -494,13 +487,10 @@ def nash_spec_from_json(obj):
 def skew_master_protocol(spec, protocol, payloads):
     """Lift a primal skew protocol to Theta = Xi1 x Xi2 x H (desk scale).
 
-    Requires dense P, Q; used to check the residual-transfer chain
+    Requires dense blocks; used to check the residual-transfer chain
     Res(J | Theta) <= Res(I | Xi)."""
     system = spec.system
-    if isinstance(system, DenseSkewSystem):
-        P, Q, f = system.P, system.Q, system.f
-    else:
-        P, Q, f = system.dense_PQ()
+    P, Q, f = system.dense_PQ()
     k = spec.K
     points, fields = [], []
     for i in range(len(protocol)):

@@ -159,6 +159,35 @@ def test_affine_finite_atoms_eps_exact():
     assert abs(eps_vi_exact(spec, np.array([1.0, 0.0])) - 2.0) < 1e-12
 
 
+def test_affine_gap_of_e1_on_the_2_simplex():
+    # S = I is monotone, not skew: at eta = e1 the dual gap is
+    # max_t (t - 2 t^2) = 1/8 over eta' = (1 - t, t), which the maximum over
+    # the vertices alone read as 0; the gap function is 1 - min(1, 0) = 1
+    spec = AffineViSpec(apply_S=lambda x: x, apply_St=lambda x: x, s=np.zeros(2),
+                        H=Simplex(2), Xi_radius=1.0)
+    gap = eps_vi_exact(spec, np.array([1.0, 0.0]))
+    assert gap >= 1 / 8
+    assert gap == 1.0
+
+
+def test_affine_gap_of_a_monotone_vi_bounds_the_vertex_maximum():
+    # S = 10 B B^T is monotone, not skew.  The maximum of <F(v), eta - v> over
+    # the vertices v of H, the gap this VI reported before, is only a lower
+    # bound on the dual gap: it read -34.97 and stopped the run at step 144
+    rng = np.random.default_rng(14)
+    B, s = rng.normal(size=(6, 6)), rng.normal(size=6)
+    S = 10.0 * B @ B.T
+    spec = AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x, s=s,
+                        H=Simplex(6), Xi_radius=1.0)
+    sol = solve_vi(spec)
+    eta = sol.eta_vector
+    vertex_max = max(float((S @ v + s) @ (eta - v)) for v in np.eye(6))
+    assert sol.stop_reason == "gap_threshold"
+    assert vertex_max <= sol.eps_exact <= sol.eps_bound
+    assert sol.eps_exact == eps_vi_exact(spec, eta)
+    assert all(r["gap"] >= -1e-12 * r["scale"] for r in sol.rounds)
+
+
 def test_primal_field_monotone_sampled():
     rng = np.random.default_rng(0)
     specs = [rotation_affine_spec(), nash_to_skew(random_nash_spec(rng, [3, 4]))]
@@ -212,6 +241,67 @@ def test_dense_skew_system_argmin_and_radii():
     r1, r2 = system.xi_radii()
     assert abs(r1 - (np.sqrt(1.25) + 1.0)) < 1e-12
     assert abs(r2 - (np.sqrt(5.0) + 1.0)) < 1e-12
+    with pytest.raises(ValueError, match=r"f has shape \(2,\)"):
+        DenseSkewSystem(P, Q, f=np.zeros(2))
+    # random blocks against a brute-force blockwise argmin of f - P^T x1 - Q^T x2
+    rng = np.random.default_rng(6)
+    for sizes in [(4,), (3, 2), (2, 5, 1, 3)]:
+        for with_f in (False, True):
+            K, N = int(rng.integers(1, 4)), sum(sizes)
+            P, Q = rng.normal(size=(2, K, N))
+            f = rng.normal(size=N) if with_f else np.zeros(N)
+            system = DenseSkewSystem(P, Q, f=f if with_f else None, block_sizes=sizes)
+            cols = np.cumsum((0,) + sizes)
+            for _ in range(50):
+                x1, x2 = rng.normal(size=(2, K))
+                query = f - P.T @ x1 - Q.T @ x2
+                js = [lo + int(np.argmin(query[lo:hi])) for lo, hi in zip(cols[:-1], cols[1:])]
+                hit = system.eta_argmin(x1, x2)
+                assert hit.atoms == tuple((j - lo,) for j, lo in zip(js, cols))
+                value = query[js].sum()
+                assert abs(hit.value - value) <= 1e-12 * max(1.0, abs(value))
+                assert abs(hit.f_dot - f[js].sum()) <= 1e-12
+                assert np.allclose(hit.p_vec, P[:, js].sum(axis=1), rtol=0.0, atol=1e-12)
+                assert np.allclose(hit.q_vec, Q[:, js].sum(axis=1), rtol=0.0, atol=1e-12)
+                assert np.array_equal(system.apply_P_atoms(hit.atoms), hit.p_vec)
+            r1, r2 = system.xi_radii()
+            blocks = list(zip(cols[:-1], cols[1:]))
+            assert abs(r1 - sum(np.linalg.norm(Q[:, lo:hi], axis=0).max()
+                                for lo, hi in blocks)) <= 1e-12 * r1
+            assert abs(r2 - sum(np.linalg.norm(P[:, lo:hi], axis=0).max()
+                                for lo, hi in blocks)) <= 1e-12 * r2
+
+
+def test_dense_views_reject_blocks_that_are_not_dense():
+    # a knapsack atom is an action sequence, not a column index: read as one,
+    # the weights of atoms (0, 0) and (0, 3) landed on the same entry of eta
+    rng = np.random.default_rng(11)
+    D = [DenseMatrixOracle(rng.normal(size=(2, 3))), random_knapsack_encoder(rng, (1, 1))]
+    skew = nash_to_skew(NashSpec(D=D, M=random_coupling(rng, [2, 2])))
+    system = skew.system
+    not_dense = r"block 1 is a KnapsackOracle, not a dense matrix"
+    with pytest.raises(ValueError, match=not_dense):
+        system.eta_dense({((0,), (0, 0)): 0.5, ((0,), (0, 3)): 0.5})
+    with pytest.raises(ValueError, match=not_dense):
+        system.dense_PQ()
+    with pytest.raises(ValueError, match=not_dense):
+        eps_vi_exact(skew, np.full(3 + D[1].count_columns(), 0.5))
+    sol = solve_vi(skew, config=SolverConfig(max_steps=50))
+    with pytest.raises(ValueError, match=not_dense):
+        skew_master_protocol(skew, sol.protocol, sol.payloads)
+    # the atoms themselves still have their gap, from the oracles' columns
+    assert eps_vi_exact(skew, sol.eta_atoms) == sol.eps_exact
+
+
+def test_an_encoders_own_offset_is_the_players_linear_loss():
+    # the column search scores a dense encoder's offset, so <f, eta> counts it
+    # too, as it counts g: read as f = 0 it made this gap -0.038
+    off = np.array([0.3, -0.2])
+    D = [DenseMatrixOracle(np.eye(2), offset=-off), DenseMatrixOracle(np.eye(2))]
+    own = solve_vi(nash_to_skew(NashSpec(D=D, M=pennies_nash_spec().M)))
+    via_g = solve_vi(nash_to_skew(pennies_nash_spec(g=[off, np.zeros(2)])))
+    assert own.eps_exact == via_g.eps_exact and own.steps == via_g.steps
+    assert 0.0 <= own.eps_exact <= own.eps_bound
 
 
 def test_eps_nash_hand_values():
