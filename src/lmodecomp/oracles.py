@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,19 +32,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class ColumnHit:
-    """A column identified by an oracle query.
+    """A column hit by an oracle query, a plain record: action_sequence is
+    its pure-strategy index (the column number of a dense matrix, the
+    action vector of a knapsack/DP), value = <x, column> for the query x
+    (plus a dense offset's entry), start_state a DP's (None elsewhere)."""
 
-    action_sequence is the pure-strategy index of the column (the column
-    number for dense matrices, the integer action vector for knapsack/DP
-    matrices); value = <x, column> for the query x.
-    """
+    __slots__ = ("action_sequence", "column", "value", "start_state")
 
-    action_sequence: tuple
-    column: np.ndarray
-    value: float
-    start_state: int | None = None
+    def __init__(self, action_sequence, column, value, start_state=None):
+        self.action_sequence, self.column = action_sequence, column
+        self.value, self.start_state = value, start_state
 
     @property
     def key(self):
@@ -174,14 +173,15 @@ class DpSystem:
         return sum(self.block_dims)
 
 
-@dataclass(frozen=True)
-class BellmanTables:
+class BellmanTables(NamedTuple):  # built on every DP column search
     values: tuple    # per stage: (n_states,) array of optimal continuation values
     argpos: tuple    # per stage: (n_states,) array of optimal action positions
     direction: str
 
 
 def _check_query(x, n_rows):
+    if type(x) is np.ndarray and x.dtype == float and x.shape == (n_rows,):
+        return x  # already a query: no re-conversion
     x = np.asarray(x, dtype=float)
     if x.shape != (n_rows,):
         raise ValueError(f"query dimension {x.shape} does not match row count {n_rows}")

@@ -114,13 +114,29 @@ class MasterProblem:
         return (u, v) if self.S is None else (self.S.dot(u), self.S.T.dot(v))
 
 
-@dataclass(frozen=True)
 class PrimalEval:
-    phi: float
-    g_u: np.ndarray
-    g_v: np.ndarray
-    w_hit: object
-    z_hit: object
+    """phi's first-order information at (u, v), a plain record: `field` is
+    [phi'_u; -phi'_v] = [z_col - R^T v; R u - w_col] in one array, g_u a
+    view of its first half, g_v its negated second half, w_hit and z_hit
+    the two ColumnHits.  phi is computed when read, from v and R u
+    themselves (not copies), so read it before changing them in place."""
+
+    __slots__ = ("field", "w_hit", "z_hit", "_v", "_r_u")
+
+    def __init__(self, field, w_hit, z_hit, v, r_u):
+        self.field, self.w_hit, self.z_hit, self._v, self._r_u = field, w_hit, z_hit, v, r_u
+
+    @property
+    def phi(self):
+        return self.w_hit.value + self.z_hit.value - float(self._v.dot(self._r_u))
+
+    @property
+    def g_u(self):
+        return self.field[:len(self.field) - len(self._r_u)]
+
+    @property
+    def g_v(self):
+        return -self.field[len(self.field) - len(self._r_u):]
 
 
 @dataclass
@@ -181,8 +197,10 @@ def primal_value_grad(master, u, v):
     w_hit = master.D.col_extreme(v, "min")
     z_hit = master.A.col_extreme(u, "max")
     r_u, rt_v = master.coupling(u, v)
-    phi = w_hit.value + z_hit.value - float(v.dot(r_u))
-    return PrimalEval(phi, z_hit.column - rt_v, w_hit.column - r_u, w_hit, z_hit)
+    field = np.empty(len(u) + len(v))
+    np.subtract(z_hit.column, rt_v, out=field[:len(u)])
+    np.subtract(r_u, w_hit.column, out=field[len(u):])  # -phi'_v = -(w_col - R u)
+    return PrimalEval(field, w_hit, z_hit, v, r_u)
 
 
 def _atoms(cert, hits):
@@ -235,14 +253,10 @@ def solve_sp(master, solver="ellipsoid", config=None):
     its residual; nothing calls an oracle after the run.
     """
     nu = master.dim_u
-    n = nu + master.dim_v
 
     def fn(xi):
         ev = primal_value_grad(master, xi[:nu], xi[nu:])
-        field = np.empty(n)
-        field[:nu] = ev.g_u
-        np.negative(ev.g_v, out=field[nu:])
-        return field, (ev.w_hit, ev.z_hit)
+        return ev.field, (ev.w_hit, ev.z_hit)
 
     def round_fields(protocol, cert, hits):
         upper, lower = _value_bounds(master, *_atoms(cert, hits))

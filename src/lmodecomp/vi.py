@@ -43,7 +43,9 @@ __all__ = [
 
 @dataclass
 class AffineViSpec:
-    """VI with operator F(eta) = S eta + s on an LMO-represented H."""
+    """VI with operator F(eta) = S eta + s on an LMO-represented H, solved in
+    the primal ball of radius Xi_radius: a ball that does not contain H
+    certifies nothing, so Xi_radius is at least H's enclosing radius."""
 
     apply_S: object            # callable R^N -> R^N
     apply_St: object           # callable R^N -> R^N (transpose action)
@@ -53,17 +55,21 @@ class AffineViSpec:
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
+        if self.Xi_radius < self.H.enclosing_radius():
+            raise ValueError(f"Xi_radius {self.Xi_radius} is below the enclosing radius "
+                             f"{self.H.enclosing_radius()} of H")
 
 
-@dataclass(frozen=True)
 class EtaHit:
-    """Vertex of H minimizing a linear form, with its images under P, Q."""
+    """Vertex of H minimizing a linear form, a plain record: per-block atom
+    keys (ColumnHit.key), p_vec = P eta, q_vec = Q eta, the attained minimum
+    value and f_dot = <f, eta> (0.0 when no block has an offset)."""
 
-    atoms: tuple               # per-block atom keys (ColumnHit.key)
-    p_vec: np.ndarray          # P eta
-    q_vec: np.ndarray          # Q eta
-    value: float               # attained minimum of the queried linear form
-    f_dot: float               # <f, eta>
+    __slots__ = ("atoms", "p_vec", "q_vec", "value", "f_dot")
+
+    def __init__(self, atoms, p_vec, q_vec, value, f_dot):
+        self.atoms, self.p_vec, self.q_vec, self.value, self.f_dot = (
+            atoms, p_vec, q_vec, value, f_dot)
 
 
 class _SkewSystem:
@@ -95,7 +101,8 @@ class _SkewSystem:
             d[sl] = hit.column
             atoms.append(hit.key)
         atoms = tuple(atoms)
-        return EtaHit(atoms, self.A.dot(d), self.B.dot(d), value, self.f_dot_atoms(atoms))
+        return EtaHit(atoms, self.A.dot(d), self.B.dot(d), value,
+                      self.f_dot_atoms(atoms) if self._f else 0.0)
 
     def apply_P_atoms(self, atoms):
         return self.A.dot(np.concatenate([D.column(a) for D, a in zip(self.blocks, atoms)]))
@@ -197,8 +204,8 @@ class NashSpec:
     reply is one column search maximizing <y_l, D_l e_j> - g_lj.
 
     After validation the blocks are stacked once: C = [M[l][lp]] is the
-    K x K coupling matrix (K = sum m_l), block_rows[l] = m_l and
-    row_slices[l] selects player l's rows (and columns) of C.
+    K x K coupling matrix (K = sum m_l) and row_slices[l] selects player
+    l's rows (and columns) of C.
     """
 
     D: list
@@ -234,7 +241,6 @@ class NashSpec:
                     raise ValueError(f"g[{l}] has shape {v.shape}, expected one entry "
                                      f"per column of D[{l}] ({self.D[l].count_columns()})")
             self.D = [DenseMatrixOracle(d.matrix, offset=-v) for d, v in zip(self.D, self.g)]
-        self.block_rows = rows
         offsets = np.cumsum([0] + rows)
         self.row_slices = [slice(offsets[l], offsets[l + 1]) for l in range(L)]
         self.C = np.block(self.M)
@@ -444,8 +450,9 @@ def eps_nash(spec, eta_blocks):
 
     eta_blocks: one entry per player, either a dense strategy vector or a
     dict {key: weight} keyed as `ColumnHit.key` (a DP's start state and
-    action sequence, elsewhere the action sequence).  Uses one column
-    search per player.
+    action sequence, elsewhere the action sequence).  A dense encoder's
+    offset -g_l, its own or the spec's g[l], enters the player's own loss
+    as in the best reply.  Uses one column search per player.
     """
     L = spec.L
     if len(eta_blocks) != L:
@@ -463,12 +470,13 @@ def eps_nash(spec, eta_blocks):
     for l, sl in enumerate(spec.row_slices):
         y = losses[sl]
         own = float(encoded[sl] @ y)
-        if spec.g is not None:
-            blk = eta_blocks[l]
+        offset = getattr(spec.D[l], "offset", None)
+        if offset is not None:  # the encoder's own, or -g[l] from the spec
+            g, blk = -offset, eta_blocks[l]
             if isinstance(blk, dict):
-                own += float(sum(w * spec.g[l][a[0]] for a, w in blk.items()))
+                own += float(sum(w * g[a[0]] for a, w in blk.items()))
             else:
-                own += float(spec.g[l] @ np.asarray(blk, dtype=float))
+                own += float(g @ np.asarray(blk, dtype=float))
         best = -spec.D[l].col_extreme(-y, "max").value  # min_j <y, D_l e_j> + g_lj
         total += own - best
     return total

@@ -9,6 +9,7 @@ import pytest
 from test_vi import dp_start_states_nash_spec
 from lmodecomp.blotto import BlottoSpec, build_blotto, random_rank1_omegas
 from lmodecomp.oracles import (
+    ColumnHit,
     DenseMatrixOracle,
     DpOracle,
     KnapsackOracle,
@@ -47,6 +48,39 @@ def test_dense_col_extreme():
     assert hit.action_sequence == (1,)
     assert hit.value == 6.0
     assert np.array_equal(hit.column, [2.0, 4.0])
+
+
+def test_column_hit_keeps_its_fields_and_key():
+    column = np.array([1.0, 2.0])
+    hit = ColumnHit((3, 1), column, 4.5)
+    assert (hit.action_sequence, hit.column, hit.value, hit.start_state) == ((3, 1), column,
+                                                                              4.5, None)
+    assert hit.key == (3, 1)
+    dp_hit = ColumnHit((3, 1), column, 4.5, start_state=2)
+    assert dp_hit.start_state == 2 and dp_hit.key == (2, (3, 1))
+
+
+@pytest.mark.parametrize("kind", ["dense", "knapsack"])
+def test_queries_of_any_array_type_search_alike_and_bad_shapes_raise(kind):
+    # a 1-D float64 query of the right shape is used as it is; any other is
+    # converted (or rejected) as before
+    rng = np.random.default_rng(5)
+    oracle = (DenseMatrixOracle(rng.normal(size=(3, 7)), offset=rng.normal(size=7))
+              if kind == "dense" else random_knapsack(rng))
+    n = oracle.n_rows
+    for direction in ("max", "min"):
+        x = rng.integers(-3, 4, size=n).astype(float)
+        ref = oracle.col_extreme(x, direction)
+        for query in (x.tolist(), x.astype(int), x.astype(np.float32), x[None, :][0],
+                      np.repeat(x, 2)[::2]):
+            hit = oracle.col_extreme(query, direction)
+            assert hit.key == ref.key and hit.value == ref.value
+            assert hit.column.tobytes() == ref.column.tobytes()
+        for bad in (np.zeros(n + 1), np.zeros((1, n)), np.zeros(n - 1), 1.0):
+            with pytest.raises(ValueError, match="query dimension"):
+                oracle.col_extreme(bad, direction)
+    with pytest.raises(ValueError, match="direction"):
+        oracle.col_extreme(np.zeros(n), "argmax")
 
 
 def test_dense_offset_scores_columns_without_changing_them():

@@ -1,8 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import eps_sad_enum, lp_game_value
-from lmodecomp import saddle
+from lmodecomp import saddle, vi
 from lmodecomp.blotto import BlottoSpec, build_blotto, random_rank1_omegas
 from lmodecomp.certificates import CertificateError, residual, residual_ball_product
 from lmodecomp.oracles import (
@@ -100,6 +102,68 @@ def test_sub_and_supergradients_sampled():
                     >= ev.phi + ev.g_u @ (up - u) - 1e-9)
             assert (primal_value_grad(master, u, vp).phi
                     <= ev.phi + ev.g_v @ (vp - v) + 1e-9)
+
+
+@pytest.mark.parametrize("square", [True, False])
+def test_primal_eval_is_the_textbook_formula_bit_for_bit(square):
+    # the field is written in place; g_u, g_v and phi read it back
+    rng = np.random.default_rng(8)
+    if square:
+        S = rng.normal(size=(4, 5))
+        master = build_master_example1(S, p=rng.normal(size=5), q=rng.normal(size=4))
+    else:
+        master = build_master_example2(BilinearSpSpec(
+            A=DenseMatrixOracle(rng.normal(size=(3, 6))),
+            D=DenseMatrixOracle(rng.normal(size=(3, 5)))))
+        S = np.eye(3)
+    for _ in range(50):
+        u, v = rng.normal(size=master.dim_u), rng.normal(size=master.dim_v)
+        ev = primal_value_grad(master, u, v)
+        w, z = master.D.col_extreme(v, "min"), master.A.col_extreme(u, "max")
+        r_u, rt_v = (S @ u, S.T @ v) if square else (u, v)
+        assert (ev.w_hit.key, ev.z_hit.key) == (w.key, z.key)
+        assert ev.phi == w.value + z.value - float(v @ r_u)
+        assert ev.g_u.tobytes() == (z.column - rt_v).tobytes()
+        assert ev.g_v.tobytes() == (w.column - r_u).tobytes()
+        assert ev.field.tobytes() == np.concatenate([ev.g_u, -ev.g_v]).tobytes()
+
+
+def test_step_path_runs_through_every_traced_layer(monkeypatch):
+    # a tracer wraps these by name, where their callers look them up: the
+    # module global primal_value_grad and the classes' col_extreme and
+    # eta_argmin; every protocol entry must pass through each of them
+    calls = Counter()
+
+    def count(owner, attr):
+        fn = vars(owner)[attr]
+
+        def counted(*args, **kwargs):
+            calls[owner.__name__, attr] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, counted)
+
+    count(saddle, "primal_value_grad")
+    count(DenseMatrixOracle, "col_extreme")
+    count(KnapsackOracle, "col_extreme")
+    count(vi.NashSkewSystem, "eta_argmin")
+    rng = np.random.default_rng(9)
+    game = solve_sp(build_master_example2(BilinearSpSpec(
+        A=DenseMatrixOracle(rng.normal(size=(2, 4))),
+        D=DenseMatrixOracle(rng.normal(size=(2, 3))))),
+        config=SolverConfig(eps_target=1e-5, gap_threshold=1e-5))
+    t = len(game.protocol)
+    assert t > 0 and calls["lmodecomp.saddle", "primal_value_grad"] == t
+    assert calls["DenseMatrixOracle", "col_extreme"] >= 2 * t
+    encoders = [KnapsackOracle(KnapsackSpec(
+        bounds=(2, 2), costs=(1, 1), budget=cap,
+        outputs=tuple(rng.normal(size=(3, 1)) for _ in range(2)))) for cap in (2, 3)]
+    B, Z = rng.normal(size=(2, 2)), np.zeros((2, 2))
+    nash = vi.solve_vi(vi.nash_to_skew(vi.NashSpec(D=encoders, M=[[Z, B], [-B.T, Z]])),
+                       config=SolverConfig(eps_target=1e-4, gap_threshold=1e-4))
+    t = len(nash.protocol)
+    assert t > 0 and calls["NashSkewSystem", "eta_argmin"] >= t
+    assert calls["KnapsackOracle", "col_extreme"] >= 2 * t
 
 
 def test_pennies_solution():

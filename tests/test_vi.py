@@ -314,6 +314,30 @@ def test_eps_nash_hand_values():
     assert abs(val - eps_nash(spec, [np.array([0.3, 0.7]), np.array([0.5, 0.5])])) < 1e-12
 
 
+def test_eps_nash_counts_an_encoders_own_offset_in_the_own_loss():
+    # the best reply scores the offset, so the player's own loss counts it
+    # too: read as g = 0 there, uniform pennies gave 0.2
+    off = np.array([0.3, -0.2])
+    own = NashSpec(D=[DenseMatrixOracle(np.eye(2), offset=-off), DenseMatrixOracle(np.eye(2))],
+                   M=pennies_nash_spec().M)
+    via_g = pennies_nash_spec(g=[off, np.zeros(2)])
+    uniform = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
+    atoms = [{(0,): 0.5, (1,): 0.5}, {(0,): 0.5, (1,): 0.5}]
+    for blocks in (uniform, atoms):
+        assert abs(eps_nash(own, blocks) - 0.25) < 1e-12
+        assert eps_nash(own, blocks) == eps_nash(via_g, blocks)
+
+
+def test_affine_radius_below_the_enclosing_radius_is_rejected():
+    def spec(radius):
+        return AffineViSpec(apply_S=lambda x: np.zeros(3), apply_St=lambda x: np.zeros(3),
+                            s=np.zeros(3), H=Simplex(3), Xi_radius=radius)
+
+    with pytest.raises(ValueError, match=r"Xi_radius 0\.3 .* enclosing radius 1\.0"):
+        spec(0.3)
+    assert spec(1.0).Xi_radius == 1.0
+
+
 def test_eps_nash_nonnegative_and_below_vi_gap():
     rng = np.random.default_rng(3)
     spec = random_nash_spec(rng, [3, 2, 4])
