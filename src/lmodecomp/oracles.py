@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -173,15 +172,14 @@ class DpSystem:
         return sum(self.block_dims)
 
 
-class BellmanTables(NamedTuple):  # built on every DP column search
+@dataclass(frozen=True)
+class BellmanTables:
     values: tuple    # per stage: (n_states,) array of optimal continuation values
     argpos: tuple    # per stage: (n_states,) array of optimal action positions
     direction: str
 
 
 def _check_query(x, n_rows):
-    if type(x) is np.ndarray and x.dtype == float and x.shape == (n_rows,):
-        return x  # already a query: no re-conversion
     x = np.asarray(x, dtype=float)
     if x.shape != (n_rows,):
         raise ValueError(f"query dimension {x.shape} does not match row count {n_rows}")

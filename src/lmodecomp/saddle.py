@@ -118,25 +118,21 @@ class PrimalEval:
     """phi's first-order information at (u, v), a plain record: `field` is
     [phi'_u; -phi'_v] = [z_col - R^T v; R u - w_col] in one array, g_u a
     view of its first half, g_v its negated second half, w_hit and z_hit
-    the two ColumnHits.  phi is computed when read, from v and R u
-    themselves (not copies), so read it before changing them in place."""
+    the two ColumnHits, and phi = w_hit.value + z_hit.value - <v, R u>,
+    fixed at call time."""
 
-    __slots__ = ("field", "w_hit", "z_hit", "_v", "_r_u")
+    __slots__ = ("field", "w_hit", "z_hit", "phi", "_dim_u")
 
-    def __init__(self, field, w_hit, z_hit, v, r_u):
-        self.field, self.w_hit, self.z_hit, self._v, self._r_u = field, w_hit, z_hit, v, r_u
-
-    @property
-    def phi(self):
-        return self.w_hit.value + self.z_hit.value - float(self._v.dot(self._r_u))
+    def __init__(self, field, w_hit, z_hit, phi, dim_u):
+        self.field, self.w_hit, self.z_hit, self.phi, self._dim_u = field, w_hit, z_hit, phi, dim_u
 
     @property
     def g_u(self):
-        return self.field[:len(self.field) - len(self._r_u)]
+        return self.field[:self._dim_u]
 
     @property
     def g_v(self):
-        return -self.field[len(self.field) - len(self._r_u):]
+        return -self.field[self._dim_u:]
 
 
 @dataclass
@@ -200,7 +196,7 @@ def primal_value_grad(master, u, v):
     field = np.empty(len(u) + len(v))
     np.subtract(z_hit.column, rt_v, out=field[:len(u)])
     np.subtract(r_u, w_hit.column, out=field[len(u):])  # -phi'_v = -(w_col - R u)
-    return PrimalEval(field, w_hit, z_hit, v, r_u)
+    return PrimalEval(field, w_hit, z_hit, w_hit.value + z_hit.value - float(v.dot(r_u)), len(u))
 
 
 def _atoms(cert, hits):

@@ -45,7 +45,9 @@ __all__ = [
 class AffineViSpec:
     """VI with operator F(eta) = S eta + s on an LMO-represented H, solved in
     the primal ball of radius Xi_radius: a ball that does not contain H
-    certifies nothing, so Xi_radius is at least H's enclosing radius."""
+    certifies nothing, so Xi_radius is at least H's enclosing radius, up
+    to rounding, when H implements `enclosing_radius`.  For a domain known
+    by its LMO alone, choosing a radius that contains it is the caller's."""
 
     apply_S: object            # callable R^N -> R^N
     apply_St: object           # callable R^N -> R^N (transpose action)
@@ -55,9 +57,14 @@ class AffineViSpec:
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
-        if self.Xi_radius < self.H.enclosing_radius():
+        try:
+            radius = self.H.enclosing_radius()
+        except NotImplementedError:
+            return
+        # relative slack: the same radius computed another way may round a few ulps short
+        if self.Xi_radius < radius * (1.0 - 1e-12):
             raise ValueError(f"Xi_radius {self.Xi_radius} is below the enclosing radius "
-                             f"{self.H.enclosing_radius()} of H")
+                             f"{radius} of H")
 
 
 class EtaHit:
@@ -101,8 +108,7 @@ class _SkewSystem:
             d[sl] = hit.column
             atoms.append(hit.key)
         atoms = tuple(atoms)
-        return EtaHit(atoms, self.A.dot(d), self.B.dot(d), value,
-                      self.f_dot_atoms(atoms) if self._f else 0.0)
+        return EtaHit(atoms, self.A.dot(d), self.B.dot(d), value, self.f_dot_atoms(atoms))
 
     def apply_P_atoms(self, atoms):
         return self.A.dot(np.concatenate([D.column(a) for D, a in zip(self.blocks, atoms)]))

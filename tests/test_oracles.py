@@ -62,8 +62,8 @@ def test_column_hit_keeps_its_fields_and_key():
 
 @pytest.mark.parametrize("kind", ["dense", "knapsack"])
 def test_queries_of_any_array_type_search_alike_and_bad_shapes_raise(kind):
-    # a 1-D float64 query of the right shape is used as it is; any other is
-    # converted (or rejected) as before
+    # a list, integer, float32 or strided query is converted to the same
+    # float64 query; a query of the wrong shape is rejected
     rng = np.random.default_rng(5)
     oracle = (DenseMatrixOracle(rng.normal(size=(3, 7)), offset=rng.normal(size=7))
               if kind == "dense" else random_knapsack(rng))

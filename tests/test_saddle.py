@@ -106,7 +106,8 @@ def test_sub_and_supergradients_sampled():
 
 @pytest.mark.parametrize("square", [True, False])
 def test_primal_eval_is_the_textbook_formula_bit_for_bit(square):
-    # the field is written in place; g_u, g_v and phi read it back
+    # the field is written in place and g_u, g_v read it back; the record
+    # holds none of the caller's arrays, so changing them leaves it as it was
     rng = np.random.default_rng(8)
     if square:
         S = rng.normal(size=(4, 5))
@@ -126,6 +127,10 @@ def test_primal_eval_is_the_textbook_formula_bit_for_bit(square):
         assert ev.g_u.tobytes() == (z.column - rt_v).tobytes()
         assert ev.g_v.tobytes() == (w.column - r_u).tobytes()
         assert ev.field.tobytes() == np.concatenate([ev.g_u, -ev.g_v]).tobytes()
+        phi, field = ev.phi, ev.field.copy()
+        u += 1.0
+        v *= -2.0
+        assert ev.phi == phi and ev.field.tobytes() == field.tobytes()
 
 
 def test_step_path_runs_through_every_traced_layer(monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from conftest import eps_sad_enum, lp_game_value
 from lmodecomp import vi
 from lmodecomp.certificates import AccuracyCertificate, CertificateError, residual
-from lmodecomp.domains import FiniteAtoms, Simplex
+from lmodecomp.domains import Domain, FiniteAtoms, Product, Simplex
 from lmodecomp.oracles import (
     DenseMatrixOracle,
     DpOracle,
@@ -336,6 +336,26 @@ def test_affine_radius_below_the_enclosing_radius_is_rejected():
     with pytest.raises(ValueError, match=r"Xi_radius 0\.3 .* enclosing radius 1\.0"):
         spec(0.3)
     assert spec(1.0).Xi_radius == 1.0
+
+
+def test_affine_radius_check_forgives_rounding_and_lmo_only_domains():
+    def spec(H, radius):
+        return AffineViSpec(apply_S=lambda x: np.zeros(H.dim), apply_St=lambda x: np.zeros(H.dim),
+                            s=np.zeros(H.dim), H=H, Xi_radius=radius)
+
+    H = Product([Simplex(2), Simplex(3)])
+    r = H.enclosing_radius()  # sqrt(2), computed as sqrt(1 + 1)
+    assert spec(H, np.nextafter(r, 0.0)).Xi_radius < r  # one ulp short is the same radius
+    with pytest.raises(ValueError, match="enclosing radius"):
+        spec(H, 0.999 * r)
+
+    class LmoOnly(Domain):  # no enclosing_radius: the radius is the caller's
+        dim = 3
+
+        def lmo(self, c):
+            return Simplex(3).lmo(c)
+
+    assert spec(LmoOnly(), 0.3).Xi_radius == 0.3
 
 
 def test_eps_nash_nonnegative_and_below_vi_gap():
