@@ -85,10 +85,11 @@ class AccuracyCertificate:
         w = np.asarray(self.weights, dtype=float)
         if w.ndim != 1:
             raise ValueError("certificate weights must be a vector")
-        if (w < 0).any():
+        # both checks are written so that NaN weights fail them
+        if not (w >= 0).all():
             raise ValueError("certificate weights must be nonnegative")
         total = w.sum()
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ValueError(f"certificate weights sum to {total}, expected 1")
         object.__setattr__(self, "weights", w)
 

@@ -79,8 +79,8 @@ class Ball(Domain):
     def __init__(self, center, radius):
         self.center = np.asarray(center, dtype=float)
         self.radius = float(radius)
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
+        if not 0 < self.radius < np.inf:  # NaN too
+            raise ValueError(f"ball radius must be finite and positive, not {self.radius}")
         self.dim = self.center.shape[0]
 
     def contains(self, x, tol=1e-10):
@@ -145,6 +145,9 @@ class FiniteAtoms(Domain):
         self.atoms = np.asarray(atoms, dtype=float)
         if self.atoms.ndim != 2 or self.atoms.shape[0] == 0:
             raise ValueError("atoms must be a nonempty 2-d array")
+        bad = self.atoms[~np.isfinite(self.atoms)]
+        if bad.size:
+            raise ValueError(f"atoms must be finite, not {bad[0]}")
         self.dim = self.atoms.shape[1]
 
     def contains(self, x, tol=1e-10):

@@ -102,7 +102,8 @@ _MAX_LP_SOLVES = 100  # per certificate round; a capped round only costs quality
 
 
 def _origin_ball_blocks(domain):
-    """Decompose the domain into origin-centered ball blocks (one or two)."""
+    """The domain's origin-centered ball factors (one or two), as (slice,
+    radius) pairs."""
     if isinstance(domain, Ball):
         factors = [domain]
     elif isinstance(domain, Product) and all(isinstance(f, Ball) for f in domain.factors):
@@ -114,7 +115,7 @@ def _origin_ball_blocks(domain):
     for f in factors:
         if np.any(f.center != 0.0):
             raise ValueError("ball factors must be centered at the origin")
-    return [(f.dim, f.radius) for f in factors]
+    return _balls([f.radius for f in factors], factors[0].dim, domain.dim)
 
 
 def central_cut_log_volume_ratio(n):
@@ -296,17 +297,15 @@ class _Run:
 
     def __init__(self, field, domain, config, on_certificate):
         self.config = config or SolverConfig()
-        self.blocks = _origin_ball_blocks(domain)
-        (self.split, r0), *second = self.blocks  # a single ball: the second is empty
-        self.radii = (r0, second[0][1] if second else 0.0)
-        self.radius = float(np.sqrt(sum(r * r for _, r in self.blocks)))  # of the product
-        # (slice, radius) per block; a single ball has no second one
-        self.balls = _balls(self.radii, self.split, domain.dim)[:len(self.blocks)]
-        k = max(d for d, _ in self.blocks)
+        self.balls = _origin_ball_blocks(domain)
+        (first, r0), *second = self.balls  # a single ball: the second is empty
+        self.split, self.radii = first.stop, (r0, second[0][1] if second else 0.0)
+        self.radius = float(np.sqrt(sum(r * r for _, r in self.balls)))  # of the product
+        k = max(sl.stop - sl.start for sl, _ in self.balls)
         self.cert_period = self.config.cert_period or 4 * k * k
         self.field, self.on_certificate = field, on_certificate
         self.entries, self.payloads, self.rounds = _ProtocolBuffer(domain.dim), [], []
-        self.cert, self.certified_len = None, 0
+        self.cert = None
         self.lp = CertificateLP(self.radii, self.split, domain.dim)
         self.recycled = 0  # deep cuts applied since the last round
         self.due = self.cert_period  # the step of the next round
@@ -329,7 +328,6 @@ class _Run:
                                          tol=0.1 * self.config.eps_target, lp=self.lp,
                                          candidates=candidates)
         residual = self.cert.residual
-        self.certified_len = len(protocol)
         record = {"step": step, "t": len(protocol), "residual": residual,
                   "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights,
                   "support": int(np.count_nonzero(self.cert.weights)),
@@ -378,7 +376,7 @@ class _Run:
         """Close with a round on the entries recorded since the last one."""
         if not self.entries:
             raise RuntimeError("the run produced no productive steps")
-        if len(self.entries) > self.certified_len:
+        if not self.rounds or len(self.entries) > self.rounds[-1]["t"]:
             self.round(steps, candidates, closing=True)
         return SolveResult(self.entries.protocol(), self.cert, self.payloads, self.rounds,
                            steps, stop_reason)
@@ -566,11 +564,12 @@ class CertificateLP:
     the balls.  A protocol row is added when it enters a working set and
     deleted when a round starts without it; cuts stay valid and are kept.
     Every solve is a dual simplex hot start from the last basis.  `rows`
-    maps each model row to its protocol index (-1 for a cut), and
-    `solves` counts the solves.  Rows are keyed by protocol index, so one
-    model serves only the growing prefixes of one protocol; `terms` keeps
-    that protocol's c_i = <F_i, w_i>, computed once per entry, and
-    `completion` the last dual completion with its inputs.  HiGHS
+    maps each model row to its protocol index (-1 for a cut), `solves`
+    counts the solves, and `completion` keeps the last dual completion
+    with its inputs.  `radii`, `split` and `dim` are the values the model
+    was built for.  Rows are keyed by protocol index, so one model serves
+    the growing prefixes of one protocol; on any other protocol, rows
+    that it kept from the first one only cost certificate quality.  HiGHS
     rejects a row block whole (for instance one with a coefficient of
     1e15 or more) and leaves the model as it was; `rows` follows the
     model, and `hold` and `add_cut` raise _Rejected.
@@ -591,27 +590,10 @@ class CertificateLP:
         cost[0] = -1.0  # maximize s
         empty = np.zeros(0, dtype=np.int32)
         self.highs.addCols(1 + dim, cost, -upper, upper, 0, empty, empty, np.zeros(0))
+        self.radii, self.split, self.dim = tuple(radii), split, dim
         self.rows = np.zeros(0, dtype=np.int64)
         self.solves = 0
-        self._c = self._peak = np.zeros(0)  # c_i, and the running max of |F_i|, |c_i|
         self.completion = None
-
-    def terms(self, protocol):
-        """(c, scale) of a prefix of the model's protocol: c_i = <F_i, w_i>,
-        each entry's from the same row sum as in residual_ball_product (a
-        row's sum does not depend on the rows around it), and
-        scale = max(1, |F|, |c|).  Entries new since the last call are
-        computed now, the others kept."""
-        t, known = len(protocol), len(self._c)
-        if t > known:
-            fv = protocol.field_values[known:]
-            c = (fv * protocol.points[known:]).sum(axis=1)
-            peak = np.maximum(np.abs(fv).max(axis=1), np.abs(c))
-            if known:
-                peak[0] = max(peak[0], self._peak[-1])
-            self._c = np.concatenate([self._c, c])
-            self._peak = np.concatenate([self._peak, np.maximum.accumulate(peak)])
-        return self._c[:t], max(1.0, float(self._peak[t - 1]))
 
     def _add_rows(self, coef, rhs, ids):
         r, j = np.nonzero(coef)
@@ -623,15 +605,16 @@ class CertificateLP:
         self.rows = np.concatenate([self.rows, ids])
 
     def hold(self, in_set, fv, c):
-        """Hold exactly the protocol rows i with in_set[i], and every cut."""
-        rows, is_row = self.rows, self.rows >= 0
-        dropped = is_row & ~in_set[np.where(is_row, rows, 0)]
+        """Hold exactly the protocol rows i with in_set[i], and every cut;
+        rows past the end of in_set (kept from a longer protocol) go."""
+        t, rows = len(in_set), self.rows
+        dropped = (rows >= t) | ((rows >= 0) & ~in_set[np.minimum(rows, t - 1)])
         drop = dropped.nonzero()[0]
         if len(drop):
             if self.highs.deleteRows(len(drop), drop.astype(np.int32)) == self._error:
                 raise _Rejected(f"HiGHS rejected deleting {len(drop)} rows")
             rows = self.rows = rows[~dropped]
-        held = np.zeros(len(in_set), dtype=bool)
+        held = np.zeros(t, dtype=bool)
         held[rows[rows >= 0]] = True
         new = (in_set & ~held).nonzero()[0]
         if len(new):
@@ -671,10 +654,13 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     in (s, a, b) once the balls become a box refined by tangent (Kelley)
     cuts, whose HiGHS duals on the protocol rows are the weights.  The LP
     holds a working set of rows, grown by the rows each solution violates.
-    It lives in `lp`, a CertificateLP that a run carries across its rounds
+    It lives in `lp`, a CertificateLP built for the same radii, split and
+    dimension (ValueError otherwise) that a run carries across its rounds
     (a fresh one when None): each call first deletes the model's protocol
     rows outside its starting working set, keeps the cuts, and re-solves
-    from the last basis.
+    from the last basis.  One model serves the growing prefixes of one
+    protocol; on any other, the rows it kept only cost certificate
+    quality: every residual and bound is computed from the protocol given.
     Any (a, b) in the balls bounds the optimum from below; the projected LP
     solution and the dual completion of the best weights are tried, and
     the loop stops when the best residual is within a relative 1e-6 of
@@ -686,10 +672,12 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     support seeds the working set: a candidate with full support does not
     put every protocol row into the LP.
 
-    A round reads c and the scale from `lp`, which computes each entry's
-    c_i once, and evaluates each candidate's residual once, by the closed
-    form of residual_ball_product; the dual completion runs only when the
-    best weights change, on the aggregate that their residual computed.
+    A round computes c and scale = max(1, max|F|, max|c|) from the
+    protocol, with the row sums of residual_ball_product, and evaluates
+    each candidate's residual once, by that function's closed form; the
+    dual completion runs only when the best weights change, on the
+    aggregate that their residual computed, and is reused from `lp` where
+    its inputs equal the last one's bit for bit.
     The certificate's `residual` is the best one found, equal to
     residual_ball_product on the protocol.
     """
@@ -701,7 +689,11 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     balls = _balls(radii, split, d)
     if lp is None:
         lp = CertificateLP(radii, split, d)
-    c, scale = lp.terms(protocol)
+    elif (lp.radii, lp.split, lp.dim) != (tuple(radii), split, d):
+        raise ValueError(f"the LP was built for radii {lp.radii}, split {lp.split} and "
+                         f"dimension {lp.dim}, not {tuple(radii)}, {split} and {d}")
+    c = (fv * protocol.points).sum(axis=1)
+    scale = max(1.0, float(np.abs(fv).max()), float(np.abs(c).max()))
     tried = [np.full(t, 1.0 / t)]
     in_set = np.zeros(t, dtype=bool)  # the LP's working set of protocol rows
     if warm_start is not None:
@@ -735,7 +727,7 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             best, f_best, agg_best = lam, f, agg
     start = completion_values(best, f_best, agg_best)
     lower = float(start.min())
-    in_set[_smallest(start, 8 * (d + 1))] = True  # binding at the start
+    in_set[np.argsort(start, kind="stable")[:8 * (d + 1)]] = True  # binding at the start
     gap_tol = 1e-13 * scale if tol is None else max(1e-13 * scale, 0.25 * tol)
     try:
         lp.hold(in_set, fv, c)  # drops the earlier rounds' rows outside this working set
@@ -768,22 +760,12 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             violated = (~in_set & (at_ab < s - 1e-12 * scale)).nonzero()[0]
             if len(violated) == 0 and not cut:
                 break  # the LP optimum is feasible for the balls and all rows
-            in_set[violated[_smallest(at_ab[violated], 4 * (d + 1))]] = True
+            in_set[violated[np.argsort(at_ab[violated], kind="stable")[:4 * (d + 1)]]] = True
             lp.hold(in_set, fv, c)
     except _Rejected:
         pass  # as numerical trouble: keep the best certificate found so far
     # lower can round above an optimal certificate's residual by an ulp
     return AccuracyCertificate(best, lower=min(lower, f_best), residual=f_best)
-
-
-def _smallest(v, k):
-    """Positions of the k smallest entries of v, ties to the lower position:
-    the set np.argsort(v, kind="stable")[:k] holds, without the sort."""
-    if k >= len(v):
-        return np.arange(len(v))
-    kth = np.partition(v, k - 1)[k - 1]
-    below = (v < kth).nonzero()[0]
-    return np.concatenate([below, (v == kth).nonzero()[0][:k - len(below)]])
 
 
 def _dual_completion(supp, f, agg, c, fv, balls, scale):

@@ -20,6 +20,8 @@ def test_certificate_validation():
         AccuracyCertificate(np.array([0.5, -0.1, 0.6]))
     with pytest.raises(ValueError):
         AccuracyCertificate(np.array([0.5, 0.6]))
+    with pytest.raises(ValueError):  # NaN compares False with everything
+        AccuracyCertificate(np.array([np.nan, 1.0]))
     c = AccuracyCertificate.uniform(4)
     assert np.allclose(c.weights, 0.25)
 

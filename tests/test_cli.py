@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -92,6 +93,16 @@ def test_unreachable_stop_values_exit_one(tmp_path, capsys, flag, value, message
     spec = write_spec(tmp_path, {"S": PENNIES})
     assert run(["matrix-game", "--spec", spec, f"{flag}={value}"]) == 1
     assert f"invalid option: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("radius, named", [(math.nan, "nan"), (math.inf, "inf")])
+def test_non_finite_affine_vi_radius_exit_one(tmp_path, capsys, radius, named):
+    # json reads NaN and Infinity; the primal ball rejects them before any step
+    spec = write_spec(tmp_path, {"S": PENNIES, "s": [0.0, 0.0], "H": {"simplex": 2},
+                                 "Xi_radius": radius})
+    assert run(["affine-vi", "--spec", spec]) == 1
+    assert f"invalid spec: ball radius must be finite and positive, not {named}" in (
+        capsys.readouterr().err)
 
 
 def test_large_offset_affine_vi_never_fails_the_gap_check(tmp_path, capsys):

@@ -79,6 +79,18 @@ def test_contains_and_radius():
     assert abs(p.enclosing_radius() - np.sqrt(5.0)) < 1e-12
 
 
+@pytest.mark.parametrize("make, named", [
+    (lambda: Ball(np.zeros(2), np.nan), "nan"),
+    (lambda: Ball(np.zeros(2), np.inf), "inf"),
+    (lambda: Ball(np.zeros(2), 0.0), "0.0"),
+    (lambda: FiniteAtoms([[0.0, 1.0], [np.nan, 0.0]]), "nan"),
+    (lambda: FiniteAtoms([[0.0, -np.inf]]), "-inf"),
+], ids=["ball-nan", "ball-inf", "ball-zero", "atoms-nan", "atoms-inf"])
+def test_non_finite_domain_data_rejected(make, named):
+    with pytest.raises(ValueError, match=f"not {named}$"):
+        make()
+
+
 def test_query_dim_mismatch():
     with pytest.raises(ValueError):
         Simplex(3).lmo(np.zeros(2))
