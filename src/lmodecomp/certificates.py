@@ -144,14 +144,13 @@ def residual_ball_product(protocol, cert, radii, split):
     if not 0 <= split <= protocol.dim:
         raise ValueError(f"split index {split} out of range for dim {protocol.dim}")
     fv = protocol.field_values
-    return _ball_residual(cert.weights, np.sum(fv * protocol.points, axis=1), fv, radii,
-                          split)[0]
+    return _ball_residual(cert.weights, np.sum(fv * protocol.points, axis=1), fv, radii, split)
 
 
 def _ball_residual(lam, c, fv, radii, split):
-    """(residual, aggregate) of weights lam with c_i = <F_i, w_i>: the closed
-    form of residual_ball_product, and sum_i lam_i F_i, which a certificate
-    search reuses.  The one place this formula is written."""
+    """Residual of weights lam with c_i = <F_i, w_i>: the closed form of
+    residual_ball_product, which a certificate search calls on each weight
+    vector it tries.  The one place this formula is written."""
     r_u, r_v = radii
     # pairwise summation (the ufunc reduce of ndarray.sum) keeps accumulation
     # error small on long protocols
@@ -160,4 +159,4 @@ def _ball_residual(lam, c, fv, radii, split):
     agg = np.einsum("i,ij->j", lam, fv)
     # sqrt(u.dot(u)) is what np.linalg.norm(u) computes, without matmul's dispatch
     u, v = agg[:split], agg[split:]
-    return diag + r_u * math.sqrt(u.dot(u)) + r_v * math.sqrt(v.dot(v)), agg
+    return diag + r_u * math.sqrt(u.dot(u)) + r_v * math.sqrt(v.dot(v))

@@ -67,14 +67,18 @@ def _config_from_args(args):
 
 
 def _read_spec(args):
-    """The parsed JSON spec, and the clock reading that starts wall_time_s."""
+    """The parsed JSON spec, a JSON object, and the clock reading that
+    starts wall_time_s."""
     try:
         with open(args.spec) as fp:
-            return json.load(fp), time.perf_counter()
+            obj = json.load(fp)
     except OSError as exc:
         raise SystemExit(f"error: cannot read spec {args.spec!r}: {exc}")
     except json.JSONDecodeError as exc:
         raise SystemExit(f"error: {args.spec}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    if not isinstance(obj, dict):
+        raise ValueError(f"the spec must be a JSON object, not {json.dumps(obj)[:60]}")
+    return obj, time.perf_counter()
 
 
 def _report(command, t0, sol, value, bound, exact, dims, atoms, **extra):
@@ -119,11 +123,14 @@ def _run_blotto(args, config):
 
 
 def _domain_from_json(obj):
-    if "simplex" in obj:
-        return Simplex(int(obj["simplex"]))
-    if "atoms" in obj:
+    if isinstance(obj, dict) and "simplex" in obj:
+        n = obj["simplex"]
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"H's simplex size must be a positive integer, not {n!r}")
+        return Simplex(n)
+    if isinstance(obj, dict) and "atoms" in obj:
         return FiniteAtoms(np.asarray(obj["atoms"], dtype=float))
-    raise SystemExit("error: affine-vi spec needs H as {'simplex': n} or {'atoms': [...]}")
+    raise ValueError(f"H must be {{'simplex': n}} or {{'atoms': [...]}}, not {obj!r}")
 
 
 def _run_affine_vi(args, config):
@@ -131,8 +138,13 @@ def _run_affine_vi(args, config):
     S = np.atleast_2d(np.asarray(obj["S"], dtype=float))
     s = np.asarray(obj["s"], dtype=float)
     H = _domain_from_json(obj["H"])
+    n = H.dim
+    for name, shape, want in (("S", S.shape, (n, n)), ("s", s.shape, (n,))):
+        if shape != want:
+            raise ValueError(f"{name} has shape {shape}, not {want} for H of dimension {n}")
+    radius = obj.get("Xi_radius")  # only a missing or null radius takes H's
     spec = AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x, s=s, H=H,
-                        Xi_radius=float(obj.get("Xi_radius") or H.enclosing_radius()))
+                        Xi_radius=H.enclosing_radius() if radius is None else float(radius))
     sol = solve_vi(spec, solver=args.solver, config=config)
     return _report(args.command, t0, sol, None, sol.eps_bound, sol.eps_exact, [H.dim],
                    {"eta": sol.eta_vector})

@@ -138,16 +138,13 @@ class PrimalEval:
 @dataclass
 class SparseAtomSolution(SolveResult):
     """The run of a game, with the mixed strategies its certificate
-    transfers: weighted pure-strategy atoms {key: weight} and their stored
-    columns {key: column}, keyed by `ColumnHit.key`.  Its payloads are the
-    (w_hit, z_hit) pairs of the protocol; gap_bound is the certified
-    residual `cert.residual`, gap_exact and value_estimate are the closing
-    round's."""
+    transfers: weighted pure-strategy atoms {key: weight}, keyed by
+    `ColumnHit.key`.  Its payloads are the (w_hit, z_hit) pairs of the
+    protocol; gap_bound is the certified residual `cert.residual`,
+    gap_exact and value_estimate are the closing round's."""
 
     w_atoms: dict
     z_atoms: dict
-    w_atom_columns: dict
-    z_atom_columns: dict
     gap_bound: float
     gap_exact: float
     value_estimate: float
@@ -263,25 +260,26 @@ def solve_sp(master, solver="ellipsoid", config=None):
     if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
     run = runs[solver](FieldOracle(fn), master.primal_domain(), config, round_fields)
-    w_atoms, z_atoms, w_cols, z_cols = _atoms(run.cert, run.payloads)
+    w_atoms, z_atoms, _, _ = _atoms(run.cert, run.payloads)
     last = run.rounds[-1]  # on the whole protocol and run.cert
     return SparseAtomSolution(**vars(run), w_atoms=w_atoms, z_atoms=z_atoms,
-                              w_atom_columns=w_cols, z_atom_columns=z_cols,
                               gap_bound=run.cert.residual, gap_exact=last["gap"],
                               value_estimate=last["value"])
 
 
 def exact_gap(spec, sol):
-    """Exact saddle-point gap of a sparse solution, from its stored columns.
+    """Exact saddle-point gap of a sparse solution's atoms, `sol.w_atoms`
+    and `sol.z_atoms`, whose columns it rebuilds through the oracles: a
+    check independent of the columns that the run stored.
 
     `spec` may be a BilinearSpSpec (factored construction) or a
-    MasterProblem.  Two oracle calls on the aggregated K-vectors.
+    MasterProblem.  One column call per atom, then two oracle calls on
+    the aggregated K-vectors.
     """
     master = spec if isinstance(spec, MasterProblem) else build_master_example2(spec)
-    if not sol.w_atom_columns or not sol.z_atom_columns:
-        raise ValueError("solution atoms must carry their stored columns")
-    upper, lower = _value_bounds(master, sol.w_atoms, sol.z_atoms,
-                                 sol.w_atom_columns, sol.z_atom_columns)
+    w_cols = {k: master.D.column(k) for k in sol.w_atoms}
+    z_cols = {k: master.A.column(k) for k in sol.z_atoms}
+    upper, lower = _value_bounds(master, sol.w_atoms, sol.z_atoms, w_cols, z_cols)
     return upper - lower
 
 

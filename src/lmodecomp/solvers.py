@@ -565,14 +565,14 @@ class CertificateLP:
     deleted when a round starts without it; cuts stay valid and are kept.
     Every solve is a dual simplex hot start from the last basis.  `rows`
     maps each model row to its protocol index (-1 for a cut), `solves`
-    counts the solves, and `completion` keeps the last dual completion
-    with its inputs.  `radii`, `split` and `dim` are the values the model
-    was built for.  Rows are keyed by protocol index, so one model serves
-    the growing prefixes of one protocol; on any other protocol, rows
-    that it kept from the first one only cost certificate quality.  HiGHS
-    rejects a row block whole (for instance one with a coefficient of
-    1e15 or more) and leaves the model as it was; `rows` follows the
-    model, and `hold` and `add_cut` raise _Rejected.
+    counts the solves, and `point` is the (a, b) of the last optimal solve
+    (zeros for a fresh model).  `radii`, `split` and `dim` are the values
+    the model was built for.  Rows are keyed by protocol index, so one
+    model serves the growing prefixes of one protocol; on any other
+    protocol, rows that it kept from the first one only cost certificate
+    quality.  HiGHS rejects a row block whole (for instance one with a
+    coefficient of 1e15 or more) and leaves the model as it was; `rows`
+    follows the model, and `hold` and `add_cut` raise _Rejected.
     """
 
     def __init__(self, radii, split, dim):
@@ -593,7 +593,7 @@ class CertificateLP:
         self.radii, self.split, self.dim = tuple(radii), split, dim
         self.rows = np.zeros(0, dtype=np.int64)
         self.solves = 0
-        self.completion = None
+        self.point = np.zeros(dim)
 
     def _add_rows(self, coef, rhs, ids):
         r, j = np.nonzero(coef)
@@ -640,7 +640,9 @@ class CertificateLP:
         lam = np.zeros(t)
         is_row = self.rows >= 0
         lam[self.rows[is_row]] = np.maximum(-duals[is_row], 0.0)
-        return np.array(sol.col_value), lam
+        x = np.array(sol.col_value)
+        self.point = x[1:]
+        return x, lam
 
 
 def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=None,
@@ -661,10 +663,13 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     from the last basis.  One model serves the growing prefixes of one
     protocol; on any other, the rows it kept only cost certificate
     quality: every residual and bound is computed from the protocol given.
-    Any (a, b) in the balls bounds the optimum from below; the projected LP
-    solution and the dual completion of the best weights are tried, and
-    the loop stops when the best residual is within a relative 1e-6 of
-    that bound, or below tol/4.  The bound is the certificate's `lower`.
+    Any (a, b) in the balls bounds the optimum from below by
+    min_i c_i + <F_i, (a, b)>.  A call starts from the LP's last optimal
+    (a, b), `lp.point`, projected onto the balls: the least rows there
+    seed the working set, and their value is the first bound.  Each solve's
+    projected (a, b) is tried, and the loop stops when the best residual is
+    within a relative 1e-6 of the bound, or below tol/4.  The bound is the
+    certificate's `lower`.
     A row block or cut that HiGHS rejects ends the loop as a failed solve
     does.  Never worse than uniform weights, the warm start (which may
     cover a prefix of the protocol) or the `candidates`, certificates for
@@ -674,10 +679,7 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
 
     A round computes c and scale = max(1, max|F|, max|c|) from the
     protocol, with the row sums of residual_ball_product, and evaluates
-    each candidate's residual once, by that function's closed form; the
-    dual completion runs only when the best weights change, on the
-    aggregate that their residual computed, and is reused from `lp` where
-    its inputs equal the last one's bit for bit.
+    each candidate's residual once, by that function's closed form.
     The certificate's `residual` is the best one found, equal to
     residual_ball_product on the protocol.
     """
@@ -707,25 +709,12 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
         raise ValueError("a candidate's length differs from the protocol's")
     tried += [cert.weights for cert in candidates]
 
-    def completion_values(lam, f, agg):
-        # a round starts from the last one's best weights, whose completion
-        # usually has the same inputs: reuse it where they are equal bit for bit
-        supp = (lam > 0.0).nonzero()[0]
-        inputs = np.concatenate((radii, (split, scale, f), agg, c[supp],
-                                 fv[supp].ravel())).tobytes()
-        if lp.completion is not None and lp.completion[0] == inputs:
-            x = lp.completion[1]
-        else:
-            x = _dual_completion(supp, f, agg, c, fv, balls, scale)
-            lp.completion = inputs, x
-        return c + fv.dot(_project_blocks(x, balls))
-
     best = None
     for lam in tried:  # the first of equal residuals wins
-        f, agg = _ball_residual(lam, c, fv, radii, split)
+        f = _ball_residual(lam, c, fv, radii, split)
         if best is None or f < f_best:
-            best, f_best, agg_best = lam, f, agg
-    start = completion_values(best, f_best, agg_best)
+            best, f_best = lam, f
+    start = c + fv.dot(_project_blocks(lp.point, balls))
     lower = float(start.min())
     in_set[np.argsort(start, kind="stable")[:8 * (d + 1)]] = True  # binding at the start
     gap_tol = 1e-13 * scale if tol is None else max(1e-13 * scale, 0.25 * tol)
@@ -745,10 +734,9 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             total = lam.sum()
             if total > 0.0:
                 lam /= total
-                f, agg = _ball_residual(lam, c, fv, radii, split)
-                if f < f_best:  # an unchanged best's completion is already in `lower`
+                f = _ball_residual(lam, c, fv, radii, split)
+                if f < f_best:
                     best, f_best = lam, f
-                    lower = max(lower, float(completion_values(lam, f, agg).min()))
             cut = False
             for sl, r in balls:
                 if (proj[sl] != ab[sl]).any():  # outside this ball: cut at the projection
@@ -766,26 +754,3 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
         pass  # as numerical trouble: keep the best certificate found so far
     # lower can round above an optimal certificate's residual by an ulp
     return AccuracyCertificate(best, lower=min(lower, f_best), residual=f_best)
-
-
-def _dual_completion(supp, f, agg, c, fv, balls, scale):
-    """The point (a, b) that pairs with weights lam if lam is optimal: R
-    times the direction of a block's aggregate agg = sum_i lam_i F_i where
-    that is nonzero, elsewhere the least-norm (in radius units) solution of
-    c_i + <F_i, (a, b)> = f on the support `supp` of lam, where optimal
-    pairs are tight.  It reads c and F only on `supp`."""
-    x = np.zeros(fv.shape[1])
-    radius = np.zeros(fv.shape[1])
-    free = np.zeros(fv.shape[1], dtype=bool)
-    for sl, r in balls:
-        radius[sl] = r
-        norm = _norm(agg[sl])
-        if norm > 1e-12 * scale:
-            x[sl] = agg[sl] * (r / norm)
-        else:
-            free[sl] = True
-    if free.any():
-        rhs = f - c[supp] - fv[supp][:, ~free].dot(x[~free])
-        x[free] = np.linalg.lstsq(fv[supp][:, free] * radius[free], rhs, rcond=None)[0]
-        x[free] *= radius[free]
-    return x

@@ -105,6 +105,25 @@ def test_non_finite_affine_vi_radius_exit_one(tmp_path, capsys, radius, named):
         capsys.readouterr().err)
 
 
+AFFINE = {"S": PENNIES, "s": [0.0, 0.0], "H": {"simplex": 2}}
+
+
+@pytest.mark.parametrize("command, spec, offending", [
+    ("affine-vi", {**AFFINE, "Xi_radius": 0}, "Xi_radius 0.0"),
+    ("affine-vi", {**AFFINE, "H": {"simplex": 2.7}}, "not 2.7"),
+    ("affine-vi", {**AFFINE, "H": 5}, "not 5"),
+    ("affine-vi", {**AFFINE, "s": [0.0, 0.0, 0.0]}, "s has shape (3,)"),
+    ("affine-vi", {**AFFINE, "H": {"simplex": 3}}, "S has shape (2, 2)"),
+    ("affine-vi", [AFFINE], "not [{"),
+    ("matrix-game", [PENNIES], "not [[[1.0, -1.0]"),
+])
+def test_spec_errors_name_the_offending_value(tmp_path, capsys, command, spec, offending):
+    # a malformed spec exits 1 with a message, never a traceback or a fallback
+    assert run([command, "--spec", write_spec(tmp_path, spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and offending in err and "Traceback" not in err
+
+
 def test_large_offset_affine_vi_never_fails_the_gap_check(tmp_path, capsys):
     # the gap check tolerates rounding at the scale of s = 1e8, so it never
     # exits 4 here; mirror descent certifies this VI within its budget

@@ -1,4 +1,5 @@
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -348,3 +349,20 @@ def test_factored_game_transfers_each_certificate_once(monkeypatch):
     last = sol.rounds[-1]
     assert (sol.gap_exact, sol.value_estimate) == (last["gap"], last["value"])
     assert sol.gap_exact == exact_gap(spec, sol)
+
+
+@pytest.mark.parametrize("side", ["dense", "knapsack"])
+def test_exact_gap_reads_only_the_atoms(side):
+    # exact_gap rebuilds the atoms' columns through the oracles, so the
+    # weighted atoms alone give the closing round's gap
+    rng = np.random.default_rng(8)
+    if side == "dense":
+        A = DenseMatrixOracle(rng.normal(size=(3, 5)))
+    else:
+        A = KnapsackOracle(KnapsackSpec(bounds=(2, 1), costs=(1, 2), budget=3,
+                                        outputs=(rng.normal(size=(3, 2)),
+                                                 rng.normal(size=(2, 1)))))
+    spec = BilinearSpSpec(A=A, D=DenseMatrixOracle(rng.normal(size=(3, 4))))
+    sol = solve_sp(build_master_example2(spec), config=SolverConfig(gap_threshold=1e-6))
+    atoms = SimpleNamespace(w_atoms=sol.w_atoms, z_atoms=sol.z_atoms)
+    assert exact_gap(spec, atoms) == sol.gap_exact <= sol.gap_bound + 1e-9

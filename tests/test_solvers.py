@@ -289,6 +289,16 @@ def test_optimizer_optimal_within_polygon_bracket():
         outer = _polygon_lp_value(prot, radii, split, 720, inscribed=False)
         assert inner - 1e-9 <= res <= outer + 1e-9
         assert inner - 1e-9 <= cert.lower <= res
+        # rounds on growing prefixes, warm-started on one LP, each start from
+        # the LP's last point: every lower bound stays certified
+        lp, warm = CertificateLP(radii, split, 4), None
+        for t in (15, 30, 45, 60):
+            sub = prot.prefix(t)
+            warm = optimize_certificate(sub, radii, split, warm_start=warm, lp=lp)
+            res = residual_ball_product(sub, warm, radii, split)
+            inner = _polygon_lp_value(sub, radii, split, 720, inscribed=True)
+            outer = _polygon_lp_value(sub, radii, split, 720, inscribed=False)
+            assert inner - 1e-9 <= warm.lower <= res <= outer + 1e-9
 
 
 def test_certificate_lp_hand_solved():
@@ -635,33 +645,21 @@ def test_round_gap_check_tolerates_rounding_at_its_scale():
         ellipsoid_run(field, dom, cfg, gap_above_residual(0.11))
 
 
-def test_reused_dual_completion_changes_no_round(monkeypatch):
-    # a round reuses the run's last dual completion where its inputs are
-    # equal bit for bit; forgetting it before every round changes nothing
-    rng = np.random.default_rng(5)
+def test_repeated_round_makes_no_solve():
+    # a round repeated on the same protocol, warm-started from its own
+    # certificate, starts at the LP's last optimum, which already closes it
+    rng = np.random.default_rng(3)
     skew = rng.normal(size=(4, 4))
     mat = skew - skew.T + 0.05 * np.eye(4)
     shift = rng.normal(size=4)
-    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
-    cfg = SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16)
-    completions, completion = [], solvers._dual_completion
-    monkeypatch.setattr(solvers, "_dual_completion",
-                        lambda *args: completions.append(None) or completion(*args))
-    kept = ellipsoid_run(FieldOracle(lambda x: mat @ x + shift), dom, cfg).rounds
-    n_kept, optimize = len(completions), solvers.optimize_certificate
-
-    def forgetting(*args, lp, **kwargs):
-        lp.completion = None
-        return optimize(*args, lp=lp, **kwargs)
-
-    monkeypatch.setattr(solvers, "optimize_certificate", forgetting)
-    forgot = ellipsoid_run(FieldOracle(lambda x: mat @ x + shift), dom, cfg).rounds
-    assert len(completions) - n_kept > n_kept  # the kept run reused some
-    assert len(kept) == len(forgot) > 3
-    for a, b in zip(kept, forgot):
-        assert (a["t"], a["residual"], a["cert_lower"], a["lp_solves"]) == (
-            b["t"], b["residual"], b["cert_lower"], b["lp_solves"])
-        assert np.array_equal(a["weights"], b["weights"])
+    pts = 0.5 * rng.normal(size=(80, 4))
+    prot = ExecutionProtocol.from_lists(pts, pts @ mat.T + shift, range(80))
+    lp = CertificateLP((1.0, 2.0), 2, 4)
+    cert = optimize_certificate(prot, (1.0, 2.0), 2, lp=lp)
+    solves = lp.solves
+    again = optimize_certificate(prot, (1.0, 2.0), 2, warm_start=cert, lp=lp)
+    assert solves > 0 and lp.solves == solves
+    assert again.residual == cert.residual and again.lower <= again.residual
 
 
 @pytest.mark.parametrize("method", ["ellipsoid", "md"])
