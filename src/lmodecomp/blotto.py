@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import KnapsackOracle, KnapsackSpec, json_object
+from .oracles import KnapsackOracle, KnapsackSpec, integer, json_object
 from .saddle import BilinearSpSpec, SparseAtomSolution, build_master_example2, solve_sp
 
 __all__ = [
@@ -44,15 +44,14 @@ class BlottoSpec:
     seed: int | None = None  # recorded when the omegas were generated
 
     def __post_init__(self):
-        self.caps_a = tuple(int(c) for c in self.caps_a)
-        self.caps_d = tuple(int(c) for c in self.caps_d)
-        self.costs_a = tuple(int(c) for c in self.costs_a)
-        self.costs_d = tuple(int(c) for c in self.costs_d)
         self.omegas = tuple(np.atleast_2d(np.asarray(o, dtype=float)) for o in self.omegas)
-        m = self.m
         for name in ("caps_a", "caps_d", "costs_a", "costs_d"):
-            if len(getattr(self, name)) != m:
+            counts = tuple(integer(c, f"{name}[{s}]") for s, c in enumerate(getattr(self, name)))
+            if len(counts) != self.m:
                 raise ValueError(f"{name} must have one entry per battlefield")
+            setattr(self, name, counts)
+        self.budget_a = integer(self.budget_a, "budget_a")
+        self.budget_d = integer(self.budget_d, "budget_d")
         if any(c <= 0 for c in self.costs_a + self.costs_d):
             raise ValueError("unit costs must be positive integers")
         if self.budget_a < 0 or self.budget_d < 0:
@@ -166,23 +165,26 @@ def blotto_from_json(obj):
     """BlottoSpec from {"m", "caps_a", "caps_d", "costs_a", "costs_d",
     "budget_a", "budget_d", "omega": [matrices] | {"rank1_seed": int}}."""
     obj = json_object(obj)
-    m = int(obj["m"])
-    caps_a = [int(c) for c in obj["caps_a"]]
-    caps_d = [int(c) for c in obj["caps_d"]]
+    m = integer(obj["m"], "m")
     omega = obj["omega"]
     seed = None
     if isinstance(omega, dict):
-        seed = int(omega["rank1_seed"])
-        omegas = random_rank1_omegas(m, caps_a, caps_d, seed)
+        seed = integer(omega["rank1_seed"], "rank1_seed")
+        # the caps size the drawn matrices, so they are checked before the draw
+        caps = [[integer(c, f"{name}[{s}]") for s, c in enumerate(obj[name])]
+                for name in ("caps_a", "caps_d")]
+        if any(len(c) != m for c in caps):
+            raise ValueError(f"caps_a and caps_d must have m = {m} entries")
+        omegas = random_rank1_omegas(m, *caps, seed)
     else:
         omegas = [np.asarray(o, dtype=float) for o in omega]
     return BlottoSpec(
-        caps_a=caps_a,
-        caps_d=caps_d,
-        costs_a=[int(c) for c in obj["costs_a"]],
-        costs_d=[int(c) for c in obj["costs_d"]],
-        budget_a=int(obj["budget_a"]),
-        budget_d=int(obj["budget_d"]),
+        caps_a=obj["caps_a"],
+        caps_d=obj["caps_d"],
+        costs_a=obj["costs_a"],
+        costs_d=obj["costs_d"],
+        budget_a=obj["budget_a"],
+        budget_d=obj["budget_d"],
         omegas=omegas,
         seed=seed,
     )

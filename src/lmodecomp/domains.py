@@ -1,9 +1,9 @@
-"""Convex compact domains with linear minimization oracles.
+"""Convex compact domains given by linear minimization oracles.
 
-Every domain supports a membership test and an exact linear minimization
-oracle (LMO).  Polytope-like domains attain the minimum at an extreme
-point; ties are broken by lowest index so that repeated runs are
-deterministic.
+A domain is known to the solvers only through its exact linear
+minimization oracle (LMO), plus `enclosing_radius` where a bound is
+known.  Polytope-like domains attain the minimum at an extreme point;
+ties are broken by lowest index so that repeated runs are deterministic.
 """
 
 from __future__ import annotations
@@ -20,12 +20,10 @@ __all__ = [
 
 
 class Domain:
-    """Base class; concrete domains define dim, contains and lmo."""
+    """A domain given by its LMO: subclasses define dim, lmo and, where
+    it is known, enclosing_radius."""
 
     dim: int
-
-    def contains(self, x, tol=1e-10):
-        raise NotImplementedError
 
     def lmo(self, c):
         """Return (point, value) minimizing <c, .> over the domain."""
@@ -55,10 +53,6 @@ class Simplex(Domain):
         self.n = int(n)
         self.dim = self.n
 
-    def contains(self, x, tol=1e-10):
-        x = np.asarray(x, dtype=float)
-        return x.shape == (self.n,) and np.all(x >= -tol) and abs(x.sum() - 1.0) <= tol
-
     def lmo(self, c):
         c = self._check_query(c)
         j = int(np.argmin(c))  # argmin returns the first (lowest-index) minimizer
@@ -83,10 +77,6 @@ class Ball(Domain):
             raise ValueError(f"ball radius must be finite and positive, not {self.radius}")
         self.dim = self.center.shape[0]
 
-    def contains(self, x, tol=1e-10):
-        x = np.asarray(x, dtype=float)
-        return x.shape == (self.dim,) and np.linalg.norm(x - self.center) <= self.radius + tol
-
     def lmo(self, c):
         c = self._check_query(c)
         nc = np.linalg.norm(c)
@@ -103,7 +93,7 @@ class Ball(Domain):
 
 
 class Product(Domain):
-    """Direct product of domains; LMO and membership work blockwise."""
+    """Direct product of domains; the LMO works blockwise."""
 
     def __init__(self, factors):
         self.factors = list(factors)
@@ -115,12 +105,6 @@ class Product(Domain):
     def blocks(self, x):
         x = np.asarray(x, dtype=float)
         return [x[self.offsets[i]:self.offsets[i + 1]] for i in range(len(self.factors))]
-
-    def contains(self, x, tol=1e-10):
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            return False
-        return all(f.contains(b, tol) for f, b in zip(self.factors, self.blocks(x)))
 
     def lmo(self, c):
         c = self._check_query(c)
@@ -139,31 +123,24 @@ class Product(Domain):
 
 
 class FiniteAtoms(Domain):
-    """Convex hull of a finite list of points; LMO scans the atoms."""
+    """Convex hull of a finite list of points; the LMO scans a read-only
+    copy of the atoms taken here and returns a read-only view of a row."""
 
     def __init__(self, atoms):
-        self.atoms = np.asarray(atoms, dtype=float)
+        self.atoms = np.array(atoms, dtype=float)
         if self.atoms.ndim != 2 or self.atoms.shape[0] == 0:
             raise ValueError("atoms must be a nonempty 2-d array")
         bad = self.atoms[~np.isfinite(self.atoms)]
         if bad.size:
             raise ValueError(f"atoms must be finite, not {bad[0]}")
+        self.atoms.flags.writeable = False
         self.dim = self.atoms.shape[1]
-
-    def contains(self, x, tol=1e-10):
-        # membership in the hull is not decided here; accept points close
-        # to an atom (sufficient for the vertex-valued oracles we use)
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            return False
-        d = np.linalg.norm(self.atoms - x[None, :], axis=1)
-        return bool(d.min() <= tol)
 
     def lmo(self, c):
         c = self._check_query(c)
         vals = self.atoms @ c
         j = int(np.argmin(vals))
-        return self.atoms[j].copy(), float(vals[j])
+        return self.atoms[j], float(vals[j])
 
     def enclosing_radius(self):
         return float(np.linalg.norm(self.atoms, axis=1).max())

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +65,9 @@ class KnapsackSpec:
     outputs: tuple         # per stage: array of shape (bounds[s] + 1, r_s)
 
     def __post_init__(self):
-        bounds = tuple(int(b) for b in self.bounds)
-        costs = tuple(int(h) for h in self.costs)
+        bounds = tuple(integer(b, f"bounds[{s}]") for s, b in enumerate(self.bounds))
+        costs = tuple(integer(h, f"costs[{s}]") for s, h in enumerate(self.costs))
+        budget = integer(self.budget, "budget")
         outputs = tuple(np.atleast_2d(np.asarray(o, dtype=float)) for o in self.outputs)
         if not (len(bounds) == len(costs) == len(outputs)):
             raise ValueError("bounds, costs and outputs must have one entry per stage")
@@ -73,7 +75,7 @@ class KnapsackSpec:
             raise ValueError("bounds must be nonnegative integers")
         if any(h <= 0 for h in costs):
             raise ValueError("costs must be positive integers")
-        if self.budget < 0:
+        if budget < 0:
             raise ValueError("budget must be nonnegative")
         for s, (b, o) in enumerate(zip(bounds, outputs)):
             if o.shape[0] != b + 1:
@@ -82,7 +84,7 @@ class KnapsackSpec:
                 raise ValueError(f"stage {s}: output table has non-finite entries")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "costs", costs)
-        object.__setattr__(self, "budget", int(self.budget))
+        object.__setattr__(self, "budget", budget)
         object.__setattr__(self, "outputs", outputs)
 
     @property
@@ -179,6 +181,15 @@ class BellmanTables:
     direction: str
 
 
+def integer(value, name):
+    """int(value) for an integer, numpy's included; ValueError naming `name`
+    and the value for anything else (a bool, or a float such as 2.7, which
+    int() would silently truncate)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 def _check_query(x, n_rows):
     x = np.asarray(x, dtype=float)
     if x.shape != (n_rows,):
@@ -208,18 +219,23 @@ class DenseMatrixOracle:
     (one entry per column) makes column j score <x, column_j> + offset[j]:
     the hit's value includes the offset, its column does not.  Matrix and
     offset must be finite, and so must a query: a non-finite query entry
-    makes every column's score non-finite, so the hit's value tells."""
+    makes every column's score non-finite, so the hit's value tells.  Matrix
+    and offset are read-only copies taken here, in the caller's layout; a
+    hit's column and column(key) are read-only views of the matrix."""
 
     def __init__(self, matrix, offset=None):
-        self.matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
+        self.matrix = np.array(matrix, dtype=float, ndmin=2)
+        self.matrix.flags.writeable = False
         self.n_rows = self.matrix.shape[0]
-        self.offset = None if offset is None else np.asarray(offset, dtype=float)
+        self.offset = None if offset is None else np.array(offset, dtype=float)
         if self.offset is not None and self.offset.shape != (self.matrix.shape[1],):
             raise ValueError(f"offset has shape {self.offset.shape}, expected one entry "
                              f"per column ({self.matrix.shape[1]})")
         if not np.isfinite(self.matrix).all() or (
                 self.offset is not None and not np.isfinite(self.offset).all()):
             raise ValueError("matrix and offset must be finite")
+        if self.offset is not None:
+            self.offset.flags.writeable = False
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
@@ -240,7 +256,7 @@ class DenseMatrixOracle:
         if not math.isfinite(value):
             raise ValueError("query has non-finite entries" if not np.isfinite(x).all()
                              else f"column score {value} overflows")
-        return ColumnHit((j,), self.matrix[:, j].copy(), value)
+        return ColumnHit((j,), self.matrix[:, j], value)
 
     def count_columns(self):
         return self.matrix.shape[1]
@@ -249,7 +265,7 @@ class DenseMatrixOracle:
         n = self.matrix.shape[1]
         if len(key) != 1 or not isinstance(key[0], (int, np.integer)) or not 0 <= key[0] < n:
             raise ValueError(f"column key {tuple(key)} is not one index in range({n})")
-        return self.matrix[:, key[0]].copy()
+        return self.matrix[:, key[0]]
 
     def column_norm_bound(self):
         return float(np.linalg.norm(self.matrix, axis=0).max())
@@ -622,7 +638,7 @@ def knapsack_from_json(obj):
     return KnapsackSpec(
         bounds=tuple(obj["bounds"]),
         costs=tuple(obj["costs"]),
-        budget=int(obj["budget"]),
+        budget=obj["budget"],
         outputs=tuple(np.asarray(t, dtype=float) for t in obj["outputs"]),
     )
 

@@ -374,8 +374,6 @@ class _Run:
 
     def result(self, steps, stop_reason, candidates=()):
         """Close with a round on the entries recorded since the last one."""
-        if not self.entries:
-            raise RuntimeError("the run produced no productive steps")
         if not self.rounds or len(self.entries) > self.rounds[-1]["t"]:
             self.round(steps, candidates, closing=True)
         return SolveResult(self.entries.protocol(), self.cert, self.payloads, self.rounds,
@@ -554,7 +552,7 @@ def _highs_core():
 
 
 class _Rejected(RuntimeError):
-    """HiGHS rejected a change to the certificate LP's model."""
+    """HiGHS rejected a change to the certificate LP's model, or found no optimum."""
 
 
 class CertificateLP:
@@ -572,7 +570,8 @@ class CertificateLP:
     protocol, rows that it kept from the first one only cost certificate
     quality.  HiGHS rejects a row block whole (for instance one with a
     coefficient of 1e15 or more) and leaves the model as it was; `rows`
-    follows the model, and `hold` and `add_cut` raise _Rejected.
+    follows the model, and `hold` and `add_cut` raise _Rejected, as
+    `solve` does where HiGHS reports no optimum.
     """
 
     def __init__(self, radii, split, dim):
@@ -629,12 +628,12 @@ class CertificateLP:
 
     def solve(self, t):
         """(s, a, b) and the weights max(-row dual, 0) on a protocol of
-        length t, or None where HiGHS does not report an optimum."""
+        length t; _Rejected where HiGHS does not report an optimum."""
         self.solves += 1
         if (self.highs.run() == self._error
                 or self.highs.getModelStatus() != self._optimal):
             self.highs.clearSolver()  # start the next solve afresh
-            return None
+            raise _Rejected("HiGHS reported no optimum")
         sol = self.highs.getSolution()
         duals = np.array(sol.row_dual)
         lam = np.zeros(t)
@@ -670,10 +669,10 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     projected (a, b) is tried, and the loop stops when the best residual is
     within a relative 1e-6 of the bound, or below tol/4.  The bound is the
     certificate's `lower`.
-    A row block or cut that HiGHS rejects ends the loop as a failed solve
-    does.  Never worse than uniform weights, the warm start (which may
-    cover a prefix of the protocol) or the `candidates`, certificates for
-    the whole protocol tried after those two.  Only the warm start's
+    A row block or cut that HiGHS rejects, or a solve without an optimum,
+    ends the loop.  Never worse than uniform weights, the warm start (which
+    may cover a prefix of the protocol) or the `candidates`, certificates
+    for the whole protocol tried after those two.  Only the warm start's
     support seeds the working set: a candidate with full support does not
     put every protocol row into the LP.
 
@@ -724,10 +723,7 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             if f_best - lower <= max(gap_tol, 1e-6 * abs(lower)) or (
                     tol is not None and f_best <= gap_tol):
                 break
-            solution = lp.solve(t)
-            if solution is None:
-                break  # numerical trouble: keep the best certificate found so far
-            x, lam = solution
+            x, lam = lp.solve(t)
             s, ab = x[0], x[1:]
             proj = _project_blocks(ab, balls)
             lower = max(lower, float((c + fv.dot(proj)).min()))
@@ -751,6 +747,6 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             in_set[violated[np.argsort(at_ab[violated], kind="stable")[:4 * (d + 1)]]] = True
             lp.hold(in_set, fv, c)
     except _Rejected:
-        pass  # as numerical trouble: keep the best certificate found so far
+        pass  # numerical trouble: keep the best certificate found so far
     # lower can round above an optimal certificate's residual by an ulp
     return AccuracyCertificate(best, lower=min(lower, f_best), residual=f_best)

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -117,3 +118,17 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         BlottoSpec(caps_a=(3, 2), caps_d=(2, 2), costs_a=(1, 1), costs_d=(1, 1),
                    budget_a=2, budget_d=2, omegas=omegas)  # shape mismatch
+
+
+def test_spec_takes_integer_counts_only():
+    # numpy integers are counts; a float is not truncated but rejected
+    omegas = random_rank1_omegas(2, (2, 2), (2, 2))
+    good = dict(caps_a=(2, np.int64(2)), caps_d=(2, 2), costs_a=(1, 1), costs_d=(1, 1),
+                budget_a=np.int32(2), budget_d=2, omegas=omegas)
+    spec = BlottoSpec(**good)
+    assert (spec.caps_a, spec.budget_a) == ((2, 2), 2) and type(spec.budget_a) is int
+    for field, value, named in [("caps_a", (2.5, 2), "caps_a[0] must be an integer, not 2.5"),
+                                ("costs_d", (1, 1.0), "costs_d[1] must be an integer, not 1.0"),
+                                ("budget_d", 3.7, "budget_d must be an integer, not 3.7")]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            BlottoSpec(**{**good, field: value})

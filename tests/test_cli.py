@@ -106,6 +106,12 @@ def test_non_finite_affine_vi_radius_exit_one(tmp_path, capsys, radius, named):
 
 
 AFFINE = {"S": PENNIES, "s": [0.0, 0.0], "H": {"simplex": 2}}
+# int() would truncate these counts to bounds (2, 1), costs (1, 1), budget 2
+KNAPSACK = {"bounds": [2.7, 1], "costs": [1, 1.5], "budget": 2.9,
+            "outputs": [[[1.0], [2.0], [0.5]], [[0.0], [1.0]]]}
+KNAPSACK_D = [[1.0, -1.0, 0.5], [0.2, 0.3, -0.4]]
+BLOTTO = {"m": 2, "caps_a": [2.5, 2], "caps_d": [2, 2], "costs_a": [1, 1], "costs_d": [1, 1],
+          "budget_a": 3.7, "budget_d": 3, "omega": {"rank1_seed": 1}}
 
 
 @pytest.mark.parametrize("command, spec, offending", [
@@ -116,6 +122,15 @@ AFFINE = {"S": PENNIES, "s": [0.0, 0.0], "H": {"simplex": 2}}
     ("affine-vi", {**AFFINE, "H": {"simplex": 3}}, "S has shape (2, 2)"),
     ("affine-vi", [AFFINE], "not [{"),
     ("matrix-game", [PENNIES], "not [[[1.0, -1.0]"),
+    ("matrix-game", {"A": KNAPSACK, "D": KNAPSACK_D}, "bounds[0] must be an integer, not 2.7"),
+    ("matrix-game", {"A": {**KNAPSACK, "bounds": [2, 1]}, "D": KNAPSACK_D}, "not 1.5"),
+    ("matrix-game", {"A": {**KNAPSACK, "bounds": [2, 1], "costs": [1, 1]}, "D": KNAPSACK_D},
+     "budget must be an integer, not 2.9"),
+    ("blotto", BLOTTO, "caps_a[0] must be an integer, not 2.5"),
+    ("blotto", {**BLOTTO, "caps_a": [2, 2]}, "budget_a must be an integer, not 3.7"),
+    ("blotto", {**BLOTTO, "m": 2.5}, "m must be an integer, not 2.5"),
+    ("blotto", {**BLOTTO, "omega": {"rank1_seed": 1.5}}, "rank1_seed must be an integer, not 1.5"),
+    ("blotto", {**BLOTTO, "m": 3, "caps_a": [2, 2]}, "must have m = 3 entries"),
 ])
 def test_spec_errors_name_the_offending_value(tmp_path, capsys, command, spec, offending):
     # a malformed spec exits 1 with a message, never a traceback or a fallback

@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -94,6 +95,25 @@ def test_dense_offset_scores_columns_without_changing_them():
         assert hit.action_sequence == (0,) and hit.value == 2.0
     with pytest.raises(ValueError, match=r"offset has shape \(2,\)"):
         DenseMatrixOracle(np.eye(3), offset=[1.0, 2.0])
+
+
+def test_dense_oracle_answers_from_its_own_read_only_copy():
+    # a caller's later write to its matrix or offset changes no hit, and a
+    # hit's column and column(key) are read-only views of the stored matrix
+    matrix, offset = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([0.0, 1.0])
+    oracle = DenseMatrixOracle(matrix, offset=offset)
+    matrix[0, 0], offset[0] = 100.0, 100.0
+    hit = oracle.col_extreme([1.0, 0.0], "max")
+    assert hit.action_sequence == (1,) and hit.value == 3.0
+    assert np.array_equal(hit.column, [2.0, 4.0])
+    column = oracle.column((0,))
+    assert np.array_equal(column, [1.0, 3.0])
+    for view in (hit.column, column):
+        assert np.shares_memory(view, oracle.matrix)
+        with pytest.raises(ValueError, match="read-only"):
+            view[0] = 7.0
+    with pytest.raises(ValueError, match="read-only"):
+        oracle.offset[0] = 7.0
 
 
 def test_knapsack_spec_example_queries():
@@ -226,6 +246,22 @@ def test_spec_validation():
         KnapsackSpec(bounds=(1,), costs=(1,), budget=1, outputs=(np.zeros((3, 1)),))
     with pytest.raises(ValueError, match="non-finite"):
         KnapsackSpec(bounds=(1,), costs=(1,), budget=1, outputs=(np.array([[0.0], [np.inf]]),))
+
+
+def test_knapsack_spec_takes_integer_counts_only():
+    # numpy integers are counts; a float or a bool is not truncated but rejected
+    outputs = (np.zeros((3, 1)), np.zeros((2, 1)))
+    spec = KnapsackSpec(bounds=(np.int64(2), 1), costs=(1, np.int32(2)), budget=np.int64(3),
+                        outputs=outputs)
+    assert (spec.bounds, spec.costs, spec.budget) == ((2, 1), (1, 2), 3)
+    assert type(spec.budget) is int
+    for kwargs, named in [({"bounds": (2.7, 1)}, "bounds[0] must be an integer, not 2.7"),
+                          ({"costs": (1, 1.5)}, "costs[1] must be an integer, not 1.5"),
+                          ({"budget": 2.9}, "budget must be an integer, not 2.9"),
+                          ({"budget": True}, "budget must be an integer, not True")]:
+        with pytest.raises(ValueError, match=re.escape(named)):
+            KnapsackSpec(**{"bounds": (2, 1), "costs": (1, 1), "budget": 2,
+                            "outputs": outputs, **kwargs})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -662,6 +662,24 @@ def test_repeated_round_makes_no_solve():
     assert again.residual == cert.residual and again.lower <= again.residual
 
 
+def test_failed_solve_ends_the_round_and_spares_the_lp():
+    # a solve that HiGHS stops without an optimum ends the round with the
+    # best certificate found so far; the next round on the same LP solves
+    rng = np.random.default_rng(3)
+    prot = ExecutionProtocol.from_lists(rng.normal(size=(40, 4)), rng.normal(size=(40, 4)),
+                                        range(40))
+    lp = CertificateLP((1.0, 2.0), 2, 4)
+    lp.highs.setOptionValue("simplex_iteration_limit", 0)
+    cert = optimize_certificate(prot, (1.0, 2.0), 2, lp=lp)
+    assert np.array_equal(cert.weights, np.full(40, 1 / 40)) and lp.solves == 1
+    lp.highs.setOptionValue("simplex_iteration_limit", 2 ** 31 - 1)  # HiGHS's default
+    again = optimize_certificate(prot, (1.0, 2.0), 2, lp=lp)
+    fresh = optimize_certificate(prot, (1.0, 2.0), 2)
+    assert again.residual == pytest.approx(fresh.residual, rel=1e-9, abs=1e-12)
+    assert again.residual < 0.0 < cert.residual
+    assert again.lower <= again.residual
+
+
 @pytest.mark.parametrize("method", ["ellipsoid", "md"])
 def test_round_protocols_are_stable_prefixes(method):
     # each round's protocol views storage that later steps keep appending
@@ -828,34 +846,40 @@ def test_zero_field_stops_stationary():
 
 
 def test_collapsed_ellipsoid_stops_degenerate_and_certifies(monkeypatch):
+    # a collapse in the (k+1)-th central cut, or in the first recycled deep
+    # cut, stops the run with a closing round on the whole protocol
     real_cut, k = solvers.ellipsoid_cut, 40
-    cuts = []
-
-    def cut(center, shape, g, depth=0.0):
-        if depth:  # a recycled deep cut: the steps count the central ones
-            return real_cut(center, shape, g, depth)
-        cuts.append(None)
-        if len(cuts) > k:
-            raise RuntimeError("collapsed")
-        return real_cut(center, shape, g)
-
-    monkeypatch.setattr(solvers, "ellipsoid_cut", cut)
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
-    calls = []
+    for recycled_collapses in (False, True):
+        cuts, calls = [], []
 
-    def fn(x):
-        calls.append(x.copy())
-        return x + 0.1  # strongly monotone: no certificate reaches residual 0
+        def cut(center, shape, g, depth=0.0):
+            if depth:  # a recycled deep cut: the steps count the central ones
+                if recycled_collapses:
+                    raise RuntimeError("collapsed")
+                return real_cut(center, shape, g, depth)
+            cuts.append(None)
+            if len(cuts) > k:
+                raise RuntimeError("collapsed")
+            return real_cut(center, shape, g)
 
-    run = ellipsoid_run(FieldOracle(fn), dom,
-                        SolverConfig(eps_target=1e-12, max_steps=1000, cert_period=16))
-    assert run.stop_reason == "ellipsoid_degenerate"
-    assert run.steps == k + 1
-    assert len(run.protocol) == len(calls) == len(run.payloads)
-    assert run.rounds[-1]["t"] == len(run.protocol)
-    assert run.rounds[-1]["step"] == k + 1
-    assert run.cert.residual == residual_ball_product(run.protocol, run.cert, (1.0, 2.0), 2)
-    assert run.cert.lower <= run.cert.residual
+        def fn(x):
+            calls.append(x.copy())
+            return x + 0.1  # strongly monotone: no certificate reaches residual 0
+
+        monkeypatch.setattr(solvers, "ellipsoid_cut", cut)
+        run = ellipsoid_run(FieldOracle(fn), dom,
+                            SolverConfig(eps_target=1e-12, max_steps=1000, cert_period=16))
+        assert run.stop_reason == "ellipsoid_degenerate"
+        if recycled_collapses:  # before the step's central cut
+            assert 1 < run.steps <= k and len(cuts) == run.steps - 1
+        else:
+            assert run.steps == k + 1
+        assert len(run.protocol) == len(calls) == len(run.payloads)
+        assert run.rounds[-1]["t"] == len(run.protocol)
+        assert run.rounds[-1]["step"] == run.steps
+        assert run.cert.residual == residual_ball_product(run.protocol, run.cert, (1.0, 2.0), 2)
+        assert run.cert.lower <= run.cert.residual
 
 
 @pytest.mark.parametrize("method", [ellipsoid_run, md_run])
