@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import KnapsackOracle, KnapsackSpec, integer, json_object
+from .oracles import KnapsackOracle, KnapsackSpec, integer
 from .saddle import BilinearSpSpec, SparseAtomSolution, build_master_example2, solve_sp
 
 __all__ = [
@@ -162,12 +162,10 @@ def random_rank1_omegas(m, caps_a, caps_d, seed=0):
 
 
 def blotto_from_json(obj):
-    """BlottoSpec from {"m", "caps_a", "caps_d", "costs_a", "costs_d",
-    "budget_a", "budget_d", "omega": [matrices] | {"rank1_seed": int}}."""
-    obj = json_object(obj)
-    m = integer(obj["m"], "m")
-    omega = obj["omega"]
-    seed = None
+    """BlottoSpec from a parsed JSON object {"m", "caps_a", "caps_d",
+    "costs_a", "costs_d", "budget_a", "budget_d", "omega": [m matrices] |
+    {"rank1_seed": int}}; the spec converts and checks the fields."""
+    m, omega, seed = integer(obj["m"], "m"), obj["omega"], None
     if isinstance(omega, dict):
         seed = integer(omega["rank1_seed"], "rank1_seed")
         # the caps size the drawn matrices, so they are checked before the draw
@@ -175,9 +173,9 @@ def blotto_from_json(obj):
                 for name in ("caps_a", "caps_d")]
         if any(len(c) != m for c in caps):
             raise ValueError(f"caps_a and caps_d must have m = {m} entries")
-        omegas = random_rank1_omegas(m, *caps, seed)
-    else:
-        omegas = [np.asarray(o, dtype=float) for o in omega]
+        omega = random_rank1_omegas(m, *caps, seed)
+    elif len(omega) != m:
+        raise ValueError(f"omega must list m = {m} loss matrices, not {len(omega)}")
     return BlottoSpec(
         caps_a=obj["caps_a"],
         caps_d=obj["caps_d"],
@@ -185,6 +183,6 @@ def blotto_from_json(obj):
         costs_d=obj["costs_d"],
         budget_a=obj["budget_a"],
         budget_d=obj["budget_d"],
-        omegas=omegas,
+        omegas=omega,
         seed=seed,
     )

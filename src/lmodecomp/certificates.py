@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .oracles import integers
+
 __all__ = [
     "CertificateError",
     "ExecutionProtocol",
@@ -41,7 +43,7 @@ class ExecutionProtocol:
     def __post_init__(self):
         pts = np.atleast_2d(np.asarray(self.points, dtype=float))
         fv = np.atleast_2d(np.asarray(self.field_values, dtype=float))
-        ids = np.asarray(self.step_ids, dtype=np.int64)  # free for an int64 array
+        ids = integers(self.step_ids, "step_ids")  # free for the run's int64 ids
         if pts.shape != fv.shape or ids.shape != pts.shape[:1]:
             raise ValueError("points, field_values and step_ids must have equal length")
         if pts.shape[0] > 0 and pts.shape[1] != self.dim:

@@ -124,10 +124,7 @@ def _run_blotto(args, config):
 
 def _domain_from_json(obj):
     if isinstance(obj, dict) and "simplex" in obj:
-        n = obj["simplex"]
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError(f"H's simplex size must be a positive integer, not {n!r}")
-        return Simplex(n)
+        return Simplex(obj["simplex"])
     if isinstance(obj, dict) and "atoms" in obj:
         return FiniteAtoms(np.asarray(obj["atoms"], dtype=float))
     raise ValueError(f"H must be {{'simplex': n}} or {{'atoms': [...]}}, not {obj!r}")
@@ -197,7 +194,7 @@ def run(argv=None):
         return 1
     try:
         report, gap = _RUNNERS[args.command](args, config)
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return 1
     except CertificateError as exc:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .oracles import integer
+
 __all__ = [
     "Domain",
     "Simplex",
@@ -45,13 +47,12 @@ class Domain:
 
 
 class Simplex(Domain):
-    """Standard probability simplex in R^n."""
+    """Standard probability simplex in R^n, n a positive integer."""
 
     def __init__(self, n):
-        if n < 1:
-            raise ValueError("simplex dimension must be >= 1")
-        self.n = int(n)
-        self.dim = self.n
+        self.n = self.dim = integer(n, "simplex dimension")
+        if self.n < 1:
+            raise ValueError(f"simplex dimension must be >= 1, not {self.n}")
 
     def lmo(self, c):
         c = self._check_query(c)

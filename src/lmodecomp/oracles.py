@@ -9,7 +9,6 @@ while the number of columns can be astronomically large.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -28,7 +27,6 @@ __all__ = [
     "dp_from_knapsack",
     "enumerate_columns",
     "knapsack_from_json",
-    "dp_from_json",
 ]
 
 
@@ -69,8 +67,9 @@ class KnapsackSpec:
         costs = tuple(integer(h, f"costs[{s}]") for s, h in enumerate(self.costs))
         budget = integer(self.budget, "budget")
         outputs = tuple(np.atleast_2d(np.asarray(o, dtype=float)) for o in self.outputs)
-        if not (len(bounds) == len(costs) == len(outputs)):
-            raise ValueError("bounds, costs and outputs must have one entry per stage")
+        if not 0 < len(bounds) == len(costs) == len(outputs):
+            raise ValueError("bounds, costs and outputs must have one entry per stage, "
+                             "for at least one stage")
         if any(b < 0 for b in bounds):
             raise ValueError("bounds must be nonnegative integers")
         if any(h <= 0 for h in costs):
@@ -105,10 +104,13 @@ class DpSystem:
     """Finite-horizon deterministic system whose trajectories index columns.
 
     Per stage s: n_states[s] states (0-based); actions[s][state] is an
-    ascending array of action ids; transitions[s][state] maps action
+    ascending list of action ids; transitions[s][state] maps action
     positions to next-stage states (absent for the last stage);
-    outputs[s][state] is an (n_actions, r_s) array of stage outputs.
-    start_states restricts where trajectories may begin.
+    outputs[s][state] is an (n_actions, r_s) table of stage outputs.
+    start_states restricts where trajectories may begin.  The fields may
+    be plain (JSON) lists: counts, states and action ids must be integers
+    (see `integer`), and are stored as ints and int arrays, the outputs
+    as float arrays.
 
     Each stage's ragged action sets are also stored padded to the widest
     one, for the vectorized bellman_backward: per stage a tuple of
@@ -123,43 +125,61 @@ class DpSystem:
     start_states: tuple
 
     def __post_init__(self):
-        m = len(self.n_states)
+        n_states = tuple(integer(n, f"n_states[{s}]") for s, n in enumerate(self.n_states))
+        m = len(n_states)
         if m == 0:
             raise ValueError("system needs at least one stage")
         if len(self.actions) != m or len(self.outputs) != m or len(self.transitions) != m - 1:
             raise ValueError("inconsistent stage counts")
-        padded = []
-        for s in range(m):
-            n, r = self.n_states[s], np.shape(self.outputs[s][0])[1]
-            width = max(len(self.actions[s][state]) for state in range(n))
+        actions, transitions, outputs, padded = [], [], [], []
+        for s, n in enumerate(n_states):
+            last = s == m - 1
+            acts = tuple(integers(a, f"actions[{s}][{st}]") for st, a in enumerate(self.actions[s]))
+            outs = tuple(np.atleast_2d(np.asarray(o, dtype=float)) for o in self.outputs[s])
+            nexts = () if last else tuple(integers(t, f"transitions[{s}][{st}]")
+                                          for st, t in enumerate(self.transitions[s]))
+            if n < 1 or len(acts) != n or len(outs) != n or not last and len(nexts) != n:
+                raise ValueError(f"stage {s} needs n_states[{s}] = {n} >= 1 entries in each "
+                                 f"of its tables")
+            r, width = outs[0].shape[1], max(map(len, acts))
             out = np.zeros((n, width, r))
             nxt = np.zeros((n, width), dtype=int)
             pad = np.ones((n, width), dtype=bool)
-            for state in range(n):
-                acts = self.actions[s][state]
-                if len(acts) == 0:
+            for state, a in enumerate(acts):
+                if len(a) == 0:
                     raise ValueError(f"empty action set at stage {s}, state {state}")
-                if np.shape(self.outputs[s][state]) != (len(acts), r):
+                if np.any(a[1:] <= a[:-1]):
+                    raise ValueError(f"actions[{s}][{state}] must ascend, not {a.tolist()}")
+                if outs[state].shape != (len(a), r):
                     raise ValueError(f"outputs must align with actions at stage {s}, "
                                      f"state {state}")
-                out[state, :len(acts)] = self.outputs[s][state]
-                pad[state, :len(acts)] = False
-                if s < m - 1:
-                    nxt_st = self.transitions[s][state]
-                    if len(nxt_st) != len(acts):
+                out[state, :len(a)] = outs[state]
+                pad[state, :len(a)] = False
+                if not last:
+                    if len(nexts[state]) != len(a):
                         raise ValueError("transitions must align with actions")
-                    if np.any(nxt_st < 0) or np.any(nxt_st >= self.n_states[s + 1]):
+                    if np.any(nexts[state] < 0) or np.any(nexts[state] >= n_states[s + 1]):
                         raise ValueError(f"transition out of range at stage {s}, state {state}")
-                    nxt[state, :len(acts)] = nxt_st
+                    nxt[state, :len(a)] = nexts[state]
+            if not np.isfinite(out).all():
+                raise ValueError(f"stage {s}: outputs have non-finite entries")
+            actions.append(acts)
+            outputs.append(outs)
+            if not last:
+                transitions.append(nexts)
             padded.append((out, nxt, pad))
-        if not self.start_states:
+        starts = tuple(integer(st, f"start_states[{i}]") for i, st in enumerate(self.start_states))
+        if not starts:
             raise ValueError("at least one start state required")
-        for st in self.start_states:
+        for st in starts:
             # a negative state would index from the end of stage 0's tables
-            if not isinstance(st, (int, np.integer)) or not 0 <= st < self.n_states[0]:
-                raise ValueError(f"start state {st!r} is not a state of stage 0, "
-                                 f"range({self.n_states[0]})")
-        object.__setattr__(self, "_padded", tuple(padded))
+            if not 0 <= st < n_states[0]:
+                raise ValueError(f"start state {st} is not a state of stage 0, "
+                                 f"range({n_states[0]})")
+        for name, value in (("n_states", n_states), ("actions", tuple(actions)),
+                            ("transitions", tuple(transitions)), ("outputs", tuple(outputs)),
+                            ("start_states", starts), ("_padded", tuple(padded))):
+            object.__setattr__(self, name, value)
 
     @property
     def horizon(self):
@@ -188,6 +208,17 @@ def integer(value, name):
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, not {value!r}")
     return int(value)
+
+
+def integers(values, name):
+    """A 1-d sequence of integers as an int64 array, each entry checked by
+    `integer` as name[i]; a 1-d integer array needs no check, and an int64
+    one is returned uncopied."""
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "i":
+        return values.astype(np.int64, copy=False)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    return np.array([integer(v, f"{name}[{i}]") for i, v in enumerate(values)], dtype=np.int64)
 
 
 def _check_query(x, n_rows):
@@ -263,7 +294,7 @@ class DenseMatrixOracle:
 
     def column(self, key):
         n = self.matrix.shape[1]
-        if len(key) != 1 or not isinstance(key[0], (int, np.integer)) or not 0 <= key[0] < n:
+        if len(key) != 1 or not 0 <= integer(key[0], "column index") < n:
             raise ValueError(f"column key {tuple(key)} is not one index in range({n})")
         return self.matrix[:, key[0]]
 
@@ -404,14 +435,15 @@ class KnapsackOracle:
         return counts[H]
 
     def column(self, action_sequence):
-        actions = np.asarray(action_sequence)
-        if actions.shape != (self.spec.horizon,) or not (
-                (actions >= 0) & (actions <= self.spec.bounds)).all():
+        spec = self.spec
+        actions = [integer(a, f"action[{s}]") for s, a in enumerate(action_sequence)]
+        if len(actions) != spec.horizon or not all(
+                0 <= a <= b for a, b in zip(actions, spec.bounds)):
             raise ValueError(f"action sequence {tuple(action_sequence)} is not within the "
-                             f"stage bounds {self.spec.bounds}")
-        if actions.dot(self.spec.costs) > self.spec.budget:
+                             f"stage bounds {spec.bounds}")
+        if sum(a * h for a, h in zip(actions, spec.costs)) > spec.budget:
             raise ValueError(f"action sequence {tuple(action_sequence)} costs more than "
-                             f"the budget {self.spec.budget}")
+                             f"the budget {spec.budget}")
         return self._column(actions)
 
     def column_norm_bound(self):
@@ -475,9 +507,14 @@ class DpOracle:
         except (TypeError, ValueError):
             raise ValueError(f"column key {key!r} is not a (start state, action sequence) "
                              f"pair") from None
-        if not isinstance(start, (int, np.integer)) or start not in self.system.start_states:
+        try:  # a float such as 2.0 would compare equal to a start state
+            known = integer(start, "start state") in self.system.start_states
+        except ValueError:
+            known = False
+        if not known:
             raise ValueError(f"start state {start!r} is not one of {self.system.start_states}")
-        return _column_from_trajectory(self.system, start, actions)
+        return _column_from_trajectory(self.system, int(start), [
+            integer(a, f"action[{s}]") for s, a in enumerate(actions)])
 
     def column_norm_bound(self):
         dp = self.system
@@ -615,16 +652,6 @@ def enumerate_columns(oracle, limit=10 ** 6):
 # ---------------------------------------------------------------------------
 # loading
 
-def json_object(obj):
-    """`obj` itself, or the JSON document in the file it names or is open on."""
-    if isinstance(obj, str):
-        with open(obj) as fp:
-            return json.load(fp)
-    if hasattr(obj, "read"):
-        return json.load(obj)
-    return obj
-
-
 def matrix_side(obj):
     """Oracle for one matrix of a spec: knapsack if a dict with a budget, else dense."""
     if isinstance(obj, dict) and "budget" in obj:
@@ -633,34 +660,7 @@ def matrix_side(obj):
 
 
 def knapsack_from_json(obj):
-    """Build a KnapsackSpec from a dict or a JSON file path/handle."""
-    obj = json_object(obj)
-    return KnapsackSpec(
-        bounds=tuple(obj["bounds"]),
-        costs=tuple(obj["costs"]),
-        budget=obj["budget"],
-        outputs=tuple(np.asarray(t, dtype=float) for t in obj["outputs"]),
-    )
-
-
-def dp_from_json(obj):
-    """Build a DpSystem from a dict with explicit per-state tables."""
-    obj = json_object(obj)
-    m = len(obj["n_states"])
-    actions = tuple(
-        tuple(np.asarray(a, dtype=int) for a in obj["actions"][s]) for s in range(m)
-    )
-    transitions = tuple(
-        tuple(np.asarray(t, dtype=int) for t in obj["transitions"][s]) for s in range(m - 1)
-    )
-    outputs = tuple(
-        tuple(np.atleast_2d(np.asarray(o, dtype=float)) for o in obj["outputs"][s])
-        for s in range(m)
-    )
-    return DpSystem(
-        n_states=tuple(int(n) for n in obj["n_states"]),
-        actions=actions,
-        transitions=transitions,
-        outputs=outputs,
-        start_states=tuple(int(s) for s in obj["start_states"]),
-    )
+    """KnapsackSpec from a parsed JSON object {"bounds", "costs", "budget",
+    "outputs"}; the spec converts and checks the fields."""
+    return KnapsackSpec(bounds=obj["bounds"], costs=obj["costs"], budget=obj["budget"],
+                        outputs=obj["outputs"])

@@ -18,7 +18,6 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
-import numbers
 import os
 import sys
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .certificates import (
 # residual_ball_product is unused here: benchmark tracing wraps this module's name
 from .certificates import residual_ball_product  # noqa: F401
 from .domains import Ball, Product
+from .oracles import integer
 
 __all__ = [
     "SolverConfig",
@@ -68,10 +68,8 @@ class SolverConfig:
             counts["cert_period"] = self.cert_period
         for name, value in counts.items():
             # range() takes no float, and a float period would put rounds only
-            # on the multiples that happen to be integers; np.int64 is Integral
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
-            if value < 1:
+            # on the multiples that happen to be integers
+            if integer(value, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 # residual_ball_product is unused here: benchmark tracing wraps this module's name
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
 from .domains import Ball, Product, Simplex
-from .oracles import DenseMatrixOracle, json_object, matrix_side
+from .oracles import DenseMatrixOracle, matrix_side
 from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
 
 __all__ = [
@@ -489,13 +489,10 @@ def eps_nash(spec, eta_blocks):
 
 
 def nash_spec_from_json(obj):
-    """NashSpec from JSON: dense M matrices, D blocks dense or knapsack."""
-    obj = json_object(obj)
-    encoders = [matrix_side(d) for d in obj["D"]]
-    g = None
-    if obj.get("g") is not None:
-        g = [np.asarray(v, dtype=float) for v in obj["g"]]
-    return NashSpec(D=encoders, M=obj["M"], g=g)
+    """NashSpec from a parsed JSON object {"D", "M", "g" (optional)}: D
+    blocks dense or knapsack (see `matrix_side`), dense M matrices; the
+    spec converts and checks the fields."""
+    return NashSpec(D=[matrix_side(d) for d in obj["D"]], M=obj["M"], g=obj.get("g"))
 
 
 def skew_master_protocol(spec, protocol, payloads):

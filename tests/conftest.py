@@ -1,6 +1,8 @@
 import numpy as np
 from scipy.optimize import linprog
 
+from lmodecomp.oracles import KnapsackOracle, KnapsackSpec
+
 
 def lp_game_value(S):
     """Value of min_w max_z <z, S w> over Delta_M x Delta_N (w indexes
@@ -30,3 +32,18 @@ def md_step_sizes(protocol, radius):
     norms = np.maximum.accumulate(np.linalg.norm(protocol.field_values, axis=1))
     i = np.arange(1, len(protocol) + 1)
     return radius / (np.maximum(norms, 1e-30) * np.sqrt(i))
+
+
+def random_knapsack(rng, max_cols=10 ** 4):
+    """A random knapsack oracle of 2-4 stages with at most max_cols columns."""
+    while True:
+        m = int(rng.integers(2, 5))
+        bounds = tuple(int(b) for b in rng.integers(1, 5, size=m))
+        costs = tuple(int(c) for c in rng.integers(1, 3, size=m))
+        budget = int(rng.integers(1, 8))
+        dims = tuple(int(d) for d in rng.integers(1, 3, size=m))
+        outputs = tuple(rng.normal(size=(bounds[s] + 1, dims[s])) for s in range(m))
+        oracle = KnapsackOracle(KnapsackSpec(bounds=bounds, costs=costs, budget=budget,
+                                             outputs=outputs))
+        if oracle.count_columns() <= max_cols:
+            return oracle

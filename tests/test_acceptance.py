@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from conftest import eps_sad_enum, lp_game_value, md_step_sizes
+from conftest import eps_sad_enum, lp_game_value, md_step_sizes, random_knapsack
 from lmodecomp.blotto import BlottoSpec, random_rank1_omegas, solve_blotto
 from lmodecomp.certificates import (
     AccuracyCertificate,
@@ -23,8 +23,6 @@ from lmodecomp.domains import Ball
 from lmodecomp.oracles import (
     DenseMatrixOracle,
     DpOracle,
-    KnapsackOracle,
-    KnapsackSpec,
     dp_from_knapsack,
     enumerate_columns,
 )
@@ -60,20 +58,6 @@ def report(num, name, ok):
     # shows up under `pytest -s` and in the captured output of failures;
     # the -v test lines give the same one-line-per-criterion summary
     print(f"[criterion {num:2d}] {name}: {'PASS' if ok else 'FAIL'}", flush=True)
-
-
-def random_knapsack(rng, max_cols=10 ** 4):
-    while True:
-        m = int(rng.integers(2, 5))
-        bounds = tuple(int(b) for b in rng.integers(1, 5, size=m))
-        costs = tuple(int(c) for c in rng.integers(1, 3, size=m))
-        budget = int(rng.integers(1, 8))
-        dims = tuple(int(d) for d in rng.integers(1, 3, size=m))
-        outputs = tuple(rng.normal(size=(bounds[s] + 1, dims[s])) for s in range(m))
-        spec = KnapsackSpec(bounds=bounds, costs=costs, budget=budget, outputs=outputs)
-        oracle = KnapsackOracle(spec)
-        if oracle.count_columns() <= max_cols:
-            return oracle
 
 
 def test_criterion_01_oracle_equivalence():

@@ -1,5 +1,3 @@
-import io
-import json
 import re
 
 import numpy as np
@@ -97,12 +95,15 @@ def test_blotto_from_json_explicit_and_seeded():
     obj = {"m": 2, "caps_a": [2, 2], "caps_d": [2, 2], "costs_a": [1, 1],
            "costs_d": [1, 1], "budget_a": 2, "budget_d": 2,
            "omega": [o.tolist() for o in spec.omegas]}
-    loaded = blotto_from_json(io.StringIO(json.dumps(obj)))
+    loaded = blotto_from_json(obj)
     assert loaded.m == 2
     assert np.allclose(loaded.omegas[0], spec.omegas[0])
+    # m used to be ignored when the spec lists its matrices
+    with pytest.raises(ValueError, match="omega must list m = 5 loss matrices, not 2"):
+        blotto_from_json({**obj, "m": 5})
 
     obj["omega"] = {"rank1_seed": 7}
-    seeded = blotto_from_json(io.StringIO(json.dumps(obj)))
+    seeded = blotto_from_json(obj)
     assert seeded.seed == 7
     assert np.allclose(seeded.omegas[1], spec.omegas[1])
 

@@ -61,7 +61,7 @@ def test_length_mismatch_raises():
     with pytest.raises(ValueError):
         residual(prot, AccuracyCertificate.uniform(3), Simplex(2))
     # step ids: one integer per entry, whether a tuple or an int64 array
-    for ids in (prot.step_ids[:3], ("a",) * 4, np.arange(8).reshape(4, 2)):
+    for ids in (prot.step_ids[:3], ("a",) * 4, np.arange(8).reshape(4, 2), (1, 2, 1.7, 4)):
         with pytest.raises(ValueError):
             ExecutionProtocol(prot.points, prot.field_values, ids, 2)
     from_array = ExecutionProtocol(prot.points, prot.field_values, np.arange(1, 5), 2)

@@ -112,6 +112,9 @@ KNAPSACK = {"bounds": [2.7, 1], "costs": [1, 1.5], "budget": 2.9,
 KNAPSACK_D = [[1.0, -1.0, 0.5], [0.2, 0.3, -0.4]]
 BLOTTO = {"m": 2, "caps_a": [2.5, 2], "caps_d": [2, 2], "costs_a": [1, 1], "costs_d": [1, 1],
           "budget_a": 3.7, "budget_d": 3, "omega": {"rank1_seed": 1}}
+# two fields of one unit per side, with explicit loss matrices
+BLOTTO_LISTED = {**BLOTTO, "caps_a": [1, 1], "caps_d": [1, 1], "budget_a": 1, "budget_d": 1,
+                 "omega": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]]]}
 
 
 @pytest.mark.parametrize("command, spec, offending", [
@@ -131,12 +134,43 @@ BLOTTO = {"m": 2, "caps_a": [2.5, 2], "caps_d": [2, 2], "costs_a": [1, 1], "cost
     ("blotto", {**BLOTTO, "m": 2.5}, "m must be an integer, not 2.5"),
     ("blotto", {**BLOTTO, "omega": {"rank1_seed": 1.5}}, "rank1_seed must be an integer, not 1.5"),
     ("blotto", {**BLOTTO, "m": 3, "caps_a": [2, 2]}, "must have m = 3 entries"),
+    ("blotto", {**BLOTTO_LISTED, "m": 5}, "omega must list m = 5 loss matrices, not 2"),
+    ("affine-vi", {**AFFINE, "H": {"simplex": True}}, "must be an integer, not True"),
+    ("affine-vi", {**AFFINE, "H": {"simplex": 0}}, "must be >= 1, not 0"),
 ])
 def test_spec_errors_name_the_offending_value(tmp_path, capsys, command, spec, offending):
     # a malformed spec exits 1 with a message, never a traceback or a fallback
     assert run([command, "--spec", write_spec(tmp_path, spec)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and offending in err and "Traceback" not in err
+
+
+KNAPSACK_A = {**KNAPSACK, "bounds": [2, 1], "costs": [1, 1], "budget": 2}
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+NASH = {"D": [EYE, KNAPSACK_A], "M": [[[[0.0] * 2] * 2, PENNIES],
+                                     [(-np.asarray(PENNIES).T).tolist(), [[0.0] * 2] * 2]]}
+
+
+@pytest.mark.parametrize("command, spec", [
+    # each is a valid spec with one value replaced; these used to escape run()
+    # as a TypeError traceback
+    ("matrix-game", {"A": {}, "D": KNAPSACK_D}),
+    ("matrix-game", {"A": {**KNAPSACK_A, "bounds": 7}, "D": KNAPSACK_D}),
+    ("matrix-game", {"A": {**KNAPSACK_A, "outputs": None}, "D": KNAPSACK_D}),
+    ("matrix-game", {"S": [[1.0, {}], [-1.0, 1.0]]}),
+    ("blotto", {**BLOTTO_LISTED, "omega": 7}),
+    ("blotto", {**BLOTTO_LISTED, "costs_a": None}),
+    ("blotto", {**BLOTTO_LISTED, "caps_d": True}),
+    ("affine-vi", {**AFFINE, "s": [0.0, {}]}),
+    ("affine-vi", {**AFFINE, "S": {}}),
+    ("nash", {**NASH, "M": None}),
+    ("nash", {**NASH, "D": [EYE, {**KNAPSACK_A, "costs": -1}]}),
+    ("nash", {**NASH, "g": 7}),
+])
+def test_malformed_spec_fields_exit_one(tmp_path, capsys, command, spec):
+    assert run([command, "--spec", write_spec(tmp_path, spec), "--max-steps", "20"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid spec: ") and "Traceback" not in err
 
 
 def test_large_offset_affine_vi_never_fails_the_gap_check(tmp_path, capsys):

@@ -95,7 +95,11 @@ def test_enclosing_radius():
     (lambda: Ball(np.zeros(2), 0.0), "0.0"),
     (lambda: FiniteAtoms([[0.0, 1.0], [np.nan, 0.0]]), "nan"),
     (lambda: FiniteAtoms([[0.0, -np.inf]]), "-inf"),
-], ids=["ball-nan", "ball-inf", "ball-zero", "atoms-nan", "atoms-inf"])
+    (lambda: Simplex(2.7), "2.7"),  # int() used to truncate it to 2
+    (lambda: Simplex(True), "True"),
+    (lambda: Simplex(0), "0"),
+], ids=["ball-nan", "ball-inf", "ball-zero", "atoms-nan", "atoms-inf", "simplex-float",
+        "simplex-bool", "simplex-zero"])
 def test_non_finite_domain_data_rejected(make, named):
     with pytest.raises(ValueError, match=f"not {named}$"):
         make()

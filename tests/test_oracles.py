@@ -1,5 +1,3 @@
-import io
-import json
 import math
 import re
 import warnings
@@ -7,16 +5,17 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import random_knapsack
 from test_vi import dp_start_states_nash_spec
 from lmodecomp.blotto import BlottoSpec, build_blotto, random_rank1_omegas
 from lmodecomp.oracles import (
     ColumnHit,
     DenseMatrixOracle,
     DpOracle,
+    DpSystem,
     KnapsackOracle,
     KnapsackSpec,
     bellman_backward,
-    dp_from_json,
     dp_from_knapsack,
     enumerate_columns,
     knapsack_from_json,
@@ -27,20 +26,6 @@ def small_knapsack():
     # two stages, unit bounds/costs, budget 1, scalar outputs f_s(r) = r
     return KnapsackSpec(bounds=(1, 1), costs=(1, 1), budget=1,
                         outputs=(np.array([[0.0], [1.0]]), np.array([[0.0], [1.0]])))
-
-
-def random_knapsack(rng, max_cols=10 ** 4):
-    while True:
-        m = int(rng.integers(2, 5))
-        bounds = tuple(int(b) for b in rng.integers(1, 5, size=m))
-        costs = tuple(int(c) for c in rng.integers(1, 3, size=m))
-        budget = int(rng.integers(1, 8))
-        dims = tuple(int(d) for d in rng.integers(1, 3, size=m))
-        outputs = tuple(rng.normal(size=(bounds[s] + 1, dims[s])) for s in range(m))
-        spec = KnapsackSpec(bounds=bounds, costs=costs, budget=budget, outputs=outputs)
-        oracle = KnapsackOracle(spec)
-        if oracle.count_columns() <= max_cols:
-            return oracle
 
 
 def test_dense_col_extreme():
@@ -246,6 +231,8 @@ def test_spec_validation():
         KnapsackSpec(bounds=(1,), costs=(1,), budget=1, outputs=(np.zeros((3, 1)),))
     with pytest.raises(ValueError, match="non-finite"):
         KnapsackSpec(bounds=(1,), costs=(1,), budget=1, outputs=(np.array([[0.0], [np.inf]]),))
+    with pytest.raises(ValueError, match="at least one stage"):  # no column to search
+        KnapsackSpec(bounds=(), costs=(), budget=1, outputs=())
 
 
 def test_knapsack_spec_takes_integer_counts_only():
@@ -357,14 +344,29 @@ def test_dense_column_takes_one_index_in_range():
     for bad in ((-1,), (0, 5), (7,)):
         with pytest.raises(ValueError, match="range"):
             oracle.column(bad)
+    # True used to index as a boolean mask, a (2, 1, 3) array
+    assert np.array_equal(oracle.column((np.int64(1),)), [1.0, 4.0])
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError, match=f"column index must be an integer, not {bad}"):
+            oracle.column((bad,))
+
+
+def test_knapsack_column_takes_integer_actions_only():
+    # (0.5, 1) used to index as (0, 1)
+    oracle = KnapsackOracle(small_knapsack())
+    assert np.array_equal(oracle.column((np.int64(0), 1)), oracle.column((0, 1)))
+    for bad, named in (((0.5, 1), "action[0] must be an integer, not 0.5"),
+                       ((0, True), "action[1] must be an integer, not True")):
+        with pytest.raises(ValueError, match=re.escape(named)):
+            oracle.column(bad)
 
 
 def test_dp_column_takes_a_start_state_and_action_sequence():
     # one stage of 4 states with actions 0 and 1; trajectories start at 0 or 2
-    oracle = DpOracle(dp_from_json({
-        "n_states": [4], "actions": [[[0, 1]] * 4], "transitions": [],
-        "outputs": [[[[1.0], [2.0]], [[3.0], [4.0]], [[5.0], [6.0]], [[7.0], [8.0]]]],
-        "start_states": [0, 2]}))
+    oracle = DpOracle(DpSystem(
+        n_states=[4], actions=[[[0, 1]] * 4], transitions=[],
+        outputs=[[[[1.0], [2.0]], [[3.0], [4.0]], [[5.0], [6.0]], [[7.0], [8.0]]]],
+        start_states=[0, 2]))
     assert np.array_equal(oracle.column((2, (1,))), [6.0])
     assert np.array_equal(oracle.column((np.int64(0), [0])), [1.0])
     pair = r"not a \(start state, action sequence\) pair"
@@ -390,11 +392,49 @@ def test_dp_start_states_outside_stage_zero_are_rejected(starts):
     obj = {"n_states": [2], "actions": [[[0], [0, 1]]], "transitions": [],
            "outputs": [[[[1.0]], [[2.0], [3.0]]]], "start_states": starts}
     with pytest.raises(ValueError, match=rf"start state {starts[-1]} is not a state of stage 0"):
-        dp_from_json(obj)
+        DpSystem(**obj)
     obj["start_states"] = [0, 1]
-    oracle = DpOracle(dp_from_json(obj))
+    oracle = DpOracle(DpSystem(**obj))
     assert oracle.count_columns() == 3
     assert oracle.col_extreme(np.array([1.0]), "max").key == (1, (1,))
+
+
+def _dp_fields(**changes):
+    """A 2-stage system with a ragged stage 0 and two start states, as the
+    plain lists of a JSON object, with `changes` applied."""
+    fields = {"n_states": [2, 1], "actions": [[[0, 1], [1]], [[0, 2]]],
+              "transitions": [[[0, 0], [0]]],
+              "outputs": [[[[1.0], [2.0]], [[3.0]]], [[[4.0], [5.0]]]], "start_states": [0, 1]}
+    return {**fields, **changes}
+
+
+def test_dp_system_takes_plain_lists_and_numpy_integers():
+    dp = DpSystem(**_dp_fields())
+    assert (dp.n_states, dp.start_states) == ((2, 1), (0, 1))
+    assert all(a.dtype == np.int64 for stage in dp.actions for a in stage)
+    assert DpOracle(dp).count_columns() == 6
+    same = DpSystem(**_dp_fields(n_states=np.array([2, 1]), start_states=[np.int64(0), 1],
+                                 actions=[[np.array([0, 1], dtype=np.int32), [1]], [[0, 2]]]))
+    assert (same.n_states, same.start_states) == ((2, 1), (0, 1))
+    assert all(type(n) is int for n in same.n_states + same.start_states)
+    assert enumerate_columns(DpOracle(same))[0] == enumerate_columns(DpOracle(dp))[0]
+
+
+@pytest.mark.parametrize("changes, named", [
+    # int() used to truncate the first two to 1 and 0, np.asarray(dtype=int) the next two
+    ({"n_states": [1.9, 1]}, "n_states[0] must be an integer, not 1.9"),
+    ({"start_states": [0.7]}, "start_states[0] must be an integer, not 0.7"),
+    ({"actions": [[[0, 1.5], [1]], [[0, 2]]]}, "actions[0][0][1] must be an integer, not 1.5"),
+    ({"transitions": [[[0, 0.5], [0]]]}, "transitions[0][0][1] must be an integer, not 0.5"),
+    ({"n_states": [2, True]}, "n_states[1] must be an integer, not True"),
+    ({"actions": [[[1, 0], [1]], [[0, 2]]]}, "actions[0][0] must ascend, not [1, 0]"),
+    ({"n_states": [3, 1]}, "stage 0 needs n_states[0] = 3 >= 1 entries"),
+    ({"outputs": [[[[1.0], [2.0]], [[3.0]]], [[[4.0], [np.nan]]]]},
+     "stage 1: outputs have non-finite"),
+])
+def test_dp_system_rejects_non_integer_and_malformed_fields(changes, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        DpSystem(**_dp_fields(**changes))
 
 
 @pytest.mark.parametrize("kind", ["dense", "dense-offset", "knapsack", "dp-two-starts"])
@@ -439,7 +479,7 @@ def test_dp_rejects_non_finite_queries(bad):
 def test_json_loaders():
     obj = {"bounds": [1, 1], "costs": [1, 1], "budget": 1,
            "outputs": [[[0.0], [1.0]], [[0.0], [1.0]]]}
-    spec = knapsack_from_json(io.StringIO(json.dumps(obj)))
+    spec = knapsack_from_json(obj)
     assert spec.budget == 1
     assert KnapsackOracle(spec).count_columns() == 3
 
@@ -451,7 +491,7 @@ def test_json_loaders():
         "outputs": [[np.asarray(o).tolist() for o in dp.outputs[s]] for s in range(2)],
         "start_states": list(dp.start_states),
     }
-    dp2 = dp_from_json(io.StringIO(json.dumps(dp_obj)))
+    dp2 = DpSystem(**dp_obj)
     assert DpOracle(dp2).count_columns() == 3
 
 
@@ -593,7 +633,7 @@ def test_bellman_backward_ragged_system_matches_per_state_loop():
         if s < len(n_states) - 1:
             obj["transitions"].append(
                 [rng.integers(0, n_states[s + 1], size=len(a)).tolist() for a in acts])
-    dp = dp_from_json(obj)
+    dp = DpSystem(**obj)
     assert len({len(a) for stage in dp.actions for a in stage}) > 1  # ragged
     oracle = DpOracle(dp)
     for _ in range(50):

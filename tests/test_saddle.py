@@ -11,9 +11,9 @@ from lmodecomp.certificates import CertificateError, residual, residual_ball_pro
 from lmodecomp.oracles import (
     DenseMatrixOracle,
     DpOracle,
+    DpSystem,
     KnapsackOracle,
     KnapsackSpec,
-    dp_from_json,
     enumerate_columns,
 )
 from lmodecomp.saddle import (
@@ -242,9 +242,9 @@ def test_dp_start_states_keep_their_own_atoms():
     # (0,), (1,) by action sequence; keyed by that alone, the weights of
     # distinct columns merged and the run raised CertificateError
     rng = np.random.default_rng(1)
-    dp = dp_from_json({"n_states": [2], "actions": [[[0, 1], [0, 1]]], "transitions": [],
-                       "outputs": [[rng.normal(size=(2, 2)).tolist() for _ in range(2)]],
-                       "start_states": [0, 1]})
+    dp = DpSystem(n_states=[2], actions=[[[0, 1], [0, 1]]], transitions=[],
+                  outputs=[[rng.normal(size=(2, 2)).tolist() for _ in range(2)]],
+                  start_states=[0, 1])
     D, A = DpOracle(dp), DenseMatrixOracle(rng.normal(size=(2, 3)))
     master = build_master_example2(BilinearSpSpec(A=A, D=D))
     sol = solve_sp(master)

@@ -385,10 +385,6 @@ def test_missing_highs_extension_names_the_scipy_pin(monkeypatch):
         solvers._highs_core.__wrapped__()
 
 
-def _prefix(prot, t):
-    return ExecutionProtocol(prot.points[:t], prot.field_values[:t], prot.step_ids[:t], prot.dim)
-
-
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_carried_lp_certifies_as_a_fresh_one(seed):
     # radii large enough that the optimum lies inside the balls, where the
@@ -397,7 +393,7 @@ def test_carried_lp_certifies_as_a_fresh_one(seed):
     prot = _random_protocol(rng, 120, 4)
     radii, split = (50.0, 50.0), 2
     lp = CertificateLP(radii, split, 4)
-    first = optimize_certificate(_prefix(prot, 60), radii, split, lp=lp)
+    first = optimize_certificate(prot.prefix(60), radii, split, lp=lp)
     carried = optimize_certificate(prot, radii, split, warm_start=first, lp=lp)
     fresh = optimize_certificate(prot, radii, split, warm_start=first)
     res_carried, res_fresh = (residual_ball_product(prot, cert, radii, split)
@@ -450,7 +446,7 @@ def test_carried_lp_holds_only_the_working_set():
     for t in (50, 100, 150, 200):
         before = protocol_rows()
         holds.clear()
-        cert = optimize_certificate(_prefix(prot, t), radii, split, warm_start=cert, lp=lp)
+        cert = optimize_certificate(prot.prefix(t), radii, split, warm_start=cert, lp=lp)
         assert all(rows == in_set for in_set, rows in holds)
         assert protocol_rows() == holds[-1][0]  # the round's final working set
         n_pruned += len(before - holds[0][1])

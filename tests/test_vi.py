@@ -8,9 +8,9 @@ from lmodecomp.domains import Domain, FiniteAtoms, Product, Simplex
 from lmodecomp.oracles import (
     DenseMatrixOracle,
     DpOracle,
+    DpSystem,
     KnapsackOracle,
     KnapsackSpec,
-    dp_from_json,
     enumerate_columns,
 )
 from lmodecomp.solvers import SolverConfig
@@ -87,9 +87,9 @@ def dp_start_states_nash_spec():
     """A 1-stage DP player with start states 0 and 1, which both have the
     action sequences (0,) and (1,), against a dense 2 x 3 encoder."""
     rng = np.random.default_rng(1)
-    dp = dp_from_json({"n_states": [2], "actions": [[[0, 1], [0, 1]]], "transitions": [],
-                       "outputs": [[rng.normal(size=(2, 2)).tolist() for _ in range(2)]],
-                       "start_states": [0, 1]})
+    dp = DpSystem(n_states=[2], actions=[[[0, 1], [0, 1]]], transitions=[],
+                  outputs=[[rng.normal(size=(2, 2)).tolist() for _ in range(2)]],
+                  start_states=[0, 1])
     D = [DpOracle(dp), DenseMatrixOracle(rng.normal(size=(2, 3)))]
     B, Z = rng.normal(size=(2, 2)), np.zeros((2, 2))
     return NashSpec(D=D, M=[[Z, B], [-B.T, Z]])
