@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import KnapsackOracle, KnapsackSpec, integer
+from .oracles import KnapsackOracle, KnapsackSpec, entries, integer, integers, reals
 from .saddle import BilinearSpSpec, SparseAtomSolution, build_master_example2, solve_sp
 
 __all__ = [
@@ -32,7 +32,9 @@ __all__ = [
 @dataclass
 class BlottoSpec:
     """Game data: per-field caps and unit costs for both sides, budgets,
-    and (caps_a[s]+1) x (caps_d[s]+1) loss matrices (rows: attacker)."""
+    and (caps_a[s]+1) x (caps_d[s]+1) loss matrices (rows: attacker).  The
+    counts go through `integers` and `integer`, each loss matrix through
+    `reals`, so the spec owns read-only copies of its matrices."""
 
     caps_a: tuple
     caps_d: tuple
@@ -44,12 +46,10 @@ class BlottoSpec:
     seed: int | None = None  # recorded when the omegas were generated
 
     def __post_init__(self):
-        self.omegas = tuple(np.atleast_2d(np.asarray(o, dtype=float)) for o in self.omegas)
+        self.omegas = tuple(reals(o, f"omegas[{s}]", 2)
+                            for s, o in enumerate(entries(self.omegas, "omegas")))
         for name in ("caps_a", "caps_d", "costs_a", "costs_d"):
-            counts = tuple(integer(c, f"{name}[{s}]") for s, c in enumerate(getattr(self, name)))
-            if len(counts) != self.m:
-                raise ValueError(f"{name} must have one entry per battlefield")
-            setattr(self, name, counts)
+            setattr(self, name, _counts(getattr(self, name), name, self.m))
         self.budget_a = integer(self.budget_a, "budget_a")
         self.budget_d = integer(self.budget_d, "budget_d")
         if any(c <= 0 for c in self.costs_a + self.costs_d):
@@ -57,8 +57,6 @@ class BlottoSpec:
         if self.budget_a < 0 or self.budget_d < 0:
             raise ValueError("budgets must be nonnegative")
         for s, o in enumerate(self.omegas):
-            if not np.all(np.isfinite(o)):
-                raise ValueError(f"loss matrix {s} has non-finite entries")
             if o.shape != (self.caps_a[s] + 1, self.caps_d[s] + 1):
                 raise ValueError(
                     f"loss matrix {s} has shape {o.shape}, expected "
@@ -95,6 +93,14 @@ class BlottoReport(SparseAtomSolution):
     def gap(self):
         """Certified bound on the saddle-point gap."""
         return self.gap_bound
+
+
+def _counts(values, name, m):
+    """One nonnegative integer per battlefield, as a tuple of ints."""
+    counts = tuple(integers(values, name).tolist())
+    if len(counts) != m or min(counts, default=0) < 0:
+        raise ValueError(f"{name} must have m = {m} entries, each nonnegative, not {counts}")
+    return counts
 
 
 def rank_factor(omega, tol=1e-9):
@@ -166,14 +172,16 @@ def blotto_from_json(obj):
     "costs_a", "costs_d", "budget_a", "budget_d", "omega": [m matrices] |
     {"rank1_seed": int}}; the spec converts and checks the fields."""
     m, omega, seed = integer(obj["m"], "m"), obj["omega"], None
-    if isinstance(omega, dict):
+    if isinstance(omega, dict) and "rank1_seed" in omega:
         seed = integer(omega["rank1_seed"], "rank1_seed")
+        if seed < 0:
+            raise ValueError(f"rank1_seed must be nonnegative, not {seed}")
         # the caps size the drawn matrices, so they are checked before the draw
-        caps = [[integer(c, f"{name}[{s}]") for s, c in enumerate(obj[name])]
-                for name in ("caps_a", "caps_d")]
-        if any(len(c) != m for c in caps):
-            raise ValueError(f"caps_a and caps_d must have m = {m} entries")
-        omega = random_rank1_omegas(m, *caps, seed)
+        omega = random_rank1_omegas(m, *(_counts(obj[name], name, m)
+                                         for name in ("caps_a", "caps_d")), seed)
+    elif not isinstance(omega, (list, tuple)):
+        raise ValueError(f"omega must be a list of m loss matrices or {{'rank1_seed': n}}, "
+                         f"not {omega!r}")
     elif len(omega) != m:
         raise ValueError(f"omega must list m = {m} loss matrices, not {len(omega)}")
     return BlottoSpec(

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-
-import numpy as np
 
 from .blotto import blotto_from_json, solve_blotto
 from .certificates import CertificateError
@@ -39,7 +38,7 @@ def _sig(x, digits=12):
     if x is None:
         return None
     x = float(x)
-    if x == 0.0 or not np.isfinite(x):
+    if x == 0.0 or not math.isfinite(x):
         return x
     return float(f"{x:.{digits}g}")
 
@@ -107,7 +106,8 @@ def _run_matrix_game(args, config):
         master = build_master_example1(obj["S"], p=obj.get("p"), q=obj.get("q"))
     else:
         master = build_master_example2(BilinearSpSpec(
-            A=matrix_side(obj["A"]), D=matrix_side(obj["D"]), p=obj.get("p"), q=obj.get("q")))
+            A=matrix_side(obj["A"], "A"), D=matrix_side(obj["D"], "D"), p=obj.get("p"),
+            q=obj.get("q")))
     sol = solve_sp(master, solver=args.solver, config=config)
     return _report(args.command, t0, sol, sol.value_estimate, sol.gap_bound, sol.gap_exact,
                    (master.A.count_columns(), master.D.count_columns()),
@@ -126,22 +126,16 @@ def _domain_from_json(obj):
     if isinstance(obj, dict) and "simplex" in obj:
         return Simplex(obj["simplex"])
     if isinstance(obj, dict) and "atoms" in obj:
-        return FiniteAtoms(np.asarray(obj["atoms"], dtype=float))
+        return FiniteAtoms(obj["atoms"])
     raise ValueError(f"H must be {{'simplex': n}} or {{'atoms': [...]}}, not {obj!r}")
 
 
 def _run_affine_vi(args, config):
     obj, t0 = _read_spec(args)
-    S = np.atleast_2d(np.asarray(obj["S"], dtype=float))
-    s = np.asarray(obj["s"], dtype=float)
     H = _domain_from_json(obj["H"])
-    n = H.dim
-    for name, shape, want in (("S", S.shape, (n, n)), ("s", s.shape, (n,))):
-        if shape != want:
-            raise ValueError(f"{name} has shape {shape}, not {want} for H of dimension {n}")
     radius = obj.get("Xi_radius")  # only a missing or null radius takes H's
-    spec = AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x, s=s, H=H,
-                        Xi_radius=H.enclosing_radius() if radius is None else float(radius))
+    spec = AffineViSpec(S=obj["S"], s=obj["s"], H=H,
+                        Xi_radius=H.enclosing_radius() if radius is None else radius)
     sol = solve_vi(spec, solver=args.solver, config=config)
     return _report(args.command, t0, sol, None, sol.eps_bound, sol.eps_exact, [H.dim],
                    {"eta": sol.eta_vector})
@@ -195,7 +189,8 @@ def run(argv=None):
     try:
         report, gap = _RUNNERS[args.command](args, config)
     except (ValueError, KeyError, TypeError) as exc:
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
+        missing = "missing field " if isinstance(exc, KeyError) else ""
+        print(f"error: invalid spec: {missing}{exc}", file=sys.stderr)
         return 1
     except CertificateError as exc:
         print(f"error: certificate check failed: {exc}", file=sys.stderr)

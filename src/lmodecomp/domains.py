@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracles import integer
+from .oracles import integer, reals
 
 __all__ = [
     "Domain",
@@ -69,10 +69,11 @@ class Simplex(Domain):
 
 
 class Ball(Domain):
-    """Euclidean ball {x: ||x - center|| <= radius}."""
+    """Euclidean ball {x: ||x - center|| <= radius}; the center goes through
+    `reals`."""
 
     def __init__(self, center, radius):
-        self.center = np.asarray(center, dtype=float)
+        self.center = reals(center, "center")
         self.radius = float(radius)
         if not 0 < self.radius < np.inf:  # NaN too
             raise ValueError(f"ball radius must be finite and positive, not {self.radius}")
@@ -124,17 +125,14 @@ class Product(Domain):
 
 
 class FiniteAtoms(Domain):
-    """Convex hull of a finite list of points; the LMO scans a read-only
-    copy of the atoms taken here and returns a read-only view of a row."""
+    """Convex hull of a finite list of points, the rows of a 2-d `atoms`;
+    the LMO scans the read-only copy that `reals` takes here and returns a
+    read-only view of a row."""
 
     def __init__(self, atoms):
-        self.atoms = np.array(atoms, dtype=float)
-        if self.atoms.ndim != 2 or self.atoms.shape[0] == 0:
-            raise ValueError("atoms must be a nonempty 2-d array")
-        bad = self.atoms[~np.isfinite(self.atoms)]
-        if bad.size:
-            raise ValueError(f"atoms must be finite, not {bad[0]}")
-        self.atoms.flags.writeable = False
+        self.atoms = reals(atoms, "atoms", 2)
+        if np.ndim(atoms) != 2:
+            raise ValueError("atoms must be a 2-d array, one row per atom")
         self.dim = self.atoms.shape[1]
 
     def lmo(self, c):

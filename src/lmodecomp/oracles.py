@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,7 +56,9 @@ class ColumnHit:
 @dataclass(frozen=True)
 class KnapsackSpec:
     """Knapsack data: per-stage bounds, positive integer costs and budget,
-    and per-stage output tables mapping load r -> vector in R^{r_s}."""
+    and per-stage output tables mapping load r -> vector in R^{r_s}.  The
+    counts go through `integers` and `integer`, each output table through
+    `reals`, so the spec owns read-only copies of its tables."""
 
     bounds: tuple          # \bar p_s, nonnegative integers
     costs: tuple           # h_s, positive integers
@@ -63,10 +66,11 @@ class KnapsackSpec:
     outputs: tuple         # per stage: array of shape (bounds[s] + 1, r_s)
 
     def __post_init__(self):
-        bounds = tuple(integer(b, f"bounds[{s}]") for s, b in enumerate(self.bounds))
-        costs = tuple(integer(h, f"costs[{s}]") for s, h in enumerate(self.costs))
+        bounds = tuple(integers(self.bounds, "bounds").tolist())
+        costs = tuple(integers(self.costs, "costs").tolist())
         budget = integer(self.budget, "budget")
-        outputs = tuple(np.atleast_2d(np.asarray(o, dtype=float)) for o in self.outputs)
+        outputs = tuple(reals(o, f"outputs[{s}]", 2)
+                        for s, o in enumerate(entries(self.outputs, "outputs")))
         if not 0 < len(bounds) == len(costs) == len(outputs):
             raise ValueError("bounds, costs and outputs must have one entry per stage, "
                              "for at least one stage")
@@ -79,8 +83,6 @@ class KnapsackSpec:
         for s, (b, o) in enumerate(zip(bounds, outputs)):
             if o.shape[0] != b + 1:
                 raise ValueError(f"stage {s}: output table needs {b + 1} rows, got {o.shape[0]}")
-            if not np.isfinite(o).all():
-                raise ValueError(f"stage {s}: output table has non-finite entries")
         object.__setattr__(self, "bounds", bounds)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "budget", budget)
@@ -109,8 +111,8 @@ class DpSystem:
     outputs[s][state] is an (n_actions, r_s) table of stage outputs.
     start_states restricts where trajectories may begin.  The fields may
     be plain (JSON) lists: counts, states and action ids must be integers
-    (see `integer`), and are stored as ints and int arrays, the outputs
-    as float arrays.
+    (see `integers`), and are stored as ints and int arrays, the outputs
+    as float arrays (see `reals`), all of them copies that the system owns.
 
     Each stage's ragged action sets are also stored padded to the widest
     one, for the vectorized bellman_backward: per stage a tuple of
@@ -125,19 +127,25 @@ class DpSystem:
     start_states: tuple
 
     def __post_init__(self):
-        n_states = tuple(integer(n, f"n_states[{s}]") for s, n in enumerate(self.n_states))
+        n_states = tuple(integers(self.n_states, "n_states").tolist())
         m = len(n_states)
         if m == 0:
             raise ValueError("system needs at least one stage")
-        if len(self.actions) != m or len(self.outputs) != m or len(self.transitions) != m - 1:
-            raise ValueError("inconsistent stage counts")
+        stages = {name: entries(getattr(self, name), name, m - (name == "transitions"))
+                  for name in ("actions", "outputs", "transitions")}
+
+        def states(name, s):  # (name, entry) of each state of stage s of a table
+            return [(f"{name}[{s}][{st}]", v)
+                    for st, v in enumerate(entries(stages[name][s], f"{name}[{s}]"))]
+
         actions, transitions, outputs, padded = [], [], [], []
         for s, n in enumerate(n_states):
             last = s == m - 1
-            acts = tuple(integers(a, f"actions[{s}][{st}]") for st, a in enumerate(self.actions[s]))
-            outs = tuple(np.atleast_2d(np.asarray(o, dtype=float)) for o in self.outputs[s])
-            nexts = () if last else tuple(integers(t, f"transitions[{s}][{st}]")
-                                          for st, t in enumerate(self.transitions[s]))
+            # copies: `integers` passes an int64 array through, and the spec owns its tables
+            acts = tuple(integers(v, at).copy() for at, v in states("actions", s))
+            outs = tuple(reals(v, at, 2) for at, v in states("outputs", s))
+            nexts = () if last else tuple(integers(v, at).copy()
+                                          for at, v in states("transitions", s))
             if n < 1 or len(acts) != n or len(outs) != n or not last and len(nexts) != n:
                 raise ValueError(f"stage {s} needs n_states[{s}] = {n} >= 1 entries in each "
                                  f"of its tables")
@@ -161,14 +169,12 @@ class DpSystem:
                     if np.any(nexts[state] < 0) or np.any(nexts[state] >= n_states[s + 1]):
                         raise ValueError(f"transition out of range at stage {s}, state {state}")
                     nxt[state, :len(a)] = nexts[state]
-            if not np.isfinite(out).all():
-                raise ValueError(f"stage {s}: outputs have non-finite entries")
             actions.append(acts)
             outputs.append(outs)
             if not last:
                 transitions.append(nexts)
             padded.append((out, nxt, pad))
-        starts = tuple(integer(st, f"start_states[{i}]") for i, st in enumerate(self.start_states))
+        starts = tuple(integers(self.start_states, "start_states").tolist())
         if not starts:
             raise ValueError("at least one start state required")
         for st in starts:
@@ -213,12 +219,62 @@ def integer(value, name):
 def integers(values, name):
     """A 1-d sequence of integers as an int64 array, each entry checked by
     `integer` as name[i]; a 1-d integer array needs no check, and an int64
-    one is returned uncopied."""
+    one is returned uncopied.  ValueError naming `name` for a value that is
+    not a list, a tuple or an array (see `entries`), and for an entry
+    beyond int64."""
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "i":
         return values.astype(np.int64, copy=False)
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    return np.array([integer(v, f"{name}[{i}]") for i, v in enumerate(values)], dtype=np.int64)
+    values = entries(values.tolist() if isinstance(values, np.ndarray) else values, name)
+    try:
+        return np.array([integer(v, f"{name}[{i}]") for i, v in enumerate(values)],
+                        dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"{name} has an entry beyond the int64 range") from None
+
+
+def reals(value, name, ndim=1):
+    """`value` as an owned, read-only float array, copied in its memory
+    layout (order "K": a transposed matrix stays F-ordered), with leading
+    unit dimensions added up to `ndim` as np.atleast_2d adds them, and
+    booleans read as 0 and 1.  ValueError naming `name`, and the first bad
+    entry where there is one, for anything else: a scalar, a ragged list,
+    more than `ndim` dimensions, no entries, an entry that is not a real
+    number (a string, None, a dict), NaN and Inf."""
+    try:
+        raw = np.asarray(value)
+    except ValueError:  # a ragged nest of lists
+        raw = np.empty(0)
+    if not 1 <= raw.ndim <= ndim or raw.size == 0:
+        what = "matrix of real numbers (a list of equal-length rows)" if ndim == 2 else (
+            "list of real numbers")
+        shown = value.tolist() if isinstance(value, np.ndarray) else value
+        raise ValueError(f"{name} must be a {what}, not {reprlib.repr(shown)}")
+    if raw.dtype.kind not in "biuf":  # objects or strings: each entry is checked
+        for index, v in zip(np.ndindex(raw.shape), raw.ravel().tolist()):
+            if not isinstance(v, numbers.Real):
+                raise ValueError(f"{name}{_at(index)} must be a real number, not {v!r}")
+    out = np.array(raw, dtype=float, order="K", ndmin=ndim)
+    finite = np.isfinite(out)
+    if not finite.all():
+        index = np.unravel_index(finite.argmin(), out.shape)  # the first in C order
+        raise ValueError(f"{name}{_at(index[ndim - raw.ndim:])} must be finite, "
+                         f"not {out[index]}")
+    out.flags.writeable = False
+    return out
+
+
+def entries(value, name, count=None):
+    """The entries of a list, a tuple or an array as a tuple, `count` of them
+    if given; ValueError naming `name` otherwise."""
+    if not isinstance(value, (list, tuple)) and getattr(value, "ndim", 0) == 0:
+        raise ValueError(f"{name} must be a list, not {reprlib.repr(value)}")
+    if count is not None and len(value) != count:
+        raise ValueError(f"{name} must have {count} entries, not {len(value)}")
+    return tuple(value)
+
+
+def _at(index):
+    return "".join(f"[{i}]" for i in index)
 
 
 def _check_query(x, n_rows):
@@ -249,24 +305,19 @@ class DenseMatrixOracle:
     """Explicit K x L matrix; columns indexed 0..L-1.  An optional offset
     (one entry per column) makes column j score <x, column_j> + offset[j]:
     the hit's value includes the offset, its column does not.  Matrix and
-    offset must be finite, and so must a query: a non-finite query entry
-    makes every column's score non-finite, so the hit's value tells.  Matrix
-    and offset are read-only copies taken here, in the caller's layout; a
-    hit's column and column(key) are read-only views of the matrix."""
+    offset go through `reals`, so they are finite read-only copies taken
+    here, in the caller's layout.  A query must be finite too: a non-finite
+    query entry makes every column's score non-finite, so the hit's value
+    tells.  A hit's column and column(key) are read-only views of the
+    matrix."""
 
     def __init__(self, matrix, offset=None):
-        self.matrix = np.array(matrix, dtype=float, ndmin=2)
-        self.matrix.flags.writeable = False
+        self.matrix = reals(matrix, "matrix", 2)
         self.n_rows = self.matrix.shape[0]
-        self.offset = None if offset is None else np.array(offset, dtype=float)
+        self.offset = None if offset is None else reals(offset, "offset")
         if self.offset is not None and self.offset.shape != (self.matrix.shape[1],):
             raise ValueError(f"offset has shape {self.offset.shape}, expected one entry "
                              f"per column ({self.matrix.shape[1]})")
-        if not np.isfinite(self.matrix).all() or (
-                self.offset is not None and not np.isfinite(self.offset).all()):
-            raise ValueError("matrix and offset must be finite")
-        if self.offset is not None:
-            self.offset.flags.writeable = False
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
@@ -652,11 +703,15 @@ def enumerate_columns(oracle, limit=10 ** 6):
 # ---------------------------------------------------------------------------
 # loading
 
-def matrix_side(obj):
-    """Oracle for one matrix of a spec: knapsack if a dict with a budget, else dense."""
+def matrix_side(obj, name):
+    """Oracle for the matrix `name` of a spec: knapsack if a dict with a
+    budget, else dense; a knapsack's errors are prefixed with `name`."""
     if isinstance(obj, dict) and "budget" in obj:
-        return KnapsackOracle(knapsack_from_json(obj))
-    return DenseMatrixOracle(np.asarray(obj, dtype=float))
+        try:
+            return KnapsackOracle(knapsack_from_json(obj))
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return DenseMatrixOracle(reals(obj, name, 2))
 
 
 def knapsack_from_json(obj):

@@ -19,7 +19,7 @@ import numpy as np
 
 from .certificates import ExecutionProtocol
 from .domains import Ball, Product, Simplex
-from .oracles import DenseMatrixOracle, enumerate_columns
+from .oracles import DenseMatrixOracle, enumerate_columns, reals
 from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
 
 __all__ = [
@@ -154,9 +154,9 @@ def build_master_example1(S, p=None, q=None):
     """Square master with D = A^T = R = S over W = Delta_N, Z = Delta_M.
 
     Ball radii are large enough both to contain the simplices and to
-    dominate the column norms of S and S^T.
+    dominate the column norms of S and S^T.  S goes through `reals`.
     """
-    S = np.atleast_2d(np.asarray(S, dtype=float))
+    S = reals(S, "S", 2)
     r_u = max(1.0, float(np.linalg.norm(S, axis=0).max(initial=0.0)))
     r_v = max(1.0, float(np.linalg.norm(S, axis=1).max(initial=0.0)))
     return MasterProblem(A=_with_offset(DenseMatrixOracle(S.T), q, "q"),

@@ -337,7 +337,8 @@ class _Run:
         self.rounds.append(record)
         gap = record["gap"]
         tol = 1e-9 * max(1.0, abs(record.get("value", 0.0)), record.get("scale", 0.0))
-        if gap is not None and not gap <= residual + tol:  # the residual bounds it
+        # the residual bounds a dual gap, not a gap function (checked False)
+        if gap is not None and record.get("checked", True) and not gap <= residual + tol:
             raise CertificateError(f"exact gap {gap} exceeds certified residual {residual}")
         if residual <= self.config.eps_target:
             return "eps_target"
@@ -404,9 +405,10 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     _Run): the first at step cert_period, each later one at the step that
     the previous round recorded as `due`.
     `on_certificate(protocol, cert, payloads)` returns the round's fields
-    ({"gap", "value"} for games, {"gap", "scale"} for VIs) or None; a
-    round raises CertificateError where its gap exceeds the residual
-    by over 1e-9 max(1, |value|, scale).  The run stops when that gap falls
+    ({"gap", "value"} for games, {"gap", "scale"} for VIs, with
+    "checked": False where the gap is not a dual gap) or None; a round
+    raises CertificateError where a checked gap exceeds the residual by
+    over 1e-9 max(1, |value|, scale).  The run stops when that gap falls
     below gap_threshold, when the certified residual falls below eps_target,
     at a zero field value, when the ellipsoid collapses, or at max_steps.
     Each round's cert_lower is a certified lower bound on the least residual

@@ -12,6 +12,7 @@ for affine monotone ones the gap function, an upper bound on it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 # residual_ball_product is unused here: benchmark tracing wraps this module's name
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
 from .domains import Ball, Product, Simplex
-from .oracles import DenseMatrixOracle, matrix_side
+from .oracles import DenseMatrixOracle, entries, integers, matrix_side, reals
 from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
 
 __all__ = [
@@ -44,19 +45,32 @@ __all__ = [
 @dataclass
 class AffineViSpec:
     """VI with operator F(eta) = S eta + s on an LMO-represented H, solved in
-    the primal ball of radius Xi_radius: a ball that does not contain H
-    certifies nothing, so Xi_radius is at least H's enclosing radius, up
-    to rounding, when H implements `enclosing_radius`.  For a domain known
-    by its LMO alone, choosing a radius that contains it is the caller's."""
+    the primal ball of radius Xi_radius.  S (N x N) and s (N), N = H.dim,
+    go through `reals`.  A certificate bounds nothing for a field that is
+    not monotone, so the least eigenvalue of (S + S^T)/2 may fall below 0
+    by at most 1e-12 ||S||_F (rounding), and ValueError names it otherwise.
+    Nor does a ball that misses part of H: Xi_radius is at least H's
+    enclosing radius, up to rounding, when H implements `enclosing_radius`.
+    For a domain known by its LMO alone, choosing a radius that contains
+    it is the caller's."""
 
-    apply_S: object            # callable R^N -> R^N
-    apply_St: object           # callable R^N -> R^N (transpose action)
+    S: np.ndarray
     s: np.ndarray
     H: object                  # Domain with an LMO
     Xi_radius: float
 
     def __post_init__(self):
-        self.s = np.asarray(self.s, dtype=float)
+        n = self.H.dim
+        self.S, self.s = reals(self.S, "S", 2), reals(self.s, "s")
+        for name, shape, want in (("S", self.S.shape, (n, n)), ("s", self.s.shape, (n,))):
+            if shape != want:
+                raise ValueError(f"{name} has shape {shape}, not {want} for H of dimension {n}")
+        low = float(np.linalg.eigvalsh(0.5 * (self.S + self.S.T))[0])
+        if low < -1e-12 * np.linalg.norm(self.S):
+            raise ValueError(f"S is not monotone: its symmetric part has the eigenvalue {low}")
+        if isinstance(self.Xi_radius, bool) or not isinstance(self.Xi_radius, numbers.Real):
+            raise ValueError(f"Xi_radius must be a real number, not {self.Xi_radius!r}")
+        self.Xi_radius = float(self.Xi_radius)
         try:
             radius = self.H.enclosing_radius()
         except NotImplementedError:
@@ -171,18 +185,18 @@ class _SkewSystem:
 class DenseSkewSystem(_SkewSystem):
     """Explicit K x N matrices P, Q with H a product of simplices whose
     blocks partition the column index range: block b's oracle is the
-    stacked [P_b; Q_b] with offset -f_b, and A, B select its P and Q rows."""
+    stacked [P_b; Q_b] with offset -f_b, and A, B select its P and Q rows.
+    P, Q and f go through `reals`, the block sizes through `integers`."""
 
     def __init__(self, P, Q, f=None, block_sizes=None):
-        P = np.atleast_2d(np.asarray(P, dtype=float))
-        Q = np.atleast_2d(np.asarray(Q, dtype=float))
+        P, Q = reals(P, "P", 2), reals(Q, "Q", 2)
         if P.shape != Q.shape:
             raise ValueError("P and Q must have equal shapes")
         K, N = P.shape
-        sizes = tuple(block_sizes) if block_sizes else (N,)
+        sizes = tuple(integers(block_sizes, "block_sizes").tolist()) if block_sizes else (N,)
         if sum(sizes) != N:
             raise ValueError("block sizes must partition the columns")
-        f = None if f is None else np.asarray(f, dtype=float)
+        f = None if f is None else reals(f, "f")
         if f is not None and f.shape != (N,):
             raise ValueError(f"f has shape {f.shape}, expected one entry per column ({N})")
         cols = np.cumsum((0,) + sizes)
@@ -207,7 +221,9 @@ class NashSpec:
     loss terms (the part hitting player l's own strategy), one entry per
     column of a dense D[l], desk scale.  With g, each D[l] is replaced by
     a dense oracle carrying the offset -g[l], so that every player's best
-    reply is one column search maximizing <y_l, D_l e_j> - g_lj.
+    reply is one column search maximizing <y_l, D_l e_j> - g_lj.  D, M,
+    each row of M and g must be lists with one entry per player; the
+    matrices M[l][lp] and vectors g[l] go through `reals`.
 
     After validation the blocks are stacked once: C = [M[l][lp]] is the
     K x K coupling matrix (K = sum m_l) and row_slices[l] selects player
@@ -219,10 +235,11 @@ class NashSpec:
     g: list | None = None
 
     def __post_init__(self):
+        self.D = list(entries(self.D, "D"))
         L = len(self.D)
-        if len(self.M) != L or any(len(row) != L for row in self.M):
-            raise ValueError("M must be an L x L table of matrices")
-        self.M = [[np.atleast_2d(np.asarray(m, dtype=float)) for m in row] for row in self.M]
+        self.M = [[reals(m, f"M[{l}][{lp}]", 2)
+                   for lp, m in enumerate(entries(row, f"M[{l}]", L))]
+                  for l, row in enumerate(entries(self.M, "M", L))]
         rows = [d.n_rows for d in self.D]
         for l in range(L):
             for lp in range(L):
@@ -236,9 +253,10 @@ class NashSpec:
                 if np.any(np.abs(self.M[l][lp] + self.M[lp][l].T) > 1e-12):
                     raise ValueError(f"M[{l}][{lp}] != -M[{lp}][{l}]^T")
         if self.g is not None:
-            if len(self.g) != L:
-                raise ValueError(f"g needs one entry per player, got {len(self.g)}")
-            self.g = [np.asarray(v, dtype=float) for v in self.g]
+            g = entries(self.g, "g")
+            if len(g) != L:
+                raise ValueError(f"g needs one entry per player, got {len(g)}")
+            self.g = [reals(v, f"g[{l}]") for l, v in enumerate(g)]
             for l, v in enumerate(self.g):
                 if not hasattr(self.D[l], "matrix"):
                     raise ValueError(f"g[{l}] needs a dense encoder D[{l}], whose columns "
@@ -308,8 +326,8 @@ def build_affine_vi_primal(spec):
     eta_bar(xi) = argmin_{eta in H} <S xi + s, eta>; one LMO call each."""
 
     def fn(xi):
-        eta_bar, _ = spec.H.lmo(spec.apply_S(xi) + spec.s)
-        return spec.apply_St(xi - eta_bar), {"eta": eta_bar}
+        eta_bar, _ = spec.H.lmo(spec.S @ xi + spec.s)
+        return spec.S.T @ (xi - eta_bar), {"eta": eta_bar}
 
     return FieldOracle(fn)
 
@@ -382,7 +400,8 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     Returns a ViSolution whose eps_bound is the certified primal residual
     and whose eps_exact is the gap of the recovered point (see
     eps_vi_exact), read off the closing round; every round checks its gap
-    against its residual.  A skew round reads P eta and
+    against its residual, unless the gap is an affine VI's gap function
+    for a non-skew S, which the residual need not bound.  A skew round reads P eta and
     <f, eta> of each atom from the run's payloads and makes one oracle
     call; eps_vi_exact, which rebuilds the columns, is the independent
     check of that gap.
@@ -396,9 +415,13 @@ def solve_vi(spec, solver="ellipsoid", config=None):
         collect = terms = _collect_eta
         exact = _affine_eps_exact
 
+    # an affine VI's gap function is its dual gap only for a skew S; for another
+    # monotone S the residual need not bound it, so the run does not check it
+    unchecked = {} if skew or not (spec.S + spec.S.T).any() else {"checked": False}
+
     def round_fields(protocol, cert, payloads):
         gap, scale = exact(spec, terms(cert, payloads))
-        return {"gap": gap, "scale": scale}
+        return {"gap": gap, "scale": scale, **unchecked}
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
@@ -427,7 +450,7 @@ def _affine_eps_exact(spec, eta):
     <F(eta), eta> - min_H <F(eta), .> with F(eta) = S eta + s, from one LMO
     call.  By monotonicity <F(eta'), eta - eta'> <= <F(eta), eta - eta'>, so
     it bounds the dual gap from above, and equals it when S is skew."""
-    field = spec.apply_S(eta) + spec.s
+    field = spec.S @ eta + spec.s
     _, low = spec.H.lmo(field)
     at_eta = float(field.dot(eta))
     return at_eta - low, max(abs(at_eta), abs(low))
@@ -492,7 +515,8 @@ def nash_spec_from_json(obj):
     """NashSpec from a parsed JSON object {"D", "M", "g" (optional)}: D
     blocks dense or knapsack (see `matrix_side`), dense M matrices; the
     spec converts and checks the fields."""
-    return NashSpec(D=[matrix_side(d) for d in obj["D"]], M=obj["M"], g=obj.get("g"))
+    return NashSpec(D=[matrix_side(d, f"D[{l}]") for l, d in enumerate(entries(obj["D"], "D"))],
+                    M=obj["M"], g=obj.get("g"))
 
 
 def skew_master_protocol(spec, protocol, payloads):

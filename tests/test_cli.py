@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -115,6 +116,10 @@ BLOTTO = {"m": 2, "caps_a": [2.5, 2], "caps_d": [2, 2], "costs_a": [1, 1], "cost
 # two fields of one unit per side, with explicit loss matrices
 BLOTTO_LISTED = {**BLOTTO, "caps_a": [1, 1], "caps_d": [1, 1], "budget_a": 1, "budget_d": 1,
                  "omega": [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]]]}
+KNAPSACK_A = {**KNAPSACK, "bounds": [2, 1], "costs": [1, 1], "budget": 2}
+EYE = [[1.0, 0.0], [0.0, 1.0]]
+NASH = {"D": [EYE, KNAPSACK_A], "M": [[[[0.0] * 2] * 2, PENNIES],
+                                     [(-np.asarray(PENNIES).T).tolist(), [[0.0] * 2] * 2]]}
 
 
 @pytest.mark.parametrize("command, spec, offending", [
@@ -137,18 +142,30 @@ BLOTTO_LISTED = {**BLOTTO, "caps_a": [1, 1], "caps_d": [1, 1], "budget_a": 1, "b
     ("blotto", {**BLOTTO_LISTED, "m": 5}, "omega must list m = 5 loss matrices, not 2"),
     ("affine-vi", {**AFFINE, "H": {"simplex": True}}, "must be an integer, not True"),
     ("affine-vi", {**AFFINE, "H": {"simplex": 0}}, "must be >= 1, not 0"),
+    ("matrix-game", {"A": {**KNAPSACK_A, "bounds": 7}, "D": KNAPSACK_D},
+     "A: bounds must be a list, not 7"),
+    ("nash", {**NASH, "D": [EYE, {**KNAPSACK_A, "costs": [1, 0]}]},
+     "D[1]: costs must be positive integers"),
+    ("matrix-game", {"A": {}, "D": KNAPSACK_D}, "A must be a matrix of real numbers"),
+    ("nash", {**NASH, "M": None}, "M must be a list, not None"),
+    ("blotto", {**BLOTTO_LISTED, "omega": 7}, "omega must be a list of m loss matrices"),
+    ("blotto", {**BLOTTO_LISTED, "omega": {"rank1_seed": -1}},
+     "rank1_seed must be nonnegative, not -1"),
+    ("blotto", {**BLOTTO_LISTED, "caps_d": [1, -1]}, "caps_d must have m = 2 entries, each "
+                                                      "nonnegative, not (1, -1)"),
+    ("nash", {**NASH, "M": [[[[0.0] * 2] * 2, [[math.nan, -1.0], [-1.0, 1.0]]], NASH["M"][1]]},
+     "M[0][1][0][0] must be finite, not nan"),
+    ("affine-vi", {**AFFINE, "s": [0.0, math.nan]}, "s[1] must be finite, not nan"),
+    # S + S^T has the eigenvalues 6 and -6: the run used to end in exit 4
+    ("affine-vi", {"S": [[0, 7], [-1, 0]], "s": [0.1, 0], "H": {"simplex": 2}, "Xi_radius": 2},
+     "S is not monotone: its symmetric part has the eigenvalue -3.0"),
+    ("affine-vi", {"S": PENNIES, "H": {"simplex": 2}}, "invalid spec: missing field 's'"),
 ])
 def test_spec_errors_name_the_offending_value(tmp_path, capsys, command, spec, offending):
     # a malformed spec exits 1 with a message, never a traceback or a fallback
     assert run([command, "--spec", write_spec(tmp_path, spec)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and offending in err and "Traceback" not in err
-
-
-KNAPSACK_A = {**KNAPSACK, "bounds": [2, 1], "costs": [1, 1], "budget": 2}
-EYE = [[1.0, 0.0], [0.0, 1.0]]
-NASH = {"D": [EYE, KNAPSACK_A], "M": [[[[0.0] * 2] * 2, PENNIES],
-                                     [(-np.asarray(PENNIES).T).tolist(), [[0.0] * 2] * 2]]}
 
 
 @pytest.mark.parametrize("command, spec", [
@@ -171,6 +188,64 @@ def test_malformed_spec_fields_exit_one(tmp_path, capsys, command, spec):
     assert run([command, "--spec", write_spec(tmp_path, spec), "--max-steps", "20"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: invalid spec: ") and "Traceback" not in err
+
+
+# valid specs of every subcommand, whose fields the scan below replaces one at a time
+SCANNED = [
+    ("matrix-game", {"S": PENNIES, "p": [0.1, 0.0], "q": [0.0, 0.1]}),
+    ("matrix-game", {"A": KNAPSACK_A, "D": KNAPSACK_D}),
+    ("blotto", {**BLOTTO, "caps_a": [2, 2], "budget_a": 3}),
+    ("blotto", BLOTTO_LISTED),
+    ("affine-vi", {**AFFINE, "Xi_radius": 1.0}),
+    ("affine-vi", {**AFFINE, "H": {"atoms": EYE}}),
+    ("nash", NASH),
+    ("nash", {"D": [EYE, EYE], "M": NASH["M"], "g": [[0.1, 0.0], [0.0, 0.2]]}),
+]
+MUTANTS = [7, "x", None, {}, [[]], math.nan]
+OPTIONAL = {"Xi_radius", "p", "q", "g"}
+# numpy's and Python's own texts, which name no field of the spec
+RAW_TEXTS = ("setting an array element with a sequence", "could not convert", "is not iterable",
+             "float() argument", "has no len()", "zero-size array",
+             "expected non-negative integer")
+
+
+def mutation_paths(obj, path=()):
+    """(path, value) of each dict value and of each list's first entry, depth first."""
+    if isinstance(obj, dict):
+        items = obj.items()
+    else:
+        items = [(0, obj[0])] if isinstance(obj, list) and obj else []
+    for key, value in items:
+        yield path + (key,), value
+        yield from mutation_paths(value, path + (key,))
+
+
+def mutated(spec, path, value):
+    spec = json.loads(json.dumps(spec))  # a deep copy that shares no rows
+    target = spec
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return spec
+
+
+@pytest.mark.parametrize("command, spec", SCANNED, ids=lambda v: v if isinstance(v, str) else "")
+def test_every_mutated_field_exits_one_naming_it(tmp_path, capsys, command, spec):
+    # a number may replace a number and null an optional field, leaving a
+    # valid spec; every other replacement is an input error with a message
+    # of the spec's own, never numpy's text or a bare missing key
+    for path, original in mutation_paths(spec):
+        for value in MUTANTS:
+            code = run([command, "--spec", write_spec(tmp_path, mutated(spec, path, value)),
+                        "--max-steps", "1"])
+            err = capsys.readouterr().err
+            may_run = (value == 7 and type(original) in (int, float)
+                       or value is None and path[-1] in OPTIONAL)
+            assert code == 1 or may_run and code in (0, 2, 3), (path, value, code, err)
+            if code == 1:
+                assert err.startswith("error: invalid spec: "), (path, value, err)
+                assert not any(text in err for text in RAW_TEXTS), (path, value, err)
+                assert not re.fullmatch(r"error: invalid spec: '\w+'\n", err), (path, value)
 
 
 def test_large_offset_affine_vi_never_fails_the_gap_check(tmp_path, capsys):

@@ -18,7 +18,9 @@ from lmodecomp.oracles import (
     bellman_backward,
     dp_from_knapsack,
     enumerate_columns,
+    integers,
     knapsack_from_json,
+    reals,
 )
 
 
@@ -224,12 +226,45 @@ def test_column_reconstruction():
     assert np.array_equal(oracle.column(hit.action_sequence), hit.column)
 
 
+@pytest.mark.parametrize("value, ndim, named", [
+    ([[1.0, 2.0], [3.0]], 2,
+     "T must be a matrix of real numbers (a list of equal-length rows), not [[1.0, 2.0], [3.0]]"),
+    ([[[1.0, 2.0]], [[3.0, 4.0]]], 2, "T must be a matrix of real numbers (a list of "
+                                      "equal-length rows), not [[[1.0, 2.0]], [[3.0, 4.0]]]"),
+    ([[1.0, 2.0], [3.0, math.inf]], 2, "T[1][1] must be finite, not inf"),
+    ([1.0, -math.inf], 2, "T[1] must be finite, not -inf"),  # named as given, not padded
+    ([0.5, None], 1, "T[1] must be a real number, not None"),
+    ([[1.0, {}]], 2, "T[0][1] must be a real number, not {}"),
+    (["1.5"], 1, "T[0] must be a real number, not '1.5'"),
+    (7.0, 1, "T must be a list of real numbers, not 7.0"),
+    ([[]], 2, "T must be a matrix of real numbers (a list of equal-length rows), not [[]]"),
+])
+def test_reals_names_the_field_and_the_first_bad_entry(value, ndim, named):
+    with pytest.raises(ValueError, match=re.escape(named) + "$"):
+        reals(value, "T", ndim)
+
+
+def test_reals_returns_an_owned_read_only_copy_in_the_input_layout():
+    table = np.arange(6.0).reshape(2, 3)
+    out = reals(table.T, "T", 2)  # F-ordered, as a transposed matrix is
+    assert np.array_equal(out, table.T) and out.flags.f_contiguous
+    assert not out.flags.writeable and not np.shares_memory(out, table)
+    assert reals([1, 2], "T", 2).shape == (1, 2)  # as np.atleast_2d pads
+    assert reals([10 ** 20, 1], "T").tolist() == [1e20, 1.0]  # an int beyond int64
+
+
+def test_integers_names_a_value_that_is_not_a_list():
+    for value in (7, None, {}, "12"):
+        with pytest.raises(ValueError, match=re.escape(f"bounds must be a list, not {value!r}")):
+            integers(value, "bounds")
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         KnapsackSpec(bounds=(1,), costs=(0,), budget=1, outputs=(np.zeros((2, 1)),))
     with pytest.raises(ValueError):
         KnapsackSpec(bounds=(1,), costs=(1,), budget=1, outputs=(np.zeros((3, 1)),))
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match=re.escape("outputs[0][1][0] must be finite, not inf")):
         KnapsackSpec(bounds=(1,), costs=(1,), budget=1, outputs=(np.array([[0.0], [np.inf]]),))
     with pytest.raises(ValueError, match="at least one stage"):  # no column to search
         KnapsackSpec(bounds=(), costs=(), budget=1, outputs=())
@@ -420,6 +455,16 @@ def test_dp_system_takes_plain_lists_and_numpy_integers():
     assert enumerate_columns(DpOracle(same))[0] == enumerate_columns(DpOracle(dp))[0]
 
 
+def test_dp_system_owns_its_tables():
+    # a caller's later write to its own arrays changes no answer
+    acts, outs = np.array([0, 1]), np.array([[1.0], [2.0]])
+    oracle = DpOracle(DpSystem(n_states=[1], actions=[[acts]], transitions=[], outputs=[[outs]],
+                               start_states=[0]))
+    acts[1], outs[1, 0] = 5, 3.0
+    hit = oracle.col_extreme([1.0], "max")
+    assert (hit.action_sequence, hit.value, hit.column.tolist()) == ((1,), 2.0, [2.0])
+
+
 @pytest.mark.parametrize("changes, named", [
     # int() used to truncate the first two to 1 and 0, np.asarray(dtype=int) the next two
     ({"n_states": [1.9, 1]}, "n_states[0] must be an integer, not 1.9"),
@@ -430,7 +475,7 @@ def test_dp_system_takes_plain_lists_and_numpy_integers():
     ({"actions": [[[1, 0], [1]], [[0, 2]]]}, "actions[0][0] must ascend, not [1, 0]"),
     ({"n_states": [3, 1]}, "stage 0 needs n_states[0] = 3 >= 1 entries"),
     ({"outputs": [[[[1.0], [2.0]], [[3.0]]], [[[4.0], [np.nan]]]]},
-     "stage 1: outputs have non-finite"),
+     "outputs[1][0][1][0] must be finite, not nan"),
 ])
 def test_dp_system_rejects_non_integer_and_malformed_fields(changes, named):
     with pytest.raises(ValueError, match=re.escape(named)):

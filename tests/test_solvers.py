@@ -939,8 +939,7 @@ def _desk_solve(problem, solver, config):
         spec = nash_to_skew(NashSpec(D=[eye, eye], M=[[zero, PENNIES], [-PENNIES.T, zero]]))
     else:
         S = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        spec = AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x,
-                            s=np.array([0.1, -0.2]), H=Simplex(2), Xi_radius=1.0)
+        spec = AffineViSpec(S=S, s=np.array([0.1, -0.2]), H=Simplex(2), Xi_radius=1.0)
     sol = solve_vi(spec, solver, config)
     return sol, sol.eps_bound, sol.eps_exact
 

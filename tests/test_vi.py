@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -34,8 +36,7 @@ PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 def rotation_affine_spec():
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x,
-                        s=np.zeros(2), H=Simplex(2), Xi_radius=1.0)
+    return AffineViSpec(S=S, s=np.zeros(2), H=Simplex(2), Xi_radius=1.0)
 
 
 def pennies_nash_spec(g=None):
@@ -132,7 +133,7 @@ def test_affine_primal_field_hand_value():
 
 def test_affine_constant_field_solved_exactly():
     # S = 0: F is the constant s, so any certificate recovers the LMO vertex
-    spec = AffineViSpec(apply_S=lambda x: np.zeros(3), apply_St=lambda x: np.zeros(3),
+    spec = AffineViSpec(S=np.zeros((3, 3)),
                         s=np.array([0.5, -1.0, 2.0]), H=Simplex(3), Xi_radius=1.0)
     sol = solve_vi(spec, config=SolverConfig(eps_target=1e-8, max_steps=500))
     assert sol.eps_exact is not None
@@ -153,8 +154,7 @@ def test_affine_rotation_solved():
 
 def test_affine_finite_atoms_eps_exact():
     atoms = FiniteAtoms(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
-    spec = AffineViSpec(apply_S=lambda x: np.zeros(2), apply_St=lambda x: np.zeros(2),
-                        s=np.array([1.0, -1.0]), H=atoms, Xi_radius=1.0)
+    spec = AffineViSpec(S=np.zeros((2, 2)), s=np.array([1.0, -1.0]), H=atoms, Xi_radius=1.0)
     # dual gap of a hand-picked point: max_v <s, eta - v> with best v = e2
     assert abs(eps_vi_exact(spec, np.array([1.0, 0.0])) - 2.0) < 1e-12
 
@@ -163,8 +163,7 @@ def test_affine_gap_of_e1_on_the_2_simplex():
     # S = I is monotone, not skew: at eta = e1 the dual gap is
     # max_t (t - 2 t^2) = 1/8 over eta' = (1 - t, t), which the maximum over
     # the vertices alone read as 0; the gap function is 1 - min(1, 0) = 1
-    spec = AffineViSpec(apply_S=lambda x: x, apply_St=lambda x: x, s=np.zeros(2),
-                        H=Simplex(2), Xi_radius=1.0)
+    spec = AffineViSpec(S=np.eye(2), s=np.zeros(2), H=Simplex(2), Xi_radius=1.0)
     gap = eps_vi_exact(spec, np.array([1.0, 0.0]))
     assert gap >= 1 / 8
     assert gap == 1.0
@@ -177,8 +176,7 @@ def test_affine_gap_of_a_monotone_vi_bounds_the_vertex_maximum():
     rng = np.random.default_rng(14)
     B, s = rng.normal(size=(6, 6)), rng.normal(size=6)
     S = 10.0 * B @ B.T
-    spec = AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x, s=s,
-                        H=Simplex(6), Xi_radius=1.0)
+    spec = AffineViSpec(S=S, s=s, H=Simplex(6), Xi_radius=1.0)
     sol = solve_vi(spec)
     eta = sol.eta_vector
     vertex_max = max(float((S @ v + s) @ (eta - v)) for v in np.eye(6))
@@ -328,10 +326,37 @@ def test_eps_nash_counts_an_encoders_own_offset_in_the_own_loss():
         assert eps_nash(own, blocks) == eps_nash(via_g, blocks)
 
 
+def test_affine_spec_takes_finite_monotone_s_only():
+    def spec(S, s=(0.1, 0.0)):
+        return AffineViSpec(S=S, s=s, H=Simplex(2), Xi_radius=2.0)
+
+    # S + S^T has the eigenvalues 6 and -6; the run used to end in a CertificateError
+    with pytest.raises(ValueError, match=r"S is not monotone: .* eigenvalue -3\.0$"):
+        spec([[0.0, 7.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match=re.escape("S[1][0] must be finite, not nan")):
+        spec([[0.0, 1.0], [np.nan, 0.0]])
+    with pytest.raises(ValueError, match=re.escape("s[0] must be finite, not inf")):
+        spec(np.zeros((2, 2)), s=[np.inf, 0.0])
+    S = np.array([[1.0, 2.0], [-2.0, 0.0]])  # symmetric part diag(1, 0): monotone
+    owned = spec(S)
+    S[0, 0] = -5.0  # the spec's copy is its own
+    assert owned.S[0, 0] == 1.0 and not owned.S.flags.writeable
+
+
+def test_affine_gap_function_of_a_non_skew_s_is_not_checked_against_the_residual():
+    # S is positive definite.  After one step eta = e1: its gap function is
+    # 8, above the residual 7.07, while its dual gap, max_t 8t - 10t^2 over
+    # eta' = (1 - t, t), is 1.6.  The round used to raise CertificateError
+    spec = AffineViSpec(S=[[7.0, -1.0], [-1.0, 1.0]], s=np.zeros(2), H=Simplex(2), Xi_radius=1.0)
+    last = solve_vi(spec, config=SolverConfig(max_steps=1)).rounds[-1]
+    assert last["checked"] is False and last["gap"] == 8.0 > last["residual"]
+    skew = solve_vi(rotation_affine_spec(), config=SolverConfig(max_steps=1))
+    assert "checked" not in skew.rounds[-1]
+
+
 def test_affine_radius_below_the_enclosing_radius_is_rejected():
     def spec(radius):
-        return AffineViSpec(apply_S=lambda x: np.zeros(3), apply_St=lambda x: np.zeros(3),
-                            s=np.zeros(3), H=Simplex(3), Xi_radius=radius)
+        return AffineViSpec(S=np.zeros((3, 3)), s=np.zeros(3), H=Simplex(3), Xi_radius=radius)
 
     with pytest.raises(ValueError, match=r"Xi_radius 0\.3 .* enclosing radius 1\.0"):
         spec(0.3)
@@ -340,8 +365,7 @@ def test_affine_radius_below_the_enclosing_radius_is_rejected():
 
 def test_affine_radius_check_forgives_rounding_and_lmo_only_domains():
     def spec(H, radius):
-        return AffineViSpec(apply_S=lambda x: np.zeros(H.dim), apply_St=lambda x: np.zeros(H.dim),
-                            s=np.zeros(H.dim), H=H, Xi_radius=radius)
+        return AffineViSpec(S=np.zeros((H.dim, H.dim)), s=np.zeros(H.dim), H=H, Xi_radius=radius)
 
     H = Product([Simplex(2), Simplex(3)])
     r = H.enclosing_radius()  # sqrt(2), computed as sqrt(1 + 1)
@@ -569,8 +593,7 @@ def test_large_offset_vi_passes_the_scaled_gap_check():
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
     config = SolverConfig(max_steps=2000)
     base = solve_vi(rotation_affine_spec(), solver="md", config=config)
-    big = solve_vi(AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x,
-                                s=np.full(2, 1e8), H=Simplex(2), Xi_radius=1.0),
+    big = solve_vi(AffineViSpec(S=S, s=np.full(2, 1e8), H=Simplex(2), Xi_radius=1.0),
                    solver="md", config=config)
     assert big.eps_bound == base.eps_bound and big.steps == base.steps
     assert all(r["scale"] >= 1e8 for r in big.rounds)
@@ -581,8 +604,7 @@ def test_badly_scaled_affine_vi_stops_on_a_named_reason():
     # fields of about 1e17 at this radius: HiGHS rejects the certificate
     # LP's rows, and the run keeps certifying with what it has
     S = 1e8 * np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 2.0], [-0.5, -2.0, 0.0]])
-    sol = solve_vi(AffineViSpec(apply_S=lambda x: S @ x, apply_St=lambda x: S.T @ x,
-                                s=1e8 * np.array([1.0, 2.0, -1.0]), H=Simplex(3),
+    sol = solve_vi(AffineViSpec(S=S, s=1e8 * np.array([1.0, 2.0, -1.0]), H=Simplex(3),
                                 Xi_radius=1e9))
     assert sol.stop_reason in ("eps_target", "gap_threshold", "max_steps", "stationary",
                                "ellipsoid_degenerate")
