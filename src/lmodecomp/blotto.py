@@ -91,7 +91,7 @@ class BlottoReport(SparseAtomSolution):
 
     @property
     def gap(self):
-        """Certified bound on the saddle-point gap."""
+        """Bound on the saddle-point gap of the returned atoms, `gap_bound`."""
         return self.gap_bound
 
 
@@ -184,6 +184,8 @@ def blotto_from_json(obj):
                          f"not {omega!r}")
     elif len(omega) != m:
         raise ValueError(f"omega must list m = {m} loss matrices, not {len(omega)}")
+    else:  # converted here, so that an error names the JSON key
+        omega = [reals(o, f"omega[{s}]", 2) for s, o in enumerate(omega)]
     return BlottoSpec(
         caps_a=obj["caps_a"],
         caps_d=obj["caps_d"],

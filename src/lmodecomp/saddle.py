@@ -13,6 +13,7 @@ column searches of D and A.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,16 @@ import numpy as np
 from .certificates import ExecutionProtocol
 from .domains import Ball, Product, Simplex
 from .oracles import DenseMatrixOracle, enumerate_columns, reals
-from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
+from .solvers import (
+    FieldOracle,
+    SolveResult,
+    SolverConfig,
+    _choose_atoms,
+    _Rejected,
+    _restricted_lp,
+    ellipsoid_run,
+    md_run,
+)
 
 __all__ = [
     "BilinearSpSpec",
@@ -137,11 +147,15 @@ class PrimalEval:
 
 @dataclass
 class SparseAtomSolution(SolveResult):
-    """The run of a game, with the mixed strategies its certificate
-    transfers: weighted pure-strategy atoms {key: weight}, keyed by
-    `ColumnHit.key`.  Its payloads are the (w_hit, z_hit) pairs of the
-    protocol; gap_bound is the certified residual `cert.residual`,
-    gap_exact and value_estimate are the closing round's."""
+    """The run of a game, with the mixed strategies that its closing round
+    returned: weighted pure-strategy atoms {key: weight}, keyed by
+    `ColumnHit.key`, either the ones its certificate transfers or the
+    equilibrium of the game restricted to the pure strategies that the run
+    hit (see solve_sp).  Its payloads are the (w_hit, z_hit) pairs of the
+    protocol.  gap_exact, value_estimate and gap_bound are the closing
+    round's gap, value and bound for those atoms: the bound is gap_exact
+    plus the rounding allowance rho (see _allowance), and for the
+    certificate's atoms at most the certified residual `cert.residual`."""
 
     w_atoms: dict
     z_atoms: dict
@@ -235,6 +249,65 @@ def _value_bounds(master, w_atoms, z_atoms, w_cols, z_cols):
     return p_dot_w + upper, q_dot_z + lower
 
 
+def _offset_max(oracle):
+    """Largest magnitude of a dense side's offset, 0 where it has none."""
+    offset = getattr(oracle, "offset", None)
+    return 0.0 if offset is None else float(np.abs(offset).max())
+
+
+def _allowance(master, w_atoms, z_atoms, w_cols, z_cols):
+    """rho, a first-order bound on the rounding error of the gap that
+    _value_bounds computes for the atoms:
+    rho = 2 (K + s) 2^-53 (R_V sum_j w_j ||D e_j|| + R_U sum_i z_i ||A e_i||
+    + 2 max|p| + 2 max|q|), with K the larger block dimension and s the
+    atoms summed.  The weighted column norms bound ||D w|| and ||A z||, and
+    the radii bound every column norm of A and D, so each term bounds the
+    magnitude of what the upper or the lower evaluation sums; the offsets
+    count for the atoms and for the oracle's reply."""
+    n = max(master.dim_u, master.dim_v) + len(w_atoms) + len(z_atoms)
+    mass_w = sum(w_atoms[k] * math.sqrt(c.dot(c)) for k, c in w_cols.items())
+    mass_z = sum(z_atoms[k] * math.sqrt(c.dot(c)) for k, c in z_cols.items())
+    offsets = _offset_max(master.D) + _offset_max(master.A)
+    return 2.0 * n * 2.0 ** -53 * (master.R_V * mass_w + master.R_U * mass_z + 2.0 * offsets)
+
+
+def _evaluated(master, atoms):
+    """(atoms, gap, rho, fields) of `atoms` = (w_atoms, z_atoms, w_cols,
+    z_cols): the gap and value from _value_bounds, rho from _allowance."""
+    upper, lower = _value_bounds(master, *atoms)
+    return (atoms[:2], upper - lower, _allowance(master, *atoms),
+            {"value": 0.5 * (upper + lower)})
+
+
+def _restricted_master(master, hits):
+    """Equilibrium of the game restricted to the distinct pure strategies of
+    the (w_hit, z_hit) pairs `hits`, as (w_atoms, z_atoms, w_cols, z_cols),
+    or None where HiGHS rejects the LP.  The minimizer's LP (_restricted_lp)
+    is written through the columns D e_j of its strategies, and each
+    maximizer's strategy i is one row <A e_i, D w> + q_i <= s: the row's
+    normal is its column A e_i, or e_i for the square master, whose payoff
+    S_ij is entry i of D e_j.  The rows' duals are the maximizer's weights."""
+    w_hits, z_hits = {w.key: w for w, _ in hits}, {z.key: z for _, z in hits}
+    images = np.array([h.column for h in w_hits.values()]).T
+    if master.S is None:
+        normals = np.array([h.column for h in z_hits.values()])
+    else:
+        normals = np.zeros((len(z_hits), master.dim_v))
+        normals[np.arange(len(z_hits)), [k[0] for k in z_hits]] = 1.0
+    p, q = (getattr(side, "offset", None) for side in (master.D, master.A))
+    cost = np.zeros(len(w_hits)) if p is None else p[[k[0] for k in w_hits]]
+    rhs = np.zeros(len(z_hits)) if q is None else -q[[k[0] for k in z_hits]]
+    try:
+        w, z = _restricted_lp(images, np.zeros(len(w_hits), dtype=np.intp), normals,
+                              np.zeros(len(z_hits), dtype=np.intp), rhs, cost)
+    except _Rejected:
+        return None
+    w_atoms = {k: x for k, x in zip(w_hits, w.tolist()) if x > 0.0}
+    z_atoms = {k: x for k, x in zip(z_hits, z.tolist()) if x > 0.0}
+    return (w_atoms, z_atoms, {k: w_hits[k].column for k in w_atoms},
+            {k: z_hits[k].column for k in z_atoms})
+
+
 def solve_sp(master, solver="ellipsoid", config=None):
     """Solve the game by running `solver` on the primal field over U x V.
 
@@ -242,28 +315,41 @@ def solve_sp(master, solver="ellipsoid", config=None):
     keeps the columns hit while evaluating it, so every certificate round
     yields sparse strategies w^t = sum_i lam_i e_{w_i}, z^t = sum_i lam_i e_{z_i}
     whose exact gap and value the round records, from the stored columns.
-    The solution is the closing round's, which the run checked against
-    its residual; nothing calls an oracle after the run.
+    Each round also solves the restricted master, the game over the
+    distinct pure strategies hit so far (_restricted_master), and evaluates
+    its equilibrium the same way: two oracle calls per set of atoms.  The
+    round returns one of the two sets (see solvers._choose_atoms): the
+    certificate's atoms are bounded by min(cert.residual, gap + rho), the
+    restricted ones by gap + rho, with rho the rounding allowance of
+    _allowance, so a pure saddle point reads a bound of rho, not 0.  The
+    certificate's own gap is checked against its residual every round.
+    The solution is the closing round's atoms, gap, value and bound;
+    nothing calls an oracle after the run.
     """
     nu = master.dim_u
+    threshold = (config or SolverConfig()).gap_threshold
+    returned = None  # the atoms of the latest round
 
     def fn(xi):
         ev = primal_value_grad(master, xi[:nu], xi[nu:])
         return ev.field, (ev.w_hit, ev.z_hit)
 
     def round_fields(protocol, cert, hits):
-        upper, lower = _value_bounds(master, *_atoms(cert, hits))
-        return {"gap": upper - lower, "value": 0.5 * (upper + lower)}
+        nonlocal returned
+        restricted = _restricted_master(master, hits)
+        returned, fields = _choose_atoms(
+            cert.residual, threshold, _evaluated(master, _atoms(cert, hits)),
+            None if restricted is None else _evaluated(master, restricted))
+        return fields
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
     if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
     run = runs[solver](FieldOracle(fn), master.primal_domain(), config, round_fields)
-    w_atoms, z_atoms, _, _ = _atoms(run.cert, run.payloads)
     last = run.rounds[-1]  # on the whole protocol and run.cert
-    return SparseAtomSolution(**vars(run), w_atoms=w_atoms, z_atoms=z_atoms,
-                              gap_bound=run.cert.residual, gap_exact=last["gap"],
+    return SparseAtomSolution(**vars(run), w_atoms=returned[0], z_atoms=returned[1],
+                              gap_bound=last["bound"], gap_exact=last["gap"],
                               value_estimate=last["value"])
 
 

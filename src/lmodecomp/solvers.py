@@ -10,6 +10,9 @@ as one more candidate.  Both operate on origin-centered Euclidean balls
 or products of two such balls, where the residual has a closed form and
 needs no LMO calls.  They share one run state for the protocol, the
 field payloads and the certificate rounds, and return one SolveResult.
+A game's or skew VI's round also solves its restricted master, the game
+over the pure strategies hit so far, by _restricted_lp on a fresh HiGHS
+model, and returns the atoms with the smaller bound (_choose_atoms).
 """
 
 from __future__ import annotations
@@ -259,8 +262,13 @@ class SolveResult:
     re-applied from its protocol since the previous round (`recycled`, 0
     for mirror descent), the step of the next scheduled round (`due`, None
     on a round that stops or closes the run) and the fields that
-    `on_certificate` returned (value for games, scale for VIs); the last
-    round is on `cert`, so its gap is the solution's.  Residuals and gaps
+    `on_certificate` returned (value for games, scale for VIs).  Games and
+    VIs also return `bound`, `cert_gap` and `atoms` (see _choose_atoms): a
+    round's gap and bound are those of the atoms it returned ("certificate"
+    or "restricted"), `cert_gap` is the gap of the certificate's own atoms,
+    which the round checks against its residual and paces the next round
+    by.  The last round is on `cert` and its atoms are the solution's.
+    Residuals and gaps
     are as computed, never clamped at 0: a residual below 0, impossible in
     exact arithmetic for a monotone field, is rounding at the scale of the
     fields (-1.28e-8 for fields near 1e9), so it reads as 0.
@@ -336,16 +344,18 @@ class _Run:
             record.update(self.on_certificate(protocol, self.cert, self.payloads) or {})
         self.rounds.append(record)
         gap = record["gap"]
+        cert_gap = record.get("cert_gap", gap)  # the certificate's own atoms'
         tol = 1e-9 * max(1.0, abs(record.get("value", 0.0)), record.get("scale", 0.0))
         # the residual bounds a dual gap, not a gap function (checked False)
-        if gap is not None and record.get("checked", True) and not gap <= residual + tol:
-            raise CertificateError(f"exact gap {gap} exceeds certified residual {residual}")
+        if cert_gap is not None and record.get("checked", True) and not cert_gap <= residual + tol:
+            raise CertificateError(f"exact gap {cert_gap} exceeds certified residual {residual}")
         if residual <= self.config.eps_target:
             return "eps_target"
         if gap is not None and gap <= self.config.gap_threshold:
             return "gap_threshold"
-        if not closing:
-            self.due = record["due"] = step + self._periods(step, residual, gap) * self.cert_period
+        if not closing:  # paced by the certificate alone, whichever atoms the round returned
+            self.due = record["due"] = (step + self._periods(step, residual, cert_gap)
+                                        * self.cert_period)
         return None
 
     def _periods(self, step, residual, gap):
@@ -406,10 +416,12 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     the previous round recorded as `due`.
     `on_certificate(protocol, cert, payloads)` returns the round's fields
     ({"gap", "value"} for games, {"gap", "scale"} for VIs, with
-    "checked": False where the gap is not a dual gap) or None; a round
-    raises CertificateError where a checked gap exceeds the residual by
-    over 1e-9 max(1, |value|, scale).  The run stops when that gap falls
-    below gap_threshold, when the certified residual falls below eps_target,
+    "checked": False where the gap is not a dual gap, and "cert_gap" where
+    "gap" belongs to other atoms than the certificate's) or None; a round
+    raises CertificateError where a checked cert_gap (the gap where there
+    is none) exceeds the residual by over 1e-9 max(1, |value|, scale).  The
+    run stops when the gap falls below gap_threshold, when the certified
+    residual falls below eps_target,
     at a zero field value, when the ellipsoid collapses, or at max_steps.
     Each round's cert_lower is a certified lower bound on the least residual
     of any certificate for its protocol.
@@ -750,3 +762,93 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
         pass  # numerical trouble: keep the best certificate found so far
     # lower can round above an optimal certificate's residual by an ulp
     return AccuracyCertificate(best, lower=min(lower, f_best), residual=f_best)
+
+
+def _restricted_lp(images, blocks, normals, row_blocks, rhs, cost):
+    """Solve the restricted master LP of a certificate round on a fresh
+    HiGHS model:
+
+        minimize  <cost, eta> + sum_b v_b
+        over      eta >= 0, sum of eta_j over block b = 1 for each block b,
+                  x = images eta, and free v,
+        s.t.      <normals[r], x> - v[row_blocks[r]] <= rhs[r] for each row r.
+
+    Column j of `images` (K x n) is the K-dimensional image of atom j, in
+    block blocks[j]; `normals` is R x K.  The model holds at most (n + R)(K + 1)
+    + K nonzeros: the n x R table of the atoms' pairings is never built.
+    Returns (eta, y): eta clipped at 0 and normalized per block, and y the
+    rows' max(-dual, 0), which sum to 1 over each row block at an optimum,
+    normalized per row block (for a game, the maximizer's mixed strategy).
+    Raises _Rejected where HiGHS rejects the model, reports no optimum or
+    leaves a block without weight."""
+    k, n = images.shape
+    r, n_blocks = len(normals), int(blocks.max()) + 1
+    # rows x = images eta, then the R rows, each a dense pattern of nonzeros
+    eq_idx = np.empty((k, n + 1), dtype=np.int32)
+    eq_idx[:, :n] = np.arange(n)
+    eq_idx[:, n] = n + np.arange(k)
+    eq_val = np.empty((k, n + 1))
+    np.negative(images, out=eq_val[:, :n])
+    eq_val[:, n] = 1.0
+    in_idx = np.empty((r, k + 1), dtype=np.int32)
+    in_idx[:, :k] = n + np.arange(k)
+    in_idx[:, k] = n + k + row_blocks
+    in_val = np.empty((r, k + 1))
+    in_val[:, :k] = normals
+    in_val[:, k] = -1.0
+    order = np.argsort(blocks, kind="stable")  # the simplex rows, block by block
+    keep = [eq_val != 0.0, in_val != 0.0]
+    counts = np.concatenate([keep[0].sum(axis=1), keep[1].sum(axis=1),
+                             np.bincount(blocks, minlength=n_blocks)])
+    indices = np.concatenate([eq_idx[keep[0]], in_idx[keep[1]], order.astype(np.int32)])
+    values = np.concatenate([eq_val[keep[0]], in_val[keep[1]], np.ones(n)])
+    starts = np.zeros(len(counts), dtype=np.int32)
+    np.cumsum(counts[:-1], out=starts[1:])
+    core = _highs_core()
+    highs = core._Highs()
+    for name, value in (("output_flag", False), ("presolve", "off"),
+                        ("primal_feasibility_tolerance", 1e-10),
+                        ("dual_feasibility_tolerance", 1e-10)):
+        highs.setOptionValue(name, value)
+    free = np.full(k + n_blocks, np.inf)
+    empty = np.zeros(0, dtype=np.int32)
+    ok = highs.addCols(n + k + n_blocks, np.concatenate([cost, np.zeros(k), np.ones(n_blocks)]),
+                       np.concatenate([np.zeros(n), -free]), np.full(n + k + n_blocks, np.inf),
+                       0, empty, empty, np.zeros(0)) != core.HighsStatus.kError
+    lower = np.concatenate([np.zeros(k), np.full(r, -np.inf), np.ones(n_blocks)])
+    upper = np.concatenate([np.zeros(k), rhs, np.ones(n_blocks)])
+    if not (ok and highs.addRows(len(counts), lower, upper, len(values), starts, indices,
+                                 values) != core.HighsStatus.kError
+            and highs.run() != core.HighsStatus.kError
+            and highs.getModelStatus() == core.HighsModelStatus.kOptimal):
+        raise _Rejected("HiGHS rejected the restricted LP or found no optimum")
+    sol = highs.getSolution()
+    eta = np.maximum(np.array(sol.col_value[:n]), 0.0)
+    y = np.maximum(-np.array(sol.row_dual[k:k + r]), 0.0)
+    eta_mass = np.bincount(blocks, eta, minlength=n_blocks)
+    y_mass = np.bincount(row_blocks, y, minlength=n_blocks)
+    if not ((eta_mass > 0.0).all() and (y_mass > 0.0).all()):
+        raise _Rejected("the restricted LP left a block without weight")
+    return eta / eta_mass[blocks], y / y_mass[row_blocks]
+
+
+def _choose_atoms(residual, threshold, certified, restricted=None):
+    """(atoms, fields) that a certificate round returns.  `certified` and
+    `restricted` are (atoms, gap, rho, fields) of the certificate's atoms
+    and of the restricted master's equilibrium (None where there is none):
+    their computed gap, its floating-point allowance rho and the fields to
+    record.  The certificate's atoms are bounded by min(residual, gap +
+    rho), the restricted ones by gap + rho.  The round returns the set whose
+    gap meets `threshold` if only one does, else the one with the smaller
+    bound, the certificate's on a tie; its fields gain that set's gap and
+    bound, `cert_gap` (the certificate's gap, which the round checks and
+    paces by) and `atoms`, "certificate" or "restricted"."""
+    atoms, gap, rho, fields = certified
+    out = {**fields, "gap": gap, "bound": min(residual, gap + rho), "cert_gap": gap,
+           "atoms": "certificate"}
+    if restricted is not None:
+        r_atoms, r_gap, r_rho, r_fields = restricted
+        if (r_gap > threshold, r_gap + r_rho) < (gap > threshold, out["bound"]):
+            return r_atoms, {**out, **r_fields, "gap": r_gap, "bound": r_gap + r_rho,
+                             "atoms": "restricted"}
+    return atoms, out

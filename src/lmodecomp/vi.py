@@ -12,6 +12,7 @@ for affine monotone ones the gap function, an upper bound on it.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -21,7 +22,16 @@ import numpy as np
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
 from .domains import Ball, Product, Simplex
 from .oracles import DenseMatrixOracle, entries, integers, matrix_side, reals
-from .solvers import FieldOracle, SolveResult, ellipsoid_run, md_run
+from .solvers import (
+    FieldOracle,
+    SolveResult,
+    SolverConfig,
+    _choose_atoms,
+    _Rejected,
+    _restricted_lp,
+    ellipsoid_run,
+    md_run,
+)
 
 __all__ = [
     "AffineViSpec",
@@ -84,13 +94,15 @@ class AffineViSpec:
 class EtaHit:
     """Vertex of H minimizing a linear form, a plain record: per-block atom
     keys (ColumnHit.key), p_vec = P eta, q_vec = Q eta, the attained minimum
-    value and f_dot = <f, eta> (0.0 when no block has an offset)."""
+    value, f_dot = <f, eta> (0.0 when no block has an offset) and the block
+    columns D_b e_j stacked into one vector d (block b's at `slices[b]`)."""
 
-    __slots__ = ("atoms", "p_vec", "q_vec", "value", "f_dot")
+    __slots__ = ("atoms", "p_vec", "q_vec", "value", "f_dot", "columns")
 
-    def __init__(self, atoms, p_vec, q_vec, value, f_dot):
+    def __init__(self, atoms, p_vec, q_vec, value, f_dot, columns):
         self.atoms, self.p_vec, self.q_vec, self.value, self.f_dot = (
             atoms, p_vec, q_vec, value, f_dot)
+        self.columns = columns
 
 
 class _SkewSystem:
@@ -111,6 +123,7 @@ class _SkewSystem:
         self.slices = [slice(lo, hi) for lo, hi in zip(rows[:-1], rows[1:])]
         self._f = [(b, -D.offset) for b, D in enumerate(self.blocks)
                    if getattr(D, "offset", None) is not None]
+        self.f_bound = sum(float(np.abs(f).max()) for _, f in self._f)  # of |<f, eta>|
 
     def eta_argmin(self, x1, x2):
         y = self.A.T.dot(x1) + self.B.T.dot(x2)
@@ -122,7 +135,7 @@ class _SkewSystem:
             d[sl] = hit.column
             atoms.append(hit.key)
         atoms = tuple(atoms)
-        return EtaHit(atoms, self.A.dot(d), self.B.dot(d), value, self.f_dot_atoms(atoms))
+        return EtaHit(atoms, self.A.dot(d), self.B.dot(d), value, self.f_dot_atoms(atoms), d)
 
     def apply_P_atoms(self, atoms):
         return self.A.dot(np.concatenate([D.column(a) for D, a in zip(self.blocks, atoms)]))
@@ -309,11 +322,16 @@ class SkewViSpec:
 
 @dataclass
 class ViSolution(SolveResult):
-    """The run of a VI, with the point of H its certificate transfers;
-    eps_bound is the certified residual `cert.residual`, eps_exact the
-    closing round's gap of that point (see eps_vi_exact): the exact dual
-    gap for a skew VI, the gap function for an affine one, which is the
-    dual gap when S is skew and an upper bound on it otherwise."""
+    """The run of a VI, with the point of H that its closing round
+    returned; eps_exact is that round's gap of the point (see
+    eps_vi_exact): the exact dual gap for a skew VI, the gap function for
+    an affine one, which is the dual gap when S is skew and an upper bound
+    on it otherwise.  An affine VI's point is the one its certificate
+    transfers and eps_bound the certified residual `cert.residual`.  A skew
+    VI's atoms are the certificate's or the restricted master's
+    equilibrium (see solve_vi), and eps_bound is eps_exact plus the
+    rounding allowance rho (see _skew_allowance), for the certificate's
+    atoms at most `cert.residual`."""
 
     eta_atoms: dict | None     # weighted product-vertex atoms (skew path)
     eta_vector: np.ndarray | None  # dense recovered point (affine path)
@@ -394,44 +412,129 @@ def _payload_terms(cert, payloads):
             for atoms, weight in _collect_atoms(cert, payloads).items()}
 
 
+def _skew_allowance(spec, terms):
+    """rho, a first-order bound on the rounding error of the gap that
+    _skew_eps_exact computes from `terms` {key: (weight, P eta, <f, eta>)}:
+    rho = 2 (n + s) 2^-53 (2 Xi1 sum_k w_k ||P eta_k|| + 2 F), with n the
+    larger of K and the stacked block rows, s the atoms summed and F the
+    sum over blocks of max |f_bj|.  Xi1 bounds every ||Q eta'||, so
+    2 Xi1 ||P eta|| bounds each |<2 Q^T P eta, eta'>| that the reply's search
+    scores; F bounds |<f, eta>| for the atoms and for the reply."""
+    system = spec.system
+    n = max(system.K, system.A.shape[1]) + len(terms)
+    mass = sum(w * math.sqrt(p.dot(p)) for w, p, _ in terms.values())
+    return 2.0 * n * 2.0 ** -53 * (2.0 * spec.Xi1_radius * mass + 2.0 * system.f_bound)
+
+
+def _coupling(marginals):
+    """Joint atoms {(key_1, ..., key_L): weight} whose block-b marginal is
+    marginals[b] {key: weight}, by the north-west corner rule on the
+    blocks' cumulative weights: at most sum_b n_b - L + 1 atoms."""
+    cums = [np.cumsum(list(m.values())) for m in marginals]
+    cums = [c / c[-1] for c in cums]  # each ends at exactly 1
+    cuts = np.unique(np.concatenate(cums))
+    picks = [np.searchsorted(c, cuts).tolist() for c in cums]  # first j with c[j] >= cut
+    joint = zip(*([keys[j] for j in i] for keys, i in zip(map(list, marginals), picks)))
+    return dict(zip(joint, np.diff(cuts, prepend=0.0).tolist()))
+
+
+def _restricted_terms(spec, payloads):
+    """Equilibrium of the skew VI restricted to the distinct per-block pure
+    strategies of the EtaHit payloads, as terms {key: (weight, P eta,
+    <f, eta>)} of at most sum_b n_b joint atoms (see _coupling), or None
+    where HiGHS rejects the LP.  With the block images p_bj = A_b D_b e_j
+    and q_bj = B_b D_b e_j of block b's strategy j, the LP (_restricted_lp)
+    minimizes <f, eta> + sum_b v_b over one simplex per block and x = P eta,
+    subject to -v_b <= 2 <q_bj, x> + f_bj = F(eta)_bj: its optimum is the
+    least restricted dual gap, 0 for a skew F.  For Nash the blocks are the
+    players and -v_b a player's best restricted reply.  Each joint atom's
+    P eta is rebuilt from the stored columns as eps_vi_exact rebuilds it."""
+    system = spec.system
+    cols = [{} for _ in system.blocks]
+    for atoms, hit in {hit.atoms: hit for hit in payloads}.items():
+        for b, key in enumerate(atoms):
+            if key not in cols[b]:
+                cols[b][key] = hit.columns[system.slices[b]]
+    f = dict(system._f)
+    images, normals, blocks, costs = [], [], [], []
+    for b, (sl, c) in enumerate(zip(system.slices, cols)):
+        d = np.array(list(c.values())).T
+        images.append(system.A[:, sl].dot(d))
+        normals.append(system.B[:, sl].dot(d))
+        blocks.append(np.full(len(c), b, dtype=np.intp))
+        costs.append(np.zeros(len(c)) if b not in f else f[b][[k[0] for k in c]])
+    blocks, costs = np.concatenate(blocks), np.concatenate(costs)
+    try:
+        eta, _ = _restricted_lp(np.hstack(images), blocks, -2.0 * np.hstack(normals).T,
+                                blocks, costs, costs)
+    except _Rejected:
+        return None
+    parts = np.split(eta, np.cumsum([len(c) for c in cols])[:-1])
+    marginals = [{k: w for k, w in zip(c, part.tolist()) if w > 0.0}
+                 for c, part in zip(cols, parts)]
+    return {atoms: (w, system.A.dot(np.concatenate([c[k] for c, k in zip(cols, atoms)])),
+                    system.f_dot_atoms(atoms))
+            for atoms, w in _coupling(marginals).items()}
+
+
+def _skew_evaluated(spec, terms):
+    """(eta atoms, gap, rho, fields) of the weighted atoms `terms`."""
+    gap, scale = _skew_eps_exact(spec, terms)
+    return ({k: w for k, (w, _, _) in terms.items()}, gap, _skew_allowance(spec, terms),
+            {"scale": scale})
+
+
 def solve_vi(spec, solver="ellipsoid", config=None):
     """Run the primal solver and transfer the certificate to H.
 
-    Returns a ViSolution whose eps_bound is the certified primal residual
-    and whose eps_exact is the gap of the recovered point (see
-    eps_vi_exact), read off the closing round; every round checks its gap
-    against its residual, unless the gap is an affine VI's gap function
-    for a non-skew S, which the residual need not bound.  A skew round reads P eta and
+    Returns a ViSolution whose eps_exact is the gap of the returned point
+    (see eps_vi_exact), read off the closing round; every round checks the
+    gap of its certificate's point against its residual, unless the gap
+    is an affine VI's gap function for a non-skew S, which the residual
+    need not bound.  An affine VI returns the certificate's point, with
+    eps_bound the certified residual.  A skew round reads P eta and
     <f, eta> of each atom from the run's payloads and makes one oracle
-    call; eps_vi_exact, which rebuilds the columns, is the independent
-    check of that gap.
+    call; it also solves the restricted master, the VI over the distinct
+    per-block strategies hit so far (_restricted_terms), and evaluates its
+    equilibrium the same way.  It returns one of the two sets (see
+    solvers._choose_atoms): the certificate's atoms are bounded by
+    min(cert.residual, gap + rho), the restricted ones by gap + rho, rho
+    from _skew_allowance.  eps_vi_exact, which rebuilds the columns, is
+    the independent check of the returned gap.
     """
     skew = isinstance(spec, SkewViSpec)
+    returned = None  # the skew atoms of the latest round
     if skew:
         primal, domain = build_skew_vi_primal(spec), spec.primal_domain()
-        collect, terms, exact = _collect_atoms, _payload_terms, _skew_eps_exact
+        threshold = (config or SolverConfig()).gap_threshold
+
+        def round_fields(protocol, cert, payloads):
+            nonlocal returned
+            restricted = _restricted_terms(spec, payloads)
+            returned, fields = _choose_atoms(
+                cert.residual, threshold, _skew_evaluated(spec, _payload_terms(cert, payloads)),
+                None if restricted is None else _skew_evaluated(spec, restricted))
+            return fields
     else:
         primal, domain = build_affine_vi_primal(spec), Ball(np.zeros(spec.H.dim), spec.Xi_radius)
-        collect = terms = _collect_eta
-        exact = _affine_eps_exact
+        # an affine VI's gap function is its dual gap only for a skew S; for another
+        # monotone S the residual need not bound it, so the run does not check it
+        unchecked = {} if not (spec.S + spec.S.T).any() else {"checked": False}
 
-    # an affine VI's gap function is its dual gap only for a skew S; for another
-    # monotone S the residual need not bound it, so the run does not check it
-    unchecked = {} if skew or not (spec.S + spec.S.T).any() else {"checked": False}
-
-    def round_fields(protocol, cert, payloads):
-        gap, scale = exact(spec, terms(cert, payloads))
-        return {"gap": gap, "scale": scale, **unchecked}
+        def round_fields(protocol, cert, payloads):
+            gap, scale = _affine_eps_exact(spec, _collect_eta(cert, payloads))
+            return {"gap": gap, "scale": scale, "bound": cert.residual, "atoms": "certificate",
+                    **unchecked}
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
     if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
     run = runs[solver](primal, domain, config, round_fields)
-    eta = collect(run.cert, run.payloads)
-    return ViSolution(**vars(run), eta_atoms=eta if skew else None,
-                      eta_vector=None if skew else eta, eps_bound=run.cert.residual,
-                      eps_exact=run.rounds[-1]["gap"])
+    last = run.rounds[-1]
+    return ViSolution(**vars(run), eta_atoms=returned,
+                      eta_vector=None if skew else _collect_eta(run.cert, run.payloads),
+                      eps_bound=last["bound"], eps_exact=last["gap"])
 
 
 def _collect_atoms(cert, payloads):

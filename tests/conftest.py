@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from scipy.optimize import linprog
 
 from lmodecomp.oracles import KnapsackOracle, KnapsackSpec
@@ -47,3 +48,17 @@ def random_knapsack(rng, max_cols=10 ** 4):
                                              outputs=outputs))
         if oracle.count_columns() <= max_cols:
             return oracle
+
+
+@pytest.fixture
+def certificate_rounds_only(monkeypatch):
+    """Every restricted-master LP rejected, as HiGHS may reject one: each
+    round returns its certificate's atoms, so a run goes on until those
+    meet a stop rule, and a test sees the rounds of the certificate alone."""
+    from lmodecomp import saddle, solvers, vi
+
+    def rejected(*args):
+        raise solvers._Rejected("rejected by the test")
+
+    for module in (saddle, vi):
+        monkeypatch.setattr(module, "_restricted_lp", rejected)

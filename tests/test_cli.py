@@ -160,6 +160,10 @@ NASH = {"D": [EYE, KNAPSACK_A], "M": [[[[0.0] * 2] * 2, PENNIES],
     ("affine-vi", {"S": [[0, 7], [-1, 0]], "s": [0.1, 0], "H": {"simplex": 2}, "Xi_radius": 2},
      "S is not monotone: its symmetric part has the eigenvalue -3.0"),
     ("affine-vi", {"S": PENNIES, "H": {"simplex": 2}}, "invalid spec: missing field 's'"),
+    # a listed loss matrix is named by the JSON key, omega, not the spec's field omegas
+    ("blotto", {**BLOTTO_LISTED, "omega": [7, [[0.5, 0], [0, 0.5]]]},
+     "invalid spec: omega[0] must be a matrix of real numbers (a list of equal-length rows), "
+     "not 7"),
 ])
 def test_spec_errors_name_the_offending_value(tmp_path, capsys, command, spec, offending):
     # a malformed spec exits 1 with a message, never a traceback or a fallback
@@ -283,7 +287,8 @@ def test_failed_certificate_check_exit_four(tmp_path, capsys, monkeypatch):
 
 def test_budget_exhausted_exit_two(tmp_path, capsys):
     spec = write_spec(tmp_path, {"S": PENNIES})
-    code = run(["matrix-game", "--spec", spec, "--max-steps", "8",
+    # one step hits one pure strategy per side: the restricted game is that pair
+    code = run(["matrix-game", "--spec", spec, "--max-steps", "1",
                 "--gap-threshold", "1e-12", "--eps", "1e-13"])
     assert code == 2
     assert "step budget exhausted" in capsys.readouterr().out

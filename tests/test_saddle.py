@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import eps_sad_enum, lp_game_value
-from lmodecomp import saddle, vi
+from lmodecomp import saddle, solvers, vi
 from lmodecomp.blotto import BlottoSpec, build_blotto, random_rank1_omegas
 from lmodecomp.certificates import CertificateError, residual, residual_ball_product
 from lmodecomp.oracles import (
@@ -26,6 +26,7 @@ from lmodecomp.saddle import (
     solve_sp,
 )
 from lmodecomp.solvers import SolverConfig
+from lmodecomp.vi import NashSpec, eps_vi_exact, nash_to_skew, solve_vi
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -207,6 +208,7 @@ def test_exact_gap_hand_values():
     assert abs(eps_sad_enum(PENNIES, np.array([1.0, 0.0]), np.array([1.0, 0.0])) - 2.0) < 1e-12
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 def test_gap_sandwich_and_transfer_every_round():
     rng = np.random.default_rng(3)
     S = rng.normal(size=(4, 5))
@@ -259,7 +261,7 @@ def test_dp_start_states_keep_their_own_atoms():
     assert abs(eps_sad_enum(A.matrix.T @ D_mat, w, z) - sol.gap_exact) <= 1e-9
     assert sol.gap_exact <= sol.gap_bound
     big, dom = master_transfer_protocol(master, sol.protocol, sol.payloads)
-    assert residual(big, sol.cert, dom).residual <= sol.gap_bound + 1e-9
+    assert residual(big, sol.cert, dom).residual <= sol.cert.residual + 1e-9
 
 
 def test_solve_sp_md_solver():
@@ -329,6 +331,7 @@ def test_solve_sp_raises_when_exact_gap_exceeds_residual(monkeypatch):
                  config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 def test_factored_game_transfers_each_certificate_once(monkeypatch):
     # one search per player at every protocol entry and every round, none after the run
     calls = []
@@ -366,3 +369,87 @@ def test_exact_gap_reads_only_the_atoms(side):
     sol = solve_sp(build_master_example2(spec), config=SolverConfig(gap_threshold=1e-6))
     atoms = SimpleNamespace(w_atoms=sol.w_atoms, z_atoms=sol.z_atoms)
     assert exact_gap(spec, atoms) == sol.gap_exact <= sol.gap_bound + 1e-9
+
+
+def test_pure_saddle_point_stops_at_the_first_round_with_bound_rho():
+    # S[0, 0] = 1 is the largest entry of its column and the least of its row.
+    # The first round's atoms are that pure pair, whose computed gap is
+    # exactly 0, so the bound is the rounding allowance rho, not the residual
+    S = np.array([[1.0, 2.0, 3.0], [0.0, 1.5, 2.0], [-1.0, 0.5, 4.0]])
+    master = build_master_example1(S)
+    sol = solve_sp(master, config=SolverConfig(eps_target=1e-12, gap_threshold=1e-12))
+    assert sol.stop_reason == "gap_threshold" and len(sol.rounds) == 1
+    assert list(sol.w_atoms) == list(sol.z_atoms) == [(0,)]
+    assert sol.gap_exact == 0.0 and abs(sol.value_estimate - 1.0) <= 1e-15
+    rho = saddle._allowance(master, sol.w_atoms, sol.z_atoms, {(0,): S[:, 0]},
+                            {(0,): S[0, :]})
+    assert 0.0 < sol.gap_bound <= rho < 1e-13 < sol.cert.residual
+
+
+def test_dense_game_reaches_the_lp_value_at_its_first_round():
+    # criterion 03's sizes with K = 3: the ellipsoid's first round, at step
+    # 4 K^2 = 36, has hit an equilibrium's columns on both sides
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        M, N = (int(x) for x in rng.integers(5, 101, size=2))
+        A, D = rng.normal(size=(3, N)), rng.normal(size=(3, M))
+        spec = BilinearSpSpec(A=DenseMatrixOracle(A), D=DenseMatrixOracle(D))
+        sol = solve_sp(build_master_example2(spec),
+                       config=SolverConfig(eps_target=2e-7, gap_threshold=4e-7))
+        assert sol.steps == 36 and [r["atoms"] for r in sol.rounds] == ["restricted"]
+        assert abs(sol.value_estimate - lp_game_value(A.T @ D)) <= 1e-9
+        assert exact_gap(spec, sol) == sol.gap_exact < sol.gap_bound <= 1e-12
+
+
+def test_restricted_round_makes_two_searches_per_player(monkeypatch):
+    # one search per player at every protocol entry; a round searches once
+    # per player for each set of atoms it evaluates, none after the run
+    calls = []
+    search = DenseMatrixOracle.col_extreme
+
+    def counted(self, x, direction):
+        calls.append(direction)
+        return search(self, x, direction)
+
+    monkeypatch.setattr(DenseMatrixOracle, "col_extreme", counted)
+    rng = np.random.default_rng(3)
+    spec = BilinearSpSpec(A=DenseMatrixOracle(rng.normal(size=(3, 5))),
+                          D=DenseMatrixOracle(rng.normal(size=(3, 4))))
+    sol = solve_sp(build_master_example2(spec),
+                   config=SolverConfig(gap_threshold=1e-6, cert_period=20))
+    assert [r["atoms"] for r in sol.rounds] == ["restricted"]
+    assert len(calls) == 2 * len(sol.protocol) + 4 * len(sol.rounds)
+
+
+@pytest.mark.parametrize("problem", ["game", "nash"])
+def test_rejected_restricted_lp_leaves_the_certificates_round(monkeypatch, problem):
+    # where HiGHS rejects the restricted LP, a round returns the atoms that its
+    # certificate transfers, with their gap and the bound min(residual, gap + rho)
+    def rejected(*args):
+        raise solvers._Rejected("rejected by the test")
+
+    rng = np.random.default_rng(3 if problem == "game" else 2)  # mixed equilibria
+    config = SolverConfig(gap_threshold=1e-6)
+    if problem == "game":
+        monkeypatch.setattr(saddle, "_restricted_lp", rejected)
+        master = build_master_example2(BilinearSpSpec(
+            A=DenseMatrixOracle(rng.normal(size=(3, 5))),
+            D=DenseMatrixOracle(rng.normal(size=(3, 4)))))
+        sol = solve_sp(master, config=config)
+        w_atoms, z_atoms, w_cols, z_cols = saddle._atoms(sol.cert, sol.payloads)
+        assert (sol.w_atoms, sol.z_atoms) == (w_atoms, z_atoms)
+        gap, bound = exact_gap(master, sol), sol.gap_bound
+        rho = saddle._allowance(master, w_atoms, z_atoms, w_cols, z_cols)
+    else:
+        monkeypatch.setattr(vi, "_restricted_lp", rejected)
+        skew = nash_to_skew(NashSpec(
+            D=[DenseMatrixOracle(np.eye(2)), DenseMatrixOracle(np.eye(3))],
+            M=[[np.zeros((2, 2)), (C := rng.normal(size=(2, 3)))],
+               [-C.T, np.zeros((3, 3))]]))
+        sol = solve_vi(skew, config=config)
+        assert sol.eta_atoms == vi._collect_atoms(sol.cert, sol.payloads)
+        gap, bound = eps_vi_exact(skew, sol.eta_atoms), sol.eps_bound
+        rho = vi._skew_allowance(skew, vi._payload_terms(sol.cert, sol.payloads))
+    assert len(sol.rounds) >= 2
+    assert all(r["atoms"] == "certificate" and r["gap"] == r["cert_gap"] for r in sol.rounds)
+    assert gap == sol.rounds[-1]["gap"] and bound == min(sol.cert.residual, gap + rho)

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 
 import lmodecomp
 from conftest import md_step_sizes
-from lmodecomp import solvers
+from lmodecomp import saddle, solvers, vi
 from lmodecomp.certificates import (
     AccuracyCertificate,
     CertificateError,
@@ -28,6 +28,7 @@ from lmodecomp.domains import Ball, Product, Simplex
 from lmodecomp.oracles import DenseMatrixOracle, KnapsackOracle, KnapsackSpec
 from lmodecomp.saddle import (
     BilinearSpSpec,
+    MasterProblem,
     build_master_example1,
     build_master_example2,
     exact_gap,
@@ -44,7 +45,14 @@ from lmodecomp.solvers import (
     md_run,
     optimize_certificate,
 )
-from lmodecomp.vi import AffineViSpec, NashSpec, nash_to_skew, solve_vi
+from lmodecomp.vi import (
+    AffineViSpec,
+    NashSpec,
+    SkewViSpec,
+    eps_vi_exact,
+    nash_to_skew,
+    solve_vi,
+)
 
 PENNIES = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
@@ -349,8 +357,10 @@ from lmodecomp import solvers
 from lmodecomp.saddle import build_master_example1, solve_sp
 
 def solve_pennies():
+    # its round solves the restricted LP too, on the same HiGHS extension
     sol = solve_sp(build_master_example1(np.array([[1.0, -1.0], [-1.0, 1.0]])))
     assert sol.gap_bound <= 1e-4, sol.gap_bound
+    assert sol.rounds[-1]["atoms"] == "restricted"
 
 if sys.argv[1] == "lmodecomp-first":
     solve_pennies()
@@ -548,6 +558,7 @@ def test_ellipsoid_rounds_record_recycled_cuts():
     assert md.rounds and all(r["recycled"] == 0 for r in md.rounds)
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 def test_recycled_cuts_certify_criterion_05_blotto_within_600_steps():
     # the central-cut method took 1024 steps on this game
     m, cap, seed = 8, 64, 2024
@@ -607,6 +618,7 @@ def test_round_schedule_halves_the_predicted_distance(history, gap, expected):
     assert run._periods(step, residual, gap) == expected
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 def test_round_schedule_skips_only_rounds_that_cannot_stop_the_run(monkeypatch):
     # dense K = 3 games as in the benchmark: a round every base interval
     # stops at the same step, with the same residual, as the paced rounds
@@ -718,11 +730,13 @@ from lmodecomp import (BilinearSpSpec, BlottoSpec, DenseMatrixOracle, KnapsackOr
 from lmodecomp.blotto import random_rank1_omegas
 
 def print_rounds(run):
-    # every round, not only the last: its residual, gap and a digest of its weights' bytes
+    # every round, not only the last: its residual, gap, bound and a digest of
+    # its weights' bytes; then why the run stopped and whose atoms it returned
     for r in run.rounds:
-        gap = None if r["gap"] is None else float(r["gap"]).hex()
-        print(r["step"], r["t"], float(r["residual"]).hex(), gap, r["lp_solves"],
+        print(r["step"], r["t"], float(r["residual"]).hex(), float(r["gap"]).hex(),
+              float(r["cert_gap"]).hex(), float(r["bound"]).hex(), r["lp_solves"],
               hashlib.sha256(r["weights"].tobytes()).hexdigest())
+    print("stop", run.stop_reason, run.rounds[-1]["atoms"])
 
 rng = np.random.default_rng(5)
 A, D = rng.normal(size=(3, 90)), rng.normal(size=(3, 80))
@@ -780,6 +794,10 @@ def test_results_identical_across_blas_thread_counts():
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
+    # the game and the Nash run stop on a restricted round, so the restricted
+    # LP's solution is among the bits compared
+    stops = [line for line in outputs[0].splitlines() if line.startswith("stop ")]
+    assert stops == ["stop gap_threshold restricted"] * 4
 
 
 def test_solver_config_validation():
@@ -895,6 +913,7 @@ def test_dense_game_stops_on_gap_threshold():
     assert sol.rounds[-1]["gap"] <= 1e-4 and sol.rounds[-1]["residual"] > 1e-12
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 @pytest.mark.parametrize("max_steps", [400, 420])
 @pytest.mark.parametrize("problem", ["sp", "vi"])
 def test_md_rounds_end_once_on_the_whole_protocol(problem, max_steps):
@@ -918,7 +937,8 @@ DESK_BLOTTO = BlottoSpec(caps_a=(2, 2), caps_d=(2, 2), costs_a=(1, 1), costs_d=(
 
 
 def _desk_solve(problem, solver, config):
-    """(solution, its bound, its exact gap) of one desk-size problem."""
+    """(solution, its bound, its exact gap, its master or VI spec) of one
+    desk-size problem."""
     rng = np.random.default_rng(15)
     if problem in ("sp-square", "sp-factored"):
         if problem == "sp-square":
@@ -930,10 +950,11 @@ def _desk_solve(problem, solver, config):
             master = build_master_example2(BilinearSpSpec(
                 A=knapsack, D=DenseMatrixOracle(rng.normal(size=(2, 5)))))
         sol = solve_sp(master, solver, config)
-        return sol, sol.gap_bound, sol.gap_exact
+        return sol, sol.gap_bound, sol.gap_exact, master
     if problem == "blotto":
         sol = solve_blotto(DESK_BLOTTO, config, solver)
-        return sol, sol.gap_bound, sol.gap_exact
+        return (sol, sol.gap_bound, sol.gap_exact,
+                build_master_example2(build_blotto(DESK_BLOTTO), shared_radius=True))
     if problem == "vi-nash":
         eye, zero = DenseMatrixOracle(np.eye(2)), np.zeros((2, 2))
         spec = nash_to_skew(NashSpec(D=[eye, eye], M=[[zero, PENNIES], [-PENNIES.T, zero]]))
@@ -941,20 +962,60 @@ def _desk_solve(problem, solver, config):
         S = np.array([[0.0, 1.0], [-1.0, 0.0]])
         spec = AffineViSpec(S=S, s=np.array([0.1, -0.2]), H=Simplex(2), Xi_radius=1.0)
     sol = solve_vi(spec, solver, config)
-    return sol, sol.eps_bound, sol.eps_exact
+    return sol, sol.eps_bound, sol.eps_exact, spec
+
+
+def _rebuilt(spec, sol):
+    """(gap, rho) of a solution's atoms, their columns rebuilt through the
+    oracles: rho is the rounding allowance of that gap, None for an affine VI."""
+    if isinstance(spec, MasterProblem):
+        w_cols = {k: spec.D.column(k) for k in sol.w_atoms}
+        z_cols = {k: spec.A.column(k) for k in sol.z_atoms}
+        return exact_gap(spec, sol), saddle._allowance(spec, sol.w_atoms, sol.z_atoms,
+                                                        w_cols, z_cols)
+    if isinstance(spec, SkewViSpec):
+        return (eps_vi_exact(spec, sol.eta_atoms),
+                vi._skew_allowance(spec, vi._oracle_terms(spec, sol.eta_atoms)))
+    return eps_vi_exact(spec, sol.eta_vector), None
+
+
+@pytest.mark.parametrize("solver", ["ellipsoid", "md"])
+@pytest.mark.parametrize("problem", ["sp-square", "sp-factored", "vi-nash", "vi-affine",
+                                     "blotto"])
+def test_rebuilt_gap_is_within_the_bound(problem, solver):
+    # the gap of the returned atoms, their columns rebuilt through the
+    # oracles, is at most the bound up to the round check's tolerance; a game's
+    # or skew VI's bound is also at most that gap plus its rounding allowance
+    sol, bound, _, spec = _desk_solve(problem, solver, SolverConfig(gap_threshold=1e-5,
+                                                                    max_steps=1500))
+    rebuilt, rho = _rebuilt(spec, sol)
+    value = getattr(sol, "value_estimate", 0.0)
+    assert rebuilt <= bound + 1e-9 * max(1.0, abs(value))
+    if rho is not None:
+        assert bound <= rebuilt + rho
 
 
 @pytest.mark.parametrize("solver", ["ellipsoid", "md"])
 @pytest.mark.parametrize("problem", ["sp-square", "sp-factored", "vi-nash", "vi-affine",
                                      "blotto"])
 def test_every_solution_is_its_run(problem, solver):
-    # the solution types extend SolveResult: the bound is the certificate's
-    # residual and the exact gap the closing round's, not copies of either
-    sol, bound, exact = _desk_solve(problem, solver, SolverConfig(gap_threshold=1e-5,
-                                                                  max_steps=1500))
+    # the solution types extend SolveResult: the bound and the exact gap are
+    # the closing round's, for the atoms it returned.  The certificate's atoms
+    # are bounded by min(residual, gap + rho), the restricted master's by
+    # gap + rho, and an affine VI's point by the residual
+    sol, bound, exact, spec = _desk_solve(problem, solver, SolverConfig(gap_threshold=1e-5,
+                                                                        max_steps=1500))
     assert isinstance(sol, SolveResult)
-    assert bound == sol.cert.residual
-    assert exact is not None and exact == sol.rounds[-1]["gap"]
+    last = sol.rounds[-1]
+    assert exact is not None and exact == last["gap"] and bound == last["bound"]
+    rebuilt, rho = _rebuilt(spec, sol)
+    assert rebuilt == exact
+    if rho is None:
+        assert last["atoms"] == "certificate" and bound == sol.cert.residual
+    elif last["atoms"] == "certificate":
+        assert bound == min(sol.cert.residual, exact + rho)
+    else:
+        assert last["atoms"] == "restricted" and bound == exact + rho > 0.0
     assert len(sol.payloads) == len(sol.protocol)
     if problem == "blotto":
         assert isinstance(sol, BlottoReport)

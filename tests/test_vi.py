@@ -411,6 +411,7 @@ def test_solve_vi_pennies_equilibrium():
     assert np.max(np.abs(eta - 0.5)) <= 1e-3
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 def test_residual_transfer_chain_every_round():
     rng = np.random.default_rng(4)
     spec = random_nash_spec(rng, [3, 3])
@@ -522,6 +523,7 @@ def test_nash_spec_from_json():
     assert abs(eps_nash(spec, [np.array([0.5, 0.5]), np.array([0.5, 0.5])])) < 1e-12
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 @pytest.mark.parametrize("L", [2, 3])
 def test_nash_transfers_each_certificate_once(monkeypatch, L):
     # one search per player at every protocol entry and every round, none after the run
@@ -564,6 +566,7 @@ def test_nash_dp_start_states_keep_their_own_atoms():
     assert gap <= sol.eps_exact + 1e-9
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 @pytest.mark.parametrize("game", ["knapsack", "dense-g", "dp-start-states"])
 def test_round_gap_from_payloads_equals_the_oracle_gap(game):
     # a round reads each atom's P eta and <f, eta> off the run's payloads;
@@ -618,3 +621,22 @@ def test_solve_vi_raises_when_exact_gap_exceeds_residual(monkeypatch):
     with pytest.raises(CertificateError, match="exceeds certified residual"):
         solve_vi(nash_to_skew(pennies_nash_spec()),
                  config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
+
+
+def test_nash_restricted_round_returns_a_coupling_of_the_players_strategies():
+    # the restricted equilibrium is one mixed strategy per player, returned
+    # as at most sum_b n_b joint atoms whose marginals are those strategies
+    rng = np.random.default_rng(9)
+    spec = knapsack_nash_spec(rng, (3, 4, 4))
+    skew = nash_to_skew(spec)
+    sol = solve_vi(skew, config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
+    assert [r["atoms"] for r in sol.rounds] == ["restricted"]
+    hit = [len({p.atoms[b] for p in sol.payloads}) for b in range(spec.L)]
+    assert len(sol.eta_atoms) <= sum(hit)
+    assert abs(sum(sol.eta_atoms.values()) - 1.0) <= 1e-12
+    blocks = [{} for _ in range(spec.L)]
+    for atoms, weight in sol.eta_atoms.items():
+        for b, atom in enumerate(atoms):
+            blocks[b][atom] = blocks[b].get(atom, 0.0) + weight
+    assert -1e-12 <= eps_nash(spec, blocks) <= sol.eps_exact + 1e-12
+    assert eps_vi_exact(skew, sol.eta_atoms) == sol.eps_exact < sol.eps_bound <= 1e-12
