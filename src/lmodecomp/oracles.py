@@ -235,11 +235,11 @@ def integers(values, name):
 def reals(value, name, ndim=1):
     """`value` as an owned, read-only float array, copied in its memory
     layout (order "K": a transposed matrix stays F-ordered), with leading
-    unit dimensions added up to `ndim` as np.atleast_2d adds them, and
-    booleans read as 0 and 1.  ValueError naming `name`, and the first bad
-    entry where there is one, for anything else: a scalar, a ragged list,
-    more than `ndim` dimensions, no entries, an entry that is not a real
-    number (a string, None, a dict), NaN and Inf."""
+    unit dimensions added up to `ndim` as np.atleast_2d adds them.
+    ValueError naming `name`, and the first bad entry where there is one,
+    for anything else: a scalar, a ragged list, more than `ndim`
+    dimensions, no entries, an entry that is not a real number (a boolean,
+    a string, None, a dict), NaN and Inf."""
     try:
         raw = np.asarray(value)
     except ValueError:  # a ragged nest of lists
@@ -249,9 +249,17 @@ def reals(value, name, ndim=1):
             "list of real numbers")
         shown = value.tolist() if isinstance(value, np.ndarray) else value
         raise ValueError(f"{name} must be a {what}, not {reprlib.repr(shown)}")
-    if raw.dtype.kind not in "biuf":  # objects or strings: each entry is checked
-        for index, v in zip(np.ndindex(raw.shape), raw.ravel().tolist()):
-            if not isinstance(v, numbers.Real):
+    # an array of booleans, objects or strings is checked entry by entry, and
+    # so is a list of numbers with a boolean among them: numpy reads True as
+    # 1, so only a list with an entry that reads 0 or 1 is searched for one
+    checked = raw.dtype.kind not in "iuf"
+    if not checked and not isinstance(value, np.ndarray) and ((raw == 0) | (raw == 1)).any():
+        types = set(map(type, np.array(value, dtype=object).flat))
+        checked = not types.isdisjoint((bool, np.bool_))
+    if checked:
+        objects = raw if raw.dtype.kind == "O" else np.array(value, dtype=object)
+        for index, v in zip(np.ndindex(raw.shape), objects.ravel().tolist()):
+            if isinstance(v, (bool, np.bool_)) or not isinstance(v, numbers.Real):
                 raise ValueError(f"{name}{_at(index)} must be a real number, not {v!r}")
     out = np.array(raw, dtype=float, order="K", ndmin=ndim)
     finite = np.isfinite(out)

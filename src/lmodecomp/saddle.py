@@ -319,10 +319,12 @@ def solve_sp(master, solver="ellipsoid", config=None):
     distinct pure strategies hit so far (_restricted_master), and evaluates
     its equilibrium the same way: two oracle calls per set of atoms.  The
     round returns one of the two sets (see solvers._choose_atoms): the
-    certificate's atoms are bounded by min(cert.residual, gap + rho), the
-    restricted ones by gap + rho, with rho the rounding allowance of
+    certificate's atoms are bounded by max(min(cert.residual, gap + rho),
+    gap), the restricted ones by gap + rho, with rho the rounding allowance of
     _allowance, so a pure saddle point reads a bound of rho, not 0.  The
     certificate's own gap is checked against its residual every round.
+    The run has early rounds (see solvers._Run), so the restricted master
+    may stop it before the first certificate LP.
     The solution is the closing round's atoms, gap, value and bound;
     nothing calls an oracle after the run.
     """
@@ -346,7 +348,8 @@ def solve_sp(master, solver="ellipsoid", config=None):
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
     if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
-    run = runs[solver](FieldOracle(fn), master.primal_domain(), config, round_fields)
+    run = runs[solver](FieldOracle(fn), master.primal_domain(), config, round_fields,
+                       early_rounds=True)
     last = run.rounds[-1]  # on the whole protocol and run.cert
     return SparseAtomSolution(**vars(run), w_atoms=returned[0], z_atoms=returned[1],
                               gap_bound=last["bound"], gap_exact=last["gap"],

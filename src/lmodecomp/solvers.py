@@ -6,10 +6,13 @@ deep cuts, and projected mirror descent, all of whose steps are
 productive.  Both compute the best accuracy certificate for the
 protocol so far in rounds paced by the run's own residuals, on one
 certificate LP per run; mirror descent offers its normalized step sizes
-as one more candidate.  Both operate on origin-centered Euclidean balls
-or products of two such balls, where the residual has a closed form and
-needs no LMO calls.  They share one run state for the protocol, the
-field payloads and the certificate rounds, and return one SolveResult.
+as one more candidate.  Runs whose rounds solve a restricted master also
+have early rounds, at doublings of the primal dimension, that score only
+the certificates known in closed form.  Both
+operate on origin-centered Euclidean balls or products of two such
+balls, where the residual has a closed form and needs no LMO calls.
+They share one run state for the protocol, the field payloads and the
+certificate rounds, and return one SolveResult.
 A game's or skew VI's round also solves its restricted master, the game
 over the pure strategies hit so far, by _restricted_lp on a fresh HiGHS
 model, and returns the atoms with the smaller bound (_choose_atoms).
@@ -54,9 +57,10 @@ __all__ = [
 class SolverConfig:
     eps_target: float = 1e-6
     max_steps: int = 20000
-    # the base and shortest interval between certificate rounds; rounds fall
-    # on its multiples, paced by the run's residuals (default: 4 K^2, K the
-    # largest block dimension)
+    # the base and shortest interval between certificate rounds (default:
+    # 4 K^2, K the largest block dimension); rounds fall on its multiples,
+    # paced by the run's residuals, and for games and skew VIs also at n,
+    # 2n, 4n, ... below it (n the primal dimension), without the certificate LP
     cert_period: int | None = None
     gap_threshold: float = 1e-4
     start: np.ndarray | None = None
@@ -292,16 +296,26 @@ class _Run:
     certificate, with the solver's `candidates`, and records the residual
     that it computed (`AccuracyCertificate.residual`).
 
-    Rounds fall on multiples of the base interval P = `cert_period`, the
-    first at step P; a solver runs one once its step reaches `due`.  A
-    round that does not stop the run schedules the next `_periods` P
-    steps later: one period until the residual has fallen below the first
-    round's, then half the periods that the run's own rate of decrease
-    predicts it still needs to reach a stop, at most twice the last
-    interval.  Only rounds predicted not to stop the run are skipped, and
-    the steps themselves do not depend on the rounds."""
+    With n the primal dimension and P = `cert_period`, the first round
+    falls at step P, or, with `early_rounds`, early rounds fall at steps
+    n, 2n, 4n, ... below P and max_steps before it; a solver runs one once
+    its step reaches `due`.  An early round scores only the certificates
+    known in closed form (uniform weights, the last round's and the
+    solver's `candidates`) and solves no LP, so it costs little more than
+    its restricted master, which may already stop the run; every other
+    round solves the LP, and where the last round was early and did not
+    stop the run, the closing round does so on the whole protocol.  An
+    early certificate is scored but does not seed the LP's working set.
+    From P on, rounds fall on multiples of P: a round that does not stop
+    the run schedules the next `_periods` P steps later, one period until
+    the residual has fallen below the first paced round's (the one at P),
+    then half the periods that the run's own rate of decrease predicts it
+    still needs to reach a stop, at most twice the last interval.  Only
+    rounds predicted not to stop the run are skipped, and the steps
+    themselves do not depend on the rounds.  Where P <= n there are no
+    early rounds."""
 
-    def __init__(self, field, domain, config, on_certificate):
+    def __init__(self, field, domain, config, on_certificate, early_rounds=False):
         self.config = config or SolverConfig()
         self.balls = _origin_ball_blocks(domain)
         (first, r0), *second = self.balls  # a single ball: the second is empty
@@ -314,7 +328,9 @@ class _Run:
         self.cert = None
         self.lp = CertificateLP(self.radii, self.split, domain.dim)
         self.recycled = 0  # deep cuts applied since the last round
-        self.due = self.cert_period  # the step of the next round
+        # the step of the next round
+        self.due = min(domain.dim, self.cert_period) if early_rounds else self.cert_period
+        self.lp_owed = False  # the last round was early and did not stop the run
 
     def evaluate(self, point, step):
         """Field value at `point`, recorded as the protocol entry of `step`."""
@@ -329,10 +345,21 @@ class _Run:
         round after the step loop) schedules the next one in `due`."""
         protocol = self.entries.protocol()
         solves = self.lp.solves
-        # never worse than the last round's certificate, which is the warm start
-        self.cert = optimize_certificate(protocol, self.radii, self.split, warm_start=self.cert,
+        early = not closing and step < min(self.cert_period, self.config.max_steps)
+        # never worse than the last round's certificate, which is the warm start;
+        # an early one (often uniform) is only scored, so that the first LP round
+        # does not put its whole support into the working set
+        warm = self.cert
+        if self.lp_owed and not early:
+            warm = None
+            candidates = [AccuracyCertificate(np.pad(self.cert.weights,
+                                                     (0, len(protocol) - len(self.cert)))),
+                          *candidates]
+        self.cert = optimize_certificate(protocol, self.radii, self.split, warm_start=warm,
                                          tol=0.1 * self.config.eps_target, lp=self.lp,
-                                         candidates=candidates)
+                                         candidates=candidates,
+                                         max_solves=0 if early else _MAX_LP_SOLVES)
+        self.lp_owed = False
         residual = self.cert.residual
         record = {"step": step, "t": len(protocol), "residual": residual,
                   "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights,
@@ -353,43 +380,51 @@ class _Run:
             return "eps_target"
         if gap is not None and gap <= self.config.gap_threshold:
             return "gap_threshold"
-        if not closing:  # paced by the certificate alone, whichever atoms the round returned
+        if early:
+            self.lp_owed = True
+            self.due = record["due"] = min(2 * step, self.cert_period)
+        elif not closing:  # paced by the certificate alone, whichever atoms the round returned
             self.due = record["due"] = (step + self._periods(step, residual, cert_gap)
                                         * self.cert_period)
         return None
 
     def _periods(self, step, residual, gap):
-        """Base intervals from a round at `step` that did not stop the run
-        (so residual > eps_target > 0, and gap > gap_threshold where there
-        is a gap) to the next round.  With (s_1, r_1) the first round's step
-        and residual, rate = ln(r_1 / residual) / (step - s_1) is the
-        log-decrease per step over the whole run, and far = residual /
+        """Base intervals from a round at `step` >= P that did not stop the
+        run (so residual > eps_target > 0, and gap > gap_threshold where
+        there is a gap) to the next round; only the rounds at P or later
+        (the paced rounds) count.  With (s_1, r_1) the first paced round's
+        step and residual, rate = ln(r_1 / residual) / (step - s_1) is the
+        log-decrease per step over the paced run, and far = residual /
         eps_target, or gap / gap_threshold where that is less, the factor
         still to go: the run is predicted to stop ln(far) / rate steps on.
         The next round comes after half of them, at least one period and at
-        most twice the last interval; after one period where there is no
-        rate yet (the first round) or no decrease (residual >= r_1)."""
-        first, period = self.rounds[0], self.cert_period
-        if len(self.rounds) < 2:
+        most twice the last paced interval; after one period where there is
+        no rate yet (the first paced round) or no decrease (residual >=
+        r_1)."""
+        period = self.cert_period
+        paced = [r for r in self.rounds if r["step"] >= period]
+        if len(paced) < 2:
             return 1
+        first = paced[0]
         rate = math.log(first["residual"] / residual) / (step - first["step"])
         if not rate > 0.0:
             return 1
         far = residual / self.config.eps_target
         if gap is not None and self.config.gap_threshold > 0.0:
             far = min(far, gap / self.config.gap_threshold)
-        cap = 2 * max(1, (step - self.rounds[-2]["step"]) // period)
+        cap = 2 * max(1, (step - paced[-2]["step"]) // period)
         return max(1, math.floor(min(math.log(far) / (rate * period) / 2, cap)))
 
     def result(self, steps, stop_reason, candidates=()):
-        """Close with a round on the entries recorded since the last one."""
-        if not self.rounds or len(self.entries) > self.rounds[-1]["t"]:
+        """Close with a round on the entries recorded since the last one,
+        or on the LP where the last round was early and did not stop."""
+        if not self.rounds or len(self.entries) > self.rounds[-1]["t"] or self.lp_owed:
             self.round(steps, candidates, closing=True)
         return SolveResult(self.entries.protocol(), self.cert, self.payloads, self.rounds,
                            steps, stop_reason)
 
 
-def ellipsoid_run(field, domain, config=None, on_certificate=None):
+def ellipsoid_run(field, domain, config=None, on_certificate=None, early_rounds=False):
     """Ellipsoid method with accuracy certificates, whose central cuts are
     followed up by deep cuts recycled from its own protocol.
 
@@ -413,7 +448,11 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     CertificateLP.  They fall on multiples of cert_period, the base and
     shortest interval, and are paced by the run's own residuals (see
     _Run): the first at step cert_period, each later one at the step that
-    the previous round recorded as `due`.
+    the previous round recorded as `due`.  With `early_rounds`, for runs
+    whose `on_certificate` solves a restricted master that may stop them
+    long before the certificate does, rounds also fall at steps n, 2n, 4n,
+    ... below cert_period (n the dimension) and solve no LP (the best of
+    uniform weights and the last round's certificate).
     `on_certificate(protocol, cert, payloads)` returns the round's fields
     ({"gap", "value"} for games, {"gap", "scale"} for VIs, with
     "checked": False where the gap is not a dual gap, and "cert_gap" where
@@ -433,7 +472,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
         raise ValueError("ellipsoid method requires dimension >= 2")
     if config is not None and config.start is not None:
         raise ValueError("ellipsoid_run starts at the origin; SolverConfig.start is for md_run")
-    run = _Run(field, domain, config, on_certificate)
+    run = _Run(field, domain, config, on_certificate, early_rounds)
     cuts = _RecordedCuts(n)
     center = np.zeros(n)
     shape = run.radius * np.eye(n)
@@ -494,20 +533,20 @@ def _project_blocks(x, balls):
     return out
 
 
-def md_run(field, domain, config=None, on_certificate=None):
+def md_run(field, domain, config=None, on_certificate=None, early_rounds=False):
     """Projected (Euclidean) mirror descent with accuracy certificates.
 
     Steps xi_{i+1} = Proj(xi_i - gamma_i F(xi_i)) from `SolverConfig.start`
     (the origin when None) with gamma_i = R/(Lhat_i sqrt(i)), Lhat_i the
     running max of the field norms.  All steps are productive.  Rounds,
-    their schedule from the base interval cert_period, `on_certificate`
-    and the stop rules are those of `ellipsoid_run`; each
+    their schedule from the base interval cert_period, `early_rounds`,
+    `on_certificate` and the stop rules are those of `ellipsoid_run`; each
     round also tries the normalized step sizes, the classical certificate
     with its O(1/sqrt(t)) residual, so no round's residual is above theirs.
 
     Returns a SolveResult.
     """
-    run = _Run(field, domain, config, on_certificate)
+    run = _Run(field, domain, config, on_certificate, early_rounds)
     start = run.config.start
     xi = np.zeros(domain.dim) if start is None else np.array(start, dtype=float)
     if xi.shape != (domain.dim,) or not np.isfinite(xi).all():
@@ -657,7 +696,7 @@ class CertificateLP:
 
 
 def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=None,
-                         candidates=()):
+                         candidates=(), max_solves=_MAX_LP_SOLVES):
     """Best accuracy certificate for a protocol over a product of
     origin-centered balls, from the dual linear program.
 
@@ -681,10 +720,12 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     projected (a, b) is tried, and the loop stops when the best residual is
     within a relative 1e-6 of the bound, or below tol/4.  The bound is the
     certificate's `lower`.
-    A row block or cut that HiGHS rejects, or a solve without an optimum,
-    ends the loop.  Never worse than uniform weights, the warm start (which
-    may cover a prefix of the protocol) or the `candidates`, certificates
-    for the whole protocol tried after those two.  Only the warm start's
+    A row block or cut that HiGHS rejects, a solve without an optimum, or
+    `max_solves` solves end the loop; with max_solves 0 the call scores the
+    candidates alone and leaves `lp` as it was.  Never worse than uniform
+    weights, the warm start (which may cover a prefix of the protocol) or
+    the `candidates`, certificates for the whole protocol tried after
+    those two.  Only the warm start's
     support seeds the working set: a candidate with full support does not
     put every protocol row into the LP.
 
@@ -727,11 +768,13 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             best, f_best = lam, f
     start = c + fv.dot(_project_blocks(lp.point, balls))
     lower = float(start.min())
+    if not max_solves:
+        return AccuracyCertificate(best, lower=min(lower, f_best), residual=f_best)
     in_set[np.argsort(start, kind="stable")[:8 * (d + 1)]] = True  # binding at the start
     gap_tol = 1e-13 * scale if tol is None else max(1e-13 * scale, 0.25 * tol)
     try:
         lp.hold(in_set, fv, c)  # drops the earlier rounds' rows outside this working set
-        for _ in range(_MAX_LP_SOLVES):
+        for _ in range(max_solves):
             if f_best - lower <= max(gap_tol, 1e-6 * abs(lower)) or (
                     tol is not None and f_best <= gap_tol):
                 break
@@ -838,14 +881,15 @@ def _choose_atoms(residual, threshold, certified, restricted=None):
     and of the restricted master's equilibrium (None where there is none):
     their computed gap, its floating-point allowance rho and the fields to
     record.  The certificate's atoms are bounded by min(residual, gap +
-    rho), the restricted ones by gap + rho.  The round returns the set whose
-    gap meets `threshold` if only one does, else the one with the smaller
-    bound, the certificate's on a tie; its fields gain that set's gap and
+    rho), but never below their own computed gap (the residual may round
+    below it), the restricted ones by gap + rho.  The round returns the set
+    whose gap meets `threshold` if only one does, else the one with the
+    smaller bound, the certificate's on a tie; its fields gain that set's gap and
     bound, `cert_gap` (the certificate's gap, which the round checks and
     paces by) and `atoms`, "certificate" or "restricted"."""
     atoms, gap, rho, fields = certified
-    out = {**fields, "gap": gap, "bound": min(residual, gap + rho), "cert_gap": gap,
-           "atoms": "certificate"}
+    out = {**fields, "gap": gap, "bound": max(min(residual, gap + rho), gap),
+           "cert_gap": gap, "atoms": "certificate"}
     if restricted is not None:
         r_atoms, r_gap, r_rho, r_fields = restricted
         if (r_gap > threshold, r_gap + r_rho) < (gap > threshold, out["bound"]):

@@ -498,9 +498,12 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     per-block strategies hit so far (_restricted_terms), and evaluates its
     equilibrium the same way.  It returns one of the two sets (see
     solvers._choose_atoms): the certificate's atoms are bounded by
-    min(cert.residual, gap + rho), the restricted ones by gap + rho, rho
-    from _skew_allowance.  eps_vi_exact, which rebuilds the columns, is
-    the independent check of the returned gap.
+    max(min(cert.residual, gap + rho), gap), the restricted ones by gap +
+    rho, rho from _skew_allowance.  eps_vi_exact, which rebuilds the columns, is
+    the independent check of the returned gap.  A skew VI's run has early
+    rounds (see solvers._Run), so the restricted master may stop it before
+    the first certificate LP; an affine VI's rounds have no restricted
+    master and its run none.
     """
     skew = isinstance(spec, SkewViSpec)
     returned = None  # the skew atoms of the latest round
@@ -530,7 +533,7 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
     if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
-    run = runs[solver](primal, domain, config, round_fields)
+    run = runs[solver](primal, domain, config, round_fields, early_rounds=skew)
     last = run.rounds[-1]
     return ViSolution(**vars(run), eta_atoms=returned,
                       eta_vector=None if skew else _collect_eta(run.cert, run.payloads),

@@ -164,6 +164,10 @@ NASH = {"D": [EYE, KNAPSACK_A], "M": [[[[0.0] * 2] * 2, PENNIES],
     ("blotto", {**BLOTTO_LISTED, "omega": [7, [[0.5, 0], [0, 0.5]]]},
      "invalid spec: omega[0] must be a matrix of real numbers (a list of equal-length rows), "
      "not 7"),
+    # JSON true is not the number 1
+    ("matrix-game", {"S": [[1.0, True], [-1.0, 1.0]]}, "S[0][1] must be a real number, not True"),
+    ("blotto", {**BLOTTO_LISTED, "omega": [[[0.5, 0], [0, 0.5]], [[0.5, 0], [False, 0.5]]]},
+     "omega[1][1][0] must be a real number, not False"),
 ])
 def test_spec_errors_name_the_offending_value(tmp_path, capsys, command, spec, offending):
     # a malformed spec exits 1 with a message, never a traceback or a fallback
@@ -401,9 +405,12 @@ def test_nash_report_counts_every_step(tmp_path):
     from lmodecomp.solvers import SolverConfig
     from lmodecomp.vi import nash_spec_from_json, nash_to_skew, solve_vi
 
+    # a mixed equilibrium off the uniform one: the ellipsoid leaves a ball
+    # before the run's first round, at step n = 8, stops it
     Z = [[0.0, 0.0], [0.0, 0.0]]
     eye = [[1.0, 0.0], [0.0, 1.0]]
-    obj = {"D": [eye, eye], "M": [[Z, PENNIES], [(-np.asarray(PENNIES).T).tolist(), Z]]}
+    C = [[2.0, -1.0], [-1.0, 1.0]]
+    obj = {"D": [eye, eye], "M": [[Z, C], [(-np.asarray(C).T).tolist(), Z]]}
     report_path = tmp_path / "report.json"
     assert run(["nash", "--spec", write_spec(tmp_path, obj), "--gap-threshold", "1e-6",
                 "--eps", "1e-7", "--report", str(report_path)]) == 0

@@ -238,6 +238,10 @@ def test_column_reconstruction():
     (["1.5"], 1, "T[0] must be a real number, not '1.5'"),
     (7.0, 1, "T must be a list of real numbers, not 7.0"),
     ([[]], 2, "T must be a matrix of real numbers (a list of equal-length rows), not [[]]"),
+    # numpy would read True as 1.0
+    ([[1.0, True]], 2, "T[0][1] must be a real number, not True"),
+    ([0.5, False], 1, "T[1] must be a real number, not False"),
+    (np.array([[1.0], [0.0]]) > 0.5, 2, "T[0][0] must be a real number, not True"),
 ])
 def test_reals_names_the_field_and_the_first_bad_entry(value, ndim, named):
     with pytest.raises(ValueError, match=re.escape(named) + "$"):

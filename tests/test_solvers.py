@@ -356,19 +356,20 @@ import numpy as np
 from lmodecomp import solvers
 from lmodecomp.saddle import build_master_example1, solve_sp
 
-def solve_pennies():
-    # its round solves the restricted LP too, on the same HiGHS extension
-    sol = solve_sp(build_master_example1(np.array([[1.0, -1.0], [-1.0, 1.0]])))
+def solve_game():
+    # a mixed equilibrium off the uniform one: the round that stops the run
+    # returns the restricted LP's atoms, solved on the same HiGHS extension
+    sol = solve_sp(build_master_example1(np.array([[2.0, -1.0], [-1.0, 1.0]])))
     assert sol.gap_bound <= 1e-4, sol.gap_bound
     assert sol.rounds[-1]["atoms"] == "restricted"
 
 if sys.argv[1] == "lmodecomp-first":
-    solve_pennies()
+    solve_game()
     assert "scipy.optimize" not in sys.modules
 from scipy.optimize import linprog
 assert linprog([1.0, 1.0], A_ub=[[-1.0, -1.0]], b_ub=[-1.0]).fun == 1.0
 if sys.argv[1] == "scipy-first":
-    solve_pennies()
+    solve_game()
 lp = solvers.CertificateLP((1.0, 0.0), 2, 2)  # max s  s.t.  s <= 1 + a1  on the box
 lp.hold(np.array([True]), np.array([[1.0, 0.0]]), np.array([1.0]))
 assert lp.solve(1)[0][0] == 2.0
@@ -598,6 +599,130 @@ def test_rounds_fall_where_the_previous_round_scheduled_them(method):
         assert intervals.max() > 16
 
 
+def _recorded_solves(monkeypatch):
+    """The max_solves of every optimize_certificate call, in call order."""
+    calls, real = [], solvers.optimize_certificate
+
+    def recorded(*args, **kwargs):
+        calls.append(kwargs["max_solves"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, "optimize_certificate", recorded)
+    return calls
+
+
+def _monotone_field():
+    """An affine monotone field on a product of two balls, n = 4."""
+    rng = np.random.default_rng(5)
+    skew = rng.normal(size=(4, 4))
+    mat = skew - skew.T + 0.05 * np.eye(4)
+    shift = rng.normal(size=4)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    return FieldOracle(lambda x: mat @ x + shift), dom
+
+
+@pytest.mark.parametrize("method", [ellipsoid_run, md_run])
+def test_early_rounds_fall_at_doublings_of_the_dimension_without_the_lp(monkeypatch, method):
+    # in dimension n = 4 with base interval 16, rounds fall at 4 and 8 and
+    # solve no LP: their certificate is the best of uniform weights, the last
+    # round's and mirror descent's step sizes; the round at 16 and every
+    # later one solve it
+    calls = _recorded_solves(monkeypatch)
+    field, dom = _monotone_field()
+    config = SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16)
+    run = method(field, dom, config, early_rounds=True)
+    early = [r for r in run.rounds if r["step"] < 16]
+    assert [(r["step"], r["due"], r["lp_solves"]) for r in early] == [(4, 8, 0), (8, 16, 0)]
+    assert calls == [0, 0] + [solvers._MAX_LP_SOLVES] * (len(run.rounds) - 2)
+    assert run.rounds[2]["step"] == 16 and run.rounds[2]["lp_solves"] > 0
+    # the steps do not depend on the rounds, and from 16 on neither do the rounds
+    late = method(field, dom, config)
+    assert late.rounds[0]["step"] == 16 and late.protocol.step_ids == run.protocol.step_ids
+    assert [r["step"] for r in late.rounds] == [r["step"] for r in run.rounds[2:]]
+    gammas = md_step_sizes(run.protocol, np.sqrt(5.0))
+    previous = None
+    for r in early:
+        t = r["t"]
+        tried = [np.full(t, 1.0 / t)]
+        if previous is not None:
+            tried.append(np.concatenate([previous, np.zeros(t - len(previous))]))
+        if method is md_run:
+            tried.append(gammas[:t] / gammas[:t].sum())
+        residuals = [residual_ball_product(run.protocol.prefix(t), AccuracyCertificate(w),
+                                           (1.0, 2.0), 2) for w in tried]
+        assert r["residual"] == min(residuals)
+        previous = r["weights"]
+
+
+@pytest.mark.parametrize("max_steps, rounds", [
+    (10, [(3, 6), (6, 12), (10, None)]),  # closes on the entries since the round at 6
+    (6, [(3, 6), (6, 106)]),              # the round at max_steps, a doubling, is not early
+])
+@pytest.mark.parametrize("method", [ellipsoid_run, md_run])
+def test_last_round_before_the_base_interval_solves_the_lp(monkeypatch, method, max_steps,
+                                                           rounds):
+    calls = _recorded_solves(monkeypatch)
+    run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2, 0.1])), Ball(np.zeros(3), 1.0),
+                 SolverConfig(eps_target=1e-15, max_steps=max_steps, cert_period=100),
+                 early_rounds=True)
+    assert run.stop_reason == "max_steps"
+    assert [(r["step"], r["due"]) for r in run.rounds] == rounds
+    assert calls == [0, solvers._MAX_LP_SOLVES] if max_steps == 6 else [0, 0, solvers._MAX_LP_SOLVES]
+    assert run.rounds[-1]["lp_solves"] > 0 and run.rounds[-1]["t"] == len(run.protocol)
+
+
+def test_early_round_before_non_productive_steps_is_closed_on_the_lp(monkeypatch):
+    # step 5 leaves the balls, so the protocol has not grown since the early
+    # round at 4 when the run ends: the closing round solves the LP on it
+    calls = _recorded_solves(monkeypatch)
+    field, dom = _monotone_field()
+    run = ellipsoid_run(field, dom, SolverConfig(eps_target=1e-15, max_steps=5, cert_period=16),
+                        early_rounds=True)
+    assert run.stop_reason == "max_steps" and run.protocol.step_ids == (1, 2, 3, 4)
+    assert [(r["step"], r["t"]) for r in run.rounds] == [(4, 4), (5, 4)]
+    assert calls == [0, solvers._MAX_LP_SOLVES] and run.rounds[-1]["lp_solves"] > 0
+    assert run.cert.residual <= run.rounds[0]["residual"]
+
+
+@pytest.mark.parametrize("method", [ellipsoid_run, md_run])
+def test_first_lp_round_starts_from_the_rows_it_holds_without_early_rounds(monkeypatch, method):
+    # the early rounds' certificates, spread over up to 64 entries, are
+    # scored at step 128 but do not seed the working set: the LP starts from
+    # the 8 (d + 1) = 40 rows binding at its start, as without early rounds
+    started, real = [], solvers.CertificateLP.hold
+
+    def hold(self, in_set, fv, c):
+        if self.solves == 0:
+            started.append(np.flatnonzero(in_set))
+        return real(self, in_set, fv, c)
+
+    monkeypatch.setattr(solvers.CertificateLP, "hold", hold)
+    field, dom = _monotone_field()
+    config = SolverConfig(eps_target=1e-15, max_steps=128, cert_period=128)
+    late = method(field, dom, config)
+    early = method(field, dom, config, early_rounds=True)
+    assert [r["step"] for r in early.rounds] == [4, 8, 16, 32, 64, 128]
+    assert len(started) == 2 and len(started[0]) == 40
+    assert np.array_equal(started[0], started[1])
+    assert early.cert.residual <= min(late.cert.residual, early.rounds[-2]["residual"])
+
+
+@pytest.mark.parametrize("period", [3, 4])
+@pytest.mark.parametrize("method", [ellipsoid_run, md_run])
+def test_base_interval_at_most_the_dimension_leaves_no_early_round(monkeypatch, method, period):
+    # with cert_period <= n every round falls on a multiple of it, from the
+    # first at cert_period, and solves the LP
+    calls = _recorded_solves(monkeypatch)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
+    run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2, 0.1, 0.4])), dom,
+                 SolverConfig(eps_target=1e-15, max_steps=40, cert_period=period),
+                 early_rounds=True)
+    steps = [r["step"] for r in run.rounds]
+    assert steps[0] == period and all(s % period == 0 for s in steps[:-1])
+    assert steps[-1] == run.steps == 40
+    assert calls == [solvers._MAX_LP_SOLVES] * len(steps)
+
+
 @pytest.mark.parametrize("history, gap, expected", [
     ([(10, 1.0)], None, 1),                         # no rate before the second round
     ([(10, 1.0), (20, 1.0)], None, 1),              # no decrease
@@ -609,6 +734,10 @@ def test_rounds_fall_where_the_previous_round_scheduled_them(method):
     # 11.1 and 33.4 uncapped: at most twice the last interval
     ([(10, 1.0), (20, 0.5)], None, 2),
     ([(10, 1.0), (20, 0.9), (40, 0.5)], None, 4),
+    # early rounds, below the base interval, neither anchor the rate nor
+    # bound the last interval: as without them (1 if (2, 1e3) were first)
+    ([(2, 1e3), (4, 10.0), (8, 2.0), (10, 1.0), (20, 0.1), (40, 1e-2)], None, 3),
+    ([(4, 9.0), (8, 2.0), (10, 1.0)], None, 1),    # the first paced round
 ])
 def test_round_schedule_halves_the_predicted_distance(history, gap, expected):
     run = solvers._Run(FieldOracle(lambda x: x), Ball(np.zeros(2), 1.0),
@@ -633,11 +762,16 @@ def test_round_schedule_skips_only_rounds_that_cannot_stop_the_run(monkeypatch):
     paced = [solve_sp(master, config=config) for master in masters]
     monkeypatch.setattr(solvers._Run, "_periods", lambda self, step, residual, gap: 1)
     every = [solve_sp(master, config=config) for master in masters]
+
+    def from_36(sol):  # the rounds that solve the certificate LP
+        return [r["step"] for r in sol.rounds if r["step"] >= 36]
+
     for p, e in zip(paced, every):
         assert (p.steps, p.stop_reason) == (e.steps, e.stop_reason)
         assert p.cert.residual == pytest.approx(e.cert.residual, rel=1e-7)
-        assert [r["step"] for r in e.rounds] == list(range(36, e.steps + 1, 36))
-    assert 2 * sum(len(p.rounds) for p in paced) <= sum(len(e.rounds) for e in every)
+        assert [r["step"] for r in e.rounds if r["step"] < 36] == [6, 12, 24]
+        assert from_36(e) == list(range(36, e.steps + 1, 36))
+    assert 2 * sum(len(from_36(p)) for p in paced) <= sum(len(from_36(e)) for e in every)
 
 
 def test_round_gap_check_tolerates_rounding_at_its_scale():
@@ -905,6 +1039,22 @@ def test_capped_run_stops_on_max_steps(method):
     assert [r["step"] for r in run.rounds] == [16, 32, 48, 50]
 
 
+def test_certificate_atoms_are_never_bounded_below_their_gap():
+    # a residual may round below the gap that the round checks against it
+    # (as 7.38e-16 under 1.11e-15 on a dense Nash game): the atoms' bound is
+    # then their computed gap, not the residual
+    certified = ("certificate atoms", 1.11e-15, 2e-14, {"scale": 1.0})
+    atoms, fields = solvers._choose_atoms(7.38e-16, 1e-4, certified)
+    assert atoms == "certificate atoms" and fields["atoms"] == "certificate"
+    assert fields["bound"] == fields["gap"] == fields["cert_gap"] == 1.11e-15
+    # above the gap, the residual bounds them where it is below gap + rho
+    assert solvers._choose_atoms(5e-15, 1e-4, certified)[1]["bound"] == 5e-15
+    assert solvers._choose_atoms(1.0, 1e-4, certified)[1]["bound"] == 1.11e-15 + 2e-14
+    # and that bound is what the restricted master's atoms compete with
+    restricted = ("restricted atoms", 1e-15, 2e-14, {})
+    assert solvers._choose_atoms(7.38e-16, 1e-4, certified, restricted)[0] == "certificate atoms"
+
+
 def test_dense_game_stops_on_gap_threshold():
     rng = np.random.default_rng(8)
     sol = solve_sp(build_master_example1(rng.normal(size=(4, 5))),
@@ -1001,8 +1151,8 @@ def test_rebuilt_gap_is_within_the_bound(problem, solver):
 def test_every_solution_is_its_run(problem, solver):
     # the solution types extend SolveResult: the bound and the exact gap are
     # the closing round's, for the atoms it returned.  The certificate's atoms
-    # are bounded by min(residual, gap + rho), the restricted master's by
-    # gap + rho, and an affine VI's point by the residual
+    # are bounded by max(min(residual, gap + rho), gap), the restricted
+    # master's by gap + rho, and an affine VI's point by the residual
     sol, bound, exact, spec = _desk_solve(problem, solver, SolverConfig(gap_threshold=1e-5,
                                                                         max_steps=1500))
     assert isinstance(sol, SolveResult)
@@ -1013,7 +1163,7 @@ def test_every_solution_is_its_run(problem, solver):
     if rho is None:
         assert last["atoms"] == "certificate" and bound == sol.cert.residual
     elif last["atoms"] == "certificate":
-        assert bound == min(sol.cert.residual, exact + rho)
+        assert bound == max(min(sol.cert.residual, exact + rho), exact)
     else:
         assert last["atoms"] == "restricted" and bound == exact + rho > 0.0
     assert len(sol.payloads) == len(sol.protocol)

@@ -152,6 +152,15 @@ def test_affine_rotation_solved():
     assert sol.eps_exact <= sol.eps_bound + 1e-12
 
 
+@pytest.mark.parametrize("solver", ["ellipsoid", "md"])
+def test_affine_vi_run_has_no_early_rounds(solver):
+    # its rounds have no restricted master, so an early round could stop it
+    # only on a closed-form certificate: the first round, at 4 n^2, solves the LP
+    sol = solve_vi(rotation_affine_spec(), solver,
+                   SolverConfig(eps_target=1e-7, gap_threshold=1e-9, max_steps=4000))
+    assert sol.rounds[0]["step"] == 16 and sol.rounds[0]["lp_solves"] > 0
+
+
 def test_affine_finite_atoms_eps_exact():
     atoms = FiniteAtoms(np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]))
     spec = AffineViSpec(S=np.zeros((2, 2)), s=np.array([1.0, -1.0]), H=atoms, Xi_radius=1.0)
@@ -630,7 +639,7 @@ def test_nash_restricted_round_returns_a_coupling_of_the_players_strategies():
     spec = knapsack_nash_spec(rng, (3, 4, 4))
     skew = nash_to_skew(spec)
     sol = solve_vi(skew, config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
-    assert [r["atoms"] for r in sol.rounds] == ["restricted"]
+    assert sol.stop_reason == "gap_threshold" and sol.rounds[-1]["atoms"] == "restricted"
     hit = [len({p.atoms[b] for p in sol.payloads}) for b in range(spec.L)]
     assert len(sol.eta_atoms) <= sum(hit)
     assert abs(sum(sol.eta_atoms.values()) - 1.0) <= 1e-12
