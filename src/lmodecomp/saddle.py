@@ -20,7 +20,7 @@ import numpy as np
 
 from .certificates import ExecutionProtocol
 from .domains import Ball, Product, Simplex
-from .oracles import DenseMatrixOracle, enumerate_columns, reals
+from .oracles import ColumnHit, DenseMatrixOracle, enumerate_columns, reals
 from .solvers import (
     FieldOracle,
     SolveResult,
@@ -232,21 +232,33 @@ def _offset_dot(oracle, atoms):
     return 0.0 if offset is None else sum(w * offset[k[0]] for k, w in atoms.items())
 
 
+def _best_entry(side, scores, direction):
+    """The ColumnHit of a dense side's column whose score, an entry of
+    `scores`, is the largest ("max") or the least ("min")."""
+    j = int(scores.argmax() if direction == "max" else scores.argmin())
+    return ColumnHit((j,), side.matrix[:, j], float(scores[j]))
+
+
 def _value_bounds(master, w_atoms, z_atoms, w_cols, z_cols):
-    """(upper, lower) bounds on the game value at the atoms' mixed pair
-    (w, z): upper = max_z' psi(w, z'), lower = min_w' psi(w', z), from the
-    aggregated stored columns and at most two oracle calls."""
+    """(upper, lower, replies): bounds on the game value at the atoms' mixed
+    pair (w, z), upper = max_z' psi(w, z') and lower = min_w' psi(w', z),
+    from the aggregated stored columns and at most two oracle calls, and
+    the best replies (w_hit, z_hit) that attain them, a pair as the
+    protocol's payloads hold.  solve_sp keeps the replies to each round's
+    restricted equilibrium, which join every later round's restricted
+    master.  The square master makes no oracle call: its replies are the
+    entries of S w + q and S^T z + p, as ColumnHits of A and D."""
     agg_w = sum(w_atoms[k] * c for k, c in w_cols.items())
     agg_z = sum(z_atoms[k] * c for k, c in z_cols.items())
     p_dot_w, q_dot_z = _offset_dot(master.D, w_atoms), _offset_dot(master.A, z_atoms)
     if master.S is None:  # factored: D w and A z are queries of the replies' searches
-        upper = master.A.col_extreme(agg_w, "max").value
-        lower = master.D.col_extreme(agg_z, "min").value
+        z_hit = master.A.col_extreme(agg_w, "max")
+        w_hit = master.D.col_extreme(agg_z, "min")
     else:  # square: S w and S^T z are the replies' payoffs themselves
         q, p = master.A.offset, master.D.offset
-        upper = float((agg_w if q is None else agg_w + q).max())
-        lower = float((agg_z if p is None else agg_z + p).min())
-    return p_dot_w + upper, q_dot_z + lower
+        z_hit = _best_entry(master.A, agg_w if q is None else agg_w + q, "max")
+        w_hit = _best_entry(master.D, agg_z if p is None else agg_z + p, "min")
+    return p_dot_w + z_hit.value, q_dot_z + w_hit.value, (w_hit, z_hit)
 
 
 def _offset_max(oracle):
@@ -272,17 +284,19 @@ def _allowance(master, w_atoms, z_atoms, w_cols, z_cols):
 
 
 def _evaluated(master, atoms):
-    """(atoms, gap, rho, fields) of `atoms` = (w_atoms, z_atoms, w_cols,
-    z_cols): the gap and value from _value_bounds, rho from _allowance."""
-    upper, lower = _value_bounds(master, *atoms)
+    """((atoms, gap, rho, fields), replies) of `atoms` = (w_atoms, z_atoms,
+    w_cols, z_cols): the gap, value and best replies from _value_bounds,
+    rho from _allowance."""
+    upper, lower, replies = _value_bounds(master, *atoms)
     return (atoms[:2], upper - lower, _allowance(master, *atoms),
-            {"value": 0.5 * (upper + lower)})
+            {"value": 0.5 * (upper + lower)}), replies
 
 
 def _restricted_master(master, hits):
     """Equilibrium of the game restricted to the distinct pure strategies of
-    the (w_hit, z_hit) pairs `hits`, as (w_atoms, z_atoms, w_cols, z_cols),
-    or None where HiGHS rejects the LP.  The minimizer's LP (_restricted_lp)
+    the (w_hit, z_hit) pairs `hits` (a run's payloads and its rounds' best
+    replies), as (w_atoms, z_atoms, w_cols, z_cols), or None where HiGHS
+    rejects the LP.  The minimizer's LP (_restricted_lp)
     is written through the columns D e_j of its strategies, and each
     maximizer's strategy i is one row <A e_i, D w> + q_i <= s: the row's
     normal is its column A e_i, or e_i for the square master, whose payoff
@@ -316,21 +330,29 @@ def solve_sp(master, solver="ellipsoid", config=None):
     yields sparse strategies w^t = sum_i lam_i e_{w_i}, z^t = sum_i lam_i e_{z_i}
     whose exact gap and value the round records, from the stored columns.
     Each round also solves the restricted master, the game over the
-    distinct pure strategies hit so far (_restricted_master), and evaluates
-    its equilibrium the same way: two oracle calls per set of atoms.  The
-    round returns one of the two sets (see solvers._choose_atoms): the
-    certificate's atoms are bounded by max(min(cert.residual, gap + rho),
-    gap), the restricted ones by gap + rho, with rho the rounding allowance of
-    _allowance, so a pure saddle point reads a bound of rho, not 0.  The
-    certificate's own gap is checked against its residual every round.
-    The run has early rounds (see solvers._Run), so the restricted master
-    may stop it before the first certificate LP.
+    distinct pure strategies of the run's payloads and of the best replies
+    that the earlier rounds found (_restricted_master), and evaluates its
+    equilibrium the same way: two oracle calls per set of atoms.  Those
+    two calls find the best replies to the equilibrium (_value_bounds),
+    which the run keeps for every later round's restricted master at no
+    further oracle call or LP; the protocol, the cuts and the
+    certificates do not depend on them.  The round records the restricted
+    master's distinct strategies per side, (minimizer's, maximizer's), as
+    `master_columns`, and returns one of the two sets (see
+    solvers._choose_atoms): the certificate's atoms are bounded by
+    max(min(cert.residual, gap + rho), gap), the restricted ones by gap +
+    rho, with rho the rounding allowance of _allowance, so a pure saddle
+    point reads a bound of rho, not 0.  The certificate's own gap is
+    checked against its residual every round.  The run has early rounds
+    (see solvers._Run), so the restricted master may stop it before the
+    first certificate LP.
     The solution is the closing round's atoms, gap, value and bound;
     nothing calls an oracle after the run.
     """
     nu = master.dim_u
     threshold = (config or SolverConfig()).gap_threshold
     returned = None  # the atoms of the latest round
+    replies = []  # the (w_hit, z_hit) best replies to the restricted equilibria so far
 
     def fn(xi):
         ev = primal_value_grad(master, xi[:nu], xi[nu:])
@@ -338,10 +360,15 @@ def solve_sp(master, solver="ellipsoid", config=None):
 
     def round_fields(protocol, cert, hits):
         nonlocal returned
-        restricted = _restricted_master(master, hits)
-        returned, fields = _choose_atoms(
-            cert.residual, threshold, _evaluated(master, _atoms(cert, hits)),
-            None if restricted is None else _evaluated(master, restricted))
+        certified, _ = _evaluated(master, _atoms(cert, hits))
+        pool = [*hits, *replies]
+        restricted = _restricted_master(master, pool)
+        if restricted is not None:
+            restricted, reply = _evaluated(master, restricted)
+            replies.append(reply)
+        returned, fields = _choose_atoms(cert.residual, threshold, certified, restricted)
+        fields["master_columns"] = tuple(len({pair[side].key for pair in pool})
+                                         for side in (0, 1))
         return fields
 
     # looked up at call time, so that wrappers installed on this module apply
@@ -368,7 +395,7 @@ def exact_gap(spec, sol):
     master = spec if isinstance(spec, MasterProblem) else build_master_example2(spec)
     w_cols = {k: master.D.column(k) for k in sol.w_atoms}
     z_cols = {k: master.A.column(k) for k in sol.z_atoms}
-    upper, lower = _value_bounds(master, sol.w_atoms, sol.z_atoms, w_cols, z_cols)
+    upper, lower, _ = _value_bounds(master, sol.w_atoms, sol.z_atoms, w_cols, z_cols)
     return upper - lower
 
 

@@ -14,8 +14,9 @@ balls, where the residual has a closed form and needs no LMO calls.
 They share one run state for the protocol, the field payloads and the
 certificate rounds, and return one SolveResult.
 A game's or skew VI's round also solves its restricted master, the game
-over the pure strategies hit so far, by _restricted_lp on a fresh HiGHS
-model, and returns the atoms with the smaller bound (_choose_atoms).
+over the pure strategies hit so far and the best replies to the earlier
+rounds' restricted equilibria, by _restricted_lp on a fresh HiGHS model,
+and returns the atoms with the smaller bound (_choose_atoms).
 """
 
 from __future__ import annotations
@@ -267,11 +268,15 @@ class SolveResult:
     for mirror descent), the step of the next scheduled round (`due`, None
     on a round that stops or closes the run) and the fields that
     `on_certificate` returned (value for games, scale for VIs).  Games and
-    VIs also return `bound`, `cert_gap` and `atoms` (see _choose_atoms): a
-    round's gap and bound are those of the atoms it returned ("certificate"
-    or "restricted"), `cert_gap` is the gap of the certificate's own atoms,
-    which the round checks against its residual and paces the next round
-    by.  The last round is on `cert` and its atoms are the solution's.
+    VIs also return `bound`, `cert_gap`, `atoms` (see _choose_atoms) and
+    `master_columns`: a round's gap and bound are those of the atoms it
+    returned ("certificate" or "restricted"), `cert_gap` is the gap of the
+    certificate's own atoms, which the round checks against its residual
+    and paces the next round by, and `master_columns` the size of the
+    round's restricted master, its distinct pure strategies per side of a
+    game (minimizer's, maximizer's) or per block of a skew VI (None for an
+    affine VI, which has none).  The last round is on `cert` and its atoms
+    are the solution's.
     Residuals and gaps
     are as computed, never clamped at 0: a residual below 0, impossible in
     exact arithmetic for a monotone field, is rounding at the scale of the
@@ -722,7 +727,9 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     certificate's `lower`.
     A row block or cut that HiGHS rejects, a solve without an optimum, or
     `max_solves` solves end the loop; with max_solves 0 the call scores the
-    candidates alone and leaves `lp` as it was.  Never worse than uniform
+    candidates alone and leaves `lp` as it was, and so does a protocol of
+    one entry, whose only certificate is the weight 1, its residual also
+    the bound.  Never worse than uniform
     weights, the warm start (which may cover a prefix of the protocol) or
     the `candidates`, certificates for the whole protocol tried after
     those two.  Only the warm start's
@@ -766,6 +773,8 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
         f = _ball_residual(lam, c, fv, radii, split)
         if best is None or f < f_best:
             best, f_best = lam, f
+    if t == 1:  # the weight 1 is the only certificate, so its residual is the least
+        return AccuracyCertificate(best, lower=f_best, residual=f_best)
     start = c + fv.dot(_project_blocks(lp.point, balls))
     lower = float(start.min())
     if not max_solves:

@@ -377,15 +377,18 @@ def nash_to_skew(spec):
 
 
 def _skew_dual_gap(spec, agg_p, f_dot):
-    """(gap, scale): the dual gap of eta from P eta and <f, eta>, and the larger
-    magnitude of the two terms it subtracts; skewness kills the quadratic
-    term: eps_VI = <f, eta> - min <eta', F(eta)>, F(eta) = 2 Q^T P eta + f."""
+    """(gap, scale, reply): the dual gap of eta from P eta and <f, eta>, the
+    larger magnitude of the two terms it subtracts, and the EtaHit of the
+    best reply eta' that attains it; skewness kills the quadratic term:
+    eps_VI = <f, eta> - min <eta', F(eta)>, F(eta) = 2 Q^T P eta + f.
+    solve_vi keeps the reply to each round's restricted equilibrium, which
+    joins every later round's restricted master."""
     hit = spec.system.eta_argmin(np.zeros(spec.K), -2.0 * agg_p)
-    return f_dot - hit.value, max(abs(f_dot), abs(hit.value))
+    return f_dot - hit.value, max(abs(f_dot), abs(hit.value)), hit
 
 
 def _skew_eps_exact(spec, atom_terms):
-    """(gap, scale) as in _skew_dual_gap of the weighted atoms
+    """(gap, scale, reply) as in _skew_dual_gap of the weighted atoms
     {key: (weight, P eta, <f, eta>)}: a round reads each atom's terms off
     the run's payloads (_payload_terms), eps_vi_exact from the oracles
     (_oracle_terms)."""
@@ -440,13 +443,14 @@ def _coupling(marginals):
 
 def _restricted_terms(spec, payloads):
     """Equilibrium of the skew VI restricted to the distinct per-block pure
-    strategies of the EtaHit payloads, as terms {key: (weight, P eta,
-    <f, eta>)} of at most sum_b n_b joint atoms (see _coupling), or None
-    where HiGHS rejects the LP.  With the block images p_bj = A_b D_b e_j
-    and q_bj = B_b D_b e_j of block b's strategy j, the LP (_restricted_lp)
-    minimizes <f, eta> + sum_b v_b over one simplex per block and x = P eta,
-    subject to -v_b <= 2 <q_bj, x> + f_bj = F(eta)_bj: its optimum is the
-    least restricted dual gap, 0 for a skew F.  For Nash the blocks are the
+    strategies of the EtaHit payloads (a run's payloads and its rounds'
+    best replies), as terms {key: (weight, P eta, <f, eta>)} of at most
+    sum_b n_b joint atoms (see _coupling), or None where HiGHS rejects the
+    LP.  With the block images p_bj = A_b D_b e_j and q_bj = B_b D_b e_j
+    of block b's strategy j, the LP (_restricted_lp) minimizes <f, eta> +
+    sum_b v_b over one simplex per block and x = P eta, subject to
+    -v_b <= 2 <q_bj, x> + f_bj = F(eta)_bj: its optimum is the least
+    restricted dual gap, 0 for a skew F.  For Nash the blocks are the
     players and -v_b a player's best restricted reply.  Each joint atom's
     P eta is rebuilt from the stored columns as eps_vi_exact rebuilds it."""
     system = spec.system
@@ -478,10 +482,11 @@ def _restricted_terms(spec, payloads):
 
 
 def _skew_evaluated(spec, terms):
-    """(eta atoms, gap, rho, fields) of the weighted atoms `terms`."""
-    gap, scale = _skew_eps_exact(spec, terms)
+    """((eta atoms, gap, rho, fields), reply) of the weighted atoms `terms`:
+    the reply is the EtaHit of their best reply (see _skew_dual_gap)."""
+    gap, scale, reply = _skew_eps_exact(spec, terms)
     return ({k: w for k, (w, _, _) in terms.items()}, gap, _skew_allowance(spec, terms),
-            {"scale": scale})
+            {"scale": scale}), reply
 
 
 def solve_vi(spec, solver="ellipsoid", config=None):
@@ -495,28 +500,41 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     eps_bound the certified residual.  A skew round reads P eta and
     <f, eta> of each atom from the run's payloads and makes one oracle
     call; it also solves the restricted master, the VI over the distinct
-    per-block strategies hit so far (_restricted_terms), and evaluates its
-    equilibrium the same way.  It returns one of the two sets (see
-    solvers._choose_atoms): the certificate's atoms are bounded by
-    max(min(cert.residual, gap + rho), gap), the restricted ones by gap +
-    rho, rho from _skew_allowance.  eps_vi_exact, which rebuilds the columns, is
-    the independent check of the returned gap.  A skew VI's run has early
-    rounds (see solvers._Run), so the restricted master may stop it before
-    the first certificate LP; an affine VI's rounds have no restricted
-    master and its run none.
+    per-block strategies of the run's payloads and of the best replies
+    that the earlier rounds found (_restricted_terms), and evaluates its
+    equilibrium the same way.  That evaluation's one oracle call finds the
+    best reply to the equilibrium (_skew_dual_gap), which the run keeps for
+    every later round's restricted master, at no further oracle call or
+    LP; the protocol and the certificates do not depend on it.  The round
+    records the restricted master's distinct strategies per block as
+    `master_columns` (None for an affine VI) and returns one of the two
+    sets (see solvers._choose_atoms): the certificate's atoms are bounded
+    by max(min(cert.residual, gap + rho), gap), the restricted ones by
+    gap + rho, rho from _skew_allowance.  eps_vi_exact, which rebuilds the
+    columns, is the independent check of the returned gap.  A skew VI's
+    run has early rounds (see solvers._Run), so the restricted master may
+    stop it before the first certificate LP; an affine VI's rounds have no
+    restricted master and its run none.
     """
     skew = isinstance(spec, SkewViSpec)
     returned = None  # the skew atoms of the latest round
     if skew:
         primal, domain = build_skew_vi_primal(spec), spec.primal_domain()
         threshold = (config or SolverConfig()).gap_threshold
+        replies = []  # the EtaHit best replies to the restricted equilibria so far
+        blocks = range(len(spec.system.blocks))
 
         def round_fields(protocol, cert, payloads):
             nonlocal returned
-            restricted = _restricted_terms(spec, payloads)
-            returned, fields = _choose_atoms(
-                cert.residual, threshold, _skew_evaluated(spec, _payload_terms(cert, payloads)),
-                None if restricted is None else _skew_evaluated(spec, restricted))
+            certified, _ = _skew_evaluated(spec, _payload_terms(cert, payloads))
+            pool = [*payloads, *replies]
+            restricted = _restricted_terms(spec, pool)
+            if restricted is not None:
+                restricted, reply = _skew_evaluated(spec, restricted)
+                replies.append(reply)
+            returned, fields = _choose_atoms(cert.residual, threshold, certified, restricted)
+            fields["master_columns"] = tuple(len({hit.atoms[b] for hit in pool})
+                                             for b in blocks)
             return fields
     else:
         primal, domain = build_affine_vi_primal(spec), Ball(np.zeros(spec.H.dim), spec.Xi_radius)
@@ -527,7 +545,7 @@ def solve_vi(spec, solver="ellipsoid", config=None):
         def round_fields(protocol, cert, payloads):
             gap, scale = _affine_eps_exact(spec, _collect_eta(cert, payloads))
             return {"gap": gap, "scale": scale, "bound": cert.residual, "atoms": "certificate",
-                    **unchecked}
+                    "master_columns": None, **unchecked}
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}

@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from lmodecomp import saddle, vi
 from lmodecomp.oracles import KnapsackOracle, KnapsackSpec
 
 
@@ -24,6 +27,28 @@ def eps_sad_enum(S, w, z):
     """Exact saddle-point gap of (w, z) for psi = <z, S w> by enumeration:
     max_z' <z', S w> - min_w' <z, S w'>."""
     return float((S @ w).max() - (S.T @ z).min())
+
+
+def rebuilt_gap(spec, sol):
+    """(gap, rho) of a solution's atoms, their columns rebuilt through the
+    oracles: rho is the rounding allowance of that gap, None for an affine VI."""
+    if isinstance(spec, saddle.MasterProblem):
+        w_cols = {k: spec.D.column(k) for k in sol.w_atoms}
+        z_cols = {k: spec.A.column(k) for k in sol.z_atoms}
+        return saddle.exact_gap(spec, sol), saddle._allowance(spec, sol.w_atoms, sol.z_atoms,
+                                                               w_cols, z_cols)
+    if isinstance(spec, vi.SkewViSpec):
+        return (vi.eps_vi_exact(spec, sol.eta_atoms),
+                vi._skew_allowance(spec, vi._oracle_terms(spec, sol.eta_atoms)))
+    return vi.eps_vi_exact(spec, sol.eta_vector), None
+
+
+def round_atoms(atoms):
+    """The atoms that a game's or skew VI's round returned (see
+    solvers._choose_atoms) as the solution fields that rebuilt_gap reads."""
+    if isinstance(atoms, dict):
+        return SimpleNamespace(eta_atoms=atoms)
+    return SimpleNamespace(w_atoms=atoms[0], z_atoms=atoms[1])
 
 
 def md_step_sizes(protocol, radius):

@@ -281,7 +281,10 @@ def test_badly_scaled_affine_vi_named_stop(tmp_path, capsys):
 
 
 def test_failed_certificate_check_exit_four(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr("lmodecomp.vi._skew_eps_exact", lambda spec, atoms_weights: (1.0, 1.0))
+    from lmodecomp import vi
+    eps = vi._skew_eps_exact
+    monkeypatch.setattr(vi, "_skew_eps_exact",
+                        lambda spec, atoms_weights: (1.0, 1.0, eps(spec, atoms_weights)[2]))
     neg = (-np.asarray(PENNIES).T).tolist()
     Z, eye = [[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]
     spec = write_spec(tmp_path, {"D": [eye, eye], "M": [[Z, PENNIES], [neg, Z]]})

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import eps_sad_enum, lp_game_value
+from conftest import eps_sad_enum, lp_game_value, rebuilt_gap, round_atoms
 from lmodecomp import saddle, solvers, vi
 from lmodecomp.blotto import BlottoSpec, build_blotto, random_rank1_omegas
 from lmodecomp.certificates import CertificateError, residual, residual_ball_product
@@ -325,7 +325,9 @@ def test_factored_offsets_match_lp():
 
 def test_solve_sp_raises_when_exact_gap_exceeds_residual(monkeypatch):
     # an exact gap of 2 can never be certified by the residual
-    monkeypatch.setattr(saddle, "_value_bounds", lambda master, *atoms: (1.0, -1.0))
+    bounds = saddle._value_bounds
+    monkeypatch.setattr(saddle, "_value_bounds",
+                        lambda master, *atoms: (1.0, -1.0, bounds(master, *atoms)[2]))
     with pytest.raises(CertificateError, match="exceeds certified residual"):
         solve_sp(build_master_example1(PENNIES),
                  config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
@@ -459,3 +461,91 @@ def test_rejected_restricted_lp_leaves_the_certificates_round(monkeypatch, probl
     assert all(r["atoms"] == "certificate" and r["gap"] == r["cert_gap"] for r in sol.rounds)
     assert gap == sol.rounds[-1]["gap"]
     assert bound == max(min(sol.cert.residual, gap + rho), gap)
+
+
+
+def _random_problem(path, rng):
+    """A small random factored game, square game with offsets or two-player
+    dense Nash game as a skew VI, with mixed equilibria."""
+    if path == "skew":
+        C = rng.normal(size=(3, 4))
+        return nash_to_skew(NashSpec(
+            D=[DenseMatrixOracle(rng.normal(size=(3, 6))), DenseMatrixOracle(np.eye(4))],
+            M=[[np.zeros((3, 3)), C], [-C.T, np.zeros((4, 4))]]))
+    if path == "square":
+        return build_master_example1(rng.normal(size=(4, 6)), p=rng.normal(size=6),
+                                     q=rng.normal(size=4))
+    return build_master_example2(BilinearSpSpec(A=DenseMatrixOracle(rng.normal(size=(3, 7))),
+                                                D=DenseMatrixOracle(rng.normal(size=(3, 6)))))
+
+
+def _keys(hit):
+    """A payload's pure strategies: per side of a game's (w_hit, z_hit)
+    pair, per block of a skew VI's EtaHit."""
+    return hit.atoms if isinstance(hit, vi.EtaHit) else tuple(h.key for h in hit)
+
+
+def _holds_its_columns(problem, hit):
+    """Whether a payload's stored columns are its oracles' columns."""
+    if isinstance(hit, vi.EtaHit):
+        return np.array_equal(hit.columns, np.concatenate(
+            [D.column(k) for D, k in zip(problem.system.blocks, hit.atoms)]))
+    return all(np.array_equal(h.column, side.column(h.key))
+               for h, side in zip(hit, (problem.D, problem.A)))
+
+
+@pytest.mark.parametrize("solver", ["ellipsoid", "md"])
+@pytest.mark.parametrize("path", ["factored", "square", "skew"])
+def test_each_round_feeds_its_replies_to_the_later_restricted_masters(monkeypatch, path,
+                                                                      solver):
+    # the best replies to round k's restricted equilibrium, which its gap
+    # evaluation searched for, follow the protocol's payloads in the
+    # columns of every later round's restricted master; every round's bound
+    # is at least the gap of the atoms it returned, their columns rebuilt
+    # through the oracles, and at most that gap plus its rounding allowance
+    module, name = (vi, "_restricted_terms") if path == "skew" else (saddle, "_restricted_master")
+    solve_restricted, choose, calls, returned = getattr(module, name), module._choose_atoms, [], []
+
+    def restricted(problem, pool):
+        calls.append((list(pool), solve_restricted(problem, pool)))
+        return calls[-1][1]
+
+    def chosen(*args):
+        returned.append(choose(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(module, name, restricted)
+    monkeypatch.setattr(module, "_choose_atoms", chosen)
+    rng = np.random.default_rng(21)
+    config = SolverConfig(eps_target=1e-14, gap_threshold=0.0, max_steps=150)
+    fed = 0  # rounds whose restricted master received replies
+    for _ in range(3):
+        problem, calls[:], returned[:] = _random_problem(path, rng), [], []
+        if path == "skew":
+            sol = solve_vi(problem, solver, config)
+
+            def reply(terms):
+                return vi._skew_eps_exact(problem, terms)[2]
+        else:
+            sol = solve_sp(problem, solver, config)
+
+            def reply(atoms):
+                return saddle._value_bounds(problem, *atoms)[2]
+
+        assert len(calls) == len(returned) == len(sol.rounds)
+        replies = []
+        for (pool, out), (atoms, _), record in zip(calls, returned, sol.rounds):
+            t = record["t"]
+            assert len(pool) == t + len(replies)
+            assert all(a is b for a, b in zip(pool[:t], sol.payloads[:t]))
+            assert [_keys(h) for h in pool[t:]] == [_keys(r) for r in replies]
+            assert all(_holds_its_columns(problem, h) for h in pool[t:])
+            fed += len(pool) > t
+            keys = list(map(_keys, pool))
+            assert record["master_columns"] == tuple(len({k[b] for k in keys})
+                                                     for b in range(len(keys[0])))
+            gap, rho = rebuilt_gap(problem, round_atoms(atoms))
+            assert gap == record["gap"] <= record["bound"] <= gap + rho
+            if out is not None:
+                replies.append(reply(out))
+    assert fed

@@ -9,7 +9,7 @@ import pytest
 from scipy.optimize import linprog
 
 import lmodecomp
-from conftest import md_step_sizes
+from conftest import md_step_sizes, rebuilt_gap, round_atoms
 from lmodecomp import saddle, solvers, vi
 from lmodecomp.certificates import (
     AccuracyCertificate,
@@ -28,7 +28,6 @@ from lmodecomp.domains import Ball, Product, Simplex
 from lmodecomp.oracles import DenseMatrixOracle, KnapsackOracle, KnapsackSpec
 from lmodecomp.saddle import (
     BilinearSpSpec,
-    MasterProblem,
     build_master_example1,
     build_master_example2,
     exact_gap,
@@ -48,8 +47,6 @@ from lmodecomp.solvers import (
 from lmodecomp.vi import (
     AffineViSpec,
     NashSpec,
-    SkewViSpec,
-    eps_vi_exact,
     nash_to_skew,
     solve_vi,
 )
@@ -260,6 +257,23 @@ def test_optimizer_near_optimal_on_analytic_case():
     cert = optimize_certificate(prot, (1.0, 0.0), 2)
     # diag terms are +1 and -1, so the optimum is 0 at equal weights
     assert residual_ball_product(prot, cert, (1.0, 0.0), 2) <= 1e-10
+
+
+def test_one_entry_protocol_is_certified_without_the_lp():
+    # the weight 1 is the only certificate of a one-entry protocol, so its
+    # residual is also the least; a round on it solves no LP, where a capped
+    # run in a large primal dimension spent all its solves raising the bound
+    rng = np.random.default_rng(5)
+    prot = _random_protocol(rng, 1, 6)
+    lp = CertificateLP((1.5, 2.0), 3, 6)
+    cert = optimize_certificate(prot, (1.5, 2.0), 3, lp=lp)
+    assert cert.weights.tolist() == [1.0] and lp.solves == 0 and len(lp.rows) == 0
+    assert cert.lower == cert.residual == residual_ball_product(prot, cert, (1.5, 2.0), 3)
+    sol = solve_sp(build_master_example1(rng.normal(size=(300, 300))),
+                   config=SolverConfig(max_steps=1))
+    (record,) = sol.rounds
+    assert record["t"] == 1 and record["lp_solves"] == 0
+    assert record["cert_lower"] == record["residual"]
 
 
 def _polygon_lp_value(prot, radii, split, n_sides, inscribed):
@@ -1090,9 +1104,12 @@ def _desk_solve(problem, solver, config):
     """(solution, its bound, its exact gap, its master or VI spec) of one
     desk-size problem."""
     rng = np.random.default_rng(15)
-    if problem in ("sp-square", "sp-factored"):
+    if problem.startswith("sp-"):
         if problem == "sp-square":
             master = build_master_example1(rng.normal(size=(4, 5)))
+        elif problem == "sp-square-offsets":
+            master = build_master_example1(rng.normal(size=(4, 5)), p=rng.normal(size=5),
+                                           q=rng.normal(size=4))
         else:
             knapsack = KnapsackOracle(KnapsackSpec(
                 bounds=(2, 2), costs=(1, 1), budget=3,
@@ -1115,39 +1132,36 @@ def _desk_solve(problem, solver, config):
     return sol, sol.eps_bound, sol.eps_exact, spec
 
 
-def _rebuilt(spec, sol):
-    """(gap, rho) of a solution's atoms, their columns rebuilt through the
-    oracles: rho is the rounding allowance of that gap, None for an affine VI."""
-    if isinstance(spec, MasterProblem):
-        w_cols = {k: spec.D.column(k) for k in sol.w_atoms}
-        z_cols = {k: spec.A.column(k) for k in sol.z_atoms}
-        return exact_gap(spec, sol), saddle._allowance(spec, sol.w_atoms, sol.z_atoms,
-                                                        w_cols, z_cols)
-    if isinstance(spec, SkewViSpec):
-        return (eps_vi_exact(spec, sol.eta_atoms),
-                vi._skew_allowance(spec, vi._oracle_terms(spec, sol.eta_atoms)))
-    return eps_vi_exact(spec, sol.eta_vector), None
-
-
 @pytest.mark.parametrize("solver", ["ellipsoid", "md"])
-@pytest.mark.parametrize("problem", ["sp-square", "sp-factored", "vi-nash", "vi-affine",
-                                     "blotto"])
-def test_rebuilt_gap_is_within_the_bound(problem, solver):
+@pytest.mark.parametrize("problem", ["sp-square", "sp-square-offsets", "sp-factored", "vi-nash",
+                                     "vi-affine", "blotto"])
+def test_rebuilt_gap_is_within_the_bound(monkeypatch, problem, solver):
     # the gap of the returned atoms, their columns rebuilt through the
     # oracles, is at most the bound up to the round check's tolerance; a game's
-    # or skew VI's bound is also at most that gap plus its rounding allowance
+    # or skew VI's bound is also at most that gap plus its rounding allowance,
+    # and so are the bounds of its earlier rounds, whose restricted masters
+    # hold the earlier rounds' best replies
+    returned = []
+    for module in (saddle, vi):
+        monkeypatch.setattr(module, "_choose_atoms", lambda *args, choose=module._choose_atoms:
+                            returned.append(choose(*args)) or returned[-1])
     sol, bound, _, spec = _desk_solve(problem, solver, SolverConfig(gap_threshold=1e-5,
                                                                     max_steps=1500))
-    rebuilt, rho = _rebuilt(spec, sol)
+    rebuilt, rho = rebuilt_gap(spec, sol)
     value = getattr(sol, "value_estimate", 0.0)
     assert rebuilt <= bound + 1e-9 * max(1.0, abs(value))
-    if rho is not None:
-        assert bound <= rebuilt + rho
+    if rho is None:
+        return
+    assert bound <= rebuilt + rho
+    assert len(returned) == len(sol.rounds)
+    for (atoms, _), record in zip(returned, sol.rounds):
+        gap, rho = rebuilt_gap(spec, round_atoms(atoms))
+        assert gap == record["gap"] <= record["bound"] <= gap + rho
 
 
 @pytest.mark.parametrize("solver", ["ellipsoid", "md"])
-@pytest.mark.parametrize("problem", ["sp-square", "sp-factored", "vi-nash", "vi-affine",
-                                     "blotto"])
+@pytest.mark.parametrize("problem", ["sp-square", "sp-square-offsets", "sp-factored", "vi-nash",
+                                     "vi-affine", "blotto"])
 def test_every_solution_is_its_run(problem, solver):
     # the solution types extend SolveResult: the bound and the exact gap are
     # the closing round's, for the atoms it returned.  The certificate's atoms
@@ -1158,7 +1172,7 @@ def test_every_solution_is_its_run(problem, solver):
     assert isinstance(sol, SolveResult)
     last = sol.rounds[-1]
     assert exact is not None and exact == last["gap"] and bound == last["bound"]
-    rebuilt, rho = _rebuilt(spec, sol)
+    rebuilt, rho = rebuilt_gap(spec, sol)
     assert rebuilt == exact
     if rho is None:
         assert last["atoms"] == "certificate" and bound == sol.cert.residual

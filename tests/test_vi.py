@@ -626,7 +626,9 @@ def test_badly_scaled_affine_vi_stops_on_a_named_reason():
 
 def test_solve_vi_raises_when_exact_gap_exceeds_residual(monkeypatch):
     # a dual gap of 1 is not certified once the residual falls below it
-    monkeypatch.setattr(vi, "_skew_eps_exact", lambda spec, atoms_weights: (1.0, 1.0))
+    eps = vi._skew_eps_exact
+    monkeypatch.setattr(vi, "_skew_eps_exact",
+                        lambda spec, atoms_weights: (1.0, 1.0, eps(spec, atoms_weights)[2]))
     with pytest.raises(CertificateError, match="exceeds certified residual"):
         solve_vi(nash_to_skew(pennies_nash_spec()),
                  config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
