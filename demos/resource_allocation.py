@@ -7,7 +7,7 @@ knapsack-generated matrices; column searches run by dynamic programming
 and the game is solved in a primal space of dimension 16.
 
 Run:  python3 demos/resource_allocation.py            (desk instance)
-      python3 demos/resource_allocation.py --large    (the 10^10 one, 0.2 s solve)
+      python3 demos/resource_allocation.py --large    (the 10^10 one, 0.01 s solve)
 """
 
 import sys
@@ -47,7 +47,7 @@ def large():
     print(f"  primal dimension          {report.primal_dim}")
     print(f"  value                     {report.value:.6f}")
     print(f"  certified gap             {report.gap:.2e} "
-          f"after {report.steps} steps, {wall:.1f}s")
+          f"after {report.steps} steps, {wall:.3f}s")
     print(f"  attacker support size     {len(report.attacker_atoms)}")
     print("  heaviest attacker allocations (units per field -> weight):")
     top = sorted(report.attacker_atoms.items(), key=lambda kv: -kv[1])[:5]

@@ -25,9 +25,9 @@ from .solvers import (
     FieldOracle,
     SolveResult,
     SolverConfig,
-    _choose_atoms,
     _Rejected,
     _restricted_lp,
+    _RestrictedMaster,
     ellipsoid_run,
     md_run,
 )
@@ -244,9 +244,9 @@ def _value_bounds(master, w_atoms, z_atoms, w_cols, z_cols):
     pair (w, z), upper = max_z' psi(w, z') and lower = min_w' psi(w', z),
     from the aggregated stored columns and at most two oracle calls, and
     the best replies (w_hit, z_hit) that attain them, a pair as the
-    protocol's payloads hold.  solve_sp keeps the replies to each round's
-    restricted equilibrium, which join every later round's restricted
-    master.  The square master makes no oracle call: its replies are the
+    protocol's payloads hold.  solve_sp keeps the replies to each
+    restricted equilibrium, which join every later restricted master.  The
+    square master makes no oracle call: its replies are the
     entries of S w + q and S^T z + p, as ColumnHits of A and D."""
     agg_w = sum(w_atoms[k] * c for k, c in w_cols.items())
     agg_z = sum(z_atoms[k] * c for k, c in z_cols.items())
@@ -331,15 +331,18 @@ def solve_sp(master, solver="ellipsoid", config=None):
     whose exact gap and value the round records, from the stored columns.
     Each round also solves the restricted master, the game over the
     distinct pure strategies of the run's payloads and of the best replies
-    that the earlier rounds found (_restricted_master), and evaluates its
-    equilibrium the same way: two oracle calls per set of atoms.  Those
-    two calls find the best replies to the equilibrium (_value_bounds),
-    which the run keeps for every later round's restricted master at no
-    further oracle call or LP; the protocol, the cuts and the
-    certificates do not depend on them.  The round records the restricted
-    master's distinct strategies per side, (minimizer's, maximizer's), as
-    `master_columns`, and returns one of the two sets (see
-    solvers._choose_atoms): the certificate's atoms are bounded by
+    found so far (_restricted_master), and evaluates its equilibrium the
+    same way: two oracle calls per set of atoms.  Those two calls find the
+    best replies to the equilibrium (_value_bounds).  While they add a
+    strategy, the gap is above max(gap_threshold, rho) and the round has
+    re-solved fewer times than the protocol grew since the previous round,
+    the round adds them and solves again (solvers._RestrictedMaster); the
+    run keeps every reply for its later rounds, and the protocol, the cuts
+    and the certificates do not depend on them.  The round records its
+    last restricted master's distinct strategies per side, (minimizer's,
+    maximizer's), as `master_columns` and its LPs as `master_solves`, and
+    returns the certificate's atoms or the best restricted equilibrium
+    (see solvers._choose_atoms): the certificate's atoms are bounded by
     max(min(cert.residual, gap + rho), gap), the restricted ones by gap +
     rho, with rho the rounding allowance of _allowance, so a pure saddle
     point reads a bound of rho, not 0.  The certificate's own gap is
@@ -350,9 +353,11 @@ def solve_sp(master, solver="ellipsoid", config=None):
     nothing calls an oracle after the run.
     """
     nu = master.dim_u
-    threshold = (config or SolverConfig()).gap_threshold
     returned = None  # the atoms of the latest round
-    replies = []  # the (w_hit, z_hit) best replies to the restricted equilibria so far
+    restricted = _RestrictedMaster((config or SolverConfig()).gap_threshold,
+                                   lambda pool: _restricted_master(master, pool),
+                                   lambda atoms: _evaluated(master, atoms),
+                                   lambda pair: (pair[0].key, pair[1].key))
 
     def fn(xi):
         ev = primal_value_grad(master, xi[:nu], xi[nu:])
@@ -361,14 +366,7 @@ def solve_sp(master, solver="ellipsoid", config=None):
     def round_fields(protocol, cert, hits):
         nonlocal returned
         certified, _ = _evaluated(master, _atoms(cert, hits))
-        pool = [*hits, *replies]
-        restricted = _restricted_master(master, pool)
-        if restricted is not None:
-            restricted, reply = _evaluated(master, restricted)
-            replies.append(reply)
-        returned, fields = _choose_atoms(cert.residual, threshold, certified, restricted)
-        fields["master_columns"] = tuple(len({pair[side].key for pair in pool})
-                                         for side in (0, 1))
+        returned, fields = restricted.round(cert.residual, certified, hits)
         return fields
 
     # looked up at call time, so that wrappers installed on this module apply

@@ -14,9 +14,11 @@ balls, where the residual has a closed form and needs no LMO calls.
 They share one run state for the protocol, the field payloads and the
 certificate rounds, and return one SolveResult.
 A game's or skew VI's round also solves its restricted master, the game
-over the pure strategies hit so far and the best replies to the earlier
-rounds' restricted equilibria, by _restricted_lp on a fresh HiGHS model,
-and returns the atoms with the smaller bound (_choose_atoms).
+over the pure strategies hit so far and the best replies that the run
+has found, by _restricted_lp on a fresh HiGHS model, re-solves it with
+each new best reply while the run's own oracle work allows
+(_RestrictedMaster), and returns the atoms with the least bound
+(_choose_atoms).
 """
 
 from __future__ import annotations
@@ -268,15 +270,17 @@ class SolveResult:
     for mirror descent), the step of the next scheduled round (`due`, None
     on a round that stops or closes the run) and the fields that
     `on_certificate` returned (value for games, scale for VIs).  Games and
-    VIs also return `bound`, `cert_gap`, `atoms` (see _choose_atoms) and
-    `master_columns`: a round's gap and bound are those of the atoms it
-    returned ("certificate" or "restricted"), `cert_gap` is the gap of the
-    certificate's own atoms, which the round checks against its residual
-    and paces the next round by, and `master_columns` the size of the
-    round's restricted master, its distinct pure strategies per side of a
-    game (minimizer's, maximizer's) or per block of a skew VI (None for an
-    affine VI, which has none).  The last round is on `cert` and its atoms
-    are the solution's.
+    VIs also return `bound`, `cert_gap`, `atoms` (see _choose_atoms),
+    `master_columns` and `master_solves`: a round's gap and bound are those
+    of the atoms it returned ("certificate" or "restricted"), `cert_gap` is
+    the gap of the certificate's own atoms, which the round checks against
+    its residual and paces the next round by, `master_columns` the size of
+    the round's last restricted master, its distinct pure strategies per
+    side of a game (minimizer's, maximizer's) or per block of a skew VI
+    (None for an affine VI, which has none), and `master_solves` the
+    restricted-master LPs that the round ran (see _RestrictedMaster; 0 for
+    an affine VI).  The last round is on `cert` and its atoms are the
+    solution's.
     Residuals and gaps
     are as computed, never clamped at 0: a residual below 0, impossible in
     exact arithmetic for a monotone field, is rounding at the scale of the
@@ -299,7 +303,9 @@ class _Run:
     the run's CertificateLP and the certificate rounds.  A round runs
     optimize_certificate on that LP, warm-started from the last round's
     certificate, with the solver's `candidates`, and records the residual
-    that it computed (`AccuracyCertificate.residual`).
+    that it computed (`AccuracyCertificate.residual`).  The LP is built at
+    the first round that solves one (`lp` is None until then), so a run
+    that stops at an early round builds no HiGHS model.
 
     With n the primal dimension and P = `cert_period`, the first round
     falls at step P, or, with `early_rounds`, early rounds fall at steps
@@ -331,7 +337,7 @@ class _Run:
         self.field, self.on_certificate = field, on_certificate
         self.entries, self.payloads, self.rounds = _ProtocolBuffer(domain.dim), [], []
         self.cert = None
-        self.lp = CertificateLP(self.radii, self.split, domain.dim)
+        self.lp = None  # built by the first round that solves an LP
         self.recycled = 0  # deep cuts applied since the last round
         # the step of the next round
         self.due = min(domain.dim, self.cert_period) if early_rounds else self.cert_period
@@ -349,8 +355,10 @@ class _Run:
         round that neither stops the run nor closes it (`closing`, the
         round after the step loop) schedules the next one in `due`."""
         protocol = self.entries.protocol()
-        solves = self.lp.solves
         early = not closing and step < min(self.cert_period, self.config.max_steps)
+        if self.lp is None and not early:
+            self.lp = CertificateLP(self.radii, self.split, protocol.dim)
+        solves = self.lp.solves if self.lp else 0
         # never worse than the last round's certificate, which is the warm start;
         # an early one (often uniform) is only scored, so that the first LP round
         # does not put its whole support into the working set
@@ -369,7 +377,8 @@ class _Run:
         record = {"step": step, "t": len(protocol), "residual": residual,
                   "cert_lower": self.cert.lower, "gap": None, "weights": self.cert.weights,
                   "support": int(np.count_nonzero(self.cert.weights)),
-                  "lp_solves": self.lp.solves - solves, "recycled": self.recycled,
+                  "lp_solves": (self.lp.solves if self.lp else 0) - solves,
+                  "recycled": self.recycled,
                   "due": None}
         self.recycled = 0
         if self.on_certificate is not None:
@@ -713,15 +722,16 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     holds a working set of rows, grown by the rows each solution violates.
     It lives in `lp`, a CertificateLP built for the same radii, split and
     dimension (ValueError otherwise) that a run carries across its rounds
-    (a fresh one when None): each call first deletes the model's protocol
-    rows outside its starting working set, keeps the cuts, and re-solves
-    from the last basis.  One model serves the growing prefixes of one
-    protocol; on any other, the rows it kept only cost certificate
-    quality: every residual and bound is computed from the protocol given.
-    Any (a, b) in the balls bounds the optimum from below by
-    min_i c_i + <F_i, (a, b)>.  A call starts from the LP's last optimal
-    (a, b), `lp.point`, projected onto the balls: the least rows there
-    seed the working set, and their value is the first bound.  Each solve's
+    (a fresh one when None, built only where the call solves an LP): each
+    call first deletes the model's protocol rows outside its starting
+    working set, keeps the cuts, and re-solves from the last basis.  One
+    model serves the growing prefixes of one protocol; on any other, the
+    rows it kept only cost certificate quality: every residual and bound
+    is computed from the protocol given.  Any (a, b) in the balls bounds
+    the optimum from below by min_i c_i + <F_i, (a, b)>.  A call starts
+    from the LP's last optimal (a, b), `lp.point` (the origin without an
+    LP), projected onto the balls: the least rows there seed the working
+    set, and their value is the first bound.  Each solve's
     projected (a, b) is tried, and the loop stops when the best residual is
     within a relative 1e-6 of the bound, or below tol/4.  The bound is the
     certificate's `lower`.
@@ -748,9 +758,7 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     d = protocol.dim
     fv = protocol.field_values
     balls = _balls(radii, split, d)
-    if lp is None:
-        lp = CertificateLP(radii, split, d)
-    elif (lp.radii, lp.split, lp.dim) != (tuple(radii), split, d):
+    if lp is not None and (lp.radii, lp.split, lp.dim) != (tuple(radii), split, d):
         raise ValueError(f"the LP was built for radii {lp.radii}, split {lp.split} and "
                          f"dimension {lp.dim}, not {tuple(radii)}, {split} and {d}")
     c = (fv * protocol.points).sum(axis=1)
@@ -775,10 +783,12 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
             best, f_best = lam, f
     if t == 1:  # the weight 1 is the only certificate, so its residual is the least
         return AccuracyCertificate(best, lower=f_best, residual=f_best)
-    start = c + fv.dot(_project_blocks(lp.point, balls))
+    start = c + fv.dot(_project_blocks(np.zeros(d) if lp is None else lp.point, balls))
     lower = float(start.min())
     if not max_solves:
         return AccuracyCertificate(best, lower=min(lower, f_best), residual=f_best)
+    if lp is None:
+        lp = CertificateLP(radii, split, d)
     in_set[np.argsort(start, kind="stable")[:8 * (d + 1)]] = True  # binding at the start
     gap_tol = 1e-13 * scale if tol is None else max(1e-13 * scale, 0.25 * tol)
     try:
@@ -884,6 +894,73 @@ def _restricted_lp(images, blocks, normals, row_blocks, rhs, cost):
     return eta / eta_mass[blocks], y / y_mass[row_blocks]
 
 
+class _RestrictedMaster:
+    """The restricted master of a game's or skew VI's rounds, closed in each
+    round by a double-oracle loop (McMahan, Gordon & Blum, ICML 2003) whose
+    oracle work the run's own steps bound.
+
+    `solve(pool)` is the equilibrium of the problem restricted to the
+    distinct pure strategies of the payloads `pool` (None where HiGHS
+    rejects its LP), `evaluate(atoms)` is ((atoms, gap, rho, fields),
+    reply), reply the payload of the best replies to the atoms that the gap
+    evaluation found, and `keys(payload)` the payload's pure strategies,
+    one per side or block.  `replies` keeps every reply found, for the
+    round's later solves and every later round's pool."""
+
+    def __init__(self, threshold, solve, evaluate, keys):
+        self.threshold, self.solve, self.evaluate, self.keys = threshold, solve, evaluate, keys
+        self.replies = []
+        self.t = 0  # the protocol length at the previous round
+
+    def round(self, residual, certified, payloads):
+        """(atoms, fields) of a round on the protocol whose payloads are
+        `payloads`, certified = (atoms, gap, rho, fields) of its
+        certificate's atoms.  The round solves the restricted master over
+        the payloads and the replies so far and evaluates its equilibrium;
+        it then adds the new reply and solves again for as long as the gap
+        is above max(threshold, rho), the reply holds a pure strategy that
+        the master lacks and the round has re-solved fewer times than the
+        protocol grew since the previous round.  A re-solve makes the
+        oracle calls of one field evaluation, so the loop at most doubles
+        the run's oracle work.  The round returns what _choose_atoms picks
+        from the certificate's atoms and the best of the restricted
+        equilibria, ranked as it ranks them, with `master_columns` the last
+        master's distinct strategies per side or block and `master_solves`
+        the LPs it ran, a rejected one too."""
+        pool = [*payloads, *self.replies]
+        budget, self.t = len(payloads) - self.t, len(payloads)
+        known = [set(keys) for keys in zip(*map(self.keys, pool))]
+        best, solves = None, 0
+        while True:
+            solves += 1
+            atoms = self.solve(pool)
+            if atoms is None:
+                break
+            restricted, reply = self.evaluate(atoms)
+            self.replies.append(reply)
+            _, gap, rho, _ = restricted
+            if best is None or _rank(restricted, self.threshold) < _rank(best, self.threshold):
+                best = restricted
+            keys = self.keys(reply)
+            if not (gap > max(self.threshold, rho) and solves <= budget
+                    and any(key not in seen for key, seen in zip(keys, known))):
+                break
+            pool.append(reply)
+            for key, seen in zip(keys, known):
+                seen.add(key)
+        atoms, fields = _choose_atoms(residual, self.threshold, certified, best)
+        fields["master_columns"] = tuple(map(len, known))
+        fields["master_solves"] = solves
+        return atoms, fields
+
+
+def _rank(restricted, threshold):
+    """Sort key of a restricted equilibrium (atoms, gap, rho, fields): a gap
+    that meets `threshold` first, then the least bound gap + rho."""
+    _, gap, rho, _ = restricted
+    return gap > threshold, gap + rho
+
+
 def _choose_atoms(residual, threshold, certified, restricted=None):
     """(atoms, fields) that a certificate round returns.  `certified` and
     `restricted` are (atoms, gap, rho, fields) of the certificate's atoms
@@ -901,7 +978,7 @@ def _choose_atoms(residual, threshold, certified, restricted=None):
            "cert_gap": gap, "atoms": "certificate"}
     if restricted is not None:
         r_atoms, r_gap, r_rho, r_fields = restricted
-        if (r_gap > threshold, r_gap + r_rho) < (gap > threshold, out["bound"]):
+        if _rank(restricted, threshold) < (gap > threshold, out["bound"]):
             return r_atoms, {**out, **r_fields, "gap": r_gap, "bound": r_gap + r_rho,
                              "atoms": "restricted"}
     return atoms, out

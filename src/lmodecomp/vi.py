@@ -26,9 +26,9 @@ from .solvers import (
     FieldOracle,
     SolveResult,
     SolverConfig,
-    _choose_atoms,
     _Rejected,
     _restricted_lp,
+    _RestrictedMaster,
     ellipsoid_run,
     md_run,
 )
@@ -381,8 +381,8 @@ def _skew_dual_gap(spec, agg_p, f_dot):
     larger magnitude of the two terms it subtracts, and the EtaHit of the
     best reply eta' that attains it; skewness kills the quadratic term:
     eps_VI = <f, eta> - min <eta', F(eta)>, F(eta) = 2 Q^T P eta + f.
-    solve_vi keeps the reply to each round's restricted equilibrium, which
-    joins every later round's restricted master."""
+    solve_vi keeps the reply to each restricted equilibrium, which joins
+    every later restricted master."""
     hit = spec.system.eta_argmin(np.zeros(spec.K), -2.0 * agg_p)
     return f_dot - hit.value, max(abs(f_dot), abs(hit.value)), hit
 
@@ -501,14 +501,18 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     <f, eta> of each atom from the run's payloads and makes one oracle
     call; it also solves the restricted master, the VI over the distinct
     per-block strategies of the run's payloads and of the best replies
-    that the earlier rounds found (_restricted_terms), and evaluates its
-    equilibrium the same way.  That evaluation's one oracle call finds the
-    best reply to the equilibrium (_skew_dual_gap), which the run keeps for
-    every later round's restricted master, at no further oracle call or
-    LP; the protocol and the certificates do not depend on it.  The round
-    records the restricted master's distinct strategies per block as
-    `master_columns` (None for an affine VI) and returns one of the two
-    sets (see solvers._choose_atoms): the certificate's atoms are bounded
+    found so far (_restricted_terms), and evaluates its equilibrium the
+    same way.  That evaluation's one oracle call finds the best reply to
+    the equilibrium (_skew_dual_gap); while it adds a strategy, the gap is
+    above max(gap_threshold, rho) and the round has re-solved fewer times
+    than the protocol grew since the previous round, the round adds it and
+    solves again (solvers._RestrictedMaster).  The run keeps every reply
+    for its later rounds; the protocol and the certificates do not depend
+    on them.  The round records its last restricted master's distinct
+    strategies per block as `master_columns` (None for an affine VI) and
+    its LPs as `master_solves` (0 for an affine VI), and returns the
+    certificate's atoms or the best restricted equilibrium (see
+    solvers._choose_atoms): the certificate's atoms are bounded
     by max(min(cert.residual, gap + rho), gap), the restricted ones by
     gap + rho, rho from _skew_allowance.  eps_vi_exact, which rebuilds the
     columns, is the independent check of the returned gap.  A skew VI's
@@ -520,21 +524,15 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     returned = None  # the skew atoms of the latest round
     if skew:
         primal, domain = build_skew_vi_primal(spec), spec.primal_domain()
-        threshold = (config or SolverConfig()).gap_threshold
-        replies = []  # the EtaHit best replies to the restricted equilibria so far
-        blocks = range(len(spec.system.blocks))
+        restricted = _RestrictedMaster((config or SolverConfig()).gap_threshold,
+                                       lambda pool: _restricted_terms(spec, pool),
+                                       lambda terms: _skew_evaluated(spec, terms),
+                                       lambda hit: hit.atoms)
 
         def round_fields(protocol, cert, payloads):
             nonlocal returned
             certified, _ = _skew_evaluated(spec, _payload_terms(cert, payloads))
-            pool = [*payloads, *replies]
-            restricted = _restricted_terms(spec, pool)
-            if restricted is not None:
-                restricted, reply = _skew_evaluated(spec, restricted)
-                replies.append(reply)
-            returned, fields = _choose_atoms(cert.residual, threshold, certified, restricted)
-            fields["master_columns"] = tuple(len({hit.atoms[b] for hit in pool})
-                                             for b in blocks)
+            returned, fields = restricted.round(cert.residual, certified, payloads)
             return fields
     else:
         primal, domain = build_affine_vi_primal(spec), Ball(np.zeros(spec.H.dim), spec.Xi_radius)
@@ -545,7 +543,7 @@ def solve_vi(spec, solver="ellipsoid", config=None):
         def round_fields(protocol, cert, payloads):
             gap, scale = _affine_eps_exact(spec, _collect_eta(cert, payloads))
             return {"gap": gap, "scale": scale, "bound": cert.residual, "atoms": "certificate",
-                    "master_columns": None, **unchecked}
+                    "master_columns": None, "master_solves": 0, **unchecked}
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}

@@ -292,15 +292,17 @@ def test_failed_certificate_check_exit_four(tmp_path, capsys, monkeypatch):
     assert "certificate check failed: exact gap 1.0 exceeds" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 def test_budget_exhausted_exit_two(tmp_path, capsys):
     spec = write_spec(tmp_path, {"S": PENNIES})
-    # one step hits one pure strategy per side: the restricted game is that pair
+    # the certificate of one step is that step's pure pair, two units off the value
     code = run(["matrix-game", "--spec", spec, "--max-steps", "1",
                 "--gap-threshold", "1e-12", "--eps", "1e-13"])
     assert code == 2
     assert "step budget exhausted" in capsys.readouterr().out
 
 
+@pytest.mark.usefixtures("certificate_rounds_only")
 def test_degenerate_stop_exit_three(tmp_path, capsys, monkeypatch):
     from lmodecomp import solvers
 

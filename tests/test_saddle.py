@@ -498,13 +498,16 @@ def _holds_its_columns(problem, hit):
 @pytest.mark.parametrize("path", ["factored", "square", "skew"])
 def test_each_round_feeds_its_replies_to_the_later_restricted_masters(monkeypatch, path,
                                                                       solver):
-    # the best replies to round k's restricted equilibrium, which its gap
+    # the best replies to each restricted equilibrium, which its gap
     # evaluation searched for, follow the protocol's payloads in the
-    # columns of every later round's restricted master; every round's bound
-    # is at least the gap of the atoms it returned, their columns rebuilt
-    # through the oracles, and at most that gap plus its rounding allowance
+    # columns of every later restricted master, in the same round and in
+    # the later ones; a round re-solves while a reply is new, at most once
+    # per protocol entry since the previous round, and records its solves
+    # and its last master's size; every round's bound is at least the gap
+    # of the atoms it returned, their columns rebuilt through the oracles,
+    # and at most that gap plus its rounding allowance
     module, name = (vi, "_restricted_terms") if path == "skew" else (saddle, "_restricted_master")
-    solve_restricted, choose, calls, returned = getattr(module, name), module._choose_atoms, [], []
+    solve_restricted, choose, calls, returned = getattr(module, name), solvers._choose_atoms, [], []
 
     def restricted(problem, pool):
         calls.append((list(pool), solve_restricted(problem, pool)))
@@ -515,11 +518,11 @@ def test_each_round_feeds_its_replies_to_the_later_restricted_masters(monkeypatc
         return returned[-1]
 
     monkeypatch.setattr(module, name, restricted)
-    monkeypatch.setattr(module, "_choose_atoms", chosen)
+    monkeypatch.setattr(solvers, "_choose_atoms", chosen)
     rng = np.random.default_rng(21)
     config = SolverConfig(eps_target=1e-14, gap_threshold=0.0, max_steps=150)
-    fed = 0  # rounds whose restricted master received replies
-    for _ in range(3):
+    fed = resolved = 0  # restricted masters that received replies; rounds that re-solved
+    for _ in range(4):
         problem, calls[:], returned[:] = _random_problem(path, rng), [], []
         if path == "skew":
             sol = solve_vi(problem, solver, config)
@@ -532,20 +535,117 @@ def test_each_round_feeds_its_replies_to_the_later_restricted_masters(monkeypatc
             def reply(atoms):
                 return saddle._value_bounds(problem, *atoms)[2]
 
-        assert len(calls) == len(returned) == len(sol.rounds)
-        replies = []
-        for (pool, out), (atoms, _), record in zip(calls, returned, sol.rounds):
+        assert len(returned) == len(sol.rounds)
+        assert len(calls) == sum(r["master_solves"] for r in sol.rounds)
+        replies, previous_t, solves = [], 0, iter(calls)
+        for (atoms, _), record in zip(returned, sol.rounds):
             t = record["t"]
-            assert len(pool) == t + len(replies)
-            assert all(a is b for a, b in zip(pool[:t], sol.payloads[:t]))
-            assert [_keys(h) for h in pool[t:]] == [_keys(r) for r in replies]
-            assert all(_holds_its_columns(problem, h) for h in pool[t:])
-            fed += len(pool) > t
-            keys = list(map(_keys, pool))
+            round_calls = [next(solves) for _ in range(record["master_solves"])]
+            assert 1 <= len(round_calls) <= 1 + t - previous_t
+            previous_t = t
+            resolved += len(round_calls) > 1
+            for k, (pool, out) in enumerate(round_calls):
+                assert len(pool) == t + len(replies)
+                assert all(a is b for a, b in zip(pool[:t], sol.payloads[:t]))
+                assert [_keys(h) for h in pool[t:]] == [_keys(r) for r in replies]
+                assert all(_holds_its_columns(problem, h) for h in pool[t:])
+                fed += len(pool) > t
+                if out is None:  # a rejected LP ends the round's loop
+                    assert k == len(round_calls) - 1
+                    continue
+                replies.append(reply(out))
+                if k < len(round_calls) - 1:  # re-solved: the reply was new
+                    assert any(key not in {_keys(h)[b] for h in pool}
+                               for b, key in enumerate(_keys(replies[-1])))
+            keys = list(map(_keys, round_calls[-1][0]))
             assert record["master_columns"] == tuple(len({k[b] for k in keys})
                                                      for b in range(len(keys[0])))
             gap, rho = rebuilt_gap(problem, round_atoms(atoms))
             assert gap == record["gap"] <= record["bound"] <= gap + rho
-            if out is not None:
-                replies.append(reply(out))
-    assert fed
+    assert fed and resolved
+
+
+def test_a_constant_game_ends_each_round_after_one_solve():
+    # psi = 5 at every pure pair: the restricted equilibrium's computed gap is
+    # 0 or rounding, within its allowance rho, so even at gap_threshold 0 the
+    # round does not re-solve, whether or not the best replies are new
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        M, N = (int(x) for x in rng.integers(3, 8, size=2))
+        p, q = rng.normal(size=N), rng.normal(size=M)
+        master = build_master_example1(5.0 - p[None, :] - q[:, None], p=p, q=q)
+        sol = solve_sp(master, config=SolverConfig(gap_threshold=0.0, max_steps=40))
+        assert all(r["master_solves"] == 1 for r in sol.rounds)
+        assert abs(sol.value_estimate - 5.0) <= 1e-14 and sol.gap_exact <= sol.gap_bound < 1e-11
+
+
+@pytest.mark.parametrize("solver", ["ellipsoid", "md"])
+def test_re_solves_never_exceed_the_entries_since_the_previous_round(monkeypatch, solver):
+    # a re-solve evaluates its equilibrium with the oracle calls of one field
+    # evaluation, so the round's re-solves, capped by the protocol's growth
+    # since the previous round, at most double the run's oracle calls
+    calls = []
+    search = DenseMatrixOracle.col_extreme
+
+    def counted(self, x, direction):
+        calls.append(direction)
+        return search(self, x, direction)
+
+    monkeypatch.setattr(DenseMatrixOracle, "col_extreme", counted)
+    # matching pennies stopped after one step: the restricted master is the
+    # step's pure pair, and the one re-solve that the step allows adds the
+    # replies to it, which leave the game unsolved
+    sol = solve_sp(build_master_example2(BilinearSpSpec(
+        A=DenseMatrixOracle(PENNIES), D=DenseMatrixOracle(np.eye(2)))), solver,
+        SolverConfig(gap_threshold=1e-12, max_steps=1))
+    assert [(r["t"], r["master_solves"]) for r in sol.rounds] == [(1, 2)]
+    assert sol.stop_reason == "max_steps" and sol.gap_exact > 1.0
+    rng = np.random.default_rng(5)
+    resolved = 0
+    for _ in range(8):
+        calls[:] = []
+        sol = solve_sp(build_master_example2(BilinearSpSpec(
+            A=DenseMatrixOracle(rng.normal(size=(4, 60))),
+            D=DenseMatrixOracle(rng.normal(size=(4, 60))))), solver,
+            SolverConfig(gap_threshold=1e-9, max_steps=200))
+        previous = 0
+        for r in sol.rounds:
+            assert 1 <= r["master_solves"] <= 1 + r["t"] - previous
+            previous = r["t"]
+            resolved += r["master_solves"] > 1
+        # the protocol's searches, then per round the certificate's atoms and
+        # each restricted equilibrium, two searches each
+        evaluations = sum(1 + r["master_solves"] for r in sol.rounds)
+        assert len(calls) == 2 * len(sol.protocol) + 2 * evaluations
+    assert resolved
+
+
+@pytest.mark.parametrize("path", ["factored", "square", "skew"])
+def test_a_rounds_bound_is_at_most_its_first_restricted_solves(monkeypatch, path):
+    # a round returns the least bound among the certificate's atoms and every
+    # restricted equilibrium it solved, so re-solving never raises the bound
+    # of the first solve's equilibrium, gap + rho
+    module, name = (vi, "_skew_evaluated") if path == "skew" else (saddle, "_evaluated")
+    evaluate, evaluated = getattr(module, name), []
+
+    def recorded(problem, atoms):
+        evaluated.append(evaluate(problem, atoms))
+        return evaluated[-1]
+
+    monkeypatch.setattr(module, name, recorded)
+    rng = np.random.default_rng(21)
+    config = SolverConfig(eps_target=1e-14, gap_threshold=0.0, max_steps=150)
+    resolved = 0
+    for _ in range(4):
+        problem, evaluated[:] = _random_problem(path, rng), []
+        sol = (solve_vi if path == "skew" else solve_sp)(problem, config=config)
+        rest = iter(evaluated)
+        for r in sol.rounds:
+            next(rest)  # the certificate's atoms
+            (_, gap, rho, _), _ = next(rest)
+            for _ in range(r["master_solves"] - 1):
+                next(rest)
+            resolved += r["master_solves"] > 1
+            assert r["bound"] <= gap + rho
+        assert next(rest, None) is None
+    assert resolved

@@ -698,6 +698,32 @@ def test_early_round_before_non_productive_steps_is_closed_on_the_lp(monkeypatch
     assert run.cert.residual <= run.rounds[0]["residual"]
 
 
+@pytest.mark.parametrize("solver", ["ellipsoid", "md"])
+def test_a_run_that_stops_at_an_early_round_builds_no_certificate_lp(monkeypatch, solver):
+    # the run's CertificateLP is built by its first round that solves an LP:
+    # a game that stops at an early round builds no HiGHS model, and a run
+    # that reaches the base interval builds one, which its later rounds reuse
+    built, real = [], solvers.CertificateLP
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "CertificateLP", counted)
+    rng = np.random.default_rng(12)
+    master = build_master_example2(BilinearSpSpec(A=DenseMatrixOracle(rng.normal(size=(3, 40))),
+                                                  D=DenseMatrixOracle(rng.normal(size=(3, 40)))))
+    sol = solve_sp(master, solver, SolverConfig(eps_target=2e-7, gap_threshold=4e-7))
+    assert sol.stop_reason == "gap_threshold" and sol.steps < 4 * 3 ** 2
+    assert built == [] and all(r["lp_solves"] == 0 for r in sol.rounds)
+    field, dom = _monotone_field()
+    run = {"ellipsoid": ellipsoid_run, "md": md_run}[solver](
+        field, dom, SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16),
+        early_rounds=True)
+    assert [r["lp_solves"] > 0 for r in run.rounds[:3]] == [False, False, True]
+    assert built == [((1.0, 2.0), 2, 4)]
+
+
 @pytest.mark.parametrize("method", [ellipsoid_run, md_run])
 def test_first_lp_round_starts_from_the_rows_it_holds_without_early_rounds(monkeypatch, method):
     # the early rounds' certificates, spread over up to 64 entries, are
@@ -1141,10 +1167,9 @@ def test_rebuilt_gap_is_within_the_bound(monkeypatch, problem, solver):
     # or skew VI's bound is also at most that gap plus its rounding allowance,
     # and so are the bounds of its earlier rounds, whose restricted masters
     # hold the earlier rounds' best replies
-    returned = []
-    for module in (saddle, vi):
-        monkeypatch.setattr(module, "_choose_atoms", lambda *args, choose=module._choose_atoms:
-                            returned.append(choose(*args)) or returned[-1])
+    returned, choose = [], solvers._choose_atoms
+    monkeypatch.setattr(solvers, "_choose_atoms",
+                        lambda *args: returned.append(choose(*args)) or returned[-1])
     sol, bound, _, spec = _desk_solve(problem, solver, SolverConfig(gap_threshold=1e-5,
                                                                     max_steps=1500))
     rebuilt, rho = rebuilt_gap(spec, sol)
