@@ -175,7 +175,7 @@ def _build_parser():
                             "rounds (default 4K^2, K the largest block dimension); "
                             "rounds fall on its multiples, paced by the run's residuals; "
                             "for games and skew VIs, rounds without the certificate LP "
-                            "also fall at n, 2n, 4n, ... below it (n the primal dimension)")
+                            "also fall at K + 1, 2(K + 1), 4(K + 1), ... below it")
         p.add_argument("--gap-threshold", type=float, default=1e-4)
         p.add_argument("--report", default=None, help="path for the JSON report")
     return parser

@@ -296,11 +296,13 @@ def _restricted_master(master, hits):
     """Equilibrium of the game restricted to the distinct pure strategies of
     the (w_hit, z_hit) pairs `hits` (a run's payloads and its rounds' best
     replies), as (w_atoms, z_atoms, w_cols, z_cols), or None where HiGHS
-    rejects the LP.  The minimizer's LP (_restricted_lp)
-    is written through the columns D e_j of its strategies, and each
-    maximizer's strategy i is one row <A e_i, D w> + q_i <= s: the row's
-    normal is its column A e_i, or e_i for the square master, whose payoff
-    S_ij is entry i of D e_j.  The rows' duals are the maximizer's weights."""
+    rejects the LP.  The minimizer's LP (_restricted_lp) takes the
+    columns D e_j of its strategies as images, and each maximizer's
+    strategy i is one row <A e_i, D w> + q_i <= s: the row's normal is its
+    column A e_i, or e_i for the square master, whose payoff S_ij is entry
+    i of D e_j.  The LP holds these rows through the images or as the
+    pairing table of their payoffs, whichever has fewer nonzeros.  The
+    rows' duals are the maximizer's weights."""
     w_hits, z_hits = {w.key: w for w, _ in hits}, {z.key: z for _, z in hits}
     images = np.array([h.column for h in w_hits.values()]).T
     if master.S is None:

@@ -7,15 +7,16 @@ productive.  Both compute the best accuracy certificate for the
 protocol so far in rounds paced by the run's own residuals, on one
 certificate LP per run; mirror descent offers its normalized step sizes
 as one more candidate.  Runs whose rounds solve a restricted master also
-have early rounds, at doublings of the primal dimension, that score only
-the certificates known in closed form.  Both
+have early rounds, from step K + 1 on (K the largest block dimension) and
+at its doublings, that score only the certificates known in closed form.
+Both
 operate on origin-centered Euclidean balls or products of two such
 balls, where the residual has a closed form and needs no LMO calls.
 They share one run state for the protocol, the field payloads and the
 certificate rounds, and return one SolveResult.
 A game's or skew VI's round also solves its restricted master, the game
 over the pure strategies hit so far and the best replies that the run
-has found, by _restricted_lp on a fresh HiGHS model, re-solves it with
+has found, by _restricted_lp on the thread's HiGHS model, re-solves it with
 each new best reply while the run's own oracle work allows
 (_RestrictedMaster), and returns the atoms with the least bound
 (_choose_atoms).
@@ -29,6 +30,7 @@ import importlib.util
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +64,8 @@ class SolverConfig:
     max_steps: int = 20000
     # the base and shortest interval between certificate rounds (default:
     # 4 K^2, K the largest block dimension); rounds fall on its multiples,
-    # paced by the run's residuals, and for games and skew VIs also at n,
-    # 2n, 4n, ... below it (n the primal dimension), without the certificate LP
+    # paced by the run's residuals, and for games and skew VIs also at K + 1,
+    # 2(K + 1), 4(K + 1), ... below it, without the certificate LP
     cert_period: int | None = None
     gap_threshold: float = 1e-4
     start: np.ndarray | None = None
@@ -268,7 +270,8 @@ class SolveResult:
     read off the run's CertificateLP), the deep cuts that the ellipsoid
     re-applied from its protocol since the previous round (`recycled`, 0
     for mirror descent), the step of the next scheduled round (`due`, None
-    on a round that stops or closes the run) and the fields that
+    on a round that stops or closes the run; twice the step, at most
+    cert_period, after an early round, see _Run) and the fields that
     `on_certificate` returned (value for games, scale for VIs).  Games and
     VIs also return `bound`, `cert_gap`, `atoms` (see _choose_atoms),
     `master_columns` and `master_solves`: a round's gap and bound are those
@@ -279,7 +282,8 @@ class SolveResult:
     side of a game (minimizer's, maximizer's) or per block of a skew VI
     (None for an affine VI, which has none), and `master_solves` the
     restricted-master LPs that the round ran (see _RestrictedMaster; 0 for
-    an affine VI).  The last round is on `cert` and its atoms are the
+    an affine VI), each one HiGHS run on the thread's model
+    (_restricted_lp).  The last round is on `cert` and its atoms are the
     solution's.
     Residuals and gaps
     are as computed, never clamped at 0: a residual below 0, impossible in
@@ -307,10 +311,13 @@ class _Run:
     the first round that solves one (`lp` is None until then), so a run
     that stops at an early round builds no HiGHS model.
 
-    With n the primal dimension and P = `cert_period`, the first round
-    falls at step P, or, with `early_rounds`, early rounds fall at steps
-    n, 2n, 4n, ... below P and max_steps before it; a solver runs one once
-    its step reaches `due`.  An early round scores only the certificates
+    With K the largest block dimension and P = `cert_period`, the first
+    round falls at step P, or, with `early_rounds`, early rounds fall at
+    steps K + 1, 2(K + 1), 4(K + 1), ... below P and max_steps before it;
+    a solver runs one once its step reaches `due`.  K + 1 is the first step
+    where the protocol can hold an equilibrium of a game whose columns
+    live in R^K, which by Caratheodory needs at most K + 1 pure strategies
+    per side.  An early round scores only the certificates
     known in closed form (uniform weights, the last round's and the
     solver's `candidates`) and solves no LP, so it costs little more than
     its restricted master, which may already stop the run; every other
@@ -323,7 +330,7 @@ class _Run:
     then half the periods that the run's own rate of decrease predicts it
     still needs to reach a stop, at most twice the last interval.  Only
     rounds predicted not to stop the run are skipped, and the steps
-    themselves do not depend on the rounds.  Where P <= n there are no
+    themselves do not depend on the rounds.  Where P <= K + 1 there are no
     early rounds."""
 
     def __init__(self, field, domain, config, on_certificate, early_rounds=False):
@@ -340,7 +347,7 @@ class _Run:
         self.lp = None  # built by the first round that solves an LP
         self.recycled = 0  # deep cuts applied since the last round
         # the step of the next round
-        self.due = min(domain.dim, self.cert_period) if early_rounds else self.cert_period
+        self.due = min(k + 1, self.cert_period) if early_rounds else self.cert_period
         self.lp_owed = False  # the last round was early and did not stop the run
 
     def evaluate(self, point, step):
@@ -464,9 +471,10 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None, early_rounds=
     _Run): the first at step cert_period, each later one at the step that
     the previous round recorded as `due`.  With `early_rounds`, for runs
     whose `on_certificate` solves a restricted master that may stop them
-    long before the certificate does, rounds also fall at steps n, 2n, 4n,
-    ... below cert_period (n the dimension) and solve no LP (the best of
-    uniform weights and the last round's certificate).
+    long before the certificate does, rounds also fall at steps K + 1,
+    2(K + 1), 4(K + 1), ... below cert_period (K the largest ball's
+    dimension) and solve no LP (the best of uniform weights and the last
+    round's certificate).
     `on_certificate(protocol, cert, payloads)` returns the round's fields
     ({"gap", "value"} for games, {"gap", "scale"} for VIs, with
     "checked": False where the gap is not a dual gap, and "cert_gap" where
@@ -553,8 +561,9 @@ def md_run(field, domain, config=None, on_certificate=None, early_rounds=False):
     Steps xi_{i+1} = Proj(xi_i - gamma_i F(xi_i)) from `SolverConfig.start`
     (the origin when None) with gamma_i = R/(Lhat_i sqrt(i)), Lhat_i the
     running max of the field norms.  All steps are productive.  Rounds,
-    their schedule from the base interval cert_period, `early_rounds`,
-    `on_certificate` and the stop rules are those of `ellipsoid_run`; each
+    their schedule from the base interval cert_period, `early_rounds` (from
+    step K + 1, K the largest ball's dimension), `on_certificate` and the
+    stop rules are those of `ellipsoid_run`; each
     round also tries the normalized step sizes, the classical certificate
     with its O(1/sqrt(t)) residual, so no round's residual is above theirs.
 
@@ -620,6 +629,21 @@ class _Rejected(RuntimeError):
     """HiGHS rejected a change to the certificate LP's model, or found no optimum."""
 
 
+def _new_highs():
+    """An empty HiGHS model with the options of every LP here: no output, no
+    presolve, and feasibility tolerances of 1e-10, since residuals are
+    certified far below the default 1e-7."""
+    highs = _highs_core()._Highs()
+    for name, value in (("output_flag", False), ("presolve", "off"),
+                        ("primal_feasibility_tolerance", 1e-10),
+                        ("dual_feasibility_tolerance", 1e-10)):
+        highs.setOptionValue(name, value)
+    return highs
+
+
+_thread = threading.local()  # .highs: the thread's model for restricted-master LPs
+
+
 class CertificateLP:
     """The best-certificate LP of one run, as one persistent HiGHS model:
     maximize s over columns (s, a, b), (a, b) in the box of the balls,
@@ -641,13 +665,8 @@ class CertificateLP:
 
     def __init__(self, radii, split, dim):
         core = _highs_core()
-        self.highs, self._optimal = core._Highs(), core.HighsModelStatus.kOptimal
+        self.highs, self._optimal = _new_highs(), core.HighsModelStatus.kOptimal
         self._error = core.HighsStatus.kError
-        for name, value in (("output_flag", False), ("presolve", "off"),
-                            # residuals are certified far below the default 1e-7
-                            ("primal_feasibility_tolerance", 1e-10),
-                            ("dual_feasibility_tolerance", 1e-10)):
-            self.highs.setOptionValue(name, value)
         upper = np.array([np.inf] + [r for sl, r in _balls(radii, split, dim)
                                      for _ in range(sl.start, sl.stop)])
         cost = np.zeros(1 + dim)
@@ -827,17 +846,22 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
 
 
 def _restricted_lp(images, blocks, normals, row_blocks, rhs, cost):
-    """Solve the restricted master LP of a certificate round on a fresh
-    HiGHS model:
+    """Solve the restricted master LP of a certificate round:
 
         minimize  <cost, eta> + sum_b v_b
         over      eta >= 0, sum of eta_j over block b = 1 for each block b,
-                  x = images eta, and free v,
-        s.t.      <normals[r], x> - v[row_blocks[r]] <= rhs[r] for each row r.
+                  and free v,
+        s.t.      <normals[r], images eta> - v[row_blocks[r]] <= rhs[r] for each row r.
 
     Column j of `images` (K x n) is the K-dimensional image of atom j, in
-    block blocks[j]; `normals` is R x K.  The model holds at most (n + R)(K + 1)
-    + K nonzeros: the n x R table of the atoms' pairings is never built.
+    block blocks[j]; `normals` is R x K.  The LP is written in whichever of
+    two forms holds fewer nonzeros, a choice by the sizes alone: with the
+    R x n pairing table normals @ images as the rows (nR + R + n nonzeros),
+    where n R <= (n + R + 1) K, else through K free image columns x = images
+    eta, so that the rows read <normals[r], x> ((n + R)(K + 1) + K
+    nonzeros, the table never built).  The model is the thread's own,
+    built once by _new_highs and cleared before each LP, so a solve costs
+    about one HiGHS run and no two threads share a model.
     Returns (eta, y): eta clipped at 0 and normalized per block, and y the
     rows' max(-dual, 0), which sum to 1 over each row block at an optimum,
     normalized per row block (for a game, the maximizer's mixed strategy).
@@ -845,19 +869,24 @@ def _restricted_lp(images, blocks, normals, row_blocks, rhs, cost):
     leaves a block without weight."""
     k, n = images.shape
     r, n_blocks = len(normals), int(blocks.max()) + 1
-    # rows x = images eta, then the R rows, each a dense pattern of nonzeros
-    eq_idx = np.empty((k, n + 1), dtype=np.int32)
+    tabled = _tabled(n, r, k)
+    m = 0 if tabled else k  # the image columns x after eta, each with its row x = images eta
+    eq_idx = np.empty((m, n + 1), dtype=np.int32)
     eq_idx[:, :n] = np.arange(n)
-    eq_idx[:, n] = n + np.arange(k)
-    eq_val = np.empty((k, n + 1))
-    np.negative(images, out=eq_val[:, :n])
+    eq_idx[:, n] = n + np.arange(m)
+    eq_val = np.empty((m, n + 1))
+    np.negative(images[:m], out=eq_val[:, :n])
     eq_val[:, n] = 1.0
-    in_idx = np.empty((r, k + 1), dtype=np.int32)
-    in_idx[:, :k] = n + np.arange(k)
-    in_idx[:, k] = n + k + row_blocks
-    in_val = np.empty((r, k + 1))
-    in_val[:, :k] = normals
-    in_val[:, k] = -1.0
+    # the R rows, each a dense pattern of nonzeros: the pairing table's row on
+    # eta, or the normal on x
+    pattern, first = (normals.dot(images), 0) if tabled else (normals, n)
+    width = pattern.shape[1]
+    in_idx = np.empty((r, width + 1), dtype=np.int32)
+    in_idx[:, :width] = first + np.arange(width)
+    in_idx[:, width] = n + m + row_blocks
+    in_val = np.empty((r, width + 1))
+    in_val[:, :width] = pattern
+    in_val[:, width] = -1.0
     order = np.argsort(blocks, kind="stable")  # the simplex rows, block by block
     keep = [eq_val != 0.0, in_val != 0.0]
     counts = np.concatenate([keep[0].sum(axis=1), keep[1].sum(axis=1),
@@ -867,31 +896,38 @@ def _restricted_lp(images, blocks, normals, row_blocks, rhs, cost):
     starts = np.zeros(len(counts), dtype=np.int32)
     np.cumsum(counts[:-1], out=starts[1:])
     core = _highs_core()
-    highs = core._Highs()
-    for name, value in (("output_flag", False), ("presolve", "off"),
-                        ("primal_feasibility_tolerance", 1e-10),
-                        ("dual_feasibility_tolerance", 1e-10)):
-        highs.setOptionValue(name, value)
-    free = np.full(k + n_blocks, np.inf)
+    error = core.HighsStatus.kError
+    highs = getattr(_thread, "highs", None)
+    if highs is None:
+        highs = _thread.highs = _new_highs()
+    highs.clearModel()  # keeps the options
+    free = np.full(m + n_blocks, np.inf)
     empty = np.zeros(0, dtype=np.int32)
-    ok = highs.addCols(n + k + n_blocks, np.concatenate([cost, np.zeros(k), np.ones(n_blocks)]),
-                       np.concatenate([np.zeros(n), -free]), np.full(n + k + n_blocks, np.inf),
-                       0, empty, empty, np.zeros(0)) != core.HighsStatus.kError
-    lower = np.concatenate([np.zeros(k), np.full(r, -np.inf), np.ones(n_blocks)])
-    upper = np.concatenate([np.zeros(k), rhs, np.ones(n_blocks)])
+    ok = highs.addCols(n + m + n_blocks, np.concatenate([cost, np.zeros(m), np.ones(n_blocks)]),
+                       np.concatenate([np.zeros(n), -free]), np.full(n + m + n_blocks, np.inf),
+                       0, empty, empty, np.zeros(0)) != error
+    lower = np.concatenate([np.zeros(m), np.full(r, -np.inf), np.ones(n_blocks)])
+    upper = np.concatenate([np.zeros(m), rhs, np.ones(n_blocks)])
     if not (ok and highs.addRows(len(counts), lower, upper, len(values), starts, indices,
-                                 values) != core.HighsStatus.kError
-            and highs.run() != core.HighsStatus.kError
+                                 values) != error
+            and highs.run() != error
             and highs.getModelStatus() == core.HighsModelStatus.kOptimal):
         raise _Rejected("HiGHS rejected the restricted LP or found no optimum")
     sol = highs.getSolution()
     eta = np.maximum(np.array(sol.col_value[:n]), 0.0)
-    y = np.maximum(-np.array(sol.row_dual[k:k + r]), 0.0)
+    y = np.maximum(-np.array(sol.row_dual[m:m + r]), 0.0)
     eta_mass = np.bincount(blocks, eta, minlength=n_blocks)
     y_mass = np.bincount(row_blocks, y, minlength=n_blocks)
     if not ((eta_mass > 0.0).all() and (y_mass > 0.0).all()):
         raise _Rejected("the restricted LP left a block without weight")
     return eta / eta_mass[blocks], y / y_mass[row_blocks]
+
+
+def _tabled(n, r, k):
+    """Whether a restricted LP of n atoms with K-dimensional images and R rows
+    is written with its R x n pairing table: where the table's nR + R + n
+    nonzeros are at most the (n + R)(K + 1) + K of the image rows."""
+    return n * r <= (n + r + 1) * k
 
 
 class _RestrictedMaster:

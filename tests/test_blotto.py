@@ -139,14 +139,15 @@ def test_spec_takes_integer_counts_only():
 def test_win_lose_blotto_closes_at_its_first_round():
     # three fields, six units per side and per field, the attacker scoring a
     # field it holds with strictly more units: a mixed game of value 6/5 in
-    # primal dimension 36, whose first round (step 36) re-solves its
-    # restricted master with its own best replies until the gap closes
+    # primal dimension 36 (K = 18), whose first round (step K + 1 = 19)
+    # re-solves its restricted master with its own best replies until the
+    # gap closes
     win = np.tril(np.ones((7, 7)), -1)  # win[a, d] = 1 where a > d
     spec = BlottoSpec(caps_a=(6,) * 3, caps_d=(6,) * 3, costs_a=(1,) * 3, costs_d=(1,) * 3,
                       budget_a=6, budget_d=6, omegas=(win,) * 3)
     report = solve_blotto(spec, SolverConfig(eps_target=1e-9, gap_threshold=1e-9))
     assert report.primal_dim == 36
-    assert [r["step"] for r in report.rounds] == [36] and report.steps == 36
+    assert [r["step"] for r in report.rounds] == [19] and report.steps == 19
     assert report.stop_reason == "gap_threshold" and report.rounds[0]["master_solves"] > 1
     assert abs(report.value - 1.2) <= 1e-9
     assert exact_gap(build_blotto(spec), report) == report.gap_exact <= 1e-9

@@ -410,11 +410,12 @@ def test_nash_report_counts_every_step(tmp_path):
     from lmodecomp.solvers import SolverConfig
     from lmodecomp.vi import nash_spec_from_json, nash_to_skew, solve_vi
 
-    # a mixed equilibrium off the uniform one: the ellipsoid leaves a ball
-    # before the run's first round, at step n = 8, stops it
+    # a mixed equilibrium off the uniform one, (2/3, 1/3) for both players:
+    # the ellipsoid leaves a ball before the run's first round, at step
+    # K + 1 = 5, stops it
     Z = [[0.0, 0.0], [0.0, 0.0]]
     eye = [[1.0, 0.0], [0.0, 1.0]]
-    C = [[2.0, -1.0], [-1.0, 1.0]]
+    C = [[1.0, 0.0], [0.0, 2.0]]
     obj = {"D": [eye, eye], "M": [[Z, C], [(-np.asarray(C).T).tolist(), Z]]}
     report_path = tmp_path / "report.json"
     assert run(["nash", "--spec", write_spec(tmp_path, obj), "--gap-threshold", "1e-6",

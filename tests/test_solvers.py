@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -637,22 +638,23 @@ def _monotone_field():
 
 @pytest.mark.parametrize("method", [ellipsoid_run, md_run])
 def test_early_rounds_fall_at_doublings_of_the_dimension_without_the_lp(monkeypatch, method):
-    # in dimension n = 4 with base interval 16, rounds fall at 4 and 8 and
-    # solve no LP: their certificate is the best of uniform weights, the last
-    # round's and mirror descent's step sizes; the round at 16 and every
-    # later one solve it
+    # on two balls of dimension K = 2 with base interval 16, rounds fall at
+    # K + 1 = 3, 6 and 12 and solve no LP: their certificate is the best of
+    # uniform weights, the last round's and mirror descent's step sizes; the
+    # round at 16 and every later one solve it
     calls = _recorded_solves(monkeypatch)
     field, dom = _monotone_field()
     config = SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16)
     run = method(field, dom, config, early_rounds=True)
     early = [r for r in run.rounds if r["step"] < 16]
-    assert [(r["step"], r["due"], r["lp_solves"]) for r in early] == [(4, 8, 0), (8, 16, 0)]
-    assert calls == [0, 0] + [solvers._MAX_LP_SOLVES] * (len(run.rounds) - 2)
-    assert run.rounds[2]["step"] == 16 and run.rounds[2]["lp_solves"] > 0
+    assert [(r["step"], r["due"], r["lp_solves"]) for r in early] == [(3, 6, 0), (6, 12, 0),
+                                                                     (12, 16, 0)]
+    assert calls == [0, 0, 0] + [solvers._MAX_LP_SOLVES] * (len(run.rounds) - 3)
+    assert run.rounds[3]["step"] == 16 and run.rounds[3]["lp_solves"] > 0
     # the steps do not depend on the rounds, and from 16 on neither do the rounds
     late = method(field, dom, config)
     assert late.rounds[0]["step"] == 16 and late.protocol.step_ids == run.protocol.step_ids
-    assert [r["step"] for r in late.rounds] == [r["step"] for r in run.rounds[2:]]
+    assert [r["step"] for r in late.rounds] == [r["step"] for r in run.rounds[3:]]
     gammas = md_step_sizes(run.protocol, np.sqrt(5.0))
     previous = None
     for r in early:
@@ -668,7 +670,25 @@ def test_early_rounds_fall_at_doublings_of_the_dimension_without_the_lp(monkeypa
         previous = r["weights"]
 
 
+@pytest.mark.parametrize("method", [ellipsoid_run, md_run])
+def test_first_early_round_falls_at_the_largest_block_dimension_plus_one(method):
+    # balls of dimensions 2 and 4: K = 4, so the first early round is at
+    # K + 1 = 5, the first step where K + 1 pure strategies per side, as
+    # many as an equilibrium in R^K needs, can be in the protocol; then
+    # 10, 20 and 40 below the base interval 4 K^2 = 64
+    rng = np.random.default_rng(8)
+    skew = rng.normal(size=(6, 6))
+    mat, shift = skew - skew.T + 0.05 * np.eye(6), rng.normal(size=6)
+    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(4), 2.0)])
+    run = method(FieldOracle(lambda x: mat @ x + shift), dom,
+                 SolverConfig(eps_target=1e-15, max_steps=64), early_rounds=True)
+    assert [(r["step"], r["due"]) for r in run.rounds] == [(5, 10), (10, 20), (20, 40),
+                                                          (40, 64), (64, 128)]
+    assert [r["lp_solves"] > 0 for r in run.rounds] == [False] * 4 + [True]
+
+
 @pytest.mark.parametrize("max_steps, rounds", [
+    # one ball of dimension K = 2: early rounds from K + 1 = 3
     (10, [(3, 6), (6, 12), (10, None)]),  # closes on the entries since the round at 6
     (6, [(3, 6), (6, 106)]),              # the round at max_steps, a doubling, is not early
 ])
@@ -676,7 +696,7 @@ def test_early_rounds_fall_at_doublings_of_the_dimension_without_the_lp(monkeypa
 def test_last_round_before_the_base_interval_solves_the_lp(monkeypatch, method, max_steps,
                                                            rounds):
     calls = _recorded_solves(monkeypatch)
-    run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2, 0.1])), Ball(np.zeros(3), 1.0),
+    run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2])), Ball(np.zeros(2), 1.0),
                  SolverConfig(eps_target=1e-15, max_steps=max_steps, cert_period=100),
                  early_rounds=True)
     assert run.stop_reason == "max_steps"
@@ -686,16 +706,18 @@ def test_last_round_before_the_base_interval_solves_the_lp(monkeypatch, method, 
 
 
 def test_early_round_before_non_productive_steps_is_closed_on_the_lp(monkeypatch):
-    # step 5 leaves the balls, so the protocol has not grown since the early
-    # round at 4 when the run ends: the closing round solves the LP on it
+    # step 25 leaves the balls, so the protocol has not grown since the early
+    # round at 24 (of those at 3, 6, 12 and 24) when the run ends: the
+    # closing round solves the LP on it
     calls = _recorded_solves(monkeypatch)
     field, dom = _monotone_field()
-    run = ellipsoid_run(field, dom, SolverConfig(eps_target=1e-15, max_steps=5, cert_period=16),
+    run = ellipsoid_run(field, dom, SolverConfig(eps_target=1e-15, max_steps=25, cert_period=64),
                         early_rounds=True)
-    assert run.stop_reason == "max_steps" and run.protocol.step_ids == (1, 2, 3, 4)
-    assert [(r["step"], r["t"]) for r in run.rounds] == [(4, 4), (5, 4)]
-    assert calls == [0, solvers._MAX_LP_SOLVES] and run.rounds[-1]["lp_solves"] > 0
-    assert run.cert.residual <= run.rounds[0]["residual"]
+    assert run.stop_reason == "max_steps" and run.protocol.step_ids[-1] == 24
+    assert [(r["step"], r["t"]) for r in run.rounds] == [(3, 3), (6, 5), (12, 10), (24, 17),
+                                                        (25, 17)]
+    assert calls == [0, 0, 0, 0, solvers._MAX_LP_SOLVES] and run.rounds[-1]["lp_solves"] > 0
+    assert run.cert.residual <= run.rounds[-2]["residual"]
 
 
 @pytest.mark.parametrize("solver", ["ellipsoid", "md"])
@@ -720,13 +742,13 @@ def test_a_run_that_stops_at_an_early_round_builds_no_certificate_lp(monkeypatch
     run = {"ellipsoid": ellipsoid_run, "md": md_run}[solver](
         field, dom, SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16),
         early_rounds=True)
-    assert [r["lp_solves"] > 0 for r in run.rounds[:3]] == [False, False, True]
+    assert [r["lp_solves"] > 0 for r in run.rounds[:4]] == [False, False, False, True]
     assert built == [((1.0, 2.0), 2, 4)]
 
 
 @pytest.mark.parametrize("method", [ellipsoid_run, md_run])
 def test_first_lp_round_starts_from_the_rows_it_holds_without_early_rounds(monkeypatch, method):
-    # the early rounds' certificates, spread over up to 64 entries, are
+    # the early rounds' certificates, spread over up to 96 entries, are
     # scored at step 128 but do not seed the working set: the LP starts from
     # the 8 (d + 1) = 40 rows binding at its start, as without early rounds
     started, real = [], solvers.CertificateLP.hold
@@ -741,7 +763,7 @@ def test_first_lp_round_starts_from_the_rows_it_holds_without_early_rounds(monke
     config = SolverConfig(eps_target=1e-15, max_steps=128, cert_period=128)
     late = method(field, dom, config)
     early = method(field, dom, config, early_rounds=True)
-    assert [r["step"] for r in early.rounds] == [4, 8, 16, 32, 64, 128]
+    assert [r["step"] for r in early.rounds] == [3, 6, 12, 24, 48, 96, 128]
     assert len(started) == 2 and len(started[0]) == 40
     assert np.array_equal(started[0], started[1])
     assert early.cert.residual <= min(late.cert.residual, early.rounds[-2]["residual"])
@@ -750,11 +772,12 @@ def test_first_lp_round_starts_from_the_rows_it_holds_without_early_rounds(monke
 @pytest.mark.parametrize("period", [3, 4])
 @pytest.mark.parametrize("method", [ellipsoid_run, md_run])
 def test_base_interval_at_most_the_dimension_leaves_no_early_round(monkeypatch, method, period):
-    # with cert_period <= n every round falls on a multiple of it, from the
-    # first at cert_period, and solves the LP
+    # with cert_period <= K + 1 = 4 (two balls of dimension K = 3) every
+    # round falls on a multiple of it, from the first at cert_period, and
+    # solves the LP
     calls = _recorded_solves(monkeypatch)
-    dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
-    run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2, 0.1, 0.4])), dom,
+    dom = Product([Ball(np.zeros(3), 1.0), Ball(np.zeros(3), 2.0)])
+    run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2, 0.1, 0.4, -0.1, 0.2])), dom,
                  SolverConfig(eps_target=1e-15, max_steps=40, cert_period=period),
                  early_rounds=True)
     steps = [r["step"] for r in run.rounds]
@@ -809,7 +832,7 @@ def test_round_schedule_skips_only_rounds_that_cannot_stop_the_run(monkeypatch):
     for p, e in zip(paced, every):
         assert (p.steps, p.stop_reason) == (e.steps, e.stop_reason)
         assert p.cert.residual == pytest.approx(e.cert.residual, rel=1e-7)
-        assert [r["step"] for r in e.rounds if r["step"] < 36] == [6, 12, 24]
+        assert [r["step"] for r in e.rounds if r["step"] < 36] == [4, 8, 16, 32]
         assert from_36(e) == list(range(36, e.steps + 1, 36))
     assert 2 * sum(len(from_36(p)) for p in paced) <= sum(len(from_36(e)) for e in every)
 
@@ -860,6 +883,124 @@ def test_failed_solve_ends_the_round_and_spares_the_lp():
     assert again.residual == pytest.approx(fresh.residual, rel=1e-9, abs=1e-12)
     assert again.residual < 0.0 < cert.residual
     assert again.lower <= again.residual
+
+
+def _restricted_args(rng, n, r, k, n_blocks=1):
+    """Random arguments of solvers._restricted_lp: n atoms with
+    k-dimensional images and r rows, each of n_blocks blocks holding at
+    least one atom and one row."""
+    blocks = np.sort(np.r_[np.arange(n_blocks), rng.integers(0, n_blocks, n - n_blocks)])
+    row_blocks = np.sort(np.r_[np.arange(n_blocks), rng.integers(0, n_blocks, r - n_blocks)])
+    return (rng.normal(size=(k, n)), blocks, rng.normal(size=(r, k)), row_blocks,
+            rng.normal(size=r), rng.normal(size=n))
+
+
+def _restricted_value(images, blocks, normals, row_blocks, rhs, cost, eta):
+    """The restricted LP's objective at eta with each v_b at its least
+    feasible value, the largest <normals[r], images eta> - rhs[r] of block b."""
+    rows = normals.dot(images.dot(eta)) - rhs
+    return cost.dot(eta) + sum(rows[row_blocks == b].max() for b in np.unique(row_blocks))
+
+
+def test_thread_model_solves_as_a_fresh_model(monkeypatch):
+    # the thread's one HiGHS model, cleared before each restricted LP, gives
+    # bit for bit what a fresh model with the same options gives, also right
+    # after an LP that HiGHS rejects at addRows (a coefficient of 1e20) or
+    # solves without an optimum (block 1 has no row, so v_1 is unbounded)
+    rng = np.random.default_rng(21)
+    huge = _restricted_args(rng, 4, 5, 3)
+    huge[0][1, 2] = 1e20
+    unbounded = list(_restricted_args(rng, 6, 5, 3, n_blocks=2))
+    unbounded[3] = np.zeros(5, dtype=np.intp)
+    sequence = [_restricted_args(rng, 5, 4, 3), huge, _restricted_args(rng, 3, 6, 3),
+                _restricted_args(rng, 40, 30, 3), unbounded, _restricted_args(rng, 8, 8, 8, 2),
+                _restricted_args(rng, 5, 4, 3)]
+    assert [solvers._tabled(len(a[1]), len(a[2]), a[0].shape[0]) for a in sequence] == [
+        True, True, True, False, True, True, True]
+
+    def outcome(args):
+        try:
+            return solvers._restricted_lp(*args)
+        except solvers._Rejected as error:
+            return str(error)
+
+    outcome(sequence[0])  # the thread's model exists from here on
+    model = solvers._thread.highs
+    reused = [outcome(args) for args in sequence]
+    assert solvers._thread.highs is model
+    fresh = []
+    for args in sequence:
+        monkeypatch.setattr(solvers, "_thread", threading.local())
+        fresh.append(outcome(args))
+        assert solvers._thread.highs is not model
+    assert [type(x) for x in reused] == [tuple, str, tuple, tuple, str, tuple, tuple]
+    for got, want in zip(reused, fresh):
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("n, r, k, n_blocks, rule", [
+    (3, 4, 3, 1, True), (6, 5, 3, 1, True), (6, 6, 4, 2, True), (12, 12, 6, 3, True),
+    (40, 30, 3, 1, False), (13, 13, 6, 3, False), (30, 60, 8, 2, False),
+])
+def test_both_writings_of_the_restricted_lp_agree(monkeypatch, n, r, k, n_blocks, rule):
+    # each writing reaches the same optimal value, to a scaled 1e-12, and
+    # the rule (True: the pairing table) picks the one that holds fewer
+    # nonzeros; (12, 12, 6) and (13, 13, 6) straddle it
+    rng = np.random.default_rng([n, r, k])
+    assert solvers._tabled(n, r, k) == rule
+    for _ in range(5):
+        args = _restricted_args(rng, n, r, k, n_blocks)
+        values, nonzeros = {}, {}
+        for tabled in (True, False):
+            monkeypatch.setattr(solvers, "_tabled", lambda n, r, k: tabled)
+            eta, y = solvers._restricted_lp(*args)
+            values[tabled] = _restricted_value(*args, eta)
+            nonzeros[tabled] = solvers._thread.highs.getNumNz()
+            assert all(abs(np.bincount(args[1], eta) - 1.0) <= 1e-15)
+            assert all(abs(np.bincount(args[3], y) - 1.0) <= 1e-15)
+        assert nonzeros == {True: n * r + n + r, False: (n + r) * (k + 1) + k}
+        assert nonzeros[rule] == min(nonzeros.values())
+        images, _, normals, _, rhs, cost = args
+        scale = max(1.0, np.abs(normals.dot(images)).max(), np.abs(rhs).max(), np.abs(cost).max())
+        assert abs(values[True] - values[False]) <= 1e-12 * scale
+
+
+def test_threads_solve_games_as_sequential_runs():
+    # two threads solve different games at the same time, each on its own
+    # HiGHS models (the restricted masters' and its certificate LPs), and
+    # return exactly what the same solves return one after another
+    def games(seed, k):
+        rng = np.random.default_rng(seed)
+        return [build_master_example2(BilinearSpSpec(
+            A=DenseMatrixOracle(rng.normal(size=(k, int(rng.integers(5, 60))))),
+            D=DenseMatrixOracle(rng.normal(size=(k, int(rng.integers(5, 60)))))))
+            for _ in range(8)]
+
+    # no gap meets the threshold 0, so rounds from 4 K^2 on solve the certificate LP
+    config = SolverConfig(eps_target=1e-9, gap_threshold=0.0, max_steps=120)
+    work = [games(1, 3), games(2, 4)]
+
+    def solved(masters):
+        return [(s.steps, s.stop_reason, s.w_atoms, s.z_atoms, s.gap_bound, s.value_estimate,
+                 s.cert.weights.tolist(), [r["master_solves"] for r in s.rounds])
+                for s in (solve_sp(m, config=config) for m in masters)]
+
+    sequential = [solved(masters) for masters in work]
+    results, start = [None, None], threading.Barrier(2)
+
+    def worker(i):
+        start.wait()
+        results[i] = solved(work[i])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert results == sequential
 
 
 @pytest.mark.parametrize("method", ["ellipsoid", "md"])
