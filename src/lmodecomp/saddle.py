@@ -27,7 +27,7 @@ from .solvers import (
     SolverConfig,
     _Rejected,
     _restricted_lp,
-    _RestrictedMaster,
+    _Rounds,
     ellipsoid_run,
     md_run,
 )
@@ -334,51 +334,41 @@ def solve_sp(master, solver="ellipsoid", config=None):
     Each round also solves the restricted master, the game over the
     distinct pure strategies of the run's payloads and of the best replies
     found so far (_restricted_master), and evaluates its equilibrium the
-    same way: two oracle calls per set of atoms.  Those two calls find the
-    best replies to the equilibrium (_value_bounds).  While they add a
-    strategy, the gap is above max(gap_threshold, rho) and the round has
-    re-solved fewer times than the protocol grew since the previous round,
-    the round adds them and solves again (solvers._RestrictedMaster); the
-    run keeps every reply for its later rounds, and the protocol, the cuts
-    and the certificates do not depend on them.  The round records its
-    last restricted master's distinct strategies per side, (minimizer's,
-    maximizer's), as `master_columns` and its LPs as `master_solves`, and
-    returns the certificate's atoms or the best restricted equilibrium
-    (see solvers._choose_atoms): the certificate's atoms are bounded by
+    same way: two oracle calls per set of atoms, which find the best
+    replies to the equilibrium (_value_bounds) that the run keeps for its
+    later rounds and re-solves with (solvers._Rounds); the protocol, the
+    cuts and the certificates do not depend on them.  The round records
+    its last restricted master's distinct strategies per side,
+    (minimizer's, maximizer's), as `master_columns` and its LPs as
+    `master_solves`, and returns the certificate's atoms or the best
+    restricted equilibrium: the certificate's atoms are bounded by
     max(min(cert.residual, gap + rho), gap), the restricted ones by gap +
     rho, with rho the rounding allowance of _allowance, so a pure saddle
     point reads a bound of rho, not 0.  The certificate's own gap is
-    checked against its residual every round.  The run has early rounds
-    (see solvers._Run), so the restricted master may stop it before the
-    first certificate LP.
+    checked against its residual every round.  Early rounds (see
+    solvers._Run) let the restricted master stop the run before the first
+    certificate LP.
     The solution is the closing round's atoms, gap, value and bound;
     nothing calls an oracle after the run.
     """
     nu = master.dim_u
-    returned = None  # the atoms of the latest round
-    restricted = _RestrictedMaster((config or SolverConfig()).gap_threshold,
-                                   lambda pool: _restricted_master(master, pool),
-                                   lambda atoms: _evaluated(master, atoms),
-                                   lambda pair: (pair[0].key, pair[1].key))
+    rounds = _Rounds((config or SolverConfig()).gap_threshold,
+                     lambda cert, hits: _evaluated(master, _atoms(cert, hits))[0],
+                     lambda pool: _restricted_master(master, pool),
+                     lambda atoms: _evaluated(master, atoms),
+                     lambda pair: (pair[0].key, pair[1].key))
 
     def fn(xi):
         ev = primal_value_grad(master, xi[:nu], xi[nu:])
         return ev.field, (ev.w_hit, ev.z_hit)
 
-    def round_fields(protocol, cert, hits):
-        nonlocal returned
-        certified, _ = _evaluated(master, _atoms(cert, hits))
-        returned, fields = restricted.round(cert.residual, certified, hits)
-        return fields
-
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
     if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
-    run = runs[solver](FieldOracle(fn), master.primal_domain(), config, round_fields,
-                       early_rounds=True)
+    run = runs[solver](FieldOracle(fn), master.primal_domain(), config, rounds)
     last = run.rounds[-1]  # on the whole protocol and run.cert
-    return SparseAtomSolution(**vars(run), w_atoms=returned[0], z_atoms=returned[1],
+    return SparseAtomSolution(**vars(run), w_atoms=rounds.atoms[0], z_atoms=rounds.atoms[1],
                               gap_bound=last["bound"], gap_exact=last["gap"],
                               value_estimate=last["value"])
 

@@ -6,20 +6,19 @@ deep cuts, and projected mirror descent, all of whose steps are
 productive.  Both compute the best accuracy certificate for the
 protocol so far in rounds paced by the run's own residuals, on one
 certificate LP per run; mirror descent offers its normalized step sizes
-as one more candidate.  Runs whose rounds solve a restricted master also
-have early rounds, from step K + 1 on (K the largest block dimension) and
-at its doublings, that score only the certificates known in closed form.
-Both
-operate on origin-centered Euclidean balls or products of two such
-balls, where the residual has a closed form and needs no LMO calls.
-They share one run state for the protocol, the field payloads and the
-certificate rounds, and return one SolveResult.
-A game's or skew VI's round also solves its restricted master, the game
-over the pure strategies hit so far and the best replies that the run
-has found, by _restricted_lp on the thread's HiGHS model, re-solves it with
-each new best reply while the run's own oracle work allows
-(_RestrictedMaster), and returns the atoms with the least bound
-(_choose_atoms).
+as one more candidate.  Every run also has early rounds, from step K + 1
+on (K the largest block dimension) and at its doublings, that score only
+the certificates known in closed form.  Both operate on origin-centered
+Euclidean balls or products of two such balls, where the residual has a
+closed form and needs no LMO calls.  They share one run state for the
+protocol, the field payloads and the certificate rounds, and return one
+SolveResult.
+Every game and VI round (_Rounds) returns the atoms with the least
+computable gap bound (_choose_atoms).  A game's or skew VI's round also
+solves its restricted master, the game over the pure strategies hit so
+far and the best replies that the run has found, by _restricted_lp on the
+thread's HiGHS model, and re-solves it with each new best reply while the
+run's own oracle work allows.
 """
 
 from __future__ import annotations
@@ -64,8 +63,8 @@ class SolverConfig:
     max_steps: int = 20000
     # the base and shortest interval between certificate rounds (default:
     # 4 K^2, K the largest block dimension); rounds fall on its multiples,
-    # paced by the run's residuals, and for games and skew VIs also at K + 1,
-    # 2(K + 1), 4(K + 1), ... below it, without the certificate LP
+    # paced by the run's residuals, and also at K + 1, 2(K + 1), 4(K + 1),
+    # ... below it, without the certificate LP
     cert_period: int | None = None
     gap_threshold: float = 1e-4
     start: np.ndarray | None = None
@@ -272,19 +271,19 @@ class SolveResult:
     for mirror descent), the step of the next scheduled round (`due`, None
     on a round that stops or closes the run; twice the step, at most
     cert_period, after an early round, see _Run) and the fields that
-    `on_certificate` returned (value for games, scale for VIs).  Games and
-    VIs also return `bound`, `cert_gap`, `atoms` (see _choose_atoms),
-    `master_columns` and `master_solves`: a round's gap and bound are those
-    of the atoms it returned ("certificate" or "restricted"), `cert_gap` is
-    the gap of the certificate's own atoms, which the round checks against
-    its residual and paces the next round by, `master_columns` the size of
-    the round's last restricted master, its distinct pure strategies per
-    side of a game (minimizer's, maximizer's) or per block of a skew VI
-    (None for an affine VI, which has none), and `master_solves` the
-    restricted-master LPs that the round ran (see _RestrictedMaster; 0 for
-    an affine VI), each one HiGHS run on the thread's model
-    (_restricted_lp).  The last round is on `cert` and its atoms are the
-    solution's.
+    `on_certificate` returned (value for games, scale for VIs, and
+    checked for affine VIs).  Games and VIs also return `bound`,
+    `cert_gap`, `atoms` (see _choose_atoms), `master_columns` and
+    `master_solves` (see _Rounds): a round's gap and bound are those of the
+    atoms it returned ("certificate" or "restricted"), `cert_gap` is the
+    gap of the certificate's own atoms, which the round checks against its
+    residual and paces the next round by, `master_columns` the size of the
+    round's last restricted master, its distinct pure strategies per side
+    of a game (minimizer's, maximizer's) or per block of a skew VI (None
+    for an affine VI, which has none), and `master_solves` the
+    restricted-master LPs that the round ran (0 for an affine VI), each
+    one HiGHS run on the thread's model (_restricted_lp).  The last round
+    is on `cert` and its atoms are the solution's.
     Residuals and gaps
     are as computed, never clamped at 0: a residual below 0, impossible in
     exact arithmetic for a monotone field, is rounding at the scale of the
@@ -311,16 +310,17 @@ class _Run:
     the first round that solves one (`lp` is None until then), so a run
     that stops at an early round builds no HiGHS model.
 
-    With K the largest block dimension and P = `cert_period`, the first
-    round falls at step P, or, with `early_rounds`, early rounds fall at
-    steps K + 1, 2(K + 1), 4(K + 1), ... below P and max_steps before it;
-    a solver runs one once its step reaches `due`.  K + 1 is the first step
+    With K the largest block dimension and P = `cert_period`, early rounds
+    fall at steps K + 1, 2(K + 1), 4(K + 1), ... below P and max_steps, and
+    the first paced round at step P; a solver runs one once its step
+    reaches `due`.  K + 1 is the first step
     where the protocol can hold an equilibrium of a game whose columns
     live in R^K, which by Caratheodory needs at most K + 1 pure strategies
     per side.  An early round scores only the certificates
     known in closed form (uniform weights, the last round's and the
     solver's `candidates`) and solves no LP, so it costs little more than
-    its restricted master, which may already stop the run; every other
+    the gap evaluation of its atoms (and its restricted master), which may
+    already stop the run; every other
     round solves the LP, and where the last round was early and did not
     stop the run, the closing round does so on the whole protocol.  An
     early certificate is scored but does not seed the LP's working set.
@@ -333,7 +333,7 @@ class _Run:
     themselves do not depend on the rounds.  Where P <= K + 1 there are no
     early rounds."""
 
-    def __init__(self, field, domain, config, on_certificate, early_rounds=False):
+    def __init__(self, field, domain, config, on_certificate):
         self.config = config or SolverConfig()
         self.balls = _origin_ball_blocks(domain)
         (first, r0), *second = self.balls  # a single ball: the second is empty
@@ -347,7 +347,7 @@ class _Run:
         self.lp = None  # built by the first round that solves an LP
         self.recycled = 0  # deep cuts applied since the last round
         # the step of the next round
-        self.due = min(k + 1, self.cert_period) if early_rounds else self.cert_period
+        self.due = min(k + 1, self.cert_period)
         self.lp_owed = False  # the last round was early and did not stop the run
 
     def evaluate(self, point, step):
@@ -445,7 +445,7 @@ class _Run:
                            steps, stop_reason)
 
 
-def ellipsoid_run(field, domain, config=None, on_certificate=None, early_rounds=False):
+def ellipsoid_run(field, domain, config=None, on_certificate=None):
     """Ellipsoid method with accuracy certificates, whose central cuts are
     followed up by deep cuts recycled from its own protocol.
 
@@ -469,10 +469,8 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None, early_rounds=
     CertificateLP.  They fall on multiples of cert_period, the base and
     shortest interval, and are paced by the run's own residuals (see
     _Run): the first at step cert_period, each later one at the step that
-    the previous round recorded as `due`.  With `early_rounds`, for runs
-    whose `on_certificate` solves a restricted master that may stop them
-    long before the certificate does, rounds also fall at steps K + 1,
-    2(K + 1), 4(K + 1), ... below cert_period (K the largest ball's
+    the previous round recorded as `due`.  Early rounds fall at steps
+    K + 1, 2(K + 1), 4(K + 1), ... below cert_period (K the largest ball's
     dimension) and solve no LP (the best of uniform weights and the last
     round's certificate).
     `on_certificate(protocol, cert, payloads)` returns the round's fields
@@ -494,7 +492,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None, early_rounds=
         raise ValueError("ellipsoid method requires dimension >= 2")
     if config is not None and config.start is not None:
         raise ValueError("ellipsoid_run starts at the origin; SolverConfig.start is for md_run")
-    run = _Run(field, domain, config, on_certificate, early_rounds)
+    run = _Run(field, domain, config, on_certificate)
     cuts = _RecordedCuts(n)
     center = np.zeros(n)
     shape = run.radius * np.eye(n)
@@ -555,21 +553,21 @@ def _project_blocks(x, balls):
     return out
 
 
-def md_run(field, domain, config=None, on_certificate=None, early_rounds=False):
+def md_run(field, domain, config=None, on_certificate=None):
     """Projected (Euclidean) mirror descent with accuracy certificates.
 
     Steps xi_{i+1} = Proj(xi_i - gamma_i F(xi_i)) from `SolverConfig.start`
     (the origin when None) with gamma_i = R/(Lhat_i sqrt(i)), Lhat_i the
     running max of the field norms.  All steps are productive.  Rounds,
-    their schedule from the base interval cert_period, `early_rounds` (from
-    step K + 1, K the largest ball's dimension), `on_certificate` and the
+    their schedule from the base interval cert_period and from step K + 1
+    below it (K the largest ball's dimension), `on_certificate` and the
     stop rules are those of `ellipsoid_run`; each
     round also tries the normalized step sizes, the classical certificate
     with its O(1/sqrt(t)) residual, so no round's residual is above theirs.
 
     Returns a SolveResult.
     """
-    run = _Run(field, domain, config, on_certificate, early_rounds)
+    run = _Run(field, domain, config, on_certificate)
     start = run.config.start
     xi = np.zeros(domain.dim) if start is None else np.array(start, dtype=float)
     if xi.shape != (domain.dim,) or not np.isfinite(xi).all():
@@ -930,28 +928,28 @@ def _tabled(n, r, k):
     return n * r <= (n + r + 1) * k
 
 
-class _RestrictedMaster:
-    """The restricted master of a game's or skew VI's rounds, closed in each
-    round by a double-oracle loop (McMahan, Gordon & Blum, ICML 2003) whose
-    oracle work the run's own steps bound.
+class _Rounds:
+    """The `on_certificate` of every game and VI run, which keeps the latest
+    round's atoms in `atoms`.  `certify(cert, payloads)` is (atoms, gap,
+    rho, fields) of the certificate's atoms.  Where `solve` is given, a
+    round also solves the restricted master, closed by a double-oracle
+    loop (McMahan, Gordon & Blum, ICML 2003) whose oracle work the run's
+    own steps bound: `solve(pool)` is the equilibrium of the problem
+    restricted to the distinct pure strategies of the payloads `pool`
+    (None where HiGHS rejects its LP), `evaluate(atoms)` is ((atoms, gap,
+    rho, fields), reply), reply the payload of the best replies to the
+    atoms that the gap evaluation found, and `keys(payload)` the payload's
+    pure strategies, one per side or block.  `replies` keeps every reply
+    found, for the round's later solves and every later round's pool."""
 
-    `solve(pool)` is the equilibrium of the problem restricted to the
-    distinct pure strategies of the payloads `pool` (None where HiGHS
-    rejects its LP), `evaluate(atoms)` is ((atoms, gap, rho, fields),
-    reply), reply the payload of the best replies to the atoms that the gap
-    evaluation found, and `keys(payload)` the payload's pure strategies,
-    one per side or block.  `replies` keeps every reply found, for the
-    round's later solves and every later round's pool."""
-
-    def __init__(self, threshold, solve, evaluate, keys):
-        self.threshold, self.solve, self.evaluate, self.keys = threshold, solve, evaluate, keys
-        self.replies = []
+    def __init__(self, threshold, certify, solve=None, evaluate=None, keys=None):
+        self.threshold, self.certify = threshold, certify
+        self.solve, self.evaluate, self.keys = solve, evaluate, keys
+        self.atoms, self.replies = None, []
         self.t = 0  # the protocol length at the previous round
 
-    def round(self, residual, certified, payloads):
-        """(atoms, fields) of a round on the protocol whose payloads are
-        `payloads`, certified = (atoms, gap, rho, fields) of its
-        certificate's atoms.  The round solves the restricted master over
+    def __call__(self, protocol, cert, payloads):
+        """The round's fields.  The round solves the restricted master over
         the payloads and the replies so far and evaluates its equilibrium;
         it then adds the new reply and solves again for as long as the gap
         is above max(threshold, rho), the reply holds a pure strategy that
@@ -959,35 +957,36 @@ class _RestrictedMaster:
         protocol grew since the previous round.  A re-solve makes the
         oracle calls of one field evaluation, so the loop at most doubles
         the run's oracle work.  The round returns what _choose_atoms picks
-        from the certificate's atoms and the best of the restricted
-        equilibria, ranked as it ranks them, with `master_columns` the last
-        master's distinct strategies per side or block and `master_solves`
-        the LPs it ran, a rejected one too."""
-        pool = [*payloads, *self.replies]
-        budget, self.t = len(payloads) - self.t, len(payloads)
-        known = [set(keys) for keys in zip(*map(self.keys, pool))]
-        best, solves = None, 0
-        while True:
-            solves += 1
-            atoms = self.solve(pool)
-            if atoms is None:
-                break
-            restricted, reply = self.evaluate(atoms)
-            self.replies.append(reply)
-            _, gap, rho, _ = restricted
-            if best is None or _rank(restricted, self.threshold) < _rank(best, self.threshold):
-                best = restricted
-            keys = self.keys(reply)
-            if not (gap > max(self.threshold, rho) and solves <= budget
-                    and any(key not in seen for key, seen in zip(keys, known))):
-                break
-            pool.append(reply)
-            for key, seen in zip(keys, known):
-                seen.add(key)
-        atoms, fields = _choose_atoms(residual, self.threshold, certified, best)
-        fields["master_columns"] = tuple(map(len, known))
-        fields["master_solves"] = solves
-        return atoms, fields
+        from the certificate's atoms and the best restricted equilibrium,
+        with `master_columns` the last master's distinct strategies per side
+        or block and `master_solves` its LPs, a rejected one too."""
+        certified, best = self.certify(cert, payloads), None
+        master = {"master_columns": None, "master_solves": 0}
+        if self.solve is not None:
+            pool = [*payloads, *self.replies]
+            budget, self.t = len(payloads) - self.t, len(payloads)
+            known = [set(keys) for keys in zip(*map(self.keys, pool))]
+            solves = 0
+            while True:
+                solves += 1
+                atoms = self.solve(pool)
+                if atoms is None:
+                    break
+                restricted, reply = self.evaluate(atoms)
+                self.replies.append(reply)
+                _, gap, rho, _ = restricted
+                if best is None or _rank(restricted, self.threshold) < _rank(best, self.threshold):
+                    best = restricted
+                keys = self.keys(reply)
+                if not (gap > max(self.threshold, rho) and solves <= budget
+                        and any(key not in seen for key, seen in zip(keys, known))):
+                    break
+                pool.append(reply)
+                for key, seen in zip(keys, known):
+                    seen.add(key)
+            master = {"master_columns": tuple(map(len, known)), "master_solves": solves}
+        self.atoms, fields = _choose_atoms(cert.residual, self.threshold, certified, best)
+        return {**fields, **master}
 
 
 def _rank(restricted, threshold):

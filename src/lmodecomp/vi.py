@@ -28,7 +28,7 @@ from .solvers import (
     SolverConfig,
     _Rejected,
     _restricted_lp,
-    _RestrictedMaster,
+    _Rounds,
     ellipsoid_run,
     md_run,
 )
@@ -62,7 +62,7 @@ class AffineViSpec:
     Nor does a ball that misses part of H: Xi_radius is at least H's
     enclosing radius, up to rounding, when H implements `enclosing_radius`.
     For a domain known by its LMO alone, choosing a radius that contains
-    it is the caller's."""
+    it is the caller's; on every domain Xi_radius is finite and positive."""
 
     S: np.ndarray
     s: np.ndarray
@@ -81,6 +81,8 @@ class AffineViSpec:
         if isinstance(self.Xi_radius, bool) or not isinstance(self.Xi_radius, numbers.Real):
             raise ValueError(f"Xi_radius must be a real number, not {self.Xi_radius!r}")
         self.Xi_radius = float(self.Xi_radius)
+        if not (math.isfinite(self.Xi_radius) and self.Xi_radius > 0.0):
+            raise ValueError(f"Xi_radius {self.Xi_radius} is not finite and positive")
         try:
             radius = self.H.enclosing_radius()
         except NotImplementedError:
@@ -327,11 +329,11 @@ class ViSolution(SolveResult):
     eps_vi_exact): the exact dual gap for a skew VI, the gap function for
     an affine one, which is the dual gap when S is skew and an upper bound
     on it otherwise.  An affine VI's point is the one its certificate
-    transfers and eps_bound the certified residual `cert.residual`.  A skew
-    VI's atoms are the certificate's or the restricted master's
-    equilibrium (see solve_vi), and eps_bound is eps_exact plus the
-    rounding allowance rho (see _skew_allowance), for the certificate's
-    atoms at most `cert.residual`."""
+    transfers.  A skew VI's atoms are the certificate's or the restricted
+    master's equilibrium (see solve_vi).  eps_bound is eps_exact plus the
+    rounding allowance rho (see _affine_allowance and _skew_allowance),
+    for the certificate's atoms at most `cert.residual` but never below
+    eps_exact."""
 
     eta_atoms: dict | None     # weighted product-vertex atoms (skew path)
     eta_vector: np.ndarray | None  # dense recovered point (affine path)
@@ -496,63 +498,48 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     (see eps_vi_exact), read off the closing round; every round checks the
     gap of its certificate's point against its residual, unless the gap
     is an affine VI's gap function for a non-skew S, which the residual
-    need not bound.  An affine VI returns the certificate's point, with
-    eps_bound the certified residual.  A skew round reads P eta and
-    <f, eta> of each atom from the run's payloads and makes one oracle
-    call; it also solves the restricted master, the VI over the distinct
-    per-block strategies of the run's payloads and of the best replies
-    found so far (_restricted_terms), and evaluates its equilibrium the
-    same way.  That evaluation's one oracle call finds the best reply to
-    the equilibrium (_skew_dual_gap); while it adds a strategy, the gap is
-    above max(gap_threshold, rho) and the round has re-solved fewer times
-    than the protocol grew since the previous round, the round adds it and
-    solves again (solvers._RestrictedMaster).  The run keeps every reply
-    for its later rounds; the protocol and the certificates do not depend
-    on them.  The round records its last restricted master's distinct
-    strategies per block as `master_columns` (None for an affine VI) and
-    its LPs as `master_solves` (0 for an affine VI), and returns the
-    certificate's atoms or the best restricted equilibrium (see
-    solvers._choose_atoms): the certificate's atoms are bounded
-    by max(min(cert.residual, gap + rho), gap), the restricted ones by
-    gap + rho, rho from _skew_allowance.  eps_vi_exact, which rebuilds the
-    columns, is the independent check of the returned gap.  A skew VI's
-    run has early rounds (see solvers._Run), so the restricted master may
-    stop it before the first certificate LP; an affine VI's rounds have no
-    restricted master and its run none.
+    need not bound (the round records checked False).  Every round
+    returns its atoms by solvers._Rounds: the certificate's are bounded by
+    max(min(cert.residual, gap + rho), gap), a restricted equilibrium's by
+    gap + rho, rho from _affine_allowance or _skew_allowance.  An affine
+    round returns the certificate's point, whose gap function takes one
+    LMO call.  A skew round reads P eta and <f, eta> of each atom from the
+    run's payloads and makes one oracle call; it also solves the
+    restricted master, the VI over the distinct per-block strategies of
+    the run's payloads and of the best replies found so far
+    (_restricted_terms), and evaluates its equilibrium the same way, whose
+    one oracle call finds the best reply (_skew_dual_gap), which the run
+    keeps for its later rounds.  eps_vi_exact, which rebuilds the columns,
+    is the independent check of the returned gap.  Early rounds (see
+    solvers._Run) let the gap of a round's atoms stop the run before the
+    first certificate LP.
     """
     skew = isinstance(spec, SkewViSpec)
-    returned = None  # the skew atoms of the latest round
+    threshold = (config or SolverConfig()).gap_threshold
     if skew:
         primal, domain = build_skew_vi_primal(spec), spec.primal_domain()
-        restricted = _RestrictedMaster((config or SolverConfig()).gap_threshold,
-                                       lambda pool: _restricted_terms(spec, pool),
-                                       lambda terms: _skew_evaluated(spec, terms),
-                                       lambda hit: hit.atoms)
-
-        def round_fields(protocol, cert, payloads):
-            nonlocal returned
-            certified, _ = _skew_evaluated(spec, _payload_terms(cert, payloads))
-            returned, fields = restricted.round(cert.residual, certified, payloads)
-            return fields
+        rounds = _Rounds(threshold,
+                         lambda cert, payloads: _skew_evaluated(
+                             spec, _payload_terms(cert, payloads))[0],
+                         lambda pool: _restricted_terms(spec, pool),
+                         lambda terms: _skew_evaluated(spec, terms),
+                         lambda hit: hit.atoms)
     else:
         primal, domain = build_affine_vi_primal(spec), Ball(np.zeros(spec.H.dim), spec.Xi_radius)
         # an affine VI's gap function is its dual gap only for a skew S; for another
         # monotone S the residual need not bound it, so the run does not check it
-        unchecked = {} if not (spec.S + spec.S.T).any() else {"checked": False}
-
-        def round_fields(protocol, cert, payloads):
-            gap, scale = _affine_eps_exact(spec, _collect_eta(cert, payloads))
-            return {"gap": gap, "scale": scale, "bound": cert.residual, "atoms": "certificate",
-                    "master_columns": None, "master_solves": 0, **unchecked}
+        checked = not (spec.S + spec.S.T).any()
+        rounds = _Rounds(threshold, lambda cert, payloads: _affine_certified(
+            spec, _collect_eta(cert, payloads), checked))
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
     if solver not in runs:
         raise ValueError(f"unknown solver {solver!r}")
-    run = runs[solver](primal, domain, config, round_fields, early_rounds=skew)
+    run = runs[solver](primal, domain, config, rounds)
     last = run.rounds[-1]
-    return ViSolution(**vars(run), eta_atoms=returned,
-                      eta_vector=None if skew else _collect_eta(run.cert, run.payloads),
+    return ViSolution(**vars(run), eta_atoms=rounds.atoms if skew else None,
+                      eta_vector=None if skew else rounds.atoms,
                       eps_bound=last["bound"], eps_exact=last["gap"])
 
 
@@ -576,6 +563,27 @@ def _affine_eps_exact(spec, eta):
     _, low = spec.H.lmo(field)
     at_eta = float(field.dot(eta))
     return at_eta - low, max(abs(at_eta), abs(low))
+
+
+def _affine_allowance(spec, eta):
+    """rho, a first-order bound on the rounding error of the gap function
+    that _affine_eps_exact computes at eta: rho = 2 (N + 2) 2^-53 c
+    (||eta|| + Xi_radius), N = H.dim and c = || |S| |eta| || + ||s||.  The
+    computed field S eta + s, of norm at most c, is off by at most
+    (N + 1) 2^-53 c, which moves <F, eta> and min_H <F, .> by its norm
+    times ||eta|| and Xi_radius (which bounds H); the two dot products
+    round by at most N 2^-53 c ||eta|| and N 2^-53 c Xi_radius.  That is
+    (2N + 1) 2^-53 c (||eta|| + Xi_radius); the rest of 2 (N + 2) covers
+    the subtraction and the second-order terms."""
+    norm = np.linalg.norm
+    c = float(norm(np.abs(spec.S).dot(np.abs(eta))) + norm(spec.s))
+    return 2.0 * (spec.H.dim + 2) * 2.0 ** -53 * c * (float(norm(eta)) + spec.Xi_radius)
+
+
+def _affine_certified(spec, eta, checked):
+    """(eta, gap, rho, {"scale", "checked"}) of an affine round's point."""
+    gap, scale = _affine_eps_exact(spec, eta)
+    return eta, gap, _affine_allowance(spec, eta), {"scale": scale, "checked": checked}
 
 
 def eps_vi_exact(spec, eta):

@@ -31,7 +31,8 @@ def eps_sad_enum(S, w, z):
 
 def rebuilt_gap(spec, sol):
     """(gap, rho) of a solution's atoms, their columns rebuilt through the
-    oracles: rho is the rounding allowance of that gap, None for an affine VI."""
+    oracles (an affine VI's point as it is): rho is the rounding allowance
+    of that gap."""
     if isinstance(spec, saddle.MasterProblem):
         w_cols = {k: spec.D.column(k) for k in sol.w_atoms}
         z_cols = {k: spec.A.column(k) for k in sol.z_atoms}
@@ -40,12 +41,14 @@ def rebuilt_gap(spec, sol):
     if isinstance(spec, vi.SkewViSpec):
         return (vi.eps_vi_exact(spec, sol.eta_atoms),
                 vi._skew_allowance(spec, vi._oracle_terms(spec, sol.eta_atoms)))
-    return vi.eps_vi_exact(spec, sol.eta_vector), None
+    return vi.eps_vi_exact(spec, sol.eta_vector), vi._affine_allowance(spec, sol.eta_vector)
 
 
 def round_atoms(atoms):
-    """The atoms that a game's or skew VI's round returned (see
-    solvers._choose_atoms) as the solution fields that rebuilt_gap reads."""
+    """The atoms that a round returned (see solvers._choose_atoms) as the
+    solution fields that rebuilt_gap reads."""
+    if isinstance(atoms, np.ndarray):  # an affine VI's point
+        return SimpleNamespace(eta_vector=atoms)
     if isinstance(atoms, dict):
         return SimpleNamespace(eta_atoms=atoms)
     return SimpleNamespace(w_atoms=atoms[0], z_atoms=atoms[1])

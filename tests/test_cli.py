@@ -98,11 +98,12 @@ def test_unreachable_stop_values_exit_one(tmp_path, capsys, flag, value, message
 
 @pytest.mark.parametrize("radius, named", [(math.nan, "nan"), (math.inf, "inf")])
 def test_non_finite_affine_vi_radius_exit_one(tmp_path, capsys, radius, named):
-    # json reads NaN and Infinity; the primal ball rejects them before any step
+    # json reads NaN and Infinity; the spec rejects them, naming the field,
+    # before any step
     spec = write_spec(tmp_path, {"S": PENNIES, "s": [0.0, 0.0], "H": {"simplex": 2},
                                  "Xi_radius": radius})
     assert run(["affine-vi", "--spec", spec]) == 1
-    assert f"invalid spec: ball radius must be finite and positive, not {named}" in (
+    assert f"invalid spec: Xi_radius {named} is not finite and positive" in (
         capsys.readouterr().err)
 
 

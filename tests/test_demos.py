@@ -14,12 +14,14 @@ README = SRC_ROOT.parent / "README.md"
 
 
 def run_fresh(args, cwd):
-    """Run the interpreter with `args` in a fresh process that imports this checkout."""
+    """Run the interpreter with `args` in a fresh process that imports this
+    checkout, in dev mode with every warning an error, as the suite itself
+    runs (`filterwarnings = ["error"]`, and CI's `-X dev`)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC_ROOT), env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
-                          env=env, timeout=300)
+    return subprocess.run([sys.executable, "-X", "dev", "-W", "error", *args],
+                          capture_output=True, text=True, cwd=cwd, env=env, timeout=300)
 
 
 @pytest.mark.parametrize("demo", ["matrix_game.py", "nash_equilibrium.py",

@@ -590,8 +590,9 @@ def test_recycled_cuts_certify_criterion_05_blotto_within_600_steps():
 
 @pytest.mark.parametrize("method", [ellipsoid_run, md_run])
 def test_rounds_fall_where_the_previous_round_scheduled_them(method):
-    # rounds fall on multiples of the base interval, each at the step the
-    # previous one recorded as due, at most twice the previous interval apart
+    # after the early rounds at K + 1 = 3, 6 and 12, rounds fall on multiples
+    # of the base interval, each at the step the previous one recorded as
+    # due, at most twice the previous interval apart
     rng = np.random.default_rng(5)
     skew = rng.normal(size=(4, 4))
     mat = skew - skew.T + 0.05 * np.eye(4)
@@ -599,14 +600,16 @@ def test_rounds_fall_where_the_previous_round_scheduled_them(method):
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(2), 2.0)])
     run = method(FieldOracle(lambda x: mat @ x + shift), dom,
                  SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16))
-    steps = [r["step"] for r in run.rounds]
+    assert [(r["step"], r["due"]) for r in run.rounds[:3]] == [(3, 6), (6, 12), (12, 16)]
+    paced = run.rounds[3:]
+    steps = [r["step"] for r in paced]
     assert steps[0] == 16 and len(steps) > 3
-    for prev, r in zip(run.rounds, run.rounds[1:-1]):
+    for prev, r in zip(paced, paced[1:-1]):
         assert r["step"] == prev["due"] and r["step"] % 16 == 0
-    last = run.rounds[-1]
+    last = paced[-1]
     assert last["due"] is None
     assert last["step"] == run.steps
-    assert last["step"] == run.rounds[-2]["due"] or run.stop_reason == "max_steps"
+    assert last["step"] == paced[-2]["due"] or run.stop_reason == "max_steps"
     intervals = np.diff(steps[:-1] if run.stop_reason == "max_steps" else steps)
     assert all(b <= 2 * a for a, b in zip(intervals, intervals[1:])), intervals
     if method is ellipsoid_run:
@@ -624,6 +627,18 @@ def _recorded_solves(monkeypatch):
 
     monkeypatch.setattr(solvers, "optimize_certificate", recorded)
     return calls
+
+
+def _first_round_at_base_interval(monkeypatch):
+    """Runs whose first round falls at the base interval, as before early
+    rounds: the reference that early rounds must leave the later ones as."""
+    init = solvers._Run.__init__
+
+    def late(self, *args):
+        init(self, *args)
+        self.due = self.cert_period
+
+    monkeypatch.setattr(solvers._Run, "__init__", late)
 
 
 def _monotone_field():
@@ -645,14 +660,16 @@ def test_early_rounds_fall_at_doublings_of_the_dimension_without_the_lp(monkeypa
     calls = _recorded_solves(monkeypatch)
     field, dom = _monotone_field()
     config = SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16)
-    run = method(field, dom, config, early_rounds=True)
+    run = method(field, dom, config)
     early = [r for r in run.rounds if r["step"] < 16]
     assert [(r["step"], r["due"], r["lp_solves"]) for r in early] == [(3, 6, 0), (6, 12, 0),
                                                                      (12, 16, 0)]
     assert calls == [0, 0, 0] + [solvers._MAX_LP_SOLVES] * (len(run.rounds) - 3)
     assert run.rounds[3]["step"] == 16 and run.rounds[3]["lp_solves"] > 0
     # the steps do not depend on the rounds, and from 16 on neither do the rounds
-    late = method(field, dom, config)
+    with monkeypatch.context() as patch:
+        _first_round_at_base_interval(patch)
+        late = method(field, dom, config)
     assert late.rounds[0]["step"] == 16 and late.protocol.step_ids == run.protocol.step_ids
     assert [r["step"] for r in late.rounds] == [r["step"] for r in run.rounds[3:]]
     gammas = md_step_sizes(run.protocol, np.sqrt(5.0))
@@ -681,7 +698,7 @@ def test_first_early_round_falls_at_the_largest_block_dimension_plus_one(method)
     mat, shift = skew - skew.T + 0.05 * np.eye(6), rng.normal(size=6)
     dom = Product([Ball(np.zeros(2), 1.0), Ball(np.zeros(4), 2.0)])
     run = method(FieldOracle(lambda x: mat @ x + shift), dom,
-                 SolverConfig(eps_target=1e-15, max_steps=64), early_rounds=True)
+                 SolverConfig(eps_target=1e-15, max_steps=64))
     assert [(r["step"], r["due"]) for r in run.rounds] == [(5, 10), (10, 20), (20, 40),
                                                           (40, 64), (64, 128)]
     assert [r["lp_solves"] > 0 for r in run.rounds] == [False] * 4 + [True]
@@ -697,8 +714,7 @@ def test_last_round_before_the_base_interval_solves_the_lp(monkeypatch, method, 
                                                            rounds):
     calls = _recorded_solves(monkeypatch)
     run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2])), Ball(np.zeros(2), 1.0),
-                 SolverConfig(eps_target=1e-15, max_steps=max_steps, cert_period=100),
-                 early_rounds=True)
+                 SolverConfig(eps_target=1e-15, max_steps=max_steps, cert_period=100))
     assert run.stop_reason == "max_steps"
     assert [(r["step"], r["due"]) for r in run.rounds] == rounds
     assert calls == [0, solvers._MAX_LP_SOLVES] if max_steps == 6 else [0, 0, solvers._MAX_LP_SOLVES]
@@ -711,8 +727,7 @@ def test_early_round_before_non_productive_steps_is_closed_on_the_lp(monkeypatch
     # closing round solves the LP on it
     calls = _recorded_solves(monkeypatch)
     field, dom = _monotone_field()
-    run = ellipsoid_run(field, dom, SolverConfig(eps_target=1e-15, max_steps=25, cert_period=64),
-                        early_rounds=True)
+    run = ellipsoid_run(field, dom, SolverConfig(eps_target=1e-15, max_steps=25, cert_period=64))
     assert run.stop_reason == "max_steps" and run.protocol.step_ids[-1] == 24
     assert [(r["step"], r["t"]) for r in run.rounds] == [(3, 3), (6, 5), (12, 10), (24, 17),
                                                         (25, 17)]
@@ -740,8 +755,7 @@ def test_a_run_that_stops_at_an_early_round_builds_no_certificate_lp(monkeypatch
     assert built == [] and all(r["lp_solves"] == 0 for r in sol.rounds)
     field, dom = _monotone_field()
     run = {"ellipsoid": ellipsoid_run, "md": md_run}[solver](
-        field, dom, SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16),
-        early_rounds=True)
+        field, dom, SolverConfig(eps_target=1e-9, max_steps=1500, cert_period=16))
     assert [r["lp_solves"] > 0 for r in run.rounds[:4]] == [False, False, False, True]
     assert built == [((1.0, 2.0), 2, 4)]
 
@@ -761,8 +775,9 @@ def test_first_lp_round_starts_from_the_rows_it_holds_without_early_rounds(monke
     monkeypatch.setattr(solvers.CertificateLP, "hold", hold)
     field, dom = _monotone_field()
     config = SolverConfig(eps_target=1e-15, max_steps=128, cert_period=128)
+    early = method(field, dom, config)
+    _first_round_at_base_interval(monkeypatch)
     late = method(field, dom, config)
-    early = method(field, dom, config, early_rounds=True)
     assert [r["step"] for r in early.rounds] == [3, 6, 12, 24, 48, 96, 128]
     assert len(started) == 2 and len(started[0]) == 40
     assert np.array_equal(started[0], started[1])
@@ -778,8 +793,7 @@ def test_base_interval_at_most_the_dimension_leaves_no_early_round(monkeypatch, 
     calls = _recorded_solves(monkeypatch)
     dom = Product([Ball(np.zeros(3), 1.0), Ball(np.zeros(3), 2.0)])
     run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2, 0.1, 0.4, -0.1, 0.2])), dom,
-                 SolverConfig(eps_target=1e-15, max_steps=40, cert_period=period),
-                 early_rounds=True)
+                 SolverConfig(eps_target=1e-15, max_steps=40, cert_period=period))
     steps = [r["step"] for r in run.rounds]
     assert steps[0] == period and all(s % period == 0 for s in steps[:-1])
     assert steps[-1] == run.steps == 40
@@ -845,7 +859,8 @@ def test_round_gap_check_tolerates_rounding_at_its_scale():
 
     field, dom = FieldOracle(lambda x: x + 0.3), Ball(np.zeros(2), 1.0)
     cfg = SolverConfig(eps_target=1e-12, max_steps=64, cert_period=16)
-    assert len(ellipsoid_run(field, dom, cfg, gap_above_residual(0.09)).rounds) == 4
+    # early rounds at 3, 6 and 12, then 16, 32, 48 and 64
+    assert len(ellipsoid_run(field, dom, cfg, gap_above_residual(0.09)).rounds) == 7
     with pytest.raises(CertificateError, match="exceeds certified residual"):
         ellipsoid_run(field, dom, cfg, gap_above_residual(0.11))
 
@@ -1217,7 +1232,7 @@ def test_capped_run_stops_on_max_steps(method):
     run = method(FieldOracle(lambda x: x + np.array([0.3, -0.2])), Ball(np.zeros(2), 1.0), cfg)
     assert run.stop_reason == "max_steps"
     assert run.steps == 50
-    assert [r["step"] for r in run.rounds] == [16, 32, 48, 50]
+    assert [r["step"] for r in run.rounds] == [3, 6, 12, 16, 32, 48, 50]
 
 
 def test_certificate_atoms_are_never_bounded_below_their_gap():
@@ -1304,10 +1319,10 @@ def _desk_solve(problem, solver, config):
                                      "vi-affine", "blotto"])
 def test_rebuilt_gap_is_within_the_bound(monkeypatch, problem, solver):
     # the gap of the returned atoms, their columns rebuilt through the
-    # oracles, is at most the bound up to the round check's tolerance; a game's
-    # or skew VI's bound is also at most that gap plus its rounding allowance,
-    # and so are the bounds of its earlier rounds, whose restricted masters
-    # hold the earlier rounds' best replies
+    # oracles, is at most the bound up to the round check's tolerance; the
+    # bound is also at most that gap plus its rounding allowance, and so are
+    # the bounds of the earlier rounds, whose restricted masters (a game's or
+    # skew VI's) hold the earlier rounds' best replies
     returned, choose = [], solvers._choose_atoms
     monkeypatch.setattr(solvers, "_choose_atoms",
                         lambda *args: returned.append(choose(*args)) or returned[-1])
@@ -1316,8 +1331,6 @@ def test_rebuilt_gap_is_within_the_bound(monkeypatch, problem, solver):
     rebuilt, rho = rebuilt_gap(spec, sol)
     value = getattr(sol, "value_estimate", 0.0)
     assert rebuilt <= bound + 1e-9 * max(1.0, abs(value))
-    if rho is None:
-        return
     assert bound <= rebuilt + rho
     assert len(returned) == len(sol.rounds)
     for (atoms, _), record in zip(returned, sol.rounds):
@@ -1331,8 +1344,8 @@ def test_rebuilt_gap_is_within_the_bound(monkeypatch, problem, solver):
 def test_every_solution_is_its_run(problem, solver):
     # the solution types extend SolveResult: the bound and the exact gap are
     # the closing round's, for the atoms it returned.  The certificate's atoms
-    # are bounded by max(min(residual, gap + rho), gap), the restricted
-    # master's by gap + rho, and an affine VI's point by the residual
+    # are bounded by max(min(residual, gap + rho), gap) and the restricted
+    # master's by gap + rho, an affine VI's point as a certificate's atoms
     sol, bound, exact, spec = _desk_solve(problem, solver, SolverConfig(gap_threshold=1e-5,
                                                                         max_steps=1500))
     assert isinstance(sol, SolveResult)
@@ -1340,9 +1353,7 @@ def test_every_solution_is_its_run(problem, solver):
     assert exact is not None and exact == last["gap"] and bound == last["bound"]
     rebuilt, rho = rebuilt_gap(spec, sol)
     assert rebuilt == exact
-    if rho is None:
-        assert last["atoms"] == "certificate" and bound == sol.cert.residual
-    elif last["atoms"] == "certificate":
+    if last["atoms"] == "certificate":
         assert bound == max(min(sol.cert.residual, exact + rho), exact)
     else:
         assert last["atoms"] == "restricted" and bound == exact + rho > 0.0

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -153,12 +154,15 @@ def test_affine_rotation_solved():
 
 
 @pytest.mark.parametrize("solver", ["ellipsoid", "md"])
-def test_affine_vi_run_has_no_early_rounds(solver):
-    # its rounds have no restricted master, so an early round could stop it
-    # only on a closed-form certificate: the first round, at 4 n^2, solves the LP
+def test_affine_vi_rounds_early_like_every_run(solver):
+    # an affine round bounds its point by the gap function plus rho, so it
+    # has the early rounds of every run: at n + 1 = 3, 6 and 12 without the
+    # LP, which the round at 4 n^2 = 16 solves
     sol = solve_vi(rotation_affine_spec(), solver,
                    SolverConfig(eps_target=1e-7, gap_threshold=1e-9, max_steps=4000))
-    assert sol.rounds[0]["step"] == 16 and sol.rounds[0]["lp_solves"] > 0
+    assert [(r["step"], r["lp_solves"] > 0) for r in sol.rounds] == [
+        (3, False), (6, False), (12, False), (16, True)]
+    assert all(r["gap"] <= r["bound"] <= r["gap"] + 1e-14 for r in sol.rounds)
 
 
 def test_affine_finite_atoms_eps_exact():
@@ -360,7 +364,7 @@ def test_affine_gap_function_of_a_non_skew_s_is_not_checked_against_the_residual
     last = solve_vi(spec, config=SolverConfig(max_steps=1)).rounds[-1]
     assert last["checked"] is False and last["gap"] == 8.0 > last["residual"]
     skew = solve_vi(rotation_affine_spec(), config=SolverConfig(max_steps=1))
-    assert "checked" not in skew.rounds[-1]
+    assert skew.rounds[-1]["checked"] is True
 
 
 def test_affine_radius_below_the_enclosing_radius_is_rejected():
@@ -389,6 +393,22 @@ def test_affine_radius_check_forgives_rounding_and_lmo_only_domains():
             return Simplex(3).lmo(c)
 
     assert spec(LmoOnly(), 0.3).Xi_radius == 0.3
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("domain", ["simplex", "lmo-only"])
+def test_affine_radius_must_be_finite_and_positive(domain, radius):
+    # NaN compares false with the enclosing radius, and a domain known by its
+    # LMO alone has none: the spec names the field before any ball is built
+    class LmoOnly(Domain):
+        dim = 3
+
+        def lmo(self, c):
+            return Simplex(3).lmo(c)
+
+    H = Simplex(3) if domain == "simplex" else LmoOnly()
+    with pytest.raises(ValueError, match=f"^Xi_radius {radius} is not finite and positive$"):
+        AffineViSpec(S=np.zeros((3, 3)), s=np.zeros(3), H=H, Xi_radius=radius)
 
 
 def test_eps_nash_nonnegative_and_below_vi_gap():
@@ -601,27 +621,74 @@ def test_round_gap_from_payloads_equals_the_oracle_gap(game):
 def test_large_offset_vi_passes_the_scaled_gap_check():
     # a constant offset on the simplex leaves the field's argmins and the
     # residual alone, but rounds the gap at about 1e-16 of the offset: the
-    # check scales its tolerance with it instead of raising
+    # check scales its tolerance with it instead of raising.  The scale is
+    # the offset times the point's mass, 1 up to its rounding
     S = np.array([[0.0, 1.0], [-1.0, 0.0]])
     config = SolverConfig(max_steps=2000)
     base = solve_vi(rotation_affine_spec(), solver="md", config=config)
     big = solve_vi(AffineViSpec(S=S, s=np.full(2, 1e8), H=Simplex(2), Xi_radius=1.0),
                    solver="md", config=config)
     assert big.eps_bound == base.eps_bound and big.steps == base.steps
-    assert all(r["scale"] >= 1e8 for r in big.rounds)
+    assert all(r["scale"] == pytest.approx(1e8, rel=1e-15) for r in big.rounds)
     assert abs(big.eps_exact - base.eps_exact) <= 1e-9 * 1e8
+
+
+def _random_affine_spec(rng, d, monotone, atoms=0):
+    """Affine VI with a random skew S, plus 0.2 I where `monotone`, on the
+    d-simplex or on `atoms` random points of R^d."""
+    B = rng.normal(size=(d, d))
+    S = B - B.T + (0.2 * np.eye(d) if monotone else 0.0)
+    H = FiniteAtoms(rng.normal(size=(atoms, d))) if atoms else Simplex(d)
+    return AffineViSpec(S=S, s=3.0 * rng.normal(size=d), H=H, Xi_radius=H.enclosing_radius())
+
+
+@pytest.mark.parametrize("solver", ["ellipsoid", "md"])
+@pytest.mark.parametrize("atoms", [0, 40])
+@pytest.mark.parametrize("monotone", [False, True])
+def test_affine_round_bound_is_its_gap_function_plus_rho(solver, atoms, monotone):
+    # every affine round bounds its point by max(min(residual, gap + rho),
+    # gap): at least the gap function, which bounds the dual gap, and at most
+    # the larger of the residual and the gap plus the rounding allowance
+    rng = np.random.default_rng(21)
+    for _ in range(3):
+        spec = _random_affine_spec(rng, 4, monotone, atoms)
+        sol = solve_vi(spec, solver, SolverConfig(max_steps=600))
+        assert sol.rounds[0]["step"] == 5 and sol.rounds[0]["lp_solves"] == 0
+        for r in sol.rounds:
+            eta = vi._collect_eta(AccuracyCertificate(r["weights"]), sol.payloads)
+            rho = vi._affine_allowance(spec, eta)
+            assert r["gap"] == eps_vi_exact(spec, eta)
+            assert r["gap"] <= r["bound"] <= max(r["residual"], r["gap"]) + rho
+        assert sol.eps_exact == eps_vi_exact(spec, sol.eta_vector) <= sol.eps_bound
+
+
+@pytest.mark.parametrize("solver", ["ellipsoid", "md"])
+def test_affine_run_stopped_by_an_early_round_bounds_its_point_by_the_gap(solver):
+    # the gap function of the point of the first early round, at n + 1 = 13,
+    # meets the threshold while the residual of its closed-form certificate is
+    # still above 0.7: the run stops there, bounded by the gap plus rho
+    spec = _random_affine_spec(np.random.default_rng(10), 12, monotone=True)
+    sol = solve_vi(spec, solver)
+    assert sol.stop_reason == "gap_threshold" and sol.steps == 13
+    assert len(sol.rounds) == 1 and sol.rounds[0]["lp_solves"] == 0
+    assert sol.cert.residual > 0.7
+    rho = vi._affine_allowance(spec, sol.eta_vector)
+    assert sol.eps_exact <= sol.eps_bound <= sol.eps_exact + rho < 1e-12
 
 
 def test_badly_scaled_affine_vi_stops_on_a_named_reason():
     # fields of about 1e17 at this radius: HiGHS rejects the certificate
-    # LP's rows, and the run keeps certifying with what it has
+    # LP's rows, and the run keeps certifying with what it has.  The bound
+    # is the point's gap function plus its rounding allowance, about 1.3e7,
+    # not the residual, about 5e24
     S = 1e8 * np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 2.0], [-0.5, -2.0, 0.0]])
-    sol = solve_vi(AffineViSpec(S=S, s=1e8 * np.array([1.0, 2.0, -1.0]), H=Simplex(3),
-                                Xi_radius=1e9))
+    spec = AffineViSpec(S=S, s=1e8 * np.array([1.0, 2.0, -1.0]), H=Simplex(3), Xi_radius=1e9)
+    sol = solve_vi(spec)
     assert sol.stop_reason in ("eps_target", "gap_threshold", "max_steps", "stationary",
                                "ellipsoid_degenerate")
-    assert np.isfinite(sol.eps_bound) and sol.eps_exact <= sol.eps_bound
-    assert sol.rounds[-1]["residual"] == sol.eps_bound
+    rho = vi._affine_allowance(spec, sol.eta_vector)
+    assert np.isfinite(sol.eps_bound) and sol.eps_exact <= sol.eps_bound <= sol.eps_exact + rho
+    assert sol.eps_bound < 1e-10 * sol.rounds[-1]["residual"]
 
 
 def test_solve_vi_raises_when_exact_gap_exceeds_residual(monkeypatch):
