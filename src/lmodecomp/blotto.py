@@ -147,11 +147,17 @@ def build_blotto(spec):
 
 def solve_blotto(spec, config=None, solver="ellipsoid"):
     """End-to-end run: factor, build the master, solve with `solver`
-    ("ellipsoid" or "md", as in solve_sp); the atoms are pure strategies."""
+    ("ellipsoid" or "md", as in solve_sp); the atoms are pure strategies.
+    A side's column count depends only on its caps, costs and budget, so
+    it is counted once where both sides share them."""
     game = build_blotto(spec)
     sol = solve_sp(build_master_example2(game, shared_radius=True), solver, config)
-    return BlottoReport(**vars(sol), dims=(game.A.count_columns(), game.D.count_columns()),
-                        primal_dim=2 * game.K, seed=spec.seed)
+    attackers = game.A.count_columns()
+    shared = (spec.caps_a, spec.costs_a, spec.budget_a) == (spec.caps_d, spec.costs_d,
+                                                            spec.budget_d)
+    defenders = attackers if shared else game.D.count_columns()
+    return BlottoReport(**vars(sol), dims=(attackers, defenders), primal_dim=2 * game.K,
+                        seed=spec.seed)
 
 
 def random_rank1_omegas(m, caps_a, caps_d, seed=0):

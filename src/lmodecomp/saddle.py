@@ -244,10 +244,11 @@ def _value_bounds(master, w_atoms, z_atoms, w_cols, z_cols):
     pair (w, z), upper = max_z' psi(w, z') and lower = min_w' psi(w', z),
     from the aggregated stored columns and at most two oracle calls, and
     the best replies (w_hit, z_hit) that attain them, a pair as the
-    protocol's payloads hold.  solve_sp keeps the replies to each
-    restricted equilibrium, which join every later restricted master.  The
-    square master makes no oracle call: its replies are the
-    entries of S w + q and S^T z + p, as ColumnHits of A and D."""
+    protocol's payloads hold.  solve_sp keeps the replies to each round's
+    certificate atoms and to each restricted equilibrium, which join every
+    later restricted master.  The square master makes no oracle call: its
+    replies are the entries of S w + q and S^T z + p, as ColumnHits of A
+    and D."""
     agg_w = sum(w_atoms[k] * c for k, c in w_cols.items())
     agg_z = sum(z_atoms[k] * c for k, c in z_cols.items())
     p_dot_w, q_dot_z = _offset_dot(master.D, w_atoms), _offset_dot(master.A, z_atoms)
@@ -304,18 +305,19 @@ def _restricted_master(master, hits):
     pairing table of their payoffs, whichever has fewer nonzeros.  The
     rows' duals are the maximizer's weights."""
     w_hits, z_hits = {w.key: w for w, _ in hits}, {z.key: z for _, z in hits}
+    n, r = len(w_hits), len(z_hits)
     images = np.array([h.column for h in w_hits.values()]).T
     if master.S is None:
         normals = np.array([h.column for h in z_hits.values()])
     else:
-        normals = np.zeros((len(z_hits), master.dim_v))
-        normals[np.arange(len(z_hits)), [k[0] for k in z_hits]] = 1.0
+        normals = np.zeros((r, master.dim_v))
+        normals[np.arange(r), [k[0] for k in z_hits]] = 1.0
     p, q = (getattr(side, "offset", None) for side in (master.D, master.A))
-    cost = np.zeros(len(w_hits)) if p is None else p[[k[0] for k in w_hits]]
-    rhs = np.zeros(len(z_hits)) if q is None else -q[[k[0] for k in z_hits]]
+    cost = np.zeros(n) if p is None else p[[k[0] for k in w_hits]]
+    rhs = np.zeros(r) if q is None else -q[[k[0] for k in z_hits]]
+    blocks = np.zeros(max(n, r), dtype=np.intp)  # one block of atoms, one of rows
     try:
-        w, z = _restricted_lp(images, np.zeros(len(w_hits), dtype=np.intp), normals,
-                              np.zeros(len(z_hits), dtype=np.intp), rhs, cost)
+        w, z = _restricted_lp(images, blocks[:n], normals, blocks[:r], rhs, cost)
     except _Rejected:
         return None
     w_atoms = {k: x for k, x in zip(w_hits, w.tolist()) if x > 0.0}
@@ -330,14 +332,15 @@ def solve_sp(master, solver="ellipsoid", config=None):
     The monotone primal field is F(u,v) = [phi'_u; -phi'_v]; the solver
     keeps the columns hit while evaluating it, so every certificate round
     yields sparse strategies w^t = sum_i lam_i e_{w_i}, z^t = sum_i lam_i e_{z_i}
-    whose exact gap and value the round records, from the stored columns.
-    Each round also solves the restricted master, the game over the
-    distinct pure strategies of the run's payloads and of the best replies
-    found so far (_restricted_master), and evaluates its equilibrium the
-    same way: two oracle calls per set of atoms, which find the best
-    replies to the equilibrium (_value_bounds) that the run keeps for its
-    later rounds and re-solves with (solvers._Rounds); the protocol, the
-    cuts and the certificates do not depend on them.  The round records
+    whose exact gap and value the round records, from the stored columns,
+    with two oracle calls that find the best replies to those atoms
+    (_value_bounds).  Each round also solves the restricted master, the
+    game over the distinct pure strategies of the run's payloads and of
+    the best replies found so far (_restricted_master), the certificate's
+    just found among them, and evaluates its equilibrium the same way,
+    whose replies the run keeps too for the round's re-solves and its
+    later rounds (solvers._Rounds); the protocol, the cuts and the
+    certificates do not depend on them.  The round records
     its last restricted master's distinct strategies per side,
     (minimizer's, maximizer's), as `master_columns` and its LPs as
     `master_solves`, and returns the certificate's atoms or the best
@@ -353,7 +356,7 @@ def solve_sp(master, solver="ellipsoid", config=None):
     """
     nu = master.dim_u
     rounds = _Rounds((config or SolverConfig()).gap_threshold,
-                     lambda cert, hits: _evaluated(master, _atoms(cert, hits))[0],
+                     lambda cert, hits: _evaluated(master, _atoms(cert, hits)),
                      lambda pool: _restricted_master(master, pool),
                      lambda atoms: _evaluated(master, atoms),
                      lambda pair: (pair[0].key, pair[1].key))

@@ -857,9 +857,12 @@ def _restricted_lp(images, blocks, normals, row_blocks, rhs, cost):
     R x n pairing table normals @ images as the rows (nR + R + n nonzeros),
     where n R <= (n + R + 1) K, else through K free image columns x = images
     eta, so that the rows read <normals[r], x> ((n + R)(K + 1) + K
-    nonzeros, the table never built).  The model is the thread's own,
-    built once by _new_highs and cleared before each LP, so a solve costs
-    about one HiGHS run and no two threads share a model.
+    nonzeros, the table never built).  The columns are (eta, x, v) and the
+    rows (x = images eta, the R rows, the simplex rows block by block),
+    with exact zeros dropped; all are written in one pass into arrays
+    allocated once.  The model is the thread's own, built once by
+    _new_highs and cleared before each LP, so a solve costs about one
+    HiGHS run and no two threads share a model.
     Returns (eta, y): eta clipped at 0 and normalized per block, and y the
     rows' max(-dual, 0), which sum to 1 over each row block at an optimum,
     normalized per row block (for a game, the maximizer's mixed strategy).
@@ -867,56 +870,67 @@ def _restricted_lp(images, blocks, normals, row_blocks, rhs, cost):
     leaves a block without weight."""
     k, n = images.shape
     r, n_blocks = len(normals), int(blocks.max()) + 1
-    tabled = _tabled(n, r, k)
-    m = 0 if tabled else k  # the image columns x after eta, each with its row x = images eta
-    eq_idx = np.empty((m, n + 1), dtype=np.int32)
-    eq_idx[:, :n] = np.arange(n)
-    eq_idx[:, n] = n + np.arange(m)
-    eq_val = np.empty((m, n + 1))
-    np.negative(images[:m], out=eq_val[:, :n])
-    eq_val[:, n] = 1.0
-    # the R rows, each a dense pattern of nonzeros: the pairing table's row on
-    # eta, or the normal on x
-    pattern, first = (normals.dot(images), 0) if tabled else (normals, n)
-    width = pattern.shape[1]
-    in_idx = np.empty((r, width + 1), dtype=np.int32)
-    in_idx[:, :width] = first + np.arange(width)
-    in_idx[:, width] = n + m + row_blocks
-    in_val = np.empty((r, width + 1))
-    in_val[:, :width] = pattern
-    in_val[:, width] = -1.0
-    order = np.argsort(blocks, kind="stable")  # the simplex rows, block by block
-    keep = [eq_val != 0.0, in_val != 0.0]
-    counts = np.concatenate([keep[0].sum(axis=1), keep[1].sum(axis=1),
-                             np.bincount(blocks, minlength=n_blocks)])
-    indices = np.concatenate([eq_idx[keep[0]], in_idx[keep[1]], order.astype(np.int32)])
-    values = np.concatenate([eq_val[keep[0]], in_val[keep[1]], np.ones(n)])
-    starts = np.zeros(len(counts), dtype=np.int32)
-    np.cumsum(counts[:-1], out=starts[1:])
+    # m image columns x after eta, each with its row x = images eta, where not tabled
+    m = 0 if _tabled(n, r, k) else k
+    cols, rows = n + m + n_blocks, m + r + n_blocks
+    # each row's nonzero slots, row by row: an image row's -images[i] on eta and
+    # 1 on x_i, an R row's dense pattern (the pairing table's row on eta, or the
+    # normal on x) and -1 on v, and a simplex row's 1 on each eta of its block
+    width, first = (k, n) if m else (n, 0)
+    head, tail = m * (n + 1), m * (n + 1) + r * (width + 1)
+    values, indices = np.empty(tail + n), np.empty(tail + n, dtype=np.int32)
+    counts = np.empty(rows, dtype=np.int32)
+    if m:
+        val, idx = values[:head].reshape(m, n + 1), indices[:head].reshape(m, n + 1)
+        np.negative(images, out=val[:, :n])
+        val[:, n] = 1.0
+        idx[:, :n] = np.arange(n)
+        idx[:, n] = np.arange(n, n + m)
+    val, idx = values[head:tail].reshape(r, width + 1), indices[head:tail].reshape(r, width + 1)
+    val[:, :width] = normals if m else normals.dot(images)
+    val[:, width] = -1.0
+    idx[:, :width] = np.arange(first, first + width)
+    idx[:, width] = row_blocks + (n + m)
+    values[tail:] = 1.0
+    indices[tail:] = blocks.argsort(kind="stable")
+    keep = values != 0.0
+    if m:
+        counts[:m] = keep[:head].reshape(m, n + 1).sum(axis=1)
+    counts[m:m + r] = keep[head:tail].reshape(r, width + 1).sum(axis=1)
+    counts[m + r:] = np.bincount(blocks, minlength=n_blocks)
+    starts = np.zeros(rows, dtype=np.int32)
+    np.add.accumulate(counts[:-1], out=starts[1:])
+    # costs, lower and upper bounds of the columns; lower and upper bounds of the rows
+    col_bounds, row_bounds = np.empty((3, cols)), np.empty((2, rows))
+    col_bounds[0, :n] = cost
+    col_bounds[0, n:n + m] = 0.0
+    col_bounds[0, n + m:] = 1.0
+    col_bounds[1, :n] = 0.0
+    col_bounds[1, n:] = -np.inf
+    col_bounds[2] = np.inf
+    row_bounds[:, :m] = 0.0
+    row_bounds[0, m:m + r] = -np.inf
+    row_bounds[1, m:m + r] = rhs
+    row_bounds[:, m + r:] = 1.0
     core = _highs_core()
     error = core.HighsStatus.kError
     highs = getattr(_thread, "highs", None)
     if highs is None:
         highs = _thread.highs = _new_highs()
     highs.clearModel()  # keeps the options
-    free = np.full(m + n_blocks, np.inf)
     empty = np.zeros(0, dtype=np.int32)
-    ok = highs.addCols(n + m + n_blocks, np.concatenate([cost, np.zeros(m), np.ones(n_blocks)]),
-                       np.concatenate([np.zeros(n), -free]), np.full(n + m + n_blocks, np.inf),
-                       0, empty, empty, np.zeros(0)) != error
-    lower = np.concatenate([np.zeros(m), np.full(r, -np.inf), np.ones(n_blocks)])
-    upper = np.concatenate([np.zeros(m), rhs, np.ones(n_blocks)])
-    if not (ok and highs.addRows(len(counts), lower, upper, len(values), starts, indices,
-                                 values) != error
+    indices, values = indices[keep], values[keep]
+    if not (highs.addCols(cols, *col_bounds, 0, empty, empty, np.zeros(0)) != error
+            and highs.addRows(rows, *row_bounds, len(values), starts, indices, values) != error
             and highs.run() != error
             and highs.getModelStatus() == core.HighsModelStatus.kOptimal):
         raise _Rejected("HiGHS rejected the restricted LP or found no optimum")
     sol = highs.getSolution()
-    eta = np.maximum(np.array(sol.col_value[:n]), 0.0)
-    y = np.maximum(-np.array(sol.row_dual[m:m + r]), 0.0)
+    eta = np.maximum(sol.col_value[:n], 0.0)
+    y = np.maximum(np.negative(sol.row_dual[m:m + r]), 0.0)
     eta_mass = np.bincount(blocks, eta, minlength=n_blocks)
     y_mass = np.bincount(row_blocks, y, minlength=n_blocks)
-    if not ((eta_mass > 0.0).all() and (y_mass > 0.0).all()):
+    if not (eta_mass.min() > 0.0 and y_mass.min() > 0.0):
         raise _Rejected("the restricted LP left a block without weight")
     return eta / eta_mass[blocks], y / y_mass[row_blocks]
 
@@ -930,17 +944,20 @@ def _tabled(n, r, k):
 
 class _Rounds:
     """The `on_certificate` of every game and VI run, which keeps the latest
-    round's atoms in `atoms`.  `certify(cert, payloads)` is (atoms, gap,
-    rho, fields) of the certificate's atoms.  Where `solve` is given, a
+    round's atoms in `atoms`.  `certify(cert, payloads)` is ((atoms, gap,
+    rho, fields), reply) of the certificate's atoms, reply the payload of
+    the best replies to them that the gap evaluation found (None for an
+    affine VI, whose gap function finds none).  Where `solve` is given, a
     round also solves the restricted master, closed by a double-oracle
     loop (McMahan, Gordon & Blum, ICML 2003) whose oracle work the run's
     own steps bound: `solve(pool)` is the equilibrium of the problem
     restricted to the distinct pure strategies of the payloads `pool`
     (None where HiGHS rejects its LP), `evaluate(atoms)` is ((atoms, gap,
-    rho, fields), reply), reply the payload of the best replies to the
-    atoms that the gap evaluation found, and `keys(payload)` the payload's
-    pure strategies, one per side or block.  `replies` keeps every reply
-    found, for the round's later solves and every later round's pool."""
+    rho, fields), reply) as `certify` is, and `keys(payload)` the
+    payload's pure strategies, one per side or block.  `replies` keeps
+    every reply found, the certificates' and the equilibria's in the order
+    found, for the round's later solves and every later round's pool; an
+    affine VI's rounds keep none."""
 
     def __init__(self, threshold, certify, solve=None, evaluate=None, keys=None):
         self.threshold, self.certify = threshold, certify
@@ -949,20 +966,24 @@ class _Rounds:
         self.t = 0  # the protocol length at the previous round
 
     def __call__(self, protocol, cert, payloads):
-        """The round's fields.  The round solves the restricted master over
-        the payloads and the replies so far and evaluates its equilibrium;
-        it then adds the new reply and solves again for as long as the gap
-        is above max(threshold, rho), the reply holds a pure strategy that
-        the master lacks and the round has re-solved fewer times than the
-        protocol grew since the previous round.  A re-solve makes the
+        """The round's fields.  The round keeps the certificate's reply and
+        solves the restricted master over the payloads and the replies so
+        far, that one too, so its first LP already holds the best replies
+        to the certificate's atoms at no further oracle call.  It evaluates
+        the master's equilibrium, then adds the new reply and solves again
+        for as long as the gap is above max(threshold, rho), the reply
+        holds a pure strategy that the master lacks and the round has
+        re-solved fewer times than the protocol grew since the previous
+        round.  A re-solve makes the
         oracle calls of one field evaluation, so the loop at most doubles
         the run's oracle work.  The round returns what _choose_atoms picks
         from the certificate's atoms and the best restricted equilibrium,
         with `master_columns` the last master's distinct strategies per side
         or block and `master_solves` its LPs, a rejected one too."""
-        certified, best = self.certify(cert, payloads), None
+        (certified, reply), best = self.certify(cert, payloads), None
         master = {"master_columns": None, "master_solves": 0}
         if self.solve is not None:
+            self.replies.append(reply)
             pool = [*payloads, *self.replies]
             budget, self.t = len(payloads) - self.t, len(payloads)
             known = [set(keys) for keys in zip(*map(self.keys, pool))]

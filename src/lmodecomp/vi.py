@@ -12,6 +12,7 @@ for affine monotone ones the gap function, an upper bound on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -384,7 +385,8 @@ def _skew_dual_gap(spec, agg_p, f_dot):
     best reply eta' that attains it; skewness kills the quadratic term:
     eps_VI = <f, eta> - min <eta', F(eta)>, F(eta) = 2 Q^T P eta + f.
     solve_vi keeps the reply to each restricted equilibrium, which joins
-    every later restricted master."""
+    every later restricted master, and the reply to each round's
+    certificate atoms, which joins the round's first master too."""
     hit = spec.system.eta_argmin(np.zeros(spec.K), -2.0 * agg_p)
     return f_dot - hit.value, max(abs(f_dot), abs(hit.value)), hit
 
@@ -461,23 +463,21 @@ def _restricted_terms(spec, payloads):
         for b, key in enumerate(atoms):
             if key not in cols[b]:
                 cols[b][key] = hit.columns[system.slices[b]]
-    f = dict(system._f)
-    images, normals, blocks, costs = [], [], [], []
-    for b, (sl, c) in enumerate(zip(system.slices, cols)):
-        d = np.array(list(c.values())).T
-        images.append(system.A[:, sl].dot(d))
-        normals.append(system.B[:, sl].dot(d))
-        blocks.append(np.full(len(c), b, dtype=np.intp))
-        costs.append(np.zeros(len(c)) if b not in f else f[b][[k[0] for k in c]])
-    blocks, costs = np.concatenate(blocks), np.concatenate(costs)
+    sizes = [len(c) for c in cols]
+    ends = list(itertools.accumulate(sizes))
+    blocks, costs = np.repeat(np.arange(len(cols)), sizes), np.zeros(ends[-1])
+    for b, f in system._f:
+        costs[ends[b] - sizes[b]:ends[b]] = f[[k[0] for k in cols[b]]]
+    d = [np.array(list(c.values())).T for c in cols]
+    images = np.hstack([system.A[:, sl].dot(d_b) for sl, d_b in zip(system.slices, d)])
+    normals = np.hstack([system.B[:, sl].dot(d_b) for sl, d_b in zip(system.slices, d)])
     try:
-        eta, _ = _restricted_lp(np.hstack(images), blocks, -2.0 * np.hstack(normals).T,
-                                blocks, costs, costs)
+        eta, _ = _restricted_lp(images, blocks, -2.0 * normals.T, blocks, costs, costs)
     except _Rejected:
         return None
-    parts = np.split(eta, np.cumsum([len(c) for c in cols])[:-1])
-    marginals = [{k: w for k, w in zip(c, part.tolist()) if w > 0.0}
-                 for c, part in zip(cols, parts)]
+    weights = eta.tolist()
+    marginals = [{k: w for k, w in zip(c, weights[end - size:end]) if w > 0.0}
+                 for c, size, end in zip(cols, sizes, ends)]
     return {atoms: (w, system.A.dot(np.concatenate([c[k] for c, k in zip(cols, atoms)])),
                     system.f_dot_atoms(atoms))
             for atoms, w in _coupling(marginals).items()}
@@ -503,13 +503,15 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     max(min(cert.residual, gap + rho), gap), a restricted equilibrium's by
     gap + rho, rho from _affine_allowance or _skew_allowance.  An affine
     round returns the certificate's point, whose gap function takes one
-    LMO call.  A skew round reads P eta and <f, eta> of each atom from the
-    run's payloads and makes one oracle call; it also solves the
-    restricted master, the VI over the distinct per-block strategies of
-    the run's payloads and of the best replies found so far
-    (_restricted_terms), and evaluates its equilibrium the same way, whose
-    one oracle call finds the best reply (_skew_dual_gap), which the run
-    keeps for its later rounds.  eps_vi_exact, which rebuilds the columns,
+    LMO call and finds no reply, so the round keeps none.  A skew round
+    reads P eta and <f, eta> of each atom from the run's payloads and
+    makes one oracle call, which finds the best reply to its atoms
+    (_skew_dual_gap); it also solves the restricted master, the VI over
+    the distinct per-block strategies of the run's payloads and of the
+    best replies found so far, that one among them (_restricted_terms),
+    and evaluates its equilibrium the same way, whose reply the run keeps
+    too for the round's re-solves and its later rounds (solvers._Rounds).
+    eps_vi_exact, which rebuilds the columns,
     is the independent check of the returned gap.  Early rounds (see
     solvers._Run) let the gap of a round's atoms stop the run before the
     first certificate LP.
@@ -520,7 +522,7 @@ def solve_vi(spec, solver="ellipsoid", config=None):
         primal, domain = build_skew_vi_primal(spec), spec.primal_domain()
         rounds = _Rounds(threshold,
                          lambda cert, payloads: _skew_evaluated(
-                             spec, _payload_terms(cert, payloads))[0],
+                             spec, _payload_terms(cert, payloads)),
                          lambda pool: _restricted_terms(spec, pool),
                          lambda terms: _skew_evaluated(spec, terms),
                          lambda hit: hit.atoms)
@@ -581,9 +583,10 @@ def _affine_allowance(spec, eta):
 
 
 def _affine_certified(spec, eta, checked):
-    """(eta, gap, rho, {"scale", "checked"}) of an affine round's point."""
+    """((eta, gap, rho, {"scale", "checked"}), None) of an affine round's
+    point: its gap function finds no best reply for a restricted master."""
     gap, scale = _affine_eps_exact(spec, eta)
-    return eta, gap, _affine_allowance(spec, eta), {"scale": scale, "checked": checked}
+    return (eta, gap, _affine_allowance(spec, eta), {"scale": scale, "checked": checked}), None
 
 
 def eps_vi_exact(spec, eta):

@@ -499,10 +499,13 @@ def _holds_its_columns(problem, hit):
 @pytest.mark.parametrize("path", ["factored", "square", "skew"])
 def test_each_round_feeds_its_replies_to_the_later_restricted_masters(monkeypatch, path,
                                                                       solver):
-    # the best replies to each restricted equilibrium, which its gap
-    # evaluation searched for, follow the protocol's payloads in the
-    # columns of every later restricted master, in the same round and in
-    # the later ones; a round re-solves while a reply is new, at most once
+    # the best replies to each round's certificate atoms and to each
+    # restricted equilibrium, which their gap evaluations searched for,
+    # follow the protocol's payloads in the columns of every later
+    # restricted master, in the order found: a round's certificate reply
+    # joins its first master, an equilibrium's reply the round's next
+    # master and the later rounds'; a round re-solves while a reply is
+    # new, at most once
     # per protocol entry since the previous round, and records its solves
     # and its last master's size; every round's bound is at least the gap
     # of the atoms it returned, their columns rebuilt through the oracles,
@@ -530,11 +533,15 @@ def test_each_round_feeds_its_replies_to_the_later_restricted_masters(monkeypatc
 
             def reply(terms):
                 return vi._skew_eps_exact(problem, terms)[2]
+
+            cert_atoms = vi._payload_terms
         else:
             sol = solve_sp(problem, solver, config)
 
             def reply(atoms):
                 return saddle._value_bounds(problem, *atoms)[2]
+
+            cert_atoms = saddle._atoms
 
         assert len(returned) == len(sol.rounds)
         assert len(calls) == sum(r["master_solves"] for r in sol.rounds)
@@ -543,6 +550,8 @@ def test_each_round_feeds_its_replies_to_the_later_restricted_masters(monkeypatc
             t = record["t"]
             round_calls = [next(solves) for _ in range(record["master_solves"])]
             assert 1 <= len(round_calls) <= 1 + t - previous_t
+            cert = SimpleNamespace(weights=record["weights"])
+            replies.append(reply(cert_atoms(cert, sol.payloads[:t])))
             previous_t = t
             resolved += len(round_calls) > 1
             for k, (pool, out) in enumerate(round_calls):
@@ -593,14 +602,26 @@ def test_re_solves_never_exceed_the_entries_since_the_previous_round(monkeypatch
         return search(self, x, direction)
 
     monkeypatch.setattr(DenseMatrixOracle, "col_extreme", counted)
-    # matching pennies stopped after one step: the restricted master is the
-    # step's pure pair, and the one re-solve that the step allows adds the
-    # replies to it, which leave the game unsolved
+    # rock-paper-scissors-lizard-Spock (strategy i beats i + 1 and i + 2 mod
+    # 5) stopped after one step: the first restricted master is the step's
+    # pure pair and the best replies to it, and the one re-solve that the
+    # step allows adds the replies to its equilibrium, three strategies per
+    # side, which leave the game unsolved.  (Matching pennies, the pair and
+    # its replies, closes at gap 0 on that re-solve.)
+    i, rpsls = np.arange(5), np.zeros((5, 5))
+    for d in (1, 2):
+        rpsls[i, (i + d) % 5], rpsls[(i + d) % 5, i] = 1.0, -1.0
+    sol = solve_sp(build_master_example2(BilinearSpSpec(
+        A=DenseMatrixOracle(rpsls), D=DenseMatrixOracle(np.eye(5)))), solver,
+        SolverConfig(gap_threshold=1e-12, max_steps=1))
+    assert [(r["t"], r["master_solves"], r["master_columns"]) for r in sol.rounds] == [
+        (1, 2, (3, 3))]
+    assert sol.stop_reason == "max_steps" and sol.gap_exact > 1.0
     sol = solve_sp(build_master_example2(BilinearSpSpec(
         A=DenseMatrixOracle(PENNIES), D=DenseMatrixOracle(np.eye(2)))), solver,
         SolverConfig(gap_threshold=1e-12, max_steps=1))
     assert [(r["t"], r["master_solves"]) for r in sol.rounds] == [(1, 2)]
-    assert sol.stop_reason == "max_steps" and sol.gap_exact > 1.0
+    assert sol.stop_reason == "max_steps" and sol.gap_exact == 0.0
     rng = np.random.default_rng(5)
     resolved = 0
     for _ in range(8):

@@ -983,6 +983,56 @@ def test_both_writings_of_the_restricted_lp_agree(monkeypatch, n, r, k, n_blocks
         assert abs(values[True] - values[False]) <= 1e-12 * scale
 
 
+def _model_of(highs):
+    """(costs, column bounds, row bounds, dense matrix, stored values) of a
+    HiGHS model, read back from it."""
+    lp = highs.getLp()
+    a, dense = lp.a_matrix_, np.zeros((lp.num_row_, lp.num_col_))
+    major = np.repeat(np.arange(len(a.start_) - 1), np.diff(a.start_))
+    if a.format_ == solvers._highs_core().MatrixFormat.kRowwise:
+        dense[major, a.index_] = a.value_
+    else:
+        dense[a.index_, major] = a.value_
+    return (np.array(lp.col_cost_), np.array([lp.col_lower_, lp.col_upper_]),
+            np.array([lp.row_lower_, lp.row_upper_]), dense, np.array(a.value_))
+
+
+@pytest.mark.parametrize("n, r, k, n_blocks, tabled", [
+    (5, 4, 3, 1, True), (6, 6, 4, 2, True), (12, 12, 6, 3, True),
+    (40, 30, 3, 1, False), (13, 13, 6, 3, False),
+])
+def test_restricted_lp_hands_highs_the_model_its_docstring_states(n, r, k, n_blocks, tabled):
+    # the model read back from HiGHS after the LP is the one that the
+    # docstring writes: columns (eta, x, v), rows (x = images eta, the R
+    # rows, the simplex rows block by block), costs and bounds, and no
+    # stored zero; a third of the images' entries are exact zeros and the
+    # first rows' normals are unit vectors, so that the pairing table, the
+    # image rows and the normals hold exact zeros, which are dropped
+    rng = np.random.default_rng([n, r, k])
+    images, blocks, normals, row_blocks, rhs, cost = _restricted_args(rng, n, r, k, n_blocks)
+    images.flat[::3] = 0.0
+    normals[:k] = np.eye(k)[:min(k, r)]
+    assert solvers._tabled(n, r, k) == tabled
+    solvers._restricted_lp(images, blocks, normals, row_blocks, rhs, cost)
+    m = 0 if tabled else k
+    matrix = np.zeros((m + r + n_blocks, n + m + n_blocks))
+    matrix[:m, :n] = -images[:m]
+    matrix[np.arange(m), n + np.arange(m)] = 1.0
+    pattern, first = (normals.dot(images), 0) if tabled else (normals, n)
+    matrix[m:m + r, first:first + pattern.shape[1]] = pattern
+    matrix[m + np.arange(r), n + m + row_blocks] = -1.0
+    matrix[m + r + blocks, np.arange(n)] = 1.0
+    assert (pattern == 0.0).any()
+    costs, col_bounds, row_bounds, dense, stored = _model_of(solvers._thread.highs)
+    assert np.array_equal(costs, np.r_[cost, np.zeros(m), np.ones(n_blocks)])
+    assert np.array_equal(col_bounds, [np.r_[np.zeros(n), np.full(m + n_blocks, -np.inf)],
+                                       np.full(n + m + n_blocks, np.inf)])
+    assert np.array_equal(row_bounds, [np.r_[np.zeros(m), np.full(r, -np.inf), np.ones(n_blocks)],
+                                       np.r_[np.zeros(m), rhs, np.ones(n_blocks)]])
+    assert np.array_equal(dense, matrix)
+    assert len(stored) == np.count_nonzero(matrix) and (stored != 0.0).all()
+
+
 def test_threads_solve_games_as_sequential_runs():
     # two threads solve different games at the same time, each on its own
     # HiGHS models (the restricted masters' and its certificate LPs), and

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import eps_sad_enum, lp_game_value
-from lmodecomp import vi
+from lmodecomp import solvers, vi
 from lmodecomp.certificates import AccuracyCertificate, CertificateError, residual
 from lmodecomp.domains import Domain, FiniteAtoms, Product, Simplex
 from lmodecomp.oracles import (
@@ -674,6 +674,26 @@ def test_affine_run_stopped_by_an_early_round_bounds_its_point_by_the_gap(solver
     assert sol.cert.residual > 0.7
     rho = vi._affine_allowance(spec, sol.eta_vector)
     assert sol.eps_exact <= sol.eps_bound <= sol.eps_exact + rho < 1e-12
+
+
+@pytest.mark.parametrize("solver", ["ellipsoid", "md"])
+def test_affine_vi_round_keeps_no_reply(monkeypatch, solver):
+    # an affine round's gap function finds no best reply and the round
+    # solves no restricted master, so its rounds keep no reply; a skew VI's
+    # rounds keep the reply to each certificate and to each equilibrium
+    made = []
+
+    def kept(*args):
+        made.append(solvers._Rounds(*args))
+        return made[-1]
+
+    monkeypatch.setattr(vi, "_Rounds", kept)
+    sol = solve_vi(rotation_affine_spec(), solver)
+    assert len(made) == 1 and len(sol.rounds) > 1 and made[0].replies == []
+    assert all((r["master_columns"], r["master_solves"]) == (None, 0) for r in sol.rounds)
+    sol = solve_vi(nash_to_skew(pennies_nash_spec()), solver,
+                   SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
+    assert len(made[1].replies) == sum(1 + r["master_solves"] for r in sol.rounds)
 
 
 def test_badly_scaled_affine_vi_stops_on_a_named_reason():
