@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import KnapsackOracle, KnapsackSpec, entries, integer, integers, reals
+from .oracles import KnapsackSpec, _knapsack_oracles, entries, integer, integers, reals
 from .saddle import BilinearSpSpec, SparseAtomSolution, build_master_example2, solve_sp
 
 __all__ = [
@@ -105,43 +105,49 @@ def _counts(values, name, m):
 
 def rank_factor(omega, tol=1e-9):
     """Factor omega = F @ G.T with rank(omega) terms, by Gaussian
-    elimination with complete pivoting; stops when the residual drops
-    below tol relative to the largest initial entry."""
+    elimination with complete pivoting; stops when the largest remaining
+    |entry| is at most tol * max(1, max|omega|)."""
     omega = np.atleast_2d(np.asarray(omega, dtype=float))
-    resid = omega.copy()
-    scale = max(1.0, float(np.abs(omega).max(initial=0.0)))
+    cols = omega.shape[1]
+    # omega is only read: each step writes a new residual, and |omega| gives
+    # both the scale and the first pivot
+    resid, size = omega, np.abs(omega)
     fs, gs = [], []
-    for _ in range(min(omega.shape)):
-        i, j = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
+    for step in range(min(omega.shape)):
+        i, j = divmod(int(size.argmax()), cols)  # the first largest |entry|, in C order
         pivot = resid[i, j]
+        if step == 0:
+            scale = max(1.0, abs(pivot))
         if abs(pivot) <= tol * scale:
             break
-        f = resid[:, j].copy()
-        g = resid[i, :] / pivot
+        f, g = resid[:, j], resid[i] / pivot
         fs.append(f)
         gs.append(g)
-        resid = resid - np.outer(f, g)
+        outer = np.multiply.outer(f, g)
+        resid = np.subtract(resid, outer, out=outer)
+        np.abs(resid, out=size)
     if not fs:
         # zero matrix: keep one zero term so the stage still contributes a row
         fs.append(np.zeros(omega.shape[0]))
         gs.append(np.zeros(omega.shape[1]))
-    return np.stack(fs, axis=1), np.stack(gs, axis=1)
+    # C-ordered (rows, terms) tables, as np.stack(fs, axis=1) makes them
+    return np.array(fs).T.copy(), np.array(gs).T.copy()
 
 
 def build_blotto(spec):
     """Knapsack-generated matrices A (attacker) and D (defender) with
-    A^T D reproducing the total-loss matrix."""
+    A^T D reproducing the total-loss matrix; where both sides share caps,
+    costs and budget, their oracles share the tables that depend on these."""
     f_tables, g_tables = [], []
     for omega in spec.omegas:
         F, G = rank_factor(omega)
         f_tables.append(F)        # (caps_a+1, r_s): row a -> attacker output
         g_tables.append(G)        # (caps_d+1, r_s)
-    A = KnapsackOracle(KnapsackSpec(
-        bounds=spec.caps_a, costs=spec.costs_a, budget=spec.budget_a,
-        outputs=tuple(f_tables)))
-    D = KnapsackOracle(KnapsackSpec(
-        bounds=spec.caps_d, costs=spec.costs_d, budget=spec.budget_d,
-        outputs=tuple(g_tables)))
+    A, D = _knapsack_oracles((
+        KnapsackSpec(bounds=spec.caps_a, costs=spec.costs_a, budget=spec.budget_a,
+                     outputs=tuple(f_tables)),
+        KnapsackSpec(bounds=spec.caps_d, costs=spec.costs_d, budget=spec.budget_d,
+                     outputs=tuple(g_tables))))
     return BilinearSpSpec(A=A, D=D)
 
 

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 import reprlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -389,45 +391,34 @@ class KnapsackOracle:
     """
 
     def __init__(self, spec):
+        self._setup(spec, _KnapsackShape(spec))
+
+    def _setup(self, spec, shape):
+        """Build the tables of `spec`, taking those that depend only on its
+        bounds, costs, budget and block dims from `shape`."""
         self.spec = spec
         self.n_rows = spec.n_rows
-        H, m = spec.budget, spec.horizon
-        dims, bounds, costs = spec.block_dims, spec.bounds, spec.costs
-        row_off = np.cumsum((0,) + dims)
-        act_off = np.cumsum((0,) + tuple(b + 1 for b in bounds))
-        self._action_slices = tuple(slice(act_off[s], act_off[s + 1]) for s in range(m))
+        self._action_slices, self._rows = shape.action_slices, shape.rows
+        self._last_cap, self._first_left = shape.last_cap, shape.first_left
         # x @ _stack = (outputs[s] @ x_s for every stage s), concatenated
-        stack = np.zeros((self.n_rows, act_off[-1]))
+        stack = np.zeros((self.n_rows, shape.n_actions))
         for s, o in enumerate(spec.outputs):
-            stack[row_off[s]:row_off[s + 1], act_off[s]:act_off[s + 1]] = o.T
+            stack[shape.row_slices[s], self._action_slices[s]] = o.T
         self._stack = stack
-        # row i of the column of actions a is _flat[start + stride * a[stage]]
-        # for (start, stride, stage) = _rows[i], as Python ints
-        flat_off = np.cumsum((0,) + tuple(o.size for o in spec.outputs))
         self._flat = np.concatenate([o.ravel() for o in spec.outputs])
-        row_start = flat_off[:-1].repeat(dims) + np.arange(self.n_rows) - row_off[:-1].repeat(dims)
-        self._rows = tuple(zip(row_start.tolist(), np.repeat(dims, dims).tolist(),
-                               np.repeat(np.arange(m), dims).tolist()))
-        # last stage: the largest affordable action from each budget 0..H
-        self._last_cap = np.minimum(bounds[-1], np.arange(H + 1) // costs[-1])
         # middle stages: _middle[s] = (row, tables).  A query's class at stage s
         # is the sign of x[row] times the direction's (+1 for "max"), and
         # tables[class] = (gather, rows, actions) over the class's ascending
-        # candidate actions: gather[y, j] indexes a continuation padded in
-        # front by one infeasible entry, 1 + the budget y - actions[j]*h_s
-        # left, or 0 where that is negative, and rows[y] + j is entry (y, j)
+        # candidate actions: gather = full[:, actions] for the stage's budget
+        # table `full` (see _KnapsackShape), and rows[y] + j is entry (y, j)
         # of the flattened (H+1, len(actions)) table
-        budgets = np.arange(H + 1)[:, None]
         self._middle = {}
-        for s in range(1, m - 1):
-            tables = {}
+        for s in range(1, spec.horizon - 1):
+            full, tables = shape.full[spec.bounds[s], spec.costs[s]], {}
             for classes, actions in _record_classes(spec.outputs[s]):
-                left = budgets - costs[s] * actions
                 tables.update(dict.fromkeys(classes, (
-                    np.where(left < 0, 0, left + 1), np.arange(H + 1) * len(actions), actions)))
-            self._middle[s] = int(row_off[s]), tables
-        # first stage: the budget H - a*h_0 left by each affordable action a
-        self._first_left = H - costs[0] * np.arange(min(bounds[0], H // costs[0]) + 1)
+                    full.take(actions, axis=1), shape.row_table(len(actions)), actions)))
+            self._middle[s] = shape.row_slices[s].start, tables
 
     def col_extreme(self, x, direction):
         _check_direction(direction)
@@ -487,10 +478,9 @@ class KnapsackOracle:
             # prefix sums along each residue class of the budget mod h; the
             # count from y sums counts[y - a*h] over a = 0..min(bounds, y // h)
             prefix = counts[:]
-            for y in range(h, H + 1):
-                prefix[y] += prefix[y - h]
-            counts = [prefix[y] - prefix[y - window] if y >= window else prefix[y]
-                      for y in range(H + 1)]
+            for r in range(min(h, H + 1)):
+                prefix[r::h] = accumulate(counts[r::h])
+            counts = prefix[:window] + list(map(operator.sub, prefix[window:], prefix))
         return counts[H]
 
     def column(self, action_sequence):
@@ -506,10 +496,72 @@ class KnapsackOracle:
         return self._column(actions)
 
     def column_norm_bound(self):
-        # sqrt(sum_s max_a ||f_s(a)||^2) upper-bounds every column norm
+        # sqrt(sum_s max_a ||f_s(a)||^2) upper-bounds every column norm; each
+        # row norm is np.linalg.norm(o, axis=1)'s own formula, without its wrapper
         return float(np.sqrt(sum(
-            (np.linalg.norm(o, axis=1) ** 2).max() for o in self.spec.outputs
+            (np.sqrt(np.add.reduce(o * o, axis=1)) ** 2).max() for o in self.spec.outputs
         )))
+
+
+class _KnapsackShape:
+    """The tables of a KnapsackOracle that depend only on its spec's bounds,
+    costs, budget and block dims, all read-only, so that oracles of specs
+    that agree in these can share them (see `_knapsack_oracles`)."""
+
+    def __init__(self, spec):
+        H, m = spec.budget, spec.horizon
+        dims, bounds, costs = spec.block_dims, spec.bounds, spec.costs
+        row_off = np.cumsum((0,) + dims).tolist()
+        act_off = np.cumsum((0,) + tuple(b + 1 for b in bounds)).tolist()
+        self.n_actions = act_off[-1]
+        self.row_slices = tuple(slice(row_off[s], row_off[s + 1]) for s in range(m))
+        self.action_slices = tuple(slice(act_off[s], act_off[s + 1]) for s in range(m))
+        # row i of the column of actions a is _flat[start + stride * a[stage]]
+        # for (start, stride, stage) = rows[i], as Python ints
+        rows, start = [], 0
+        for s, (b, r) in enumerate(zip(bounds, dims)):
+            rows += [(start + i, r, s) for i in range(r)]
+            start += (b + 1) * r
+        self.rows = tuple(rows)
+        # last stage: the largest affordable action from each budget 0..H
+        self.last_cap = _frozen(np.minimum(bounds[-1], np.arange(H + 1) // costs[-1]))
+        # first stage: the budget H - a*h_0 left by each affordable action a
+        self.first_left = _frozen(H - costs[0] * np.arange(min(bounds[0], H // costs[0]) + 1))
+        # middle stages of bound b and cost h: full[b, h][y, a] indexes a
+        # continuation padded in front by one infeasible entry, 1 + the budget
+        # y - a*h left, or 0 where that is negative
+        self.full = {}
+        for b, h in set(zip(bounds[1:m - 1], costs[1:m - 1])):
+            left = np.subtract.outer(np.arange(1, H + 2), h * np.arange(b + 1))
+            self.full[b, h] = _frozen(np.maximum(left, 0, out=left))
+        self._budgets, self._row_tables = np.arange(H + 1), {}
+
+    def row_table(self, n):
+        """arange(H + 1) * n: the row starts of a flattened (H + 1, n) table."""
+        table = self._row_tables.get(n)
+        if table is None:
+            table = self._row_tables[n] = _frozen(self._budgets * n)
+        return table
+
+
+def _knapsack_oracles(specs):
+    """One oracle per spec, each as KnapsackOracle(spec) builds it; specs
+    that agree in bounds, costs, budget and block dims share the tables of
+    one _KnapsackShape, built once here."""
+    shapes, oracles = {}, []
+    for spec in specs:
+        key = spec.bounds, spec.costs, spec.budget, spec.block_dims
+        if key not in shapes:
+            shapes[key] = _KnapsackShape(spec)
+        oracle = object.__new__(KnapsackOracle)
+        oracle._setup(spec, shapes[key])
+        oracles.append(oracle)
+    return oracles
+
+
+def _frozen(array):
+    array.flags.writeable = False
+    return array
 
 
 def _record_classes(outputs):
@@ -525,7 +577,10 @@ def _record_classes(outputs):
 
 def _strict_prefix_maxima(g):
     """Positions of the entries of g that exceed every earlier entry."""
-    return np.flatnonzero(np.concatenate(([True], g[1:] > np.maximum.accumulate(g)[:-1])))
+    keep = np.empty(len(g), dtype=bool)
+    keep[0] = True
+    np.greater(g[1:], np.maximum.accumulate(g)[:-1], out=keep[1:])
+    return keep.nonzero()[0]
 
 
 class DpOracle:

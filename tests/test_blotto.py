@@ -55,6 +55,60 @@ def test_rank_factor_zero_matrix():
     assert np.all(F == 0.0) and np.all(G == 0.0)
 
 
+def reference_rank_factor(omega, tol=1e-9):
+    """rank_factor as first written, kept as the reference for the faster one."""
+    omega = np.atleast_2d(np.asarray(omega, dtype=float))
+    resid = omega.copy()
+    scale = max(1.0, float(np.abs(omega).max(initial=0.0)))
+    fs, gs = [], []
+    for _ in range(min(omega.shape)):
+        i, j = np.unravel_index(np.argmax(np.abs(resid)), resid.shape)
+        pivot = resid[i, j]
+        if abs(pivot) <= tol * scale:
+            break
+        f = resid[:, j].copy()
+        g = resid[i, :] / pivot
+        fs.append(f)
+        gs.append(g)
+        resid = resid - np.outer(f, g)
+    if not fs:
+        fs.append(np.zeros(omega.shape[0]))
+        gs.append(np.zeros(omega.shape[1]))
+    return np.stack(fs, axis=1), np.stack(gs, axis=1)
+
+
+def rank_factor_cases():
+    rng = np.random.default_rng(36)
+    cases = [np.zeros((3, 4)), np.zeros((1, 1)), np.array([[2.0]]), [1.0, -3.0, 3.0],
+             # ties in |max| between entries of both signs: the first in C order wins
+             np.array([[1.0, -4.0], [4.0, 2.0]]), np.array([[-4.0, 4.0], [4.0, -4.0]]),
+             np.array([[0.0, 3.0, -3.0], [-3.0, 0.0, 3.0], [3.0, -3.0, 0.0]]),
+             # entries below 1, where the scale is max(1, max|omega|) = 1
+             np.full((4, 5), 1e-10), np.outer([2e-9, 1e-9], [1.0, -1.0, 0.5])]
+    for rank in range(5):
+        for rows, cols in [(4, 4), (5, 3), (3, 7), (6, 6), (65, 65)]:
+            if rank > min(rows, cols):
+                continue
+            f, g = rng.normal(size=(rows, rank)), rng.normal(size=(cols, rank))
+            cases += [f @ g.T, 1e-3 * (f @ g.T),
+                      # small integer entries: many ties, of both signs
+                      np.round(2 * f) @ np.round(2 * g).T]
+    return cases
+
+
+@pytest.mark.parametrize("omega", rank_factor_cases())
+def test_rank_factor_matches_the_reference_bit_for_bit(omega):
+    given = np.array(omega, copy=True)
+    for arg in (omega, np.asfortranarray(omega)):  # also in the other memory layout
+        F, G = rank_factor(arg)
+        want_F, want_G = reference_rank_factor(arg)
+        for got, want in ((F, want_F), (G, want_G)):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous == want.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+    assert np.array_equal(omega, given)  # omega is only read
+
+
 def test_build_blotto_reproduces_total_loss():
     spec = desk_spec()
     game = build_blotto(spec)

@@ -22,6 +22,7 @@ from lmodecomp.oracles import (
     knapsack_from_json,
     reals,
 )
+from lmodecomp.oracles import _KnapsackShape
 
 
 def small_knapsack():
@@ -698,3 +699,204 @@ def test_bellman_backward_ragged_system_matches_per_state_loop():
             ref_start = starts[int(np.argmax(ref_vals) if direction == "max"
                                    else np.argmin(ref_vals))]
             assert oracle.col_extreme(x, direction).start_state == ref_start
+
+
+class ReferenceKnapsack:
+    """KnapsackOracle's constructor and search as first written, with one
+    set of tables per oracle, kept as the reference for the shared tables."""
+
+    def __init__(self, spec):
+        self.spec = spec
+        self.n_rows = spec.n_rows
+        H, m = spec.budget, spec.horizon
+        dims, bounds, costs = spec.block_dims, spec.bounds, spec.costs
+        row_off = np.cumsum((0,) + dims)
+        act_off = np.cumsum((0,) + tuple(b + 1 for b in bounds))
+        self._action_slices = tuple(slice(act_off[s], act_off[s + 1]) for s in range(m))
+        stack = np.zeros((self.n_rows, act_off[-1]))
+        for s, o in enumerate(spec.outputs):
+            stack[row_off[s]:row_off[s + 1], act_off[s]:act_off[s + 1]] = o.T
+        self._stack = stack
+        flat_off = np.cumsum((0,) + tuple(o.size for o in spec.outputs))
+        self._flat = np.concatenate([o.ravel() for o in spec.outputs])
+        row_start = flat_off[:-1].repeat(dims) + np.arange(self.n_rows) - row_off[:-1].repeat(dims)
+        self._rows = tuple(zip(row_start.tolist(), np.repeat(dims, dims).tolist(),
+                               np.repeat(np.arange(m), dims).tolist()))
+        self._last_cap = np.minimum(bounds[-1], np.arange(H + 1) // costs[-1])
+        budgets = np.arange(H + 1)[:, None]
+        self._middle = {}
+        for s in range(1, m - 1):
+            tables = {}
+            for classes, actions in _reference_record_classes(spec.outputs[s]):
+                left = budgets - costs[s] * actions
+                tables.update(dict.fromkeys(classes, (
+                    np.where(left < 0, 0, left + 1), np.arange(H + 1) * len(actions), actions)))
+            self._middle[s] = int(row_off[s]), tables
+        self._first_left = H - costs[0] * np.arange(min(bounds[0], H // costs[0]) + 1)
+
+    def col_extreme(self, x, direction):
+        x = np.asarray(x, dtype=float)
+        xl = x.tolist()
+        spec = self.spec
+        H, m = spec.budget, spec.horizon
+        maximize = direction == "max"
+        sign = 1 if maximize else -1
+        values = x.dot(self._stack)
+        stage = [values[sl] for sl in self._action_slices]
+        upad = np.empty(H + 2)
+        upad[0] = -np.inf if maximize else np.inf
+        u = upad[1:]
+        running = np.maximum if maximize else np.minimum
+        running.accumulate(stage[-1]).take(self._last_cap, out=u, mode="clip")
+        argpos = {}
+        for s in range(m - 2, 0, -1):
+            row, tables = self._middle[s]
+            c = xl[row]
+            gather, rows, actions = tables[sign * ((c > 0) - (c < 0))]
+            cand = upad.take(gather)
+            cand += stage[s].take(actions)
+            k = cand.argmax(axis=1) if maximize else cand.argmin(axis=1)
+            cand.ravel().take(rows + k, out=u, mode="clip")
+            argpos[s] = actions, k
+        actions, state, value = [], H, u[H]
+        if m > 1:
+            first = u.take(self._first_left)
+            first += stage[0][:len(first)]
+            a = int(first.argmax() if maximize else first.argmin())
+            actions, state, value = [a], H - a * spec.costs[0], first[a]
+        for s in range(1, m - 1):
+            stage_actions, k = argpos[s]
+            a = int(stage_actions[k[state]])
+            actions.append(a)
+            state -= a * spec.costs[s]
+        last = stage[-1][:self._last_cap[state] + 1]
+        actions.append(int(last.argmax() if maximize else last.argmin()))
+        column = self._flat.take([start + stride * actions[stage]
+                                  for start, stride, stage in self._rows])
+        return ColumnHit(tuple(actions), column, float(value))
+
+
+def _reference_record_classes(outputs):
+    def strict_prefix_maxima(g):
+        return np.flatnonzero(np.concatenate(([True], g[1:] > np.maximum.accumulate(g)[:-1])))
+
+    if outputs.shape[1] > 1:
+        return [((1, 0, -1), np.arange(outputs.shape[0]))]
+    f = outputs[:, 0]
+    return [((1,), strict_prefix_maxima(f)), ((0,), np.zeros(1, dtype=int)),
+            ((-1,), strict_prefix_maxima(-f))]
+
+
+def _knapsack_tables(oracle):
+    """Every table that an oracle's search reads, as (name, value) pairs."""
+    tables = [(name, getattr(oracle, name)) for name in (
+        "n_rows", "_action_slices", "_rows", "_last_cap", "_first_left", "_stack", "_flat")]
+    for s, (row, classes) in sorted(oracle._middle.items()):
+        tables.append((f"_middle[{s}] row", row))
+        for c, arrays in sorted(classes.items()):
+            tables += [(f"_middle[{s}][{c}][{i}]", a) for i, a in enumerate(arrays)]
+    return tables
+
+
+def _same_table(got, want):
+    if isinstance(want, np.ndarray):
+        return (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+    return got == want
+
+
+def _assert_same_hits(oracle, reference, queries):
+    for x in queries:
+        for direction in ("max", "min"):
+            hit, want = oracle.col_extreme(x, direction), reference.col_extreme(x, direction)
+            assert hit.action_sequence == want.action_sequence
+            assert hit.column.tobytes() == want.column.tobytes()
+            assert hit.value.hex() == want.value.hex()
+
+
+@pytest.mark.parametrize("bounds, costs, budget, dims", [
+    ((4,), (1,), 3, (1,)),                          # m = 1: the first stage is the last
+    ((6,), (2,), 9, (3,)),
+    ((5, 7), (1, 2), 8, (1, 1)),                    # m = 2: no middle stage
+    ((3, 9), (3, 1), 7, (2, 1)),
+    ((6, 9, 4), (1, 2, 3), 11, (1, 1, 1)),          # m = 3: one middle stage
+    ((8, 3, 8), (2, 1, 1), 10, (1, 2, 1)),          # a wide middle stage
+    ((5, 5, 5), (1, 1, 1), 0, (1, 1, 2)),           # H = 0
+    ((9, 4, 9, 6, 3), (1, 3, 1, 2, 1), 12, (2, 1, 1, 3, 1)),
+    ((12, 12, 12, 12), (1, 1, 1, 1), 12, (1, 1, 1, 1)),  # equal middle stages
+    ((7, 0, 6, 5), (2, 1, 1, 3), 9, (1, 1, 1, 2)),  # a middle stage with one action
+])
+@pytest.mark.parametrize("kind", ["gaussian", "integer"])
+def test_knapsack_hits_match_the_reference_bit_for_bit(bounds, costs, budget, dims, kind):
+    rng = np.random.default_rng([budget, len(bounds), len(kind)])
+    draw = ((lambda shape: rng.integers(-2, 3, size=shape).astype(float)) if kind == "integer"
+            else (lambda shape: rng.normal(size=shape)))
+    spec = KnapsackSpec(bounds=bounds, costs=costs, budget=budget,
+                        outputs=tuple(draw((b + 1, r)) for b, r in zip(bounds, dims)))
+    oracle, reference = KnapsackOracle(spec), ReferenceKnapsack(spec)
+    for (name, got), (_, want) in zip(_knapsack_tables(oracle), _knapsack_tables(reference),
+                                      strict=True):
+        assert _same_table(got, want), name
+    queries = [np.zeros(spec.n_rows), np.full(spec.n_rows, -0.0)]
+    for _ in range(40):
+        x = draw(spec.n_rows)
+        zeros = rng.random(spec.n_rows)
+        x[zeros < 0.25] = 0.0      # query class 0 at a 1-dim middle stage
+        x[zeros > 0.85] = -0.0
+        queries.append(x)
+    _assert_same_hits(oracle, reference, queries)
+    assert oracle.column_norm_bound().hex() == textbook_norm_bound(spec).hex()
+
+
+def textbook_norm_bound(spec):
+    return float(np.sqrt(sum((np.linalg.norm(o, axis=1) ** 2).max() for o in spec.outputs)))
+
+
+def test_column_norm_bound_is_the_textbook_formula_bit_for_bit():
+    # squaring the row norms rounds: here the bound without the square roots
+    # would be 4.358898943540674, one ulp above the textbook 4.358898943540673
+    spec = KnapsackSpec(bounds=(0, 0), costs=(1, 1), budget=0,
+                        outputs=(np.array([[3.0, 3.0]]), np.array([[0.0, 0.0, -1.0]])))
+    assert KnapsackOracle(spec).column_norm_bound().hex() == textbook_norm_bound(spec).hex()
+
+
+@pytest.mark.parametrize("defender", [
+    {}, {"budget_d": 5}, {"caps_d": (4, 6, 6, 3)}, {"costs_d": (1, 2, 1, 1)},
+])
+def test_blotto_sides_get_the_oracles_of_their_own_specs(defender):
+    # where the sides share caps, costs and budget (and so block dims) they
+    # share the tables that depend only on these; either way each side's
+    # oracle is the one that its own KnapsackSpec gives
+    fields = {"caps_a": (4, 6, 6, 4), "caps_d": (4, 6, 6, 4), "costs_a": (1, 1, 1, 1),
+              "costs_d": (1, 1, 1, 1), "budget_a": 6, "budget_d": 6, **defender}
+    rng = np.random.default_rng(len(defender))
+    omegas = [rng.integers(0, 3, size=(a + 1, 2)) @ rng.integers(0, 3, size=(2, d + 1))
+              for a, d in zip(fields["caps_a"], fields["caps_d"])]   # ranks up to 2
+    game = build_blotto(BlottoSpec(**fields, omegas=omegas))
+    queries = [rng.normal(size=game.A.n_rows) for _ in range(20)]
+    queries += [rng.integers(-1, 2, size=game.A.n_rows).astype(float) for _ in range(20)]
+    for side in (game.A, game.D):
+        alone = KnapsackOracle(side.spec)
+        for (name, got), (_, want) in zip(_knapsack_tables(side), _knapsack_tables(alone),
+                                          strict=True):
+            assert _same_table(got, want), name
+        _assert_same_hits(side, ReferenceKnapsack(side.spec), queries)
+    ids = {id(value) for _, value in _knapsack_tables(game.A)}
+    shared = [(name, value) for name, value in _knapsack_tables(game.D)
+              if isinstance(value, np.ndarray) and id(value) in ids]
+    assert {name for name, _ in shared} >= ({"_last_cap", "_first_left"} if not defender
+                                            else set())
+    assert bool(shared) == (not defender)
+    for name, value in shared:
+        assert not value.flags.writeable, name
+
+
+def test_knapsack_tables_that_depend_only_on_shape_are_read_only():
+    spec = KnapsackSpec(bounds=(3, 3, 3), costs=(1, 1, 1), budget=3,
+                        outputs=(np.ones((4, 1)),) * 3)
+    shape, oracle = _KnapsackShape(spec), KnapsackOracle(spec)
+    (_, tables), = oracle._middle.values()
+    for array in (shape.last_cap, shape.first_left, *shape.full.values(), shape.row_table(2),
+                  oracle._last_cap, oracle._first_left, *(t[1] for t in tables.values())):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
