@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import KnapsackSpec, _knapsack_oracles, entries, integer, integers, reals
+from .oracles import KnapsackSpec, _knapsack_oracles, _named, entries, integer, integers, reals
 from .saddle import BilinearSpSpec, SparseAtomSolution, build_master_example2, solve_sp
 
 __all__ = [
@@ -103,10 +103,10 @@ def _counts(values, name, m):
     return counts
 
 
-def rank_factor(omega, tol=1e-9):
+def rank_factor(omega):
     """Factor omega = F @ G.T with rank(omega) terms, by Gaussian
     elimination with complete pivoting; stops when the largest remaining
-    |entry| is at most tol * max(1, max|omega|)."""
+    |entry| is at most 1e-9 max(1, max|omega|)."""
     omega = np.atleast_2d(np.asarray(omega, dtype=float))
     cols = omega.shape[1]
     # omega is only read: each step writes a new residual, and |omega| gives
@@ -118,7 +118,7 @@ def rank_factor(omega, tol=1e-9):
         pivot = resid[i, j]
         if step == 0:
             scale = max(1.0, abs(pivot))
-        if abs(pivot) <= tol * scale:
+        if abs(pivot) <= 1e-9 * scale:
             break
         f, g = resid[:, j], resid[i] / pivot
         fs.append(f)
@@ -137,7 +137,8 @@ def rank_factor(omega, tol=1e-9):
 def build_blotto(spec):
     """Knapsack-generated matrices A (attacker) and D (defender) with
     A^T D reproducing the total-loss matrix; where both sides share caps,
-    costs and budget, their oracles share the tables that depend on these."""
+    costs and budget, their oracles share the tables and the column count
+    that depend on these, which live as long as the game."""
     f_tables, g_tables = [], []
     for omega in spec.omegas:
         F, G = rank_factor(omega)
@@ -154,16 +155,14 @@ def build_blotto(spec):
 def solve_blotto(spec, config=None, solver="ellipsoid"):
     """End-to-end run: factor, build the master, solve with `solver`
     ("ellipsoid" or "md", as in solve_sp); the atoms are pure strategies.
-    A side's column count depends only on its caps, costs and budget, so
-    it is counted once where both sides share them."""
+    Sides that share caps, costs and budget share one column count (see
+    build_blotto)."""
     game = build_blotto(spec)
-    sol = solve_sp(build_master_example2(game, shared_radius=True), solver, config)
-    attackers = game.A.count_columns()
-    shared = (spec.caps_a, spec.costs_a, spec.budget_a) == (spec.caps_d, spec.costs_d,
-                                                            spec.budget_d)
-    defenders = attackers if shared else game.D.count_columns()
-    return BlottoReport(**vars(sol), dims=(attackers, defenders), primal_dim=2 * game.K,
-                        seed=spec.seed)
+    # each side's knapsack outputs are rank factors of the loss matrices omega
+    master = _named("omega", lambda: build_master_example2(game, shared_radius=True))
+    sol = solve_sp(master, solver, config)
+    return BlottoReport(**vars(sol), dims=(game.A.count_columns(), game.D.count_columns()),
+                        primal_dim=2 * game.K, seed=spec.seed)
 
 
 def random_rank1_omegas(m, caps_a, caps_d, seed=0):

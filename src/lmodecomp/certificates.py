@@ -56,12 +56,11 @@ class ExecutionProtocol:
         return self.points.shape[0]
 
     @classmethod
-    def from_lists(cls, points, field_values, step_ids, dim=None):
+    def from_lists(cls, points, field_values, step_ids):
+        """The protocol of per-entry points and field values, of the points' dimension."""
         pts = np.asarray(points, dtype=float).reshape(len(points), -1)
-        if dim is None:
-            dim = pts.shape[1] if pts.size else 0
         return cls(pts, np.asarray(field_values, dtype=float).reshape(pts.shape),
-                   tuple(step_ids), dim)
+                   tuple(step_ids), pts.shape[1] if pts.size else 0)
 
     def prefix(self, t):
         """Sub-protocol of the first t entries."""

@@ -24,7 +24,7 @@ import time
 from .blotto import blotto_from_json, solve_blotto
 from .certificates import CertificateError
 from .domains import FiniteAtoms, Simplex
-from .oracles import matrix_side
+from .oracles import _named, matrix_side
 from .saddle import BilinearSpSpec, build_master_example1, build_master_example2, solve_sp
 from .solvers import SolverConfig
 from .vi import AffineViSpec, nash_spec_from_json, nash_to_skew, solve_vi
@@ -124,9 +124,9 @@ def _run_blotto(args, config):
 
 def _domain_from_json(obj):
     if isinstance(obj, dict) and "simplex" in obj:
-        return Simplex(obj["simplex"])
+        return _named("H", Simplex, obj["simplex"])
     if isinstance(obj, dict) and "atoms" in obj:
-        return FiniteAtoms(obj["atoms"])
+        return _named("H", FiniteAtoms, obj["atoms"])
     raise ValueError(f"H must be {{'simplex': n}} or {{'atoms': [...]}}, not {obj!r}")
 
 
@@ -171,11 +171,8 @@ def _build_parser():
         p.add_argument("--eps", type=float, default=1e-6)
         p.add_argument("--max-steps", type=int, default=20000)
         p.add_argument("--cert-period", type=int, default=None,
-                       help="base and shortest interval, in steps, between certificate "
-                            "rounds (default 4K^2, K the largest block dimension); "
-                            "rounds fall on its multiples, paced by the run's residuals; "
-                            "rounds without the certificate LP also fall at K + 1, "
-                            "2(K + 1), 4(K + 1), ... below it")
+                       help="base interval P, in steps, of the certificate-round schedule "
+                            "(default 4K^2, K the largest block dimension); see the README")
         p.add_argument("--gap-threshold", type=float, default=1e-4)
         p.add_argument("--report", default=None, help="path for the JSON report")
     return parser

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .oracles import integer, reals
+from .oracles import _norm_bound, integer, reals
 
 __all__ = [
     "Domain",
@@ -127,13 +127,15 @@ class Product(Domain):
 class FiniteAtoms(Domain):
     """Convex hull of a finite list of points, the rows of a 2-d `atoms`;
     the LMO scans the read-only copy that `reals` takes here and returns a
-    read-only view of a row."""
+    read-only view of a row.  The enclosing radius, the largest row norm,
+    is computed here and must be finite."""
 
     def __init__(self, atoms):
         self.atoms = reals(atoms, "atoms", 2)
         if np.ndim(atoms) != 2:
             raise ValueError("atoms must be a 2-d array, one row per atom")
         self.dim = self.atoms.shape[1]
+        self._radius = _norm_bound(lambda: np.linalg.norm(self.atoms, axis=1).max(), "atoms")
 
     def lmo(self, c):
         c = self._check_query(c)
@@ -142,7 +144,7 @@ class FiniteAtoms(Domain):
         return self.atoms[j], float(vals[j])
 
     def enclosing_radius(self):
-        return float(np.linalg.norm(self.atoms, axis=1).max())
+        return self._radius
 
     def __repr__(self):
         return f"FiniteAtoms(n={self.atoms.shape[0]}, dim={self.dim})"

@@ -9,6 +9,7 @@ while the number of columns can be astronomically large.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import operator
@@ -294,13 +295,25 @@ def _check_query(x, n_rows):
     return x
 
 
-def _split_query(x, block_dims, n_rows):
-    x = _check_query(x, n_rows)
-    out, off = [], 0
-    for r in block_dims:
-        out.append(x[off:off + r])
-        off += r
-    return out
+def _named(name, fn, *args):
+    """fn(*args), whose ValueError is raised again with `name`, the spec
+    field that it concerns, in front."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _norm_bound(compute, name):
+    """compute(), a norm bound that squares entries of `name`, as a float
+    computed with floating-point overflow ignored; ValueError naming
+    `name` where it is not finite: entries near 1e200 pass `reals`, but
+    their squares overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = float(compute())
+    if not math.isfinite(bound):
+        raise ValueError(f"{name} has entries too large for a finite norm bound ({bound})")
+    return bound
 
 
 def _check_direction(direction):
@@ -360,7 +373,7 @@ class DenseMatrixOracle:
         return self.matrix[:, key[0]]
 
     def column_norm_bound(self):
-        return float(np.linalg.norm(self.matrix, axis=0).max())
+        return _norm_bound(lambda: np.linalg.norm(self.matrix, axis=0).max(), "the matrix")
 
 
 class KnapsackOracle:
@@ -396,7 +409,7 @@ class KnapsackOracle:
     def _setup(self, spec, shape):
         """Build the tables of `spec`, taking those that depend only on its
         bounds, costs, budget and block dims from `shape`."""
-        self.spec = spec
+        self.spec, self._shape = spec, shape
         self.n_rows = spec.n_rows
         self._action_slices, self._rows = shape.action_slices, shape.rows
         self._last_cap, self._first_left = shape.last_cap, shape.first_left
@@ -470,18 +483,7 @@ class KnapsackOracle:
                                 for start, stride, stage in self._rows])
 
     def count_columns(self):
-        spec = self.spec
-        H = spec.budget
-        counts = [1] * (H + 1)  # exact big integers: completions from each budget
-        for s in range(spec.horizon - 1, -1, -1):
-            h, window = spec.costs[s], (spec.bounds[s] + 1) * spec.costs[s]
-            # prefix sums along each residue class of the budget mod h; the
-            # count from y sums counts[y - a*h] over a = 0..min(bounds, y // h)
-            prefix = counts[:]
-            for r in range(min(h, H + 1)):
-                prefix[r::h] = accumulate(counts[r::h])
-            counts = prefix[:window] + list(map(operator.sub, prefix[window:], prefix))
-        return counts[H]
+        return self._shape.columns
 
     def column(self, action_sequence):
         spec = self.spec
@@ -498,19 +500,21 @@ class KnapsackOracle:
     def column_norm_bound(self):
         # sqrt(sum_s max_a ||f_s(a)||^2) upper-bounds every column norm; each
         # row norm is np.linalg.norm(o, axis=1)'s own formula, without its wrapper
-        return float(np.sqrt(sum(
+        return _norm_bound(lambda: np.sqrt(sum(
             (np.sqrt(np.add.reduce(o * o, axis=1)) ** 2).max() for o in self.spec.outputs
-        )))
+        )), "outputs")
 
 
 class _KnapsackShape:
     """The tables of a KnapsackOracle that depend only on its spec's bounds,
-    costs, budget and block dims, all read-only, so that oracles of specs
-    that agree in these can share them (see `_knapsack_oracles`)."""
+    costs, budget and block dims, all read-only, and its column count, so
+    that oracles of specs that agree in these share them (see
+    `_knapsack_oracles`)."""
 
     def __init__(self, spec):
         H, m = spec.budget, spec.horizon
         dims, bounds, costs = spec.block_dims, spec.bounds, spec.costs
+        self.bounds, self.costs, self.budget = bounds, costs, H
         row_off = np.cumsum((0,) + dims).tolist()
         act_off = np.cumsum((0,) + tuple(b + 1 for b in bounds)).tolist()
         self.n_actions = act_off[-1]
@@ -535,6 +539,21 @@ class _KnapsackShape:
             left = np.subtract.outer(np.arange(1, H + 2), h * np.arange(b + 1))
             self.full[b, h] = _frozen(np.maximum(left, 0, out=left))
         self._budgets, self._row_tables = np.arange(H + 1), {}
+
+    @functools.cached_property
+    def columns(self):
+        """The column count, an exact big integer, counted at the first read."""
+        H = self.budget
+        counts = [1] * (H + 1)  # exact big integers: completions from each budget
+        for b, h in zip(reversed(self.bounds), reversed(self.costs)):
+            window = (b + 1) * h
+            # prefix sums along each residue class of the budget mod h; the
+            # count from y sums counts[y - a*h] over a = 0..min(b, y // h)
+            prefix = counts[:]
+            for r in range(min(h, H + 1)):
+                prefix[r::h] = accumulate(counts[r::h])
+            counts = prefix[:window] + list(map(operator.sub, prefix[window:], prefix))
+        return counts[H]
 
     def row_table(self, n):
         """arange(H + 1) * n: the row starts of a flattened (H + 1, n) table."""
@@ -666,7 +685,7 @@ def bellman_backward(dp, x, direction):
     ties go to the lexicographically smallest action.
     """
     _check_direction(direction)
-    xs = _split_query(x, dp.block_dims, dp.n_rows)
+    xs = np.split(_check_query(x, dp.n_rows), np.cumsum(dp.block_dims[:-1]))
     pick = np.argmax if direction == "max" else np.argmin
     bad = -np.inf if direction == "max" else np.inf
     m = dp.horizon
@@ -728,18 +747,18 @@ def dp_from_knapsack(spec):
     )
 
 
-def enumerate_columns(oracle, limit=10 ** 6):
+def enumerate_columns(oracle):
     """Materialize all columns: (list of column keys, K x L matrix).
 
     The keys are those of `ColumnHit.key`: the action sequence, paired
     with the start state for a DP.  A knapsack is walked as its DP
     (`dp_from_knapsack`), whose one start state the keys leave out.
-    Intended for desk-scale instances and brute-force checks; raises when
-    the column count exceeds `limit`.
+    Intended for desk-scale instances and brute-force checks; raises,
+    before walking any column, when the column count exceeds 10^6.
     """
     count = oracle.count_columns()
-    if count > limit:
-        raise ValueError(f"column count {count} exceeds enumeration limit {limit}")
+    if count > 10 ** 6:
+        raise ValueError(f"column count {count} exceeds enumeration limit 1000000")
     if isinstance(oracle, DenseMatrixOracle):
         return [(j,) for j in range(oracle.matrix.shape[1])], oracle.matrix.copy()
 
@@ -770,10 +789,7 @@ def matrix_side(obj, name):
     """Oracle for the matrix `name` of a spec: knapsack if a dict with a
     budget, else dense; a knapsack's errors are prefixed with `name`."""
     if isinstance(obj, dict) and "budget" in obj:
-        try:
-            return KnapsackOracle(knapsack_from_json(obj))
-        except ValueError as exc:
-            raise ValueError(f"{name}: {exc}") from None
+        return _named(name, lambda: KnapsackOracle(knapsack_from_json(obj)))
     return DenseMatrixOracle(reals(obj, name, 2))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .certificates import ExecutionProtocol
 from .domains import Ball, Product, Simplex
-from .oracles import ColumnHit, DenseMatrixOracle, enumerate_columns, reals
+from .oracles import ColumnHit, DenseMatrixOracle, _named, _norm_bound, enumerate_columns, reals
 from .solvers import (
     FieldOracle,
     SolveResult,
@@ -51,10 +51,8 @@ def _with_offset(side, offset, name):
     column search; only a dense side, whose columns it indexes, takes one."""
     if offset is not None and not isinstance(side, DenseMatrixOracle):
         raise ValueError(f"offset {name} needs a dense side, whose columns it indexes")
-    try:
-        return side if offset is None else DenseMatrixOracle(side.matrix, offset)
-    except ValueError as exc:
-        raise ValueError(f"offset {name}: {exc}") from None
+    return side if offset is None else _named(f"offset {name}", DenseMatrixOracle, side.matrix,
+                                              offset)
 
 
 @dataclass
@@ -171,8 +169,8 @@ def build_master_example1(S, p=None, q=None):
     dominate the column norms of S and S^T.  S goes through `reals`.
     """
     S = reals(S, "S", 2)
-    r_u = max(1.0, float(np.linalg.norm(S, axis=0).max(initial=0.0)))
-    r_v = max(1.0, float(np.linalg.norm(S, axis=1).max(initial=0.0)))
+    r_u = max(1.0, _norm_bound(lambda: np.linalg.norm(S, axis=0).max(initial=0.0), "S"))
+    r_v = max(1.0, _norm_bound(lambda: np.linalg.norm(S, axis=1).max(initial=0.0), "S"))
     return MasterProblem(A=_with_offset(DenseMatrixOracle(S.T), q, "q"),
                          D=_with_offset(DenseMatrixOracle(S), p, "p"), R_U=r_u, R_V=r_v, S=S)
 
@@ -181,10 +179,10 @@ def build_master_example2(spec, shared_radius=False):
     """Factored master Phi(u,w;v,z) = <w, p+D^T v> + <z, q+A^T u> - <u,v>.
 
     U must contain D W and V must contain A Z; radii come from exact
-    column-norm maxima (dense) or the knapsack column-norm bound.
+    column-norm maxima (dense) or the knapsack column-norm bound, and a
+    bound that overflows raises ValueError naming its side, A or D.
     """
-    r_u = spec.D.column_norm_bound()
-    r_v = spec.A.column_norm_bound()
+    r_u, r_v = _named("D", spec.D.column_norm_bound), _named("A", spec.A.column_norm_bound)
     if shared_radius:
         r_u = r_v = max(r_u, r_v)
     return MasterProblem(A=spec.A, D=spec.D, R_U=max(r_u, 1e-12),
@@ -340,25 +338,22 @@ def solve_sp(master, solver="ellipsoid", config=None):
     just found among them, and evaluates its equilibrium the same way,
     whose replies the run keeps too for the round's re-solves and its
     later rounds (solvers._Rounds); the protocol, the cuts and the
-    certificates do not depend on them.  The round records
-    its last restricted master's distinct strategies per side,
-    (minimizer's, maximizer's), as `master_columns` and its LPs as
-    `master_solves`, and returns the certificate's atoms or the best
-    restricted equilibrium: the certificate's atoms are bounded by
-    max(min(cert.residual, gap + rho), gap), the restricted ones by gap +
-    rho, with rho the rounding allowance of _allowance, so a pure saddle
-    point reads a bound of rho, not 0.  The certificate's own gap is
-    checked against its residual every round.  Early rounds (see
+    certificates do not depend on them.  A round's record is as
+    solvers.SolveResult says.  The round returns the certificate's atoms
+    or the best restricted equilibrium: the certificate's atoms are
+    bounded by max(min(cert.residual, gap + rho), gap), the restricted ones
+    by gap + rho, with rho the rounding allowance of _allowance, so a pure
+    saddle point reads a bound of rho, not 0.  The certificate's own gap
+    is checked against its residual every round.  Early rounds (see
     solvers._Run) let the restricted master stop the run before the first
     certificate LP.
     The solution is the closing round's atoms, gap, value and bound;
     nothing calls an oracle after the run.
     """
     nu = master.dim_u
-    rounds = _Rounds((config or SolverConfig()).gap_threshold,
-                     lambda cert, hits: _evaluated(master, _atoms(cert, hits)),
-                     lambda pool: _restricted_master(master, pool),
+    rounds = _Rounds((config or SolverConfig()).gap_threshold, _atoms,
                      lambda atoms: _evaluated(master, atoms),
+                     lambda pool: _restricted_master(master, pool),
                      lambda pair: (pair[0].key, pair[1].key))
 
     def fn(xi):

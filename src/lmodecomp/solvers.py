@@ -4,13 +4,11 @@ Two solvers are provided: an ellipsoid method that records an execution
 protocol over its productive steps and re-applies the protocol's cuts as
 deep cuts, and projected mirror descent, all of whose steps are
 productive.  Both compute the best accuracy certificate for the
-protocol so far in rounds paced by the run's own residuals, on one
+protocol so far in certificate rounds, scheduled as _Run says, on one
 certificate LP per run; mirror descent offers its normalized step sizes
-as one more candidate.  Every run also has early rounds, from step K + 1
-on (K the largest block dimension) and at its doublings, that score only
-the certificates known in closed form.  Both operate on origin-centered
-Euclidean balls or products of two such balls, where the residual has a
-closed form and needs no LMO calls.  They share one run state for the
+as one more candidate.  Both operate on origin-centered Euclidean balls
+or products of two such balls, where the residual has a closed form and
+needs no LMO calls.  They share one run state for the
 protocol, the field payloads and the certificate rounds, and return one
 SolveResult.
 Every game and VI round (_Rounds) returns the atoms with the least
@@ -61,10 +59,7 @@ __all__ = [
 class SolverConfig:
     eps_target: float = 1e-6
     max_steps: int = 20000
-    # the base and shortest interval between certificate rounds (default:
-    # 4 K^2, K the largest block dimension); rounds fall on its multiples,
-    # paced by the run's residuals, and also at K + 1, 2(K + 1), 4(K + 1),
-    # ... below it, without the certificate LP
+    # P, the base interval of the round schedule (see _Run); None means 4 K^2
     cert_period: int | None = None
     gap_threshold: float = 1e-4
     start: np.ndarray | None = None
@@ -188,6 +183,12 @@ def ellipsoid_cut(center, shape, g, depth=0.0):
     return center_new, shape_new
 
 
+def _doubled(array):
+    """`array` with as many rows again appended, uninitialized: the growth
+    of the run's preallocated tables."""
+    return np.concatenate([array, np.empty_like(array)])
+
+
 class _ProtocolBuffer:
     """Protocol entries appended into preallocated arrays that double when
     full.  Each snapshot views the rows so far, so building a round's
@@ -206,9 +207,8 @@ class _ProtocolBuffer:
     def append(self, point, field_value, step_id):
         t = self.t
         if t == len(self.ids):
-            self.points = np.concatenate([self.points, np.empty_like(self.points)])
-            self.fields = np.concatenate([self.fields, np.empty_like(self.fields)])
-            self.ids = np.concatenate([self.ids, np.empty_like(self.ids)])
+            self.points, self.fields, self.ids = map(_doubled, (self.points, self.fields,
+                                                                self.ids))
         self.points[t] = point
         self.fields[t] = field_value
         self.ids[t] = step_id
@@ -233,8 +233,7 @@ class _RecordedCuts:
         """Record the cut of the entry (point, value), ||value|| = norm > 0."""
         t = self.t
         if t == len(self.offsets):
-            self.normals = np.concatenate([self.normals, np.empty_like(self.normals)])
-            self.offsets = np.concatenate([self.offsets, np.empty_like(self.offsets)])
+            self.normals, self.offsets = _doubled(self.normals), _doubled(self.offsets)
         normal = self.normals[t]
         np.multiply(value, 1.0 / norm, out=normal)
         self.offsets[t] = normal.dot(point)
@@ -268,9 +267,8 @@ class SolveResult:
     entries (`cert_lower`), the HiGHS solves the round made (`lp_solves`,
     read off the run's CertificateLP), the deep cuts that the ellipsoid
     re-applied from its protocol since the previous round (`recycled`, 0
-    for mirror descent), the step of the next scheduled round (`due`, None
-    on a round that stops or closes the run; twice the step, at most
-    cert_period, after an early round, see _Run) and the fields that
+    for mirror descent), the step of the next scheduled round (`due`, see
+    _Run; None on a round that stops or closes the run) and the fields that
     `on_certificate` returned (value for games, scale for VIs, and
     checked for affine VIs).  Games and VIs also return `bound`,
     `cert_gap`, `atoms` (see _choose_atoms), `master_columns` and
@@ -310,28 +308,28 @@ class _Run:
     the first round that solves one (`lp` is None until then), so a run
     that stops at an early round builds no HiGHS model.
 
-    With K the largest block dimension and P = `cert_period`, early rounds
-    fall at steps K + 1, 2(K + 1), 4(K + 1), ... below P and max_steps, and
-    the first paced round at step P; a solver runs one once its step
-    reaches `due`.  K + 1 is the first step
-    where the protocol can hold an equilibrium of a game whose columns
-    live in R^K, which by Caratheodory needs at most K + 1 pure strategies
-    per side.  An early round scores only the certificates
+    The round schedule, stated here once: with K the largest block
+    dimension and P = `cert_period` (default 4 K^2), early rounds fall at
+    steps K + 1, 2(K + 1), 4(K + 1), ... below P and max_steps, then paced
+    rounds on multiples of P, and the closing round (`result`) ends the
+    run; a solver runs a round once its step reaches `due`.  K + 1 is the
+    first step where the protocol can hold an equilibrium of a game whose
+    columns live in R^K, which by Caratheodory needs at most K + 1 pure
+    strategies per side.  An early round scores only the certificates
     known in closed form (uniform weights, the last round's and the
     solver's `candidates`) and solves no LP, so it costs little more than
     the gap evaluation of its atoms (and its restricted master), which may
-    already stop the run; every other
-    round solves the LP, and where the last round was early and did not
-    stop the run, the closing round does so on the whole protocol.  An
-    early certificate is scored but does not seed the LP's working set.
-    From P on, rounds fall on multiples of P: a round that does not stop
-    the run schedules the next `_periods` P steps later, one period until
-    the residual has fallen below the first paced round's (the one at P),
-    then half the periods that the run's own rate of decrease predicts it
-    still needs to reach a stop, at most twice the last interval.  Only
-    rounds predicted not to stop the run are skipped, and the steps
-    themselves do not depend on the rounds.  Where P <= K + 1 there are no
-    early rounds."""
+    already stop the run; every other round solves the LP, and where the
+    last round was early and did not stop the run, the closing round does
+    so on the whole protocol.  An early certificate is scored but does not
+    seed the LP's working set.  From P on, a round that does not stop the
+    run schedules the next `_periods` P steps later, one period until the
+    residual has fallen below the first paced round's (the one at P), then
+    half the periods that the run's own rate of decrease predicts it still
+    needs to reach a stop, at most twice the last interval.  Only rounds
+    predicted not to stop the run are skipped, and the steps themselves do
+    not depend on the rounds.  Where P <= K + 1 there are no early
+    rounds."""
 
     def __init__(self, field, domain, config, on_certificate):
         self.config = config or SolverConfig()
@@ -464,15 +462,7 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     still holds.  `steps` and `max_steps` count loop iterations, and each
     round records how many cuts were recycled.
     The run starts at the origin, so `SolverConfig.start` must be None.
-    Certificate rounds compute the best certificate for the protocol so
-    far, warm-started from the previous one, on the run's one
-    CertificateLP.  They fall on multiples of cert_period, the base and
-    shortest interval, and are paced by the run's own residuals (see
-    _Run): the first at step cert_period, each later one at the step that
-    the previous round recorded as `due`.  Early rounds fall at steps
-    K + 1, 2(K + 1), 4(K + 1), ... below cert_period (K the largest ball's
-    dimension) and solve no LP (the best of uniform weights and the last
-    round's certificate).
+    Certificate rounds fall on the schedule that _Run states.
     `on_certificate(protocol, cert, payloads)` returns the round's fields
     ({"gap", "value"} for games, {"gap", "scale"} for VIs, with
     "checked": False where the gap is not a dual gap, and "cert_gap" where
@@ -480,10 +470,8 @@ def ellipsoid_run(field, domain, config=None, on_certificate=None):
     raises CertificateError where a checked cert_gap (the gap where there
     is none) exceeds the residual by over 1e-9 max(1, |value|, scale).  The
     run stops when the gap falls below gap_threshold, when the certified
-    residual falls below eps_target,
-    at a zero field value, when the ellipsoid collapses, or at max_steps.
-    Each round's cert_lower is a certified lower bound on the least residual
-    of any certificate for its protocol.
+    residual falls below eps_target, at a zero field value, when the
+    ellipsoid collapses, or at max_steps.
 
     Returns a SolveResult.
     """
@@ -558,12 +546,11 @@ def md_run(field, domain, config=None, on_certificate=None):
 
     Steps xi_{i+1} = Proj(xi_i - gamma_i F(xi_i)) from `SolverConfig.start`
     (the origin when None) with gamma_i = R/(Lhat_i sqrt(i)), Lhat_i the
-    running max of the field norms.  All steps are productive.  Rounds,
-    their schedule from the base interval cert_period and from step K + 1
-    below it (K the largest ball's dimension), `on_certificate` and the
-    stop rules are those of `ellipsoid_run`; each
-    round also tries the normalized step sizes, the classical certificate
-    with its O(1/sqrt(t)) residual, so no round's residual is above theirs.
+    running max of the field norms.  All steps are productive.  Rounds
+    (see _Run), `on_certificate` and the stop rules are those of
+    `ellipsoid_run`; each round also tries the normalized step sizes, the
+    classical certificate with its O(1/sqrt(t)) residual, so no round's
+    residual is above theirs.
 
     Returns a SolveResult.
     """
@@ -944,24 +931,25 @@ def _tabled(n, r, k):
 
 class _Rounds:
     """The `on_certificate` of every game and VI run, which keeps the latest
-    round's atoms in `atoms`.  `certify(cert, payloads)` is ((atoms, gap,
-    rho, fields), reply) of the certificate's atoms, reply the payload of
-    the best replies to them that the gap evaluation found (None for an
-    affine VI, whose gap function finds none).  Where `solve` is given, a
-    round also solves the restricted master, closed by a double-oracle
-    loop (McMahan, Gordon & Blum, ICML 2003) whose oracle work the run's
-    own steps bound: `solve(pool)` is the equilibrium of the problem
-    restricted to the distinct pure strategies of the payloads `pool`
-    (None where HiGHS rejects its LP), `evaluate(atoms)` is ((atoms, gap,
-    rho, fields), reply) as `certify` is, and `keys(payload)` the
-    payload's pure strategies, one per side or block.  `replies` keeps
-    every reply found, the certificates' and the equilibria's in the order
-    found, for the round's later solves and every later round's pool; an
-    affine VI's rounds keep none."""
+    round's atoms in `atoms`.  `atoms_of(cert, payloads)` is the atoms that
+    the certificate transfers, and `evaluate(atoms)` is ((atoms, gap, rho,
+    fields), reply) of any atoms, the certificate's and each restricted
+    equilibrium's alike, reply the payload of the best replies to them that
+    the gap evaluation found (None for an affine VI, whose gap function
+    finds none).  Where `solve` is given, a round also solves the
+    restricted master, closed by a double-oracle loop (McMahan, Gordon &
+    Blum, ICML 2003) whose oracle work the run's own steps bound:
+    `solve(pool)` is the equilibrium of the problem restricted to the
+    distinct pure strategies of the payloads `pool` (None where HiGHS
+    rejects its LP), and `keys(payload)` the payload's pure strategies, one
+    per side or block.  `replies` keeps every reply found, the
+    certificates' and the equilibria's in the order found, for the round's
+    later solves and every later round's pool; an affine VI's rounds keep
+    none."""
 
-    def __init__(self, threshold, certify, solve=None, evaluate=None, keys=None):
-        self.threshold, self.certify = threshold, certify
-        self.solve, self.evaluate, self.keys = solve, evaluate, keys
+    def __init__(self, threshold, atoms_of, evaluate, solve=None, keys=None):
+        self.threshold, self.atoms_of, self.evaluate = threshold, atoms_of, evaluate
+        self.solve, self.keys = solve, keys
         self.atoms, self.replies = None, []
         self.t = 0  # the protocol length at the previous round
 
@@ -978,9 +966,8 @@ class _Rounds:
         oracle calls of one field evaluation, so the loop at most doubles
         the run's oracle work.  The round returns what _choose_atoms picks
         from the certificate's atoms and the best restricted equilibrium,
-        with `master_columns` the last master's distinct strategies per side
-        or block and `master_solves` its LPs, a rejected one too."""
-        (certified, reply), best = self.certify(cert, payloads), None
+        with `master_columns` and `master_solves` as SolveResult says."""
+        (certified, reply), best = self.evaluate(self.atoms_of(cert, payloads)), None
         master = {"master_columns": None, "master_solves": 0}
         if self.solve is not None:
             self.replies.append(reply)

@@ -22,7 +22,8 @@ import numpy as np
 # residual_ball_product is unused here: benchmark tracing wraps this module's name
 from .certificates import ExecutionProtocol, residual_ball_product  # noqa: F401
 from .domains import Ball, Product, Simplex
-from .oracles import DenseMatrixOracle, entries, integers, matrix_side, reals
+from .oracles import (DenseMatrixOracle, _named, _norm_bound, entries, integers, matrix_side,
+                      reals)
 from .solvers import (
     FieldOracle,
     SolveResult,
@@ -77,7 +78,7 @@ class AffineViSpec:
             if shape != want:
                 raise ValueError(f"{name} has shape {shape}, not {want} for H of dimension {n}")
         low = float(np.linalg.eigvalsh(0.5 * (self.S + self.S.T))[0])
-        if low < -1e-12 * np.linalg.norm(self.S):
+        if low < -1e-12 * _norm_bound(lambda: np.linalg.norm(self.S), "S"):
             raise ValueError(f"S is not monotone: its symmetric part has the eigenvalue {low}")
         if isinstance(self.Xi_radius, bool) or not isinstance(self.Xi_radius, numbers.Real):
             raise ValueError(f"Xi_radius must be a real number, not {self.Xi_radius!r}")
@@ -149,17 +150,18 @@ class _SkewSystem:
     def xi_radii(self):
         """Bounds on |Q eta| and |P eta| over H: per block the largest column
         norm of B_b D_b and A_b D_b, or for a block that is not dense the
-        spectral norms of B_b and A_b times its oracle's column-norm bound."""
+        spectral norms of B_b and A_b times its oracle's column-norm bound.
+        A bound that overflows raises ValueError naming its block D[b]."""
         r1 = r2 = 0.0
-        for D, sl in zip(self.blocks, self.slices):
-            A, B = self.A[:, sl], self.B[:, sl]
+        for b, (D, sl) in enumerate(zip(self.blocks, self.slices)):
+            A, B, name = self.A[:, sl], self.B[:, sl], f"D[{b}]"
             if hasattr(D, "matrix"):
-                r1 += float(np.linalg.norm(B @ D.matrix, axis=0).max())
-                r2 += float(np.linalg.norm(A @ D.matrix, axis=0).max())
+                r1 += _norm_bound(lambda: np.linalg.norm(B @ D.matrix, axis=0).max(), name)
+                r2 += _norm_bound(lambda: np.linalg.norm(A @ D.matrix, axis=0).max(), name)
             else:
-                bound = D.column_norm_bound()
-                r1 += float(np.linalg.norm(B, 2)) * bound
-                r2 += float(np.linalg.norm(A, 2)) * bound
+                bound = _named(name, D.column_norm_bound)
+                r1 += _norm_bound(lambda: np.linalg.norm(B, 2) * bound, name)
+                r2 += _norm_bound(lambda: np.linalg.norm(A, 2) * bound, name)
         return r1, r2
 
     def _dense_blocks(self):
@@ -520,19 +522,15 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     threshold = (config or SolverConfig()).gap_threshold
     if skew:
         primal, domain = build_skew_vi_primal(spec), spec.primal_domain()
-        rounds = _Rounds(threshold,
-                         lambda cert, payloads: _skew_evaluated(
-                             spec, _payload_terms(cert, payloads)),
-                         lambda pool: _restricted_terms(spec, pool),
-                         lambda terms: _skew_evaluated(spec, terms),
-                         lambda hit: hit.atoms)
+        rounds = _Rounds(threshold, _payload_terms, lambda terms: _skew_evaluated(spec, terms),
+                         lambda pool: _restricted_terms(spec, pool), lambda hit: hit.atoms)
     else:
         primal, domain = build_affine_vi_primal(spec), Ball(np.zeros(spec.H.dim), spec.Xi_radius)
         # an affine VI's gap function is its dual gap only for a skew S; for another
         # monotone S the residual need not bound it, so the run does not check it
         checked = not (spec.S + spec.S.T).any()
-        rounds = _Rounds(threshold, lambda cert, payloads: _affine_certified(
-            spec, _collect_eta(cert, payloads), checked))
+        rounds = _Rounds(threshold, _collect_eta,
+                         lambda eta: _affine_evaluated(spec, eta, checked))
 
     # looked up at call time, so that wrappers installed on this module apply
     runs = {"ellipsoid": ellipsoid_run, "md": md_run}
@@ -582,7 +580,7 @@ def _affine_allowance(spec, eta):
     return 2.0 * (spec.H.dim + 2) * 2.0 ** -53 * c * (float(norm(eta)) + spec.Xi_radius)
 
 
-def _affine_certified(spec, eta, checked):
+def _affine_evaluated(spec, eta, checked):
     """((eta, gap, rho, {"scale", "checked"}), None) of an affine round's
     point: its gap function finds no best reply for a restricted master."""
     gap, scale = _affine_eps_exact(spec, eta)

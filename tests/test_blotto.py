@@ -12,7 +12,7 @@ from lmodecomp.blotto import (
     rank_factor,
     solve_blotto,
 )
-from lmodecomp.oracles import KnapsackOracle, enumerate_columns
+from lmodecomp.oracles import _KnapsackShape, enumerate_columns
 from lmodecomp.saddle import exact_gap
 from lmodecomp.solvers import SolverConfig
 
@@ -139,21 +139,22 @@ def test_desk_solve_matches_lp():
     {}, {"budget_d": 3}, {"caps_d": (1, 2)}, {"costs_d": (2, 1)},
 ])
 def test_each_side_is_counted_unless_both_share_caps_costs_and_budget(monkeypatch, defender):
-    # the column count depends only on a side's caps, costs and budget:
-    # the attacker's stands for the defender's where the two agree, and a
-    # defender that differs in any of them is counted on its own (each
-    # defender here has another count than the attacker's 6)
+    # the column count depends only on a side's caps, costs and budget, so
+    # it is counted once per knapsack shape: the two sides share one count
+    # where they agree, and a defender that differs in any of them is
+    # counted on its own (each defender here has another count than the
+    # attacker's 6)
     fields = {"caps_a": (2, 2), "caps_d": (2, 2), "costs_a": (1, 1), "costs_d": (1, 1),
               "budget_a": 2, "budget_d": 2, **defender}
     spec = BlottoSpec(**fields, omegas=random_rank1_omegas(2, fields["caps_a"],
                                                            fields["caps_d"], seed=3))
-    counted, count = [], KnapsackOracle.count_columns
+    counted, count = [], _KnapsackShape.columns.func
 
-    def counting(self):
-        counted.append(self.spec)
-        return count(self)
+    def counting(shape):
+        counted.append(shape)
+        return count(shape)
 
-    monkeypatch.setattr(KnapsackOracle, "count_columns", counting)
+    monkeypatch.setattr(_KnapsackShape.columns, "func", counting)
     report = solve_blotto(spec, SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
     assert (len(counted), report.dims[0] == report.dims[1]) == ((1, True) if not defender
                                                                   else (2, False))

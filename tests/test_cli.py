@@ -257,6 +257,73 @@ def test_every_mutated_field_exits_one_naming_it(tmp_path, capsys, command, spec
                 assert not re.fullmatch(r"error: invalid spec: '\w+'\n", err), (path, value)
 
 
+HUGE = 1e200  # finite, so it passes `reals`, but its square overflows
+HUGE_KNAPSACK = {**KNAPSACK_A, "outputs": [[[1.0], [HUGE], [0.5]], [[0.0], [1.0]]]}
+# a spec per subcommand whose radius bound overflows, and the field its error names
+OVERFLOWING = [
+    ("matrix-game", {"S": [[HUGE, 1.0], [1.0, -HUGE]]}, "S has entries too large"),
+    ("blotto", {**BLOTTO_LISTED, "omega": [EYE, [[HUGE, 0.0], [0.0, 1.0]]]},
+     "omega: A: outputs has entries too large"),
+    ("affine-vi", {**AFFINE, "H": {"atoms": [[HUGE, 0.0], [0.0, 1.0]]}},
+     "H: atoms has entries too large"),
+    ("nash", {**NASH, "D": [EYE, HUGE_KNAPSACK]}, "D[1]: outputs has entries too large"),
+]
+
+
+@pytest.mark.parametrize("command, spec, named", OVERFLOWING + [
+    ("matrix-game", {"A": [[HUGE, 1.0], [0.0, 1.0]], "D": EYE},
+     "A: the matrix has entries too large"),
+    ("matrix-game", {"A": KNAPSACK_D, "D": HUGE_KNAPSACK}, "D: outputs has entries too large"),
+    ("nash", {**NASH, "D": [[[1.0, 0.0], [0.0, HUGE]], KNAPSACK_A]},
+     "D[0] has entries too large"),
+    ("affine-vi", {**AFFINE, "S": [[0.0, HUGE], [-HUGE, 0.0]]}, "S has entries too large"),
+])
+def test_overflowing_radius_bound_exits_one_naming_the_field(tmp_path, capsys, command, spec,
+                                                             named):
+    # the radius bounds square the entries; warnings are errors here, so an
+    # overflow warning would escape run() as a traceback
+    assert run([command, "--spec", write_spec(tmp_path, spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid spec: {named} for a finite norm bound (inf)"), err
+
+
+@pytest.mark.parametrize("command, spec, named", OVERFLOWING)
+def test_overflowing_radius_bound_in_dev_mode_prints_no_traceback(tmp_path, command, spec,
+                                                                  named):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC_ROOT), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "lmodecomp.cli", command, "--spec",
+         write_spec(tmp_path, spec)], capture_output=True, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr == f"error: invalid spec: {named} for a finite norm bound (inf)\n"
+
+
+def readme_specs():
+    """(subcommand, JSON text) of each example of the README's spec section."""
+    readme = (SRC_ROOT.parent / "README.md").read_text()
+    section = readme.split("\n### Spec files\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^`([a-z-]+)`[^\n]*:\n\n```json\n(.*?)```", section, re.S | re.M)
+
+
+README_SPECS = readme_specs()
+
+
+def test_readme_has_one_spec_example_per_subcommand():
+    assert sorted(command for command, _ in README_SPECS) == sorted(
+        ["matrix-game", "blotto", "affine-vi", "nash"])
+
+
+@pytest.mark.parametrize("command, text", README_SPECS, ids=[c for c, _ in README_SPECS])
+def test_readme_spec_examples_run_to_exit_zero(tmp_path, capsys, command, text):
+    report = tmp_path / "report.json"
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert run([command, "--spec", str(spec), "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["converged"] is True
+
+
 def test_large_offset_affine_vi_never_fails_the_gap_check(tmp_path, capsys):
     # the gap check tolerates rounding at the scale of s = 1e8, so it never
     # exits 4 here; mirror descent certifies this VI within its budget

@@ -22,6 +22,7 @@ from lmodecomp.oracles import (
     knapsack_from_json,
     reals,
 )
+from lmodecomp import oracles
 from lmodecomp.oracles import _KnapsackShape
 
 
@@ -152,6 +153,29 @@ def test_large_scale_count_is_exact_big_integer():
     # {a >= 0, sum a <= 64} = C(72, 8); verified independently here
     assert count == math.comb(72, 8)
     assert count > 10 ** 9
+
+
+def test_enumeration_stops_above_a_million_columns_before_the_walk(monkeypatch):
+    # the limit is read off the exact count: a side of 2^21 columns raises
+    # before the walk starts, and one of exactly 10^6 (every (a0, a1) with
+    # a0, a1 <= 999 fits the budget of 1998) passes the check and starts it
+    class Walked(Exception):
+        pass
+
+    def walk(spec):
+        raise Walked
+
+    monkeypatch.setattr(oracles, "dp_from_knapsack", walk)
+    binary = KnapsackSpec(bounds=(1,) * 21, costs=(1,) * 21, budget=21,
+                          outputs=(np.ones((2, 1)),) * 21)
+    with pytest.raises(ValueError, match="column count 2097152 exceeds enumeration limit "
+                                         "1000000"):
+        enumerate_columns(KnapsackOracle(binary))
+    million = KnapsackSpec(bounds=(999, 999), costs=(1, 1), budget=1998,
+                           outputs=(np.ones((1000, 1)),) * 2)
+    assert KnapsackOracle(million).count_columns() == 10 ** 6
+    with pytest.raises(Walked):
+        enumerate_columns(KnapsackOracle(million))
 
 
 def test_oracle_matches_enumeration():
