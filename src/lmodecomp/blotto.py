@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oracles import KnapsackSpec, _knapsack_oracles, _named, entries, integer, integers, reals
+from .oracles import (KnapsackOracle, KnapsackSpec, _norm_bound, entries, integer, integers,
+                      reals)
 from .saddle import BilinearSpSpec, SparseAtomSolution, build_master_example2, solve_sp
 
 __all__ = [
@@ -138,18 +139,17 @@ def build_blotto(spec):
     """Knapsack-generated matrices A (attacker) and D (defender) with
     A^T D reproducing the total-loss matrix; where both sides share caps,
     costs and budget, their oracles share the tables and the column count
-    that depend on these, which live as long as the game."""
+    that depend on these (see _KnapsackShape)."""
     f_tables, g_tables = [], []
     for omega in spec.omegas:
         F, G = rank_factor(omega)
         f_tables.append(F)        # (caps_a+1, r_s): row a -> attacker output
         g_tables.append(G)        # (caps_d+1, r_s)
-    A, D = _knapsack_oracles((
-        KnapsackSpec(bounds=spec.caps_a, costs=spec.costs_a, budget=spec.budget_a,
-                     outputs=tuple(f_tables)),
-        KnapsackSpec(bounds=spec.caps_d, costs=spec.costs_d, budget=spec.budget_d,
-                     outputs=tuple(g_tables))))
-    return BilinearSpSpec(A=A, D=D)
+    return BilinearSpSpec(
+        A=KnapsackOracle(KnapsackSpec(bounds=spec.caps_a, costs=spec.costs_a,
+                                      budget=spec.budget_a, outputs=tuple(f_tables))),
+        D=KnapsackOracle(KnapsackSpec(bounds=spec.caps_d, costs=spec.costs_d,
+                                      budget=spec.budget_d, outputs=tuple(g_tables))))
 
 
 def solve_blotto(spec, config=None, solver="ellipsoid"):
@@ -158,8 +158,14 @@ def solve_blotto(spec, config=None, solver="ellipsoid"):
     Sides that share caps, costs and budget share one column count (see
     build_blotto)."""
     game = build_blotto(spec)
-    # each side's knapsack outputs are rank factors of the loss matrices omega
-    master = _named("omega", lambda: build_master_example2(game, shared_radius=True))
+    try:
+        master = build_master_example2(game, shared_radius=True)
+    except ValueError as exc:
+        # a side's bound sums a term per battlefield s, from omega[s]'s rank
+        # factors: name the first whose own term overflows
+        for s, pair in enumerate(zip(game.A.spec.outputs, game.D.spec.outputs)):
+            _norm_bound(lambda: max(np.square(o).sum(axis=1).max() for o in pair), f"omega[{s}]")
+        raise ValueError(f"omega: {exc}") from None
     sol = solve_sp(master, solver, config)
     return BlottoReport(**vars(sol), dims=(game.A.count_columns(), game.D.count_columns()),
                         primal_dim=2 * game.K, seed=spec.seed)

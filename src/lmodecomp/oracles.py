@@ -14,6 +14,7 @@ import math
 import numbers
 import operator
 import reprlib
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -404,11 +405,10 @@ class KnapsackOracle:
     """
 
     def __init__(self, spec):
-        self._setup(spec, _KnapsackShape(spec))
-
-    def _setup(self, spec, shape):
-        """Build the tables of `spec`, taking those that depend only on its
-        bounds, costs, budget and block dims from `shape`."""
+        key = spec.bounds, spec.costs, spec.budget, spec.block_dims
+        shape = _SHAPES.get(key)
+        if shape is None:
+            shape = _SHAPES[key] = _KnapsackShape(spec)
         self.spec, self._shape = spec, shape
         self.n_rows = spec.n_rows
         self._action_slices, self._rows = shape.action_slices, shape.rows
@@ -507,9 +507,9 @@ class KnapsackOracle:
 
 class _KnapsackShape:
     """The tables of a KnapsackOracle that depend only on its spec's bounds,
-    costs, budget and block dims, all read-only, and its column count, so
-    that oracles of specs that agree in these share them (see
-    `_knapsack_oracles`)."""
+    costs, budget and block dims, all read-only, and its column count.
+    Live oracles of specs that agree in these share one shape through
+    _SHAPES, which holds it only as long as an oracle uses it."""
 
     def __init__(self, spec):
         H, m = spec.budget, spec.horizon
@@ -563,19 +563,9 @@ class _KnapsackShape:
         return table
 
 
-def _knapsack_oracles(specs):
-    """One oracle per spec, each as KnapsackOracle(spec) builds it; specs
-    that agree in bounds, costs, budget and block dims share the tables of
-    one _KnapsackShape, built once here."""
-    shapes, oracles = {}, []
-    for spec in specs:
-        key = spec.bounds, spec.costs, spec.budget, spec.block_dims
-        if key not in shapes:
-            shapes[key] = _KnapsackShape(spec)
-        oracle = object.__new__(KnapsackOracle)
-        oracle._setup(spec, shapes[key])
-        oracles.append(oracle)
-    return oracles
+# _KnapsackShape by its key; it takes no lock, because threads that race on
+# a key build equal shapes, and each oracle keeps the shape it was built with
+_SHAPES = weakref.WeakValueDictionary()
 
 
 def _frozen(array):

@@ -291,37 +291,37 @@ def _evaluated(master, atoms):
             {"value": 0.5 * (upper + lower)}), replies
 
 
-def _restricted_master(master, hits):
-    """Equilibrium of the game restricted to the distinct pure strategies of
-    the (w_hit, z_hit) pairs `hits` (a run's payloads and its rounds' best
-    replies), as (w_atoms, z_atoms, w_cols, z_cols), or None where HiGHS
-    rejects the LP.  The minimizer's LP (_restricted_lp) takes the
-    columns D e_j of its strategies as images, and each maximizer's
-    strategy i is one row <A e_i, D w> + q_i <= s: the row's normal is its
-    column A e_i, or e_i for the square master, whose payoff S_ij is entry
-    i of D e_j.  The LP holds these rows through the images or as the
-    pairing table of their payoffs, whichever has fewer nonzeros.  The
-    rows' duals are the maximizer's weights."""
-    w_hits, z_hits = {w.key: w for w, _ in hits}, {z.key: z for _, z in hits}
-    n, r = len(w_hits), len(z_hits)
-    images = np.array([h.column for h in w_hits.values()]).T
+def _restricted_master(master, pool):
+    """Equilibrium of the game restricted to `pool` = (w_cols, z_cols), one
+    {key: column} table per side of a run's payloads and its rounds' best
+    replies (see solvers._Rounds), as (w_atoms, z_atoms, w_cols, z_cols),
+    or None where HiGHS rejects the LP.  The minimizer's LP
+    (_restricted_lp) takes the columns D e_j of its strategies as images,
+    and each maximizer's strategy i is one row <A e_i, D w> + q_i <= s:
+    the row's normal is its column A e_i, or e_i for the square master,
+    whose payoff S_ij is entry i of D e_j.  The LP holds these rows
+    through the images or as the pairing table of their payoffs,
+    whichever has fewer nonzeros.  The rows' duals are the maximizer's
+    weights."""
+    w_cols, z_cols = pool
+    n, r = len(w_cols), len(z_cols)
+    images = np.array(list(w_cols.values())).T
     if master.S is None:
-        normals = np.array([h.column for h in z_hits.values()])
+        normals = np.array(list(z_cols.values()))
     else:
         normals = np.zeros((r, master.dim_v))
-        normals[np.arange(r), [k[0] for k in z_hits]] = 1.0
+        normals[np.arange(r), [k[0] for k in z_cols]] = 1.0
     p, q = (getattr(side, "offset", None) for side in (master.D, master.A))
-    cost = np.zeros(n) if p is None else p[[k[0] for k in w_hits]]
-    rhs = np.zeros(r) if q is None else -q[[k[0] for k in z_hits]]
+    cost = np.zeros(n) if p is None else p[[k[0] for k in w_cols]]
+    rhs = np.zeros(r) if q is None else -q[[k[0] for k in z_cols]]
     blocks = np.zeros(max(n, r), dtype=np.intp)  # one block of atoms, one of rows
     try:
         w, z = _restricted_lp(images, blocks[:n], normals, blocks[:r], rhs, cost)
     except _Rejected:
         return None
-    w_atoms = {k: x for k, x in zip(w_hits, w.tolist()) if x > 0.0}
-    z_atoms = {k: x for k, x in zip(z_hits, z.tolist()) if x > 0.0}
-    return (w_atoms, z_atoms, {k: w_hits[k].column for k in w_atoms},
-            {k: z_hits[k].column for k in z_atoms})
+    w_atoms = {k: x for k, x in zip(w_cols, w.tolist()) if x > 0.0}
+    z_atoms = {k: x for k, x in zip(z_cols, z.tolist()) if x > 0.0}
+    return w_atoms, z_atoms, {k: w_cols[k] for k in w_atoms}, {k: z_cols[k] for k in z_atoms}
 
 
 def solve_sp(master, solver="ellipsoid", config=None):
@@ -333,12 +333,9 @@ def solve_sp(master, solver="ellipsoid", config=None):
     whose exact gap and value the round records, from the stored columns,
     with two oracle calls that find the best replies to those atoms
     (_value_bounds).  Each round also solves the restricted master, the
-    game over the distinct pure strategies of the run's payloads and of
-    the best replies found so far (_restricted_master), the certificate's
-    just found among them, and evaluates its equilibrium the same way,
-    whose replies the run keeps too for the round's re-solves and its
-    later rounds (solvers._Rounds); the protocol, the cuts and the
-    certificates do not depend on them.  A round's record is as
+    game over the pool of solvers._Rounds (_restricted_master), and
+    evaluates its equilibrium the same way; the protocol, the cuts and
+    the certificates do not depend on them.  A round's record is as
     solvers.SolveResult says.  The round returns the certificate's atoms
     or the best restricted equilibrium: the certificate's atoms are
     bounded by max(min(cert.residual, gap + rho), gap), the restricted ones
@@ -354,7 +351,7 @@ def solve_sp(master, solver="ellipsoid", config=None):
     rounds = _Rounds((config or SolverConfig()).gap_threshold, _atoms,
                      lambda atoms: _evaluated(master, atoms),
                      lambda pool: _restricted_master(master, pool),
-                     lambda pair: (pair[0].key, pair[1].key))
+                     lambda pair: [(hit.key, hit.column) for hit in pair])
 
     def fn(xi):
         ev = primal_value_grad(master, xi[:nu], xi[nu:])

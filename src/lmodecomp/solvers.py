@@ -21,6 +21,7 @@ run's own oracle work allows.
 
 from __future__ import annotations
 
+import collections
 import functools
 import importlib.machinery
 import importlib.util
@@ -938,61 +939,70 @@ class _Rounds:
     the gap evaluation found (None for an affine VI, whose gap function
     finds none).  Where `solve` is given, a round also solves the
     restricted master, closed by a double-oracle loop (McMahan, Gordon &
-    Blum, ICML 2003) whose oracle work the run's own steps bound:
-    `solve(pool)` is the equilibrium of the problem restricted to the
-    distinct pure strategies of the payloads `pool` (None where HiGHS
-    rejects its LP), and `keys(payload)` the payload's pure strategies, one
-    per side or block.  `replies` keeps every reply found, the
-    certificates' and the equilibria's in the order found, for the round's
-    later solves and every later round's pool; an affine VI's rounds keep
-    none."""
+    Blum, ICML 2003) whose oracle work the run's own steps bound, over the
+    pool that the rounds own: per side of a game or block of a skew VI,
+    one {key: column} table of the payloads' pure strategies, `held`, and
+    one of every reply's, `found`, the certificates' and the equilibria's
+    in the order found.  `strategies(payload)` is a payload's (key,
+    column) pairs, one per side or block, read once per payload and reply:
+    a round adds the payloads that are new since the previous round, and
+    each reply joins when found.  `solve(pool)` is the equilibrium of the
+    problem restricted to `pool`, one {**held, **found} table per side, so
+    the payloads' strategies come first and the replies' after, each in
+    first-occurrence order, or None where HiGHS rejects its LP.  An affine
+    VI's rounds keep no pool."""
 
-    def __init__(self, threshold, atoms_of, evaluate, solve=None, keys=None):
+    def __init__(self, threshold, atoms_of, evaluate, solve=None, strategies=None):
         self.threshold, self.atoms_of, self.evaluate = threshold, atoms_of, evaluate
-        self.solve, self.keys = solve, keys
-        self.atoms, self.replies = None, []
-        self.t = 0  # the protocol length at the previous round
+        self.solve, self.strategies = solve, strategies
+        self.held, self.found = collections.defaultdict(dict), collections.defaultdict(dict)
+        self.atoms, self.t = None, 0  # the protocol length at the previous round
+
+    def _join(self, tables, payload):
+        """Add the payload's strategies to `tables`; return their keys."""
+        keys = []
+        for side, (key, column) in enumerate(self.strategies(payload)):
+            tables[side][key] = column
+            keys.append(key)
+        return keys
 
     def __call__(self, protocol, cert, payloads):
-        """The round's fields.  The round keeps the certificate's reply and
-        solves the restricted master over the payloads and the replies so
-        far, that one too, so its first LP already holds the best replies
-        to the certificate's atoms at no further oracle call.  It evaluates
-        the master's equilibrium, then adds the new reply and solves again
-        for as long as the gap is above max(threshold, rho), the reply
-        holds a pure strategy that the master lacks and the round has
-        re-solved fewer times than the protocol grew since the previous
-        round.  A re-solve makes the
+        """The round's fields.  The round solves the restricted master over
+        the pool, the certificate's reply already in it, so its first LP
+        holds the best replies to the certificate's atoms at no further
+        oracle call.  It evaluates the master's equilibrium, then solves
+        again with the new reply for as long as the gap is above
+        max(threshold, rho), the reply holds a pure strategy that the
+        master lacks and the round has re-solved fewer times than the
+        protocol grew since the previous round.  A re-solve makes the
         oracle calls of one field evaluation, so the loop at most doubles
         the run's oracle work.  The round returns what _choose_atoms picks
         from the certificate's atoms and the best restricted equilibrium,
-        with `master_columns` and `master_solves` as SolveResult says."""
+        with `master_columns` (each side's pool at the last solve) and
+        `master_solves` as SolveResult says."""
         (certified, reply), best = self.evaluate(self.atoms_of(cert, payloads)), None
         master = {"master_columns": None, "master_solves": 0}
         if self.solve is not None:
-            self.replies.append(reply)
-            pool = [*payloads, *self.replies]
+            for payload in payloads[self.t:]:
+                self._join(self.held, payload)
             budget, self.t = len(payloads) - self.t, len(payloads)
-            known = [set(keys) for keys in zip(*map(self.keys, pool))]
+            self._join(self.found, reply)
             solves = 0
             while True:
+                pool = [{**self.held[side], **found} for side, found in self.found.items()]
                 solves += 1
                 atoms = self.solve(pool)
                 if atoms is None:
                     break
                 restricted, reply = self.evaluate(atoms)
-                self.replies.append(reply)
+                keys = self._join(self.found, reply)
                 _, gap, rho, _ = restricted
                 if best is None or _rank(restricted, self.threshold) < _rank(best, self.threshold):
                     best = restricted
-                keys = self.keys(reply)
                 if not (gap > max(self.threshold, rho) and solves <= budget
-                        and any(key not in seen for key, seen in zip(keys, known))):
+                        and any(key not in table for key, table in zip(keys, pool))):
                     break
-                pool.append(reply)
-                for key, seen in zip(keys, known):
-                    seen.add(key)
-            master = {"master_columns": tuple(map(len, known)), "master_solves": solves}
+            master = {"master_columns": tuple(map(len, pool)), "master_solves": solves}
         self.atoms, fields = _choose_atoms(cert.residual, self.threshold, certified, best)
         return {**fields, **master}
 

@@ -415,10 +415,14 @@ def _oracle_terms(spec, atoms_weights):
 
 def _payload_terms(cert, payloads):
     """{key: (weight, P eta, <f, eta>)} of the certificate's atoms, read off
-    the EtaHit payloads that the field evaluation stored."""
-    hits = {payloads[i].atoms: payloads[i] for i in np.flatnonzero(cert.weights > 0.0)}
-    return {atoms: (weight, hits[atoms].p_vec, hits[atoms].f_dot)
-            for atoms, weight in _collect_atoms(cert, payloads).items()}
+    the EtaHit payloads that the field evaluation stored: an atom's weight
+    sums its entries' in protocol order."""
+    terms = {}
+    for i in np.flatnonzero(cert.weights > 0.0):
+        hit = payloads[i]
+        weight = terms[hit.atoms][0] if hit.atoms in terms else 0.0
+        terms[hit.atoms] = (weight + cert.weights[i], hit.p_vec, hit.f_dot)
+    return terms
 
 
 def _skew_allowance(spec, terms):
@@ -447,24 +451,20 @@ def _coupling(marginals):
     return dict(zip(joint, np.diff(cuts, prepend=0.0).tolist()))
 
 
-def _restricted_terms(spec, payloads):
-    """Equilibrium of the skew VI restricted to the distinct per-block pure
-    strategies of the EtaHit payloads (a run's payloads and its rounds'
-    best replies), as terms {key: (weight, P eta, <f, eta>)} of at most
-    sum_b n_b joint atoms (see _coupling), or None where HiGHS rejects the
-    LP.  With the block images p_bj = A_b D_b e_j and q_bj = B_b D_b e_j
-    of block b's strategy j, the LP (_restricted_lp) minimizes <f, eta> +
-    sum_b v_b over one simplex per block and x = P eta, subject to
-    -v_b <= 2 <q_bj, x> + f_bj = F(eta)_bj: its optimum is the least
-    restricted dual gap, 0 for a skew F.  For Nash the blocks are the
-    players and -v_b a player's best restricted reply.  Each joint atom's
-    P eta is rebuilt from the stored columns as eps_vi_exact rebuilds it."""
+def _restricted_terms(spec, cols):
+    """Equilibrium of the skew VI restricted to the pool `cols`, one {key:
+    column} table per block of a run's payloads and its rounds' best
+    replies (see solvers._Rounds), as terms {key: (weight, P eta, <f,
+    eta>)} of at most sum_b n_b joint atoms (see _coupling), or None where
+    HiGHS rejects the LP.  With the block images p_bj = A_b D_b e_j and
+    q_bj = B_b D_b e_j of block b's strategy j, the LP (_restricted_lp)
+    minimizes <f, eta> + sum_b v_b over one simplex per block and
+    x = P eta, subject to -v_b <= 2 <q_bj, x> + f_bj = F(eta)_bj: its
+    optimum is the least restricted dual gap, 0 for a skew F.  For Nash
+    the blocks are the players and -v_b a player's best restricted reply.
+    Each joint atom's P eta is rebuilt from the stored columns as
+    eps_vi_exact rebuilds it."""
     system = spec.system
-    cols = [{} for _ in system.blocks]
-    for atoms, hit in {hit.atoms: hit for hit in payloads}.items():
-        for b, key in enumerate(atoms):
-            if key not in cols[b]:
-                cols[b][key] = hit.columns[system.slices[b]]
     sizes = [len(c) for c in cols]
     ends = list(itertools.accumulate(sizes))
     blocks, costs = np.repeat(np.arange(len(cols)), sizes), np.zeros(ends[-1])
@@ -509,11 +509,8 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     reads P eta and <f, eta> of each atom from the run's payloads and
     makes one oracle call, which finds the best reply to its atoms
     (_skew_dual_gap); it also solves the restricted master, the VI over
-    the distinct per-block strategies of the run's payloads and of the
-    best replies found so far, that one among them (_restricted_terms),
-    and evaluates its equilibrium the same way, whose reply the run keeps
-    too for the round's re-solves and its later rounds (solvers._Rounds).
-    eps_vi_exact, which rebuilds the columns,
+    the pool of solvers._Rounds (_restricted_terms), and evaluates its
+    equilibrium the same way.  eps_vi_exact, which rebuilds the columns,
     is the independent check of the returned gap.  Early rounds (see
     solvers._Run) let the gap of a round's atoms stop the run before the
     first certificate LP.
@@ -522,8 +519,10 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     threshold = (config or SolverConfig()).gap_threshold
     if skew:
         primal, domain = build_skew_vi_primal(spec), spec.primal_domain()
+        slices = spec.system.slices
         rounds = _Rounds(threshold, _payload_terms, lambda terms: _skew_evaluated(spec, terms),
-                         lambda pool: _restricted_terms(spec, pool), lambda hit: hit.atoms)
+                         lambda pool: _restricted_terms(spec, pool),
+                         lambda hit: zip(hit.atoms, (hit.columns[sl] for sl in slices)))
     else:
         primal, domain = build_affine_vi_primal(spec), Ball(np.zeros(spec.H.dim), spec.Xi_radius)
         # an affine VI's gap function is its dual gap only for a skew S; for another
@@ -541,13 +540,6 @@ def solve_vi(spec, solver="ellipsoid", config=None):
     return ViSolution(**vars(run), eta_atoms=rounds.atoms if skew else None,
                       eta_vector=None if skew else rounds.atoms,
                       eps_bound=last["bound"], eps_exact=last["gap"])
-
-
-def _collect_atoms(cert, payloads):
-    out = {}
-    for i in np.flatnonzero(cert.weights > 0.0):
-        out[payloads[i].atoms] = out.get(payloads[i].atoms, 0.0) + cert.weights[i]
-    return out
 
 
 def _collect_eta(cert, payloads):

@@ -1,9 +1,11 @@
+import gc
 import re
 
 import numpy as np
 import pytest
 
 from conftest import lp_game_value
+from lmodecomp import oracles
 from lmodecomp.blotto import (
     BlottoSpec,
     blotto_from_json,
@@ -160,6 +162,27 @@ def test_each_side_is_counted_unless_both_share_caps_costs_and_budget(monkeypatc
                                                                   else (2, False))
     game = build_blotto(spec)
     assert report.dims == tuple(len(enumerate_columns(side)[0]) for side in (game.A, game.D))
+
+
+def test_equal_shapes_share_tables_while_an_oracle_lives():
+    # the tables that depend only on bounds, costs, budget and block dims
+    # live in one _KnapsackShape per shape, shared by every live oracle of
+    # that shape (two games here, built apart), and die with the last one
+    def game(seed):
+        return build_blotto(BlottoSpec(caps_a=(3, 2), caps_d=(3, 2), costs_a=(1, 2),
+                                       costs_d=(1, 2), budget_a=5, budget_d=5,
+                                       omegas=random_rank1_omegas(2, (3, 2), (3, 2), seed)))
+
+    first, second = game(0), game(1)
+    shape = first.A._shape
+    key = shape.bounds, shape.costs, shape.budget, first.A.spec.block_dims
+    assert second.A._shape is second.D._shape is first.D._shape is shape
+    assert oracles._SHAPES[key] is shape
+    assert first.A.count_columns() == second.D.count_columns()
+    assert "columns" in vars(shape)  # counted once, for all four oracles
+    del first, second, shape
+    gc.collect()
+    assert key not in oracles._SHAPES
 
 
 def test_antisymmetric_game_has_zero_value():

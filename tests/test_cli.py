@@ -263,7 +263,7 @@ HUGE_KNAPSACK = {**KNAPSACK_A, "outputs": [[[1.0], [HUGE], [0.5]], [[0.0], [1.0]
 OVERFLOWING = [
     ("matrix-game", {"S": [[HUGE, 1.0], [1.0, -HUGE]]}, "S has entries too large"),
     ("blotto", {**BLOTTO_LISTED, "omega": [EYE, [[HUGE, 0.0], [0.0, 1.0]]]},
-     "omega: A: outputs has entries too large"),
+     "omega[1] has entries too large"),
     ("affine-vi", {**AFFINE, "H": {"atoms": [[HUGE, 0.0], [0.0, 1.0]]}},
      "H: atoms has entries too large"),
     ("nash", {**NASH, "D": [EYE, HUGE_KNAPSACK]}, "D[1]: outputs has entries too large"),
@@ -277,6 +277,8 @@ OVERFLOWING = [
     ("nash", {**NASH, "D": [[[1.0, 0.0], [0.0, HUGE]], KNAPSACK_A]},
      "D[0] has entries too large"),
     ("affine-vi", {**AFFINE, "S": [[0.0, HUGE], [-HUGE, 0.0]]}, "S has entries too large"),
+    ("blotto", {**BLOTTO_LISTED, "omega": [[[0.0, 1.0], [1.0, 0.0]], [[0.0, HUGE], [1.0, 0.0]]]},
+     "omega[1] has entries too large"),
 ])
 def test_overflowing_radius_bound_exits_one_naming_the_field(tmp_path, capsys, command, spec,
                                                              named):

@@ -455,9 +455,10 @@ def test_rejected_restricted_lp_leaves_the_certificates_round(monkeypatch, probl
             M=[[np.zeros((2, 2)), (C := rng.normal(size=(2, 3)))],
                [-C.T, np.zeros((3, 3))]]))
         sol = solve_vi(skew, config=config)
-        assert sol.eta_atoms == vi._collect_atoms(sol.cert, sol.payloads)
+        terms = vi._payload_terms(sol.cert, sol.payloads)
+        assert sol.eta_atoms == {k: w for k, (w, _, _) in terms.items()}
         gap, bound = eps_vi_exact(skew, sol.eta_atoms), sol.eps_bound
-        rho = vi._skew_allowance(skew, vi._payload_terms(sol.cert, sol.payloads))
+        rho = vi._skew_allowance(skew, terms)
     assert len(sol.rounds) >= 2
     assert all(r["atoms"] == "certificate" and r["gap"] == r["cert_gap"] for r in sol.rounds)
     assert gap == sol.rounds[-1]["gap"]
@@ -486,30 +487,36 @@ def _keys(hit):
     return hit.atoms if isinstance(hit, vi.EtaHit) else tuple(h.key for h in hit)
 
 
-def _holds_its_columns(problem, hit):
-    """Whether a payload's stored columns are its oracles' columns."""
-    if isinstance(hit, vi.EtaHit):
-        return np.array_equal(hit.columns, np.concatenate(
-            [D.column(k) for D, k in zip(problem.system.blocks, hit.atoms)]))
-    return all(np.array_equal(h.column, side.column(h.key))
-               for h, side in zip(hit, (problem.D, problem.A)))
+def _first_keys(hits):
+    """Per side or block, the distinct pure strategies of the payloads
+    `hits`, in first-occurrence order."""
+    return [list(dict.fromkeys(side)) for side in zip(*map(_keys, hits))]
+
+
+def _holds_its_columns(problem, pool):
+    """Whether a restricted master's pool, one {key: column} table per side
+    or block, holds its oracles' columns."""
+    sides = (problem.system.blocks if isinstance(problem, vi.SkewViSpec)
+             else (problem.D, problem.A))
+    return all(np.array_equal(column, side.column(key))
+               for side, table in zip(sides, pool) for key, column in table.items())
 
 
 @pytest.mark.parametrize("solver", ["ellipsoid", "md"])
 @pytest.mark.parametrize("path", ["factored", "square", "skew"])
 def test_each_round_feeds_its_replies_to_the_later_restricted_masters(monkeypatch, path,
                                                                       solver):
+    # each restricted master receives one {key: column} table per side or
+    # block: the pure strategies of the protocol's payloads, then those of
     # the best replies to each round's certificate atoms and to each
     # restricted equilibrium, which their gap evaluations searched for,
-    # follow the protocol's payloads in the columns of every later
-    # restricted master, in the order found: a round's certificate reply
-    # joins its first master, an equilibrium's reply the round's next
-    # master and the later rounds'; a round re-solves while a reply is
-    # new, at most once
-    # per protocol entry since the previous round, and records its solves
-    # and its last master's size; every round's bound is at least the gap
-    # of the atoms it returned, their columns rebuilt through the oracles,
-    # and at most that gap plus its rounding allowance
+    # each in first-occurrence order: a round's certificate reply joins
+    # its first master, an equilibrium's reply the round's next master and
+    # the later rounds'; a round re-solves while a reply is new, at most
+    # once per protocol entry since the previous round, and records its
+    # solves and its last master's size; every round's bound is at least
+    # the gap of the atoms it returned, their columns rebuilt through the
+    # oracles, and at most that gap plus its rounding allowance
     module, name = (vi, "_restricted_terms") if path == "skew" else (saddle, "_restricted_master")
     solve_restricted, choose, calls, returned = getattr(module, name), solvers._choose_atoms, [], []
 
@@ -555,24 +562,54 @@ def test_each_round_feeds_its_replies_to_the_later_restricted_masters(monkeypatc
             previous_t = t
             resolved += len(round_calls) > 1
             for k, (pool, out) in enumerate(round_calls):
-                assert len(pool) == t + len(replies)
-                assert all(a is b for a, b in zip(pool[:t], sol.payloads[:t]))
-                assert [_keys(h) for h in pool[t:]] == [_keys(r) for r in replies]
-                assert all(_holds_its_columns(problem, h) for h in pool[t:])
-                fed += len(pool) > t
+                assert [list(table) for table in pool] == _first_keys(sol.payloads[:t] + replies)
+                assert _holds_its_columns(problem, pool)
+                fed += [list(table) for table in pool] != _first_keys(sol.payloads[:t])
                 if out is None:  # a rejected LP ends the round's loop
                     assert k == len(round_calls) - 1
                     continue
                 replies.append(reply(out))
                 if k < len(round_calls) - 1:  # re-solved: the reply was new
-                    assert any(key not in {_keys(h)[b] for h in pool}
-                               for b, key in enumerate(_keys(replies[-1])))
-            keys = list(map(_keys, round_calls[-1][0]))
-            assert record["master_columns"] == tuple(len({k[b] for k in keys})
-                                                     for b in range(len(keys[0])))
+                    assert any(key not in table for key, table in zip(_keys(replies[-1]), pool))
+            assert record["master_columns"] == tuple(map(len, round_calls[-1][0]))
             gap, rho = rebuilt_gap(problem, round_atoms(atoms))
             assert gap == record["gap"] <= record["bound"] <= gap + rho
     assert fed and resolved
+
+
+@pytest.mark.parametrize("path", ["factored", "square", "skew"])
+def test_rounds_read_each_payload_and_reply_once(monkeypatch, path):
+    # the rounds keep the restricted master's pool across the run: a round
+    # reads the strategies of the payloads that are new since the previous
+    # round, in protocol order, and those of each reply when it is found,
+    # never an earlier payload again
+    module, read = vi if path == "skew" else saddle, []
+
+    def kept(threshold, atoms_of, evaluate, solve, strategies):
+        def counted_evaluate(atoms):
+            read.append("reply")
+            return evaluate(atoms)
+
+        def counted_strategies(payload):
+            read.append(payload)
+            return strategies(payload)
+
+        return solvers._Rounds(threshold, atoms_of, counted_evaluate, solve, counted_strategies)
+
+    monkeypatch.setattr(module, "_Rounds", kept)
+    rng = np.random.default_rng(21)
+    config = SolverConfig(eps_target=1e-14, gap_threshold=0.0, max_steps=150)
+    later = 0  # runs with more than one round
+    for _ in range(4):
+        problem, read[:] = _random_problem(path, rng), []
+        sol = (solve_vi if path == "skew" else solve_sp)(problem, config=config)
+        later += len(sol.rounds) > 1
+        index = {id(p): i for i, p in enumerate(sol.payloads)}
+        payloads = [index[id(x)] for x in read if id(x) in index]
+        assert payloads == list(range(sol.rounds[-1]["t"]))
+        # each evaluation finds one reply, whose strategies are read once
+        assert len(read) == len(payloads) + 2 * read.count("reply")
+    assert later
 
 
 def test_a_constant_game_ends_each_round_after_one_solve():

@@ -613,8 +613,8 @@ def test_round_gap_from_payloads_equals_the_oracle_gap(game):
     sol = solve_vi(skew, config=SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
     assert len(sol.rounds) >= 2
     for r in sol.rounds:
-        atoms = vi._collect_atoms(AccuracyCertificate(r["weights"]), sol.payloads)
-        assert r["gap"] == eps_vi_exact(skew, atoms)
+        terms = vi._payload_terms(AccuracyCertificate(r["weights"]), sol.payloads)
+        assert r["gap"] == eps_vi_exact(skew, {k: w for k, (w, _, _) in terms.items()})
     assert sol.eps_exact == eps_vi_exact(skew, sol.eta_atoms)
 
 
@@ -679,8 +679,9 @@ def test_affine_run_stopped_by_an_early_round_bounds_its_point_by_the_gap(solver
 @pytest.mark.parametrize("solver", ["ellipsoid", "md"])
 def test_affine_vi_round_keeps_no_reply(monkeypatch, solver):
     # an affine round's gap function finds no best reply and the round
-    # solves no restricted master, so its rounds keep no reply; a skew VI's
-    # rounds keep the reply to each certificate and to each equilibrium
+    # solves no restricted master, so its rounds keep no pool; a skew VI's
+    # rounds keep one table of the payloads' and one of the replies'
+    # strategies per block, which hold each round's last master
     made = []
 
     def kept(*args):
@@ -689,11 +690,14 @@ def test_affine_vi_round_keeps_no_reply(monkeypatch, solver):
 
     monkeypatch.setattr(vi, "_Rounds", kept)
     sol = solve_vi(rotation_affine_spec(), solver)
-    assert len(made) == 1 and len(sol.rounds) > 1 and made[0].replies == []
+    assert len(made) == 1 and len(sol.rounds) > 1 and not (made[0].held or made[0].found)
     assert all((r["master_columns"], r["master_solves"]) == (None, 0) for r in sol.rounds)
     sol = solve_vi(nash_to_skew(pennies_nash_spec()), solver,
                    SolverConfig(eps_target=1e-6, gap_threshold=1e-6))
-    assert len(made[1].replies) == sum(1 + r["master_solves"] for r in sol.rounds)
+    rounds = made[1]
+    assert len(rounds.held) == len(rounds.found) == 2 and all(rounds.found.values())
+    pool = tuple(len({**rounds.held[b], **rounds.found[b]}) for b in range(2))
+    assert all(m <= n for r in sol.rounds for m, n in zip(r["master_columns"], pool))
 
 
 def test_badly_scaled_affine_vi_stops_on_a_named_reason():

@@ -9,7 +9,11 @@ Run from the root of a checkout:
 
 It builds each workload's pool through perfbench/workloads.py, solves
 every input as the benchmark does, and prints one line per (workload,
-seed): the inputs solved and a SHA-256 over their results.  A result
+seed): the inputs solved and a SHA-256 over their results.  Every pool
+input stops at its first round, so it then prints one line per family of
+FAMILIES, fixed desk runs at seeds 0-2 with gap_threshold 0 that go on
+for several rounds: restricted masters re-solved within and across
+rounds, certificate LPs and paced rounds.  A result
 enters by its dataclass fields other than the payloads: steps, stop
 reason, the protocol's arrays, the certificate's weight bytes, lower
 bound and residual, every round record, the atoms, the bounds and, for a
@@ -32,7 +36,89 @@ sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
 import workloads  # noqa: E402
 from run import DEFAULT_SEEDS  # noqa: E402
 
+from lmodecomp import (  # noqa: E402
+    AffineViSpec,
+    BilinearSpSpec,
+    BlottoSpec,
+    DenseMatrixOracle,
+    FiniteAtoms,
+    KnapsackOracle,
+    KnapsackSpec,
+    NashSpec,
+    Simplex,
+    SolverConfig,
+    build_master_example1,
+    build_master_example2,
+    nash_to_skew,
+    solve_blotto,
+    solve_sp,
+    solve_vi,
+)
+
 SEEDS = "default,99,31337,4242"
+
+
+def config(max_steps):
+    return SolverConfig(eps_target=1e-9, gap_threshold=0.0, max_steps=max_steps)
+
+
+def dense_factored(k, rng):
+    return solve_sp(build_master_example2(BilinearSpSpec(
+        A=DenseMatrixOracle(rng.normal(size=(k, 40))),
+        D=DenseMatrixOracle(rng.normal(size=(k, 30))))), config=config(300 * k))
+
+
+def square(solver, rng):
+    """Offsets of a tenth of S's scale: at S's own scale they often make a
+    pure saddle point, which the first round closes."""
+    master = build_master_example1(rng.normal(size=(12, 9)), p=0.1 * rng.normal(size=9),
+                                   q=0.1 * rng.normal(size=12))
+    return solve_sp(master, solver, config(1000))
+
+
+def win_lose_blotto(m, rng):
+    """Loss w_s on battlefield s where the attacker puts more units than
+    the defender, w_s drawn from [0.5, 1.5]; caps and budgets 2m."""
+    units = np.arange(2 * m + 1)
+    omegas = [w * np.greater.outer(units, units) for w in rng.uniform(0.5, 1.5, size=m)]
+    caps, costs = (2 * m,) * m, (1,) * m
+    return solve_blotto(BlottoSpec(caps, caps, costs, costs, 2 * m, 2 * m, omegas),
+                        config(400 * m))
+
+
+def knapsack_nash(solver, rng):
+    """Three players, each a two-stage knapsack with caps 3, 4 and 5."""
+    D = [KnapsackOracle(KnapsackSpec(bounds=(cap, cap), costs=(1, 1), budget=cap,
+                                     outputs=tuple(rng.normal(size=(cap + 1, 1))
+                                                   for _ in range(2))))
+         for cap in (3, 4, 5)]
+    M = [[np.zeros((2, 2)) for _ in range(3)] for _ in range(3)]
+    for l, k in ((0, 1), (0, 2), (1, 2)):
+        C = rng.normal(size=(2, 2))
+        M[l][k], M[k][l] = C, -C.T
+    return solve_vi(nash_to_skew(NashSpec(D=D, M=M)), solver, config(1500))
+
+
+def affine(H, rng):
+    """S = (G - G^T) + B B^T / 2, monotone and not skew."""
+    G, B = rng.normal(size=(2, H.dim, H.dim))
+    return solve_vi(AffineViSpec(S=G - G.T + B @ B.T / 2, s=rng.normal(size=H.dim), H=H,
+                                 Xi_radius=H.enclosing_radius()), config=config(3000))
+
+
+# (name, run(rng)): each family runs at seeds 0, 1 and 2
+FAMILIES = [
+    ("dense-factored-K3", lambda rng: dense_factored(3, rng)),
+    ("dense-factored-K5", lambda rng: dense_factored(5, rng)),
+    ("square-12x9-ellipsoid", lambda rng: square("ellipsoid", rng)),
+    ("square-12x9-md", lambda rng: square("md", rng)),
+    ("win-lose-blotto-m3", lambda rng: win_lose_blotto(3, rng)),
+    ("win-lose-blotto-m4", lambda rng: win_lose_blotto(4, rng)),
+    ("knapsack-nash-3-ellipsoid", lambda rng: knapsack_nash("ellipsoid", rng)),
+    ("knapsack-nash-3-md", lambda rng: knapsack_nash("md", rng)),
+    ("affine-simplex-6", lambda rng: affine(Simplex(6), rng)),
+    ("affine-finite-atoms-200x8", lambda rng: affine(FiniteAtoms(rng.normal(size=(200, 8))), rng)),
+]
 
 
 def feed(h, value):
@@ -88,6 +174,11 @@ def main(argv=None):
             seed = DEFAULT_SEEDS[name] if seed == "default" else int(seed)
             count, hexdigest = digest(name, seed, args.tiny)
             print(f"{name} seed={seed} inputs={count} sha256={hexdigest}", flush=True)
+    for name, run in FAMILIES:
+        h = hashlib.sha256()
+        for seed in range(3):
+            feed(h, run(np.random.default_rng(seed)))
+        print(f"{name} seeds=0-2 sha256={h.hexdigest()}", flush=True)
     return 0
 
 
