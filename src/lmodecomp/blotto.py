@@ -131,8 +131,9 @@ def rank_factor(omega):
         # zero matrix: keep one zero term so the stage still contributes a row
         fs.append(np.zeros(omega.shape[0]))
         gs.append(np.zeros(omega.shape[1]))
-    # C-ordered (rows, terms) tables, as np.stack(fs, axis=1) makes them
-    return np.array(fs).T.copy(), np.array(gs).T.copy()
+    # C-ordered (rows, terms) tables, as np.stack(fs, axis=1) makes them, each
+    # written once: the transpose of a (terms, rows) F-ordered stack
+    return np.array(fs, order="F").T, np.array(gs, order="F").T
 
 
 def build_blotto(spec):

@@ -295,13 +295,13 @@ def _restricted_master(master, pool):
     """Equilibrium of the game restricted to `pool` = (w_cols, z_cols), one
     {key: column} table per side of a run's payloads and its rounds' best
     replies (see solvers._Rounds), as (w_atoms, z_atoms, w_cols, z_cols),
-    or None where HiGHS rejects the LP.  The minimizer's LP
+    or None where the LP is rejected.  The minimizer's LP
     (_restricted_lp) takes the columns D e_j of its strategies as images,
     and each maximizer's strategy i is one row <A e_i, D w> + q_i <= s:
     the row's normal is its column A e_i, or e_i for the square master,
-    whose payoff S_ij is entry i of D e_j.  The LP holds these rows
-    through the images or as the pairing table of their payoffs,
-    whichever has fewer nonzeros.  The rows' duals are the maximizer's
+    whose payoff S_ij is entry i of D e_j.  A small pool's LP reads these
+    rows as the pairing table of their payoffs, a large one's through the
+    images (see solvers._tabled).  The rows' duals are the maximizer's
     weights."""
     w_cols, z_cols = pool
     n, r = len(w_cols), len(z_cols)

@@ -14,9 +14,10 @@ SolveResult.
 Every game and VI round (_Rounds) returns the atoms with the least
 computable gap bound (_choose_atoms).  A game's or skew VI's round also
 solves its restricted master, the game over the pure strategies hit so
-far and the best replies that the run has found, by _restricted_lp on the
-thread's HiGHS model, and re-solves it with each new best reply while the
-run's own oracle work allows.
+far and the best replies that the run has found, by _restricted_lp (a
+dense simplex tableau for small pools, the thread's HiGHS model for large
+ones), and re-solves it with each new best reply while the run's own
+oracle work allows.
 """
 
 from __future__ import annotations
@@ -281,8 +282,8 @@ class SolveResult:
     of a game (minimizer's, maximizer's) or per block of a skew VI (None
     for an affine VI, which has none), and `master_solves` the
     restricted-master LPs that the round ran (0 for an affine VI), each
-    one HiGHS run on the thread's model (_restricted_lp).  The last round
-    is on `cert` and its atoms are the solution's.
+    one _restricted_lp call.  The last round is on `cert` and its atoms
+    are the solution's.
     Residuals and gaps
     are as computed, never clamped at 0: a residual below 0, impossible in
     exact arithmetic for a monotone field, is rounding at the scale of the
@@ -612,7 +613,8 @@ def _highs_core():
 
 
 class _Rejected(RuntimeError):
-    """HiGHS rejected a change to the certificate LP's model, or found no optimum."""
+    """An LP was rejected: HiGHS rejected a change to its model or found no
+    optimum, or a restricted LP's tableau found none."""
 
 
 def _new_highs():
@@ -840,66 +842,159 @@ def _restricted_lp(images, blocks, normals, row_blocks, rhs, cost):
         s.t.      <normals[r], images eta> - v[row_blocks[r]] <= rhs[r] for each row r.
 
     Column j of `images` (K x n) is the K-dimensional image of atom j, in
-    block blocks[j]; `normals` is R x K.  The LP is written in whichever of
-    two forms holds fewer nonzeros, a choice by the sizes alone: with the
-    R x n pairing table normals @ images as the rows (nR + R + n nonzeros),
-    where n R <= (n + R + 1) K, else through K free image columns x = images
-    eta, so that the rows read <normals[r], x> ((n + R)(K + 1) + K
-    nonzeros, the table never built).  The columns are (eta, x, v) and the
-    rows (x = images eta, the R rows, the simplex rows block by block),
-    with exact zeros dropped; all are written in one pass into arrays
-    allocated once.  The model is the thread's own, built once by
-    _new_highs and cleared before each LP, so a solve costs about one
-    HiGHS run and no two threads share a model.
+    block blocks[j]; `normals` is R x K.  Where _tabled says so, a choice
+    by the sizes alone, the rows read the R x n pairing table normals @
+    images, and _tableau solves the LP on one dense simplex tableau.
+    Otherwise _image_lp writes it for HiGHS through K free image columns
+    x = images eta, so that the rows read <normals[r], x> and the table is
+    never built.
     Returns (eta, y): eta clipped at 0 and normalized per block, and y the
-    rows' max(-dual, 0), which sum to 1 over each row block at an optimum,
-    normalized per row block (for a game, the maximizer's mixed strategy).
-    Raises _Rejected where HiGHS rejects the model, reports no optimum or
-    leaves a block without weight."""
+    rows' duals max(-dual, 0), which sum to 1 over each row block at an
+    optimum, normalized per row block (for a game, the maximizer's mixed
+    strategy).  Raises _Rejected where the LP is rejected: a block without
+    atoms or rows, no optimum found, or a block left without weight."""
     k, n = images.shape
     r, n_blocks = len(normals), int(blocks.max()) + 1
-    # m image columns x after eta, each with its row x = images eta, where not tabled
-    m = 0 if _tabled(n, r, k) else k
-    cols, rows = n + m + n_blocks, m + r + n_blocks
+    if _tabled(n, r, k):
+        eta, y = _tableau(normals.dot(images), blocks, row_blocks, rhs, cost, n_blocks)
+    else:
+        eta, y = _image_lp(images, blocks, normals, row_blocks, rhs, cost, n_blocks)
+    eta, y = np.maximum(eta, 0.0), np.maximum(y, 0.0)
+    eta_mass = np.bincount(blocks, eta, minlength=n_blocks)
+    y_mass = np.bincount(row_blocks, y, minlength=n_blocks)
+    if not (eta_mass.min() > 0.0 and y_mass.min() > 0.0):
+        raise _Rejected("the restricted LP left a block without weight")
+    return eta / eta_mass[blocks], y / y_mass[row_blocks]
+
+
+def _tabled(n, r, k):
+    """Whether a restricted LP of n atoms with K-dimensional images and R rows
+    is solved on the tableau of its R x n pairing table, not by HiGHS
+    through the images: where the table has at most 1024 entries, or its
+    nR + R + n nonzeros are at most the (n + R)(K + 1) + K of the image
+    rows.  The tableau's cost grows with the table, HiGHS's with the image
+    rows: on recorded and random LPs with K up to 32 the two crossed at
+    about 2000-3600 table entries."""
+    return n * r <= max(1024, (n + r + 1) * k)
+
+
+def _pivot(tab, basis, row, col):
+    """Pivot the tableau `tab` on (row, col): the variable of column col
+    enters the basis in that row."""
+    prow = tab[row] / tab[row, col]
+    tab -= tab[:, col, None] * prow
+    tab[row] = prow
+    basis[row] = col
+
+
+def _tableau(table, blocks, row_blocks, rhs, cost, n_blocks):
+    """(eta, row duals) of the restricted LP (see _restricted_lp) with the
+    R x n pairing table `table`, by the primal simplex method on one dense
+    tableau.  Its columns are eta, v and one slack per row, its rows the R
+    rows and the simplex rows, then the reduced costs.  The crash start
+    makes the first atom of each block basic in its simplex row, then v_b
+    basic in its block's most violated row, so every slack is feasible.
+    Each pivot enters the least reduced cost, or after a degenerate pivot
+    the first negative one (Bland, Math. Oper. Res. 2, 1977, so the method
+    cannot cycle), and leaves the least ratio, ties to the least basic
+    index; a free v_b never leaves.  Reduced costs within 1e-13 of the
+    largest input entry (at least 1) count as 0, and column entries up to
+    1e-9 of it bound no ratio.  Raises _Rejected for a block without atoms
+    or rows, a non-finite entry, an unbounded column or more pivots than
+    10 per tableau row and column."""
+    r, n = table.shape
+    rows, width = r + n_blocks, n + n_blocks + r
+    tab = np.zeros((rows + 1, width + 1))
+    tab[:r, :n] = table
+    tab[:r, -1] = rhs
+    tab[r:rows, -1] = 1.0
+    tab[-1, :n] = cost
+    tab[-1, n:n + n_blocks] = 1.0
+    tab.reshape(-1)[n + n_blocks:r * (width + 2):width + 2] = 1.0  # the slacks
+    tab[np.arange(r), n + row_blocks] = -1.0
+    tab[r + blocks, np.arange(n)] = 1.0
+    scale = np.abs(tab).max()
+    if not scale < np.inf:
+        raise _Rejected("the restricted LP has a non-finite entry")
+    basis = list(range(n + n_blocks, width)) + [-1] * n_blocks
+    atoms, row_list = blocks.tolist(), row_blocks.tolist()
+    for b in range(n_blocks):
+        if b not in atoms or b not in row_list:
+            raise _Rejected("the restricted LP has a block without atoms or rows")
+        _pivot(tab, basis, r + b, atoms.index(b))
+    slack = tab[:r, -1].tolist()  # v_b's pivot leaves the other blocks' rows as they are
+    free = [min((s, i) for i, s in enumerate(slack) if row_list[i] == b)[1]
+            for b in range(n_blocks)]  # the rows of v, which stay basic
+    for b, row in enumerate(free):
+        _pivot(tab, basis, row, n + b)
+    bounded = [i for i in range(rows) if i not in free]
+    tol, least_pivot, reduced, bland = 1e-13 * scale, 1e-9 * scale, tab[-1, :-1], False
+    for _ in range(10 * (rows + width)):
+        q = (reduced < -tol).argmax() if bland else reduced.argmin()
+        if not reduced[q] < -tol:
+            x = np.zeros(width)
+            x[basis] = tab[:rows, -1]
+            return x[:n], tab[-1, n + n_blocks:width]
+        col, now = tab[:rows, q].tolist(), tab[:rows, -1].tolist()
+        least = min(((now[i] / col[i], basis[i], i) for i in bounded if col[i] > least_pivot),
+                    default=None)
+        if least is None:
+            raise _Rejected("the restricted LP is unbounded")
+        bland = least[0] <= 0.0
+        _pivot(tab, basis, least[2], q)
+    raise _Rejected("the restricted LP took more than its pivot cap")
+
+
+def _image_lp(images, blocks, normals, row_blocks, rhs, cost, n_blocks):
+    """(eta, row duals) of the restricted LP (see _restricted_lp) written
+    through K free image columns x = images eta, solved on the thread's
+    HiGHS model.  The columns are (eta, x, v) and the rows (x = images
+    eta, the R rows, the simplex rows block by block), with exact zeros
+    dropped; all are written in one pass into arrays allocated once, (n +
+    R)(K + 1) + K nonzeros where nothing is 0.  The model is the thread's
+    own, built once by _new_highs and cleared before each LP, so a solve
+    costs about one HiGHS run and no two threads share a model.  The row
+    duals are -row_dual.  Raises _Rejected where HiGHS rejects the model
+    or reports no optimum."""
+    k, n = images.shape
+    r = len(normals)
+    cols, rows = n + k + n_blocks, k + r + n_blocks
     # each row's nonzero slots, row by row: an image row's -images[i] on eta and
-    # 1 on x_i, an R row's dense pattern (the pairing table's row on eta, or the
-    # normal on x) and -1 on v, and a simplex row's 1 on each eta of its block
-    width, first = (k, n) if m else (n, 0)
-    head, tail = m * (n + 1), m * (n + 1) + r * (width + 1)
+    # 1 on x_i, an R row's normal on x and -1 on v, and a simplex row's 1 on
+    # each eta of its block
+    head, tail = k * (n + 1), k * (n + 1) + r * (k + 1)
     values, indices = np.empty(tail + n), np.empty(tail + n, dtype=np.int32)
-    counts = np.empty(rows, dtype=np.int32)
-    if m:
-        val, idx = values[:head].reshape(m, n + 1), indices[:head].reshape(m, n + 1)
-        np.negative(images, out=val[:, :n])
-        val[:, n] = 1.0
-        idx[:, :n] = np.arange(n)
-        idx[:, n] = np.arange(n, n + m)
-    val, idx = values[head:tail].reshape(r, width + 1), indices[head:tail].reshape(r, width + 1)
-    val[:, :width] = normals if m else normals.dot(images)
-    val[:, width] = -1.0
-    idx[:, :width] = np.arange(first, first + width)
-    idx[:, width] = row_blocks + (n + m)
+    val, idx = values[:head].reshape(k, n + 1), indices[:head].reshape(k, n + 1)
+    np.negative(images, out=val[:, :n])
+    val[:, n] = 1.0
+    idx[:, :n] = np.arange(n)
+    idx[:, n] = np.arange(n, n + k)
+    val, idx = values[head:tail].reshape(r, k + 1), indices[head:tail].reshape(r, k + 1)
+    val[:, :k] = normals
+    val[:, k] = -1.0
+    idx[:, :k] = np.arange(n, n + k)
+    idx[:, k] = row_blocks + (n + k)
     values[tail:] = 1.0
     indices[tail:] = blocks.argsort(kind="stable")
     keep = values != 0.0
-    if m:
-        counts[:m] = keep[:head].reshape(m, n + 1).sum(axis=1)
-    counts[m:m + r] = keep[head:tail].reshape(r, width + 1).sum(axis=1)
-    counts[m + r:] = np.bincount(blocks, minlength=n_blocks)
+    counts = np.empty(rows, dtype=np.int32)
+    counts[:k] = keep[:head].reshape(k, n + 1).sum(axis=1)
+    counts[k:k + r] = keep[head:tail].reshape(r, k + 1).sum(axis=1)
+    counts[k + r:] = np.bincount(blocks, minlength=n_blocks)
     starts = np.zeros(rows, dtype=np.int32)
     np.add.accumulate(counts[:-1], out=starts[1:])
     # costs, lower and upper bounds of the columns; lower and upper bounds of the rows
     col_bounds, row_bounds = np.empty((3, cols)), np.empty((2, rows))
     col_bounds[0, :n] = cost
-    col_bounds[0, n:n + m] = 0.0
-    col_bounds[0, n + m:] = 1.0
+    col_bounds[0, n:n + k] = 0.0
+    col_bounds[0, n + k:] = 1.0
     col_bounds[1, :n] = 0.0
     col_bounds[1, n:] = -np.inf
     col_bounds[2] = np.inf
-    row_bounds[:, :m] = 0.0
-    row_bounds[0, m:m + r] = -np.inf
-    row_bounds[1, m:m + r] = rhs
-    row_bounds[:, m + r:] = 1.0
+    row_bounds[:, :k] = 0.0
+    row_bounds[0, k:k + r] = -np.inf
+    row_bounds[1, k:k + r] = rhs
+    row_bounds[:, k + r:] = 1.0
     core = _highs_core()
     error = core.HighsStatus.kError
     highs = getattr(_thread, "highs", None)
@@ -914,20 +1009,7 @@ def _restricted_lp(images, blocks, normals, row_blocks, rhs, cost):
             and highs.getModelStatus() == core.HighsModelStatus.kOptimal):
         raise _Rejected("HiGHS rejected the restricted LP or found no optimum")
     sol = highs.getSolution()
-    eta = np.maximum(sol.col_value[:n], 0.0)
-    y = np.maximum(np.negative(sol.row_dual[m:m + r]), 0.0)
-    eta_mass = np.bincount(blocks, eta, minlength=n_blocks)
-    y_mass = np.bincount(row_blocks, y, minlength=n_blocks)
-    if not (eta_mass.min() > 0.0 and y_mass.min() > 0.0):
-        raise _Rejected("the restricted LP left a block without weight")
-    return eta / eta_mass[blocks], y / y_mass[row_blocks]
-
-
-def _tabled(n, r, k):
-    """Whether a restricted LP of n atoms with K-dimensional images and R rows
-    is written with its R x n pairing table: where the table's nR + R + n
-    nonzeros are at most the (n + R)(K + 1) + K of the image rows."""
-    return n * r <= (n + r + 1) * k
+    return sol.col_value[:n], np.negative(sol.row_dual[k:k + r])
 
 
 class _Rounds:
@@ -949,7 +1031,7 @@ class _Rounds:
     each reply joins when found.  `solve(pool)` is the equilibrium of the
     problem restricted to `pool`, one {**held, **found} table per side, so
     the payloads' strategies come first and the replies' after, each in
-    first-occurrence order, or None where HiGHS rejects its LP.  An affine
+    first-occurrence order, or None where the LP is rejected.  An affine
     VI's rounds keep no pool."""
 
     def __init__(self, threshold, atoms_of, evaluate, solve=None, strategies=None):

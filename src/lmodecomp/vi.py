@@ -456,7 +456,7 @@ def _restricted_terms(spec, cols):
     column} table per block of a run's payloads and its rounds' best
     replies (see solvers._Rounds), as terms {key: (weight, P eta, <f,
     eta>)} of at most sum_b n_b joint atoms (see _coupling), or None where
-    HiGHS rejects the LP.  With the block images p_bj = A_b D_b e_j and
+    the LP is rejected.  With the block images p_bj = A_b D_b e_j and
     q_bj = B_b D_b e_j of block b's strategy j, the LP (_restricted_lp)
     minimizes <f, eta> + sum_b v_b over one simplex per block and
     x = P eta, subject to -v_b <= 2 <q_bj, x> + f_bj = F(eta)_bj: its

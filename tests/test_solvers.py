@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -917,21 +918,184 @@ def _restricted_value(images, blocks, normals, row_blocks, rhs, cost, eta):
     return cost.dot(eta) + sum(rows[row_blocks == b].max() for b in np.unique(row_blocks))
 
 
+def _restricted_dual_value(images, blocks, normals, row_blocks, rhs, cost, y):
+    """The restricted LP's dual objective at the row weights y: the least
+    <cost, eta> + <y, table eta> over each block's simplex, less <y, rhs>."""
+    reduced = cost + y.dot(normals.dot(images))
+    return sum(reduced[blocks == b].min() for b in np.unique(blocks)) - y.dot(rhs)
+
+
+def _game_args(payoff):
+    """_restricted_lp's arguments for the matrix game `payoff` (the row
+    player maximizes): column j's image is payoff[:, j] and row i's normal
+    e_i, so the pairing table is `payoff`."""
+    payoff = np.asarray(payoff, dtype=float)
+    r, n = payoff.shape
+    return (payoff, np.zeros(n, dtype=np.intp), np.eye(r), np.zeros(r, dtype=np.intp),
+            np.zeros(r), np.zeros(n))
+
+
+@pytest.fixture
+def thread_state(monkeypatch):
+    """The state of a thread that has solved no restricted LP yet."""
+    state = threading.local()
+    monkeypatch.setattr(solvers, "_thread", state)
+    return state
+
+
+@pytest.mark.parametrize("payoff, eta, y, value", [
+    ([[1, -1], [-1, 1]], [1 / 2, 1 / 2], [1 / 2, 1 / 2], 0.0),  # matching pennies
+    # rock-paper-scissors: all three rows tie at the crash start
+    ([[0, 1, -1], [-1, 0, 1], [1, -1, 0]], [1 / 3] * 3, [1 / 3] * 3, 0.0),
+    # a pure saddle point: 2 is the largest entry of its column and the least of its row
+    ([[4, 2, 5], [1, 0, 3]], [0, 1, 0], [1, 0], 2.0),
+    # matching pennies with a dominated strategy on each side
+    ([[1, -1, 2], [-1, 1, 2], [-2, -2, -2]], [1 / 2, 1 / 2, 0], [1 / 2, 1 / 2, 0], 0.0),
+    # column 1 beats column 0 by 1e-9 on every row: a reduced cost of -1e-9
+    ([[1, 1 - 1e-9], [0, -1e-9]], [0, 1], [1, 0], 1 - 1e-9),
+], ids=["pennies", "rock-paper-scissors", "saddle-point", "dominated", "dominated-by-1e-9"])
+def test_tableau_solves_hand_solved_games(thread_state, payoff, eta, y, value):
+    # each game's equilibrium is unique; the tableau finds it, with no
+    # HiGHS model built
+    args = _game_args(payoff)
+    got_eta, got_y = solvers._restricted_lp(*args)
+    assert not hasattr(thread_state, "highs")
+    assert np.allclose(got_eta, eta, rtol=0.0, atol=1e-15)
+    assert np.allclose(got_y, y, rtol=0.0, atol=1e-15)
+    assert _restricted_value(*args, got_eta) == pytest.approx(value, abs=1e-15)
+    assert _restricted_dual_value(*args, got_y) == pytest.approx(value, abs=1e-15)
+
+
+def _win_lose_table(fields, units, rng):
+    """Pairing table of a win-lose Blotto game between every allocation of
+    `units` over `fields`: loss w_s on field s where the row's allocation
+    is larger, w_s drawn from {1, 2}.  Many rows and columns tie."""
+    allocations = np.array([a for a in itertools.product(range(units + 1), repeat=fields)
+                            if sum(a) == units])
+    weights = rng.integers(1, 3, size=fields)
+    return (allocations[:, None, :] > allocations[None, :, :]).dot(weights).astype(float)
+
+
+@pytest.mark.parametrize("case", ["win-lose-3", "win-lose-4", "duplicates", "constant", "zero"])
+def test_degenerate_tableau_terminates_at_the_optimum(monkeypatch, case):
+    # degenerate LPs, where ratios and reduced costs tie and pivots make no
+    # progress, end at the image form's optimum, below the pivot cap: 15 x
+    # 15 and 35 x 35 win-lose Blotto tables, matching pennies with every row
+    # and column repeated, a constant table and the zero LP; no ratio divides
+    # by zero, which the suite's warnings-as-errors filter would report
+    rng = np.random.default_rng(8)
+    payoff = {"win-lose-3": lambda: _win_lose_table(3, 4, rng),
+              "win-lose-4": lambda: _win_lose_table(4, 4, rng),
+              "duplicates": lambda: np.repeat(np.repeat(PENNIES, 3, axis=0), 2, axis=1),
+              "constant": lambda: np.full((6, 5), 0.5),
+              "zero": lambda: np.zeros((4, 4))}[case]()
+    args = _game_args(payoff)
+    monkeypatch.setattr(solvers, "_tabled", lambda n, r, k: True)
+    eta, y = solvers._restricted_lp(*args)
+    monkeypatch.setattr(solvers, "_tabled", lambda n, r, k: False)
+    images_eta, _ = solvers._restricted_lp(*args)
+    value = _restricted_value(*args, images_eta)
+    scale = max(1.0, np.abs(payoff).max())
+    assert abs(_restricted_value(*args, eta) - value) <= 1e-12 * scale
+    assert abs(_restricted_dual_value(*args, y) - value) <= 1e-12 * scale
+
+
+def test_tableau_leaves_the_cycle_of_chvatals_example(monkeypatch):
+    # the cycling example of Chvatal's Linear Programming (1983, ch. 3) as a
+    # restricted LP: atom 0's column and row 0 are zero, so the crash start
+    # makes eta_0 and v basic and leaves the example's two degenerate rows in
+    # rows 1 and 2; its costs are scaled by 1/100, so that the slack of row 0
+    # never enters.  Entering the least reduced cost alone, the simplex repeats
+    # the example's six pivots until the cap; entering by Bland's rule after a
+    # degenerate pivot, it stops at the image form's optimum after 7 pivots
+    table = np.array([[0, 0, 0, 0, 0], [0, 0.5, -5.5, -2.5, 9], [0, 0.5, -1.5, -0.5, 1]])
+    args = (table, np.zeros(5, dtype=np.intp), np.eye(3), np.zeros(3, dtype=np.intp),
+            np.zeros(3), 0.01 * np.array([0, -10, 57, 9, 24]))
+    pivot, pivots = solvers._pivot, []
+
+    def counted(*pivot_args):
+        pivots.append(pivot_args[2:])
+        pivot(*pivot_args)
+
+    monkeypatch.setattr(solvers, "_pivot", counted)
+    assert solvers._tabled(5, 3, 3)
+    eta, y = solvers._restricted_lp(*args)
+    assert len(pivots) == 2 + 7  # the crash start's two, then the simplex's
+    monkeypatch.setattr(solvers, "_tabled", lambda n, r, k: False)
+    images_eta, images_y = solvers._restricted_lp(*args)
+    assert np.allclose(eta, images_eta, rtol=0.0, atol=1e-15)
+    assert np.allclose(y, images_y, rtol=0.0, atol=1e-15)
+
+
+def test_tableau_rejects_a_block_without_atoms_or_rows_or_a_non_finite_entry(thread_state):
+    rng = np.random.default_rng(5)
+    images, blocks, normals, row_blocks, rhs, cost = _restricted_args(rng, 6, 5, 3, n_blocks=2)
+    no_rows = np.zeros(5, dtype=np.intp)  # block 1 holds atoms and no row
+    no_atoms = np.where(blocks == 1, 2, 0)  # block 1 holds no atom
+    for atoms, rows in ((blocks, no_rows), (no_atoms, np.r_[0, 1, 2, 2, 2])):
+        with pytest.raises(solvers._Rejected, match="a block without atoms or rows"):
+            solvers._restricted_lp(images, atoms, normals, rows, rhs, cost)
+    for bad in (np.inf, np.nan):
+        cost_ = cost.copy()
+        cost_[2] = bad
+        with pytest.raises(solvers._Rejected, match="non-finite"):
+            solvers._restricted_lp(images, blocks, normals, row_blocks, rhs, cost_)
+    assert not hasattr(thread_state, "highs")
+
+
+def test_pivot_cap_rejects_and_rounds_keep_the_certificates_atoms(monkeypatch):
+    # where pivots stop changing the tableau after its crash start (two
+    # pivots for one block: eta_0, then v_0), the simplex loop picks the same
+    # pivot again until the cap of 10 pivots per tableau row and column
+    # raises _Rejected; a game's rounds then return their certificates'
+    # atoms, as where every restricted LP is rejected outright
+    pivot, made = solvers._pivot, []  # (tableau, pivots on it)
+
+    def stalled(tab, basis, row, col):
+        if not made or made[-1][0] is not tab:
+            made.append((tab, 0))
+        made[-1] = (tab, made[-1][1] + 1)
+        if made[-1][1] <= 2:
+            pivot(tab, basis, row, col)
+
+    monkeypatch.setattr(solvers, "_pivot", stalled)
+    with pytest.raises(solvers._Rejected, match="pivot cap"):
+        solvers._restricted_lp(*_game_args(PENNIES))
+    rows, width = 2 + 1, 2 + 1 + 2
+    assert [count for _, count in made] == [2 + 10 * (rows + width)]
+    rng = np.random.default_rng(3)  # a mixed equilibrium
+    master = build_master_example2(BilinearSpSpec(A=DenseMatrixOracle(rng.normal(size=(3, 5))),
+                                                  D=DenseMatrixOracle(rng.normal(size=(3, 4)))))
+    config = SolverConfig(gap_threshold=1e-6)
+    capped = solve_sp(master, config=config)
+    assert len(made) > 1 and all(r["atoms"] == "certificate" for r in capped.rounds)
+
+    def rejected(*args):
+        raise solvers._Rejected("rejected by the test")
+
+    monkeypatch.setattr(saddle, "_restricted_lp", rejected)
+    refused = solve_sp(master, config=config)
+    assert (capped.steps, capped.stop_reason) == (refused.steps, refused.stop_reason)
+    assert (capped.w_atoms, capped.z_atoms, capped.gap_bound) == (
+        refused.w_atoms, refused.z_atoms, refused.gap_bound)
+
+
 def test_thread_model_solves_as_a_fresh_model(monkeypatch):
-    # the thread's one HiGHS model, cleared before each restricted LP, gives
-    # bit for bit what a fresh model with the same options gives, also right
-    # after an LP that HiGHS rejects at addRows (a coefficient of 1e20) or
-    # solves without an optimum (block 1 has no row, so v_1 is unbounded)
+    # the thread's one HiGHS model, cleared before each image-form LP, gives
+    # bit for bit what a fresh model gives, also right after an LP that HiGHS
+    # rejects at addRows (a coefficient of 1e20) or solves without an optimum
+    # (block 1 has no row, so v_1 is unbounded); a tabled LP never touches
+    # the model, and gives the same bits whatever the model holds
     rng = np.random.default_rng(21)
-    huge = _restricted_args(rng, 4, 5, 3)
+    huge = _restricted_args(rng, 40, 30, 3)
     huge[0][1, 2] = 1e20
-    unbounded = list(_restricted_args(rng, 6, 5, 3, n_blocks=2))
-    unbounded[3] = np.zeros(5, dtype=np.intp)
-    sequence = [_restricted_args(rng, 5, 4, 3), huge, _restricted_args(rng, 3, 6, 3),
-                _restricted_args(rng, 40, 30, 3), unbounded, _restricted_args(rng, 8, 8, 8, 2),
+    unbounded = list(_restricted_args(rng, 40, 30, 3, n_blocks=2))
+    unbounded[3] = np.zeros(30, dtype=np.intp)
+    sequence = [_restricted_args(rng, 5, 4, 3), _restricted_args(rng, 40, 30, 3), huge,
+                _restricted_args(rng, 8, 8, 8, 2), unbounded, _restricted_args(rng, 50, 40, 6, 2),
                 _restricted_args(rng, 5, 4, 3)]
-    assert [solvers._tabled(len(a[1]), len(a[2]), a[0].shape[0]) for a in sequence] == [
-        True, True, True, False, True, True, True]
+    tabled = [solvers._tabled(len(a[1]), len(a[2]), a[0].shape[0]) for a in sequence]
+    assert tabled == [True, False, False, True, False, False, True]
 
     def outcome(args):
         try:
@@ -939,16 +1103,21 @@ def test_thread_model_solves_as_a_fresh_model(monkeypatch):
         except solvers._Rejected as error:
             return str(error)
 
-    outcome(sequence[0])  # the thread's model exists from here on
-    model = solvers._thread.highs
+    state = threading.local()
+    monkeypatch.setattr(solvers, "_thread", state)
+    outcome(sequence[0])
+    assert not hasattr(state, "highs")
+    outcome(sequence[1])  # the thread's model exists from here on
+    model = state.highs
     reused = [outcome(args) for args in sequence]
-    assert solvers._thread.highs is model
+    assert state.highs is model
     fresh = []
-    for args in sequence:
-        monkeypatch.setattr(solvers, "_thread", threading.local())
+    for args, table in zip(sequence, tabled):
+        state = threading.local()
+        monkeypatch.setattr(solvers, "_thread", state)
         fresh.append(outcome(args))
-        assert solvers._thread.highs is not model
-    assert [type(x) for x in reused] == [tuple, str, tuple, tuple, str, tuple, tuple]
+        assert not hasattr(state, "highs") if table else state.highs is not model
+    assert [type(x) for x in reused] == [tuple, tuple, str, tuple, str, tuple, tuple]
     for got, want in zip(reused, fresh):
         if isinstance(want, str):
             assert got == want
@@ -958,28 +1127,33 @@ def test_thread_model_solves_as_a_fresh_model(monkeypatch):
 
 @pytest.mark.parametrize("n, r, k, n_blocks, rule", [
     (3, 4, 3, 1, True), (6, 5, 3, 1, True), (6, 6, 4, 2, True), (12, 12, 6, 3, True),
-    (40, 30, 3, 1, False), (13, 13, 6, 3, False), (30, 60, 8, 2, False),
+    (40, 30, 3, 1, False), (13, 13, 6, 3, True), (30, 60, 8, 2, False),
 ])
 def test_both_writings_of_the_restricted_lp_agree(monkeypatch, n, r, k, n_blocks, rule):
-    # each writing reaches the same optimal value, to a scaled 1e-12, and
-    # the rule (True: the pairing table) picks the one that holds fewer
-    # nonzeros; (12, 12, 6) and (13, 13, 6) straddle it
+    # the tableau and HiGHS's image form reach the same optimal value, to a
+    # scaled 1e-12, with mass 1 per block on both sides, and the tableau's
+    # row weights reach it as the dual's value; only the image form builds
+    # the thread's HiGHS model, and the rule (True: the tableau) takes
+    # tables of up to 1024 entries and those with no more nonzeros than the
+    # image rows, so (40, 30) and (30, 60) go to HiGHS
     rng = np.random.default_rng([n, r, k])
     assert solvers._tabled(n, r, k) == rule
     for _ in range(5):
         args = _restricted_args(rng, n, r, k, n_blocks)
-        values, nonzeros = {}, {}
-        for tabled in (True, False):
-            monkeypatch.setattr(solvers, "_tabled", lambda n, r, k: tabled)
-            eta, y = solvers._restricted_lp(*args)
-            values[tabled] = _restricted_value(*args, eta)
-            nonzeros[tabled] = solvers._thread.highs.getNumNz()
-            assert all(abs(np.bincount(args[1], eta) - 1.0) <= 1e-15)
-            assert all(abs(np.bincount(args[3], y) - 1.0) <= 1e-15)
-        assert nonzeros == {True: n * r + n + r, False: (n + r) * (k + 1) + k}
-        assert nonzeros[rule] == min(nonzeros.values())
         images, _, normals, _, rhs, cost = args
         scale = max(1.0, np.abs(normals.dot(images)).max(), np.abs(rhs).max(), np.abs(cost).max())
+        values = {}
+        for tabled in (True, False):
+            state = threading.local()
+            monkeypatch.setattr(solvers, "_thread", state)
+            monkeypatch.setattr(solvers, "_tabled", lambda n, r, k: tabled)
+            eta, y = solvers._restricted_lp(*args)
+            assert hasattr(state, "highs") != tabled
+            values[tabled] = _restricted_value(*args, eta)
+            assert all(abs(np.bincount(args[1], eta) - 1.0) <= 1e-15)
+            assert all(abs(np.bincount(args[3], y) - 1.0) <= 1e-15)
+            if tabled:
+                assert abs(_restricted_dual_value(*args, y) - values[True]) <= 1e-12 * scale
         assert abs(values[True] - values[False]) <= 1e-12 * scale
 
 
@@ -999,36 +1173,48 @@ def _model_of(highs):
 
 @pytest.mark.parametrize("n, r, k, n_blocks, tabled", [
     (5, 4, 3, 1, True), (6, 6, 4, 2, True), (12, 12, 6, 3, True),
-    (40, 30, 3, 1, False), (13, 13, 6, 3, False),
+    (40, 30, 3, 1, False), (13, 13, 6, 3, True),
 ])
-def test_restricted_lp_hands_highs_the_model_its_docstring_states(n, r, k, n_blocks, tabled):
-    # the model read back from HiGHS after the LP is the one that the
-    # docstring writes: columns (eta, x, v), rows (x = images eta, the R
-    # rows, the simplex rows block by block), costs and bounds, and no
-    # stored zero; a third of the images' entries are exact zeros and the
-    # first rows' normals are unit vectors, so that the pairing table, the
-    # image rows and the normals hold exact zeros, which are dropped
+def test_restricted_lp_hands_highs_the_model_its_docstring_states(
+        monkeypatch, n, r, k, n_blocks, tabled):
+    # a tabled LP hands the tableau the pairing table and HiGHS nothing; for
+    # an image-form LP, the model read back from HiGHS is the one that
+    # _image_lp's docstring writes: columns (eta, x, v), rows (x = images
+    # eta, the R rows, the simplex rows block by block), costs and bounds,
+    # and no stored zero; a third of the images' entries are exact zeros
+    # and the first rows' normals are unit vectors, so that the image rows
+    # and the normals hold exact zeros, which are dropped
     rng = np.random.default_rng([n, r, k])
     images, blocks, normals, row_blocks, rhs, cost = _restricted_args(rng, n, r, k, n_blocks)
     images.flat[::3] = 0.0
     normals[:k] = np.eye(k)[:min(k, r)]
     assert solvers._tabled(n, r, k) == tabled
+    state, handed = threading.local(), []
+    monkeypatch.setattr(solvers, "_thread", state)
+    tableau = solvers._tableau
+    monkeypatch.setattr(solvers, "_tableau", lambda *args: handed.append(args) or tableau(*args))
     solvers._restricted_lp(images, blocks, normals, row_blocks, rhs, cost)
-    m = 0 if tabled else k
-    matrix = np.zeros((m + r + n_blocks, n + m + n_blocks))
-    matrix[:m, :n] = -images[:m]
-    matrix[np.arange(m), n + np.arange(m)] = 1.0
-    pattern, first = (normals.dot(images), 0) if tabled else (normals, n)
-    matrix[m:m + r, first:first + pattern.shape[1]] = pattern
-    matrix[m + np.arange(r), n + m + row_blocks] = -1.0
-    matrix[m + r + blocks, np.arange(n)] = 1.0
-    assert (pattern == 0.0).any()
-    costs, col_bounds, row_bounds, dense, stored = _model_of(solvers._thread.highs)
-    assert np.array_equal(costs, np.r_[cost, np.zeros(m), np.ones(n_blocks)])
-    assert np.array_equal(col_bounds, [np.r_[np.zeros(n), np.full(m + n_blocks, -np.inf)],
-                                       np.full(n + m + n_blocks, np.inf)])
-    assert np.array_equal(row_bounds, [np.r_[np.zeros(m), np.full(r, -np.inf), np.ones(n_blocks)],
-                                       np.r_[np.zeros(m), rhs, np.ones(n_blocks)]])
+    if tabled:
+        assert not hasattr(state, "highs") and len(handed) == 1
+        table, *rest = handed[0]
+        assert np.array_equal(table, normals.dot(images)) and (table == 0.0).any()
+        assert all(a is b for a, b in zip(rest, (blocks, row_blocks, rhs, cost)))
+        assert rest[-1] == n_blocks
+        return
+    assert not handed
+    matrix = np.zeros((k + r + n_blocks, n + k + n_blocks))
+    matrix[:k, :n] = -images
+    matrix[np.arange(k), n + np.arange(k)] = 1.0
+    matrix[k:k + r, n:n + k] = normals
+    matrix[k + np.arange(r), n + k + row_blocks] = -1.0
+    matrix[k + r + blocks, np.arange(n)] = 1.0
+    assert (images == 0.0).any() and (normals == 0.0).any()
+    costs, col_bounds, row_bounds, dense, stored = _model_of(state.highs)
+    assert np.array_equal(costs, np.r_[cost, np.zeros(k), np.ones(n_blocks)])
+    assert np.array_equal(col_bounds, [np.r_[np.zeros(n), np.full(k + n_blocks, -np.inf)],
+                                       np.full(n + k + n_blocks, np.inf)])
+    assert np.array_equal(row_bounds, [np.r_[np.zeros(k), np.full(r, -np.inf), np.ones(n_blocks)],
+                                       np.r_[np.zeros(k), rhs, np.ones(n_blocks)]])
     assert np.array_equal(dense, matrix)
     assert len(stored) == np.count_nonzero(matrix) and (stored != 0.0).all()
 

@@ -9,11 +9,14 @@ Run from the root of a checkout:
 
 It builds each workload's pool through perfbench/workloads.py, solves
 every input as the benchmark does, and prints one line per (workload,
-seed): the inputs solved and a SHA-256 over their results.  Every pool
-input stops at its first round, so it then prints one line per family of
-FAMILIES, fixed desk runs at seeds 0-2 with gap_threshold 0 that go on
-for several rounds: restricted masters re-solved within and across
-rounds, certificate LPs and paced rounds.  A result
+seed): the inputs solved, a SHA-256 over their results, how many inputs
+stopped at each step count and for each stop reason, and the largest
+bound.  Every pool input stops at its first round, so it then prints one
+line per family of FAMILIES, fixed desk runs at seeds 0-2 with
+gap_threshold 0 that go on for several rounds: restricted masters
+re-solved within and across rounds, certificate LPs and paced rounds.
+A family's line holds its digest and each seed's stop reason and bound.
+Where two checkouts differ in a digest, these show what moved.  A result
 enters by its dataclass fields other than the payloads: steps, stop
 reason, the protocol's arrays, the certificate's weight bytes, lower
 bound and residual, every round record, the atoms, the bounds and, for a
@@ -27,6 +30,7 @@ import dataclasses
 import hashlib
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -153,14 +157,25 @@ def feed(h, value):
         raise TypeError(f"no digest for a {type(value).__name__}")
 
 
+def tally(values):
+    """'value:count' of each distinct value, in increasing order."""
+    return ",".join(f"{value}:{count}" for value, count in sorted(Counter(values).items()))
+
+
 def digest(name, seed, tiny):
-    """(inputs, hex digest) of one workload's pool at `seed`."""
+    """(inputs, hex digest, summary) of one workload's pool at `seed`: the
+    summary tallies the steps and stop reasons and gives the largest bound."""
     wl = workloads.WORKLOADS[name](tiny=tiny)
     pool = wl.build(seed)
     h = hashlib.sha256()
+    results = []
     for inst in pool:
-        feed(h, wl.solve(inst))
-    return len(pool), h.hexdigest()
+        results.append(wl.solve(inst))
+        feed(h, results[-1])
+    bound = max(result.rounds[-1]["bound"] for result in results)
+    return len(pool), h.hexdigest(), (f"steps={tally(r.steps for r in results)} "
+                                      f"stops={tally(r.stop_reason for r in results)} "
+                                      f"max_bound={bound:.4e}")
 
 
 def main(argv=None):
@@ -172,13 +187,17 @@ def main(argv=None):
     for name in sorted(workloads.WORKLOADS):
         for seed in args.seeds.split(","):
             seed = DEFAULT_SEEDS[name] if seed == "default" else int(seed)
-            count, hexdigest = digest(name, seed, args.tiny)
-            print(f"{name} seed={seed} inputs={count} sha256={hexdigest}", flush=True)
+            count, hexdigest, summary = digest(name, seed, args.tiny)
+            print(f"{name} seed={seed} inputs={count} sha256={hexdigest} {summary}", flush=True)
     for name, run in FAMILIES:
         h = hashlib.sha256()
-        for seed in range(3):
-            feed(h, run(np.random.default_rng(seed)))
-        print(f"{name} seeds=0-2 sha256={h.hexdigest()}", flush=True)
+        results = [run(np.random.default_rng(seed)) for seed in range(3)]
+        for result in results:
+            feed(h, result)
+        print(f"{name} seeds=0-2 sha256={h.hexdigest()} "
+              f"stops={','.join(r.stop_reason for r in results)} "
+              f"bounds={','.join(format(r.rounds[-1]['bound'], '.4e') for r in results)}",
+              flush=True)
     return 0
 
 
