@@ -221,17 +221,21 @@ def integer(value, name):
 
 
 def integers(values, name):
-    """A 1-d sequence of integers as an int64 array, each entry checked by
-    `integer` as name[i]; a 1-d integer array needs no check, and an int64
-    one is returned uncopied.  ValueError naming `name` for a value that is
-    not a list, a tuple or an array (see `entries`), and for an entry
-    beyond int64."""
+    """A 1-d sequence of integers as an int64 array; a 1-d integer array
+    needs no check, and an int64 one is returned uncopied.  The entries'
+    types are checked first, and only a bad entry is named, as name[i],
+    by `integer`.  ValueError naming `name` for a value that is not a
+    list, a tuple or an array (see `entries`), and for an entry beyond
+    int64."""
     if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind == "i":
         return values.astype(np.int64, copy=False)
     values = entries(values.tolist() if isinstance(values, np.ndarray) else values, name)
+    types = set(map(type, values))
+    if bool in types or not all(issubclass(kind, numbers.Integral) for kind in types):
+        for i, value in enumerate(values):  # only an error names an entry
+            integer(value, f"{name}[{i}]")
     try:
-        return np.array([integer(v, f"{name}[{i}]") for i, v in enumerate(values)],
-                        dtype=np.int64)
+        return np.array(list(map(int, values)), dtype=np.int64)
     except OverflowError:
         raise ValueError(f"{name} has an entry beyond the int64 range") from None
 

@@ -25,7 +25,6 @@ from .solvers import (
     FieldOracle,
     SolveResult,
     SolverConfig,
-    _Rejected,
     _restricted_lp,
     _Rounds,
     ellipsoid_run,
@@ -294,15 +293,15 @@ def _evaluated(master, atoms):
 def _restricted_master(master, pool):
     """Equilibrium of the game restricted to `pool` = (w_cols, z_cols), one
     {key: column} table per side of a run's payloads and its rounds' best
-    replies (see solvers._Rounds), as (w_atoms, z_atoms, w_cols, z_cols),
-    or None where the LP is rejected.  The minimizer's LP
-    (_restricted_lp) takes the columns D e_j of its strategies as images,
-    and each maximizer's strategy i is one row <A e_i, D w> + q_i <= s:
-    the row's normal is its column A e_i, or e_i for the square master,
-    whose payoff S_ij is entry i of D e_j.  A small pool's LP reads these
-    rows as the pairing table of their payoffs, a large one's through the
-    images (see solvers._tabled).  The rows' duals are the maximizer's
-    weights."""
+    replies (see solvers._Rounds), as (w_atoms, z_atoms, w_cols, z_cols).
+    A rejected LP raises solvers._Rejected, which the round catches.  The
+    minimizer's LP (_restricted_lp) takes the columns D e_j of its
+    strategies as images, and each maximizer's strategy i is one row
+    <A e_i, D w> + q_i <= s: the row's normal is its column A e_i, or e_i
+    for the square master, whose payoff S_ij is entry i of D e_j.  A small
+    pool's LP reads these rows as the pairing table of their payoffs, a
+    large one's through the images (see solvers._tabled).  The rows' duals
+    are the maximizer's weights."""
     w_cols, z_cols = pool
     n, r = len(w_cols), len(z_cols)
     images = np.array(list(w_cols.values())).T
@@ -315,10 +314,7 @@ def _restricted_master(master, pool):
     cost = np.zeros(n) if p is None else p[[k[0] for k in w_cols]]
     rhs = np.zeros(r) if q is None else -q[[k[0] for k in z_cols]]
     blocks = np.zeros(max(n, r), dtype=np.intp)  # one block of atoms, one of rows
-    try:
-        w, z = _restricted_lp(images, blocks[:n], normals, blocks[:r], rhs, cost)
-    except _Rejected:
-        return None
+    w, z = _restricted_lp(images, blocks[:n], normals, blocks[:r], rhs, cost)
     w_atoms = {k: x for k, x in zip(w_cols, w.tolist()) if x > 0.0}
     z_atoms = {k: x for k, x in zip(z_cols, z.tolist()) if x > 0.0}
     return w_atoms, z_atoms, {k: w_cols[k] for k in w_atoms}, {k: z_cols[k] for k in z_atoms}

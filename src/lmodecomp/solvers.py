@@ -371,10 +371,7 @@ class _Run:
         # does not put its whole support into the working set
         warm = self.cert
         if self.lp_owed and not early:
-            warm = None
-            candidates = [AccuracyCertificate(np.pad(self.cert.weights,
-                                                     (0, len(protocol) - len(self.cert)))),
-                          *candidates]
+            warm, candidates = None, [self.cert, *candidates]
         self.cert = optimize_certificate(protocol, self.radii, self.split, warm_start=warm,
                                          tol=0.1 * self.config.eps_target, lp=self.lp,
                                          candidates=candidates,
@@ -617,6 +614,18 @@ class _Rejected(RuntimeError):
     optimum, or a restricted LP's tableau found none."""
 
 
+def _optimum(highs):
+    """Run HiGHS on its model and return the solution.  Where the run
+    reports no optimum, clear the solver, so that the next run starts
+    afresh, and raise _Rejected."""
+    core = _highs_core()
+    if (highs.run() == core.HighsStatus.kError
+            or highs.getModelStatus() != core.HighsModelStatus.kOptimal):
+        highs.clearSolver()
+        raise _Rejected("HiGHS reported no optimum")
+    return highs.getSolution()
+
+
 def _new_highs():
     """An empty HiGHS model with the options of every LP here: no output, no
     presolve, and feasibility tolerances of 1e-10, since residuals are
@@ -652,9 +661,7 @@ class CertificateLP:
     """
 
     def __init__(self, radii, split, dim):
-        core = _highs_core()
-        self.highs, self._optimal = _new_highs(), core.HighsModelStatus.kOptimal
-        self._error = core.HighsStatus.kError
+        self.highs, self._error = _new_highs(), _highs_core().HighsStatus.kError
         upper = np.array([np.inf] + [r for sl, r in _balls(radii, split, dim)
                                      for _ in range(sl.start, sl.stop)])
         cost = np.zeros(1 + dim)
@@ -700,13 +707,10 @@ class CertificateLP:
 
     def solve(self, t):
         """(s, a, b) and the weights max(-row dual, 0) on a protocol of
-        length t; _Rejected where HiGHS does not report an optimum."""
+        length t; _Rejected where HiGHS does not report an optimum (see
+        _optimum)."""
         self.solves += 1
-        if (self.highs.run() == self._error
-                or self.highs.getModelStatus() != self._optimal):
-            self.highs.clearSolver()  # start the next solve afresh
-            raise _Rejected("HiGHS reported no optimum")
-        sol = self.highs.getSolution()
+        sol = _optimum(self.highs)
         duals = np.array(sol.row_dual)
         lam = np.zeros(t)
         is_row = self.rows >= 0
@@ -746,12 +750,12 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     `max_solves` solves end the loop; with max_solves 0 the call scores the
     candidates alone and leaves `lp` as it was, and so does a protocol of
     one entry, whose only certificate is the weight 1, its residual also
-    the bound.  Never worse than uniform
-    weights, the warm start (which may cover a prefix of the protocol) or
-    the `candidates`, certificates for the whole protocol tried after
-    those two.  Only the warm start's
-    support seeds the working set: a candidate with full support does not
-    put every protocol row into the LP.
+    the bound.  Never worse than uniform weights, the warm start or the
+    `candidates`, tried in that order.  The warm start and each candidate
+    may cover a prefix of the protocol and are scored as their weights
+    padded with zeros; one longer than the protocol raises ValueError.
+    Only the warm start's support seeds the working set: a candidate with
+    full support does not put every protocol row into the LP.
 
     A round computes c and scale = max(1, max|F|, max|c|) from the
     protocol, with the row sums of residual_ball_product, and evaluates
@@ -771,17 +775,13 @@ def optimize_certificate(protocol, radii, split, warm_start=None, tol=None, lp=N
     c = (fv * protocol.points).sum(axis=1)
     scale = max(1.0, float(np.abs(fv).max()), float(np.abs(c).max()))
     tried = [np.full(t, 1.0 / t)]
-    in_set = np.zeros(t, dtype=bool)  # the LP's working set of protocol rows
-    if warm_start is not None:
-        if len(warm_start) > t:
-            raise ValueError("warm start is longer than the protocol")
-        warm = np.zeros(t)
-        warm[:len(warm_start)] = warm_start.weights
-        tried.append(warm)
-        in_set |= warm > 0.0
-    if any(len(cert) != t for cert in candidates):
-        raise ValueError("a candidate's length differs from the protocol's")
-    tried += [cert.weights for cert in candidates]
+    for cert in list(candidates) if warm_start is None else [warm_start, *candidates]:
+        if len(cert) > t:
+            raise ValueError("a warm start or candidate is longer than the protocol")
+        tried.append(np.zeros(t))  # zero-padded where it covers a prefix
+        tried[-1][:len(cert)] = cert.weights
+    # the LP's working set of protocol rows, seeded by the warm start's support
+    in_set = tried[1] > 0.0 if warm_start is not None else np.zeros(t, dtype=bool)
 
     best = None
     for lam in tried:  # the first of equal residuals wins
@@ -949,13 +949,14 @@ def _image_lp(images, blocks, normals, row_blocks, rhs, cost, n_blocks):
     """(eta, row duals) of the restricted LP (see _restricted_lp) written
     through K free image columns x = images eta, solved on the thread's
     HiGHS model.  The columns are (eta, x, v) and the rows (x = images
-    eta, the R rows, the simplex rows block by block), with exact zeros
-    dropped; all are written in one pass into arrays allocated once, (n +
-    R)(K + 1) + K nonzeros where nothing is 0.  The model is the thread's
-    own, built once by _new_highs and cleared before each LP, so a solve
-    costs about one HiGHS run and no two threads share a model.  The row
-    duals are -row_dual.  Raises _Rejected where HiGHS rejects the model
-    or reports no optimum."""
+    eta, the R rows, the simplex rows block by block), each written at its
+    fixed length in one pass into arrays allocated once: (n + R)(K + 1) +
+    K entries.  HiGHS drops the stored entries of magnitude up to 1e-9,
+    exact zeros among them, itself (with a warning status, not an error).
+    The model is the thread's own, built once by _new_highs and cleared
+    before each LP, so a solve costs about one HiGHS run and no two
+    threads share a model.  The row duals are -row_dual.  Raises _Rejected
+    where HiGHS rejects the model or reports no optimum (see _optimum)."""
     k, n = images.shape
     r = len(normals)
     cols, rows = n + k + n_blocks, k + r + n_blocks
@@ -976,13 +977,13 @@ def _image_lp(images, blocks, normals, row_blocks, rhs, cost, n_blocks):
     idx[:, k] = row_blocks + (n + k)
     values[tail:] = 1.0
     indices[tail:] = blocks.argsort(kind="stable")
-    keep = values != 0.0
-    counts = np.empty(rows, dtype=np.int32)
-    counts[:k] = keep[:head].reshape(k, n + 1).sum(axis=1)
-    counts[k:k + r] = keep[head:tail].reshape(r, k + 1).sum(axis=1)
-    counts[k + r:] = np.bincount(blocks, minlength=n_blocks)
-    starts = np.zeros(rows, dtype=np.int32)
-    np.add.accumulate(counts[:-1], out=starts[1:])
+    # each row's first slot: image rows of n + 1 slots, R rows of K + 1 and
+    # simplex rows of their blocks' sizes
+    starts = np.empty(rows, dtype=np.int32)
+    starts[:k] = np.arange(0, head, n + 1)
+    starts[k:k + r] = np.arange(head, tail, k + 1)
+    starts[k + r:] = tail
+    starts[k + r + 1:] += np.bincount(blocks)[:-1].cumsum()
     # costs, lower and upper bounds of the columns; lower and upper bounds of the rows
     col_bounds, row_bounds = np.empty((3, cols)), np.empty((2, rows))
     col_bounds[0, :n] = cost
@@ -995,20 +996,16 @@ def _image_lp(images, blocks, normals, row_blocks, rhs, cost, n_blocks):
     row_bounds[0, k:k + r] = -np.inf
     row_bounds[1, k:k + r] = rhs
     row_bounds[:, k + r:] = 1.0
-    core = _highs_core()
-    error = core.HighsStatus.kError
+    error = _highs_core().HighsStatus.kError
     highs = getattr(_thread, "highs", None)
     if highs is None:
         highs = _thread.highs = _new_highs()
     highs.clearModel()  # keeps the options
     empty = np.zeros(0, dtype=np.int32)
-    indices, values = indices[keep], values[keep]
-    if not (highs.addCols(cols, *col_bounds, 0, empty, empty, np.zeros(0)) != error
-            and highs.addRows(rows, *row_bounds, len(values), starts, indices, values) != error
-            and highs.run() != error
-            and highs.getModelStatus() == core.HighsModelStatus.kOptimal):
-        raise _Rejected("HiGHS rejected the restricted LP or found no optimum")
-    sol = highs.getSolution()
+    if (highs.addCols(cols, *col_bounds, 0, empty, empty, np.zeros(0)) == error
+            or highs.addRows(rows, *row_bounds, len(values), starts, indices, values) == error):
+        raise _Rejected("HiGHS rejected the restricted LP")
+    sol = _optimum(highs)
     return sol.col_value[:n], np.negative(sol.row_dual[k:k + r])
 
 
@@ -1031,8 +1028,9 @@ class _Rounds:
     each reply joins when found.  `solve(pool)` is the equilibrium of the
     problem restricted to `pool`, one {**held, **found} table per side, so
     the payloads' strategies come first and the replies' after, each in
-    first-occurrence order, or None where the LP is rejected.  An affine
-    VI's rounds keep no pool."""
+    first-occurrence order; it raises _Rejected where the LP is rejected,
+    and the round takes that as no equilibrium.  An affine VI's rounds
+    keep no pool."""
 
     def __init__(self, threshold, atoms_of, evaluate, solve=None, strategies=None):
         self.threshold, self.atoms_of, self.evaluate = threshold, atoms_of, evaluate
@@ -1056,13 +1054,14 @@ class _Rounds:
         again with the new reply for as long as the gap is above
         max(threshold, rho), the reply holds a pure strategy that the
         master lacks and the round has re-solved fewer times than the
-        protocol grew since the previous round.  A re-solve makes the
-        oracle calls of one field evaluation, so the loop at most doubles
-        the run's oracle work.  The round returns what _choose_atoms picks
-        from the certificate's atoms and the best restricted equilibrium,
-        with `master_columns` (each side's pool at the last solve) and
+        protocol grew since the previous round.  A rejected LP ends the
+        loop and counts as a solve.  A re-solve makes the oracle calls of
+        one field evaluation, so the loop at most doubles the run's oracle
+        work.  The round returns what _choose_atoms picks from the
+        certificate's atoms and every equilibrium it evaluated, with
+        `master_columns` (each side's pool at the last solve) and
         `master_solves` as SolveResult says."""
-        (certified, reply), best = self.evaluate(self.atoms_of(cert, payloads)), None
+        (certified, reply), equilibria = self.evaluate(self.atoms_of(cert, payloads)), []
         master = {"master_columns": None, "master_solves": 0}
         if self.solve is not None:
             for payload in payloads[self.t:]:
@@ -1073,47 +1072,41 @@ class _Rounds:
             while True:
                 pool = [{**self.held[side], **found} for side, found in self.found.items()]
                 solves += 1
-                atoms = self.solve(pool)
-                if atoms is None:
+                try:
+                    atoms = self.solve(pool)
+                except _Rejected:
                     break
                 restricted, reply = self.evaluate(atoms)
+                equilibria.append(restricted)
                 keys = self._join(self.found, reply)
                 _, gap, rho, _ = restricted
-                if best is None or _rank(restricted, self.threshold) < _rank(best, self.threshold):
-                    best = restricted
                 if not (gap > max(self.threshold, rho) and solves <= budget
                         and any(key not in table for key, table in zip(keys, pool))):
                     break
             master = {"master_columns": tuple(map(len, pool)), "master_solves": solves}
-        self.atoms, fields = _choose_atoms(cert.residual, self.threshold, certified, best)
+        self.atoms, fields = _choose_atoms(cert.residual, self.threshold, certified, *equilibria)
         return {**fields, **master}
 
 
-def _rank(restricted, threshold):
-    """Sort key of a restricted equilibrium (atoms, gap, rho, fields): a gap
-    that meets `threshold` first, then the least bound gap + rho."""
-    _, gap, rho, _ = restricted
-    return gap > threshold, gap + rho
-
-
-def _choose_atoms(residual, threshold, certified, restricted=None):
+def _choose_atoms(residual, threshold, certified, *restricted):
     """(atoms, fields) that a certificate round returns.  `certified` and
-    `restricted` are (atoms, gap, rho, fields) of the certificate's atoms
-    and of the restricted master's equilibrium (None where there is none):
+    each of `restricted` are (atoms, gap, rho, fields) of the certificate's
+    atoms and of a restricted master's equilibrium, in the order evaluated:
     their computed gap, its floating-point allowance rho and the fields to
     record.  The certificate's atoms are bounded by min(residual, gap +
     rho), but never below their own computed gap (the residual may round
-    below it), the restricted ones by gap + rho.  The round returns the set
-    whose gap meets `threshold` if only one does, else the one with the
-    smaller bound, the certificate's on a tie; its fields gain that set's gap and
-    bound, `cert_gap` (the certificate's gap, which the round checks and
-    paces by) and `atoms`, "certificate" or "restricted"."""
+    below it), the restricted ones by gap + rho.  The round returns the
+    first set with the least key (gap > threshold, bound): a gap that
+    meets `threshold` first, then the least bound, and on a tie the
+    certificate's, then the earliest equilibrium.  Its fields gain that
+    set's gap and bound, `cert_gap` (the certificate's gap, which the
+    round checks and paces by) and `atoms`, "certificate" or
+    "restricted"."""
     atoms, gap, rho, fields = certified
     out = {**fields, "gap": gap, "bound": max(min(residual, gap + rho), gap),
            "cert_gap": gap, "atoms": "certificate"}
-    if restricted is not None:
-        r_atoms, r_gap, r_rho, r_fields = restricted
-        if _rank(restricted, threshold) < (gap > threshold, out["bound"]):
-            return r_atoms, {**out, **r_fields, "gap": r_gap, "bound": r_gap + r_rho,
-                             "atoms": "restricted"}
-    return atoms, out
+    sets = [(atoms, out)] + [
+        (r_atoms, {**out, **r_fields, "gap": r_gap, "bound": r_gap + r_rho,
+                   "atoms": "restricted"})
+        for r_atoms, r_gap, r_rho, r_fields in restricted]
+    return min(sets, key=lambda s: (s[1]["gap"] > threshold, s[1]["bound"]))

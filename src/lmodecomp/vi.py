@@ -28,7 +28,6 @@ from .solvers import (
     FieldOracle,
     SolveResult,
     SolverConfig,
-    _Rejected,
     _restricted_lp,
     _Rounds,
     ellipsoid_run,
@@ -455,15 +454,15 @@ def _restricted_terms(spec, cols):
     """Equilibrium of the skew VI restricted to the pool `cols`, one {key:
     column} table per block of a run's payloads and its rounds' best
     replies (see solvers._Rounds), as terms {key: (weight, P eta, <f,
-    eta>)} of at most sum_b n_b joint atoms (see _coupling), or None where
-    the LP is rejected.  With the block images p_bj = A_b D_b e_j and
-    q_bj = B_b D_b e_j of block b's strategy j, the LP (_restricted_lp)
-    minimizes <f, eta> + sum_b v_b over one simplex per block and
-    x = P eta, subject to -v_b <= 2 <q_bj, x> + f_bj = F(eta)_bj: its
-    optimum is the least restricted dual gap, 0 for a skew F.  For Nash
-    the blocks are the players and -v_b a player's best restricted reply.
-    Each joint atom's P eta is rebuilt from the stored columns as
-    eps_vi_exact rebuilds it."""
+    eta>)} of at most sum_b n_b joint atoms (see _coupling).  A rejected
+    LP raises solvers._Rejected, which the round catches.  With the block
+    images p_bj = A_b D_b e_j and q_bj = B_b D_b e_j of block b's strategy
+    j, the LP (_restricted_lp) minimizes <f, eta> + sum_b v_b over one
+    simplex per block and x = P eta, subject to -v_b <= 2 <q_bj, x> + f_bj
+    = F(eta)_bj: its optimum is the least restricted dual gap, 0 for a
+    skew F.  For Nash the blocks are the players and -v_b a player's best
+    restricted reply.  Each joint atom's P eta is rebuilt from the stored
+    columns as eps_vi_exact rebuilds it."""
     system = spec.system
     sizes = [len(c) for c in cols]
     ends = list(itertools.accumulate(sizes))
@@ -473,10 +472,7 @@ def _restricted_terms(spec, cols):
     d = [np.array(list(c.values())).T for c in cols]
     images = np.hstack([system.A[:, sl].dot(d_b) for sl, d_b in zip(system.slices, d)])
     normals = np.hstack([system.B[:, sl].dot(d_b) for sl, d_b in zip(system.slices, d)])
-    try:
-        eta, _ = _restricted_lp(images, blocks, -2.0 * normals.T, blocks, costs, costs)
-    except _Rejected:
-        return None
+    eta, _ = _restricted_lp(images, blocks, -2.0 * normals.T, blocks, costs, costs)
     weights = eta.tolist()
     marginals = [{k: w for k, w in zip(c, weights[end - size:end]) if w > 0.0}
                  for c, size, end in zip(cols, sizes, ends)]

@@ -251,6 +251,31 @@ def test_optimizer_warm_start_never_worse():
             <= residual_ball_product(prot, warm, radii, split) + 1e-12)
 
 
+def test_optimizer_scores_a_prefix_candidate_as_its_zero_padded_weights():
+    # a candidate that covers only a prefix of the protocol, as a run's last
+    # early certificate does, scores as its weights padded with zeros, bit
+    # for bit, both alone and with LP solves; one longer than the protocol
+    # raises
+    rng = np.random.default_rng(1)
+    prot = _random_protocol(rng, 40, 4)
+    radii, split = (1.0, 1.0), 2
+    short = optimize_certificate(prot.prefix(30), radii, split)
+    padded = AccuracyCertificate(np.r_[short.weights, np.zeros(10)])
+    for max_solves in (0, 100):
+        got, want = (optimize_certificate(prot, radii, split, candidates=[cert],
+                                          max_solves=max_solves) for cert in (short, padded))
+        assert np.array_equal(got.weights, want.weights)
+        assert (got.residual, got.lower) == (want.residual, want.lower)
+    scored = optimize_certificate(prot, radii, split, candidates=[short], max_solves=0)
+    assert np.array_equal(scored.weights, padded.weights)
+    assert scored.residual == residual_ball_product(prot, padded, radii, split)
+    longer = AccuracyCertificate.uniform(41)
+    with pytest.raises(ValueError, match="longer than the protocol"):
+        optimize_certificate(prot, radii, split, candidates=[longer])
+    with pytest.raises(ValueError, match="longer than the protocol"):
+        optimize_certificate(prot, radii, split, warm_start=longer)
+
+
 def test_optimizer_near_optimal_on_analytic_case():
     # two points with opposite fields: lam = (1/2, 1/2) zeroes the aggregate
     pts = np.array([[1.0, 0.0], [1.0, 0.0]])
@@ -1183,10 +1208,12 @@ def test_restricted_lp_hands_highs_the_model_its_docstring_states(
     # eta, the R rows, the simplex rows block by block), costs and bounds,
     # and no stored zero; a third of the images' entries are exact zeros
     # and the first rows' normals are unit vectors, so that the image rows
-    # and the normals hold exact zeros, which are dropped
+    # and the normals hold exact zeros, which are dropped, and one image
+    # entry is 1e-12, which HiGHS drops too (it drops entries up to 1e-9)
     rng = np.random.default_rng([n, r, k])
     images, blocks, normals, row_blocks, rhs, cost = _restricted_args(rng, n, r, k, n_blocks)
     images.flat[::3] = 0.0
+    images[0, 1] = 1e-12
     normals[:k] = np.eye(k)[:min(k, r)]
     assert solvers._tabled(n, r, k) == tabled
     state, handed = threading.local(), []
@@ -1208,7 +1235,8 @@ def test_restricted_lp_hands_highs_the_model_its_docstring_states(
     matrix[k:k + r, n:n + k] = normals
     matrix[k + np.arange(r), n + k + row_blocks] = -1.0
     matrix[k + r + blocks, np.arange(n)] = 1.0
-    assert (images == 0.0).any() and (normals == 0.0).any()
+    assert (images == 0.0).any() and (normals == 0.0).any() and matrix[0, 1] == -1e-12
+    matrix[0, 1] = 0.0  # not stored
     costs, col_bounds, row_bounds, dense, stored = _model_of(state.highs)
     assert np.array_equal(costs, np.r_[cost, np.zeros(k), np.ones(n_blocks)])
     assert np.array_equal(col_bounds, [np.r_[np.zeros(n), np.full(k + n_blocks, -np.inf)],
@@ -1485,6 +1513,30 @@ def test_certificate_atoms_are_never_bounded_below_their_gap():
     # and that bound is what the restricted master's atoms compete with
     restricted = ("restricted atoms", 1e-15, 2e-14, {})
     assert solvers._choose_atoms(7.38e-16, 1e-4, certified, restricted)[0] == "certificate atoms"
+
+
+def test_choose_atoms_takes_the_first_least_key():
+    # the key is (gap > threshold, bound): on an equal key the certificate's
+    # atoms win, then the earliest equilibrium; a gap that meets the
+    # threshold beats a lower bound whose gap does not
+    certified = ("certificate", 2e-5, 1e-6, {"value": 0.0})
+    same = ("restricted", 2e-5, 1e-6, {"value": 1.0})
+    atoms, fields = solvers._choose_atoms(1.0, 1e-4, certified, same)
+    assert atoms == "certificate" and fields["atoms"] == "certificate"
+    assert fields["value"] == 0.0 and fields["bound"] == 2e-5 + 1e-6
+    first, second = ("first", 1e-5, 1e-6, {"value": 1.0}), ("second", 1e-5, 1e-6, {"value": 2.0})
+    atoms, fields = solvers._choose_atoms(1.0, 1e-4, certified, first, second)
+    assert atoms == "first" and fields["atoms"] == "restricted" and fields["value"] == 1.0
+    assert (fields["gap"], fields["bound"], fields["cert_gap"]) == (1e-5, 1e-5 + 1e-6, 2e-5)
+    low = ("low bound", 2e-4, 0.0, {})  # gap above the threshold
+    met = ("met", 5e-5, 1e-3, {})  # gap within it, bound far above low's
+    certified = ("certificate", 3e-4, 0.0, {})
+    for restricted in ((low, met), (met, low)):
+        atoms, fields = solvers._choose_atoms(1.0, 1e-4, certified, *restricted)
+        assert atoms == "met" and fields["bound"] == 5e-5 + 1e-3
+    assert solvers._choose_atoms(1.0, 1e-4, certified, low)[0] == "low bound"
+    met_by_certificate = ("certificate", 5e-5, 1e-3, {})
+    assert solvers._choose_atoms(1.0, 1e-4, met_by_certificate, low)[0] == "certificate"
 
 
 def test_dense_game_stops_on_gap_threshold():
